@@ -1,7 +1,7 @@
 // Package precond provides the block-Jacobi preconditioner used by the
 // paper's preconditioned CG (§5.1): 512×512 diagonal blocks factorized
-// once with Cholesky, sized to coincide with the memory-page fault
-// granularity so the factorizations double as recovery solvers.
+// once with (banded) Cholesky, sized to coincide with the memory-page
+// fault granularity so the factorizations double as recovery solvers.
 //
 // The key property for cheap recovery (§3.2) is partial application: as a
 // block-diagonal operator, solving M u = v on the set of blocks that
@@ -66,16 +66,9 @@ func New(a *sparse.CSR, blockSize int, spd bool) (*BlockJacobi, error) {
 		blockSize = 512
 	}
 	layout := sparse.BlockLayout{N: a.N, BlockSize: blockSize}
-	bj := &BlockJacobi{a: a, layout: layout, solvers: make([]sparse.BlockSolver, layout.NumBlocks())}
-	for i := 0; i < layout.NumBlocks(); i++ {
-		lo, hi := layout.Range(i)
-		s, err := sparse.FactorizeBlock(a.DiagBlock(lo, hi), spd)
-		if err != nil {
-			return nil, fmt.Errorf("precond: block %d: %w", i, err)
-		}
-		bj.solvers[i] = s
-	}
-	return bj, nil
+	cache := sparse.NewBlockSolverCache(a, layout, spd)
+	cache.PrefactorizeLenient()
+	return FromCache(cache)
 }
 
 // NewBlockJacobi factorizes the diagonal blocks of the SPD matrix a with
@@ -134,12 +127,11 @@ func (p *BlockJacobi) SolveBlockInPlace(i int, buf []float64) error {
 
 // MulBlock computes u_i = M_ii v_i = A_ii v_i for block i — the forward
 // product inverse to ApplyBlock, used to rebuild a lost unpreconditioned
-// page from its surviving preconditioned image (d = M d̂). The dense
-// diagonal block is re-extracted on demand: this runs only on the rare
-// recovery path, so nothing is cached.
+// page from its surviving preconditioned image (d = M d̂) — straight from
+// the CSR rows of the block.
 func (p *BlockJacobi) MulBlock(i int, v, u []float64) error {
 	lo, hi := p.layout.Range(i)
-	p.a.DiagBlock(lo, hi).MulVec(v[lo:hi], u[lo:hi])
+	p.a.MulVecRangeWithinCols(v, u[lo:hi], lo, hi, lo, hi)
 	return nil
 }
 

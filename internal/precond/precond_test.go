@@ -197,3 +197,59 @@ func TestSolveBlockInPlaceMatchesApplyBlock(t *testing.T) {
 		}
 	}
 }
+
+// TestMulBlockMatchesDenseProduct: the CSR-row product of a diagonal block
+// is the dense block's row sums, bit for bit, on a stencil, a scattered
+// and a banded operator (short last block included), and leaves the rest
+// of u alone.
+func TestMulBlockMatchesDenseProduct(t *testing.T) {
+	for name, a := range map[string]*sparse.CSR{
+		"thermal2":  matgen.Thermal2Analogue(300),
+		"randomspd": matgen.RandomSPD(300, 9, 1.5, 5),
+		"banded":    matgen.Banded(300, 7, 1.2, 3),
+	} {
+		bj, err := New(a, 64, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v := matgen.RandomVector(a.N, 13)
+		for i := 0; i < bj.Layout().NumBlocks(); i++ {
+			lo, hi := bj.Layout().Range(i)
+			want := make([]float64, hi-lo)
+			a.DiagBlock(lo, hi).MulVec(v[lo:hi], want)
+			u := make([]float64, a.N)
+			if err := bj.MulBlock(i, v, u); err != nil {
+				t.Fatal(err)
+			}
+			for k := range u {
+				w := 0.0
+				if k >= lo && k < hi {
+					w = want[k-lo]
+				}
+				if math.Float64bits(u[k]) != math.Float64bits(w) {
+					t.Fatalf("%s block %d: u[%d] = %v, dense product %v", name, i, k, u[k], w)
+				}
+			}
+		}
+	}
+}
+
+// TestBlockOpsDoNotAllocate: ApplyBlock runs once per page per iteration
+// and MulBlock inside recoveries; neither may allocate.
+func TestBlockOpsDoNotAllocate(t *testing.T) {
+	a := matgen.Thermal2Analogue(2048)
+	v := matgen.RandomVector(a.N, 1)
+	u := make([]float64, a.N)
+	for _, spd := range []bool{true, false} {
+		bj, err := New(a, 512, spd)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := testing.AllocsPerRun(10, func() { _ = bj.ApplyBlock(1, v, u) }); n != 0 {
+			t.Errorf("spd=%v: ApplyBlock allocates %v times per call", spd, n)
+		}
+		if n := testing.AllocsPerRun(10, func() { _ = bj.MulBlock(1, v, u) }); n != 0 {
+			t.Errorf("spd=%v: MulBlock allocates %v times per call", spd, n)
+		}
+	}
+}

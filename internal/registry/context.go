@@ -106,19 +106,19 @@ func (c *OperatorContext) Blocks(spd bool) *sparse.BlockSolverCache {
 }
 
 // SizeBytes estimates the resident cost of the context: the CSR (values,
-// index arrays and their narrow shadows) plus one dense factor per
-// factorized diagonal block. The estimate drives cache eviction only, so
-// page-granularity accuracy is enough.
+// index arrays and their narrow shadows) plus the diagonal-block factors
+// built so far, at their actual (banded) size. The estimate drives cache
+// eviction only, so page-granularity accuracy is enough.
 func (c *OperatorContext) SizeBytes() int64 {
 	nnz := int64(len(c.A.Vals))
 	n := int64(c.A.N)
 	bytes := nnz*8 + nnz*8 + (n+1)*8 // vals + cols + rowptr
 	bytes += nnz*4 + (n+1)*4         // int32 shadows (worst case: present)
 	c.mu.Lock()
-	nc := int64(len(c.blocks))
-	c.mu.Unlock()
-	bs := int64(c.PageDoubles)
-	bytes += nc * int64(c.Layout.NumBlocks()) * bs * bs * 8
+	defer c.mu.Unlock()
+	for _, bc := range c.blocks {
+		bytes += bc.Bytes()
+	}
 	return bytes
 }
 

@@ -147,6 +147,39 @@ func TestSharedBlocksBitwiseIdentical(t *testing.T) {
 	}
 }
 
+// TestSizeBytesCountsBuiltFactors: the eviction estimate charges a
+// context the factors it actually holds — nothing before a family is
+// requested, then exactly the banded factors' bytes, well under the dense
+// blocks × bs² × 8 a 5-point operator was charged before. The two
+// families are requested from several goroutines at once, so under -race
+// this is also the gate for the parallel prefactorization behind Blocks.
+func TestSizeBytesCountsBuiltFactors(t *testing.T) {
+	a, _ := testSystem(t)
+	octx := NewOperatorContext("m", a, 64)
+	bare := octx.SizeBytes()
+
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(spd bool) {
+			defer wg.Done()
+			octx.Blocks(spd)
+		}(g%2 == 0)
+	}
+	wg.Wait()
+
+	chol, lu := octx.Blocks(true).Bytes(), octx.Blocks(false).Bytes()
+	if chol <= 0 || lu <= 0 {
+		t.Fatalf("factor bytes: cholesky %d, lu %d", chol, lu)
+	}
+	if got := octx.SizeBytes(); got != bare+chol+lu {
+		t.Fatalf("SizeBytes = %d, want CSR %d + factors %d + %d", got, bare, chol, lu)
+	}
+	if dense := int64(octx.Layout.NumBlocks()) * 64 * 64 * 8; chol > dense/2 || lu > dense {
+		t.Fatalf("factors hold %d (cholesky) and %d (lu) bytes; dense blocks were %d each", chol, lu, dense)
+	}
+}
+
 // TestContextCacheEviction pins the LRU-under-cap behaviour of the
 // matrix-handle store: inserting past the cap evicts the least recently
 // used context while the newest insert always survives, and the hit /

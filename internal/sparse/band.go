@@ -1,0 +1,370 @@
+package sparse
+
+import (
+	"fmt"
+	"math"
+)
+
+// Banded direct factors of the page-sized diagonal blocks. A block of a
+// stencil-like operator is itself banded (half-bandwidth 64–128 inside a
+// 512×512 page block), and neither Cholesky nor LU with row pivoting
+// leaves that band: every entry outside it is an exact structural zero in
+// the factor too. The factors below store only the band and skip exactly
+// the products with those zeros, in the summation order of the textbook
+// dense algorithms — so their results equal the dense factor's bit for
+// bit, a full block is simply the widest band, and there is one factor
+// path for every bandwidth.
+//
+// Storage is triangular-ragged: a row or column of the band is clipped to
+// the matrix, so at full bandwidth LU holds n² doubles, what the dense n×n
+// factor did, and Cholesky half of that.
+
+// blockRows enumerates the stored entries (j, v) of row i of a square
+// block, ascending in j, in the block's own index space. It is all a
+// factor constructor reads, so a block is factorized straight from its
+// source — the CSR rows of A or a Dense — without a dense temporary.
+type blockRows func(i int, visit func(j int, v float64))
+
+// denseRows reads the nonzeros of a dense block.
+func denseRows(d *Dense) blockRows {
+	return func(i int, visit func(j int, v float64)) {
+		for j, v := range d.Data[i*d.Cols : (i+1)*d.Cols] {
+			if v != 0 {
+				visit(j, v)
+			}
+		}
+	}
+}
+
+// span is one contiguous index range [lo, hi) of A placed at off in the
+// index space of a block made of several such ranges.
+type span struct{ lo, hi, off int }
+
+// spanRows reads the block A[S, S] for the index set S given as sorted,
+// disjoint spans whose offsets concatenate them: one span is a diagonal
+// block, several are the coupled system of §2.4.
+func (a *CSR) spanRows(spans []span) blockRows {
+	return func(i int, visit func(j int, v float64)) {
+		s := 0
+		for i >= spans[s].off+spans[s].hi-spans[s].lo {
+			s++
+		}
+		g := spans[s].lo + i - spans[s].off
+		c := 0 // columns ascend within a row, so one cursor walks the spans
+		for p := a.RowPtr[g]; p < a.RowPtr[g+1]; p++ {
+			col := a.Cols[p]
+			for c < len(spans) && col >= spans[c].hi {
+				c++
+			}
+			if c == len(spans) {
+				return
+			}
+			if col >= spans[c].lo {
+				visit(spans[c].off+col-spans[c].lo, a.Vals[p])
+			}
+		}
+	}
+}
+
+// bandwidths returns the lower and upper half-bandwidths of a block: the
+// largest i-j and j-i over its stored entries.
+func bandwidths(n int, rows blockRows) (kl, ku int) {
+	for i := 0; i < n; i++ {
+		rows(i, func(j int, _ float64) {
+			kl = max(kl, i-j)
+			ku = max(ku, j-i)
+		})
+	}
+	return kl, ku
+}
+
+// bandOff is the length of the first i rows of a strictly triangular band
+// of half-bandwidth w, row r holding min(r, w) entries: the offset of row
+// i in lower-band storage. The mirrored (upper) band, whose row r holds
+// min(w, n-1-r) entries, starts row i at bandOff(n, w) - bandOff(n-i, w).
+func bandOff(i, w int) int {
+	if i <= w+1 {
+		return i * (i - 1) / 2
+	}
+	return w*(w+1)/2 + (i-w-1)*w
+}
+
+// ----------------------------------------------------------------------
+// Cholesky factorization: for SPD diagonal blocks (the paper's common case,
+// §2.3 — "if we know that a diagonal block is non-singular, e.g. when A is
+// SPD, we solve the inverse block relations with a direct solver").
+// ----------------------------------------------------------------------
+
+// Cholesky holds the lower-triangular factor L with A = L*Lᵀ inside the
+// half-bandwidth bw of A's lower triangle, stored by columns: forward
+// substitution sweeps them as updates, back substitution as dot products,
+// so one copy serves both at unit stride.
+type Cholesky struct {
+	n, bw int
+	diag  []float64 // l_ii
+	cols  []float64 // column j: l_ij for i in (j, min(n-1,j+bw)], columns concatenated
+}
+
+// NewCholesky factorizes the SPD matrix a, reading its lower triangle. It
+// returns ErrSingular when a pivot is non-positive (a is not positive
+// definite to working precision).
+func NewCholesky(a *Dense) (*Cholesky, error) {
+	if a.Rows != a.Cols {
+		return nil, fmt.Errorf("sparse: Cholesky of non-square %dx%d", a.Rows, a.Cols)
+	}
+	return newCholesky(a.Rows, denseRows(a))
+}
+
+func newCholesky(n int, rows blockRows) (*Cholesky, error) {
+	bw, _ := bandwidths(n, rows)
+	size := bandOff(n, bw)
+	c := &Cholesky{n: n, bw: bw, diag: make([]float64, n), cols: make([]float64, size)}
+	for i := 0; i < n; i++ {
+		rows(i, func(j int, v float64) {
+			switch {
+			case j == i:
+				c.diag[i] = v
+			case j < i:
+				c.cols[size-bandOff(n-j, bw)+i-j-1] = v
+			}
+		})
+	}
+	// Right-looking, in place: once column j is final it is subtracted
+	// from the columns to its right, so entry (i,k) still collects its
+	// products l_ij*l_kj in ascending j, as the dot-product form does.
+	off := 0
+	for j := 0; j < n; j++ {
+		d := c.diag[j]
+		if d <= 0 || math.IsNaN(d) {
+			return nil, ErrSingular
+		}
+		d = math.Sqrt(d)
+		c.diag[j] = d
+		w := min(n-1-j, bw)
+		col := c.cols[off : off+w]
+		for t := range col {
+			col[t] /= d
+		}
+		off += w
+		offK := off
+		for t, lkj := range col { // column k = j+1+t
+			c.diag[j+1+t] -= lkj * lkj
+			below := col[t+1:]
+			ck := c.cols[offK : offK+len(below)]
+			for u, lij := range below {
+				ck[u] -= lij * lkj
+			}
+			offK += min(n-2-j-t, bw)
+		}
+	}
+	return c, nil
+}
+
+// Bytes returns the memory the factor holds.
+func (c *Cholesky) Bytes() int64 { return 8 * int64(len(c.diag)+len(c.cols)) }
+
+// Solve solves A*x = b in place: b is overwritten with x.
+func (c *Cholesky) Solve(b []float64) {
+	if len(b) != c.n {
+		panic(fmt.Sprintf("sparse: Cholesky.Solve dim %d want %d", len(b), c.n))
+	}
+	c.solve(b)
+}
+
+// SolveInPlace implements BlockSolver.
+func (c *Cholesky) SolveInPlace(rhs []float64) error {
+	c.Solve(rhs)
+	return nil
+}
+
+// solve runs forward substitution column by column and back substitution
+// row by row; either way each entry collects its products in ascending-k
+// order.
+//
+//due:hotpath
+func (c *Cholesky) solve(b []float64) {
+	n, bw := c.n, c.bw
+	off := 0
+	for k := 0; k < n; k++ { // L*y = b
+		w := min(n-1-k, bw)
+		col := c.cols[off : off+w]
+		ys := b[k+1 : k+1+w]
+		ys = ys[:len(col)]
+		yk := b[k] / c.diag[k]
+		b[k] = yk
+		for t, l := range col {
+			ys[t] -= l * yk
+		}
+		off += w
+	}
+	for i := n - 1; i >= 0; i-- { // Lᵀ*x = y
+		w := min(n-1-i, bw)
+		off -= w
+		col := c.cols[off : off+w]
+		xs := b[i+1 : i+1+w]
+		xs = xs[:len(col)]
+		s := b[i]
+		for k, l := range col {
+			s -= l * xs[k]
+		}
+		b[i] = s / c.diag[i]
+	}
+}
+
+// ----------------------------------------------------------------------
+// LU with partial pivoting: for non-symmetric diagonal blocks (BiCGStab /
+// GMRES operate on general matrices).
+// ----------------------------------------------------------------------
+
+// LU holds a PA = LU factorization with partial pivoting of a matrix with
+// lower and upper half-bandwidths kl and ku. Row interchanges widen U to
+// kl+ku; L keeps kl multipliers per column, stored where they were
+// computed (interchanges are not applied to earlier columns of L, so the
+// solve interleaves them with the elimination, as LAPACK's band LU does).
+type LU struct {
+	n, kl, kw int
+	ipiv      []int32   // step k swapped rows k and ipiv[k]
+	diag      []float64 // u_ii
+	upper     []float64 // row i: u_ij for j in (i, min(n-1,i+kw)], rows concatenated
+	lcols     []float64 // column k: multipliers of rows (k, min(n-1,k+kl)], columns concatenated
+	sign      int
+}
+
+// NewLU factorizes a general square matrix with partial pivoting.
+func NewLU(a *Dense) (*LU, error) {
+	if a.Rows != a.Cols {
+		return nil, fmt.Errorf("sparse: LU of non-square %dx%d", a.Rows, a.Cols)
+	}
+	return newLU(a.Rows, denseRows(a))
+}
+
+func newLU(n int, rows blockRows) (*LU, error) {
+	kl, ku := bandwidths(n, rows)
+	kw := min(kl+ku, n-1)
+	// Working rows: row i holds columns [i-kl, i+kw], which covers its
+	// fill in any position an interchange can move it to; once that is
+	// wider than the matrix, plain row-major n×n is smaller.
+	width, slant := kl+kw+1, 1
+	if width >= n {
+		width, slant = n, 0
+	}
+	base := func(i int) int { // where column 0 of row i would sit in w
+		return i*width + slant*(kl-i)
+	}
+	w := make([]float64, n*width)
+	for i := 0; i < n; i++ {
+		rows(i, func(j int, v float64) { w[base(i)+j] = v })
+	}
+	f := &LU{
+		n: n, kl: kl, kw: kw, sign: 1,
+		ipiv:  make([]int32, n),
+		diag:  make([]float64, n),
+		upper: make([]float64, bandOff(n, kw)),
+		lcols: make([]float64, bandOff(n, kl)),
+	}
+	offL, offU := 0, 0
+	for k := 0; k < n; k++ {
+		iEnd := min(n, k+kl+1)
+		jEnd := min(n, k+kw+1)
+		p, maxAbs := k, math.Abs(w[base(k)+k])
+		for i := k + 1; i < iEnd; i++ {
+			if a := math.Abs(w[base(i)+k]); a > maxAbs {
+				p, maxAbs = i, a
+			}
+		}
+		if maxAbs == 0 || math.IsNaN(maxAbs) {
+			return nil, ErrSingular
+		}
+		f.ipiv[k] = int32(p)
+		rk := w[base(k)+k : base(k)+jEnd]
+		if p != k {
+			rp := w[base(p)+k : base(p)+jEnd]
+			for j := range rk {
+				rk[j], rp[j] = rp[j], rk[j]
+			}
+			f.sign = -f.sign
+		}
+		d := rk[0]
+		f.diag[k] = d
+		offU += copy(f.upper[offU:], rk[1:])
+		for i := k + 1; i < iEnd; i++ {
+			ri := w[base(i)+k : base(i)+jEnd]
+			m := ri[0] / d
+			f.lcols[offL] = m
+			offL++
+			for j := 1; j < len(ri); j++ {
+				ri[j] -= m * rk[j]
+			}
+		}
+	}
+	return f, nil
+}
+
+// Bytes returns the memory the factor holds.
+func (f *LU) Bytes() int64 {
+	return 8*int64(len(f.diag)+len(f.upper)+len(f.lcols)) + 4*int64(len(f.ipiv))
+}
+
+// Solve solves A*x = b; x is returned in a new slice, b is untouched.
+func (f *LU) Solve(b []float64) []float64 {
+	x := append([]float64(nil), b...)
+	_ = f.SolveInPlace(x) // cannot fail
+	return x
+}
+
+// SolveInPlace implements BlockSolver. The factor is shared between
+// concurrent solves, so the permutation is applied to rhs itself as the
+// recorded swap sequence: nothing is allocated and nothing is written to
+// the factor.
+func (f *LU) SolveInPlace(rhs []float64) error {
+	if len(rhs) != f.n {
+		panic(fmt.Sprintf("sparse: LU.Solve dim %d want %d", len(rhs), f.n))
+	}
+	f.solve(rhs)
+	return nil
+}
+
+// solve eliminates column by column (each entry still accumulates its
+// products in ascending-k order), then back-substitutes row by row.
+//
+//due:hotpath
+func (f *LU) solve(b []float64) {
+	n, kl, kw := f.n, f.kl, f.kw
+	off := 0
+	for k := 0; k < n; k++ { // L*y = P*b
+		if p := int(f.ipiv[k]); p != k {
+			b[k], b[p] = b[p], b[k]
+		}
+		w := min(n-1-k, kl)
+		col := f.lcols[off : off+w]
+		ys := b[k+1 : k+1+w]
+		ys = ys[:len(col)]
+		bk := b[k]
+		for t, m := range col {
+			ys[t] -= m * bk
+		}
+		off += w
+	}
+	off = len(f.upper)
+	for i := n - 1; i >= 0; i-- { // U*x = y
+		w := min(n-1-i, kw)
+		off -= w
+		row := f.upper[off : off+w]
+		xs := b[i+1 : i+1+w]
+		xs = xs[:len(row)]
+		s := b[i]
+		for t, u := range row {
+			s -= u * xs[t]
+		}
+		b[i] = s / f.diag[i]
+	}
+}
+
+// Det returns the determinant of the factorized matrix.
+func (f *LU) Det() float64 {
+	d := float64(f.sign)
+	for _, u := range f.diag {
+		d *= u
+	}
+	return d
+}

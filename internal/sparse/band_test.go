@@ -1,0 +1,499 @@
+package sparse_test
+
+import (
+	"errors"
+	"fmt"
+	"math"
+	"math/rand"
+	"testing"
+
+	"repro/internal/matgen"
+	"repro/internal/sparse"
+)
+
+// The oracle: the textbook dense factorizations the banded factors of
+// band.go replaced, kept verbatim (row-major n×n, every product formed,
+// ascending-k sums). The banded factors must reproduce their solves bit
+// for bit — they skip only products with exact structural zeros.
+
+func oracleCholesky(a *sparse.Dense) ([]float64, error) {
+	n := a.Rows
+	l := append([]float64(nil), a.Data...)
+	for j := 0; j < n; j++ {
+		d := l[j*n+j]
+		for k := 0; k < j; k++ {
+			d -= l[j*n+k] * l[j*n+k]
+		}
+		if d <= 0 || math.IsNaN(d) {
+			return nil, sparse.ErrSingular
+		}
+		d = math.Sqrt(d)
+		l[j*n+j] = d
+		for i := j + 1; i < n; i++ {
+			s := l[i*n+j]
+			for k := 0; k < j; k++ {
+				s -= l[i*n+k] * l[j*n+k]
+			}
+			l[i*n+j] = s / d
+		}
+	}
+	return l, nil
+}
+
+func oracleCholeskySolve(l []float64, b []float64) {
+	n := len(b)
+	for i := 0; i < n; i++ {
+		s := b[i]
+		for k := 0; k < i; k++ {
+			s -= l[i*n+k] * b[k]
+		}
+		b[i] = s / l[i*n+i]
+	}
+	for i := n - 1; i >= 0; i-- {
+		s := b[i]
+		for k := i + 1; k < n; k++ {
+			s -= l[k*n+i] * b[k]
+		}
+		b[i] = s / l[i*n+i]
+	}
+}
+
+func oracleLU(a *sparse.Dense) (lu []float64, piv []int, err error) {
+	n := a.Rows
+	lu = append([]float64(nil), a.Data...)
+	piv = make([]int, n)
+	for i := range piv {
+		piv[i] = i
+	}
+	for k := 0; k < n; k++ {
+		p, maxAbs := k, math.Abs(lu[k*n+k])
+		for i := k + 1; i < n; i++ {
+			if a := math.Abs(lu[i*n+k]); a > maxAbs {
+				p, maxAbs = i, a
+			}
+		}
+		if maxAbs == 0 || math.IsNaN(maxAbs) {
+			return nil, nil, sparse.ErrSingular
+		}
+		if p != k {
+			for j := 0; j < n; j++ {
+				lu[k*n+j], lu[p*n+j] = lu[p*n+j], lu[k*n+j]
+			}
+			piv[k], piv[p] = piv[p], piv[k]
+		}
+		d := lu[k*n+k]
+		for i := k + 1; i < n; i++ {
+			m := lu[i*n+k] / d
+			lu[i*n+k] = m
+			for j := k + 1; j < n; j++ {
+				lu[i*n+j] -= m * lu[k*n+j]
+			}
+		}
+	}
+	return lu, piv, nil
+}
+
+func oracleLUSolve(lu []float64, piv []int, b []float64) {
+	n := len(b)
+	x := make([]float64, n)
+	for i := range x {
+		x[i] = b[piv[i]]
+	}
+	for i := 0; i < n; i++ {
+		s := x[i]
+		for k := 0; k < i; k++ {
+			s -= lu[i*n+k] * x[k]
+		}
+		x[i] = s
+	}
+	for i := n - 1; i >= 0; i-- {
+		s := x[i]
+		for k := i + 1; k < n; k++ {
+			s -= lu[i*n+k] * x[k]
+		}
+		x[i] = s / lu[i*n+i]
+	}
+	copy(b, x)
+}
+
+// oracleSolve is FactorizeBlock's Cholesky → LU → QR chain on the dense
+// oracles; kind names the factor that took the block.
+func oracleSolve(block *sparse.Dense, spd bool, rhs []float64) (kind string, err error) {
+	if spd {
+		if l, err := oracleCholesky(block); err == nil {
+			oracleCholeskySolve(l, rhs)
+			return "cholesky", nil
+		}
+	}
+	if lu, piv, err := oracleLU(block); err == nil {
+		oracleLUSolve(lu, piv, rhs)
+		return "lu", nil
+	}
+	q, err := sparse.NewQR(block)
+	if err != nil {
+		return "", err
+	}
+	return "qr", q.SolveInPlace(rhs)
+}
+
+func solverKind(s sparse.BlockSolver) string {
+	switch s.(type) {
+	case *sparse.Cholesky:
+		return "cholesky"
+	case *sparse.LU:
+		return "lu"
+	case *sparse.QR:
+		return "qr"
+	}
+	return fmt.Sprintf("%T", s)
+}
+
+// convectionDiffusion is a non-symmetric 5-point operator: diffusion plus
+// an upwinded convection term, diagonally dominant (LU needs no
+// interchange).
+func convectionDiffusion(nx, ny int) *sparse.CSR {
+	var tr []sparse.Triplet
+	for y := 0; y < ny; y++ {
+		for x := 0; x < nx; x++ {
+			i := y*nx + x
+			tr = append(tr, sparse.Triplet{Row: i, Col: i, Val: 4.5})
+			if x > 0 {
+				tr = append(tr, sparse.Triplet{Row: i, Col: i - 1, Val: -1.4})
+			}
+			if x < nx-1 {
+				tr = append(tr, sparse.Triplet{Row: i, Col: i + 1, Val: -0.6})
+			}
+			if y > 0 {
+				tr = append(tr, sparse.Triplet{Row: i, Col: i - nx, Val: -1.3})
+			}
+			if y < ny-1 {
+				tr = append(tr, sparse.Triplet{Row: i, Col: i + nx, Val: -0.7})
+			}
+		}
+	}
+	return sparse.NewCSRFromTriplets(nx*ny, nx*ny, tr)
+}
+
+// wildBand is a non-symmetric banded matrix with a weak diagonal and
+// unequal half-bandwidths, so LU interchanges rows at most steps and U
+// fills to kl+ku.
+func wildBand(n, kl, ku int, seed int64) *sparse.CSR {
+	rng := rand.New(rand.NewSource(seed))
+	var tr []sparse.Triplet
+	for i := 0; i < n; i++ {
+		for j := max(0, i-kl); j <= min(n-1, i+ku); j++ {
+			if j == i || rng.Intn(3) > 0 {
+				tr = append(tr, sparse.Triplet{Row: i, Col: j, Val: rng.NormFloat64()})
+			}
+		}
+	}
+	return sparse.NewCSRFromTriplets(n, n, tr)
+}
+
+type bandCase struct {
+	name string
+	a    *sparse.CSR
+	spd  bool
+}
+
+func bandCases(t *testing.T) []bandCase {
+	t.Helper()
+	var cases []bandCase
+	for _, name := range matgen.PaperMatrixNames {
+		a, err := matgen.PaperMatrix(name, 1500)
+		for n := 1600; err == nil && a.N%64 == 0; n += 100 { // generators round n up to a grid
+			a, err = matgen.PaperMatrix(name, n)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		cases = append(cases, bandCase{name, a, true})
+	}
+	cases = append(cases,
+		bandCase{"poisson3d27", matgen.Poisson3D27(11, 11, 11), true},
+		bandCase{"randomspd", matgen.RandomSPD(1100, 9, 1.5, 7), true},
+		bandCase{"convdiff", convectionDiffusion(37, 31), false},
+		bandCase{"convdiff-claimed-spd", convectionDiffusion(37, 31), true},
+		bandCase{"wildband", wildBand(1100, 9, 23, 3), false},
+		bandCase{"wildband-claimed-spd", wildBand(1100, 9, 23, 3), true},
+		bandCase{"wildband-wide", wildBand(1100, 40, 50, 5), false}, // fills a 64-block: LU's row-major working layout
+	)
+	return cases
+}
+
+func sameBits(a, b []float64) int {
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return i
+		}
+	}
+	return -1
+}
+
+// TestBandedFactorsBitwiseEqualDenseOracle: for every operator class and
+// both page-relevant block sizes (none divides the dimensions, so each
+// has a short last block), the cached factor built from the CSR rows and
+// the one FactorizeBlock builds from the dense block are the same kind of
+// factor as the dense oracle's chain picks, and solve to the same bits.
+func TestBandedFactorsBitwiseEqualDenseOracle(t *testing.T) {
+	for _, tc := range bandCases(t) {
+		for _, bs := range []int{64, 512} {
+			layout := sparse.BlockLayout{N: tc.a.N, BlockSize: bs}
+			if tc.a.N%bs == 0 {
+				t.Fatalf("%s: n=%d has no short last block at %d", tc.name, tc.a.N, bs)
+			}
+			cache := sparse.NewBlockSolverCache(tc.a, layout, tc.spd)
+			for blk := 0; blk < layout.NumBlocks(); blk++ {
+				lo, hi := layout.Range(blk)
+				block := tc.a.DiagBlock(lo, hi)
+				rhs := matgen.RandomVector(hi-lo, int64(blk+1))
+				want := append([]float64(nil), rhs...)
+				wantKind, wantErr := oracleSolve(block, tc.spd, want)
+
+				fromCSR, err := cache.Solver(blk)
+				if (err == nil) != (wantErr == nil) {
+					t.Fatalf("%s bs=%d block %d: err %v, oracle err %v", tc.name, bs, blk, err, wantErr)
+				}
+				if wantErr != nil {
+					continue
+				}
+				fromDense, err := sparse.FactorizeBlock(block, tc.spd)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for src, s := range map[string]sparse.BlockSolver{"csr": fromCSR, "dense": fromDense} {
+					if k := solverKind(s); k != wantKind {
+						t.Fatalf("%s bs=%d block %d (%s): factor is %s, oracle chose %s", tc.name, bs, blk, src, k, wantKind)
+					}
+					got := append([]float64(nil), rhs...)
+					if err := s.SolveInPlace(got); err != nil {
+						t.Fatal(err)
+					}
+					if i := sameBits(got, want); i >= 0 {
+						t.Fatalf("%s bs=%d block %d (%s, %s): x[%d] = %v, dense oracle %v", tc.name, bs, blk, src, wantKind, i, got[i], want[i])
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestBandedFactorIsSmallerThanDense: a factor never holds more than the
+// dense n×n factor did (plus LU's pivot sequence), and a narrow band holds
+// a fraction of it.
+func TestBandedFactorIsSmallerThanDense(t *testing.T) {
+	const n = 512
+	for _, tc := range []struct {
+		name string
+		a    *sparse.CSR
+		spd  bool
+		max  int64
+	}{
+		{"full spd", matgen.RandomSPD(n, n, 1.5, 1), true, 8 * n * n},
+		{"full general", wildBand(n, n, n, 1), false, 8*n*n + 4*n},
+		{"5-point spd", matgen.Poisson2D(64, 8), true, 8 * n * (2*64 + 1)},
+		{"5-point general", convectionDiffusion(64, 8), false, 8*n*(3*64+1) + 4*n},
+	} {
+		cache := sparse.NewBlockSolverCache(tc.a, sparse.BlockLayout{N: n, BlockSize: n}, tc.spd)
+		if err := cache.Prefactorize(); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if got := cache.Bytes(); got <= 0 || got > tc.max {
+			t.Errorf("%s: factor holds %d bytes, want (0, %d]", tc.name, got, tc.max)
+		}
+	}
+}
+
+// TestFactorizeBlockFallsThroughOnBandedBlocks pins the §2.3 chain on the
+// banded path: a block that is not positive definite leaves Cholesky for
+// LU, a singular one leaves LU for QR, and a block QR cannot use either
+// keeps reporting ErrSingular from its solves.
+func TestFactorizeBlockFallsThroughOnBandedBlocks(t *testing.T) {
+	tri := func(diag, off float64) *sparse.CSR {
+		var tr []sparse.Triplet
+		for i := 0; i < 8; i++ {
+			tr = append(tr, sparse.Triplet{Row: i, Col: i, Val: diag})
+			if i > 0 {
+				tr = append(tr, sparse.Triplet{Row: i, Col: i - 1, Val: off}, sparse.Triplet{Row: i - 1, Col: i, Val: off})
+			}
+		}
+		return sparse.NewCSRFromTriplets(8, 8, tr)
+	}
+	layout := sparse.BlockLayout{N: 8, BlockSize: 8}
+	for _, tc := range []struct {
+		name string
+		a    *sparse.CSR
+		want string
+	}{
+		{"spd", tri(4, -1), "cholesky"},
+		{"indefinite", tri(-4, 1), "lu"},
+		{"singular", sparse.NewCSRFromTriplets(8, 8, []sparse.Triplet{{Row: 0, Col: 0, Val: 1}, {Row: 0, Col: 1, Val: 1}, {Row: 1, Col: 0, Val: 1}, {Row: 1, Col: 1, Val: 1}}), "qr"},
+	} {
+		s, err := sparse.NewBlockSolverCache(tc.a, layout, true).Solver(0)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if k := solverKind(s); k != tc.want {
+			t.Errorf("%s block factorized by %s, want %s", tc.name, k, tc.want)
+		}
+	}
+	zero := sparse.NewBlockSolverCache(sparse.NewCSRFromTriplets(8, 8, nil), layout, true)
+	zero.PrefactorizeLenient()
+	if err := zero.SolveDiagBlock(0, make([]float64, 8)); !errors.Is(err, sparse.ErrSingular) {
+		t.Fatalf("all-zero block: err = %v, want ErrSingular", err)
+	}
+}
+
+// TestCoupledBlocksBitwiseEqualDenseOracle: the coupled system of §2.4,
+// banded in the concatenated index space of a non-adjacent page set,
+// solves to the bits of the dense assembly it replaced.
+func TestCoupledBlocksBitwiseEqualDenseOracle(t *testing.T) {
+	for _, tc := range []bandCase{
+		{"thermal2", matgen.Thermal2Analogue(1500), true},
+		{"randomspd", matgen.RandomSPD(1100, 9, 1.5, 7), true},
+		{"convdiff", convectionDiffusion(37, 31), false},
+	} {
+		layout := sparse.BlockLayout{N: tc.a.N, BlockSize: 64}
+		cache := sparse.NewBlockSolverCache(tc.a, layout, tc.spd)
+		group := []int{layout.NumBlocks() - 1, 2, 3, 7} // unsorted, incl. the short block
+		order := []int{2, 3, 7, layout.NumBlocks() - 1}
+		var idx []int
+		for _, b := range order {
+			lo, hi := layout.Range(b)
+			for i := lo; i < hi; i++ {
+				idx = append(idx, i)
+			}
+		}
+		dense := sparse.NewDense(len(idx), len(idx))
+		for r, i := range idx {
+			for c, j := range idx {
+				dense.Set(r, c, tc.a.At(i, j))
+			}
+		}
+		rhs := matgen.RandomVector(len(idx), 11)
+		want := append([]float64(nil), rhs...)
+		if _, err := oracleSolve(dense, tc.spd, want); err != nil {
+			t.Fatal(err)
+		}
+		got, err := cache.SolveCoupledBlocks(group, rhs)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if fmt.Sprint(got) != fmt.Sprint(order) {
+			t.Fatalf("%s: order %v, want %v", tc.name, got, order)
+		}
+		if i := sameBits(rhs, want); i >= 0 {
+			t.Fatalf("%s: coupled x[%d] = %v, dense oracle %v", tc.name, i, rhs[i], want[i])
+		}
+	}
+}
+
+// TestBlockSolveDoesNotAllocate: the factors sit on the //due:hotpath z
+// pass of the preconditioned solvers and are shared between concurrent
+// solves, so SolveInPlace may neither allocate nor keep scratch.
+func TestBlockSolveDoesNotAllocate(t *testing.T) {
+	for _, tc := range []bandCase{
+		{"cholesky", matgen.Poisson2D(32, 32), true},
+		{"lu", wildBand(1024, 9, 23, 3), false},
+	} {
+		cache := sparse.NewBlockSolverCache(tc.a, sparse.BlockLayout{N: tc.a.N, BlockSize: 512}, tc.spd)
+		s, err := cache.Solver(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if k := solverKind(s); k != tc.name {
+			t.Fatalf("factor is %s, want %s", k, tc.name)
+		}
+		rhs := matgen.RandomVector(512, 5)
+		if n := testing.AllocsPerRun(20, func() { _ = s.SolveInPlace(rhs) }); n != 0 {
+			t.Errorf("%s SolveInPlace allocates %v times per call", tc.name, n)
+		}
+	}
+	sing := sparse.NewDense(2, 2)
+	copy(sing.Data, []float64{1, 1, 1, 1})
+	q, err := sparse.FactorizeBlock(sing, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rhs := []float64{1, 2}
+	if n := testing.AllocsPerRun(20, func() { _ = q.SolveInPlace(rhs) }); n > 1 {
+		t.Errorf("qr SolveInPlace allocates %v times per call, want at most 1", n)
+	}
+}
+
+// TestPrefactorizeParallelMatchesSerial: the parallel fill is the serial
+// loop's result — same factors to the bit, one factorization per block.
+func TestPrefactorizeParallelMatchesSerial(t *testing.T) {
+	a := matgen.Thermal2Analogue(3000)
+	layout := sparse.BlockLayout{N: a.N, BlockSize: 128}
+	par := sparse.NewBlockSolverCache(a, layout, true)
+	before := sparse.FactorizationCount()
+	par.PrefactorizeLenient()
+	par.PrefactorizeLenient() // idempotent: nothing left to factorize
+	if d := sparse.FactorizationCount() - before; d != int64(layout.NumBlocks()) {
+		t.Fatalf("%d factorizations for %d blocks", d, layout.NumBlocks())
+	}
+	ser := sparse.NewBlockSolverCache(a, layout, true)
+	for blk := 0; blk < layout.NumBlocks(); blk++ {
+		lo, hi := layout.Range(blk)
+		x1 := matgen.RandomVector(hi-lo, int64(blk))
+		x2 := append([]float64(nil), x1...)
+		if err := par.SolveDiagBlock(blk, x1); err != nil {
+			t.Fatal(err)
+		}
+		if err := ser.SolveDiagBlock(blk, x2); err != nil { // lazy, on this goroutine
+			t.Fatal(err)
+		}
+		if i := sameBits(x1, x2); i >= 0 {
+			t.Fatalf("block %d: parallel x[%d] = %v, serial %v", blk, i, x1[i], x2[i])
+		}
+	}
+	if par.Bytes() != ser.Bytes() || par.Bytes() == 0 {
+		t.Fatalf("Bytes: parallel %d, serial %d", par.Bytes(), ser.Bytes())
+	}
+}
+
+// BenchmarkBlockFactor / BenchmarkBlockSolve: one 512-row page block at
+// the half-bandwidths of the benchmark's operators (5-point grids 64 and
+// 128 wide) and full.
+func benchBlocks() []bandCase {
+	return []bandCase{
+		{"bw64", matgen.Poisson2D(16, 64), true},
+		{"bw128", matgen.Poisson2D(8, 128), true},
+		{"full", matgen.RandomSPD(1024, 1024, 1.5, 1), true},
+		{"lu-bw64", convectionDiffusion(64, 16), false},
+	}
+}
+
+func BenchmarkBlockFactor(b *testing.B) {
+	for _, tc := range benchBlocks() {
+		b.Run(tc.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				cache := sparse.NewBlockSolverCache(tc.a, sparse.BlockLayout{N: tc.a.N, BlockSize: 512}, tc.spd)
+				if _, err := cache.Solver(1); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+func BenchmarkBlockSolve(b *testing.B) {
+	for _, tc := range benchBlocks() {
+		b.Run(tc.name, func(b *testing.B) {
+			cache := sparse.NewBlockSolverCache(tc.a, sparse.BlockLayout{N: tc.a.N, BlockSize: 512}, tc.spd)
+			if _, err := cache.Solver(1); err != nil {
+				b.Fatal(err)
+			}
+			rhs := matgen.RandomVector(512, 1)
+			buf := make([]float64, 512)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				copy(buf, rhs)
+				if err := cache.SolveDiagBlock(1, buf); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -2,7 +2,10 @@ package sparse
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
+	"sync"
+	"sync/atomic"
 )
 
 // BlockLayout describes the partition of an n-vector into contiguous blocks
@@ -42,44 +45,60 @@ func (b BlockLayout) BlockOf(e int) int { return e / b.BlockSize }
 // preconditioner whose block size coincides with the page size, these
 // factorizations are already available for free (§5.1); this cache plays
 // that role for the unpreconditioned solver too.
+//
+// Lookups after Prefactorize/PrefactorizeLenient are read-only and safe
+// for concurrent use; lazy first-use factorization is not.
 type BlockSolverCache struct {
 	A      *CSR
 	Layout BlockLayout
 	SPD    bool
-	cache  map[int]BlockSolver
+	blocks []cachedBlock // indexed by block
 }
+
+// cachedBlock is one block's factorization outcome, a solver or the
+// reason there is none: either way it is computed once. Both nil means
+// not factorized yet.
+type cachedBlock struct {
+	solver BlockSolver
+	err    error
+}
+
+func (b cachedBlock) pending() bool { return b.solver == nil && b.err == nil }
 
 // NewBlockSolverCache creates an empty cache for the given operator.
 func NewBlockSolverCache(a *CSR, layout BlockLayout, spd bool) *BlockSolverCache {
-	return &BlockSolverCache{A: a, Layout: layout, SPD: spd, cache: make(map[int]BlockSolver)}
+	return &BlockSolverCache{A: a, Layout: layout, SPD: spd, blocks: make([]cachedBlock, layout.NumBlocks())}
+}
+
+// factorize fills slot i from the CSR rows of diagonal block i.
+func (c *BlockSolverCache) factorize(i int) {
+	lo, hi := c.Layout.Range(i)
+	s, err := factorBlock(hi-lo, c.A.spanRows([]span{{lo: lo, hi: hi}}), c.SPD)
+	if err != nil {
+		err = fmt.Errorf("sparse: factorizing diagonal block %d: %w", i, err)
+	}
+	c.blocks[i] = cachedBlock{solver: s, err: err}
 }
 
 // Solver returns the factorized solver for diagonal block i, computing and
-// caching it on first use.
+// caching it (or the reason it cannot be factorized) on first use.
 func (c *BlockSolverCache) Solver(i int) (BlockSolver, error) {
-	if s, ok := c.cache[i]; ok {
-		if s == nil {
-			return nil, fmt.Errorf("sparse: diagonal block %d is not factorizable", i)
-		}
-		return s, nil
-	}
-	lo, hi := c.Layout.Range(i)
-	if lo >= hi {
+	if i < 0 || i >= len(c.blocks) {
 		return nil, fmt.Errorf("sparse: empty block %d", i)
 	}
-	s, err := FactorizeBlock(c.A.DiagBlock(lo, hi), c.SPD)
-	if err != nil {
-		return nil, fmt.Errorf("sparse: factorizing diagonal block %d: %w", i, err)
+	if c.blocks[i].pending() {
+		c.factorize(i)
 	}
-	c.cache[i] = s
-	return s, nil
+	return c.blocks[i].solver, c.blocks[i].err
 }
 
 // Prefactorize eagerly factorizes all diagonal blocks (what a block-Jacobi
-// preconditioner setup would have done anyway).
+// preconditioner setup would have done anyway) and returns the error of
+// the first block that cannot be factorized.
 func (c *BlockSolverCache) Prefactorize() error {
-	for i := 0; i < c.Layout.NumBlocks(); i++ {
-		if _, err := c.Solver(i); err != nil {
+	c.PrefactorizeLenient()
+	for i := range c.blocks {
+		if err := c.blocks[i].err; err != nil {
 			return err
 		}
 	}
@@ -92,12 +111,36 @@ func (c *BlockSolverCache) Prefactorize() error {
 // never fails: a block that cannot be factorized keeps returning its
 // error from SolveDiagBlock, and callers fall back to restart-style
 // recovery exactly as with lazy factorization.
+//
+// The blocks are independent and each factor is a pure function of its
+// block, so they are factorized on GOMAXPROCS goroutines: the result is
+// the same as the serial loop's.
 func (c *BlockSolverCache) PrefactorizeLenient() {
-	for i := 0; i < c.Layout.NumBlocks(); i++ {
-		if _, err := c.Solver(i); err != nil {
-			c.cache[i] = nil // remembered failure keeps lookups read-only
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := min(runtime.GOMAXPROCS(0), len(c.blocks)); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < len(c.blocks); i = int(next.Add(1)) - 1 {
+				if c.blocks[i].pending() {
+					c.factorize(i)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// Bytes returns the memory held by the factors computed so far.
+func (c *BlockSolverCache) Bytes() int64 {
+	var total int64
+	for i := range c.blocks {
+		if s := c.blocks[i].solver; s != nil {
+			total += s.Bytes()
 		}
 	}
+	return total
 }
 
 // SolveDiagBlock solves A_ii * x_i = rhs for block i in place.
@@ -119,45 +162,30 @@ func (c *BlockSolverCache) SolveDiagBlock(i int, rhs []float64) error {
 // concatenation of the per-block right-hand sides in the order of blocks
 // (after sorting ascending). On return rhs holds the concatenated solution,
 // in sorted block order; the returned permutation maps position -> block id.
+//
+// The coupled operator is factorized like a diagonal block, straight from
+// the CSR rows of the page set, inside its bandwidth in the concatenated
+// index space.
 func (c *BlockSolverCache) SolveCoupledBlocks(blocks []int, rhs []float64) ([]int, error) {
 	if len(blocks) == 0 {
 		return nil, fmt.Errorf("sparse: SolveCoupledBlocks with no blocks")
 	}
 	sorted := append([]int(nil), blocks...)
 	sort.Ints(sorted)
-	for i := 1; i < len(sorted); i++ {
-		if sorted[i] == sorted[i-1] {
-			return nil, fmt.Errorf("sparse: duplicate block %d", sorted[i])
-		}
-	}
-	// Total dimension and offsets.
-	offs := make([]int, len(sorted)+1)
+	spans := make([]span, len(sorted))
+	dim := 0
 	for k, b := range sorted {
+		if k > 0 && b == sorted[k-1] {
+			return nil, fmt.Errorf("sparse: duplicate block %d", b)
+		}
 		lo, hi := c.Layout.Range(b)
-		offs[k+1] = offs[k] + (hi - lo)
+		spans[k] = span{lo: lo, hi: hi, off: dim}
+		dim += hi - lo
 	}
-	dim := offs[len(sorted)]
 	if len(rhs) != dim {
 		return nil, fmt.Errorf("sparse: coupled rhs dim %d want %d", len(rhs), dim)
 	}
-	// Assemble the dense coupled operator.
-	m := NewDense(dim, dim)
-	for ki, bi := range sorted {
-		rlo, rhi := c.Layout.Range(bi)
-		for kj, bj := range sorted {
-			clo, chi := c.Layout.Range(bj)
-			sub := c.A.Block(rlo, rhi, clo, chi)
-			for r := 0; r < sub.Rows; r++ {
-				for cc := 0; cc < sub.Cols; cc++ {
-					v := sub.At(r, cc)
-					if v != 0 {
-						m.Set(offs[ki]+r, offs[kj]+cc, v)
-					}
-				}
-			}
-		}
-	}
-	solver, err := FactorizeBlock(m, c.SPD)
+	solver, err := factorBlock(dim, c.A.spanRows(spans), c.SPD)
 	if err != nil {
 		return nil, fmt.Errorf("sparse: coupled factorization of %d blocks: %w", len(sorted), err)
 	}

@@ -252,6 +252,29 @@ func (a *CSR) MulVecRangeExcludingCols(x, y []float64, lo, hi, exLo, exHi int) {
 	}
 }
 
+// MulVecRangeWithinCols is the complement of MulVecRangeExcludingCols:
+// for rows in [lo, hi), y[i-lo] = sum over j inside [inLo, inHi) of
+// A[i][j] * x[j]. With both ranges one page it is the diagonal-block
+// product u_p = A_pp v_p, summed in column order like the dense block's
+// rows. Output is compact: y needs only hi-lo elements.
+//
+//due:hotpath
+func (a *CSR) MulVecRangeWithinCols(x, y []float64, lo, hi, inLo, inHi int) {
+	rp := a.RowPtr
+	for i := lo; i < hi; i++ {
+		row := rp[i]
+		cols := a.Cols[row:rp[i+1]]
+		vals := a.Vals[row:rp[i+1]]
+		var s float64
+		for k, c := range cols {
+			if c >= inLo && c < inHi {
+				s += vals[k] * x[c]
+			}
+		}
+		y[i-lo] = s
+	}
+}
+
 // MulVecRangeExcludingBlocks computes, for rows in [lo, hi),
 // y[i-lo] = sum of A[i][j]*x[j] over columns j not inside any of the
 // excluded half-open column ranges. Used for combined multi-error
@@ -318,7 +341,9 @@ func mergeRanges(ranges [][2]int) [][2]int {
 }
 
 // DiagBlock extracts the dense diagonal block A[lo:hi, lo:hi] in row-major
-// order. The returned Dense is (hi-lo)×(hi-lo).
+// order. The returned Dense is (hi-lo)×(hi-lo). The solvers never
+// materialise a block (the cache factorizes from the CSR rows); this is
+// for measurement and for test oracles.
 func (a *CSR) DiagBlock(lo, hi int) *Dense {
 	k := hi - lo
 	d := NewDense(k, k)
@@ -328,21 +353,6 @@ func (a *CSR) DiagBlock(lo, hi int) *Dense {
 			c := a.Cols[p]
 			if c >= lo && c < hi {
 				d.Set(i-lo, c-lo, a.Vals[p])
-			}
-		}
-	}
-	return d
-}
-
-// Block extracts the dense sub-block A[rlo:rhi, clo:chi].
-func (a *CSR) Block(rlo, rhi, clo, chi int) *Dense {
-	d := NewDense(rhi-rlo, chi-clo)
-	for i := rlo; i < rhi; i++ {
-		end := a.RowPtr[i+1]
-		for p := a.RowPtr[i]; p < end; p++ {
-			c := a.Cols[p]
-			if c >= clo && c < chi {
-				d.Set(i-rlo, c-clo, a.Vals[p])
 			}
 		}
 	}

@@ -11,9 +11,10 @@ import (
 // singular pivot and the direct solve cannot proceed.
 var ErrSingular = errors.New("sparse: matrix is singular to working precision")
 
-// Dense is a row-major dense matrix. It is used for page-sized diagonal
-// blocks (typically 512×512) extracted from the sparse operator, and for
-// the small Hessenberg systems of GMRES.
+// Dense is a row-major dense matrix. It is used for the small Gram and
+// Hessenberg systems of s-step CG and GMRES, for the QR fallback on a
+// singular diagonal block, and as the test oracle of the banded block
+// factors (band.go).
 type Dense struct {
 	Rows, Cols int
 	Data       []float64 // len Rows*Cols, row-major
@@ -53,175 +54,6 @@ func (d *Dense) MulVec(x, y []float64) {
 		}
 		y[i] = s
 	}
-}
-
-// ----------------------------------------------------------------------
-// Cholesky factorization: for SPD diagonal blocks (the paper's common case,
-// §2.3 — "if we know that a diagonal block is non-singular, e.g. when A is
-// SPD, we solve the inverse block relations with a direct solver").
-// ----------------------------------------------------------------------
-
-// Cholesky holds the lower-triangular factor L with A = L*Lᵀ.
-type Cholesky struct {
-	n int
-	l []float64 // row-major lower triangle (full storage for simplicity)
-}
-
-// NewCholesky factorizes the SPD matrix a. It returns ErrSingular when a
-// pivot is non-positive (a is not positive definite to working precision).
-func NewCholesky(a *Dense) (*Cholesky, error) {
-	if a.Rows != a.Cols {
-		return nil, fmt.Errorf("sparse: Cholesky of non-square %dx%d", a.Rows, a.Cols)
-	}
-	n := a.Rows
-	l := make([]float64, n*n)
-	copy(l, a.Data)
-	for j := 0; j < n; j++ {
-		d := l[j*n+j]
-		for k := 0; k < j; k++ {
-			d -= l[j*n+k] * l[j*n+k]
-		}
-		if d <= 0 || math.IsNaN(d) {
-			return nil, ErrSingular
-		}
-		d = math.Sqrt(d)
-		l[j*n+j] = d
-		for i := j + 1; i < n; i++ {
-			s := l[i*n+j]
-			for k := 0; k < j; k++ {
-				s -= l[i*n+k] * l[j*n+k]
-			}
-			l[i*n+j] = s / d
-		}
-	}
-	// Zero the strict upper triangle so the factor is clean.
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			l[i*n+j] = 0
-		}
-	}
-	return &Cholesky{n: n, l: l}, nil
-}
-
-// N returns the block dimension.
-func (c *Cholesky) N() int { return c.n }
-
-// Solve solves A*x = b in place: b is overwritten with x.
-func (c *Cholesky) Solve(b []float64) {
-	n := c.n
-	if len(b) != n {
-		panic(fmt.Sprintf("sparse: Cholesky.Solve dim %d want %d", len(b), n))
-	}
-	l := c.l
-	// Forward substitution L*y = b.
-	for i := 0; i < n; i++ {
-		s := b[i]
-		for k := 0; k < i; k++ {
-			s -= l[i*n+k] * b[k]
-		}
-		b[i] = s / l[i*n+i]
-	}
-	// Back substitution Lᵀ*x = y.
-	for i := n - 1; i >= 0; i-- {
-		s := b[i]
-		for k := i + 1; k < n; k++ {
-			s -= l[k*n+i] * b[k]
-		}
-		b[i] = s / l[i*n+i]
-	}
-}
-
-// ----------------------------------------------------------------------
-// LU with partial pivoting: for non-symmetric diagonal blocks (BiCGStab /
-// GMRES operate on general matrices).
-// ----------------------------------------------------------------------
-
-// LU holds a PA = LU factorization with partial pivoting.
-type LU struct {
-	n    int
-	lu   []float64
-	piv  []int
-	sign int
-}
-
-// NewLU factorizes a general square matrix with partial pivoting.
-func NewLU(a *Dense) (*LU, error) {
-	if a.Rows != a.Cols {
-		return nil, fmt.Errorf("sparse: LU of non-square %dx%d", a.Rows, a.Cols)
-	}
-	n := a.Rows
-	lu := make([]float64, n*n)
-	copy(lu, a.Data)
-	piv := make([]int, n)
-	for i := range piv {
-		piv[i] = i
-	}
-	sign := 1
-	for k := 0; k < n; k++ {
-		// Pivot search.
-		p, maxAbs := k, math.Abs(lu[k*n+k])
-		for i := k + 1; i < n; i++ {
-			if a := math.Abs(lu[i*n+k]); a > maxAbs {
-				p, maxAbs = i, a
-			}
-		}
-		if maxAbs == 0 || math.IsNaN(maxAbs) {
-			return nil, ErrSingular
-		}
-		if p != k {
-			for j := 0; j < n; j++ {
-				lu[k*n+j], lu[p*n+j] = lu[p*n+j], lu[k*n+j]
-			}
-			piv[k], piv[p] = piv[p], piv[k]
-			sign = -sign
-		}
-		d := lu[k*n+k]
-		for i := k + 1; i < n; i++ {
-			m := lu[i*n+k] / d
-			lu[i*n+k] = m
-			for j := k + 1; j < n; j++ {
-				lu[i*n+j] -= m * lu[k*n+j]
-			}
-		}
-	}
-	return &LU{n: n, lu: lu, piv: piv, sign: sign}, nil
-}
-
-// Solve solves A*x = b; x is returned in a new slice, b is untouched.
-func (f *LU) Solve(b []float64) []float64 {
-	n := f.n
-	if len(b) != n {
-		panic(fmt.Sprintf("sparse: LU.Solve dim %d want %d", len(b), n))
-	}
-	x := make([]float64, n)
-	for i := 0; i < n; i++ {
-		x[i] = b[f.piv[i]]
-	}
-	lu := f.lu
-	for i := 0; i < n; i++ {
-		s := x[i]
-		for k := 0; k < i; k++ {
-			s -= lu[i*n+k] * x[k]
-		}
-		x[i] = s
-	}
-	for i := n - 1; i >= 0; i-- {
-		s := x[i]
-		for k := i + 1; k < n; k++ {
-			s -= lu[i*n+k] * x[k]
-		}
-		x[i] = s / lu[i*n+i]
-	}
-	return x
-}
-
-// Det returns the determinant of the factorized matrix.
-func (f *LU) Det() float64 {
-	d := float64(f.sign)
-	for i := 0; i < f.n; i++ {
-		d *= f.lu[i*f.n+i]
-	}
-	return d
 }
 
 // ----------------------------------------------------------------------
@@ -310,9 +142,10 @@ func (q *QR) SolveLeastSquares(b []float64) ([]float64, error) {
 			y[i] += s * q.qr[i*n+k]
 		}
 	}
-	// Back-substitute R x = y[:n]. R's strict upper part lives above the
-	// diagonal of qr; the diagonal is in tau.
-	x := make([]float64, n)
+	// Back-substitute R x = y[:n] in place (row i reads y[i] and the x[j],
+	// j > i, already written over y[j]). R's strict upper part lives above
+	// the diagonal of qr; the diagonal is in tau.
+	x := y[:n]
 	allZero := true
 	for i := n - 1; i >= 0; i-- {
 		s := y[i]
@@ -333,34 +166,29 @@ func (q *QR) SolveLeastSquares(b []float64) ([]float64, error) {
 	return x, nil
 }
 
-// BlockSolver abstracts a factorized diagonal block used by recoveries:
-// Cholesky for SPD blocks, LU otherwise, QR least-squares as the fallback.
-type BlockSolver interface {
-	// SolveInPlace solves Block*x = rhs, overwriting rhs with x.
-	SolveInPlace(rhs []float64) error
-}
-
-type cholSolver struct{ c *Cholesky }
-
-func (s cholSolver) SolveInPlace(rhs []float64) error { s.c.Solve(rhs); return nil }
-
-type luSolver struct{ f *LU }
-
-func (s luSolver) SolveInPlace(rhs []float64) error {
-	x := s.f.Solve(rhs)
-	copy(rhs, x)
-	return nil
-}
-
-type qrSolver struct{ q *QR }
-
-func (s qrSolver) SolveInPlace(rhs []float64) error {
-	x, err := s.q.SolveLeastSquares(rhs)
+// SolveInPlace implements BlockSolver for a square factor: rhs is
+// overwritten with the least-squares solution, or left untouched on error.
+func (q *QR) SolveInPlace(rhs []float64) error {
+	x, err := q.SolveLeastSquares(rhs)
 	if err != nil {
 		return err
 	}
 	copy(rhs, x)
 	return nil
+}
+
+// Bytes returns the memory the factor holds.
+func (q *QR) Bytes() int64 { return 8 * int64(len(q.qr)+len(q.tau)) }
+
+// BlockSolver abstracts a factorized diagonal block used by recoveries:
+// *Cholesky for SPD blocks, *LU otherwise, *QR least-squares as the
+// fallback. A solver is immutable once built, so one factor serves
+// concurrent solves.
+type BlockSolver interface {
+	// SolveInPlace solves Block*x = rhs, overwriting rhs with x.
+	SolveInPlace(rhs []float64) error
+	// Bytes returns the memory the factor holds.
+	Bytes() int64
 }
 
 // factorizations counts every diagonal-block factorization performed by
@@ -372,22 +200,33 @@ var factorizations atomic.Int64
 // performed by this process so far.
 func FactorizationCount() int64 { return factorizations.Load() }
 
-// FactorizeBlock builds a BlockSolver for a dense diagonal block, trying
-// Cholesky when spd is claimed, then LU, then QR least squares, mirroring
-// the paper's §2.3 strategy.
+// FactorizeBlock builds a BlockSolver for a dense square block, measuring
+// its bandwidth and factorizing inside it (see factorBlock).
 func FactorizeBlock(block *Dense, spd bool) (BlockSolver, error) {
+	if block.Rows != block.Cols {
+		return nil, fmt.Errorf("sparse: FactorizeBlock of non-square %dx%d", block.Rows, block.Cols)
+	}
+	return factorBlock(block.Rows, denseRows(block), spd)
+}
+
+// factorBlock builds the BlockSolver of an n×n block read through rows,
+// trying Cholesky when spd is claimed, then LU, then QR least squares,
+// mirroring the paper's §2.3 strategy. The result is a pure function of
+// the block's entries.
+func factorBlock(n int, rows blockRows, spd bool) (BlockSolver, error) {
 	factorizations.Add(1)
 	if spd {
-		if c, err := NewCholesky(block); err == nil {
-			return cholSolver{c}, nil
+		if c, err := newCholesky(n, rows); err == nil {
+			return c, nil
 		}
 	}
-	if f, err := NewLU(block); err == nil {
-		return luSolver{f}, nil
+	if f, err := newLU(n, rows); err == nil {
+		return f, nil
 	}
-	q, err := NewQR(block)
-	if err != nil {
-		return nil, err
+	// Singular to working precision: the one case that needs the block dense.
+	d := NewDense(n, n)
+	for i := 0; i < n; i++ {
+		rows(i, func(j int, v float64) { d.Set(i, j, v) })
 	}
-	return qrSolver{q}, nil
+	return NewQR(d)
 }

@@ -242,8 +242,8 @@ func TestFactorizeBlockPrefersCholeskyThenFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := s.(cholSolver); !ok {
-		t.Fatalf("SPD block solver is %T, want cholSolver", s)
+	if _, ok := s.(*Cholesky); !ok {
+		t.Fatalf("SPD block solver is %T, want *Cholesky", s)
 	}
 	// Non-symmetric block with spd=true must fall back to LU.
 	m := NewDense(2, 2)
@@ -255,8 +255,8 @@ func TestFactorizeBlockPrefersCholeskyThenFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := s.(luSolver); !ok {
-		t.Fatalf("indefinite block solver is %T, want luSolver", s)
+	if _, ok := s.(*LU); !ok {
+		t.Fatalf("indefinite block solver is %T, want *LU", s)
 	}
 	// Singular block falls all the way to QR.
 	sing := NewDense(2, 2)
@@ -268,8 +268,8 @@ func TestFactorizeBlockPrefersCholeskyThenFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := s.(qrSolver); !ok {
-		t.Fatalf("singular block solver is %T, want qrSolver", s)
+	if _, ok := s.(*QR); !ok {
+		t.Fatalf("singular block solver is %T, want *QR", s)
 	}
 }
 

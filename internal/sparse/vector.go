@@ -1,8 +1,9 @@
 // Package sparse provides the sparse and dense linear-algebra substrate for
 // the resilient Krylov solvers: CSR matrices with row-range kernels suitable
-// for strip-mined task decomposition, dense direct solvers for page-sized
-// diagonal blocks (Cholesky, LU, QR least squares), and the vector kernels
-// (dot, axpy, norms) that iterative solvers are made of.
+// for strip-mined task decomposition, banded direct solvers for page-sized
+// diagonal blocks (Cholesky, LU; dense QR least squares as the fallback),
+// and the vector kernels (dot, axpy, norms) that iterative solvers are
+// made of.
 //
 // Everything operates on plain []float64 so that callers can alias pages of
 // a larger allocation without copies, which is what the page-level fault
