@@ -127,11 +127,13 @@ func main() {
 		in.Start()
 		defer in.Stop()
 	}
+	pool := taskrt.Shared(*workers)
+	sched := pool.Counters()
 	res, err := run.Run()
 	if in != nil {
 		in.Stop()
 	}
-	report(res, err)
+	report(res, err, pool.Counters().Sub(sched))
 	if ctrl != nil {
 		reportPolicy(ctrl)
 	}
@@ -158,7 +160,7 @@ func orStatic(s string) string {
 	return s
 }
 
-func report(res core.Result, err error) {
+func report(res core.Result, err error, sched taskrt.Counters) {
 	if err != nil {
 		fatalf("solve: %v", err)
 	}
@@ -189,6 +191,9 @@ func report(res core.Result, err error) {
 				total.Idle.Round(time.Microsecond), 100*total.Useful.Seconds()/tt.Seconds())
 		}
 	}
+	// Idle covers polling and sleeping alike; the counters tell them apart.
+	fmt.Printf("scheduler: parks=%d wakes=%d steals=%d pollHits=%d  (%.3f parks/iteration)\n",
+		sched.Parks, sched.Wakes, sched.Steals, sched.PollHits, float64(sched.Parks)/float64(max(res.Iterations, 1)))
 }
 
 // reportRanks prints the per-rank recovery counters of a distributed run

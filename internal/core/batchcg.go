@@ -86,6 +86,9 @@ type BatchCG struct {
 		r1c, r23c  *engine.Prepared
 		r1After    []*taskrt.Handle
 		r23After   []*taskrt.Handle
+		// Every handle of a phase, overlapped recovery included: one
+		// WaitAll per phase boundary (see CG.prep).
+		phase1, phase2 []*taskrt.Handle
 	}
 	iterVer           int64
 	iterBeta          []float64 // per-column beta snapshot (restarts applied)
@@ -638,6 +641,8 @@ func (s *BatchCG) buildPrepared() {
 
 	s.prep.r1After = append(append([]*taskrt.Handle{}, s.prep.d.Handles()...), s.prep.q.Handles()...)
 	s.prep.r23After = append(append([]*taskrt.Handle{}, s.prep.x.Handles()...), s.prep.g.Handles()...)
+	s.prep.phase1 = append(append([]*taskrt.Handle{}, s.prep.r1After...), s.prep.r1o.Handles()...)
+	s.prep.phase2 = append(append([]*taskrt.Handle{}, s.prep.r23After...), s.prep.r23o.Handles()...)
 }
 
 // runPhase1 replays the prepared D-update and fused Q/<d,q> tasks plus
@@ -670,11 +675,7 @@ func (s *BatchCG) runPhase1(ver int64) {
 	if overlapped {
 		s.prep.r1o.Submit(s.prep.r1After)
 	}
-	s.prep.d.Wait()
-	s.prep.q.Wait()
-	if overlapped {
-		s.prep.r1o.Wait()
-	}
+	s.rt.WaitAll(s.prep.phase1)
 	if s.cfg.Method == MethodFEIR && !(s.cfg.OnDemandRecovery && !s.space.AnyFault()) {
 		s.prep.r1c.Submit(nil)
 		s.prep.r1c.Wait()
@@ -700,11 +701,7 @@ func (s *BatchCG) runPhase2(ver int64) {
 	if overlapped {
 		s.prep.r23o.Submit(s.prep.r23After)
 	}
-	s.prep.x.Wait()
-	s.prep.g.Wait()
-	if overlapped {
-		s.prep.r23o.Wait()
-	}
+	s.rt.WaitAll(s.prep.phase2)
 	if s.cfg.Method == MethodFEIR && !(s.cfg.OnDemandRecovery && !s.space.AnyFault()) {
 		s.prep.r23c.Submit(nil)
 		s.prep.r23c.Wait()

@@ -90,6 +90,10 @@ type CG struct {
 		r1After    []*taskrt.Handle // d+q handles (prebuilt: stable)
 		zgAfter    []*taskrt.Handle // g+z handles
 		r23After   []*taskrt.Handle // x+g(+z) handles
+		// Every handle of a phase, overlapped recovery included, so a phase
+		// boundary is one WaitAll. A replay that does not submit the
+		// recovery finds its handle finished already.
+		phase1, phase2 []*taskrt.Handle
 	}
 	iterVer           int64
 	iterBeta          float64
@@ -614,6 +618,12 @@ func (s *CG) buildPrepared() {
 		s.prep.r23After = append(s.prep.r23After, s.prep.z.Handles()...)
 		s.prep.zgAfter = append(append([]*taskrt.Handle{}, s.prep.g.Handles()...), s.prep.z.Handles()...)
 	}
+	s.prep.phase1 = append(append([]*taskrt.Handle{}, s.prep.r1After...), s.prep.r1o.Handles()...)
+	s.prep.phase2 = append([]*taskrt.Handle{}, s.prep.r23After...)
+	if s.pre != nil {
+		s.prep.phase2 = append(s.prep.phase2, s.prep.zg.Handles()...)
+	}
+	s.prep.phase2 = append(s.prep.phase2, s.prep.r23o.Handles()...)
 }
 
 // runPhase1 replays the prepared d-update and fused q/<d,q> tasks plus
@@ -643,11 +653,7 @@ func (s *CG) runPhase1(ver int64) {
 		// vectors the concurrent reductions never read.
 		s.prep.r1o.Submit(s.prep.r1After)
 	}
-	s.prep.d.Wait()
-	s.prep.q.Wait()
-	if overlapped {
-		s.prep.r1o.Wait()
-	}
+	s.rt.WaitAll(s.prep.phase1)
 	if s.cfg.Method == MethodFEIR && !(s.cfg.OnDemandRecovery && !s.space.AnyFault()) {
 		// In the critical path: runs after every computation (thus every
 		// potential error discovery) of the phase (Fig 2a).
@@ -682,15 +688,7 @@ func (s *CG) runPhase2(ver int64) {
 	if overlapped {
 		s.prep.r23o.Submit(s.prep.r23After)
 	}
-	s.prep.x.Wait()
-	s.prep.g.Wait()
-	if s.pre != nil {
-		s.prep.z.Wait()
-		s.prep.zg.Wait()
-	}
-	if overlapped {
-		s.prep.r23o.Wait()
-	}
+	s.rt.WaitAll(s.prep.phase2)
 	if s.cfg.Method == MethodFEIR && !(s.cfg.OnDemandRecovery && !s.space.AnyFault()) {
 		s.prep.r23c.Submit(nil)
 		s.prep.r23c.Wait()

@@ -226,7 +226,7 @@ func TestPreparedReplayMatchesImmediate(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		iter() // warm up rings and wait conds
 	}
-	if allocs := testing.AllocsPerRun(50, iter); allocs > 0 {
+	if allocs := testing.AllocsPerRun(10000, iter); allocs > 0 {
 		t.Fatalf("prepared replay allocates %.1f/op, want 0", allocs)
 	}
 	got, _ := part.SumAvailable()

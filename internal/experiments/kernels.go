@@ -62,8 +62,7 @@ type KernelsResult struct {
 	CGIterNs     float64 `json:"cg_solver_iter_ns"`
 	CGIterAllocs float64 `json:"cg_solver_iter_allocs"`
 
-	TaskrtStealTasksPerSec  float64 `json:"taskrt_steal_tasks_per_sec"`
-	TaskrtGlobalTasksPerSec float64 `json:"taskrt_global_tasks_per_sec"`
+	TaskrtStealTasksPerSec float64 `json:"taskrt_steal_tasks_per_sec"`
 
 	Provenance Provenance `json:"provenance"`
 }
@@ -78,13 +77,13 @@ func (r *KernelsResult) String() string {
     pre-PR hot path (frozen)    %10.0f ns/iter
     fused + prepared + steal    %10.0f ns/iter   (%.2fx, %.2f allocs/iter)
   CG solver iteration (FEIR)    %10.0f ns/iter   (%.2f allocs/iter)
-  taskrt throughput: steal %.2fM tasks/s, single-queue %.2fM tasks/s`,
+  taskrt throughput    %8.2fM tasks/s`,
 		r.Scale, r.Workers, r.PageDoubles, r.Iters,
 		r.SpMVPrePRGFlops, r.SpMVGFlops, r.SpMVFusedGFlops,
 		r.SELLShadow, r.SpMVSELLGFlops, r.SpMVShortRowCSRGFlops, r.SELLSpeedup,
 		r.IterPrePRNs, r.IterFusedNs, r.IterSpeedup, r.IterFusedAllocs,
 		r.CGIterNs, r.CGIterAllocs,
-		r.TaskrtStealTasksPerSec/1e6, r.TaskrtGlobalTasksPerSec/1e6)
+		r.TaskrtStealTasksPerSec/1e6)
 }
 
 // Kernels measures the hot-path baseline. Scale 0 means 65536 (the
@@ -217,7 +216,6 @@ func Kernels(opts Options, iters int) (*KernelsResult, error) {
 
 	// --- taskrt scheduling throughput ------------------------------
 	res.TaskrtStealTasksPerSec = taskThroughput(taskrt.New(workers))
-	res.TaskrtGlobalTasksPerSec = taskThroughput(taskrt.NewSingleQueue(workers))
 	return res, nil
 }
 

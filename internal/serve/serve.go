@@ -33,6 +33,7 @@ import (
 	"repro/internal/inject"
 	"repro/internal/registry"
 	"repro/internal/sparse"
+	"repro/internal/taskrt"
 )
 
 // Sentinel admission errors: the HTTP layer maps these to 429/503.
@@ -131,6 +132,10 @@ type Stats struct {
 	BatchesDispatched int64   `json:"batches_dispatched"`
 	RequestsCoalesced int64   `json:"requests_coalesced"`
 	MeanBatchWidth    float64 `json:"mean_batch_width"`
+	// Pool is the shared task pool's scheduler counters since process
+	// start: how often its threads slept, were roused, stole, or found
+	// work while polling.
+	Pool taskrt.Counters `json:"pool"`
 }
 
 // pending is one queued request plus its completion channel.
@@ -343,6 +348,8 @@ func (s *Server) Snapshot() Stats {
 		BatchesDispatched: s.batches,
 		RequestsCoalesced: s.coalesced,
 		MeanBatchWidth:    meanWidth,
+		// The pool every solve of this server runs on (registry.Config.SharedPool).
+		Pool: taskrt.SharedCounters(),
 	}
 }
 

@@ -7,8 +7,8 @@ import (
 )
 
 // Tests for the work-stealing scheduler additions: handle reuse via
-// NewTask/Resubmit, the single-queue compatibility mode, stealing
-// correctness and the negative-priority (overlapped recovery) discipline.
+// NewTask/Resubmit, stealing correctness and the negative-priority
+// (overlapped recovery) discipline.
 
 func TestResubmitReusesHandle(t *testing.T) {
 	rt := New(2)
@@ -100,23 +100,6 @@ func TestStealingSpreadsWork(t *testing.T) {
 	}
 	if total != 256 {
 		t.Fatalf("ran %d tasks, want 256", total)
-	}
-}
-
-func TestSingleQueueModeRunsEverything(t *testing.T) {
-	rt := NewSingleQueue(4)
-	defer rt.Close()
-	var sum atomic.Int64
-	var prev *Handle
-	for i := 0; i < 50; i++ {
-		fan := rt.ParallelFor(64, 4, "fan", []*Handle{prev}, 0, func(w, lo, hi int) {
-			sum.Add(int64(hi - lo))
-		})
-		prev = rt.Submit(TaskSpec{Run: func(int) {}, After: fan})
-	}
-	rt.Wait(prev)
-	if sum.Load() != 50*64 {
-		t.Fatalf("sum = %d, want %d", sum.Load(), 50*64)
 	}
 }
 

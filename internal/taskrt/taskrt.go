@@ -18,9 +18,14 @@
 // positive priorities preempt all queued default work, negative
 // priorities (the overlapped recovery tasks) run only when a worker finds
 // no default work anywhere — exactly the paper's "recovery tasks start
-// after the reductions" discipline. NewSingleQueue builds the pre-stealing
-// scheduler (everything through the shared heap) so benchmarks can
-// attribute steal-vs-global effects.
+// after the reductions" discipline.
+//
+// Waiting: a thread with nothing to run — a worker between phases, a
+// coordinator in Wait/WaitAll/Quiesce — polls for a bounded moment before
+// it parks (see poll), so a phase boundary inside a solver iteration costs
+// a cache-line hand-off, not a park/unpark round trip through the Go
+// scheduler and the kernel. A waiter also helps: it runs ready tasks
+// itself while the tasks it waits for are pending.
 //
 // Handles are reusable: NewTask binds a task body without running it and
 // Resubmit/ResubmitAll replay finished handles with fresh dependencies,
@@ -145,14 +150,13 @@ func (q *wq) pop() *Handle {
 
 // Runtime is a fixed-size worker pool executing dependency-ordered tasks.
 type Runtime struct {
-	workers    int
-	singleMode bool // every task through the shared heap (pre-stealing)
-	shared     bool // process-wide pool: Close drains instead of shutting down
+	workers int
+	shared  bool // process-wide pool: Close drains instead of shutting down
 
 	qs []wq // per-worker run queues (priority-0 tasks)
 
 	gmu   sync.Mutex
-	gheap taskHeap // tasks with non-zero priority (all tasks in singleMode)
+	gheap taskHeap // tasks with non-zero priority
 	npos  atomic.Int64
 
 	seq     atomic.Uint64
@@ -169,10 +173,14 @@ type Runtime struct {
 	qcond    *sync.Cond
 	qwaiters atomic.Int32 // updated under qmu
 
-	procs int // GOMAXPROCS at construction: caps useful wake-ups
+	procs int // GOMAXPROCS at construction: caps useful wake-ups and pollers
 
 	times   []StateTimes
 	timesMu []sync.Mutex
+
+	// Scheduler counters (see Counters): bumped on idle transitions and
+	// steals only, never on the home-queue fast path.
+	parks, wakes, steals, pollHits atomic.Int64
 
 	panicOnce sync.Once
 	panicked  atomic.Pointer[panicBox]
@@ -182,25 +190,16 @@ type panicBox struct{ v any }
 
 // New creates a work-stealing runtime with the given number of workers
 // (0 means runtime.GOMAXPROCS(0)) and starts them.
-func New(workers int) *Runtime { return newRuntime(workers, false) }
-
-// NewSingleQueue creates a runtime whose ready tasks all flow through one
-// shared priority heap and whose waiters park instead of helping — the
-// pre-work-stealing scheduler, kept so benchmarks can attribute
-// steal+help-vs-global scheduling effects.
-func NewSingleQueue(workers int) *Runtime { return newRuntime(workers, true) }
-
-func newRuntime(workers int, single bool) *Runtime {
+func New(workers int) *Runtime {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	rt := &Runtime{
-		workers:    workers,
-		singleMode: single,
-		procs:      runtime.GOMAXPROCS(0),
-		qs:         make([]wq, workers),
-		times:      make([]StateTimes, workers),
-		timesMu:    make([]sync.Mutex, workers),
+		workers: workers,
+		procs:   runtime.GOMAXPROCS(0),
+		qs:      make([]wq, workers),
+		times:   make([]StateTimes, workers),
+		timesMu: make([]sync.Mutex, workers),
 	}
 	rt.sleepCond = sync.NewCond(&rt.sleepMu)
 	rt.qcond = sync.NewCond(&rt.qmu)
@@ -264,7 +263,7 @@ func Shared(workers int) *Runtime {
 	sharedMu.Lock()
 	defer sharedMu.Unlock()
 	if sharedRT == nil || sharedRT.closed.Load() {
-		sharedRT = newRuntime(workers, false)
+		sharedRT = New(workers)
 		sharedRT.shared = true
 	}
 	return sharedRT
@@ -280,6 +279,17 @@ func SharedSize() int {
 		return 0
 	}
 	return sharedRT.workers
+}
+
+// SharedCounters returns the scheduler counters of the shared pool, or
+// zeros when no shared pool exists: reading them never creates one.
+func SharedCounters() Counters {
+	sharedMu.Lock()
+	defer sharedMu.Unlock()
+	if sharedRT == nil || sharedRT.closed.Load() {
+		return Counters{}
+	}
+	return sharedRT.Counters()
 }
 
 // CloseShared shuts the process-wide pool down (if one exists) after all
@@ -388,7 +398,7 @@ func (rt *Runtime) start(h *Handle, after []*Handle, enqWorker int, wake bool) {
 // enqueue places a ready task on a run queue. worker is the preferred
 // queue (-1: round-robin across queues).
 func (rt *Runtime) enqueue(h *Handle, worker int, wake bool) {
-	if rt.singleMode || h.priority != 0 {
+	if h.priority != 0 {
 		rt.gmu.Lock()
 		heap.Push(&rt.gheap, h)
 		if h.priority > 0 {
@@ -411,20 +421,80 @@ func (rt *Runtime) enqueue(h *Handle, worker int, wake bool) {
 	}
 }
 
-// help lets a waiting thread pop and execute ready tasks until done()
-// holds or no work is ready. Helpers run with worker index 0 and their
-// execution time accrues to worker 0's clock — the coordinator is a team
-// member during a taskwait, as in OmpSs.
-func (rt *Runtime) help(done func() bool) {
-	var useful time.Duration
-	for !done() {
-		t := rt.tryPop(0)
-		if t == nil {
-			break
+// pollBudget bounds how long an idle thread polls before it parks. It is
+// about one park→unpark round trip — the competitive bound: polling that
+// long costs at most what the park it may save would have cost, and a
+// hand-off that takes longer to arrive was not going to be fast anyway.
+// BenchmarkParkUnpark measures the round trip through a sync.Cond (what a
+// parked worker or waiter sleeps on) once the sleeper's processor has gone
+// idle: ≈95 µs from signal to sleeper running on the 2-vCPU reference
+// host, ≈10 µs of it spent by the waker inside the signal — against ≈1 µs
+// per phase boundary when the other side polls (BenchmarkPhaseHandoff).
+// A solver iteration paid that 3–5 times per ≈100 µs of kernel work. End
+// to end the gain is flat from a fifth of this budget to twice it
+// (dist-cg solve_ms_p50 139 / 108 / 100 / 101 / 113 ms at 5 / 20 / 50 /
+// 100 / 200 µs, against 172 ms without polling), so it is a constant, not
+// a setting.
+const pollBudget = 100 * time.Microsecond
+
+// pollYield is the number of polls between two yields to the Go
+// scheduler. A poll is a load of taskrt's own atomics and touches nothing
+// shared with the Go scheduler; a yield lets any runnable goroutine
+// (another coordinator, a timer, a surplus worker) have the processor,
+// and is also where the clock is read. Yielding only every pollYield-th
+// poll keeps a pool's worth of idle workers from serialising on the Go
+// scheduler's lock.
+const pollYield = 64
+
+// poll spins until ready() holds or pollBudget has passed, and reports
+// whether it held. Callers park when it reports false: poll sits entirely
+// before their publish-then-recheck protocols, so it cannot lose a
+// wake-up.
+func (rt *Runtime) poll(ready func() bool) bool {
+	start := time.Now()
+	for i := 1; ; i++ {
+		if ready() {
+			rt.pollHits.Add(1)
+			return true
 		}
-		t0 := time.Now()
-		rt.execute(t, 0)
-		useful += time.Since(t0)
+		if i%pollYield == 0 {
+			runtime.Gosched()
+			if time.Since(start) > pollBudget {
+				return false
+			}
+		}
+	}
+}
+
+// await is the one way a thread waits for tasks: until done() holds it
+// HELPS — pops and executes ready tasks itself (help-first taskwait, as in
+// OmpSs/TBB) — polls while nothing is ready, and parks through park()
+// once the poll budget is spent. When cores are oversubscribed helping
+// collapses the dependent waves of an iteration into the waiting thread
+// with no scheduler round-trips, and on free cores the coordinator simply
+// contributes. Helpers run task bodies with worker index 0 (no task in
+// this codebase keys scratch off the index) and their execution time
+// accrues to worker 0's Useful clock, so Table 3 reads worker 0 as
+// "worker 0 plus the coordinating thread's team contribution". With one
+// processor nothing is polled: the whole graph runs inline right here.
+func (rt *Runtime) await(done func() bool, park func()) {
+	var useful time.Duration
+	ready := func() bool { return done() || rt.avail.Load() > 0 }
+	for !done() {
+		if rt.avail.Load() > 0 {
+			if t := rt.tryPop(0); t != nil {
+				t0 := time.Now()
+				rt.execute(t, 0)
+				useful += time.Since(t0)
+			}
+			continue
+		}
+		if rt.procs > 1 && rt.poll(ready) {
+			continue
+		}
+		if rt.avail.Load() == 0 {
+			park()
+		}
 	}
 	if useful > 0 {
 		rt.timesMu[0].Lock()
@@ -433,30 +503,22 @@ func (rt *Runtime) help(done func() bool) {
 	}
 }
 
-// wake rouses up to n sleeping workers. In stealing mode wake-ups are
-// capped at GOMAXPROCS-1: the thread that will Wait on the work helps
-// execute it (see help), so rousing more workers than there are spare
-// processors only adds context-switch churn — on a single-processor
-// host the whole graph runs inline in the waiter and the workers stay
-// parked. The single-queue compatibility mode keeps the pre-stealing
-// behaviour (no helping, so every wake-up is needed).
+// wake rouses up to n sleeping workers, capped at GOMAXPROCS-1: the
+// thread that will Wait on the work helps execute it (see await), so
+// rousing more workers than there are spare processors only adds
+// context-switch churn — on a single-processor host the whole graph runs
+// inline in the waiter and the workers stay parked. While every worker is
+// hot (running or polling) this is one atomic load.
 func (rt *Runtime) wake(n int) {
-	if !rt.singleMode {
-		if spare := rt.procs - 1; n > spare {
-			n = spare
-		}
-	}
-	if n <= 0 || rt.sleepers.Load() == 0 {
+	if n = min(n, rt.procs-1); n <= 0 || rt.sleepers.Load() == 0 {
 		return
 	}
 	rt.sleepMu.Lock()
-	if n >= rt.workers {
-		rt.sleepCond.Broadcast()
-	} else {
-		for i := 0; i < n; i++ {
-			rt.sleepCond.Signal()
-		}
+	n = min(n, int(rt.sleepers.Load()))
+	for i := 0; i < n; i++ {
+		rt.sleepCond.Signal()
 	}
+	rt.wakes.Add(int64(n))
 	rt.sleepMu.Unlock()
 }
 
@@ -469,16 +531,15 @@ func (rt *Runtime) tryPop(w int) *Handle {
 			return h
 		}
 	}
-	if !rt.singleMode {
-		if h := rt.qs[w].pop(); h != nil {
+	if h := rt.qs[w].pop(); h != nil {
+		rt.avail.Add(-1)
+		return h
+	}
+	for i := 1; i < rt.workers; i++ {
+		if h := rt.qs[(w+i)%rt.workers].pop(); h != nil {
 			rt.avail.Add(-1)
+			rt.steals.Add(1)
 			return h
-		}
-		for i := 1; i < rt.workers; i++ {
-			if h := rt.qs[(w+i)%rt.workers].pop(); h != nil {
-				rt.avail.Add(-1)
-				return h
-			}
 		}
 	}
 	return rt.popGlobal(false)
@@ -499,60 +560,54 @@ func (rt *Runtime) popGlobal(onlyPositive bool) *Handle {
 	return h
 }
 
-// Wait blocks until the most recent submission of the task has finished.
-//
-// A waiter does not just park: while the task is pending it HELPS — it
-// pops and executes ready tasks itself (help-first taskwait, as in
-// OmpSs/TBB). When cores are oversubscribed this collapses the dependent
-// waves of an iteration into the waiting thread with no scheduler
-// round-trips, and on free cores the coordinator simply contributes.
-// Helpers run task bodies with worker index 0 (no task in this codebase
-// keys scratch off the index) and their execution time accrues to worker
-// 0's Useful clock — see help() — so Table 3 reads worker 0 as "worker 0
-// plus the coordinating thread's team contribution".
+// Wait blocks until the most recent submission of the task has finished,
+// helping and polling before it parks (see await).
 func (rt *Runtime) Wait(h *Handle) {
-	if !rt.singleMode { // the pre-stealing scheduler parked, faithfully
-		rt.help(func() bool { return h.doneA.Load() })
-	}
-	if h.doneA.Load() {
-		return
-	}
+	rt.await(h.doneA.Load, h.park)
+}
+
+// WaitAll blocks until all listed tasks have finished: one help/poll/park
+// loop over the batch, so a phase boundary is one wait however many
+// chunks the phase has. Nil handles are ignored and a handle that was
+// never submitted counts as finished, so a prebuilt list may name tasks a
+// given replay leaves out.
+func (rt *Runtime) WaitAll(hs []*Handle) {
+	i := 0
+	rt.await(func() bool {
+		for i < len(hs) && (hs[i] == nil || hs[i].doneA.Load()) {
+			i++
+		}
+		return i == len(hs)
+	}, func() { hs[i].park() })
+}
+
+// park blocks until the task has finished.
+func (h *Handle) park() {
 	h.mu.Lock()
 	if h.cond == nil {
 		h.cond = sync.NewCond(&h.mu)
 	}
 	for !h.done {
+		h.rt.parks.Add(1)
 		h.cond.Wait()
 	}
 	h.mu.Unlock()
 }
 
-// WaitAll blocks until all listed tasks have finished. Nil handles are
-// ignored.
-func (rt *Runtime) WaitAll(hs []*Handle) {
-	for _, h := range hs {
-		if h != nil {
-			rt.Wait(h)
-		}
-	}
-}
-
 // Quiesce blocks until every submitted task has finished. It panics with
-// the original value if any task panicked. Like Wait, it helps execute
-// ready tasks before parking.
+// the original value if any task panicked. Like Wait, it helps and polls
+// before parking.
 func (rt *Runtime) Quiesce() {
-	if !rt.singleMode {
-		rt.help(func() bool { return rt.pending.Load() == 0 })
-	}
-	if rt.pending.Load() > 0 {
+	rt.await(func() bool { return rt.pending.Load() == 0 }, func() {
 		rt.qmu.Lock()
 		rt.qwaiters.Add(1)
 		for rt.pending.Load() > 0 {
+			rt.parks.Add(1)
 			rt.qcond.Wait()
 		}
 		rt.qwaiters.Add(-1)
 		rt.qmu.Unlock()
-	}
+	})
 	if p := rt.panicked.Load(); p != nil {
 		panic(p.v)
 	}
@@ -572,6 +627,36 @@ func (rt *Runtime) Close() {
 	rt.sleepMu.Lock()
 	rt.sleepCond.Broadcast()
 	rt.sleepMu.Unlock()
+}
+
+// Counters are the scheduler's cumulative event counts: what the idle
+// path did, which the state clocks cannot show (polling and sleeping are
+// both Idle there).
+type Counters struct {
+	Parks    int64 `json:"parks"`     // times a worker or a waiting thread went to sleep
+	Wakes    int64 `json:"wakes"`     // sleeping workers roused because work arrived
+	Steals   int64 `json:"steals"`    // tasks taken from another worker's queue
+	PollHits int64 `json:"poll_hits"` // polls that ended in work or completion: parks avoided
+}
+
+// Counters returns a snapshot of the scheduler counters.
+func (rt *Runtime) Counters() Counters {
+	return Counters{
+		Parks:    rt.parks.Load(),
+		Wakes:    rt.wakes.Load(),
+		Steals:   rt.steals.Load(),
+		PollHits: rt.pollHits.Load(),
+	}
+}
+
+// Sub returns the events between an earlier snapshot o and c.
+func (c Counters) Sub(o Counters) Counters {
+	return Counters{
+		Parks:    c.Parks - o.Parks,
+		Wakes:    c.Wakes - o.Wakes,
+		Steals:   c.Steals - o.Steals,
+		PollHits: c.PollHits - o.PollHits,
+	}
 }
 
 // WorkerTimes returns a snapshot of the cumulative per-worker state
@@ -651,19 +736,12 @@ func (rt *Runtime) worker(w int) {
 		tSched := time.Now()
 		h := rt.tryPop(w)
 		if h == nil {
-			// Account the scan as scheduler time and the sleep as idle
-			// (load imbalance).
+			// Account the scan as scheduler time and the wait — polling
+			// and sleeping alike: both are waiting for work, i.e. load
+			// imbalance — as idle.
 			tIdle := time.Now()
 			overhead += tIdle.Sub(tSched)
-			exit := false
-			rt.sleepMu.Lock()
-			rt.sleepers.Add(1)
-			for rt.avail.Load() == 0 && !rt.closed.Load() {
-				rt.sleepCond.Wait()
-			}
-			rt.sleepers.Add(-1)
-			exit = rt.closed.Load() && rt.avail.Load() == 0
-			rt.sleepMu.Unlock()
+			exit := rt.idle()
 			idle += time.Since(tIdle)
 			if exit {
 				flush()
@@ -682,6 +760,30 @@ func (rt *Runtime) worker(w int) {
 			flush()
 		}
 	}
+}
+
+// idle is where a worker that found nothing to run waits for work: it
+// polls, then parks. It reports whether the pool closed with nothing left.
+// At most GOMAXPROCS-1 awake workers poll — the cap wake applies, for the
+// same reason — so on a single processor, and for every worker a pool has
+// beyond the spare processors, idle parks at once.
+func (rt *Runtime) idle() (exit bool) {
+	if rt.workers-int(rt.sleepers.Load()) <= rt.procs-1 {
+		hit := rt.poll(func() bool { return rt.avail.Load() > 0 || rt.closed.Load() })
+		if hit && !rt.closed.Load() {
+			return false
+		}
+	}
+	rt.sleepMu.Lock()
+	rt.sleepers.Add(1)
+	for rt.avail.Load() == 0 && !rt.closed.Load() {
+		rt.parks.Add(1)
+		rt.sleepCond.Wait()
+	}
+	rt.sleepers.Add(-1)
+	exit = rt.closed.Load() && rt.avail.Load() == 0
+	rt.sleepMu.Unlock()
+	return exit
 }
 
 func (rt *Runtime) execute(h *Handle, w int) {

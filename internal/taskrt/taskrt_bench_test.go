@@ -1,15 +1,20 @@
 package taskrt
 
 import (
+	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
-// Steal-vs-global attribution benchmarks: identical task graphs on the
-// work-stealing scheduler and the single-queue (pre-stealing) scheduler,
-// plus the zero-allocation prepared-graph replay. Run with -benchmem.
+// Scheduler benchmarks: raw task throughput, a dependent fan/chain graph,
+// the zero-allocation prepared-graph replay, and the two numbers the poll
+// budget rests on (BenchmarkParkUnpark, BenchmarkPhaseHandoff). Run with
+// -benchmem.
 
-func benchThroughput(b *testing.B, rt *Runtime) {
+func BenchmarkThroughputSteal(b *testing.B) {
+	rt := New(4)
 	defer rt.Close()
 	var sink atomic.Int64
 	const wave = 256
@@ -23,10 +28,8 @@ func benchThroughput(b *testing.B, rt *Runtime) {
 	b.ReportMetric(float64(wave), "tasks/op")
 }
 
-func BenchmarkThroughputSteal(b *testing.B)  { benchThroughput(b, New(4)) }
-func BenchmarkThroughputGlobal(b *testing.B) { benchThroughput(b, NewSingleQueue(4)) }
-
-func benchFanChain(b *testing.B, rt *Runtime) {
+func BenchmarkFanChainSteal(b *testing.B) {
+	rt := New(4)
 	defer rt.Close()
 	var sink atomic.Int64
 	b.ResetTimer()
@@ -42,8 +45,85 @@ func benchFanChain(b *testing.B, rt *Runtime) {
 	}
 }
 
-func BenchmarkFanChainSteal(b *testing.B)  { benchFanChain(b, New(4)) }
-func BenchmarkFanChainGlobal(b *testing.B) { benchFanChain(b, NewSingleQueue(4)) }
+// BenchmarkParkUnpark is the ping-pong pollBudget is sized by: a sleeper
+// parked on a sync.Cond (what a parked worker or waiter sleeps on) is
+// signalled by a thread that stays busy, as a coordinator does that
+// submits a phase and then runs part of it — so the sleeper must come
+// back on another processor, through the Go scheduler and, once that
+// processor's thread has gone to sleep, the kernel. The waker works for
+// 20 µs between rounds (a short solver phase), long enough for that to
+// happen. ns/handoff is signal → sleeper running again, the round trip a
+// poll saves; ns/signal is what the signal alone costs the waker. Run
+// with -cpu 2 or more: with one processor the sleeper cannot run while
+// the waker spins.
+func BenchmarkParkUnpark(b *testing.B) {
+	if runtime.GOMAXPROCS(0) < 2 {
+		b.Skip("needs a second processor for the sleeper")
+	}
+	var (
+		mu   sync.Mutex
+		seq  int // guarded by mu
+		ack  atomic.Int64
+		cond = sync.NewCond(&mu)
+	)
+	go func() { // the sleeper
+		mu.Lock()
+		for seen := 0; seen >= 0; seen = seq {
+			for seq == seen {
+				cond.Wait()
+			}
+			ack.Store(int64(seq))
+		}
+		mu.Unlock()
+	}()
+	var handoff, signal time.Duration
+	b.ResetTimer()
+	for i := 1; i <= b.N; i++ {
+		for t := time.Now(); time.Since(t) < 20*time.Microsecond; {
+		}
+		t0 := time.Now()
+		mu.Lock()
+		seq = i
+		cond.Signal()
+		mu.Unlock()
+		t1 := time.Now()
+		for ack.Load() != int64(i) {
+		}
+		handoff += time.Since(t0)
+		signal += t1.Sub(t0)
+	}
+	b.StopTimer()
+	mu.Lock()
+	seq = -1
+	cond.Signal()
+	mu.Unlock()
+	b.ReportMetric(float64(handoff.Nanoseconds())/float64(b.N), "ns/handoff")
+	b.ReportMetric(float64(signal.Nanoseconds())/float64(b.N), "ns/signal")
+}
+
+// BenchmarkPhaseHandoff is the same hand-off through the runtime: phases
+// of two short tasks, one for the waiter and one for a worker, each phase
+// submitted only after the previous one was waited for — the shape of a
+// solver iteration with the kernels taken out. ns/op is what one phase
+// boundary costs.
+func BenchmarkPhaseHandoff(b *testing.B) {
+	rt := New(2)
+	defer rt.Close()
+	var sink atomic.Int64
+	hs := []*Handle{
+		rt.NewTask(TaskSpec{Run: func(int) { sink.Add(1) }, Label: "a"}),
+		rt.NewTask(TaskSpec{Run: func(int) { sink.Add(1) }, Label: "b"}),
+	}
+	for i := 0; i < 10; i++ {
+		rt.ResubmitAll(hs, nil)
+		rt.WaitAll(hs)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rt.ResubmitAll(hs, nil)
+		rt.WaitAll(hs)
+	}
+}
 
 // BenchmarkResubmitIteration replays a prepared two-stage graph — the
 // steady-state solver iteration shape. With -benchmem this must report
