@@ -11,35 +11,13 @@
 //	due-bench -exp table2 [-scale 20000] [-reps 5]
 //	due-bench -exp fig4 -rates 1,10,50 -matrices thermal2,qa8fm
 //	due-bench -exp fig4pcg -json BENCH_fig4.json
-//	due-bench -exp kernels [-scale 65536] [-workers 4] [-kernel-iters 200] [-json BENCH_kernels.json]
-//	due-bench -exp kernels -guard BENCH_kernels.json
-//	due-bench -exp distkernels [-scale 65536] [-ranks 4] [-dist-iters 200] [-json BENCH_dist.json]
-//	due-bench -exp policy [-scale 4096] [-seed 1] [-json BENCH_policy.json]
-//	due-bench -exp policy -guard BENCH_policy.json
-//	due-bench -exp serve [-scale 4096] [-serve-clients 4] [-serve-requests 40] [-json BENCH_serve.json]
-//	due-bench -exp serve -guard BENCH_serve.json
 //	due-bench -exp all
 //
-// -json writes the fig4/fig4pcg cells as BENCH_fig4.json-style output so
-// the perf trajectory is tracked across PRs (CI runs a tiny-scale smoke).
-// The kernels mode measures the hot-path baseline — kernel GFLOP/s, the
-// fused-vs-unfused steady-state CG iteration, allocations per iteration
-// and taskrt scheduling throughput — and writes BENCH_kernels.json; its
-// -scale/-workers are the ordinary flags, so trajectory points at other
-// configurations stay comparable (both recorded in the JSON provenance).
-// The distkernels mode measures the distributed steady state — barrier
-// vs overlapped vs pipelined CG iteration across ranks — and writes
-// BENCH_dist.json. -guard compares a fresh kernels (or distkernels) run
-// against the committed artefact and exits non-zero when the tracked
-// speedup dropped more than 20% below the committed value (the CI
-// perf-regression gate; the tolerance absorbs machine noise). The guard
-// first refuses — with exit code 3, distinct from a regression — to
-// compare artefacts whose num_cpu differs from the runner's: a parity
-// number measured on one core is a different point on the trajectory,
-// not a regression, and the refusal tells CI to regenerate instead of
-// failing the build. Benching with GOMAXPROCS == 1 prints a loud
-// warning and marks the JSON with "degraded_provenance" for the same
-// reason.
+// -json writes the fig4/fig4pcg cells as BENCH_fig4.json-style output
+// with a provenance block (CI runs a tiny-scale smoke). Benching with
+// GOMAXPROCS == 1 prints a loud warning and marks the JSON with
+// "degraded_provenance": the FEIR/AFEIR overlap contrast needs idle
+// cores. Performance is tracked by benchmark/ (BENCHMARK.json), not here.
 package main
 
 import (
@@ -48,6 +26,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -56,8 +35,11 @@ import (
 	"repro/internal/perfmodel"
 )
 
+// expNames are the paper's artefacts, in the order -exp all prints them.
+var expNames = []string{"table2", "table3", "fig3", "fig4", "fig4pcg", "fig5"}
+
 func main() {
-	exp := flag.String("exp", "all", "experiment: table2, table3, fig3, fig4, fig4pcg, fig5, all (plus the dedicated kernels, distkernels, serve, policy baselines)")
+	exp := flag.String("exp", "all", "experiment: "+strings.Join(expNames, ", ")+", all")
 	scale := flag.Int("scale", 0, "matrix dimension for the workload analogues (default 4096)")
 	reps := flag.Int("reps", 0, "repetitions per configuration (default 3; paper uses 50)")
 	workers := flag.Int("workers", 0, "task-pool size (default 8, the paper's socket width)")
@@ -66,14 +48,11 @@ func main() {
 	rates := flag.String("rates", "", "comma-separated normalized error rates for fig4 (default 1,2,5,10,20,50)")
 	matrices := flag.String("matrices", "", "comma-separated matrix subset (default all nine analogues)")
 	seed := flag.Int64("seed", 1, "injection seed")
-	jsonPath := flag.String("json", "", "write the fig4/fig4pcg sweeps (or the kernels/distkernels baselines) as machine-readable JSON for cross-PR perf tracking")
-	kernelIters := flag.Int("kernel-iters", 0, "measured steady-state iterations for -exp kernels (default 200)")
-	distIters := flag.Int("dist-iters", 0, "measured steady-state iterations per discipline for -exp distkernels (default 200)")
-	ranks := flag.Int("ranks", 0, "shard count for -exp distkernels (default 4)")
-	serveClients := flag.Int("serve-clients", 0, "concurrent clients for -exp serve (default 4)")
-	serveRequests := flag.Int("serve-requests", 0, "measured cached solves for -exp serve (default 40)")
-	guard := flag.String("guard", "", "committed BENCH_kernels.json / BENCH_dist.json / BENCH_serve.json / BENCH_policy.json to compare a fresh -exp kernels / distkernels / serve / policy run against; exits 1 when the tracked speedup drops >20% below it, 3 when the artefact's num_cpu differs from this runner's (regenerate, don't compare)")
+	jsonPath := flag.String("json", "", "write the fig4/fig4pcg sweeps as machine-readable JSON")
 	flag.Parse()
+	if *exp != "all" && !slices.Contains(expNames, *exp) {
+		fatalf("unknown -exp %q (valid: %s, all)", *exp, strings.Join(expNames, ", "))
+	}
 
 	// One degraded-provenance warning per invocation, whatever -exp runs:
 	// the single-core caveat applies to every timing number we print.
@@ -141,76 +120,6 @@ func main() {
 		}
 		return nil
 	})
-	// kernels/distkernels are not part of -exp all: they are the
-	// dedicated hot-path baselines with their own scale/worker defaults
-	// (65536 rows, 4 workers / 4 ranks).
-	if *exp == "kernels" {
-		res, err := experiments.Kernels(opts, *kernelIters)
-		if err != nil {
-			fatalf("kernels: %v", err)
-		}
-		fmt.Println(res)
-		writeJSON(orDefault(*jsonPath, "BENCH_kernels.json"), res)
-		if *guard != "" {
-			guardKernels(*guard, res)
-		}
-		return
-	}
-	if *exp == "distkernels" {
-		res, err := experiments.DistKernels(opts, *ranks, *distIters)
-		if err != nil {
-			fatalf("distkernels: %v", err)
-		}
-		fmt.Println(res)
-		writeJSON(orDefault(*jsonPath, "BENCH_dist.json"), res)
-		if *guard != "" {
-			guardDistKernels(*guard, res)
-		}
-		return
-	}
-	if *exp == "policy" {
-		res, err := experiments.RunPolicy(experiments.PolicyOptions{
-			Scale:       *scale,
-			Workers:     *workers,
-			PageDoubles: *pages,
-			Tol:         *tol,
-			Reps:        *reps,
-			Seed:        *seed,
-		})
-		if err != nil {
-			fatalf("policy: %v", err)
-		}
-		fmt.Println(res)
-		path := orDefault(*jsonPath, "BENCH_policy.json")
-		refuseDegradedOverwrite(path, res.Provenance)
-		writeJSON(path, res)
-		if *guard != "" {
-			guardPolicy(*guard, res)
-		}
-		return
-	}
-	if *exp == "serve" {
-		res, err := experiments.Serve(experiments.ServeOptions{
-			Scale:    *scale,
-			Workers:  *workers,
-			Clients:  *serveClients,
-			Requests: *serveRequests,
-			Seed:     *seed,
-		})
-		if err != nil {
-			fatalf("serve: %v", err)
-		}
-		fmt.Println(res)
-		path := orDefault(*jsonPath, "BENCH_serve.json")
-		refuseDegradedOverwrite(path, res.Provenance)
-		refuseBatchlessOverwrite(path, res)
-		writeJSON(path, res)
-		if *guard != "" {
-			guardServe(*guard, res)
-		}
-		return
-	}
-
 	var fig4Results []*experiments.Fig4Result
 	run("fig4", func() error {
 		res, err := experiments.Fig4(opts, false)
@@ -318,13 +227,6 @@ func printFig4Cells(res *experiments.Fig4Result) {
 	}
 }
 
-func orDefault(s, def string) string {
-	if s == "" {
-		return def
-	}
-	return s
-}
-
 func writeJSON(path string, v any) {
 	data, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {
@@ -336,235 +238,21 @@ func writeJSON(path string, v any) {
 	fmt.Printf("wrote %s\n", path)
 }
 
-// warnDegraded makes single-core bench runs impossible to mistake for
-// regressions: with GOMAXPROCS == 1 every latency-hiding contrast
-// (overlap vs barrier, recovery overlap, affinity) collapses to parity,
-// so the numbers are a different trajectory, not a slowdown. The JSON
-// carries the same fact as "degraded_provenance": true.
+// warnDegraded makes single-core runs impossible to mistake for
+// regressions: with GOMAXPROCS == 1 the latency-hiding contrasts the
+// tables and figures show (AFEIR's overlapped recovery vs FEIR, FEIR vs
+// trivial) collapse to parity. The JSON carries the same fact as
+// "degraded_provenance": true.
 func warnDegraded() {
 	if runtime.GOMAXPROCS(0) > 1 {
 		return
 	}
 	fmt.Fprintln(os.Stderr, strings.Repeat("=", 72))
 	fmt.Fprintln(os.Stderr, "WARNING: GOMAXPROCS == 1 — DEGRADED BENCH PROVENANCE")
-	fmt.Fprintln(os.Stderr, "Overlap, pipelining and affinity gains need idle cores; on one core")
-	fmt.Fprintln(os.Stderr, "they collapse to parity. These numbers are NOT comparable to multi-")
-	fmt.Fprintln(os.Stderr, "core artefacts and must not be committed as the tracked trajectory.")
+	fmt.Fprintln(os.Stderr, "Overlapped recovery needs idle cores; on one core the method contrasts")
+	fmt.Fprintln(os.Stderr, "collapse to parity. These numbers are NOT comparable to multi-core runs.")
 	fmt.Fprintln(os.Stderr, "The JSON is marked with \"degraded_provenance\": true.")
 	fmt.Fprintln(os.Stderr, strings.Repeat("=", 72))
-}
-
-// guardProvenance refuses — with exit code 3, distinct from the exit 1
-// of a real regression — to compare artefacts across different core
-// counts: the overlap/pipelining/affinity speedups are functions of
-// num_cpu, so a mismatch means "regenerate on this host", never "the
-// code got slower". CI treats exit 3 as the regenerate-and-commit path.
-func guardProvenance(committedPath string, committed, fresh experiments.Provenance) {
-	if committed.NumCPU == fresh.NumCPU {
-		return
-	}
-	fmt.Fprintf(os.Stderr, "guard: REFUSING to compare %s: committed num_cpu=%d, this runner num_cpu=%d\n"+
-		"guard: speedups are functions of the core count — regenerate the artefact on this host (exit 3)\n",
-		committedPath, committed.NumCPU, fresh.NumCPU)
-	os.Exit(3)
-}
-
-// guardKernels is the CI perf-regression gate: the fresh cg_iter_speedup
-// must not drop more than 20% below the committed artefact's. The
-// tolerance absorbs CI machine noise; a real regression (losing the
-// fused/prepared/stealing gains) far exceeds it.
-func guardKernels(committedPath string, fresh *experiments.KernelsResult) {
-	data, err := os.ReadFile(committedPath)
-	if err != nil {
-		fatalf("guard: %v", err)
-	}
-	var committed experiments.KernelsResult
-	if err := json.Unmarshal(data, &committed); err != nil {
-		fatalf("guard: parsing %s: %v", committedPath, err)
-	}
-	guardProvenance(committedPath, committed.Provenance, fresh.Provenance)
-	if committed.IterSpeedup <= 0 {
-		fatalf("guard: %s has no positive cg_iter_speedup — wrong file for -guard? (the gate must not be silently disarmed)", committedPath)
-	}
-	floor := committed.IterSpeedup * 0.8
-	if fresh.IterSpeedup < floor {
-		fatalf("guard: cg_iter_speedup %.3f dropped more than 20%% below committed %.3f (floor %.3f) — hot-path regression\n"+
-			"guard: fresh     %+v\nguard: committed %+v\n"+
-			"guard: if the provenance lines differ in core count or Go release, regenerate the committed artefact on a comparable host instead of relaxing the gate",
-			fresh.IterSpeedup, committed.IterSpeedup, floor, fresh.Provenance, committed.Provenance)
-	}
-	fmt.Printf("guard: cg_iter_speedup %.3f within 20%% of committed %.3f\n", fresh.IterSpeedup, committed.IterSpeedup)
-}
-
-// guardDistKernels gates the distributed baseline: the overlap speedup
-// (timing, 20% tolerance for machine noise) and the communication-
-// avoiding reduction ratio (structural — counted from the substrates'
-// own reduction counters, ≈ 2k in the steady state, so any drop means
-// cacg started spending extra reduction supersteps, not that the
-// machine was busy).
-func guardDistKernels(committedPath string, fresh *experiments.DistKernelsResult) {
-	data, err := os.ReadFile(committedPath)
-	if err != nil {
-		fatalf("guard: %v", err)
-	}
-	var committed experiments.DistKernelsResult
-	if err := json.Unmarshal(data, &committed); err != nil {
-		fatalf("guard: parsing %s: %v", committedPath, err)
-	}
-	guardProvenance(committedPath, committed.Provenance, fresh.Provenance)
-	if committed.OverlapSpeedup <= 0 || committed.CAReductionRatio <= 0 {
-		fatalf("guard: %s has no positive dist_cg_overlap_speedup / ca_reduction_ratio — wrong file for -guard? (the gate must not be silently disarmed)", committedPath)
-	}
-	bad := false
-	if floor := committed.OverlapSpeedup * 0.8; fresh.OverlapSpeedup < floor {
-		fmt.Fprintf(os.Stderr, "guard: dist_cg_overlap_speedup %.3f dropped more than 20%% below committed %.3f (floor %.3f) — overlap regression\n",
-			fresh.OverlapSpeedup, committed.OverlapSpeedup, floor)
-		bad = true
-	}
-	if floor := committed.CAReductionRatio * 0.8; fresh.CAReductionRatio < floor {
-		fmt.Fprintf(os.Stderr, "guard: ca_reduction_ratio %.2f dropped more than 20%% below committed %.2f (floor %.2f) — cacg is spending extra reductions\n",
-			fresh.CAReductionRatio, committed.CAReductionRatio, floor)
-		bad = true
-	}
-	if bad {
-		fatalf("guard: fresh     %+v\nguard: committed %+v", fresh.Provenance, committed.Provenance)
-	}
-	fmt.Printf("guard: dist_cg_overlap_speedup %.3f and ca_reduction_ratio %.2f within 20%% of committed (%.3f, %.2f)\n",
-		fresh.OverlapSpeedup, fresh.CAReductionRatio, committed.OverlapSpeedup, committed.CAReductionRatio)
-}
-
-// guardServe gates the serving layer on two axes: cached throughput
-// (timing, the usual 20% tolerance for machine noise) and the
-// zero-rebuild claim (structural — counted by the factorization and
-// graph-preparation counters over the measured warm window, so any
-// nonzero value means the operator cache stopped amortizing setup, not
-// that the machine was busy).
-func guardServe(committedPath string, fresh *experiments.ServeResult) {
-	data, err := os.ReadFile(committedPath)
-	if err != nil {
-		fatalf("guard: %v", err)
-	}
-	var committed experiments.ServeResult
-	if err := json.Unmarshal(data, &committed); err != nil {
-		fatalf("guard: parsing %s: %v", committedPath, err)
-	}
-	guardProvenance(committedPath, committed.Provenance, fresh.Provenance)
-	if committed.CachedSolvesPerSec <= 0 || committed.BatchSpeedup <= 0 {
-		fatalf("guard: %s has no positive cached_solves_per_sec / batch_speedup — wrong file for -guard? (the gate must not be silently disarmed)", committedPath)
-	}
-	if fresh.FactorizationsAfterWarmup != 0 || fresh.GraphPrepsAfterWarmup != 0 {
-		fatalf("guard: warm traffic performed %d factorizations and %d graph preparations — the operator cache stopped amortizing setup (structural regression, not machine noise)",
-			fresh.FactorizationsAfterWarmup, fresh.GraphPrepsAfterWarmup)
-	}
-	if !fresh.BatchColumnsExact {
-		fatalf("guard: a coalesced batch member's solution diverged bitwise from its solo solve — per-column exactness broke (structural regression, not machine noise)")
-	}
-	bad := false
-	if floor := committed.CachedSolvesPerSec * 0.8; fresh.CachedSolvesPerSec < floor {
-		fmt.Fprintf(os.Stderr, "guard: cached_solves_per_sec %.2f dropped more than 20%% below committed %.2f (floor %.2f) — serving-path regression\n",
-			fresh.CachedSolvesPerSec, committed.CachedSolvesPerSec, floor)
-		bad = true
-	}
-	if floor := committed.BatchSpeedup * 0.8; fresh.BatchSpeedup < floor {
-		fmt.Fprintf(os.Stderr, "guard: batch_speedup %.2f dropped more than 20%% below committed %.2f (floor %.2f) — coalescing stopped amortizing the operator pass\n",
-			fresh.BatchSpeedup, committed.BatchSpeedup, floor)
-		bad = true
-	}
-	if bad {
-		fatalf("guard: fresh     %+v\nguard: committed %+v\n"+
-			"guard: if the provenance lines differ in core count or Go release, regenerate the committed artefact on a comparable host instead of relaxing the gate",
-			fresh.Provenance, committed.Provenance)
-	}
-	fmt.Printf("guard: cached_solves_per_sec %.2f and batch_speedup %.2f within 20%% of committed (%.2f, %.2f); zero rebuilds after warmup; batched columns exact\n",
-		fresh.CachedSolvesPerSec, fresh.BatchSpeedup, committed.CachedSolvesPerSec, committed.BatchSpeedup)
-}
-
-// guardPolicy gates the adaptive-resilience layer on two axes. The
-// structural axis is counter-based and noise-free: the adaptive run
-// must converge under the scripted ramp, actually switch methods, and
-// detect silent flips through the checksum coverage — losing any of
-// those means the controller or the ABFT path broke, not that the
-// machine was busy. The timing axis bounds the adaptive run against the
-// best static comparator with a percentage-POINT slack (the quantity is
-// already a relative overhead, so a ratio floor would misfire around
-// zero).
-func guardPolicy(committedPath string, fresh *experiments.PolicyResult) {
-	data, err := os.ReadFile(committedPath)
-	if err != nil {
-		fatalf("guard: %v", err)
-	}
-	var committed experiments.PolicyResult
-	if err := json.Unmarshal(data, &committed); err != nil {
-		fatalf("guard: parsing %s: %v", committedPath, err)
-	}
-	guardProvenance(committedPath, committed.Provenance, fresh.Provenance)
-	if len(committed.Runs) == 0 || len(committed.Decisions) == 0 {
-		fatalf("guard: %s has no runs/decisions — wrong file for -guard? (the gate must not be silently disarmed)", committedPath)
-	}
-	var adaptive *experiments.PolicyRun
-	for i := range fresh.Runs {
-		if fresh.Runs[i].Name == "adaptive" {
-			adaptive = &fresh.Runs[i]
-		}
-	}
-	if adaptive == nil {
-		fatalf("guard: fresh run has no adaptive comparator")
-	}
-	if !adaptive.Converged || adaptive.Switches < 1 || adaptive.SDCDetected == 0 {
-		fatalf("guard: adaptive run structural failure: converged=%v switches=%d sdc_detected=%d — controller or ABFT coverage broke (structural, not machine noise)",
-			adaptive.Converged, adaptive.Switches, adaptive.SDCDetected)
-	}
-	ceiling := committed.AdaptiveVsBestStaticPct + 25
-	if fresh.AdaptiveVsBestStaticPct > ceiling {
-		fatalf("guard: adaptive_vs_best_static_pct %.1f%% exceeds committed %.1f%% by more than 25 points (ceiling %.1f%%) — the controller stopped earning its keep\n"+
-			"guard: fresh     %+v\nguard: committed %+v",
-			fresh.AdaptiveVsBestStaticPct, committed.AdaptiveVsBestStaticPct, ceiling, fresh.Provenance, committed.Provenance)
-	}
-	fmt.Printf("guard: adaptive converged with %d switches, %d SDC detections; vs best static %+.1f%% (committed %+.1f%%)\n",
-		adaptive.Switches, adaptive.SDCDetected, fresh.AdaptiveVsBestStaticPct, committed.AdaptiveVsBestStaticPct)
-}
-
-// refuseDegradedOverwrite is the write-side counterpart of the guard's
-// exit-3 refusal: -exp serve must not silently replace a committed
-// multi-core BENCH_serve.json with a single-core regeneration, because
-// the single-core point is a different trajectory, not an update.
-func refuseDegradedOverwrite(path string, fresh experiments.Provenance) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return // nothing committed at this path yet
-	}
-	var committed struct {
-		Provenance experiments.Provenance `json:"provenance"`
-	}
-	if err := json.Unmarshal(data, &committed); err != nil {
-		return // not a bench artefact; writeJSON will replace it knowingly
-	}
-	if committed.Provenance.NumCPU > 1 && fresh.NumCPU == 1 {
-		fmt.Fprintf(os.Stderr, "refusing to overwrite %s: the committed artefact was measured on %d CPUs and this runner has 1 — regenerate on a comparable host, or pass -json to write the degraded point elsewhere\n",
-			path, committed.Provenance.NumCPU)
-		os.Exit(3)
-	}
-}
-
-// refuseBatchlessOverwrite keeps the batched-serving columns from
-// silently vanishing: once the committed BENCH_serve.json carries a
-// measured batched mix, a regeneration whose batched phase produced no
-// solves or never proved per-column exactness is a degraded point on the
-// trajectory, not an update.
-func refuseBatchlessOverwrite(path string, fresh *experiments.ServeResult) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return // nothing committed at this path yet
-	}
-	var committed experiments.ServeResult
-	if err := json.Unmarshal(data, &committed); err != nil {
-		return // not a bench artefact; writeJSON will replace it knowingly
-	}
-	if committed.BatchSolvesPerSec > 0 && (fresh.BatchSolvesPerSec <= 0 || !fresh.BatchColumnsExact) {
-		fmt.Fprintf(os.Stderr, "refusing to overwrite %s: the committed artefact carries a measured batched mix (%.2f solves/s, columns exact) and this run lost it (%.2f solves/s, columns_exact=%v) — fix the batched phase or pass -json to write elsewhere\n",
-			path, committed.BatchSolvesPerSec, fresh.BatchSolvesPerSec, fresh.BatchColumnsExact)
-		os.Exit(3)
-	}
 }
 
 func fatalf(format string, args ...any) {

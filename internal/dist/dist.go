@@ -61,8 +61,9 @@ type Config struct {
 	// full barrier before any SpMV row runs. Default (false) overlaps the
 	// exchange with interior rows and gates boundary rows on the ghost
 	// pages they read (shard.OverlapStep); on no-fault runs the two paths
-	// are bitwise identical, and the storm tests pin their recovery counts
-	// to each other. Kept as the BENCH_dist.json comparison baseline.
+	// are bitwise identical. It stays because overlap_storm_test.go,
+	// pipecg_test.go and cacg_test.go use the barrier branch as the
+	// reference their overlapped results and recovery counts are pinned to.
 	Barrier bool
 	// Inject, when non-nil, is called once per iteration with the ranks —
 	// the hook deterministic experiments use to drive injections into

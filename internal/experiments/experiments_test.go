@@ -4,11 +4,7 @@ import (
 	"strings"
 	"testing"
 
-	"math"
-
 	"repro/internal/core"
-	"repro/internal/dist"
-	"repro/internal/matgen"
 )
 
 // quickOpts keeps harness tests fast: tiny matrices, few pages, 1 rep.
@@ -140,85 +136,6 @@ func TestValidateDistributed(t *testing.T) {
 		}
 		if res.RelResidual > 1e-6 {
 			t.Fatalf("%v: residual %v", m, res.RelResidual)
-		}
-	}
-}
-
-func TestDistKernelsSmoke(t *testing.T) {
-	opts := Options{Scale: 900, PageDoubles: 64, Workers: 2}
-	res, err := DistKernels(opts, 3, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Ranks != 3 || res.Scale < 900 {
-		t.Fatalf("config echo: %+v", res)
-	}
-	if res.BarrierIterNs <= 0 || res.OverlapIterNs <= 0 || res.PipeIterNs <= 0 {
-		t.Fatalf("missing timings: %+v", res)
-	}
-	if res.OverlapAllocs > 0.5 || res.PipeAllocs > 0.5 {
-		t.Fatalf("prepared dist supersteps allocate: %+v", res)
-	}
-	if res.Provenance.GoVersion == "" || res.Provenance.NumCPU == 0 {
-		t.Fatalf("missing provenance: %+v", res.Provenance)
-	}
-	if !strings.Contains(res.String(), "Distributed kernel baseline") {
-		t.Fatal("rendering")
-	}
-}
-
-// TestDistKernelsHarnessMatchesSolver pins the bench harnesses to the
-// shipped solvers: the tracked BENCH_dist.json baseline re-implements
-// the steady-state loops for interleaved measurement, so its recurrence
-// must reproduce dist.CG's and dist.PipeCG's residual traces bitwise.
-// If a later PR changes a solver's steady loop, this fails instead of
-// letting the tracked baseline silently measure stale code.
-func TestDistKernelsHarnessMatchesSolver(t *testing.T) {
-	a := matgen.Poisson2D(30, 30)
-	b := matgen.Ones(a.N)
-	const iters = 6
-	trace := func(solve func(cfg dist.Config) error) []float64 {
-		var out []float64
-		cfg := dist.Config{Method: core.MethodFEIR, PageDoubles: 64, Tol: 1e-300, MaxIter: iters,
-			OnIteration: func(it int, rel float64) { out = append(out, rel) }}
-		if err := solve(cfg); err != nil {
-			t.Fatal(err)
-		}
-		if len(out) != iters {
-			t.Fatalf("trace length %d, want %d", len(out), iters)
-		}
-		return out
-	}
-
-	cgTrace := trace(func(cfg dist.Config) error {
-		_, _, err := dist.SolveCG(a, b, 3, cfg)
-		return err
-	})
-	h, err := newDistCGHarness(a, b, 3, 64, 2, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer h.sub.Close()
-	for it := 0; it < iters; it++ {
-		if rel := math.Sqrt(math.Max(h.epsGG, 0)) / h.sub.Bnorm; rel != cgTrace[it] {
-			t.Fatalf("cg harness drifted from dist.CG at iteration %d: %v vs %v", it, rel, cgTrace[it])
-		}
-		h.iterate()
-	}
-
-	pipeTrace := trace(func(cfg dist.Config) error {
-		_, _, err := dist.SolvePipeCG(a, b, 3, cfg)
-		return err
-	})
-	ph, err := newDistPipeHarness(a, b, 3, 64, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ph.sub.Close()
-	for it := 0; it < iters; it++ {
-		ph.iterate()
-		if rel := math.Sqrt(math.Max(ph.gamma, 0)) / ph.sub.Bnorm; rel != pipeTrace[it] {
-			t.Fatalf("pipecg harness drifted from dist.PipeCG at iteration %d: %v vs %v", it, rel, pipeTrace[it])
 		}
 	}
 }

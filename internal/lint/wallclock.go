@@ -6,8 +6,9 @@ import (
 )
 
 // noWallclockRand protects bitwise reproducibility of the kernel
-// packages: the perf-guard and the fault-injection experiments both
-// assume that running the same graph twice produces identical bits, so
+// packages: the bitwise recovered-equals-fault-free tests and the
+// fault-injection experiments both assume that running the same graph
+// twice produces identical bits, so
 // internal/sparse and internal/engine must not read the wall clock or a
 // random source. Timing belongs in the experiment harness; randomness
 // (fault injection schedules) is seeded and injected from outside.

@@ -4,16 +4,16 @@
 // The barrier path (Exchange then spmvDots) synchronises every rank twice
 // per SpMV: all ghost pages must land before any row computes. But the
 // halo dependency structure says most rows never read a ghost page — a
-// row-page whose connectivity stays inside the owned range (Rank.Interior)
-// is computable the moment its input's owned pages exist. OverlapStep
+// row-page whose SpMV kernel touches no ghost page (Rank.Interior) is
+// computable the moment its input's owned pages exist. OverlapStep
 // turns that observation into the task graph of one superstep:
 //
 //	upd[r]        (optional) produce the input's owned pages on rank r
 //	halo[r,g]     import ghost page g from its owner — after upd[owner(g)]
 //	interior[r]   SpMV rows with owned-only reads     — after upd[r]
 //	boundary[r,p] SpMV rows of owned page p reading ghosts — after upd[r]
-//	              and the halo imports of exactly the ghost pages Conn[p]
-//	              lists (per-page gating, not a global barrier)
+//	              and the halo imports of exactly the ghost pages its
+//	              kernel touches (per-page gating, not a global barrier)
 //
 // so interior rows of every rank run while halo copies are still in
 // flight, and a boundary page starts as soon as its own ghosts landed.
@@ -150,10 +150,8 @@ func (s *Substrate) NewOverlapStep(label string, in, out *Vec, pre func(r *Rank,
 			if pre != nil {
 				dep = append(dep, st.upd[i])
 			}
-			for _, j := range s.Conn[p] {
-				if !r.Owns(j) {
-					dep = append(dep, haloOf[i][j])
-				}
+			for _, j := range r.ghosts[p-r.PLo] {
+				dep = append(dep, haloOf[i][j])
 			}
 			st.bndDep = append(st.bndDep, dep)
 		}

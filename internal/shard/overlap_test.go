@@ -3,6 +3,7 @@ package shard
 import (
 	"math"
 	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/matgen"
@@ -11,7 +12,8 @@ import (
 
 // TestInteriorBoundaryPartition pins the partition invariants: every
 // owned page is exactly one of interior/boundary, interior pages read no
-// ghost page, and every boundary page reads at least one.
+// ghost page, and every boundary page is gated on at least one halo page,
+// among them every ghost its rows read.
 func TestInteriorBoundaryPartition(t *testing.T) {
 	s := testSubstrate(t, 4)
 	defer s.Close()
@@ -27,14 +29,19 @@ func TestInteriorBoundaryPartition(t *testing.T) {
 		}
 		for _, p := range r.Boundary {
 			seen[p]++
-			ghost := false
-			for _, j := range s.Conn[p] {
-				if !r.Owns(j) {
-					ghost = true
+			ghosts := r.ghosts[p-r.PLo]
+			if len(ghosts) == 0 {
+				t.Fatalf("rank %d boundary page %d is gated on no ghost", r.ID, p)
+			}
+			for _, j := range ghosts {
+				if !slices.Contains(r.Halo, j) {
+					t.Fatalf("rank %d page %d gated on %d, which is never imported", r.ID, p, j)
 				}
 			}
-			if !ghost {
-				t.Fatalf("rank %d boundary page %d reads no ghost", r.ID, p)
+			for _, j := range s.Conn[p] {
+				if !r.Owns(j) && !slices.Contains(ghosts, j) {
+					t.Fatalf("rank %d page %d reads ghost %d ungated", r.ID, p, j)
+				}
 			}
 		}
 		for p := r.PLo; p < r.PHi; p++ {
@@ -42,6 +49,38 @@ func TestInteriorBoundaryPartition(t *testing.T) {
 				t.Fatalf("rank %d page %d covered %d times", r.ID, p, seen[p])
 			}
 		}
+	}
+}
+
+// TestOverlapStepPaddedShadowRace is the -race regression for that split
+// (CI runs it at -cpu 4). On a 27-point stencil with 128-double pages the
+// DIA shadow's zero-padded slots reach a ghost page the rows' CSR columns
+// do not, so a page classified from Conn alone ran its SpMV while that
+// page's import was still copying. Without the detector it still pins the
+// replayed overlapped reduction to the barrier path's.
+func TestOverlapStepPaddedShadowRace(t *testing.T) {
+	a := matgen.Poisson3D27(16, 16, 16)
+	if a.ShadowName() != "dia" {
+		t.Fatalf("shadow %q: the case needs the padded DIA kernels", a.ShadowName())
+	}
+	s, err := NewOpts(a, matgen.Ones(a.N), 4, 128, 4, true, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	g := s.AddVector("g")
+	d := s.AddVector("d")
+	q := s.AddVector("q")
+	s.Scatter(matgen.RandomVector(a.N, 11), g)
+	step := s.NewOverlapStep("d|q", d, q, func(r *Rank, p, lo, hi int) {
+		sparse.XpbyRange(g.Of(r).Data, 0.37, d.Of(r).Data, lo, hi)
+	}, true, false)
+	var got float64
+	for rep := 0; rep < 200; rep++ {
+		got, _ = step.Run()
+	}
+	if want := s.SpMVDot("q", d, q); got != want {
+		t.Fatalf("<d,q> overlapped %v, barrier %v", got, want)
 	}
 }
 
@@ -53,7 +92,7 @@ func TestOverlapStepMatchesBarrierSpMVDot(t *testing.T) {
 	mk := func() (*Substrate, *Vec, *Vec, *Vec) {
 		a := matgen.Poisson2D(40, 40)
 		b := matgen.RandomVector(a.N, 5)
-		s, err := New(a, b, 4, 64, 2, true)
+		s, err := NewOpts(a, b, 4, 64, 2, true, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -152,7 +191,7 @@ func TestOverlapStepHealsGhostFaults(t *testing.T) {
 func TestPreparedOpsZeroAlloc(t *testing.T) {
 	a := matgen.Poisson2D(64, 64)
 	b := matgen.Ones(a.N)
-	s, err := New(a, b, 4, 128, 2, true)
+	s, err := NewOpts(a, b, 4, 128, 2, true, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +249,7 @@ func TestPreparedOpsZeroAlloc(t *testing.T) {
 func TestPreparedRankOpDotBlockMatchesDots(t *testing.T) {
 	a := matgen.Poisson2D(40, 40)
 	b := matgen.Ones(a.N)
-	s, err := New(a, b, 4, 64, 2, true)
+	s, err := NewOpts(a, b, 4, 64, 2, true, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,6 +30,7 @@ package shard
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/defaults"
@@ -52,11 +53,12 @@ type Rank struct {
 	Space *pagemem.Space
 	// Halo lists the off-rank global pages this rank's rows read.
 	Halo []int
-	// Interior lists the owned pages whose row connectivity stays inside
-	// the owned range: their SpMV tasks never read a ghost page, so an
-	// overlapped superstep runs them while the halo import is still in
-	// flight. Boundary lists the remaining owned pages, whose tasks are
-	// gated on the ghost pages they read (see OverlapStep).
+	// Interior lists the owned pages whose SpMV kernel touches no Halo
+	// page — neither through a CSR column nor through a padded slot of
+	// the active kernel shadow (sparse.ShadowReads): their tasks run
+	// while the halo import is still in flight. Boundary lists the
+	// remaining owned pages, whose tasks are gated on the ghost pages
+	// they touch (see OverlapStep).
 	Interior []int
 	Boundary []int
 	// Eng is the shared engine restricted to the rank's owned pages: one
@@ -70,6 +72,10 @@ type Rank struct {
 	Stats core.Stats
 	// Scratch is a full-length buffer for SpMV targets and residuals.
 	Scratch []float64
+
+	// ghosts[p-PLo] lists the Halo pages owned page p's SpMV kernel
+	// touches; empty for interior pages.
+	ghosts [][]int
 
 	pageScratch []float64
 	sub         *Substrate
@@ -197,14 +203,10 @@ type Options struct {
 	Blocks *sparse.BlockSolverCache
 }
 
-// New builds the substrate for A x = b over the given number of ranks.
+// NewOpts builds the substrate for A x = b over the given number of ranks.
 // workers <= 0 means one pool worker per rank; spd selects the diagonal
-// block factorization family for the inverse relations.
-func New(a *sparse.CSR, b []float64, ranks, pageDoubles, workers int, spd bool) (*Substrate, error) {
-	return NewOpts(a, b, ranks, pageDoubles, workers, spd, Options{})
-}
-
-// NewOpts is New with shared serving-layer resources.
+// block factorization family for the inverse relations; opts carries the
+// resources a serving layer shares (zero value: private pool and cache).
 func NewOpts(a *sparse.CSR, b []float64, ranks, pageDoubles, workers int, spd bool, opts Options) (*Substrate, error) {
 	if a.N != a.M {
 		return nil, fmt.Errorf("shard: non-square matrix %dx%d", a.N, a.M)
@@ -290,24 +292,40 @@ func NewOpts(a *sparse.CSR, b []float64, ranks, pageDoubles, workers int, spd bo
 		}
 		s.Ranks[id] = r
 	}
-	// Halo sets: every off-rank page read by an owned row. The same pass
-	// splits the owned pages into interior rows (connectivity confined to
-	// the owned range — free to run under a still-in-flight halo import)
-	// and boundary rows (gated on the ghost pages they read).
+	// Halo sets: every off-rank page an owned row reads (Conn, the true
+	// CSR columns — what recovery and the exchange mean by a ghost). A
+	// second pass splits the owned pages by what their SpMV *kernel*
+	// touches: a padded shadow also loads slots the row never reads, and
+	// such a slot can sit on a ghost page whose import is in flight.
 	for _, r := range s.Ranks {
-		seen := map[int]bool{}
+		isHalo := map[int]bool{}
 		for p := r.PLo; p < r.PHi; p++ {
-			interior := true
 			for _, j := range s.Conn[p] {
-				if !r.Owns(j) {
-					interior = false
-					if !seen[j] {
-						seen[j] = true
-						r.Halo = append(r.Halo, j)
-					}
+				if !r.Owns(j) && !isHalo[j] {
+					isHalo[j] = true
+					r.Halo = append(r.Halo, j)
 				}
 			}
-			if interior {
+		}
+		r.ghosts = make([][]int, r.PHi-r.PLo)
+		for p := r.PLo; p < r.PHi; p++ {
+			var ghosts []int
+			touch := func(j int) {
+				if isHalo[j] && !slices.Contains(ghosts, j) {
+					ghosts = append(ghosts, j)
+				}
+			}
+			for _, j := range s.Conn[p] {
+				touch(j)
+			}
+			lo, hi := layout.Range(p)
+			a.ShadowReads(lo, hi, func(c0, c1 int) {
+				for j := layout.BlockOf(c0); j <= layout.BlockOf(c1-1); j++ {
+					touch(j)
+				}
+			})
+			r.ghosts[p-r.PLo] = ghosts
+			if len(ghosts) == 0 {
 				r.Interior = append(r.Interior, p)
 			} else {
 				r.Boundary = append(r.Boundary, p)

@@ -12,7 +12,7 @@ func testSubstrate(t *testing.T, ranks int) *Substrate {
 	t.Helper()
 	a := matgen.Poisson2D(40, 40) // n = 1600, 25 pages of 64
 	b := matgen.RandomVector(a.N, 5)
-	s, err := New(a, b, ranks, 64, 2, true)
+	s, err := NewOpts(a, b, ranks, 64, 2, true, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -261,6 +261,46 @@ func TestDIAShadowMatchesGenericCSR(t *testing.T) {
 	}
 }
 
+// TestShadowReadsCoversDIAPadding: with NaN in every x element outside
+// the reported footprint, a padded slot's 0·NaN would surface in y, so
+// finite output over random row ranges means ShadowReads covers every
+// load of the DIA kernel — including the ±1 slots a grid-edge row has no
+// CSR column for.
+func TestShadowReadsCoversDIAPadding(t *testing.T) {
+	const nx, n = 20, 500
+	var tr []Triplet
+	for i := 0; i < n; i++ {
+		tr = append(tr, Triplet{i, i, 4})
+		for _, off := range []int{-nx, -1, 1, nx} {
+			edge := (off == -1 && i%nx == 0) || (off == 1 && i%nx == nx-1)
+			if j := i + off; j >= 0 && j < n && !edge {
+				tr = append(tr, Triplet{i, j, -1})
+			}
+		}
+	}
+	a := NewCSRFromTriplets(n, n, tr)
+	if a.diaOffs == nil {
+		t.Fatal("diagonal shadow not built for a 5-point grid")
+	}
+	rng := rand.New(rand.NewSource(3))
+	x, y := make([]float64, n), make([]float64, n)
+	for trial := 0; trial < 200; trial++ {
+		lo, hi := randRange(rng, n)
+		for i := range x {
+			x[i] = math.NaN()
+		}
+		a.ShadowReads(lo, hi, func(c0, c1 int) {
+			for c := c0; c < c1; c++ {
+				x[c] = 1
+			}
+		})
+		a.MulVecRange(x, y, lo, hi)
+		if HasNonFinite(y[lo:hi]) {
+			t.Fatalf("rows [%d,%d): the kernel loaded x outside ShadowReads", lo, hi)
+		}
+	}
+}
+
 // TestDIAShadowSkipsIrregularMatrices checks the shadow is not built
 // when the diagonal count or padding waste disqualifies the matrix.
 func TestDIAShadowSkipsIrregularMatrices(t *testing.T) {

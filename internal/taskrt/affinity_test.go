@@ -1,7 +1,6 @@
 package taskrt
 
 import (
-	"runtime"
 	"sync/atomic"
 	"testing"
 )
@@ -69,36 +68,5 @@ func TestHomeTasksExecute(t *testing.T) {
 				t.Fatalf("round %d: task %d ran before its dependency", round, i)
 			}
 		}
-	}
-}
-
-// TestCPUPinningSmoke exercises the pinning path: the syscall succeeds on
-// Linux (on a throwaway locked thread, so no test thread keeps the
-// narrowed mask), and a pinned runtime still runs work.
-func TestCPUPinningSmoke(t *testing.T) {
-	errc := make(chan error, 1)
-	go func() {
-		// No UnlockOSThread: the thread dies with the goroutine, taking
-		// its narrowed affinity mask with it.
-		runtime.LockOSThread()
-		errc <- pinThreadToCPU(0)
-	}()
-	if err := <-errc; err != nil && runtime.GOOS == "linux" {
-		t.Fatalf("pinThreadToCPU: %v", err)
-	}
-
-	EnableCPUPinning(true)
-	defer EnableCPUPinning(false)
-	rt := New(2)
-	defer rt.Close()
-	var ran atomic.Int64
-	hs := make([]*Handle, 16)
-	for i := range hs {
-		hs[i] = rt.NewTask(TaskSpec{Label: "pinned", Home: HomeWorker(i), Run: func(int) { ran.Add(1) }})
-	}
-	rt.ResubmitAll(hs, nil)
-	rt.WaitAll(hs)
-	if ran.Load() != 16 {
-		t.Fatalf("ran %d of 16", ran.Load())
 	}
 }

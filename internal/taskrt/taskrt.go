@@ -37,7 +37,6 @@ package taskrt
 
 import (
 	"container/heap"
-	"os"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -203,41 +202,11 @@ func New(workers int) *Runtime {
 	}
 	rt.sleepCond = sync.NewCond(&rt.sleepMu)
 	rt.qcond = sync.NewCond(&rt.qmu)
-	pin := pinCPUs.Load()
 	for w := 0; w < workers; w++ {
-		w := w
-		go func() {
-			if pin {
-				// Stable worker→thread→core identity: the goroutine stays
-				// on one OS thread and that thread on one core, so the
-				// Home-hint page locality survives the OS scheduler.
-				runtime.LockOSThread()
-				_ = pinThreadToCPU(w % runtime.NumCPU())
-			}
-			rt.worker(w)
-		}()
+		go rt.worker(w)
 	}
 	return rt
 }
-
-// pinCPUs opts worker threads into OS-level core pinning (see
-// EnableCPUPinning). Read once at construction.
-var pinCPUs atomic.Bool
-
-func init() {
-	if os.Getenv("DUE_PIN_CPUS") == "1" {
-		pinCPUs.Store(true)
-	}
-}
-
-// EnableCPUPinning requests that runtimes constructed AFTER the call lock
-// each worker goroutine to an OS thread and pin that thread to core
-// (worker mod NumCPU) — the worker→core affinity leg of the Home-hint
-// locality model. Default off (shared machines and CI runners schedule
-// better unpinned); the DUE_PIN_CPUS=1 environment variable turns it on
-// at process start. Pinning is best-effort: platforms without a
-// sched_setaffinity equivalent keep only the thread lock.
-func EnableCPUPinning(on bool) { pinCPUs.Store(on) }
 
 // NumWorkers returns the pool size.
 func (rt *Runtime) NumWorkers() int { return rt.workers }
@@ -501,14 +470,25 @@ func (rt *Runtime) await(done func() bool, park func()) {
 		rt.times[0].Useful += useful
 		rt.timesMu[0].Unlock()
 	}
+	// With one processor wake rouses nobody, so ready tasks reach a thread
+	// only through a waiter. A waiter that leaves while some remain — a
+	// second coordinator's, released by a task this one ran for it — hands
+	// them to a worker: their owner may already be parked on a handle,
+	// where no submission will ever wake it.
+	if rt.procs == 1 && rt.avail.Load() > 0 && rt.sleepers.Load() > 0 {
+		rt.sleepMu.Lock()
+		rt.sleepCond.Signal()
+		rt.sleepMu.Unlock()
+	}
 }
 
 // wake rouses up to n sleeping workers, capped at GOMAXPROCS-1: the
 // thread that will Wait on the work helps execute it (see await), so
 // rousing more workers than there are spare processors only adds
 // context-switch churn — on a single-processor host the whole graph runs
-// inline in the waiter and the workers stay parked. While every worker is
-// hot (running or polling) this is one atomic load.
+// inline in the waiter and the workers stay parked (but see the hand-off
+// at the end of await). While every worker is hot (running or polling)
+// this is one atomic load.
 func (rt *Runtime) wake(n int) {
 	if n = min(n, rt.procs-1); n <= 0 || rt.sleepers.Load() == 0 {
 		return

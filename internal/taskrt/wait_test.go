@@ -106,6 +106,43 @@ func TestWakePingPong(t *testing.T) {
 	singleProcessorChecks(t, rt)
 }
 
+// TestParkedCoordinatorIsHandedWorkOnOneProcessor: on one processor no
+// submission rouses a worker, so when coordinator A, helping, runs B's
+// task and thereby releases B's next one just as A's own wait ends, A
+// must hand the released task to a worker — B is parked on its handle and
+// nothing else would ever run it. The pool is built as a one-processor
+// pool whatever GOMAXPROCS is (as the shared pool is when it outlives a
+// `go test -cpu 1,2` switch).
+func TestParkedCoordinatorIsHandedWorkOnOneProcessor(t *testing.T) {
+	procs := runtime.GOMAXPROCS(1)
+	rt := New(1)
+	runtime.GOMAXPROCS(procs)
+	defer rt.Close()
+	if !eventually(func() bool { return rt.sleepers.Load() == 1 }) {
+		t.Fatal("the worker never parked")
+	}
+	started, release := make(chan struct{}), make(chan struct{})
+	h1 := rt.Submit(TaskSpec{Label: "first", Run: func(int) { close(started); <-release }})
+	var ran atomic.Bool
+	h2 := rt.Submit(TaskSpec{Label: "second", After: []*Handle{h1}, Run: func(int) { ran.Store(true) }})
+	within(t, 30*time.Second, func() {
+		var wg sync.WaitGroup
+		wg.Add(2)
+		go func() { defer wg.Done(); rt.Wait(h1) }() // A: runs "first" inline
+		<-started
+		parks := rt.Counters().Parks
+		go func() { defer wg.Done(); rt.Wait(h2) }() // B: nothing ready, parks on h2
+		if !eventually(func() bool { return rt.Counters().Parks > parks }) {
+			t.Error("B never parked")
+		}
+		close(release)
+		wg.Wait()
+	})
+	if !ran.Load() {
+		t.Fatal("the second task never ran")
+	}
+}
+
 // TestWakeFanInWaitAll is the same stress on a fan-out/fan-in phase whose
 // tasks sit on the worker queues and on both sides of the shared heap
 // (negative priority is the path AFEIR's overlapped recoveries take),
