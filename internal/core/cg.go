@@ -83,13 +83,11 @@ type CG struct {
 	// coordinator writes before each submission (the run-queue handoff
 	// provides the happens-before edge).
 	prep struct {
-		d, q, x, g *engine.Prepared // fused: q carries <d,q>, g carries ε
-		z, zg      *engine.Prepared // preconditioned variant only
+		d, q, x, g *engine.Prepared // fused: q carries <d,q>, g carries ε (and z, <z,g>)
 		r1o, r23o  *engine.Prepared // overlapped recoveries (AFEIR, prio -1)
 		r1c, r23c  *engine.Prepared // critical-path recoveries (FEIR)
 		r1After    []*taskrt.Handle // d+q handles (prebuilt: stable)
-		zgAfter    []*taskrt.Handle // g+z handles
-		r23After   []*taskrt.Handle // x+g(+z) handles
+		r23After   []*taskrt.Handle // x+g handles
 		// Every handle of a phase, overlapped recovery included, so a phase
 		// boundary is one WaitAll. A replay that does not submit the
 		// recovery finds its handle finished already.
@@ -335,7 +333,7 @@ func (s *CG) Run() (Result, error) {
 	// Initial state: x = 0, g = b, d built in iteration 0 via beta = 0.
 	copy(s.g.Data, s.b)
 	if s.pre != nil {
-		s.pre.Apply(s.g.Data, s.z.Data)
+		s.applyPrecond()
 		s.rho = sparse.Dot(s.z.Data, s.g.Data)
 	}
 	s.epsGG = sparse.Dot(s.g.Data, s.g.Data)
@@ -547,50 +545,40 @@ func (s *CG) buildPrepared() {
 			}
 		}
 	})
-	// Fused g -= α q with the ε = <g,g> partials (read-modify-write).
+	// Fused g -= α q with the ε = <g,g> partials (read-modify-write) and,
+	// preconditioned, the rest of the page's phase 2 while it is still in
+	// L1: M is block diagonal, so z_p = M_pp⁻¹ g_p (the guarded partial
+	// application of §3.2, a full-page overwrite) and its <z,g> partial
+	// read only what this task just wrote.
+	gLabel := "g,eps"
+	if s.pre != nil {
+		gLabel = "g,eps,z,<z,g>"
+	}
 	//due:hotpath
-	s.prep.g = e.Prepare("g,eps", prio, func(_, pLo, pHi int) {
+	s.prep.g = e.Prepare(gLabel, prio, func(_, pLo, pHi int) {
 		ver, alpha := s.iterVer, s.alpha
 		qIn := engine.In(vec(s.q, s.qS), ver)
-		gOut := engine.Operand{Vec: vec(s.g, s.gS), Ver: ver}
+		gOp := engine.Operand{Vec: vec(s.g, s.gS), Ver: ver}
+		zOp := engine.Operand{Vec: vec(s.z, s.zS), Ver: ver}
 		for p := pLo; p < pHi; p++ {
 			lo, hi := s.layout.Range(p)
 			if s.abft {
-				e.AxpyDotPageABFT(p, lo, hi, -alpha, qIn, gOut, s.ggPart)
+				e.AxpyDotPageABFT(p, lo, hi, -alpha, qIn, gOp, s.ggPart)
 			} else {
-				e.AxpyDotPage(p, lo, hi, -alpha, qIn, gOut, s.ggPart)
+				e.AxpyDotPage(p, lo, hi, -alpha, qIn, gOp, s.ggPart)
 			}
+			if s.pre == nil {
+				continue
+			}
+			e.ApplyPrecondPage(p, s.pre, gOp, zOp)
+			// ABFT: fold on the L1-hot page (the block solves run in the
+			// preconditioner, which cannot carry the fold).
+			if s.abft && zOp.Current(p, ver) {
+				zOp.V.SetChecksum(p, sparse.ChecksumRange(zOp.V.Data, lo, hi))
+			}
+			e.DotPartialPage(p, lo, hi, zOp, gOp, s.zgPart)
 		}
 	})
-	if s.pre != nil {
-		// Guarded apply-M⁻¹ page operation: full-page overwrite via
-		// partial preconditioner application (§3.2), then <z,g>.
-		//due:hotpath
-		s.prep.z = e.Prepare("z", prio, func(_, pLo, pHi int) {
-			ver := s.iterVer
-			gIn := engine.In(vec(s.g, s.gS), ver)
-			zOut := engine.Operand{Vec: vec(s.z, s.zS), Ver: ver}
-			for p := pLo; p < pHi; p++ {
-				e.ApplyPrecondPage(p, s.pre, gIn, zOut)
-				// ABFT: fold on the L1-hot page (the block solves run in the
-				// preconditioner, which cannot carry the fold).
-				if s.abft && zOut.Current(p, ver) {
-					lo, hi := s.layout.Range(p)
-					zOut.V.SetChecksum(p, sparse.ChecksumRange(zOut.V.Data, lo, hi))
-				}
-			}
-		})
-		//due:hotpath
-		s.prep.zg = e.Prepare("<z,g>", prio, func(_, pLo, pHi int) {
-			ver := s.iterVer
-			zIn := engine.In(vec(s.z, s.zS), ver)
-			gIn := engine.In(vec(s.g, s.gS), ver)
-			for p := pLo; p < pHi; p++ {
-				lo, hi := s.layout.Range(p)
-				e.DotPartialPage(p, lo, hi, zIn, gIn, s.zgPart)
-			}
-		})
-	}
 	// Recovery tasks: overlapped at low priority (AFEIR, Fig 2b) and
 	// critical-path (FEIR, Fig 2a) variants of r1 and r2/r3.
 	r1 := func(allowLate bool) func() {
@@ -614,16 +602,8 @@ func (s *CG) buildPrepared() {
 	// the concatenations are allocated once.
 	s.prep.r1After = append(append([]*taskrt.Handle{}, s.prep.d.Handles()...), s.prep.q.Handles()...)
 	s.prep.r23After = append(append([]*taskrt.Handle{}, s.prep.x.Handles()...), s.prep.g.Handles()...)
-	if s.pre != nil {
-		s.prep.r23After = append(s.prep.r23After, s.prep.z.Handles()...)
-		s.prep.zgAfter = append(append([]*taskrt.Handle{}, s.prep.g.Handles()...), s.prep.z.Handles()...)
-	}
 	s.prep.phase1 = append(append([]*taskrt.Handle{}, s.prep.r1After...), s.prep.r1o.Handles()...)
-	s.prep.phase2 = append([]*taskrt.Handle{}, s.prep.r23After...)
-	if s.pre != nil {
-		s.prep.phase2 = append(s.prep.phase2, s.prep.zg.Handles()...)
-	}
-	s.prep.phase2 = append(s.prep.phase2, s.prep.r23o.Handles()...)
+	s.prep.phase2 = append(append([]*taskrt.Handle{}, s.prep.r23After...), s.prep.r23o.Handles()...)
 }
 
 // runPhase1 replays the prepared d-update and fused q/<d,q> tasks plus
@@ -662,8 +642,8 @@ func (s *CG) runPhase1(ver int64) {
 	}
 }
 
-// runPhase2 replays the prepared x update, fused g/ε (and z, <z,g>) tasks
-// and the r2/r3 recovery, and waits.
+// runPhase2 replays the prepared x update and the fused g/ε (z, <z,g>)
+// tasks — one wave — plus the r2/r3 recovery, and waits.
 func (s *CG) runPhase2(ver int64) {
 	t := int(ver)
 	cur := 0
@@ -677,11 +657,7 @@ func (s *CG) runPhase2(ver int64) {
 	}
 
 	s.prep.x.Submit(nil)
-	gH := s.prep.g.Submit(nil)
-	if s.pre != nil {
-		s.prep.z.Submit(gH)
-		s.prep.zg.Submit(s.prep.zgAfter)
-	}
+	s.prep.g.Submit(nil)
 
 	skipRecovery := s.cfg.OnDemandRecovery && !s.space.AnyFault()
 	overlapped := s.cfg.Method == MethodAFEIR && !skipRecovery
@@ -763,8 +739,15 @@ func (s *CG) trueResidual() float64 {
 	return sparse.Norm2(r) / s.bnorm
 }
 
-// refreshResidual recomputes g = b - A x (and z, rho, eps) sequentially and
-// forces a beta=0 step, restoring the g/x invariant after damage. Failed
+// applyPrecond computes z = M⁻¹ g outside the steady state, unguarded, on
+// the pool rather than block after block on the coordinator: the blocks
+// are independent, so z is the sequential Apply's bit for bit.
+func (s *CG) applyPrecond() {
+	s.rt.WaitAll(s.eng.RawApplyPrecond("z", nil, s.pre, s.g.Data, s.z.Data))
+}
+
+// refreshResidual recomputes g = b - A x (and z, rho, eps) outside the task
+// graph and forces a beta=0 step, restoring the g/x invariant after damage. Failed
 // iterate pages that survived every recovery attempt are blanked first —
 // the FallbackIgnore endgame.
 func (s *CG) refreshResidual(ver int64) {
@@ -781,7 +764,7 @@ func (s *CG) refreshResidual(ver int64) {
 	}
 	s.gS.Fill(ver)
 	if s.pre != nil {
-		s.pre.Apply(s.g.Data, s.z.Data)
+		s.applyPrecond()
 		for p := 0; p < s.np; p++ {
 			s.z.MarkRecovered(p)
 		}

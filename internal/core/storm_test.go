@@ -280,3 +280,37 @@ func TestStormRepeatedSamePage(t *testing.T) {
 		t.Fatalf("expected repeated forward recoveries: %+v", res.Stats)
 	}
 }
+
+// TestPCGPhase2FusedWaveRecovers: preconditioned phase 2 is one wave — a
+// page's g update, its block solve and its <z,g> partial run back to back
+// in one task, where three task sets with all-to-all dependencies used to.
+// Lose g, z and q of one page, one at a time and all three in the same
+// iteration: the wave must skip exactly what it cannot compute, and r2/r3
+// rebuild z by partial application (§3.2) without costing iterations.
+func TestPCGPhase2FusedWaveRecovers(t *testing.T) {
+	a, b := testSystem()
+	for _, m := range []Method{MethodFEIR, MethodAFEIR} {
+		cfg := testConfig(m)
+		cfg.UsePrecond = true
+		clean := runWithInjections(t, a, b, cfg, nil)
+		if !clean.Converged || clean.Stats.FaultsSeen != 0 {
+			t.Fatalf("%v clean: %+v", m, clean)
+		}
+		for _, vecs := range [][]string{{"g"}, {"z"}, {"q"}, {"g", "z", "q"}} {
+			var inj []injection
+			for _, v := range vecs {
+				inj = append(inj, injection{it: 9, vec: v, page: 11})
+			}
+			res := runWithInjections(t, a, b, cfg, inj)
+			if !res.Converged || res.RelResidual > 1e-8 || res.Stats.Unrecovered != 0 {
+				t.Fatalf("%v lost %v: %+v", m, vecs, res)
+			}
+			if lostZ := len(vecs) == 3 || vecs[0] == "z"; lostZ && res.Stats.PrecondPartialApplies == 0 {
+				t.Errorf("%v lost %v: no partial preconditioner application, stats %+v", m, vecs, res.Stats)
+			}
+			if d := res.Iterations - clean.Iterations; d < -3 || d > 3 {
+				t.Errorf("%v lost %v: %d iterations vs clean %d", m, vecs, res.Iterations, clean.Iterations)
+			}
+		}
+	}
+}

@@ -177,38 +177,143 @@ func (c *Cholesky) SolveInPlace(rhs []float64) error {
 	return nil
 }
 
-// solve runs forward substitution column by column and back substitution
-// row by row; either way each entry collects its products in ascending-k
-// order.
+// solve runs forward then back substitution. Forward, every entry
+// collects its products in ascending-k order; backward, in descending.
 //
 //due:hotpath
 func (c *Cholesky) solve(b []float64) {
+	c.forward(b)
+	backSubst(c.n, c.bw, c.diag, c.cols, b) // Lᵀ*x = y: row i of Lᵀ is column i of L
+}
+
+// forward solves L*y = b in place as a column sweep, four columns per
+// pass: each y entry is loaded once, has the four products subtracted in
+// column order, and is stored once.
+//
+//due:hotpath
+func (c *Cholesky) forward(b []float64) {
 	n, bw := c.n, c.bw
-	off := 0
-	for k := 0; k < n; k++ { // L*y = b
+	k, off := 0, 0
+	for ; bw >= 3 && k+3 < n; k += 4 { // columns k..k+3
+		l0, l1, l2, l3 := min(n-1-k, bw), min(n-2-k, bw), min(n-3-k, bw), min(n-4-k, bw)
+		c0 := c.cols[off : off+l0]
+		c1 := c.cols[off+l0 : off+l0+l1]
+		c2 := c.cols[off+l0+l1 : off+l0+l1+l2]
+		c3 := c.cols[off+l0+l1+l2 : off+l0+l1+l2+l3]
+		off += l0 + l1 + l2 + l3
+		// The 4×4 triangle between the columns, serially.
+		y0 := b[k] / c.diag[k]
+		v := b[k+1]
+		v -= c0[0] * y0
+		y1 := v / c.diag[k+1]
+		v = b[k+2]
+		v -= c0[1] * y0
+		v -= c1[0] * y1
+		y2 := v / c.diag[k+2]
+		v = b[k+3]
+		v -= c0[2] * y0
+		v -= c1[1] * y1
+		v -= c2[0] * y2
+		y3 := v / c.diag[k+3]
+		b[k], b[k+1], b[k+2], b[k+3] = y0, y1, y2, y3
+		// Rows all four columns reach: one load and one store per entry.
+		m := l0 - 3
+		ys := b[k+4 : k+4+m]
+		a0, a1, a2, a3 := c0[3:][:len(ys)], c1[2:][:len(ys)], c2[1:][:len(ys)], c3[:len(ys)]
+		for t, v := range ys {
+			v -= a0[t] * y0
+			v -= a1[t] * y1
+			v -= a2[t] * y2
+			v -= a3[t] * y3
+			ys[t] = v
+		}
+		// Rows only the later columns reach (none at the matrix edge).
+		rest := b[k+4+m:]
+		subScaled(rest, c1[2+m:], y1)
+		subScaled(rest, c2[1+m:], y2)
+		subScaled(rest, c3[m:], y3)
+	}
+	for ; k < n; k++ {
 		w := min(n-1-k, bw)
-		col := c.cols[off : off+w]
-		ys := b[k+1 : k+1+w]
-		ys = ys[:len(col)]
 		yk := b[k] / c.diag[k]
 		b[k] = yk
-		for t, l := range col {
-			ys[t] -= l * yk
-		}
+		subScaled(b[k+1:], c.cols[off:off+w], yk)
 		off += w
 	}
-	for i := n - 1; i >= 0; i-- { // Lᵀ*x = y
-		w := min(n-1-i, bw)
-		off -= w
-		col := c.cols[off : off+w]
-		xs := b[i+1 : i+1+w]
-		xs = xs[:len(col)]
-		s := b[i]
-		for k, l := range col {
-			s -= l * xs[k]
-		}
-		b[i] = s / c.diag[i]
+}
+
+// subScaled subtracts a*col from the head of y.
+//
+//due:hotpath
+func subScaled(y, col []float64, a float64) {
+	y = y[:len(col)]
+	for t, l := range col {
+		y[t] -= l * a
 	}
+}
+
+// backSubst solves U*x = y in place for the upper-triangular band whose
+// row i holds u_ij for j in (i, min(n-1, i+w)], rows concatenated: LU's
+// upper, or Cholesky's columns read as the rows of Lᵀ. Each row subtracts
+// its products in descending j, the order of reference BLAS dtbsv/dtrsv:
+// the x values a row waits for are then the last it needs, not the first,
+// so four rows run at once, one accumulator each, sharing every x load.
+//
+//due:hotpath
+func backSubst(n, w int, diag, rows, b []float64) {
+	i, off := n-1, len(rows)
+	for ; w >= 3 && i >= 3; i -= 4 { // rows i-3..i
+		l0, l1, l2, l3 := min(n+2-i, w), min(n+1-i, w), min(n-i, w), min(n-1-i, w)
+		r3 := rows[off-l3 : off]
+		r2 := rows[off-l3-l2 : off-l3]
+		r1 := rows[off-l3-l2-l1 : off-l3-l2]
+		r0 := rows[off-l3-l2-l1-l0 : off-l3-l2-l1]
+		off -= l0 + l1 + l2 + l3
+		// Columns only the later rows reach (none at the matrix edge).
+		m := l0 - 3
+		rest := b[i+1+m:]
+		s0 := b[i-3]
+		s1 := subDesc(b[i-2], r1[2+m:], rest)
+		s2 := subDesc(b[i-1], r2[1+m:], rest)
+		s3 := subDesc(b[i], r3[m:], rest)
+		// Columns all four rows reach: one x load for four products.
+		xs := b[i+1 : i+1+m]
+		a0, a1, a2, a3 := r0[3:][:len(xs)], r1[2:][:len(xs)], r2[1:][:len(xs)], r3[:len(xs)]
+		for t := len(xs) - 1; t >= 0; t-- {
+			x := xs[t]
+			s0 -= a0[t] * x
+			s1 -= a1[t] * x
+			s2 -= a2[t] * x
+			s3 -= a3[t] * x
+		}
+		// The 4×4 triangle between the rows, serially.
+		x3 := s3 / diag[i]
+		s2 -= r2[0] * x3
+		x2 := s2 / diag[i-1]
+		s1 -= r1[1] * x3
+		s1 -= r1[0] * x2
+		x1 := s1 / diag[i-2]
+		s0 -= r0[2] * x3
+		s0 -= r0[1] * x2
+		s0 -= r0[0] * x1
+		b[i-3], b[i-2], b[i-1], b[i] = s0/diag[i-3], x1, x2, x3
+	}
+	for ; i >= 0; i-- {
+		l := min(n-1-i, w)
+		off -= l
+		b[i] = subDesc(b[i], rows[off:off+l], b[i+1:]) / diag[i]
+	}
+}
+
+// subDesc returns s less the products row[t]*x[t], t descending.
+//
+//due:hotpath
+func subDesc(s float64, row, x []float64) float64 {
+	x = x[:len(row)]
+	for t := len(row) - 1; t >= 0; t-- {
+		s -= row[t] * x[t]
+	}
+	return s
 }
 
 // ----------------------------------------------------------------------
@@ -325,7 +430,7 @@ func (f *LU) SolveInPlace(rhs []float64) error {
 }
 
 // solve eliminates column by column (each entry still accumulates its
-// products in ascending-k order), then back-substitutes row by row.
+// products in ascending-k order), then back-substitutes through backSubst.
 //
 //due:hotpath
 func (f *LU) solve(b []float64) {
@@ -336,28 +441,10 @@ func (f *LU) solve(b []float64) {
 			b[k], b[p] = b[p], b[k]
 		}
 		w := min(n-1-k, kl)
-		col := f.lcols[off : off+w]
-		ys := b[k+1 : k+1+w]
-		ys = ys[:len(col)]
-		bk := b[k]
-		for t, m := range col {
-			ys[t] -= m * bk
-		}
+		subScaled(b[k+1:], f.lcols[off:off+w], b[k])
 		off += w
 	}
-	off = len(f.upper)
-	for i := n - 1; i >= 0; i-- { // U*x = y
-		w := min(n-1-i, kw)
-		off -= w
-		row := f.upper[off : off+w]
-		xs := b[i+1 : i+1+w]
-		xs = xs[:len(row)]
-		s := b[i]
-		for t, u := range row {
-			s -= u * xs[t]
-		}
-		b[i] = s / f.diag[i]
-	}
+	backSubst(n, kw, f.diag, f.upper, b) // U*x = y
 }
 
 // Det returns the determinant of the factorized matrix.

@@ -12,9 +12,13 @@ import (
 )
 
 // The oracle: the textbook dense factorizations the banded factors of
-// band.go replaced, kept verbatim (row-major n×n, every product formed,
-// ascending-k sums). The banded factors must reproduce their solves bit
-// for bit — they skip only products with exact structural zeros.
+// band.go replaced (row-major n×n, every product formed). Factorization
+// and forward substitution sum in ascending k; back substitution sums in
+// descending k, the order reference BLAS dtrsv/dtbsv use for it: a row's
+// last product, not its first, is then the one that waits for the row
+// below, which is what lets band.go keep several rows in flight. The
+// banded factors must reproduce these solves bit for bit — they skip only
+// products with exact structural zeros.
 
 func oracleCholesky(a *sparse.Dense) ([]float64, error) {
 	n := a.Rows
@@ -51,7 +55,7 @@ func oracleCholeskySolve(l []float64, b []float64) {
 	}
 	for i := n - 1; i >= 0; i-- {
 		s := b[i]
-		for k := i + 1; k < n; k++ {
+		for k := n - 1; k > i; k-- {
 			s -= l[k*n+i] * b[k]
 		}
 		b[i] = s / l[i*n+i]
@@ -108,7 +112,7 @@ func oracleLUSolve(lu []float64, piv []int, b []float64) {
 	}
 	for i := n - 1; i >= 0; i-- {
 		s := x[i]
-		for k := i + 1; k < n; k++ {
+		for k := n - 1; k > i; k-- {
 			s -= lu[i*n+k] * x[k]
 		}
 		x[i] = s / lu[i*n+i]
@@ -388,6 +392,102 @@ func TestCoupledBlocksBitwiseEqualDenseOracle(t *testing.T) {
 	}
 }
 
+// bandSPD is a dense SPD matrix whose every entry within half-bandwidth bw
+// is nonzero; pivotBand a general one (kl below, ku above) whose
+// subdiagonal dwarfs everything else, so partial pivoting interchanges
+// rows at every step.
+func bandSPD(n, bw int, seed int64) *sparse.Dense {
+	rng := rand.New(rand.NewSource(seed))
+	a := sparse.NewDense(n, n)
+	for i := 0; i < n; i++ {
+		for j := max(0, i-bw); j < i; j++ {
+			v := rng.NormFloat64()
+			a.Set(i, j, v)
+			a.Set(j, i, v)
+			a.Set(i, i, a.At(i, i)+math.Abs(v))
+			a.Set(j, j, a.At(j, j)+math.Abs(v))
+		}
+		a.Set(i, i, a.At(i, i)+1)
+	}
+	return a
+}
+
+func pivotBand(n, kl, ku int, seed int64) *sparse.Dense {
+	rng := rand.New(rand.NewSource(seed))
+	a := sparse.NewDense(n, n)
+	for i := 0; i < n; i++ {
+		for j := max(0, i-kl); j <= min(n-1, i+ku); j++ {
+			a.Set(i, j, 0.1+rng.Float64())
+		}
+		if i > 0 && kl > 0 {
+			a.Set(i, i-1, 16+rng.Float64())
+		}
+	}
+	return a
+}
+
+// TestGroupedSubstitutionEdgeShapes: the substitutions take rows and
+// columns four at a time, so the shapes where a group is clipped, does
+// not fit or does not exist — tiny n, n mod 4 ≠ 0, bands narrower than a
+// group, the full triangle — solve to the oracle's bits too, and the
+// grouped forward sweep subtracts in the order of the one-column sweep.
+func TestGroupedSubstitutionEdgeShapes(t *testing.T) {
+	for _, n := range []int{1, 2, 3, 4, 5, 7, 8, 9, 511, 512} {
+		seen := map[int]bool{}
+		for _, bw := range []int{0, 1, 2, 3, 4, 5, n - 1} {
+			if bw = min(bw, n-1); seen[bw] {
+				continue
+			}
+			seen[bw] = true
+			rhs := matgen.RandomVector(n, int64(n+bw))
+			check := func(kind string, s sparse.BlockSolver, want []float64) {
+				t.Helper()
+				got := append([]float64(nil), rhs...)
+				if err := s.SolveInPlace(got); err != nil {
+					t.Fatal(err)
+				}
+				if i := sameBits(got, want); i >= 0 {
+					t.Fatalf("%s n=%d bw=%d: x[%d] = %v, dense oracle %v", kind, n, bw, i, got[i], want[i])
+				}
+			}
+
+			spd := bandSPD(n, bw, 1)
+			c, err := sparse.NewCholesky(spd)
+			if err != nil {
+				t.Fatal(err)
+			}
+			l, _ := oracleCholesky(spd)
+			want := append([]float64(nil), rhs...)
+			oracleCholeskySolve(l, want)
+			check("cholesky", c, want)
+			grouped, byColumn := append([]float64(nil), rhs...), append([]float64(nil), rhs...)
+			c.ForwardSubst(grouped)
+			c.ForwardSubstByColumn(byColumn)
+			if i := sameBits(grouped, byColumn); i >= 0 {
+				t.Fatalf("forward n=%d bw=%d: y[%d] = %v grouped, %v one column at a time", n, bw, i, grouped[i], byColumn[i])
+			}
+
+			ku := min(bw+2, n-1) // kl ≠ ku unless both are clipped
+			for name, a := range map[string]*sparse.Dense{
+				"lu":        wildBand(n, bw, ku, 2).DiagBlock(0, n),
+				"lu-pivots": pivotBand(n, bw, ku, 3),
+			} {
+				f, err := sparse.NewLU(a)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if name == "lu-pivots" && bw > 0 && f.Swaps() != n-1 {
+					t.Fatalf("n=%d kl=%d ku=%d: %d interchanges, want one at each of %d steps", n, bw, ku, f.Swaps(), n-1)
+				}
+				lu, piv, _ := oracleLU(a)
+				want := append([]float64(nil), rhs...)
+				oracleLUSolve(lu, piv, want)
+				check(name, f, want)
+			}
+		}
+	}
+}
+
 // TestBlockSolveDoesNotAllocate: the factors sit on the //due:hotpath z
 // pass of the preconditioned solvers and are shared between concurrent
 // solves, so SolveInPlace may neither allocate nor keep scratch.
@@ -453,9 +553,8 @@ func TestPrefactorizeParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// BenchmarkBlockFactor / BenchmarkBlockSolve: one 512-row page block at
-// the half-bandwidths of the benchmark's operators (5-point grids 64 and
-// 128 wide) and full.
+// benchBlocks: one 512-row page block at the half-bandwidths of the
+// benchmark's operators (5-point grids 64 and 128 wide) and full.
 func benchBlocks() []bandCase {
 	return []bandCase{
 		{"bw64", matgen.Poisson2D(16, 64), true},
@@ -478,22 +577,40 @@ func BenchmarkBlockFactor(b *testing.B) {
 	}
 }
 
+// BenchmarkBlockSolve times one solve on one goroutine, the same with
+// every processor solving at once (how the preconditioner apply runs: its
+// gain is what a two-worker apply sees), and the halves of the Cholesky
+// solves on their own.
 func BenchmarkBlockSolve(b *testing.B) {
 	for _, tc := range benchBlocks() {
-		b.Run(tc.name, func(b *testing.B) {
-			cache := sparse.NewBlockSolverCache(tc.a, sparse.BlockLayout{N: tc.a.N, BlockSize: 512}, tc.spd)
-			if _, err := cache.Solver(1); err != nil {
-				b.Fatal(err)
-			}
-			rhs := matgen.RandomVector(512, 1)
-			buf := make([]float64, 512)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				copy(buf, rhs)
-				if err := cache.SolveDiagBlock(1, buf); err != nil {
-					b.Fatal(err)
+		cache := sparse.NewBlockSolverCache(tc.a, sparse.BlockLayout{N: tc.a.N, BlockSize: 512}, tc.spd)
+		s, err := cache.Solver(1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		rhs := matgen.RandomVector(512, 1)
+		run := func(name string, solve func(buf []float64)) {
+			b.Run(tc.name+"/"+name, func(b *testing.B) {
+				buf := make([]float64, 512)
+				for i := 0; i < b.N; i++ {
+					copy(buf, rhs)
+					solve(buf)
 				}
-			}
+			})
+		}
+		run("solve", func(buf []float64) { _ = s.SolveInPlace(buf) })
+		b.Run(tc.name+"/parallel", func(b *testing.B) {
+			b.RunParallel(func(pb *testing.PB) {
+				buf := make([]float64, 512)
+				for pb.Next() {
+					copy(buf, rhs)
+					_ = s.SolveInPlace(buf)
+				}
+			})
 		})
+		if c, ok := s.(*sparse.Cholesky); ok {
+			run("forward", c.ForwardSubst)
+			run("back", c.BackSubst)
+		}
 	}
 }
