@@ -23,7 +23,14 @@ type MatrixSubmission struct {
 	PageDoubles int       `json:"page_doubles,omitempty"`
 }
 
-// Build materialises the submitted matrix.
+// ErrBadMatrix rejects a raw CSR submission that is not a well-formed
+// square matrix; POST /v1/matrices answers it with 400.
+var ErrBadMatrix = errors.New("serve: malformed matrix")
+
+// Build materialises the submitted matrix. A raw CSR is checked before
+// any kernel shadow is built from it: the shadows index by its row
+// pointers and columns unchecked, and their bitwise parity with the CSR
+// kernels rests on strictly ascending in-row columns.
 func (m *MatrixSubmission) Build() (*sparse.CSR, error) {
 	if m.Key == "" {
 		return nil, fmt.Errorf("serve: matrix submission needs a key")
@@ -31,13 +38,16 @@ func (m *MatrixSubmission) Build() (*sparse.CSR, error) {
 	if m.Gen != "" {
 		return matgen.PaperMatrix(m.Gen, m.N)
 	}
-	if len(m.RowPtr) != m.N+1 {
-		return nil, fmt.Errorf("serve: rowptr length %d for n=%d", len(m.RowPtr), m.N)
-	}
-	if len(m.Cols) != len(m.Vals) {
-		return nil, fmt.Errorf("serve: cols/vals length mismatch %d != %d", len(m.Cols), len(m.Vals))
+	if m.N <= 0 {
+		return nil, fmt.Errorf("%w: n = %d", ErrBadMatrix, m.N)
 	}
 	a := &sparse.CSR{N: m.N, M: m.N, RowPtr: m.RowPtr, Cols: m.Cols, Vals: m.Vals}
+	if err := a.Validate(); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBadMatrix, err)
+	}
+	if sparse.HasNonFinite(m.Vals) {
+		return nil, fmt.Errorf("%w: non-finite value", ErrBadMatrix)
+	}
 	a.BuildIndex32()
 	return a, nil
 }

@@ -1,7 +1,12 @@
 package serve
 
 import (
+	"encoding/json"
 	"errors"
+	"math"
+	"net/http"
+	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -240,5 +245,47 @@ func TestWantSolution(t *testing.T) {
 	}
 	if len(resp.X) != 900 {
 		t.Fatalf("solution length %d, want 900", len(resp.X))
+	}
+}
+
+// TestMatrixSubmissionRejectsMalformedCSR: a raw CSR reaches the kernel
+// shadows only if it is a well-formed square matrix. Before the check,
+// the first body panicked inside the DIA build (the handler goroutine
+// died without a response), the second was accepted with its
+// out-of-range entry silently dropped by the shadow, the third was
+// accepted and broke the DIA/CSR bitwise parity, the fourth panicked in
+// makeslice.
+func TestMatrixSubmissionRejectsMalformedCSR(t *testing.T) {
+	srv := newTestServer(t, Options{})
+	h := srv.Handler()
+	post := func(path, body string) *httptest.ResponseRecorder {
+		rr := httptest.NewRecorder()
+		h.ServeHTTP(rr, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)))
+		return rr
+	}
+	for name, body := range map[string]string{
+		"rowptr past the entries": `{"key":"k","n":2,"rowptr":[0,1,5],"cols":[0,1],"vals":[1,1]}`,
+		"column out of range":     `{"key":"k","n":2,"rowptr":[0,1,2],"cols":[0,7],"vals":[1,1]}`,
+		"unsorted columns":        `{"key":"k","n":2,"rowptr":[0,2,3],"cols":[1,0,1],"vals":[1,2,3]}`,
+		"negative n":              `{"key":"k","n":-1,"rowptr":[],"cols":[],"vals":[]}`,
+		"rowptr overshoots":       `{"key":"k","n":2,"rowptr":[0,5,2],"cols":[0,1],"vals":[1,1]}`,
+	} {
+		rr := post("/v1/matrices", body)
+		if rr.Code != http.StatusBadRequest || !strings.Contains(rr.Body.String(), ErrBadMatrix.Error()) {
+			t.Errorf("%s: status %d body %q, want 400 with %q", name, rr.Code, rr.Body.String(), ErrBadMatrix)
+		}
+	}
+	if _, err := (&MatrixSubmission{Key: "k", N: 1, RowPtr: []int{0, 1}, Cols: []int{0}, Vals: []float64{math.Inf(1)}}).Build(); !errors.Is(err, ErrBadMatrix) {
+		t.Errorf("non-finite value: err = %v, want ErrBadMatrix", err)
+	}
+
+	// A well-formed tridiagonal still registers (on the DIA shadow) and solves.
+	if rr := post("/v1/matrices", `{"key":"tri","n":3,"rowptr":[0,2,5,7],"cols":[0,1,0,1,2,1,2],"vals":[2,-1,-1,2,-1,-1,2]}`); rr.Code != http.StatusOK {
+		t.Fatalf("valid CSR: status %d body %q", rr.Code, rr.Body.String())
+	}
+	rr := post("/v1/solve", `{"matrix":"tri","tol":1e-12}`)
+	var resp Response
+	if err := json.Unmarshal(rr.Body.Bytes(), &resp); rr.Code != http.StatusOK || err != nil || !resp.Converged {
+		t.Fatalf("solve on the valid CSR: status %d err %v body %q", rr.Code, err, rr.Body.String())
 	}
 }

@@ -143,7 +143,9 @@ func (a *CSR) Validate() error {
 		return fmt.Errorf("sparse: RowPtr[N]=%d Cols=%d Vals=%d inconsistent", a.RowPtr[a.N], len(a.Cols), len(a.Vals))
 	}
 	for i := 0; i < a.N; i++ {
-		if a.RowPtr[i] > a.RowPtr[i+1] {
+		// The second test keeps the scan below inside Cols when a middle
+		// row overshoots (RowPtr [0,5,2] over two entries).
+		if a.RowPtr[i] > a.RowPtr[i+1] || a.RowPtr[i+1] > len(a.Cols) {
 			return fmt.Errorf("sparse: RowPtr not monotone at row %d", i)
 		}
 		prev := -1
@@ -189,7 +191,7 @@ func (a *CSR) MulVec(x, y []float64) {
 //due:hotpath
 func (a *CSR) MulVecRange(x, y []float64, lo, hi int) {
 	if a.diaOffs != nil {
-		a.mulVecRangeDIA(x, y, lo, hi)
+		a.mulRangeDIA(x, y, nil, lo, hi)
 		return
 	}
 	if a.sellPtr != nil {

@@ -4,8 +4,10 @@
 // three times. Every fused kernel performs the exact same floating-point
 // operations in the exact same order as its unfused composition (the
 // producing kernel followed by DotRange over the produced values), so the
-// results agree bitwise — the property tests in fused_test.go pin this
-// down to 1 ulp-scale tolerance.
+// results agree bitwise. fused_test.go pins the vectors bitwise and the
+// partials to a few ulps against the unfused composition, and the DIA
+// shadow's y and partials bitwise against the generic CSR kernels
+// (TestDIAShadowMatchesGenericCSR).
 package sparse
 
 // MulVecDotRange computes y[lo:hi] = (A*x)[lo:hi] fused with the partial
@@ -17,7 +19,7 @@ package sparse
 //due:hotpath
 func (a *CSR) MulVecDotRange(x, y []float64, lo, hi int) (xy, yy float64) {
 	if a.diaOffs != nil {
-		return a.mulVecDotRangeDIA(x, y, lo, hi)
+		return a.mulRangeDIA(x, y, x, lo, hi)
 	}
 	if a.sellPtr != nil {
 		return a.mulVecDotRangeSELL(x, y, lo, hi)
@@ -69,7 +71,8 @@ func (a *CSR) mulVecDotRange32(x, y []float64, lo, hi int) (xy, yy float64) {
 //due:hotpath
 func (a *CSR) MulVecDotVecRange(x, y, w []float64, lo, hi int) (wy float64) {
 	if a.diaOffs != nil {
-		return a.mulVecDotVecRangeDIA(x, y, w, lo, hi)
+		wy, _ = a.mulRangeDIA(x, y, w, lo, hi)
+		return wy
 	}
 	if a.sellPtr != nil {
 		return a.mulVecDotVecRangeSELL(x, y, w, lo, hi)

@@ -62,13 +62,69 @@ func BenchmarkSpMVIndex32(b *testing.B) {
 	}
 }
 
+// grid5 builds the 5-point operator of an nx-wide, ny-deep grid (offsets
+// ±1, ±nx, the ±1 entries missing at the grid edges and zero-padded in
+// the shadow).
+func grid5(nx, ny int) *CSR {
+	n := nx * ny
+	var tr []Triplet
+	for i := 0; i < n; i++ {
+		tr = append(tr, Triplet{i, i, 4})
+		for _, off := range []int{-nx, -1, 1, nx} {
+			edge := (off == -1 && i%nx == 0) || (off == 1 && i%nx == nx-1)
+			if j := i + off; j >= 0 && j < n && !edge {
+				tr = append(tr, Triplet{i, j, -1})
+			}
+		}
+	}
+	return NewCSRFromTriplets(n, n, tr)
+}
+
+// BenchmarkSpMVDIA times the three DIA entry points the way the engine
+// calls them — page by page, 512 rows — on the pentadiagonal band and on
+// the diagonal patterns of the benchmark's two DIA operators: grid5(128,
+// 128) is matgen.Thermal2Analogue(16384)'s and stencil27(32) is
+// matgen.Poisson3D27(32,32,32)'s (matgen imports this package, so its
+// tests build the patterns themselves). SetBytes is the benchmark
+// module's spmvBytes for a shadow without indices: 8 bytes per nonzero,
+// one read of x and one write of y.
 func BenchmarkSpMVDIA(b *testing.B) {
-	a := benchMatrix(benchN) // pentadiagonal: dispatches to the DIA shadow
-	x, y := benchVec(benchN, 1), make([]float64, benchN)
-	b.SetBytes(int64(8 * benchN))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		a.MulVecRange(x, y, 0, benchN)
+	const page = 512
+	ops := []struct {
+		name string
+		a    *CSR
+	}{
+		{"penta65k", benchMatrix(benchN)},
+		{"5pt128x128", grid5(128, 128)},
+		{"27pt32x32x32", stencil27(32)},
+	}
+	for _, op := range ops {
+		a := op.a
+		if a.ShadowName() != "dia" {
+			b.Fatalf("%s: shadow %s, want dia", op.name, a.ShadowName())
+		}
+		x, y := benchVec(a.N, 1), make([]float64, a.N)
+		kernels := []struct {
+			name string
+			fn   func(lo, hi int)
+		}{
+			{"MulVecRange", func(lo, hi int) { a.MulVecRange(x, y, lo, hi) }},
+			{"MulVecDotRange", func(lo, hi int) {
+				xy, yy := a.MulVecDotRange(x, y, lo, hi)
+				sinkF += xy + yy
+			}},
+			{"MulVecDotVecRange", func(lo, hi int) { sinkF += a.MulVecDotVecRange(x, y, x, lo, hi) }},
+		}
+		for _, k := range kernels {
+			b.Run(op.name+"/"+k.name, func(b *testing.B) {
+				b.SetBytes(int64(8*a.NNZ() + 16*a.N))
+				for i := 0; i < b.N; i++ {
+					for lo := 0; lo < a.N; lo += page {
+						k.fn(lo, min(lo+page, a.N))
+					}
+				}
+			})
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package sparse
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -204,99 +205,176 @@ func TestPropertyExcludingBlocksMergedCursor(t *testing.T) {
 	}
 }
 
-// TestDIAShadowMatchesGenericCSR checks that the diagonal-shadow kernels
-// agree with the generic CSR path on stencil-like matrices (where the
-// shadow activates), over many random subranges.
-func TestDIAShadowMatchesGenericCSR(t *testing.T) {
-	n := 500
+// diaOperator builds the n×n matrix with a random entry on every
+// reachable slot of the given diagonals except each seventh off-diagonal
+// one, which the shadow pads with a zero the CSR row does not have.
+func diaOperator(rng *rand.Rand, n int, offs []int) *CSR {
 	var tr []Triplet
 	for i := 0; i < n; i++ {
-		tr = append(tr, Triplet{i, i, 4})
-		for _, off := range []int{-25, -1, 1, 25} {
-			if j := i + off; j >= 0 && j < n {
-				tr = append(tr, Triplet{i, j, -1 - float64(off)/100})
+		for _, o := range offs {
+			if j := i + o; j >= 0 && j < n && (o == 0 || (i+j)%7 != 0) {
+				tr = append(tr, Triplet{i, j, rng.NormFloat64()})
 			}
 		}
 	}
-	a := NewCSRFromTriplets(n, n, tr)
-	if a.diaOffs == nil {
-		t.Fatal("diagonal shadow not built for a 5-diagonal matrix")
-	}
-	// A generic twin: same arrays, no shadows.
-	g := &CSR{N: a.N, M: a.M, RowPtr: a.RowPtr, Cols: a.Cols, Vals: a.Vals}
+	return NewCSRFromTriplets(n, n, tr)
+}
 
+// TestDIAShadowMatchesGenericCSR pins the grouped DIA traversal to the
+// generic CSR kernels BITWISE — y, the rows outside the range, and every
+// partial of all three entry points (w a third vector, w = x, w = y) —
+// on 1 to 27 diagonals, on matrices shorter than a group, a block or an
+// offset, and on row ranges chosen against the clip arithmetic: wholly
+// inside the zone within max|o| of either end (where a far diagonal
+// reaches no row of the range at all), shorter than the largest offset,
+// across a diaBlock boundary, and random. stencil27 is the pattern of
+// matgen.Poisson3D27, whose far offsets (±43 at 6³, ±157 at 12³) put
+// whole pages in that zone.
+func TestDIAShadowMatchesGenericCSR(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	x := make([]float64, n)
-	w := make([]float64, n)
-	for i := range x {
-		x[i] = rng.NormFloat64()
-		w[i] = rng.NormFloat64()
+	type op struct {
+		name string
+		nd   int // diagonals once n exceeds every offset
+		a    *CSR
 	}
-	for trial := 0; trial < 200; trial++ {
-		lo, hi := randRange(rng, n)
-		want := make([]float64, n)
-		g.MulVecRange(x, want, lo, hi)
-		wantXY := DotRange(x, want, lo, hi)
-		wantYY := DotRange(want, want, lo, hi)
-		wantWY := DotRange(want, w, lo, hi)
+	var ops []op
+	for _, offs := range [][]int{
+		{0},
+		{-1, 0},
+		{-1, 0, 1},
+		{-30, -1, 0, 2},
+		{-20, -1, 0, 1, 20}, // 2-D 5-point
+		{-45, -3, -1, 0, 1, 3, 45},
+		{-45, -3, -2, -1, 0, 1, 3, 45},
+		{-21, -20, -19, -1, 0, 1, 19, 20, 21}, // 2-D 9-point
+	} {
+		for _, n := range []int{1, 5, 511, 513, 1030} {
+			ops = append(ops, op{fmt.Sprintf("band%d/n=%d", len(offs), n), len(offs), diaOperator(rng, n, offs)})
+		}
+	}
+	ops = append(ops, op{"27pt/6^3", 27, stencil27(6)}, op{"27pt/12^3", 27, stencil27(12)})
 
-		got := make([]float64, n)
-		a.MulVecRange(x, got, lo, hi)
-		for i := lo; i < hi; i++ {
-			if got[i] != want[i] {
-				t.Fatalf("MulVecRange[%d]: dia=%v generic=%v", i, got[i], want[i])
+	for _, o := range ops {
+		a, n := o.a, o.a.N
+		if a.ShadowName() != "dia" {
+			t.Fatalf("%s: shadow %s, want dia", o.name, a.ShadowName())
+		}
+		far := max(-a.diaOffs[0], a.diaOffs[len(a.diaOffs)-1])
+		if n > 45 && len(a.diaOffs) != o.nd {
+			t.Fatalf("%s: %d diagonals, want %d", o.name, len(a.diaOffs), o.nd)
+		}
+		g := a.Clone()
+		g.DisableShadow("dia")
+		g.DisableShadow("sell")
+		g.DisableShadow("int32")
+
+		ranges := [][2]int{
+			{0, n}, {0, far}, {1, far - 1}, {0, far / 2}, {far / 3, far/3 + 1},
+			{n - far, n}, {n - far/2, n}, {n - far + 1, n - 1},
+			{n / 2, n/2 + far/2}, {n / 3, n/3 + far - 1},
+			{diaBlock - 3, diaBlock + 5}, {diaBlock - far, n}, {1, diaBlock + 1},
+		}
+		for i := 0; i < 20; i++ {
+			lo, hi := randRange(rng, n)
+			ranges = append(ranges, [2]int{lo, hi})
+		}
+		x, w := make([]float64, n), make([]float64, n)
+		for i := range x {
+			x[i], w[i] = rng.NormFloat64(), rng.NormFloat64()
+		}
+		want, got := make([]float64, n), make([]float64, n)
+		// NaN outside the range must survive: a group that spills over
+		// its block writes there.
+		reset := func() { Fill(want, math.NaN()); Fill(got, math.NaN()) }
+		sameY := func(kernel string, lo, hi int) {
+			t.Helper()
+			for i := range got {
+				if !bitsEqual(got[i], want[i]) {
+					t.Fatalf("%s rows [%d,%d) %s: y[%d] dia=%v csr=%v", o.name, lo, hi, kernel, i, got[i], want[i])
+				}
 			}
 		}
-		got2 := make([]float64, n)
-		xy, yy := a.MulVecDotRange(x, got2, lo, hi)
-		wy := a.MulVecDotVecRange(x, got2, w, lo, hi)
-		for i := lo; i < hi; i++ {
-			if got2[i] != want[i] {
-				t.Fatalf("MulVecDotRange[%d]: dia=%v generic=%v", i, got2[i], want[i])
+		for _, r := range ranges {
+			lo, hi := max(r[0], 0), min(r[1], n)
+			if lo >= hi {
+				continue
 			}
-		}
-		if !ulpTol(xy, wantXY) || !ulpTol(yy, wantYY) || !ulpTol(wy, wantWY) {
-			t.Fatalf("dots: got (%v,%v,%v) want (%v,%v,%v)", xy, yy, wy, wantXY, wantYY, wantWY)
+			reset()
+			g.MulVecRange(x, want, lo, hi)
+			a.MulVecRange(x, got, lo, hi)
+			sameY("MulVecRange", lo, hi)
+
+			reset()
+			wantXY, wantYY := g.MulVecDotRange(x, want, lo, hi)
+			xy, yy := a.MulVecDotRange(x, got, lo, hi)
+			sameY("MulVecDotRange", lo, hi)
+			if xy != wantXY || yy != wantYY {
+				t.Fatalf("%s rows [%d,%d) MulVecDotRange: (%v,%v) csr (%v,%v)", o.name, lo, hi, xy, yy, wantXY, wantYY)
+			}
+
+			for _, alias := range []string{"w", "x", "y"} {
+				reset()
+				ww, wg := w, w
+				switch alias {
+				case "x":
+					ww, wg = x, x
+				case "y":
+					ww, wg = want, got
+				}
+				wantWY := g.MulVecDotVecRange(x, want, ww, lo, hi)
+				wy := a.MulVecDotVecRange(x, got, wg, lo, hi)
+				sameY("MulVecDotVecRange w="+alias, lo, hi)
+				if wy != wantWY {
+					t.Fatalf("%s rows [%d,%d) MulVecDotVecRange w=%s: %v csr %v", o.name, lo, hi, alias, wy, wantWY)
+				}
+			}
 		}
 	}
 }
 
 // TestShadowReadsCoversDIAPadding: with NaN in every x element outside
 // the reported footprint, a padded slot's 0·NaN would surface in y, so
-// finite output over random row ranges means ShadowReads covers every
-// load of the DIA kernel — including the ±1 slots a grid-edge row has no
-// CSR column for.
+// finite output means ShadowReads covers every load of the DIA kernel —
+// including the ±1 slots a grid-edge row has no CSR column for — through
+// all three entry points, over random row ranges of a 5-point grid and
+// over the pages of a 27-point stencil: grouping the diagonals must not
+// widen what a page loads, because shard gates its boundary pages on
+// exactly this set.
 func TestShadowReadsCoversDIAPadding(t *testing.T) {
-	const nx, n = 20, 500
-	var tr []Triplet
-	for i := 0; i < n; i++ {
-		tr = append(tr, Triplet{i, i, 4})
-		for _, off := range []int{-nx, -1, 1, nx} {
-			edge := (off == -1 && i%nx == 0) || (off == 1 && i%nx == nx-1)
-			if j := i + off; j >= 0 && j < n && !edge {
-				tr = append(tr, Triplet{i, j, -1})
-			}
-		}
-	}
-	a := NewCSRFromTriplets(n, n, tr)
-	if a.diaOffs == nil {
-		t.Fatal("diagonal shadow not built for a 5-point grid")
-	}
 	rng := rand.New(rand.NewSource(3))
-	x, y := make([]float64, n), make([]float64, n)
-	for trial := 0; trial < 200; trial++ {
-		lo, hi := randRange(rng, n)
-		for i := range x {
-			x[i] = math.NaN()
+	for _, op := range []struct {
+		name string
+		a    *CSR
+	}{{"5pt", grid5(20, 25)}, {"27pt", stencil27(12)}} {
+		name, a := op.name, op.a
+		if a.ShadowName() != "dia" {
+			t.Fatalf("%s: shadow %s, want dia", name, a.ShadowName())
 		}
-		a.ShadowReads(lo, hi, func(c0, c1 int) {
-			for c := c0; c < c1; c++ {
-				x[c] = 1
+		n := a.N
+		var ranges [][2]int
+		for lo := 0; lo < n; lo += 512 {
+			ranges = append(ranges, [2]int{lo, min(lo+512, n)})
+		}
+		for trial := 0; trial < 200; trial++ {
+			lo, hi := randRange(rng, n)
+			ranges = append(ranges, [2]int{lo, hi})
+		}
+		x, y, w := make([]float64, n), make([]float64, n), make([]float64, n)
+		for _, r := range ranges {
+			lo, hi := r[0], r[1]
+			Fill(x, math.NaN())
+			a.ShadowReads(lo, hi, func(c0, c1 int) { Fill(x[c0:c1], 1) })
+			for kernel, run := range map[string]func(){
+				"MulVecRange":       func() { a.MulVecRange(x, y, lo, hi) },
+				"MulVecDotRange":    func() { a.MulVecDotRange(x, y, lo, hi) },
+				"MulVecDotVecRange": func() { a.MulVecDotVecRange(x, y, w, lo, hi) },
+			} {
+				Fill(y, 0)
+				run()
+				if HasNonFinite(y[lo:hi]) {
+					t.Fatalf("%s rows [%d,%d): %s loaded x outside ShadowReads", name, lo, hi, kernel)
+				}
 			}
-		})
-		a.MulVecRange(x, y, lo, hi)
-		if HasNonFinite(y[lo:hi]) {
-			t.Fatalf("rows [%d,%d): the kernel loaded x outside ShadowReads", lo, hi)
 		}
 	}
 }

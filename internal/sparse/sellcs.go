@@ -24,7 +24,8 @@ package sparse
 // perturb a real row's sum (unlike zero-padding schemes, which break
 // bitwise parity when a partial sum is -0.0). The fused dot variants take
 // their partials in a second ascending-row pass over the window while it
-// is still cache-hot, exactly like the DIA shadow, preserving the CSR
+// is still cache-hot (the DIA shadow does the same for the blocks its
+// last diagonal group does not cover whole), preserving the CSR
 // reduction order bitwise.
 
 const (

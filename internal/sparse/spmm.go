@@ -147,9 +147,11 @@ func (a *CSR) mulMatRange32W8(x, y []float64, lo, hi int) {
 	}
 }
 
-// diaBlockMulMat is diaBlockMul over an interleaved multivector: zero the
-// y block, then stream each diagonal (ascending offsets == ascending
-// in-row column order, the bitwise-parity invariant) across it.
+// diaBlockMulMat is the DIA block product over an interleaved
+// multivector, diagonal-major (unlike the grouped SpMV traversal of
+// dia.go — DESIGN §5 says why): zero the y block, then stream each
+// diagonal (ascending offsets == ascending in-row column order, the
+// bitwise-parity invariant) across it.
 //
 //due:hotpath
 func (a *CSR) diaBlockMulMat(x, y []float64, b, b0, b1, n int) {
@@ -166,14 +168,8 @@ func (a *CSR) diaBlockMulMat(x, y []float64, b, b0, b1, n int) {
 		yb[i] = 0
 	}
 	for d, o := range a.diaOffs {
-		i0, i1 := b0, b1
-		if o < 0 && -o > i0 {
-			i0 = -o
-		}
-		if o > 0 && n-o < i1 {
-			i1 = n - o
-		}
-		if i0 >= i1 {
+		i0, i1 := diaClip(o, o, b0, b1, n)
+		if i0 == i1 {
 			continue
 		}
 		vv := a.diaVals[d][i0:i1]
@@ -201,14 +197,8 @@ func (a *CSR) diaBlockMulMat4(x, y []float64, b0, b1, n int) {
 		yb[i] = 0
 	}
 	for d, o := range a.diaOffs {
-		i0, i1 := b0, b1
-		if o < 0 && -o > i0 {
-			i0 = -o
-		}
-		if o > 0 && n-o < i1 {
-			i1 = n - o
-		}
-		if i0 >= i1 {
+		i0, i1 := diaClip(o, o, b0, b1, n)
+		if i0 == i1 {
 			continue
 		}
 		vv := a.diaVals[d][i0:i1]
@@ -233,14 +223,8 @@ func (a *CSR) diaBlockMulMat8(x, y []float64, b0, b1, n int) {
 		yb[i] = 0
 	}
 	for d, o := range a.diaOffs {
-		i0, i1 := b0, b1
-		if o < 0 && -o > i0 {
-			i0 = -o
-		}
-		if o > 0 && n-o < i1 {
-			i1 = n - o
-		}
-		if i0 >= i1 {
+		i0, i1 := diaClip(o, o, b0, b1, n)
+		if i0 == i1 {
 			continue
 		}
 		vv := a.diaVals[d][i0:i1]
@@ -426,7 +410,7 @@ func (a *CSR) mulMatDotRange32(x, y []float64, b, lo, hi int, xy, yy []float64) 
 
 // mulMatDotRangeDIA takes the per-column partials in a second pass over
 // each block while it is still L1-hot, in ascending-row order — the
-// fused-kernel discipline shared with the scalar DIA shadow.
+// reduction order of the scalar fused kernels.
 //
 //due:hotpath
 func (a *CSR) mulMatDotRangeDIA(x, y []float64, b, lo, hi int, xy, yy []float64) {
