@@ -108,8 +108,12 @@ func preloadMatrices(srv *serve.Server, spec string) error {
 		if err != nil {
 			return err
 		}
-		srv.RegisterMatrix(gen, a, 0)
+		octx := srv.RegisterMatrix(gen, a, 0)
 		fmt.Printf("due-serve: cached %s (n=%d nnz=%d)\n", gen, a.N, a.NNZ())
+		for _, precond := range []bool{false, true} {
+			ops, limit := octx.IterOps(precond)
+			fmt.Printf("due-serve:   cg precond=%v: ≈%d memory operations per iteration, inline (on its dispatcher, off the pool) below %d: %v\n", precond, ops, limit, ops < limit)
+		}
 	}
 	return nil
 }

@@ -68,7 +68,11 @@ type BatchCG struct {
 	colIters     []int
 	colConverged []bool
 	colCancelled []bool
-	cancel       []func() bool // per-column cancellation polls
+	// colFinal: the true residual that accepted a column, reported as is
+	// while no page was lost since colFinalAt (its α is 0: x is untouched).
+	colFinal   []float64
+	colFinalAt []int
+	cancel     []func() bool // per-column cancellation polls
 
 	doubleBuffer bool
 	resilient    bool
@@ -197,6 +201,8 @@ func NewBatchCG(a *sparse.CSR, rhs [][]float64, width int, cfg Config) (*BatchCG
 	s.colIters = make([]int, width)
 	s.colConverged = make([]bool, width)
 	s.colCancelled = make([]bool, width)
+	s.colFinal = make([]float64, width)
+	s.colFinalAt = make([]int, width)
 	s.cancel = make([]func() bool, width)
 
 	s.scratch = make([]float64, cfg.pageDoubles()*width)
@@ -420,11 +426,15 @@ func (s *BatchCG) snapshot(t int, start time.Time) BatchResult {
 		if !s.retired[j] {
 			it = t
 		}
+		final := s.colFinal[j]
+		if !s.colConverged[j] || s.colFinalAt[j] != s.stats.FaultsSeen {
+			final = s.trueResidualCol(j)
+		}
 		cols[j] = BatchColumnResult{
 			Converged:   s.colConverged[j],
 			Cancelled:   s.colCancelled[j],
 			Iterations:  it,
-			RelResidual: s.trueResidualCol(j),
+			RelResidual: final,
 		}
 	}
 	return BatchResult{
@@ -484,8 +494,9 @@ func (s *BatchCG) Run() (BatchResult, error) {
 			if rel >= tol {
 				continue
 			}
-			if s.trueResidualCol(j) < tol*10 {
+			if final := s.trueResidualCol(j); final < tol*10 {
 				s.retireCol(j, t, true, false)
+				s.colFinal[j], s.colFinalAt[j] = final, s.stats.FaultsSeen
 			} else {
 				// Recurrence converged but the true residual disagrees
 				// (possible after ignored unrecoverable errors): refresh

@@ -210,10 +210,11 @@ func (sv *BiCGStabSolver) Run() (Result, []float64, error) {
 
 	var it int
 	converged := false
+	var final float64 // the true residual of the check that accepted x
 	sv.pol.lastEvents = sv.space.FaultCount() + sv.space.SDCDetected()
 	for it = 0; it < maxIter; it++ {
 		if sv.cfg.Cancelled != nil && sv.cfg.Cancelled() {
-			return sv.finish(it, false, start), sv.x.Data, ErrCancelled
+			return sv.finish(it, false, 0, start), sv.x.Data, ErrCancelled
 		}
 		if sv.cfg.Policy != nil {
 			applyPolicy(it, &sv.cfg, &sv.pol, sv.space, &sv.stats, nil)
@@ -230,7 +231,7 @@ func (sv *BiCGStabSolver) Run() (Result, []float64, error) {
 			sv.cfg.OnIteration(it, rel)
 		}
 		if rel < tol {
-			if sv.trueResidual() < tol*10 {
+			if final = sv.trueResidual(); final < tol*10 {
 				converged = true
 				break
 			}
@@ -274,7 +275,7 @@ func (sv *BiCGStabSolver) Run() (Result, []float64, error) {
 		sv.stats.ContributionsLost += missQR
 		if qr == 0 || math.IsNaN(qr) || math.IsNaN(sv.rho) {
 			if missQR == 0 && !sv.space.AnyFault() {
-				return sv.finish(it, converged, start), sv.x.Data, ErrRecurrenceBreakdown
+				return sv.finish(it, false, 0, start), sv.x.Data, ErrRecurrenceBreakdown
 			}
 			sv.restartPending = true
 			continue
@@ -385,7 +386,7 @@ func (sv *BiCGStabSolver) Run() (Result, []float64, error) {
 		sv.epsGG = gg
 		if RhoBoundaryBreakdown(sv.rho, omega, rhoNew, gg, sv.bnorm, tol) {
 			if missRho == 0 && !sv.space.AnyFault() {
-				return sv.finish(it, converged, start), sv.x.Data, ErrRecurrenceBreakdown
+				return sv.finish(it, false, 0, start), sv.x.Data, ErrRecurrenceBreakdown
 			}
 			sv.restartPending = true
 			continue
@@ -409,7 +410,7 @@ func (sv *BiCGStabSolver) Run() (Result, []float64, error) {
 		sv.rho = rhoNew
 		sv.lastBeta, sv.lastOmega = beta, omega
 	}
-	return sv.finish(it, converged, start), sv.x.Data, nil
+	return sv.finish(it, converged, final, start), sv.x.Data, nil
 }
 
 // runRecovery schedules the phase recovery per the method: overlapped at
@@ -468,11 +469,16 @@ func (sv *BiCGStabSolver) trueResidual() float64 {
 	return sparse.Norm2(r) / sv.bnorm
 }
 
-func (sv *BiCGStabSolver) finish(it int, converged bool, start time.Time) Result {
+// finish builds the Result; final is the true residual of the accepting
+// check, computed here for a solve that ended any other way.
+func (sv *BiCGStabSolver) finish(it int, converged bool, final float64, start time.Time) Result {
+	if !converged {
+		final = sv.trueResidual()
+	}
 	return Result{
 		Converged:   converged,
 		Iterations:  it,
-		RelResidual: sv.trueResidual(),
+		RelResidual: final,
 		Elapsed:     time.Since(start),
 		Stats:       sv.stats,
 		WorkerTimes: sv.rt.WorkerTimes(),

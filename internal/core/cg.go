@@ -342,6 +342,7 @@ func (s *CG) Run() (Result, error) {
 
 	var t int
 	converged := false
+	var final float64 // the true residual of the check that accepted x
 	for t = 0; t < maxIter; t++ {
 		if s.cfg.Cancelled != nil && s.cfg.Cancelled() {
 			s.captureSDC()
@@ -363,7 +364,10 @@ func (s *CG) Run() (Result, error) {
 			s.cfg.OnIteration(t, rel)
 		}
 		if rel < tol {
-			if s.verifyConvergence(t, tol) {
+			// The recurrence claims convergence: check the true residual.
+			// Exact forward recovery preserves the recurrence, but ignored
+			// unrecoverable errors can desynchronise g from b - Ax.
+			if final = s.trueResidual(); final < tol*10 {
 				converged = true
 				break
 			}
@@ -429,10 +433,13 @@ func (s *CG) Run() (Result, error) {
 	}
 
 	s.captureSDC()
+	if !converged {
+		final = s.trueResidual()
+	}
 	res := Result{
 		Converged:   converged,
 		Iterations:  t,
-		RelResidual: s.trueResidual(),
+		RelResidual: final,
 		Elapsed:     time.Since(start),
 		Stats:       s.stats,
 		WorkerTimes: s.rt.WorkerTimes(),
@@ -721,13 +728,6 @@ func blankAllFailed(sp *pagemem.Space) {
 			v.MarkRecovered(p)
 		}
 	}
-}
-
-// verifyConvergence recomputes the true residual when the recurrence
-// claims convergence. Exact forward recovery preserves the recurrence, but
-// ignored unrecoverable errors can desynchronise g from b - Ax.
-func (s *CG) verifyConvergence(_ int, tol float64) bool {
-	return s.trueResidual() < tol*10
 }
 
 // trueResidual computes ||b - A x|| / ||b|| sequentially, in the

@@ -63,8 +63,9 @@ type OperatorContext struct {
 }
 
 type pooledCG struct {
-	s    *core.CG
-	inst *Instance
+	s      *core.CG
+	inst   *Instance
+	inline bool // built on a private taskrt.NewInline runtime
 }
 
 // batchPoolKey extends poolKey with the kernel width: a warm batched
@@ -122,6 +123,43 @@ func (c *OperatorContext) SizeBytes() int64 {
 	return bytes
 }
 
+// inlineMaxOps is the IterOps estimate below which the registry runs a cg
+// solve whole on the goroutine that calls Run (taskrt.NewInline) instead of
+// spreading it over the shared pool: two workers save at most half an
+// iteration and pay its phase hand-offs (≈ 45 µs on the 2-vCPU reference
+// host), so the pool pays only once a sequential iteration passes ≈ 90 µs.
+// BenchmarkInlineVsPool, one solve alone on the machine, pool of two
+// against no workers, median of 5 × 40 alternating solves — estimate, pool
+// time ÷ inline time (DESIGN §8 has the operators):
+//
+//	 61 k 1.30   115 k 0.94   124 k 1.16   138 k 1.00   184 k 1.04
+//	215 k 0.95   229 k 0.86   245 k 0.86   245 k 0.96   537 k 0.77
+//	560 k 0.83  1158 k 0.66
+//
+// The bound sits where alone turns from tie to loss. Under load the rows
+// below it gain what this cannot show (two dispatchers sharing one pool:
+// serve-mix solve_ms_p50 4.20 → 2.88 ms, ten pairs); the rows above it are
+// every other benchmark workload. A timed probe, or the server's load,
+// would flip operators near the bound from run to run (the host has two
+// speed levels 1.4× apart): a constant, not a setting.
+const inlineMaxOps = 192 << 10
+
+// IterOps estimates the memory operations of one cg iteration — one per
+// nonzero through the DIA shadow, two (value + gather) through an indexed
+// one, 10 per row for the d/q/x/g updates and their partials, two per
+// factor entry for the block-Jacobi apply — and returns inlineMaxOps.
+func (c *OperatorContext) IterOps(usePrecond bool) (ops, inlineBelow int64) {
+	nnz := int64(c.A.NNZ())
+	ops = nnz + 10*int64(c.A.N)
+	if c.A.ShadowName() != "dia" {
+		ops += nnz
+	}
+	if usePrecond {
+		ops += c.Blocks(true).Bytes() / 4
+	}
+	return ops, inlineMaxOps
+}
+
 func keyFor(name string, cfg Config) poolKey {
 	return poolKey{
 		name:               name,
@@ -146,6 +184,8 @@ type Checkout struct {
 	// Warm reports whether the checkout reused a pooled instance (and so
 	// skipped construction entirely).
 	Warm bool
+	// Inline: Run executes the whole solve on the calling goroutine.
+	Inline bool
 
 	ctx      *OperatorContext
 	key      poolKey
@@ -160,14 +200,16 @@ type Checkout struct {
 // replay as-is. Non-pooled solvers are built fresh but still share the
 // block cache and the process-wide task pool, so the dominant setup cost
 // is amortized for every method.
+//
+// With Config.RT nil the runtime is the registry's choice: the shared
+// pool, or for a single-node cg under the IterOps bound a private one with
+// no workers — a function of operator and pool key alone, so every
+// checkout under one key agrees with the warm instances it finds.
 func (c *OperatorContext) Checkout(name string, b []float64, cfg Config) (*Checkout, error) {
 	if pd := defaults.PageDoublesOr(cfg.PageDoubles); pd != c.PageDoubles {
 		return nil, fmt.Errorf("registry: page size %d does not match cached context (%d)", pd, c.PageDoubles)
 	}
 	cfg.Blocks = c.Blocks(spdFor(name))
-	if cfg.RT == nil {
-		cfg.RT = taskrt.Shared(cfg.Workers)
-	}
 
 	// The single-node CG family is fully reusable: Rebind + reset instead
 	// of construction. Everything else (distributed substrates, the
@@ -184,9 +226,17 @@ func (c *OperatorContext) Checkout(name string, b []float64, cfg Config) (*Check
 			}
 			p.s.SetCancelled(cfg.Cancelled)
 			p.s.SetOnIteration(cfg.OnIteration)
-			return &Checkout{Instance: p.inst, Warm: true, ctx: c, key: key, cg: p}, nil
+			return &Checkout{Instance: p.inst, Warm: true, Inline: p.inline, ctx: c, key: key, cg: p}, nil
 		}
 		c.mu.Unlock()
+		inline := false
+		if cfg.RT == nil {
+			if ops, limit := c.IterOps(cfg.UsePrecond); ops < limit {
+				inline, cfg.RT = true, taskrt.NewInline()
+			} else {
+				cfg.RT = taskrt.Shared(cfg.Workers)
+			}
+		}
 		s, err := core.NewCG(c.A, b, cfg.Config)
 		if err != nil {
 			return nil, err
@@ -197,9 +247,12 @@ func (c *OperatorContext) Checkout(name string, b []float64, cfg Config) (*Check
 			Run:      func() (core.Result, error) { return s.Run() },
 			Solution: s.Solution,
 		}
-		return &Checkout{Instance: inst, ctx: c, key: key, cg: &pooledCG{s: s, inst: inst}}, nil
+		return &Checkout{Instance: inst, Inline: inline, ctx: c, key: key, cg: &pooledCG{s: s, inst: inst, inline: inline}}, nil
 	}
 
+	if cfg.RT == nil {
+		cfg.RT = taskrt.Shared(cfg.Workers)
+	}
 	inst, err := New(name, c.A, b, cfg)
 	if err != nil {
 		return nil, err
@@ -343,6 +396,16 @@ func (cc *ContextCache) Get(key string) (*OperatorContext, bool) {
 	cc.tick++
 	e.used = cc.tick
 	return e.ctx, true
+}
+
+// Peek is Get without the recency and hit/miss updates; nil when absent.
+func (cc *ContextCache) Peek(key string) *OperatorContext {
+	cc.mu.Lock()
+	defer cc.mu.Unlock()
+	if e, ok := cc.items[key]; ok {
+		return e.ctx
+	}
+	return nil
 }
 
 // Put inserts (or replaces) the context for a matrix handle and evicts

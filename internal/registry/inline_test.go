@@ -1,0 +1,111 @@
+package registry
+
+import (
+	"runtime"
+	"sync"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/matgen"
+	"repro/internal/taskrt"
+)
+
+// TestInlineChoice pins the size rule on the sweep it was placed from: the
+// estimate of every row, the path the registry picks when the choice is
+// its own, and that nothing else is ever put on a worker-less runtime — a
+// caller's RT, a distributed solve, another solver.
+func TestInlineChoice(t *testing.T) {
+	for _, row := range inlineSweep {
+		a := row.gen()
+		octx := NewOperatorContext(row.name, a, 0)
+		b := matgen.Ones(a.N)
+		ops, limit := octx.IterOps(row.precond)
+		if ops != row.ops || limit != inlineMaxOps || (ops < limit) != row.inline {
+			t.Errorf("%s: IterOps = %d (bound %d), the table says %d and inline=%v", row.name, ops, limit, row.ops, row.inline)
+		}
+		cfg := Config{Config: core.Config{Method: row.method, UsePrecond: row.precond, Tol: 1e-8}}
+		before := runtime.NumGoroutine()
+		for i := 0; i < 2; i++ { // the second finds the first one's instance
+			co, err := octx.Checkout("cg", b, cfg)
+			if err != nil {
+				t.Fatalf("%s: %v", row.name, err)
+			}
+			if co.Inline != row.inline || co.Warm != (i == 1) {
+				t.Errorf("%s checkout %d: inline=%v warm=%v, want inline=%v warm=%v", row.name, i, co.Inline, co.Warm, row.inline, i == 1)
+			}
+			co.Release()
+		}
+		if row.inline && runtime.NumGoroutine() > before {
+			t.Errorf("%s: an inline checkout started a goroutine", row.name)
+		}
+	}
+
+	a := matgen.RandomSPD(4096, 8, 1.5, 7) // the smallest indexed row: inline when the registry chooses
+	b := matgen.Ones(a.N)
+	for name, tc := range map[string]struct {
+		solver string
+		cfg    Config
+	}{
+		"caller's runtime": {"cg", Config{Config: core.Config{RT: taskrt.Shared(2)}}},
+		"two ranks":        {"cg", Config{Ranks: 2}},
+		"bicgstab":         {"bicgstab", Config{}},
+	} {
+		co, err := NewOperatorContext("m", a, 0).Checkout(tc.solver, b, tc.cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if co.Inline {
+			t.Errorf("%s: checked out inline", name)
+		}
+	}
+}
+
+// TestInlineConcurrentCheckouts: every inline instance owns its runtime, so
+// solves on one operator from several goroutines share nothing but the
+// operator and its factors — and all compute the same bits. The race
+// detector is the other half of this test.
+func TestInlineConcurrentCheckouts(t *testing.T) {
+	a := matgen.Thermal2Analogue(2048)
+	octx := NewOperatorContext("m", a, 0)
+	b := matgen.RandomVector(a.N, 3)
+	cfg := Config{Config: core.Config{Method: core.MethodAFEIR, Tol: 1e-8}}
+	solve := func() ([]float64, error) {
+		co, err := octx.Checkout("cg", b, cfg)
+		if err != nil {
+			return nil, err
+		}
+		defer co.Release()
+		if !co.Inline {
+			t.Error("not an inline checkout")
+		}
+		if res, err := co.Instance.Run(); err != nil || !res.Converged {
+			t.Errorf("converged=%v err=%v", res.Converged, err)
+		}
+		return append([]float64(nil), co.Instance.Solution()...), nil
+	}
+	want, err := solve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 3; i++ {
+				x, err := solve()
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				for k := range x {
+					if x[k] != want[k] {
+						t.Errorf("x[%d] = %x, the first solve computed %x", k, x[k], want[k])
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}

@@ -7,6 +7,7 @@ import (
 	"net/http"
 
 	"repro/internal/core"
+	"repro/internal/defaults"
 	"repro/internal/matgen"
 	"repro/internal/sparse"
 )
@@ -58,6 +59,9 @@ func (m *MatrixSubmission) Build() (*sparse.CSR, error) {
 //	POST /v1/solve     run one solve request (blocks until done)
 //	GET  /v1/stats     server counters
 func (s *Server) Handler() http.Handler {
+	// A body larger than the whole operator cache describes nothing the
+	// server could keep; JSON text is the larger of the two forms.
+	maxBody := defaults.ServeCacheBytesOr(s.opts.CacheBytes)
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/matrices", func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
@@ -65,7 +69,7 @@ func (s *Server) Handler() http.Handler {
 			return
 		}
 		var sub MatrixSubmission
-		if err := json.NewDecoder(r.Body).Decode(&sub); err != nil {
+		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBody)).Decode(&sub); err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
@@ -83,7 +87,7 @@ func (s *Server) Handler() http.Handler {
 			return
 		}
 		var req Request
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBody)).Decode(&req); err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}

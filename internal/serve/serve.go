@@ -24,6 +24,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"sync"
 	"time"
@@ -41,6 +42,9 @@ var (
 	ErrQueueFull     = errors.New("serve: admission queue full")
 	ErrDraining      = errors.New("serve: server is draining")
 	ErrUnknownMatrix = errors.New("serve: unknown matrix handle")
+	// ErrBadRequest refuses at admission what no solve can answer: rel < tol
+	// is never true of a NaN, so it would hold a dispatcher for MaxIter.
+	ErrBadRequest = errors.New("serve: bad request")
 )
 
 // Options configures a Server. Zero values resolve through
@@ -103,8 +107,10 @@ type Response struct {
 	Elapsed     time.Duration `json:"elapsed_ns"`
 	Queued      time.Duration `json:"queued_ns"`
 	Warm        bool          `json:"warm"`
-	Injected    int           `json:"injected"`
-	Stats       core.Stats    `json:"stats"`
+	// Inline: the solve ran whole on its dispatcher's goroutine.
+	Inline   bool       `json:"inline,omitempty"`
+	Injected int        `json:"injected"`
+	Stats    core.Stats `json:"stats"`
 	// BatchWidth is the number of requests that shared this solve's
 	// operator pass (0 or 1 = solved solo). Stats is the whole batch's
 	// aggregate for coalesced responses.
@@ -134,8 +140,9 @@ type Stats struct {
 	MeanBatchWidth    float64 `json:"mean_batch_width"`
 	// Pool is the shared task pool's scheduler counters since process
 	// start: how often its threads slept, were roused, stole, or found
-	// work while polling.
-	Pool taskrt.Counters `json:"pool"`
+	// work while polling. Inline solves never move them.
+	Pool         taskrt.Counters `json:"pool"`
+	InlineSolves int64           `json:"inline_solves"`
 }
 
 // pending is one queued request plus its completion channel.
@@ -167,8 +174,8 @@ type Server struct {
 	inflight sync.WaitGroup
 	workers  sync.WaitGroup
 
-	accepted, rejected, completed, failed, warm int64
-	batches, coalesced                          int64
+	accepted, rejected, completed, failed, warm, inline int64
+	batches, coalesced                                  int64
 }
 
 // New builds a server and starts its dispatchers.
@@ -287,16 +294,19 @@ func (s *Server) Prewarm(req *Request, count int) error {
 // (one per client), as the HTTP layer does.
 func (s *Server) Submit(req *Request) (*Response, error) {
 	p := &pending{req: req, enqueued: time.Now(), done: make(chan outcome, 1)}
+	err := s.validate(req)
 	s.mu.Lock()
-	if s.draining {
-		s.rejected++
-		s.mu.Unlock()
-		return nil, ErrDraining
+	switch {
+	case err != nil:
+	case s.draining:
+		err = ErrDraining
+	case s.queue.Len() >= defaults.ServeQueueDepthOr(s.opts.QueueDepth):
+		err = ErrQueueFull
 	}
-	if s.queue.Len() >= defaults.ServeQueueDepthOr(s.opts.QueueDepth) {
+	if err != nil {
 		s.rejected++
 		s.mu.Unlock()
-		return nil, ErrQueueFull
+		return nil, err
 	}
 	s.seq++
 	p.seq = s.seq
@@ -307,6 +317,23 @@ func (s *Server) Submit(req *Request) (*Response, error) {
 
 	out := <-p.done
 	return out.resp, out.err
+}
+
+// validate is the admission check behind ErrBadRequest.
+func (s *Server) validate(req *Request) error {
+	octx := s.cache.Peek(req.Matrix) // unknown handles are execute's to report
+	bb := sparse.Dot(req.B, req.B)   // ε = <g,g> of iteration 0: what rel < tol is computed from
+	switch {
+	case octx != nil && req.B != nil && len(req.B) != octx.A.N:
+		return fmt.Errorf("%w: rhs length %d for n=%d", ErrBadRequest, len(req.B), octx.A.N)
+	case math.IsNaN(bb) || math.IsInf(bb, 0):
+		return fmt.Errorf("%w: rhs has a non-finite entry or a squared norm that overflows", ErrBadRequest)
+	case !(req.Tol >= 0):
+		return fmt.Errorf("%w: tol %v", ErrBadRequest, req.Tol)
+	case req.MaxIter < 0 || req.Ranks < 0:
+		return fmt.Errorf("%w: max_iter %d, ranks %d", ErrBadRequest, req.MaxIter, req.Ranks)
+	}
+	return nil
 }
 
 // Drain stops admissions, waits for every queued and in-flight solve to
@@ -348,8 +375,9 @@ func (s *Server) Snapshot() Stats {
 		BatchesDispatched: s.batches,
 		RequestsCoalesced: s.coalesced,
 		MeanBatchWidth:    meanWidth,
-		// The pool every solve of this server runs on (registry.Config.SharedPool).
-		Pool: taskrt.SharedCounters(),
+		// The pool every solve of this server runs on, unless it runs inline.
+		Pool:         taskrt.SharedCounters(),
+		InlineSolves: s.inline,
 	}
 }
 
@@ -384,6 +412,9 @@ func (s *Server) dispatch() {
 			s.completed++
 			if resp.Warm {
 				s.warm++
+			}
+			if resp.Inline {
+				s.inline++
 			}
 		}
 		s.mu.Unlock()
@@ -473,6 +504,7 @@ func (s *Server) execute(p *pending) (*Response, error) {
 		Elapsed:     res.Elapsed,
 		Queued:      time.Since(p.enqueued) - res.Elapsed,
 		Warm:        co.Warm,
+		Inline:      co.Inline,
 		Injected:    injected,
 		Stats:       res.Stats,
 	}

@@ -130,24 +130,27 @@ func TestNegativePriorityRunsAfterDefaultWork(t *testing.T) {
 }
 
 func TestResubmitZeroAllocs(t *testing.T) {
-	rt := New(2)
-	defer rt.Close()
-	a := make([]*Handle, 2)
-	b := make([]*Handle, 2)
-	for i := range a {
-		a[i] = rt.NewTask(TaskSpec{Run: func(int) {}, Label: "a"})
-		b[i] = rt.NewTask(TaskSpec{Run: func(int) {}, Label: "b"})
-	}
-	iter := func() {
-		rt.ResubmitAll(a, nil)
-		rt.ResubmitAll(b, a)
-		rt.WaitAll(b)
-	}
-	// Warm up lazily-allocated wait conds and queue rings.
-	for i := 0; i < 10; i++ {
-		iter()
-	}
-	if allocs := testing.AllocsPerRun(100, iter); allocs > 0 {
-		t.Fatalf("steady-state resubmission allocates %.1f/op, want 0", allocs)
+	for name, rt := range map[string]*Runtime{"pool": New(2), "inline": NewInline()} {
+		t.Run(name, func(t *testing.T) {
+			defer rt.Close()
+			a := make([]*Handle, 2)
+			b := make([]*Handle, 2)
+			for i := range a {
+				a[i] = rt.NewTask(TaskSpec{Run: func(int) {}, Label: "a"})
+				b[i] = rt.NewTask(TaskSpec{Run: func(int) {}, Label: "b"})
+			}
+			iter := func() {
+				rt.ResubmitAll(a, nil)
+				rt.ResubmitAll(b, a)
+				rt.WaitAll(b)
+			}
+			// Warm up lazily-allocated wait conds and queue rings.
+			for i := 0; i < 10; i++ {
+				iter()
+			}
+			if allocs := testing.AllocsPerRun(100, iter); allocs > 0 {
+				t.Fatalf("steady-state resubmission allocates %.1f/op, want 0", allocs)
+			}
+		})
 	}
 }

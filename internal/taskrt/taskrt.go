@@ -27,6 +27,10 @@
 // scheduler and the kernel. A waiter also helps: it runs ready tasks
 // itself while the tasks it waits for are pending.
 //
+// NewInline builds a runtime with no workers, for graphs too short to be
+// worth spreading: tasks run in the goroutine that waits for them, through
+// the same await — its one-processor case as a property of the runtime.
+//
 // Handles are reusable: NewTask binds a task body without running it and
 // Resubmit/ResubmitAll replay finished handles with fresh dependencies,
 // so a solver's steady-state iteration re-issues its whole task graph
@@ -149,8 +153,9 @@ func (q *wq) pop() *Handle {
 
 // Runtime is a fixed-size worker pool executing dependency-ordered tasks.
 type Runtime struct {
-	workers int
+	workers int  // run queues; one goroutine each unless inline
 	shared  bool // process-wide pool: Close drains instead of shutting down
+	inline  bool // no worker goroutines (see NewInline)
 
 	qs []wq // per-worker run queues (priority-0 tasks)
 
@@ -193,22 +198,41 @@ func New(workers int) *Runtime {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	rt := &Runtime{
-		workers: workers,
-		procs:   runtime.GOMAXPROCS(0),
-		qs:      make([]wq, workers),
-		times:   make([]StateTimes, workers),
-		timesMu: make([]sync.Mutex, workers),
-	}
-	rt.sleepCond = sync.NewCond(&rt.sleepMu)
-	rt.qcond = sync.NewCond(&rt.qmu)
+	rt := newRuntime(workers, runtime.GOMAXPROCS(0))
 	for w := 0; w < workers; w++ {
 		go rt.worker(w)
 	}
 	return rt
 }
 
-// NumWorkers returns the pool size.
+// NewInline creates a runtime with no worker goroutines: one run queue,
+// drained by whoever waits. Submit and Resubmit enqueue; Wait, WaitAll and
+// Quiesce pop and execute in submission order (negative priorities last, as
+// on a pool); nothing ever polls, wakes or parks. It serves ONE goroutine
+// at a time: a wait with nothing to run and its task unfinished could only
+// park, and nobody would wake it, so it panics (inlineParkMsg) instead.
+func NewInline() *Runtime {
+	rt := newRuntime(1, 1)
+	rt.inline = true
+	return rt
+}
+
+func newRuntime(workers, procs int) *Runtime {
+	rt := &Runtime{
+		workers: workers,
+		procs:   procs,
+		qs:      make([]wq, workers),
+		times:   make([]StateTimes, workers),
+		timesMu: make([]sync.Mutex, workers),
+	}
+	rt.sleepCond = sync.NewCond(&rt.sleepMu)
+	rt.qcond = sync.NewCond(&rt.qmu)
+	return rt
+}
+
+// NumWorkers returns the pool size: the number of run queues and of worker
+// indices a task body can see (1 on an inline runtime, whose one "worker"
+// is the waiting goroutine).
 func (rt *Runtime) NumWorkers() int { return rt.workers }
 
 // IsShared reports whether this runtime is the process-wide shared pool
@@ -462,6 +486,9 @@ func (rt *Runtime) await(done func() bool, park func()) {
 			continue
 		}
 		if rt.avail.Load() == 0 {
+			if rt.inline {
+				panic(inlineParkMsg)
+			}
 			park()
 		}
 	}
@@ -481,6 +508,8 @@ func (rt *Runtime) await(done func() bool, park func()) {
 		rt.sleepMu.Unlock()
 	}
 }
+
+const inlineParkMsg = "taskrt: wait on an inline runtime would park: the task is not ready and there is no worker to run what it waits for (a runtime from NewInline serves one goroutine at a time)"
 
 // wake rouses up to n sleeping workers, capped at GOMAXPROCS-1: the
 // thread that will Wait on the work helps execute it (see await), so
