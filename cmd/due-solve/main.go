@@ -48,7 +48,6 @@ func main() {
 	solverName := flag.String("solver", "cg", strings.Join(registry.Names(), " | "))
 	precond := flag.Bool("precond", false, "use the block-Jacobi preconditioner (all solvers, single-node and -ranks)")
 	ranks := flag.Int("ranks", 0, "run distributed across N ranks on the sharded substrate (0 = single-node)")
-	basisK := flag.Int("basis-k", 0, "s-step basis size for -solver cacg (0 = 4): one global reduction per k iterations")
 	rate := flag.Float64("rate", 0, "expected DUEs per solver run (0 = no injection)")
 	sdc := flag.Float64("sdc", 0, "fraction of injected events that are silent single-bit flips instead of DUEs (0..1, needs -rate)")
 	abft := flag.Bool("abft", false, "enable checksum (ABFT) silent-error coverage: detected flips become recoverable poisons (single-node cg, resilient methods)")
@@ -82,8 +81,7 @@ func main() {
 			UsePrecond: *precond,
 			ABFT:       *abft,
 		},
-		Ranks:  *ranks,
-		BasisK: *basisK,
+		Ranks: *ranks,
 		// One process-wide pool: probe and main runs share it instead of
 		// stacking two pools' workers onto the same cores.
 		SharedPool: true,

@@ -22,11 +22,6 @@ const (
 	MaxIterFactor = 10
 	// GMRESRestart is the Arnoldi cycle length m when none is configured.
 	GMRESRestart = 30
-	// BasisK is the s-step basis size of the communication-avoiding CG
-	// when none is configured: k = 4 keeps the monomial basis well away
-	// from its conditioning cliff while already folding four iterations
-	// into one global reduction.
-	BasisK = 4
 	// ServeQueueDepth bounds the due-serve admission queue: a request
 	// arriving past it is rejected immediately — shedding load beats
 	// unbounded queueing latency.
@@ -49,10 +44,6 @@ const (
 	// whatever width it has.
 	ServeBatchWindow = 2 * time.Millisecond
 )
-
-// BasisKOr resolves a configured s-step basis size, falling back to
-// BasisK.
-func BasisKOr(v int) int { return Int(v, BasisK) }
 
 // GMRESRestartOr resolves a configured restart length, falling back to
 // GMRESRestart.

@@ -18,11 +18,6 @@ import (
 // on it; the runtime refills a sudog cache after a GC), so a window sees
 // up to a few dozen objects however long it is; one allocation per
 // iteration anywhere in a solver shows up as 200.
-//
-// dist.CACG is the exception, and the bound says by how much: its
-// coordinator rebuilds the k×k Gram factor (sparse.NewDense +
-// sparse.NewCholesky, k = 4) once per outer step, ≈14 small objects per
-// 4 iterations; its rank tasks allocate nothing.
 func TestSteadyStateIterationsDoNotAllocate(t *testing.T) {
 	const warm, last, ranks = 20, 220, 3
 	a := matgen.Poisson2D(48, 48)
@@ -51,25 +46,23 @@ func TestSteadyStateIterationsDoNotAllocate(t *testing.T) {
 			return err
 		}
 	}
+	const perIter = 0.5 // allocations per iteration that fail a case
 	for _, c := range []struct {
-		name    string
-		perIter float64 // allocations per iteration that fail the case
-		run     func() error
+		name string
+		run  func() error
 	}{
-		{"core.CG/feir", 0.5, coreCG(core.MethodFEIR, false)},
-		{"core.CG/afeir", 0.5, coreCG(core.MethodAFEIR, false)},
-		{"core.CG/feir+precond", 0.5, coreCG(core.MethodFEIR, true)},
-		{"core.CG/afeir+precond", 0.5, coreCG(core.MethodAFEIR, true)},
-		{"core.BatchCG/w4", 0.5, func() error {
+		{"core.CG/feir", coreCG(core.MethodFEIR, false)},
+		{"core.CG/afeir", coreCG(core.MethodAFEIR, false)},
+		{"core.CG/feir+precond", coreCG(core.MethodFEIR, true)},
+		{"core.CG/afeir+precond", coreCG(core.MethodAFEIR, true)},
+		{"core.BatchCG/w4", func() error {
 			bcg, err := core.NewBatchCG(a, [][]float64{b, b, b, b}, 4, single(core.MethodFEIR, false))
 			if err == nil {
 				_, err = bcg.Run()
 			}
 			return err
 		}},
-		{"dist.CG", 0.5, func() error { _, _, err := SolveCG(a, b, ranks, sharded); return err }},
-		{"dist.PipeCG", 0.5, func() error { _, _, err := SolvePipeCG(a, b, ranks, sharded); return err }},
-		{"dist.CACG", 4, func() error { _, _, err := SolveCACG(a, b, ranks, sharded); return err }},
+		{"dist.CG", func() error { _, _, err := SolveCG(a, b, ranks, sharded); return err }},
 	} {
 		m0, m1 = runtime.MemStats{}, runtime.MemStats{}
 		if err := c.run(); err != nil {
@@ -78,8 +71,8 @@ func TestSteadyStateIterationsDoNotAllocate(t *testing.T) {
 		if m1.Mallocs == 0 {
 			t.Fatalf("%s: the run never reached iteration %d", c.name, last)
 		}
-		if got := float64(m1.Mallocs-m0.Mallocs) / (last - warm); got >= c.perIter {
-			t.Errorf("%s: %.2f allocations per iteration over iterations %d–%d, want < %v", c.name, got, warm, last, c.perIter)
+		if got := float64(m1.Mallocs-m0.Mallocs) / (last - warm); got >= perIter {
+			t.Errorf("%s: %.2f allocations per iteration over iterations %d–%d, want < %v", c.name, got, warm, last, perIter)
 		}
 	}
 }

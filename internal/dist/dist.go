@@ -48,22 +48,17 @@ type Config struct {
 	CheckpointInterval int
 	// Restart is the GMRES restart length; 0 means 30.
 	Restart int
-	// BasisK is the s-step basis size of the communication-avoiding CG
-	// (cacg): each outer step performs BasisK SpMV supersteps and exactly
-	// one global reduction. 0 means 4.
-	BasisK int
 	// UsePrecond enables the block-Jacobi preconditioned variant (PCG,
 	// PBiCGStab, PGMRES). Blocks coincide with pages and never cross rank
 	// boundaries, so application and recovery stay rank-local (§5.1).
 	UsePrecond bool
-	// Barrier forces the pre-overlap superstep discipline on solvers that
-	// support communication overlap (CG, PipeCG): every halo exchange at a
-	// full barrier before any SpMV row runs. Default (false) overlaps the
-	// exchange with interior rows and gates boundary rows on the ghost
-	// pages they read (shard.OverlapStep); on no-fault runs the two paths
-	// are bitwise identical. It stays because overlap_storm_test.go,
-	// pipecg_test.go and cacg_test.go use the barrier branch as the
-	// reference their overlapped results and recovery counts are pinned to.
+	// Barrier forces the pre-overlap superstep discipline on CG: every
+	// halo exchange at a full barrier before any SpMV row runs. Default
+	// (false) overlaps the exchange with interior rows and gates boundary
+	// rows on the ghost pages they read (shard.OverlapStep); on no-fault
+	// runs the two paths are bitwise identical. It stays because
+	// overlap_storm_test.go uses the barrier branch as the reference its
+	// overlapped results and recovery counts are pinned to.
 	Barrier bool
 	// Inject, when non-nil, is called once per iteration with the ranks —
 	// the hook deterministic experiments use to drive injections into
@@ -99,8 +94,6 @@ func (c Config) maxIter(n int) int { return defaults.MaxIterOr(c.MaxIter, n) }
 func (c Config) ckptInterval() int { return defaults.CheckpointIntervalOr(c.CheckpointInterval) }
 
 func (c Config) restart() int { return defaults.GMRESRestartOr(c.Restart) }
-
-func (c Config) basisK() int { return defaults.BasisKOr(c.BasisK) }
 
 // base carries the state shared by all three distributed solvers.
 type base struct {
@@ -183,8 +176,8 @@ func (b *base) DynamicVectors() []*pagemem.Vector { return b.dynamic }
 func (b *base) RankStats() []core.Stats { return b.sub.RankStats() }
 
 // Reductions reports how many global reduction supersteps the substrate
-// performed — the communication metric the s-step variant exists to
-// shrink. Valid after Run returned.
+// performed — the communication metric of a distributed solve. Valid
+// after Run returned.
 func (b *base) Reductions() int64 { return b.sub.Reductions() }
 
 func (b *base) inject(it int) {

@@ -59,9 +59,9 @@ func (a *Partial) SumAvailable() (sum float64, missing int) {
 }
 
 // PartialBlock is a Partial with w float64 slots per page: the reduction
-// buffer of a fused BLOCK reduction, where one superstep pass produces a
-// whole vector of inner products (the s-step CG's Gram matrix) instead
-// of one scalar. A page's w slots are written together by its rank task
+// buffer of a fused BLOCK reduction, where one pass produces a whole
+// vector of inner products (one per column of a batched solve) instead
+// of one scalar. A page's w slots are written together by its page task
 // (StoreRow) and summed page-ascending per slot by the coordinator, so
 // every slot's accumulation order is as deterministic as Partial's.
 type PartialBlock struct {

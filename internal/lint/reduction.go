@@ -6,8 +6,9 @@ import (
 )
 
 // reductionAccounting keeps Substrate.Reductions() honest. The counter
-// is the ground truth the s-step/CA experiments compare against, so
-// every coordinator sum over rank partials must account a superstep:
+// is the communication metric a distributed solve reports (the
+// benchmark's shard.reductions_per_iter), so every coordinator sum over
+// rank partials must account a superstep:
 //
 //   - in internal/shard, any function calling SumAvailable (the
 //     coordinator-side partial sum) must also increment the reductions

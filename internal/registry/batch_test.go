@@ -36,7 +36,7 @@ func TestCheckoutBatchRejections(t *testing.T) {
 	octx := NewOperatorContext("m", a, 64)
 	rhs := batchRHS(a.N, 2, 7)
 
-	for _, name := range []string{"bicgstab", "gmres", "pipecg", "cacg"} {
+	for _, name := range []string{"bicgstab", "gmres"} {
 		if caps, ok := Caps(name); !ok || caps.Batch {
 			t.Fatalf("%s: unexpected Batch capability", name)
 		}

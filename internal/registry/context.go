@@ -28,7 +28,7 @@ func spdFor(name string) bool {
 	case "bicgstab", "gmres":
 		return false
 	}
-	return true // cg, pipecg, cacg
+	return true // cg
 }
 
 // poolKey identifies one reusable solver build: every Config field that

@@ -29,9 +29,6 @@ type Config struct {
 	Ranks int
 	// Restart is the GMRES restart length; 0 means 30.
 	Restart int
-	// BasisK is the s-step basis size of the communication-avoiding CG
-	// (cacg); 0 means 4.
-	BasisK int
 	// RankInject, when non-nil and Ranks > 0, is called once per
 	// iteration with the substrate's ranks — the deterministic injection
 	// hook of the distributed validation runs.
@@ -52,7 +49,6 @@ func (c Config) distConfig() dist.Config {
 		MaxIter:            c.MaxIter,
 		CheckpointInterval: c.CheckpointInterval,
 		Restart:            c.Restart,
-		BasisK:             c.BasisK,
 		UsePrecond:         c.UsePrecond,
 		Inject:             c.RankInject,
 		OnIteration:        c.OnIteration,
@@ -216,35 +212,6 @@ func init() {
 			Run:      func() (core.Result, error) { return s.Run() },
 			Solution: s.Solution,
 		}, nil
-	})
-	// pipecg is the pipelined distributed CG (single fused reduction per
-	// iteration, allreduce overlapped with the next SpMV). It exists only
-	// on the rank-sharded substrate and has no preconditioned variant or
-	// checkpoint rollback; the capability declaration and the explicit
-	// ranks check keep both rejections loud.
-	Register("pipecg", Capabilities{Distributed: true}, func(a *sparse.CSR, b []float64, cfg Config) (*Instance, error) {
-		if cfg.Ranks <= 0 {
-			return nil, fmt.Errorf("registry: solver \"pipecg\" is distributed-only (set -ranks)")
-		}
-		s, err := dist.NewPipeCG(a, b, cfg.Ranks, cfg.distConfig())
-		if err != nil {
-			return nil, err
-		}
-		return distInstance(s), nil
-	})
-	// cacg is the communication-avoiding s-step CG (one global reduction
-	// per k iterations, basis SpMVs back to back). Distributed-only, like
-	// pipecg, and the block recurrence has no preconditioned variant or
-	// checkpoint rollback.
-	Register("cacg", Capabilities{Distributed: true}, func(a *sparse.CSR, b []float64, cfg Config) (*Instance, error) {
-		if cfg.Ranks <= 0 {
-			return nil, fmt.Errorf("registry: solver \"cacg\" is distributed-only (set -ranks)")
-		}
-		s, err := dist.NewCACG(a, b, cfg.Ranks, cfg.distConfig())
-		if err != nil {
-			return nil, err
-		}
-		return distInstance(s), nil
 	})
 	Register("bicgstab", all, func(a *sparse.CSR, b []float64, cfg Config) (*Instance, error) {
 		if cfg.Ranks > 0 {

@@ -1,6 +1,8 @@
 package registry
 
 import (
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -97,6 +99,7 @@ func TestAllVariantsDispatch(t *testing.T) {
 // rejected with an error naming the solver, not run without it.
 func TestCapabilityRejection(t *testing.T) {
 	name := "limited-test-solver"
+	t.Cleanup(func() { delete(builders, name) })
 	Register(name, Capabilities{}, func(a *sparse.CSR, b []float64, cfg Config) (*Instance, error) {
 		t.Fatal("builder must not run for a rejected configuration")
 		return nil, nil
@@ -113,47 +116,30 @@ func TestCapabilityRejection(t *testing.T) {
 	}
 }
 
-// TestBuiltinsDeclareFullCapabilities pins the six preconditioned entry
-// points: every built-in dispatches -precond and -ranks.
+// TestBuiltinsDeclareFullCapabilities pins the registry's built-in
+// surface: exactly cg, bicgstab and gmres, each dispatching -precond,
+// -ranks and -policy; any other name — pipecg and cacg are the two a
+// caller may still send — answers the unknown-solver error listing what
+// is registered.
 func TestBuiltinsDeclareFullCapabilities(t *testing.T) {
-	for _, solver := range []string{"cg", "bicgstab", "gmres"} {
+	builtins := []string{"bicgstab", "cg", "gmres"}
+	if names := Names(); !slices.Equal(names, builtins) {
+		t.Fatalf("Names() = %v, want exactly %v", names, builtins)
+	}
+	for _, solver := range builtins {
 		caps, ok := Caps(solver)
 		if !ok {
 			t.Fatalf("%s not registered", solver)
 		}
-		if !caps.Precond || !caps.Distributed {
+		if !caps.Precond || !caps.Distributed || !caps.Policy {
 			t.Fatalf("%s caps = %+v, want full", solver, caps)
 		}
 	}
-}
-
-// TestPipeCGRegistration pins the pipelined CG entry: distributed runs
-// converge to the cg solution, single-node and preconditioned requests
-// are rejected naming the solver.
-func TestPipeCGRegistration(t *testing.T) {
-	caps, ok := Caps("pipecg")
-	if !ok {
-		t.Fatal("pipecg not registered")
-	}
-	if caps.Precond || !caps.Distributed {
-		t.Fatalf("pipecg caps = %+v, want distributed-only", caps)
-	}
 	a, b := testSystem(t)
-	if _, err := New("pipecg", a, b, testCfg(true, 2)); err == nil || !strings.Contains(err.Error(), "pipecg") {
-		t.Fatalf("UsePrecond not rejected: %v", err)
-	}
-	if _, err := New("pipecg", a, b, testCfg(false, 0)); err == nil || !strings.Contains(err.Error(), "pipecg") {
-		t.Fatalf("single-node not rejected: %v", err)
-	}
-	inst, err := New("pipecg", a, b, testCfg(false, 2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := inst.Run()
-	if err != nil || !res.Converged || res.RelResidual > 1e-8 {
-		t.Fatalf("pipecg run: %+v err=%v", res, err)
-	}
-	if inst.RankStats == nil || len(inst.RankStats()) != 2 {
-		t.Fatal("pipecg instance missing per-rank stats")
+	for _, gone := range []string{"pipecg", "cacg"} {
+		want := fmt.Sprintf("unknown solver %q (have %v)", gone, builtins)
+		if _, err := New(gone, a, b, testCfg(false, 2)); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("New(%q) = %v, want an error containing %q", gone, err, want)
+		}
 	}
 }

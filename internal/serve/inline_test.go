@@ -66,7 +66,9 @@ func nOf(srv *Server, key string) int { return srv.Cache().Peek(key).A.N }
 
 // TestBadRequestRefusedAtAdmission: a request no solve can answer never
 // reaches a dispatcher. Before this check one NaN in B held a dispatcher
-// for the full 10·n iterations and produced a response JSON cannot encode.
+// for the full 10·n iterations and produced a response JSON cannot encode;
+// a solver or method the server does not have was counted Accepted, waited
+// its turn in the queue and failed only at checkout.
 func TestBadRequestRefusedAtAdmission(t *testing.T) {
 	srv := newTestServer(t, Options{Concurrent: 1})
 	n := nOf(srv, "m")
@@ -84,6 +86,10 @@ func TestBadRequestRefusedAtAdmission(t *testing.T) {
 		"NaN tol":         {Matrix: "m", Tol: math.NaN()},
 		"negative budget": {Matrix: "m", MaxIter: -5},
 		"negative ranks":  {Matrix: "m", Ranks: -1},
+		"solver pipecg":   {Matrix: "m", Solver: "pipecg", Ranks: 2},
+		"solver cacg":     {Matrix: "m", Solver: "cacg", Ranks: 2},
+		"solver nope":     {Matrix: "m", Solver: "nope"},
+		"method exact":    {Matrix: "m", Method: "exact"},
 	}
 	for name, req := range cases {
 		start := time.Now()
@@ -98,8 +104,10 @@ func TestBadRequestRefusedAtAdmission(t *testing.T) {
 	if s := srv.Snapshot(); s.Rejected != int64(len(cases)) || s.Accepted != 0 {
 		t.Fatalf("rejected=%d accepted=%d, want %d/0", s.Rejected, s.Accepted, len(cases))
 	}
-	if resp, err := srv.Submit(&Request{Matrix: "m", B: matgen.Ones(n), Tol: 1e-9}); err != nil || !resp.Converged {
-		t.Fatalf("the valid request: %+v, %v", resp, err)
+	for _, solver := range []string{"", "bicgstab"} {
+		if resp, err := srv.Submit(&Request{Matrix: "m", Solver: solver, B: matgen.Ones(n), Tol: 1e-9}); err != nil || !resp.Converged {
+			t.Fatalf("the valid request (solver %q): %+v, %v", solver, resp, err)
+		}
 	}
 
 	// Over HTTP: 400 with the reason, and a body past the cap is cut off.
@@ -111,6 +119,10 @@ func TestBadRequestRefusedAtAdmission(t *testing.T) {
 	rr := post(srv.Handler(), `{"matrix":"m","b":[1e308,1e308`+strings.Repeat(",1", n-2)+`]}`)
 	if rr.Code != http.StatusBadRequest || !strings.Contains(rr.Body.String(), "squared norm that overflows") {
 		t.Fatalf("overflowing rhs over HTTP: %d %q", rr.Code, rr.Body.String())
+	}
+	rr = post(srv.Handler(), `{"matrix":"m","solver":"pipecg","ranks":2}`)
+	if rr.Code != http.StatusBadRequest || !strings.Contains(rr.Body.String(), `unknown solver "pipecg" (have [bicgstab cg gmres])`) {
+		t.Fatalf("unknown solver over HTTP: %d %q", rr.Code, rr.Body.String())
 	}
 	capped := New(Options{Concurrent: 1, CacheBytes: 512})
 	t.Cleanup(capped.Drain)

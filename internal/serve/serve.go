@@ -43,7 +43,8 @@ var (
 	ErrDraining      = errors.New("serve: server is draining")
 	ErrUnknownMatrix = errors.New("serve: unknown matrix handle")
 	// ErrBadRequest refuses at admission what no solve can answer: rel < tol
-	// is never true of a NaN, so it would hold a dispatcher for MaxIter.
+	// is never true of a NaN, so it would hold a dispatcher for MaxIter; a
+	// solver or method name nothing answers to would queue only to fail.
 	ErrBadRequest = errors.New("serve: bad request")
 )
 
@@ -97,6 +98,14 @@ type Request struct {
 	// unpreconditioned single-node CG family (methods ideal/feir/afeir,
 	// no injection) is batchable; anything else solves solo as usual.
 	Batch bool `json:"batch,omitempty"`
+}
+
+// solverName is the registry name the request asks for.
+func (r *Request) solverName() string {
+	if r.Solver == "" {
+		return "cg"
+	}
+	return r.Solver
 }
 
 // Response reports one completed solve.
@@ -256,10 +265,7 @@ func (s *Server) Prewarm(req *Request, count int) error {
 		}
 		return nil
 	}
-	solver := req.Solver
-	if solver == "" {
-		solver = "cg"
-	}
+	solver := req.solverName()
 	cfg := registry.Config{
 		Config: core.Config{
 			Method: method, Workers: s.opts.Workers, PageDoubles: octx.PageDoubles,
@@ -323,7 +329,13 @@ func (s *Server) Submit(req *Request) (*Response, error) {
 func (s *Server) validate(req *Request) error {
 	octx := s.cache.Peek(req.Matrix) // unknown handles are execute's to report
 	bb := sparse.Dot(req.B, req.B)   // ε = <g,g> of iteration 0: what rel < tol is computed from
+	_, known := registry.Caps(req.solverName())
+	_, methodErr := ParseMethod(req.Method)
 	switch {
+	case !known:
+		return fmt.Errorf("%w: unknown solver %q (have %v)", ErrBadRequest, req.Solver, registry.Names())
+	case methodErr != nil:
+		return fmt.Errorf("%w: %v", ErrBadRequest, methodErr)
 	case octx != nil && req.B != nil && len(req.B) != octx.A.N:
 		return fmt.Errorf("%w: rhs length %d for n=%d", ErrBadRequest, len(req.B), octx.A.N)
 	case math.IsNaN(bb) || math.IsInf(bb, 0):
@@ -434,10 +446,7 @@ func (s *Server) execute(p *pending) (*Response, error) {
 	if err != nil {
 		return nil, err
 	}
-	solver := req.Solver
-	if solver == "" {
-		solver = "cg"
-	}
+	solver := req.solverName()
 	timeout := req.Timeout
 	if timeout <= 0 {
 		timeout = defaults.ServeTimeoutOr(s.opts.Timeout)

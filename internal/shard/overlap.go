@@ -239,184 +239,43 @@ func (st *OverlapStep) Run() (xy, yy float64) {
 	return st.Finish()
 }
 
-// PreparedRankOp is a replayable RankOp/RankOpDot/RankOpDot2 superstep:
-// one persistent task per rank whose body reads per-iteration state
-// through the solver's closure, resubmitted with zero allocations —
-// engine.Prepared brought to the shard layer.
+// PreparedRankOp is a replayable RankOpDot superstep: one persistent task
+// per rank whose body reads per-iteration state through the solver's
+// closure, resubmitted with zero allocations — engine.Prepared brought to
+// the shard layer.
 type PreparedRankOp struct {
 	sub   *Substrate
 	tasks []*taskrt.Handle
-	dots  int
-}
-
-func (s *Substrate) prepareRankOp(label string, dots int, body func(r *Rank)) *PreparedRankOp {
-	op := &PreparedRankOp{sub: s, dots: dots, tasks: make([]*taskrt.Handle, len(s.Ranks))}
-	for i, r := range s.Ranks {
-		r := r
-		//due:hotpath
-		op.tasks[i] = s.RT.NewTask(taskrt.TaskSpec{Label: label, Home: taskrt.HomeWorker(i), Run: func(int) { body(r) }})
-	}
-	return op
-}
-
-// PrepareRankOp prepares a replayable RankOp.
-func (s *Substrate) PrepareRankOp(label string, fn func(r *Rank, p, lo, hi int)) *PreparedRankOp {
-	//due:hotpath
-	return s.prepareRankOp(label, 0, func(r *Rank) {
-		for p := r.PLo; p < r.PHi; p++ {
-			lo, hi := s.Layout.Range(p)
-			fn(r, p, lo, hi)
-		}
-	})
 }
 
 // PrepareRankOpDot prepares a replayable RankOpDot (one fused reduction,
 // stored in the substrate's shared partial buffer).
 func (s *Substrate) PrepareRankOpDot(label string, fn func(r *Rank, p, lo, hi int) float64) *PreparedRankOp {
-	//due:hotpath
-	return s.prepareRankOp(label, 1, func(r *Rank) {
-		for p := r.PLo; p < r.PHi; p++ {
-			lo, hi := s.Layout.Range(p)
-			s.part.Store(p, fn(r, p, lo, hi))
-		}
-	})
-}
-
-// PrepareRankOpDot2 prepares a replayable RankOpDot2 (two fused
-// reductions).
-func (s *Substrate) PrepareRankOpDot2(label string, fn func(r *Rank, p, lo, hi int) (float64, float64)) *PreparedRankOp {
-	//due:hotpath
-	return s.prepareRankOp(label, 2, func(r *Rank) {
-		for p := r.PLo; p < r.PHi; p++ {
-			lo, hi := s.Layout.Range(p)
-			a, b := fn(r, p, lo, hi)
-			s.part.Store(p, a)
-			s.part2.Store(p, b)
-		}
-	})
-}
-
-// Submit resets the partial buffers this op uses and replays its tasks.
-func (op *PreparedRankOp) Submit() {
-	if op.dots >= 1 {
-		op.sub.part.ResetMissing()
-	}
-	if op.dots >= 2 {
-		op.sub.part2.ResetMissing()
-	}
-	op.sub.RT.ResubmitAll(op.tasks, nil)
-	if hook := op.sub.TestHook; hook != nil {
-		hook("rankop")
-	}
-}
-
-// Wait blocks until the latest replay finished, without summing — the
-// pipelined solvers defer the sum past the next superstep's submission
-// (the allreduce/SpMV overlap).
-func (op *PreparedRankOp) Wait() { op.sub.RT.WaitAll(op.tasks) }
-
-// Sums returns the first reduction of the latest finished replay. A
-// replay whose partials are never summed counts no reduction superstep —
-// the deferred-sum discipline lets a solver carry fused partials it only
-// consumes on drift checks (the s-step CG's rr) without paying for an
-// allreduce it did not perform.
-func (op *PreparedRankOp) Sums() float64 {
-	op.sub.reductions++
-	a, _ := op.sub.part.SumAvailable()
-	return a
-}
-
-// Sums2 returns both reductions of the latest finished replay.
-func (op *PreparedRankOp) Sums2() (float64, float64) {
-	op.sub.reductions++
-	a, _ := op.sub.part.SumAvailable()
-	b, _ := op.sub.part2.SumAvailable()
-	return a, b
-}
-
-// Run replays and waits.
-func (op *PreparedRankOp) Run() {
-	op.Submit()
-	op.Wait()
-}
-
-// RunDot replays, waits and returns the fused reduction.
-func (op *PreparedRankOp) RunDot() float64 {
-	op.Run()
-	return op.Sums()
-}
-
-// RunDot2 replays, waits and returns both fused reductions.
-func (op *PreparedRankOp) RunDot2() (float64, float64) {
-	op.Run()
-	return op.Sums2()
-}
-
-// PreparedRankOpDotBlock is a replayable rank op with a vector-valued
-// fused reduction: every page contributes a w-wide row of partials and
-// one coordinator superstep sums them all. It is the block counterpart
-// of PrepareRankOpDot — the s-step CG packs an entire Gram matrix
-// (G, K'P, K'AP) into one such row, collapsing what classic CG spreads
-// over 2s reductions into a single superstep per outer step.
-type PreparedRankOpDotBlock struct {
-	sub   *Substrate
-	part  *engine.PartialBlock
-	tasks []*taskrt.Handle
-}
-
-// PrepareRankOpDotBlock prepares a replayable block-reduction superstep
-// of width w. fn fills out (pre-zeroed, length w) with the page's
-// contribution; rows land in an op-owned PartialBlock so concurrent
-// block ops never share partial state with the substrate's scalar
-// buffers.
-func (s *Substrate) PrepareRankOpDotBlock(label string, w int, fn func(r *Rank, p, lo, hi int, out []float64)) *PreparedRankOpDotBlock {
-	op := &PreparedRankOpDotBlock{
-		sub:   s,
-		part:  engine.NewPartialBlock(s.NP, w),
-		tasks: make([]*taskrt.Handle, len(s.Ranks)),
-	}
+	op := &PreparedRankOp{sub: s, tasks: make([]*taskrt.Handle, len(s.Ranks))}
 	for i, r := range s.Ranks {
 		r := r
-		scratch := make([]float64, w) // per-rank: tasks of one op never share
 		//due:hotpath
 		op.tasks[i] = s.RT.NewTask(taskrt.TaskSpec{Label: label, Home: taskrt.HomeWorker(i), Run: func(int) {
 			for p := r.PLo; p < r.PHi; p++ {
 				lo, hi := s.Layout.Range(p)
-				for k := range scratch {
-					scratch[k] = 0
-				}
-				fn(r, p, lo, hi, scratch)
-				op.part.StoreRow(p, scratch)
+				s.part.Store(p, fn(r, p, lo, hi))
 			}
 		}})
 	}
 	return op
 }
 
-// Submit resets the op's partial block and replays its tasks.
-func (op *PreparedRankOpDotBlock) Submit() {
-	op.part.ResetMissing()
-	op.sub.RT.ResubmitAll(op.tasks, nil)
-	if hook := op.sub.TestHook; hook != nil {
+// RunDot resets the shared partial buffer, replays the tasks, waits and
+// returns the fused reduction (one reduction superstep).
+func (op *PreparedRankOp) RunDot() float64 {
+	s := op.sub
+	s.part.ResetMissing()
+	s.RT.ResubmitAll(op.tasks, nil)
+	if hook := s.TestHook; hook != nil {
 		hook("rankop")
 	}
-}
-
-// Wait blocks until the latest replay finished, without summing.
-func (op *PreparedRankOpDotBlock) Wait() { op.sub.RT.WaitAll(op.tasks) }
-
-// Sums accumulates the block reduction of the latest finished replay
-// into dst (length = the op's width) and reports how many pages were
-// lost to DUEs. One call is one reduction superstep however wide the
-// block is — that is the whole point.
-func (op *PreparedRankOpDotBlock) Sums(dst []float64) (missing int) {
-	op.sub.reductions++
-	return op.part.SumAvailable(dst)
-}
-
-// Run replays, waits and sums into dst.
-func (op *PreparedRankOpDotBlock) Run(dst []float64) (missing int) {
-	op.Submit()
-	op.Wait()
-	return op.Sums(dst)
+	s.RT.WaitAll(op.tasks)
+	s.reductions++
+	a, _ := s.part.SumAvailable()
+	return a
 }

@@ -1,7 +1,6 @@
 package shard
 
 import (
-	"math"
 	"runtime"
 	"slices"
 	"testing"
@@ -240,61 +239,5 @@ func TestPreparedOpsZeroAlloc(t *testing.T) {
 	runtime.ReadMemStats(&b1)
 	if allocs := float64(b1.Mallocs-b0.Mallocs) / n; allocs > 0.5 {
 		t.Fatalf("barrier supersteps allocate %.2f/call-group, want 0", allocs)
-	}
-}
-
-// TestPreparedRankOpDotBlockMatchesDots: the fused block reduction must
-// reproduce the scalar Dot path bitwise per slot — same per-page kernel,
-// same page-ascending sum order — and count whole missing pages.
-func TestPreparedRankOpDotBlockMatchesDots(t *testing.T) {
-	a := matgen.Poisson2D(40, 40)
-	b := matgen.Ones(a.N)
-	s, err := NewOpts(a, b, 4, 64, 2, true, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	u := s.AddVector("u")
-	v := s.AddVector("v")
-	w := s.AddVector("w")
-	s.Scatter(matgen.RandomVector(a.N, 11), u)
-	s.Scatter(matgen.RandomVector(a.N, 12), v)
-	s.Scatter(matgen.RandomVector(a.N, 13), w)
-	cols := func(r *Rank) [3][]float64 {
-		return [3][]float64{u.Of(r).Data, v.Of(r).Data, w.Of(r).Data}
-	}
-	pairs := [][2]int{{0, 0}, {0, 1}, {1, 2}, {2, 2}}
-	op := s.PrepareRankOpDotBlock("block", len(pairs), func(r *Rank, p, lo, hi int, out []float64) {
-		cs := cols(r)
-		for k, pr := range pairs {
-			out[k] = sparse.DotRange(cs[pr[0]], cs[pr[1]], lo, hi)
-		}
-	})
-	red0 := s.Reductions()
-	got := make([]float64, len(pairs))
-	if missing := op.Run(got); missing != 0 {
-		t.Fatalf("%d pages missing on a fault-free run", missing)
-	}
-	if d := s.Reductions() - red0; d != 1 {
-		t.Fatalf("block reduction counted %d reduction supersteps, want 1", d)
-	}
-	vecs := [3]*Vec{u, v, w}
-	for k, pr := range pairs {
-		if want := s.Dot("ref", vecs[pr[0]], vecs[pr[1]]); got[k] != want {
-			t.Fatalf("slot %d (<%d,%d>): %v, want %v (bitwise)", k, pr[0], pr[1], got[k], want)
-		}
-	}
-	// Run accumulates into its destination, like Partial sums resumed
-	// mid-recovery: a second pass doubles every slot.
-	if missing := op.Run(got); missing != 0 {
-		t.Fatalf("%d pages missing on replay", missing)
-	}
-	// (Only approximately: the carried sum folds the second pass's rows
-	// in one at a time, so the rounding differs from 2x in the last ulp.)
-	for k, pr := range pairs {
-		want := 2 * s.Dot("ref2", vecs[pr[0]], vecs[pr[1]])
-		if d := got[k] - want; d > 1e-12*math.Abs(want) || d < -1e-12*math.Abs(want) {
-			t.Fatalf("slot %d accumulation: %v, want %v", k, got[k], want)
-		}
 	}
 }

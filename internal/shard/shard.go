@@ -139,12 +139,11 @@ type Substrate struct {
 	part2 *engine.Partial // second slot set for fused double reductions
 
 	// reductions counts global reduction supersteps: every coordinator
-	// partial-sum that plays an allreduce (scalar or block) adds one,
-	// regardless of how many values ride it — the communication-cost
-	// metric of the s-step argument (a fused γ/δ pair and a whole Gram
-	// block each count one, like one MPI_Allreduce of a small buffer).
-	// Solvers snapshot it around recovery blocks to attribute steady-
-	// state vs recovery communication.
+	// partial-sum that plays an allreduce adds one, regardless of how
+	// many values ride it (a fused <x,y>/<y,y> pair counts one, like one
+	// MPI_Allreduce of a small buffer). Solvers snapshot it around
+	// recovery blocks to attribute steady-state vs recovery
+	// communication.
 	reductions int64
 
 	// ownRT records whether the substrate created RT (and must close it)

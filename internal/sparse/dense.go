@@ -11,10 +11,9 @@ import (
 // singular pivot and the direct solve cannot proceed.
 var ErrSingular = errors.New("sparse: matrix is singular to working precision")
 
-// Dense is a row-major dense matrix. It is used for the small Gram and
-// Hessenberg systems of s-step CG and GMRES, for the QR fallback on a
-// singular diagonal block, and as the test oracle of the banded block
-// factors (band.go).
+// Dense is a row-major dense matrix. It is used for the small
+// Hessenberg systems of GMRES, for the QR fallback on a singular diagonal
+// block, and as the test oracle of the banded block factors (band.go).
 type Dense struct {
 	Rows, Cols int
 	Data       []float64 // len Rows*Cols, row-major

@@ -145,47 +145,6 @@ func XpbyNormRange(x []float64, beta float64, y, out []float64, lo, hi int) (oo 
 	return oo
 }
 
-// PipeCGUpdateRange is the whole vector phase of one pipelined-CG
-// iteration (Ghysels & Vanroose) fused into a single pass:
-//
-//	z = q + β z ;  s = w + β s ;  p = r + β p
-//	x += α p    ;  r -= α s    ;  w -= α z
-//	γ = Σ r[i]·r[i] ;  δ = Σ w[i]·r[i]
-//
-// over [lo, hi), returning the partial γ and δ of the updated values —
-// the one reduction point of the pipelined iteration rides the update's
-// own pass, and its sum overlaps the next SpMV. Element-wise the
-// operations are independent, so the per-element interleaving produces
-// bitwise the same values as the six unfused Xpby/Axpy passes followed by
-// two DotRange passes (pinned by TestPipeCGUpdateMatchesUnfused).
-//
-//due:hotpath
-func PipeCGUpdateRange(alpha, beta float64, q, z, w, s, r, p, x []float64, lo, hi int) (gamma, delta float64) {
-	qs := q[lo:hi]
-	zs := z[lo:hi:hi]
-	ws := w[lo:hi:hi]
-	ss := s[lo:hi:hi]
-	rs := r[lo:hi:hi]
-	ps := p[lo:hi:hi]
-	xs := x[lo:hi:hi]
-	for i, qv := range qs {
-		zi := qv + beta*zs[i]
-		zs[i] = zi
-		si := ws[i] + beta*ss[i]
-		ss[i] = si
-		pi := rs[i] + beta*ps[i]
-		ps[i] = pi
-		xs[i] += alpha * pi
-		ri := rs[i] - alpha*si
-		rs[i] = ri
-		wi := ws[i] - alpha*zi
-		ws[i] = wi
-		gamma += ri * ri
-		delta += wi * ri
-	}
-	return gamma, delta
-}
-
 // XpbyDotNormRange is XpbyNormRange additionally fused with the partial
 // inner product Σ out[i]·w[i] against a third vector — the BiCGStab
 // phase-3 kernel g = s - ω t with both <g, r̂0> and <g, g> in one pass.

@@ -422,48 +422,3 @@ func TestMergeRanges(t *testing.T) {
 		}
 	}
 }
-
-// Property: PipeCGUpdateRange ≡ the six unfused Xpby/Axpy passes followed
-// by the two DotRange reductions, bitwise on the vectors.
-func TestPipeCGUpdateMatchesUnfused(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 200; trial++ {
-		n := 1 + rng.Intn(96)
-		lo, hi := randRange(rng, n)
-		alpha := rng.NormFloat64()
-		beta := rng.NormFloat64()
-		if trial%5 == 0 {
-			beta = 0 // the restart step
-		}
-		mk := func() []float64 {
-			v := make([]float64, n)
-			for i := range v {
-				v[i] = rng.NormFloat64()
-			}
-			return v
-		}
-		q, z, w, s, r, p, x := mk(), mk(), mk(), mk(), mk(), mk(), mk()
-
-		cp := func(v []float64) []float64 { return append([]float64(nil), v...) }
-		z2, w2, s2, r2, p2, x2 := cp(z), cp(w), cp(s), cp(r), cp(p), cp(x)
-		XpbyRange(q, beta, z2, lo, hi)
-		XpbyRange(w2, beta, s2, lo, hi)
-		XpbyRange(r2, beta, p2, lo, hi)
-		AxpyRange(alpha, p2, x2, lo, hi)
-		AxpyRange(-alpha, s2, r2, lo, hi)
-		AxpyRange(-alpha, z2, w2, lo, hi)
-		wantGamma := DotRange(r2, r2, lo, hi)
-		wantDelta := DotRange(w2, r2, lo, hi)
-
-		gamma, delta := PipeCGUpdateRange(alpha, beta, q, z, w, s, r, p, x, lo, hi)
-		for i := lo; i < hi; i++ {
-			if z[i] != z2[i] || w[i] != w2[i] || s[i] != s2[i] ||
-				r[i] != r2[i] || p[i] != p2[i] || x[i] != x2[i] {
-				t.Fatalf("trial %d: fused vectors diverge at %d", trial, i)
-			}
-		}
-		if !ulpTol(gamma, wantGamma) || !ulpTol(delta, wantDelta) {
-			t.Fatalf("trial %d: gamma/delta %v,%v want %v,%v", trial, gamma, delta, wantGamma, wantDelta)
-		}
-	}
-}
