@@ -11,17 +11,15 @@
 //	due-solve -gen thermal2 -n 20000 -method feir -precond -rate 5
 //	due-solve -gen poisson3d -n 32768 -solver gmres -method afeir -precond -rate 3 -workers 8
 //	due-solve -gen poisson3d -n 32768 -solver bicgstab -method feir -precond -ranks 4 -rate 3
-//	due-solve -gen poisson2d -n 4096 -method feir -abft -policy adaptive -rate 10 -sdc 0.3
+//	due-solve -gen poisson2d -n 4096 -method feir -abft -rate 10 -sdc 0.3
 //
 // -precond selects the block-Jacobi preconditioned variant of every
 // solver, single-node or distributed; a solver without a preconditioned
 // variant is rejected by the registry instead of silently running
 // unpreconditioned. -abft enables the checksum-carrying kernels (silent
-// bit flips become detections and then ordinary page recoveries), -sdc
+// bit flips become detections and then ordinary page recoveries), and -sdc
 // makes the injector emit that fraction of its events as single-bit
-// flips, and -policy adaptive puts the model-driven controller in charge
-// of the method (FEIR ↔ AFEIR ↔ Lossy) and checkpoint interval; the
-// report then includes the per-run decision log and SDC counters.
+// flips; the report then includes the SDC counters.
 package main
 
 import (
@@ -34,7 +32,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/inject"
 	"repro/internal/matgen"
-	"repro/internal/policy"
 	"repro/internal/registry"
 	"repro/internal/sparse"
 	"repro/internal/taskrt"
@@ -51,7 +48,6 @@ func main() {
 	rate := flag.Float64("rate", 0, "expected DUEs per solver run (0 = no injection)")
 	sdc := flag.Float64("sdc", 0, "fraction of injected events that are silent single-bit flips instead of DUEs (0..1, needs -rate)")
 	abft := flag.Bool("abft", false, "enable checksum (ABFT) silent-error coverage: detected flips become recoverable poisons (single-node cg, resilient methods)")
-	policyName := flag.String("policy", "", "resilience policy: 'adaptive' switches FEIR/AFEIR/Lossy at iteration fixpoints from the observed error rate and the perf model; empty = static method")
 	tol := flag.Float64("tol", 1e-10, "relative residual tolerance")
 	workers := flag.Int("workers", 8, "task-pool size (all solvers)")
 	seed := flag.Int64("seed", 1, "injection seed")
@@ -64,14 +60,6 @@ func main() {
 	m, err := parseMethod(*method)
 	if err != nil {
 		fatalf("%v", err)
-	}
-	var ctrl *policy.Controller
-	switch *policyName {
-	case "":
-	case "adaptive":
-		ctrl = policy.New(policy.Config{})
-	default:
-		fatalf("unknown -policy %q (only 'adaptive')", *policyName)
 	}
 	cfg := registry.Config{
 		Config: core.Config{
@@ -86,11 +74,8 @@ func main() {
 		// stacking two pools' workers onto the same cores.
 		SharedPool: true,
 	}
-	if ctrl != nil {
-		cfg.Policy = ctrl
-	}
-	fmt.Printf("system: n=%d nnz=%d, method=%s solver=%s precond=%v workers=%d ranks=%d abft=%v policy=%s\n",
-		a.N, a.NNZ(), m, *solverName, *precond, *workers, *ranks, *abft, orStatic(*policyName))
+	fmt.Printf("system: n=%d nnz=%d, method=%s solver=%s precond=%v workers=%d ranks=%d abft=%v\n",
+		a.N, a.NNZ(), m, *solverName, *precond, *workers, *ranks, *abft)
 
 	run, err := registry.New(*solverName, a, b, cfg)
 	if err != nil {
@@ -102,9 +87,8 @@ func main() {
 		// normalise the MTBE like the paper (§5.3).
 		probeCfg := cfg
 		probeCfg.Method = core.MethodIdeal
-		// The probe must not consume the adaptive controller's state (or
-		// pay the checksum folds): it only measures the ideal time.
-		probeCfg.Policy = nil
+		// The probe must not pay the checksum folds: it only measures the
+		// ideal time.
 		probeCfg.ABFT = false
 		probe, err := registry.New(*solverName, a, b, probeCfg)
 		if err != nil {
@@ -132,30 +116,9 @@ func main() {
 		in.Stop()
 	}
 	report(res, err, pool.Counters().Sub(sched))
-	if ctrl != nil {
-		reportPolicy(ctrl)
-	}
 	if run.RankStats != nil {
 		reportRanks(run.RankStats())
 	}
-}
-
-// reportPolicy prints the adaptive controller's per-run decision log —
-// every method switch and checkpoint-interval retune with the rate
-// estimate that motivated it.
-func reportPolicy(ctrl *policy.Controller) {
-	decs := ctrl.Decisions()
-	fmt.Printf("policy: %d decisions, final rate estimate %.4f events/iter\n", len(decs), ctrl.Rate())
-	for _, d := range decs {
-		fmt.Printf("  %s\n", d)
-	}
-}
-
-func orStatic(s string) string {
-	if s == "" {
-		return "static"
-	}
-	return s
 }
 
 func report(res core.Result, err error, sched taskrt.Counters) {
@@ -169,9 +132,8 @@ func report(res core.Result, err error, sched taskrt.Counters) {
 		s.FaultsSeen, s.RecoveredForward, s.RecoveredInverse, s.RecoveredCoupled, s.RecomputedQ, s.PrecondPartialApplies)
 	fmt.Printf("contributionsLost=%d unrecovered=%d lossyInterp=%d restarts=%d rollbacks=%d checkpoints=%d\n",
 		s.ContributionsLost, s.Unrecovered, s.LossyInterpolations, s.Restarts, s.Rollbacks, s.CheckpointsWritten)
-	if s.SDCInjected > 0 || s.SDCDetected > 0 || s.PolicySwitches > 0 {
-		fmt.Printf("sdc: injected=%d detected=%d policySwitches=%d\n",
-			s.SDCInjected, s.SDCDetected, s.PolicySwitches)
+	if s.SDCInjected > 0 || s.SDCDetected > 0 {
+		fmt.Printf("sdc: injected=%d detected=%d\n", s.SDCInjected, s.SDCDetected)
 	}
 	if len(res.WorkerTimes) > 0 {
 		var total taskrt.StateTimes

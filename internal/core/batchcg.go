@@ -29,9 +29,9 @@ import (
 // bound column has retired.
 //
 // Supported methods: Ideal, FEIR, AFEIR. Preconditioning, ABFT,
-// checkpointing, adaptive policy and the Lossy fallback are scalar-path
-// features and are rejected at construction — the serving coalescer only
-// batches requests that fit this envelope.
+// checkpointing and the Lossy fallback are scalar-path features and are
+// rejected at construction — the serving coalescer only batches requests
+// that fit this envelope.
 type BatchCG struct {
 	cfg    Config
 	a      *sparse.CSR
@@ -137,9 +137,6 @@ func NewBatchCG(a *sparse.CSR, rhs [][]float64, width int, cfg Config) (*BatchCG
 	}
 	if cfg.ABFT {
 		return nil, fmt.Errorf("core: batch CG has no ABFT checksum coverage")
-	}
-	if cfg.Policy != nil {
-		return nil, fmt.Errorf("core: batch CG has no adaptive-policy support")
 	}
 	if cfg.Fallback == FallbackLossy {
 		return nil, fmt.Errorf("core: batch CG supports the Ignore fallback only")

@@ -78,7 +78,6 @@ type BiCGStabSolver struct {
 	rt        *taskrt.Runtime
 	eng       *engine.Engine
 	resilient bool
-	pol       policyState
 
 	scratch []float64
 	resid   []float64 // full-length true-residual scratch (reused)
@@ -133,7 +132,6 @@ func NewBiCGStab(a *sparse.CSR, b []float64, cfg Config) (*BiCGStabSolver, error
 		sv.blocks = sparse.NewBlockSolverCache(a, sv.layout, false) // LU: general A
 	}
 	sv.resilient = cfg.Method == MethodFEIR || cfg.Method == MethodAFEIR
-	sv.pol.allowed = policyAllowed(cfg.Method, recoverySwitchSet)
 	if cfg.UsePrecond {
 		// Reuse the recovery cache's LU factorizations as the
 		// preconditioner blocks — they are the same A_pp (§5.1: "the
@@ -211,13 +209,9 @@ func (sv *BiCGStabSolver) Run() (Result, []float64, error) {
 	var it int
 	converged := false
 	var final float64 // the true residual of the check that accepted x
-	sv.pol.lastEvents = sv.space.FaultCount() + sv.space.SDCDetected()
 	for it = 0; it < maxIter; it++ {
 		if sv.cfg.Cancelled != nil && sv.cfg.Cancelled() {
 			return sv.finish(it, false, 0, start), sv.x.Data, ErrCancelled
-		}
-		if sv.cfg.Policy != nil {
-			applyPolicy(it, &sv.cfg, &sv.pol, sv.space, &sv.stats, nil)
 		}
 		ver := int64(it)
 		cur, prev := it%2, (it+1)%2

@@ -62,7 +62,6 @@ type CG struct {
 	resilient    bool
 	abft         bool // checksum-carrying kernels + verify-on-read
 
-	pol policyState
 	// sdcInjBase/sdcDetBase snapshot the space's cumulative SDC counters
 	// at Run start, so pooled instances report per-run deltas.
 	sdcInjBase, sdcDetBase int64
@@ -130,7 +129,6 @@ func NewCG(a *sparse.CSR, b []float64, cfg Config) (*CG, error) {
 		s.d[1] = s.d[0]
 	}
 	s.abft = cfg.ABFT && s.resilient
-	s.pol.allowed = policyAllowed(cfg.Method, resilientSwitchSet)
 	if cfg.Blocks != nil {
 		if cfg.Blocks.A != a || cfg.Blocks.Layout != s.layout || !cfg.Blocks.SPD {
 			return nil, fmt.Errorf("core: shared block cache mismatch (want matrix %p layout %+v spd=true, have %p %+v spd=%v)",
@@ -325,7 +323,6 @@ func (s *CG) Run() (Result, error) {
 	s.resetState()
 	s.sdcInjBase = s.space.SDCInjected()
 	s.sdcDetBase = s.space.SDCDetected()
-	s.pol.lastEvents = s.space.FaultCount() + s.space.SDCDetected()
 
 	tol := s.cfg.tol()
 	maxIter := s.cfg.maxIter(s.a.N)
@@ -353,11 +350,6 @@ func (s *CG) Run() (Result, error) {
 				Stats:       s.stats,
 				WorkerTimes: s.rt.WorkerTimes(),
 			}, ErrCancelled
-		}
-		if s.cfg.Policy != nil {
-			// Loop top is a fixpoint: the previous iteration's boundary ran,
-			// all prepared tasks are quiescent and pending losses applied.
-			applyPolicy(t, &s.cfg, &s.pol, s.space, &s.stats, s.ck)
 		}
 		rel := math.Sqrt(math.Max(s.epsGG, 0)) / s.bnorm
 		if s.cfg.OnIteration != nil {
@@ -427,7 +419,7 @@ func (s *CG) Run() (Result, error) {
 		s.epsGG = gg
 		s.restartPending = false
 
-		if s.resilient && (s.cfg.Method == MethodFEIR || s.cfg.Method == MethodAFEIR) {
+		if s.resilient {
 			s.reconcile(ver)
 		}
 	}

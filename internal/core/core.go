@@ -159,23 +159,6 @@ type Config struct {
 	// the resilient methods (FEIR/AFEIR), which own the recovery
 	// machinery the detections hand over to.
 	ABFT bool
-	// Policy, when non-nil, is consulted once per iteration at a
-	// fixpoint (all tasks quiescent, pending losses applied) and may
-	// switch the resilience method or retune the checkpoint interval for
-	// the following iterations. internal/policy provides the
-	// perfmodel-driven adaptive controller.
-	Policy ResiliencePolicy
-}
-
-// ResiliencePolicy decides, at iteration fixpoints, which resilience
-// method the next iterations should run. newEvents is the number of
-// fault events (DUE poisons + SDC detections) observed since the
-// previous call; allowed lists the methods the running solver can switch
-// to safely (always including cur). The returned method is ignored
-// unless it is in allowed; the returned checkpoint interval (iterations)
-// applies only when cur is MethodCheckpoint, 0 keeping the current one.
-type ResiliencePolicy interface {
-	Decide(it, newEvents int, cur Method, allowed []Method) (Method, int)
 }
 
 // overlapPriority is the priority of overlapped (AFEIR) recovery tasks:
@@ -243,9 +226,6 @@ type Stats struct {
 	// verification (each one also appears in FaultsSeen once its Poison
 	// is applied).
 	SDCDetected int
-	// PolicySwitches counts resilience-method changes made by the
-	// adaptive policy during the run.
-	PolicySwitches int
 }
 
 // Add accumulates other into s.
@@ -264,7 +244,6 @@ func (s *Stats) Add(o Stats) {
 	s.CheckpointsWritten += o.CheckpointsWritten
 	s.SDCInjected += o.SDCInjected
 	s.SDCDetected += o.SDCDetected
-	s.PolicySwitches += o.PolicySwitches
 }
 
 // Result reports the outcome of a resilient solve.

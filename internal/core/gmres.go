@@ -74,7 +74,6 @@ type GMRESSolver struct {
 	eng     *engine.Engine
 	dotPart *engine.Partial
 	resid   []float64 // full-length true-residual scratch (reused)
-	pol     policyState
 
 	zeta  float64 // ||z|| of the current cycle (reliable scalar)
 	steps int     // completed Arnoldi steps in the current cycle
@@ -143,7 +142,6 @@ func NewGMRES(a *sparse.CSR, b []float64, restart int, cfg Config) (*GMRESSolver
 	}
 	sv.dotPart = engine.NewPartial(sv.np)
 	sv.resid = make([]float64, a.N)
-	sv.pol.allowed = policyAllowed(cfg.Method, recoverySwitchSet)
 	return sv, nil
 }
 
@@ -187,13 +185,9 @@ func (sv *GMRESSolver) Run() (Result, []float64, error) {
 	totalIt := 0
 	restarts := 0
 	converged := false
-	sv.pol.lastEvents = sv.space.FaultCount() + sv.space.SDCDetected()
 	for totalIt < maxIter {
 		if sv.cfg.Cancelled != nil && sv.cfg.Cancelled() {
 			return sv.finish(totalIt, restarts, false, start), sv.x.Data, ErrCancelled
-		}
-		if sv.cfg.Policy != nil {
-			applyPolicy(totalIt, &sv.cfg, &sv.pol, sv.space, &sv.stats, nil)
 		}
 		sv.boundary()
 		// Start of cycle: g = b - A x (full rebuild validates g), fused

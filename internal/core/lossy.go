@@ -90,13 +90,6 @@ func (s *CG) lossyRestart(ver int64) {
 		}
 	}
 	s.space.ClearAll()
-	if s.resilient {
-		// An adaptive run switched to Lossy still executes the stamped
-		// resilient task bodies: restamp everything at ver so the next
-		// iteration's guards see a consistent restart state. (Pure Lossy
-		// runs never read stamps, so this is inert for them.)
-		s.forceAllStamps(ver)
-	}
 	s.refreshResidual(ver)
 	s.stats.Restarts++
 }

@@ -97,7 +97,6 @@ func (s *BiCGStab) Run() (core.Result, []float64, error) {
 			res, x := s.finish(it, false, start, s.x)
 			return res, x, core.ErrCancelled
 		}
-		s.applyPolicy(it)
 		rel := relFromEps(s.epsGG, sub.Bnorm)
 		if s.cfg.OnIteration != nil {
 			s.cfg.OnIteration(it, rel)

@@ -76,13 +76,6 @@ type Config struct {
 	// Cancelled, when non-nil, is polled at iteration boundaries; when it
 	// reports true the solve stops and Run returns core.ErrCancelled.
 	Cancelled func() bool
-	// Policy, when non-nil, is consulted at iteration fixpoints with the
-	// fault/SDC events observed across every rank's fault domain since the
-	// last call. FEIR/AFEIR-constructed solvers may be switched across
-	// FEIR ↔ AFEIR ↔ Lossy (their boundary code reads Method per call);
-	// Checkpoint runs keep their method but have CheckpointInterval
-	// retuned. See internal/policy for the model-driven controller.
-	Policy core.ResiliencePolicy
 }
 
 func (c Config) pageDoubles() int { return defaults.PageDoublesOr(c.PageDoubles) }
@@ -97,12 +90,10 @@ func (c Config) restart() int { return defaults.GMRESRestartOr(c.Restart) }
 
 // base carries the state shared by all three distributed solvers.
 type base struct {
-	sub        *shard.Substrate
-	cfg        Config
-	stats      core.Stats // coordinator-side counters (restarts, rollbacks, …)
-	dynamic    []*pagemem.Vector
-	polEvents  int64         // fault+SDC total at the last policy call
-	polAllowed []core.Method // runtime switch set for cfg.Policy
+	sub     *shard.Substrate
+	cfg     Config
+	stats   core.Stats // coordinator-side counters (restarts, rollbacks, …)
+	dynamic []*pagemem.Vector
 }
 
 func (b *base) setup(a *sparse.CSR, rhs []float64, ranks int, cfg Config, spd bool) error {
@@ -119,38 +110,7 @@ func (b *base) setup(a *sparse.CSR, rhs []float64, ranks int, cfg Config, spd bo
 	}
 	b.sub = sub
 	b.cfg = cfg
-	b.polAllowed = core.AllowedPolicySwitches(cfg.Method)
 	return nil
-}
-
-// applyPolicy consults cfg.Policy at an iteration fixpoint with the
-// events observed across every rank's fault domain since the last call,
-// applying any method switch (FEIR ↔ AFEIR ↔ Lossy for resilient
-// constructions; the unguarded phases make the swap safe at any
-// boundary) and checkpoint-interval retune the controller returns.
-func (b *base) applyPolicy(it int) {
-	if b.cfg.Policy == nil {
-		return
-	}
-	var events int64
-	for _, sp := range b.sub.Spaces() {
-		events += sp.FaultCount() + sp.SDCDetected()
-	}
-	newEvents := int(events - b.polEvents)
-	b.polEvents = events
-	m, ckIv := b.cfg.Policy.Decide(it, newEvents, b.cfg.Method, b.polAllowed)
-	if m != b.cfg.Method {
-		for _, a := range b.polAllowed {
-			if a == m {
-				b.cfg.Method = m
-				b.stats.PolicySwitches++
-				break
-			}
-		}
-	}
-	if b.cfg.Method == core.MethodCheckpoint && ckIv > 0 {
-		b.cfg.CheckpointInterval = ckIv
-	}
 }
 
 // track registers every rank copy of the vectors as injection targets.
@@ -382,7 +342,6 @@ func (s *CG) Run() (core.Result, []float64, error) {
 			res, x := s.finish(it, false, start, s.x)
 			return res, x, core.ErrCancelled
 		}
-		s.applyPolicy(it)
 		rel := relFromEps(s.epsGG, sub.Bnorm)
 		if s.cfg.OnIteration != nil {
 			s.cfg.OnIteration(it, rel)

@@ -149,7 +149,6 @@ func (s *GMRES) Run() (core.Result, []float64, error) {
 		steps := 0
 		aborted := false
 		for l := 0; l < m && totalIt < maxIter; l++ {
-			s.applyPolicy(totalIt)
 			s.inject(totalIt)
 			if !s.boundary(l) { // Arnoldi-step boundary: repair before use
 				aborted = true

@@ -140,10 +140,9 @@ func (m *Model) RunTime(method core.Method, cores, errors int) float64 {
 	return m.RunTimeF(method, cores, float64(errors))
 }
 
-// RunTimeF is RunTime with a real-valued error count, for controllers that
-// feed an estimated (fractional) errors-per-run rate into the model. The
-// damage factor is clamped at 1 so the quadratic term cannot predict a
-// SPEEDUP for fractional e<1; at integer e it equals RunTime exactly.
+// RunTimeF is RunTime with a real-valued error count. The damage factor
+// is clamped at 1 so the quadratic term cannot predict a SPEEDUP for
+// fractional e<1; at integer e it equals RunTime exactly.
 func (m *Model) RunTimeF(method core.Method, cores int, e float64) float64 {
 	tIter := m.IterTime(cores)
 	iters := float64(m.Problem.Iterations)
@@ -187,26 +186,6 @@ func (m *Model) RunTimeF(method core.Method, cores int, e float64) float64 {
 		total += e * (ckptTime + interval/2)
 	}
 	return total
-}
-
-// OptimalCheckpointInterval returns the Young/Daly checkpoint period in
-// ITERATIONS for the modelled machine at the given core count and an
-// observed error rate (errors per iteration). A rate of 0 or less means
-// one checkpoint per expected run (Problem.Iterations).
-func (m *Model) OptimalCheckpointInterval(cores int, errsPerIter float64) int {
-	if errsPerIter <= 0 {
-		return m.Problem.Iterations
-	}
-	tIter := m.IterTime(cores)
-	n := float64(m.Problem.NX) * float64(m.Problem.NX) * float64(m.Problem.NX)
-	p := float64(m.Sockets(cores))
-	ckptTime := 2 * n / p * 8 / m.Machine.DiskBandwidth
-	mtbe := tIter / errsPerIter
-	iv := int(math.Round(math.Sqrt(2*ckptTime*mtbe) / tIter))
-	if iv < 1 {
-		iv = 1
-	}
-	return iv
 }
 
 // Speedup returns the paper's Figure 5 metric: execution time of the ideal

@@ -12,6 +12,7 @@ package registry
 import (
 	"fmt"
 	"sync"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/defaults"
@@ -45,6 +46,9 @@ type poolKey struct {
 	onDemand           bool
 	taskPriority       int
 	checkpointInterval int
+	abft               bool
+	expectedMTBE       time.Duration
+	disk               *core.SimDisk
 }
 
 // OperatorContext is the cached, shareable state for one matrix. All
@@ -172,6 +176,9 @@ func keyFor(name string, cfg Config) poolKey {
 		onDemand:           cfg.OnDemandRecovery,
 		taskPriority:       cfg.TaskPriority,
 		checkpointInterval: cfg.CheckpointInterval,
+		abft:               cfg.ABFT,
+		expectedMTBE:       cfg.ExpectedMTBE,
+		disk:               cfg.Disk,
 	}
 }
 

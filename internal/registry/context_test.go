@@ -1,8 +1,10 @@
 package registry
 
 import (
+	"reflect"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/engine"
@@ -222,6 +224,74 @@ func TestContextCacheEviction(t *testing.T) {
 	}
 	if _, ok := cc2.Get("a"); !ok {
 		t.Fatal("recently used a was evicted instead of LRU b")
+	}
+}
+
+// TestCheckoutKeysConstructionFields: a warm instance serves only a
+// request built the same way. Each variant differs from a released FEIR
+// instance in one field the constructor reads and must check out cold, the
+// ABFT one with checksum coverage on.
+func TestCheckoutKeysConstructionFields(t *testing.T) {
+	a, b := testSystem(t)
+	for name, set := range map[string]func(*Config){
+		"ABFT":         func(c *Config) { c.ABFT = true },
+		"ExpectedMTBE": func(c *Config) { c.ExpectedMTBE = time.Second },
+		"Disk":         func(c *Config) { c.Disk = core.NewSimDisk(0) },
+	} {
+		octx := NewOperatorContext("m", a, 64)
+		cfg := testCfg(false, 0)
+		co, err := octx.Checkout("cg", b, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res, err := co.Instance.Run(); err != nil || !res.Converged {
+			t.Fatalf("%s: base solve converged=%v err=%v", name, res.Converged, err)
+		}
+		co.Release()
+		set(&cfg)
+		if co, err = octx.Checkout("cg", b, cfg); err != nil {
+			t.Fatal(err)
+		}
+		if co.Warm {
+			t.Errorf("%s checkout reused the instance built without it", name)
+		}
+		if cfg.ABFT && !co.Instance.Dynamic[0].ChecksumsEnabled() {
+			t.Error("ABFT checkout runs without checksum coverage")
+		}
+	}
+}
+
+// TestPoolKeyCoversConfig: every core.Config field either changes the
+// warm pool's key or is rebound per request, so a field added later cannot
+// let one configuration's warm instance serve another.
+func TestPoolKeyCoversConfig(t *testing.T) {
+	// Set at checkout (hooks, runtime, the context's block cache) or fixed
+	// per context (TestCheckoutRejectsMismatchedPageSize).
+	rebound := map[string]bool{"Cancelled": true, "OnIteration": true, "RT": true, "Blocks": true, "PageDoubles": true}
+	base := keyFor("cg", Config{})
+	ct := reflect.TypeOf(core.Config{})
+	for i := 0; i < ct.NumField(); i++ {
+		f := ct.Field(i)
+		if rebound[f.Name] {
+			continue
+		}
+		var cfg Config
+		v := reflect.ValueOf(&cfg.Config).Elem().Field(i)
+		switch v.Kind() {
+		case reflect.Bool:
+			v.SetBool(true)
+		case reflect.Int, reflect.Int64:
+			v.SetInt(7)
+		case reflect.Float64:
+			v.SetFloat(0.5)
+		case reflect.Pointer:
+			v.Set(reflect.New(f.Type.Elem()))
+		default:
+			t.Fatalf("core.Config.%s (%s) is neither keyed nor rebound", f.Name, f.Type)
+		}
+		if keyFor("cg", cfg) == base {
+			t.Errorf("core.Config.%s does not change the pool key", f.Name)
+		}
 	}
 }
 

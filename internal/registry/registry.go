@@ -55,7 +55,6 @@ func (c Config) distConfig() dist.Config {
 		RT:                 c.RT,
 		Blocks:             c.Blocks,
 		Cancelled:          c.Cancelled,
-		Policy:             c.Policy,
 	}
 }
 
@@ -90,9 +89,6 @@ type Capabilities struct {
 	Precond bool
 	// Distributed: the builder honors Config.Ranks > 0.
 	Distributed bool
-	// Policy: the builder honors Config.Policy (adaptive resilience
-	// switching at iteration fixpoints).
-	Policy bool
 	// ABFT: the builder honors Config.ABFT (checksum-carrying kernels
 	// turning silent flips into recoverable poisons).
 	ABFT bool
@@ -143,9 +139,6 @@ func New(name string, a *sparse.CSR, b []float64, cfg Config) (*Instance, error)
 	if cfg.Ranks > 0 && !e.caps.Distributed {
 		return nil, fmt.Errorf("registry: solver %q has no distributed variant (drop -ranks)", name)
 	}
-	if cfg.Policy != nil && !e.caps.Policy {
-		return nil, fmt.Errorf("registry: solver %q has no adaptive-policy support (drop -policy)", name)
-	}
 	if cfg.ABFT && !e.caps.ABFT {
 		return nil, fmt.Errorf("registry: solver %q has no ABFT checksum coverage (drop -abft)", name)
 	}
@@ -181,11 +174,10 @@ func distInstance(s distSolver) *Instance {
 
 // all declares the full capability set of the three built-in methods:
 // since PR 3 every one of them dispatches a preconditioned variant for
-// both topologies, and all three honor the adaptive resilience policy
-// (single-node and distributed). ABFT checksum coverage exists only for
-// the single-node CG's resilient kernels; the cg builder rejects the
-// distributed combination explicitly.
-var all = Capabilities{Precond: true, Distributed: true, Policy: true}
+// both topologies. ABFT checksum coverage exists only for the single-node
+// CG's resilient kernels; the cg builder rejects the distributed
+// combination explicitly.
+var all = Capabilities{Precond: true, Distributed: true}
 
 func init() {
 	cgCaps := all

@@ -117,8 +117,8 @@ func TestCapabilityRejection(t *testing.T) {
 }
 
 // TestBuiltinsDeclareFullCapabilities pins the registry's built-in
-// surface: exactly cg, bicgstab and gmres, each dispatching -precond,
-// -ranks and -policy; any other name — pipecg and cacg are the two a
+// surface: exactly cg, bicgstab and gmres, each dispatching -precond and
+// -ranks; any other name — pipecg and cacg are the two a
 // caller may still send — answers the unknown-solver error listing what
 // is registered.
 func TestBuiltinsDeclareFullCapabilities(t *testing.T) {
@@ -131,7 +131,7 @@ func TestBuiltinsDeclareFullCapabilities(t *testing.T) {
 		if !ok {
 			t.Fatalf("%s not registered", solver)
 		}
-		if !caps.Precond || !caps.Distributed || !caps.Policy {
+		if !caps.Precond || !caps.Distributed {
 			t.Fatalf("%s caps = %+v, want full", solver, caps)
 		}
 	}
