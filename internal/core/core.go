@@ -137,9 +137,11 @@ type Config struct {
 	// subsequent Runs on the same instance replay them. When nil the
 	// solver owns a private pool per Run (the historical behaviour).
 	RT *taskrt.Runtime
-	// Blocks, when non-nil, is a prefactorized diagonal-block solver cache
-	// shared across solver instances for the same operator; the
-	// constructor uses it instead of building (and factorizing) its own.
+	// Blocks, when non-nil, is a diagonal-block solver cache shared across
+	// solver instances for the same operator, its blocks factored at first
+	// use by a method that reads factors (the registry factors it whole
+	// at the first checkout that can); the constructor uses it instead of
+	// building its own.
 	// It must have been built for the same matrix, block size and SPD
 	// setting — constructors reject mismatches loudly.
 	Blocks *sparse.BlockSolverCache

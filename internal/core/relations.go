@@ -26,9 +26,9 @@ type Relations struct {
 
 // NewRelations builds the relation set for one solver (or one rank of
 // the distributed substrate). scratch must hold at least one page of
-// elements; stats receives the recovery counters. The blocks cache must
-// be safe for the caller's concurrency pattern — rank-parallel recovery
-// prefactorizes it so lookups are read-only.
+// elements; stats receives the recovery counters. The blocks cache is
+// safe for concurrent recoveries: a block is factored at first use by a
+// relation that reads it, once, whoever asks first.
 func NewRelations(a *sparse.CSR, layout sparse.BlockLayout, conn [][]int, blocks *sparse.BlockSolverCache, b, scratch []float64, stats *Stats) *Relations {
 	return &Relations{a: a, layout: layout, conn: conn, blocks: blocks, b: b, scratch: scratch, stats: stats}
 }

@@ -70,8 +70,9 @@ type Config struct {
 	// taskrt.Shared) the substrate submits to but never closes. nil keeps
 	// the historical private pool per substrate.
 	RT *taskrt.Runtime
-	// Blocks, when non-nil, is a prefactorized diagonal-block cache shared
-	// across substrates for the same operator; mismatches are rejected.
+	// Blocks, when non-nil, is a diagonal-block cache shared across
+	// substrates for the same operator, factored at first use by a method
+	// that reads factors; mismatches are rejected.
 	Blocks *sparse.BlockSolverCache
 	// Cancelled, when non-nil, is polled at iteration boundaries; when it
 	// reports true the solve stops and Run returns core.ErrCancelled.

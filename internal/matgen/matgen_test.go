@@ -1,11 +1,86 @@
 package matgen
 
 import (
+	"encoding/binary"
+	"fmt"
+	"hash/fnv"
 	"math"
 	"testing"
 
 	"repro/internal/sparse"
 )
+
+// assemblyHash fingerprints everything an assembled operator exposes:
+// RowPtr, Cols, the bits of Vals, the kernel shadow the constructor
+// selected, and one SpMV through that shadow.
+func assemblyHash(a *sparse.CSR) string {
+	h := fnv.New64a()
+	var buf [8]byte
+	word := func(u uint64) {
+		binary.LittleEndian.PutUint64(buf[:], u)
+		h.Write(buf[:])
+	}
+	for _, p := range a.RowPtr {
+		word(uint64(p))
+	}
+	for _, c := range a.Cols {
+		word(uint64(c))
+	}
+	for _, v := range a.Vals {
+		word(math.Float64bits(v))
+	}
+	h.Write([]byte(a.ShadowName()))
+	y := make([]float64, a.N)
+	a.MulVec(RandomVector(a.M, 1), y)
+	for _, v := range y {
+		word(math.Float64bits(v))
+	}
+	return fmt.Sprintf("%s/%016x", a.ShadowName(), h.Sum64())
+}
+
+// TestAssemblyBitwiseOracle pins every generator's assembled operator to
+// the hashes recorded before the assembly moved from a comparison sort to
+// a counting sort by row: the same arrays bit for bit, the same shadow,
+// the same SpMV.
+func TestAssemblyBitwiseOracle(t *testing.T) {
+	golden := map[string]string{
+		"ConsphAnalogue(4096)":    "csr32/f0bbcb1d85c87e7b",
+		"Dubcova3(8192)":          "dia/15ef739a201263a9",
+		"Poisson3D27(32,32,32)":   "dia/177262d403756c1c",
+		"RandomSPD(4096,8,1.5,7)": "sell/269bae1b227de270",
+		"Thermal2Analogue(16384)": "dia/bbf7d45a97126842",
+		"Thermal2Analogue(4096)":  "dia/ba150c9cab0b7667",
+		"af_shell8(8192)":         "dia/a27336dec2b4a06a",
+		"cfd2(8192)":              "dia/74069b0a0f60bdfd",
+		"consph(8192)":            "csr32/39ab572d245d934a",
+		"ecology2(8192)":          "dia/8a00d83556aaa9c1",
+		"parabolic_fem(8192)":     "dia/f33ccda60cd976eb",
+		"qa8fm(8192)":             "dia/ce6f72fa906d6436",
+		"thermal2(8192)":          "dia/422bd50ff483fa6a",
+		"thermomech(8192)":        "dia/4b342a51b64bf66d",
+	}
+	gens := map[string]func() *sparse.CSR{
+		"Poisson3D27(32,32,32)":   func() *sparse.CSR { return Poisson3D27(32, 32, 32) },
+		"Thermal2Analogue(4096)":  func() *sparse.CSR { return Thermal2Analogue(4096) },
+		"Thermal2Analogue(16384)": func() *sparse.CSR { return Thermal2Analogue(16384) },
+		"ConsphAnalogue(4096)":    func() *sparse.CSR { return ConsphAnalogue(4096) },
+		"RandomSPD(4096,8,1.5,7)": func() *sparse.CSR { return RandomSPD(4096, 8, 1.5, 7) },
+	}
+	for _, name := range PaperMatrixNames {
+		gens[name+"(8192)"] = func() *sparse.CSR {
+			a, err := PaperMatrix(name, 8192)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return a
+		}
+	}
+	for name, gen := range gens {
+		if got := assemblyHash(gen()); got != golden[name] {
+			t.Errorf("%s: assembly hash %s, want %s", name, got, golden[name])
+		}
+	}
+}
 
 // requireSPDish validates structural invariants every generated workload
 // must satisfy: valid CSR, symmetric, positive diagonal.
@@ -145,6 +220,15 @@ func TestBandedDeterministic(t *testing.T) {
 		if a.Vals[i] != b.Vals[i] {
 			t.Fatal("banded generator not deterministic in values")
 		}
+	}
+}
+
+// BenchmarkRandomSPD generates serve-mix's csr32 operator
+// (ConsphAnalogue(4096): about 60 couplings per row), assembly included.
+func BenchmarkRandomSPD(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		RandomSPD(4096, 60, 1.02, 0xC045)
 	}
 }
 

@@ -12,9 +12,10 @@ import (
 
 // ReadMatrixMarket parses a Matrix Market coordinate-format stream
 // ("%%MatrixMarket matrix coordinate real {general|symmetric}") into a CSR
-// matrix. Symmetric files are expanded to full storage. Pattern and
-// integer fields are accepted (pattern entries become 1.0). Complex and
-// array formats are rejected.
+// matrix. Symmetric files are expanded to full storage. Repeated entries
+// of one cell are summed left to right in file order. Pattern and integer
+// fields are accepted (pattern entries become 1.0). Complex and array
+// formats are rejected.
 func ReadMatrixMarket(r io.Reader) (*sparse.CSR, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1024*1024), 1024*1024)

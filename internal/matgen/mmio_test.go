@@ -29,6 +29,29 @@ func TestReadMatrixMarketGeneral(t *testing.T) {
 	}
 }
 
+// TestReadMatrixMarketDuplicatesSumInFileOrder: repeated entries of one
+// cell add up in the order the file lists them: (1e16 + 1) - 1e16 = 0 and
+// (1 + 1e16) - 1e16 = 0, where other orders of the same three give 1.
+func TestReadMatrixMarketDuplicatesSumInFileOrder(t *testing.T) {
+	src := `%%MatrixMarket matrix coordinate real general
+2 2 7
+1 2 1e16
+2 1 1
+2 2 3
+1 2 1
+2 1 1e16
+1 2 -1e16
+2 1 -1e16
+`
+	a, err := ReadMatrixMarket(strings.NewReader(src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.NNZ() != 3 || a.At(0, 1) != 0 || a.At(1, 0) != 0 || a.At(1, 1) != 3 {
+		t.Fatalf("assembled %v %v %v, want (1,2) = (2,1) = 0 and (2,2) = 3", a.RowPtr, a.Cols, a.Vals)
+	}
+}
+
 func TestReadMatrixMarketSymmetricExpands(t *testing.T) {
 	src := `%%MatrixMarket matrix coordinate real symmetric
 2 2 2

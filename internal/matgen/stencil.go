@@ -14,7 +14,7 @@ package matgen
 import (
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"repro/internal/sparse"
 )
@@ -87,7 +87,10 @@ func Poisson2DVarCoeff(nx, ny int, shift float64, k func(x, y float64) float64) 
 // equation used by the HPCG benchmark and the paper's scaling study
 // (§5.5, 512³ unknowns on MareNostrum). Diagonal 26, off-diagonals -1 to
 // each of the up-to-26 neighbours in the 3×3×3 cube.
-func Poisson3D27(nx, ny, nz int) *sparse.CSR {
+func Poisson3D27(nx, ny, nz int) *sparse.CSR { return stencil27(nx, ny, nz, 26) }
+
+// stencil27 is Poisson3D27 with the given diagonal.
+func stencil27(nx, ny, nz int, diag float64) *sparse.CSR {
 	n := nx * ny * nz
 	tr := make([]sparse.Triplet, 0, 27*n)
 	idx := func(i, j, k int) int { return (i*ny+j)*nz + k }
@@ -95,7 +98,7 @@ func Poisson3D27(nx, ny, nz int) *sparse.CSR {
 		for j := 0; j < ny; j++ {
 			for k := 0; k < nz; k++ {
 				r := idx(i, j, k)
-				tr = append(tr, sparse.Triplet{Row: r, Col: r, Val: 26})
+				tr = append(tr, sparse.Triplet{Row: r, Col: r, Val: diag})
 				for di := -1; di <= 1; di++ {
 					for dj := -1; dj <= 1; dj++ {
 						for dk := -1; dk <= 1; dk++ {
@@ -187,26 +190,16 @@ func Stencil9(nx, ny int, shift float64, seed int64) *sparse.CSR {
 func Banded(n, half int, dominance float64, seed int64) *sparse.CSR {
 	rng := rand.New(rand.NewSource(seed))
 	tr := make([]sparse.Triplet, 0, (2*half+1)*n)
-	// Draw symmetric off-diagonals first, then set the diagonal to the
-	// absolute row sum times dominance.
-	off := make(map[[2]int]float64)
-	for i := 0; i < n; i++ {
-		for d := 1; d <= half; d++ {
-			j := i + d
-			if j >= n {
-				break
-			}
-			v := -(0.2 + 0.8*rng.Float64()) / float64(d)
-			off[[2]int{i, j}] = v
-		}
-	}
+	// Draw the symmetric off-diagonals in (row, col) order, then set the
+	// diagonal to the absolute row sum times dominance.
 	rowAbs := make([]float64, n)
-	for _, k := range sortedKeys(off) {
-		v := off[k]
-		rowAbs[k[0]] += math.Abs(v)
-		rowAbs[k[1]] += math.Abs(v)
-		tr = append(tr, sparse.Triplet{Row: k[0], Col: k[1], Val: v})
-		tr = append(tr, sparse.Triplet{Row: k[1], Col: k[0], Val: v})
+	for i := 0; i < n; i++ {
+		for j := i + 1; j <= i+half && j < n; j++ {
+			v := -(0.2 + 0.8*rng.Float64()) / float64(j-i)
+			rowAbs[i] += math.Abs(v)
+			rowAbs[j] += math.Abs(v)
+			tr = append(tr, sparse.Triplet{Row: i, Col: j, Val: v}, sparse.Triplet{Row: j, Col: i, Val: v})
+		}
 	}
 	for i := 0; i < n; i++ {
 		tr = append(tr, sparse.Triplet{Row: i, Col: i, Val: rowAbs[i]*dominance + 1e-8})
@@ -214,49 +207,50 @@ func Banded(n, half int, dominance float64, seed int64) *sparse.CSR {
 	return sparse.NewCSRFromTriplets(n, n, tr)
 }
 
-// sortedKeys returns the map keys in (row, col) order so that floating
-// point accumulations over the entries are deterministic run to run.
-func sortedKeys(m map[[2]int]float64) [][2]int {
-	keys := make([][2]int, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(a, b int) bool {
-		if keys[a][0] != keys[b][0] {
-			return keys[a][0] < keys[b][0]
-		}
-		return keys[a][1] < keys[b][1]
-	})
-	return keys
-}
-
 // RandomSPD builds a random sparse SPD matrix with roughly nnzPerRow
 // off-diagonal entries per row (symmetric pattern) and diagonal dominance
 // factor dominance >= 1.
 func RandomSPD(n, nnzPerRow int, dominance float64, seed int64) *sparse.CSR {
 	rng := rand.New(rand.NewSource(seed))
-	off := make(map[[2]int]float64)
+	// Each draw couples a pair (Row < Col); the pair's last draw wins.
+	draws := make([]sparse.Triplet, 0, n*(nnzPerRow/2))
 	for i := 0; i < n; i++ {
 		for k := 0; k < nnzPerRow/2; k++ {
 			j := rng.Intn(n)
 			if j == i {
 				continue
 			}
-			a, b := i, j
-			if a > b {
-				a, b = b, a
-			}
-			off[[2]int{a, b}] = -rng.Float64()
+			draws = append(draws, sparse.Triplet{Row: min(i, j), Col: max(i, j), Val: -rng.Float64()})
 		}
 	}
-	tr := make([]sparse.Triplet, 0, 2*len(off)+n)
+	// Bucket the draws by Row, stably, then sort each bucket by Col,
+	// stably: pairs in (row, col) order, each pair's draws in draw order,
+	// so the floating-point row sums below are deterministic.
+	start := make([]int, n+1)
+	for _, d := range draws {
+		start[d.Row+1]++
+	}
+	for i := 0; i < n; i++ {
+		start[i+1] += start[i]
+	}
+	next, pairs := append([]int(nil), start[:n]...), make([]sparse.Triplet, len(draws))
+	for _, d := range draws {
+		pairs[next[d.Row]] = d
+		next[d.Row]++
+	}
+	tr := make([]sparse.Triplet, 0, 2*len(draws)+n)
 	rowAbs := make([]float64, n)
-	for _, k := range sortedKeys(off) {
-		v := off[k]
-		rowAbs[k[0]] += math.Abs(v)
-		rowAbs[k[1]] += math.Abs(v)
-		tr = append(tr, sparse.Triplet{Row: k[0], Col: k[1], Val: v})
-		tr = append(tr, sparse.Triplet{Row: k[1], Col: k[0], Val: v})
+	for i := 0; i < n; i++ {
+		row := pairs[start[i]:start[i+1]]
+		slices.SortStableFunc(row, func(p, q sparse.Triplet) int { return p.Col - q.Col })
+		for k, e := range row {
+			if k+1 < len(row) && row[k+1].Col == e.Col {
+				continue
+			}
+			rowAbs[e.Row] += math.Abs(e.Val)
+			rowAbs[e.Col] += math.Abs(e.Val)
+			tr = append(tr, e, sparse.Triplet{Row: e.Col, Col: e.Row, Val: e.Val})
+		}
 	}
 	for i := 0; i < n; i++ {
 		tr = append(tr, sparse.Triplet{Row: i, Col: i, Val: rowAbs[i]*dominance + 0.1})

@@ -65,10 +65,7 @@ func New(a *sparse.CSR, blockSize int, spd bool) (*BlockJacobi, error) {
 	if blockSize <= 0 {
 		blockSize = 512
 	}
-	layout := sparse.BlockLayout{N: a.N, BlockSize: blockSize}
-	cache := sparse.NewBlockSolverCache(a, layout, spd)
-	cache.PrefactorizeLenient()
-	return FromCache(cache)
+	return FromCache(sparse.NewBlockSolverCache(a, sparse.BlockLayout{N: a.N, BlockSize: blockSize}, spd))
 }
 
 // NewBlockJacobi factorizes the diagonal blocks of the SPD matrix a with
@@ -78,12 +75,13 @@ func NewBlockJacobi(a *sparse.CSR, blockSize int) (*BlockJacobi, error) {
 }
 
 // FromCache builds a block-Jacobi preconditioner over the cache's layout
-// reusing its already-factorized diagonal blocks — the §5.1 observation
-// that with block size equal to the page size, the preconditioner setup
-// and the recovery solvers are the same factorizations. The cache must
-// hold a solver for every block (Prefactorize, or a lenient
-// prefactorization that lost no block).
+// sharing its diagonal-block factors — the §5.1 observation that with
+// block size equal to the page size, the preconditioner setup and the
+// recovery solvers are the same factorizations. Blocks the cache has not
+// factored yet are factored here, in parallel; it fails if any block
+// cannot be factorized, since the preconditioner needs every one.
 func FromCache(c *sparse.BlockSolverCache) (*BlockJacobi, error) {
+	c.PrefactorizeLenient()
 	bj := &BlockJacobi{a: c.A, layout: c.Layout, solvers: make([]sparse.BlockSolver, c.Layout.NumBlocks())}
 	for i := range bj.solvers {
 		s, err := c.Solver(i)

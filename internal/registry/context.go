@@ -1,12 +1,13 @@
 // Operator contexts: the cacheable half of solver construction. Building
 // a solver splits into (1) everything derivable from the operator alone —
-// CSR shadows, the prefactorized diagonal-block caches that double as
-// block-Jacobi preconditioners, the shard layout — and (2) a cheap
-// per-request binding of RHS and launch configuration. An OperatorContext
-// owns (1) plus a pool of warm solver instances whose prepared task
-// graphs replay across requests, so two solves against the same matrix
-// never refactorize or re-prepare; a ContextCache keeps contexts for
-// repeated-operator traffic under a memory cap.
+// CSR shadows, the diagonal-block caches that double as block-Jacobi
+// preconditioners (factored at first use by a method that reads factors),
+// the shard layout — and (2) a cheap per-request binding of RHS and
+// launch configuration. An OperatorContext owns (1) plus a pool of warm
+// solver instances whose prepared task graphs replay across requests, so
+// two solves against the same matrix never refactorize or re-prepare; a
+// ContextCache keeps contexts for repeated-operator traffic under a
+// memory cap.
 package registry
 
 import (
@@ -52,8 +53,10 @@ type poolKey struct {
 }
 
 // OperatorContext is the cached, shareable state for one matrix. All
-// methods are safe for concurrent use; the block caches are prefactorized
-// before they are handed out, so solver-side lookups are read-only.
+// methods are safe for concurrent use. A block cache is factored whole,
+// in parallel, at the first checkout whose solve can read a factor, so
+// no such solve ever factorizes; a context whose solves were all Ideal,
+// Trivial or Checkpoint without a preconditioner holds none.
 type OperatorContext struct {
 	Key         string
 	A           *sparse.CSR
@@ -61,7 +64,7 @@ type OperatorContext struct {
 	Layout      sparse.BlockLayout
 
 	mu     sync.Mutex
-	blocks map[bool]*sparse.BlockSolverCache // spd -> prefactorized cache
+	blocks map[bool]*sparse.BlockSolverCache // spd -> cache
 	pool   map[poolKey][]*pooledCG
 	bpool  map[batchPoolKey][]*core.BatchCG
 }
@@ -95,9 +98,10 @@ func NewOperatorContext(key string, a *sparse.CSR, pageDoubles int) *OperatorCon
 	}
 }
 
-// Blocks returns the prefactorized diagonal-block cache of the requested
-// family, factorizing it on first use (the expensive step this whole
-// layer exists to amortize).
+// Blocks returns the diagonal-block cache of the requested family, built
+// empty on first request. Its factors — the expensive step this whole
+// layer exists to amortize — are computed by the first checkout that can
+// read them (blocksFor), or by a caller's own PrefactorizeLenient.
 func (c *OperatorContext) Blocks(spd bool) *sparse.BlockSolverCache {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -105,8 +109,23 @@ func (c *OperatorContext) Blocks(spd bool) *sparse.BlockSolverCache {
 		return bc
 	}
 	bc := sparse.NewBlockSolverCache(c.A, c.Layout, spd)
-	bc.PrefactorizeLenient()
 	c.blocks[spd] = bc
+	return bc
+}
+
+// blocksFor returns the cache a checkout under cfg binds, factored whole
+// first when the solve can read a factor — the block-Jacobi apply, FEIR's
+// and AFEIR's inverse relations, Lossy's interpolation — so no request
+// pays for one mid-solve. Ideal, Trivial and Checkpoint repair nothing
+// through a block. Method and UsePrecond are pool-key fields, so whether
+// a checkout factors is a function of operator and key alone, like the
+// inline choice.
+func (c *OperatorContext) blocksFor(name string, cfg Config) *sparse.BlockSolverCache {
+	bc := c.Blocks(spdFor(name))
+	switch {
+	case cfg.UsePrecond, cfg.Method == core.MethodFEIR, cfg.Method == core.MethodAFEIR, cfg.Method == core.MethodLossy:
+		bc.PrefactorizeLenient()
+	}
 	return bc
 }
 
@@ -159,7 +178,9 @@ func (c *OperatorContext) IterOps(usePrecond bool) (ops, inlineBelow int64) {
 		ops += nnz
 	}
 	if usePrecond {
-		ops += c.Blocks(true).Bytes() / 4
+		bc := c.Blocks(true)
+		bc.PrefactorizeLenient() // a preconditioned solve reads them all
+		ops += bc.Bytes() / 4
 	}
 	return ops, inlineMaxOps
 }
@@ -202,11 +223,12 @@ type Checkout struct {
 
 // Checkout binds a solver for one request against the cached operator.
 // The request supplies only RHS and launch configuration; the context
-// supplies the matrix, the factorized block caches and (for the pooled
-// single-node CG family) a warm instance whose prepared task graphs
-// replay as-is. Non-pooled solvers are built fresh but still share the
-// block cache and the process-wide task pool, so the dominant setup cost
-// is amortized for every method.
+// supplies the matrix, the block cache (factored whole first if the
+// method can read it, so the solve itself never factorizes) and (for the
+// pooled single-node CG family) a warm instance whose prepared task
+// graphs replay as-is. Non-pooled solvers are built fresh but still share
+// the block cache and the process-wide task pool, so the dominant setup
+// cost is amortized for every method.
 //
 // With Config.RT nil the runtime is the registry's choice: the shared
 // pool, or for a single-node cg under the IterOps bound a private one with
@@ -216,7 +238,7 @@ func (c *OperatorContext) Checkout(name string, b []float64, cfg Config) (*Check
 	if pd := defaults.PageDoublesOr(cfg.PageDoubles); pd != c.PageDoubles {
 		return nil, fmt.Errorf("registry: page size %d does not match cached context (%d)", pd, c.PageDoubles)
 	}
-	cfg.Blocks = c.Blocks(spdFor(name))
+	cfg.Blocks = c.blocksFor(name, cfg)
 
 	// The single-node CG family is fully reusable: Rebind + reset instead
 	// of construction. Everything else (distributed substrates, the
@@ -302,7 +324,7 @@ func (c *OperatorContext) CheckoutBatch(name string, rhs [][]float64, width int,
 	if pd := defaults.PageDoublesOr(cfg.PageDoubles); pd != c.PageDoubles {
 		return nil, fmt.Errorf("registry: page size %d does not match cached context (%d)", pd, c.PageDoubles)
 	}
-	cfg.Blocks = c.Blocks(spdFor(name))
+	cfg.Blocks = c.blocksFor(name, cfg)
 	if cfg.RT == nil {
 		cfg.RT = taskrt.Shared(cfg.Workers)
 	}

@@ -9,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/sparse"
+	"repro/internal/taskrt"
 )
 
 func testCtxCfg() Config {
@@ -150,23 +151,31 @@ func TestSharedBlocksBitwiseIdentical(t *testing.T) {
 }
 
 // TestSizeBytesCountsBuiltFactors: the eviction estimate charges a
-// context the factors it actually holds — nothing before a family is
-// requested, then exactly the banded factors' bytes, well under the dense
-// blocks × bs² × 8 a 5-point operator was charged before. The two
-// families are requested from several goroutines at once, so under -race
-// this is also the gate for the parallel prefactorization behind Blocks.
+// context the factors it actually holds — nothing while its caches are
+// empty, then exactly the banded factors' bytes once FEIR checkouts of
+// both families have built them, well under the dense blocks × bs² × 8 a
+// 5-point operator was charged before. The checkouts run from several
+// goroutines at once, so under -race this is also the gate for the
+// parallel factorization behind a checkout.
 func TestSizeBytesCountsBuiltFactors(t *testing.T) {
-	a, _ := testSystem(t)
+	a, b := testSystem(t)
 	octx := NewOperatorContext("m", a, 64)
 	bare := octx.SizeBytes()
+	octx.Blocks(true)
+	octx.Blocks(false)
+	if got := octx.SizeBytes(); got != bare {
+		t.Fatalf("SizeBytes = %d with empty caches, want the CSR's %d", got, bare)
+	}
 
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
-		go func(spd bool) {
+		go func(name string) {
 			defer wg.Done()
-			octx.Blocks(spd)
-		}(g%2 == 0)
+			if _, err := octx.Checkout(name, b, testCfg(false, 0)); err != nil {
+				t.Error(err)
+			}
+		}([]string{"cg", "bicgstab"}[g%2])
 	}
 	wg.Wait()
 
@@ -179,6 +188,89 @@ func TestSizeBytesCountsBuiltFactors(t *testing.T) {
 	}
 	if dense := int64(octx.Layout.NumBlocks()) * 64 * 64 * 8; chol > dense/2 || lu > dense {
 		t.Fatalf("factors hold %d (cholesky) and %d (lu) bytes; dense blocks were %d each", chol, lu, dense)
+	}
+}
+
+// TestFactorsAtFirstCheckoutThatReadsThem: a context builds a block's
+// factor only for a solve that can read one. Ideal and Trivial solves
+// without a preconditioner leave the cache empty; the first FEIR checkout
+// factors every block once, before its solve starts, and nothing after it
+// factors again — warm, cold on another topology, or preconditioned.
+func TestFactorsAtFirstCheckoutThatReadsThem(t *testing.T) {
+	a, b := testSystem(t)
+	octx := NewOperatorContext("m", a, 64)
+	fac0 := sparse.FactorizationCount()
+	solve := func(cfg Config) {
+		t.Helper()
+		co, err := octx.Checkout("cg", b, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res, err := co.Instance.Run(); err != nil || !res.Converged {
+			t.Fatalf("%v solve: converged=%v err=%v", cfg.Method, res.Converged, err)
+		}
+		co.Release()
+	}
+	for _, m := range []core.Method{core.MethodIdeal, core.MethodTrivial} {
+		cfg := testCfg(false, 0)
+		cfg.Method = m
+		solve(cfg)
+	}
+	if got := octx.Blocks(true).Bytes(); got != 0 {
+		t.Fatalf("ideal and trivial solves left %d bytes of factors", got)
+	}
+	if d := sparse.FactorizationCount() - fac0; d != 0 {
+		t.Fatalf("ideal and trivial solves factorized %d blocks", d)
+	}
+
+	co, err := octx.Checkout("cg", b, testCfg(false, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	co.Release()
+	blocks := int64(octx.Layout.NumBlocks())
+	if d := sparse.FactorizationCount() - fac0; d != blocks {
+		t.Fatalf("first feir checkout factorized %d blocks, want all %d", d, blocks)
+	}
+	for _, cfg := range []Config{testCfg(false, 0), testCfg(false, 2), testCfg(true, 0)} {
+		solve(cfg)
+	}
+	if d := sparse.FactorizationCount() - fac0; d != blocks {
+		t.Fatalf("%d factorizations in all, want each of the %d blocks once", d, blocks)
+	}
+}
+
+// TestIterOpsIndependentOfRecoveries: the preconditioned estimate counts
+// every factor whether or not recoveries have already built some of them
+// one at a time, so the inline choice cannot drift with a context's
+// history.
+func TestIterOpsIndependentOfRecoveries(t *testing.T) {
+	a, b := testSystem(t)
+	want, _ := NewOperatorContext("fresh", a, 64).IterOps(true)
+
+	octx := NewOperatorContext("m", a, 64)
+	rt := taskrt.NewInline()
+	defer rt.Close()
+	// Handed the context's empty cache directly, a solve factors only the
+	// blocks its inverse recoveries ask for: here one, for a lost x page.
+	s, err := core.NewCG(a, b, core.Config{Method: core.MethodFEIR, PageDoubles: 64, Tol: 1e-10, RT: rt, Blocks: octx.Blocks(true)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.SetOnIteration(func(it int, _ float64) {
+		if it == 5 {
+			s.Space().VectorByName("x").Poison(3)
+		}
+	})
+	res, err := s.Run()
+	if err != nil || !res.Converged {
+		t.Fatalf("faulted solve: converged=%v err=%v", res.Converged, err)
+	}
+	if res.Stats.RecoveredInverse == 0 || octx.Blocks(true).Bytes() == 0 {
+		t.Fatalf("the lost page built no factor (%d inverse recoveries)", res.Stats.RecoveredInverse)
+	}
+	if got, _ := octx.IterOps(true); got != want {
+		t.Fatalf("IterOps(true) = %d after recoveries, %d on a fresh context", got, want)
 	}
 }
 

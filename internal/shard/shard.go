@@ -196,9 +196,10 @@ type Options struct {
 	// substrate submits to it but Close leaves it running. nil means a
 	// private pool sized by the workers argument.
 	RT *taskrt.Runtime
-	// Blocks is a prefactorized diagonal-block cache for the same
-	// operator, layout and SPD setting; nil means a private cache
-	// factorized here. Mismatches are rejected loudly.
+	// Blocks is a diagonal-block cache for the same operator, layout and
+	// SPD setting, factored at first use by a method that reads factors;
+	// nil means a private cache factorized here. Mismatches are rejected
+	// loudly.
 	Blocks *sparse.BlockSolverCache
 }
 
@@ -247,12 +248,12 @@ func NewOpts(a *sparse.CSR, b []float64, ranks, pageDoubles, workers int, spd bo
 	if s.Bnorm == 0 {
 		s.Bnorm = 1
 	}
-	// Rank-parallel recovery tasks look blocks up concurrently: factorize
-	// everything up front so the cache is read-only afterwards (the paper
-	// notes these factorizations come for free with block-Jacobi, §5.1).
-	// Leniently: a non-factorizable block only disables that block's
-	// inverse repair, it does not make the system unsolvable. A shared
-	// cache arrives prefactorized — that is the point of sharing it.
+	// A private cache is factorized whole up front, so no recovery pays for
+	// a factorization mid-solve (the paper notes these factorizations come
+	// for free with block-Jacobi, §5.1). Leniently: a non-factorizable
+	// block only disables that block's inverse repair, it does not make the
+	// system unsolvable. A shared cache is its owner's to factor: the
+	// registry does so at the first checkout whose method reads factors.
 	if !sharedBlocks {
 		s.Blocks.PrefactorizeLenient()
 	}
@@ -684,11 +685,11 @@ func (s *Substrate) opDot2Step(r *Rank) {
 }
 
 // EnablePrecond builds the block-Jacobi preconditioner over the
-// substrate's page layout, reusing the prefactorized diagonal blocks of
-// the recovery cache — the §5.1 observation that the preconditioner setup
-// and the recovery solvers are the same factorizations. It fails if any
-// diagonal block was not factorizable (the lenient prefactorization lost
-// it), since a block-Jacobi preconditioner needs every block.
+// substrate's page layout, sharing the diagonal-block factors of the
+// recovery cache (factoring any not built yet) — the §5.1 observation that
+// the preconditioner setup and the recovery solvers are the same
+// factorizations. It fails if any diagonal block is not factorizable,
+// since a block-Jacobi preconditioner needs every block.
 func (s *Substrate) EnablePrecond() error {
 	pre, err := precond.FromCache(s.Blocks)
 	if err != nil {

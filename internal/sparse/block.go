@@ -40,44 +40,38 @@ func (b BlockLayout) Range(i int) (lo, hi int) {
 // BlockOf returns the block index containing element e.
 func (b BlockLayout) BlockOf(e int) int { return e / b.BlockSize }
 
-// BlockSolverCache lazily factorizes and caches diagonal-block solvers for
-// a fixed matrix and block layout. The paper notes that with a block-Jacobi
-// preconditioner whose block size coincides with the page size, these
-// factorizations are already available for free (§5.1); this cache plays
-// that role for the unpreconditioned solver too.
+// BlockSolverCache factorizes diagonal blocks at first use and caches
+// their solvers for a fixed matrix and block layout. The paper notes that
+// with a block-Jacobi preconditioner whose block size coincides with the
+// page size, these factorizations are already available for free (§5.1);
+// this cache plays that role for the unpreconditioned solver too.
 //
-// Lookups after Prefactorize/PrefactorizeLenient are read-only and safe
-// for concurrent use; lazy first-use factorization is not.
+// All methods are safe for concurrent use. Each block is factorized
+// exactly once, by its first caller, while concurrent callers for the same
+// block wait for that result; later lookups are one atomic load.
 type BlockSolverCache struct {
 	A      *CSR
 	Layout BlockLayout
 	SPD    bool
 	blocks []cachedBlock // indexed by block
+	full   atomic.Bool   // set once a PrefactorizeLenient pass has finished
 }
 
-// cachedBlock is one block's factorization outcome, a solver or the
-// reason there is none: either way it is computed once. Both nil means
-// not factorized yet.
+// cachedBlock is one block's slot: done is nil until the block has been
+// factorized, then the outcome, a solver or the reason there is none.
 type cachedBlock struct {
+	once sync.Once
+	done atomic.Pointer[factored]
+}
+
+type factored struct {
 	solver BlockSolver
 	err    error
 }
 
-func (b cachedBlock) pending() bool { return b.solver == nil && b.err == nil }
-
 // NewBlockSolverCache creates an empty cache for the given operator.
 func NewBlockSolverCache(a *CSR, layout BlockLayout, spd bool) *BlockSolverCache {
 	return &BlockSolverCache{A: a, Layout: layout, SPD: spd, blocks: make([]cachedBlock, layout.NumBlocks())}
-}
-
-// factorize fills slot i from the CSR rows of diagonal block i.
-func (c *BlockSolverCache) factorize(i int) {
-	lo, hi := c.Layout.Range(i)
-	s, err := factorBlock(hi-lo, c.A.spanRows([]span{{lo: lo, hi: hi}}), c.SPD)
-	if err != nil {
-		err = fmt.Errorf("sparse: factorizing diagonal block %d: %w", i, err)
-	}
-	c.blocks[i] = cachedBlock{solver: s, err: err}
 }
 
 // Solver returns the factorized solver for diagonal block i, computing and
@@ -86,10 +80,20 @@ func (c *BlockSolverCache) Solver(i int) (BlockSolver, error) {
 	if i < 0 || i >= len(c.blocks) {
 		return nil, fmt.Errorf("sparse: empty block %d", i)
 	}
-	if c.blocks[i].pending() {
-		c.factorize(i)
+	b := &c.blocks[i]
+	f := b.done.Load()
+	if f == nil {
+		b.once.Do(func() {
+			lo, hi := c.Layout.Range(i)
+			s, err := factorBlock(hi-lo, c.A.spanRows([]span{{lo: lo, hi: hi}}), c.SPD)
+			if err != nil {
+				err = fmt.Errorf("sparse: factorizing diagonal block %d: %w", i, err)
+			}
+			b.done.Store(&factored{solver: s, err: err})
+		})
+		f = b.done.Load()
 	}
-	return c.blocks[i].solver, c.blocks[i].err
+	return f.solver, f.err
 }
 
 // Prefactorize eagerly factorizes all diagonal blocks (what a block-Jacobi
@@ -98,24 +102,28 @@ func (c *BlockSolverCache) Solver(i int) (BlockSolver, error) {
 func (c *BlockSolverCache) Prefactorize() error {
 	c.PrefactorizeLenient()
 	for i := range c.blocks {
-		if err := c.blocks[i].err; err != nil {
+		if _, err := c.Solver(i); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// PrefactorizeLenient factorizes every diagonal block up front, caching
-// successes and remembering failures, so all later Solver lookups are
-// read-only (safe for concurrent recovery tasks). Unlike Prefactorize it
-// never fails: a block that cannot be factorized keeps returning its
-// error from SolveDiagBlock, and callers fall back to restart-style
-// recovery exactly as with lazy factorization.
+// PrefactorizeLenient factorizes every diagonal block not factorized yet,
+// caching successes and remembering failures, so no later Solver lookup
+// factorizes. Unlike Prefactorize it never fails: a block that cannot be
+// factorized keeps returning its error from SolveDiagBlock, and callers
+// fall back to restart-style recovery exactly as when the block is first
+// asked for by a recovery.
 //
 // The blocks are independent and each factor is a pure function of its
 // block, so they are factorized on GOMAXPROCS goroutines: the result is
-// the same as the serial loop's.
+// the same as the serial loop's. Calling it again is one atomic load.
 func (c *BlockSolverCache) PrefactorizeLenient() {
+	if c.full.Load() {
+		return
+	}
+	defer c.full.Store(true)
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := min(runtime.GOMAXPROCS(0), len(c.blocks)); w > 0; w-- {
@@ -123,9 +131,7 @@ func (c *BlockSolverCache) PrefactorizeLenient() {
 		go func() {
 			defer wg.Done()
 			for i := int(next.Add(1)) - 1; i < len(c.blocks); i = int(next.Add(1)) - 1 {
-				if c.blocks[i].pending() {
-					c.factorize(i)
-				}
+				c.Solver(i)
 			}
 		}()
 	}
@@ -136,8 +142,8 @@ func (c *BlockSolverCache) PrefactorizeLenient() {
 func (c *BlockSolverCache) Bytes() int64 {
 	var total int64
 	for i := range c.blocks {
-		if s := c.blocks[i].solver; s != nil {
-			total += s.Bytes()
+		if f := c.blocks[i].done.Load(); f != nil && f.solver != nil {
+			total += f.solver.Bytes()
 		}
 	}
 	return total

@@ -2,6 +2,7 @@ package sparse
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 )
 
@@ -82,6 +83,61 @@ func TestBlockSolverCacheSolvesBlockSystem(t *testing.T) {
 	}
 }
 
+// TestFirstUseFactorsOnceConcurrently: eight goroutines ask for one
+// unfactorized block at once, half through Solver and half through
+// SolveDiagBlock. The block is factorized exactly once, every caller gets
+// that one solver, and every solve gives the same bits.
+func TestFirstUseFactorsOnceConcurrently(t *testing.T) {
+	const n, bs, blk, callers = 2048, 512, 2, 8
+	cache := NewBlockSolverCache(spdSparse(n), BlockLayout{N: n, BlockSize: bs}, true)
+	solvers := make([]BlockSolver, callers)
+	xs := make([][]float64, callers)
+	before := FactorizationCount()
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := range callers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			xs[g] = make([]float64, bs)
+			for i := range xs[g] {
+				xs[g][i] = float64(i%7) - 3
+			}
+			<-start
+			var err error
+			if g%2 == 0 {
+				solvers[g], err = cache.Solver(blk)
+				if err == nil {
+					err = solvers[g].SolveInPlace(xs[g])
+				}
+			} else if err = cache.SolveDiagBlock(blk, xs[g]); err == nil {
+				solvers[g], err = cache.Solver(blk)
+			}
+			if err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+	if d := FactorizationCount() - before; d != 1 {
+		t.Fatalf("%d concurrent first uses factorized %d times, want 1", callers, d)
+	}
+	for g := 1; g < callers; g++ {
+		if solvers[g] != solvers[0] {
+			t.Fatalf("caller %d got a different solver", g)
+		}
+		for i := range xs[g] {
+			if xs[g][i] != xs[0][i] {
+				t.Fatalf("caller %d element %d: %v, caller 0: %v", g, i, xs[g][i], xs[0][i])
+			}
+		}
+	}
+	if cache.Bytes() != solvers[0].Bytes() {
+		t.Fatalf("cache holds %d bytes, its one factor %d", cache.Bytes(), solvers[0].Bytes())
+	}
+}
+
 func TestBlockSolverCacheCachesAndPrefactorizes(t *testing.T) {
 	n, bs := 32, 8
 	a := spdSparse(n)
@@ -89,8 +145,8 @@ func TestBlockSolverCacheCachesAndPrefactorizes(t *testing.T) {
 	if err := cache.Prefactorize(); err != nil {
 		t.Fatal(err)
 	}
-	for i, b := range cache.blocks {
-		if b.solver == nil {
+	for i := range cache.blocks {
+		if f := cache.blocks[i].done.Load(); f == nil || f.solver == nil {
 			t.Fatalf("block %d not factorized by Prefactorize", i)
 		}
 	}

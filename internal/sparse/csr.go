@@ -3,6 +3,7 @@ package sparse
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -55,9 +56,9 @@ type CSR struct {
 // the narrow (int32) index arrays, the diagonal shadow of dia.go for
 // stencil/banded matrices, and the SELL-C-σ shadow of sellcs.go for
 // short-row matrices DIA rejects. Constructors call it automatically;
-// hand-assembled matrices may call it to opt in. The narrow indices are
-// skipped when the column count or the nonzero count does not fit in an
-// int32.
+// hand-assembled matrices that pass Validate may call it to opt in. The
+// narrow indices are skipped when the column count or the nonzero count
+// does not fit in an int32.
 func (a *CSR) BuildIndex32() {
 	a.buildDIA()
 	defer a.buildSELL()
@@ -88,43 +89,73 @@ type Triplet struct {
 }
 
 // NewCSRFromTriplets assembles an n×m CSR matrix from coordinate entries.
-// Duplicate (row, col) entries are summed. Entries out of range panic.
+// Duplicate (row, col) entries are summed left to right in input order.
+// Entries out of range panic. entries is not modified.
+//
+// A counting sort by row: one pass sizes the rows, one scatters (col,
+// val) into the final arrays, then each row is sorted by column, stably,
+// and its duplicates merged in place.
 func NewCSRFromTriplets(n, m int, entries []Triplet) *CSR {
+	a := &CSR{N: n, M: m, RowPtr: make([]int, n+1)}
 	for _, t := range entries {
 		if t.Row < 0 || t.Row >= n || t.Col < 0 || t.Col >= m {
 			panic(fmt.Sprintf("sparse: triplet (%d,%d) out of range for %dx%d matrix", t.Row, t.Col, n, m))
 		}
-	}
-	sorted := make([]Triplet, len(entries))
-	copy(sorted, entries)
-	sort.Slice(sorted, func(i, j int) bool {
-		if sorted[i].Row != sorted[j].Row {
-			return sorted[i].Row < sorted[j].Row
-		}
-		return sorted[i].Col < sorted[j].Col
-	})
-
-	a := &CSR{N: n, M: m, RowPtr: make([]int, n+1)}
-	a.Cols = make([]int, 0, len(sorted))
-	a.Vals = make([]float64, 0, len(sorted))
-	for i := 0; i < len(sorted); {
-		t := sorted[i]
-		v := t.Val
-		j := i + 1
-		for j < len(sorted) && sorted[j].Row == t.Row && sorted[j].Col == t.Col {
-			v += sorted[j].Val
-			j++
-		}
-		a.Cols = append(a.Cols, t.Col)
-		a.Vals = append(a.Vals, v)
 		a.RowPtr[t.Row+1]++
-		i = j
 	}
 	for i := 0; i < n; i++ {
 		a.RowPtr[i+1] += a.RowPtr[i]
 	}
+	// RowPtr[i] is row i's scatter cursor: it ends at the row's end.
+	cols, vals := make([]int, len(entries)), make([]float64, len(entries))
+	for _, t := range entries {
+		k := a.RowPtr[t.Row]
+		cols[k], vals[k] = t.Col, t.Val
+		a.RowPtr[t.Row]++
+	}
+	lo, w := 0, 0
+	for i := 0; i < n; i++ {
+		hi := a.RowPtr[i]
+		a.RowPtr[i] = w
+		sortRow(cols[lo:hi], vals[lo:hi])
+		for k := lo; k < hi; k++ {
+			if w > a.RowPtr[i] && cols[w-1] == cols[k] {
+				vals[w-1] += vals[k]
+				continue
+			}
+			cols[w], vals[w] = cols[k], vals[k]
+			w++
+		}
+		lo = hi
+	}
+	a.RowPtr[n] = w
+	a.Cols, a.Vals = cols[:w], vals[:w]
 	a.BuildIndex32()
 	return a
+}
+
+// sortRow sorts one row's entries by column, stably: by insertion, or
+// through a merge sort of a copy when the row is long enough to make
+// insertion quadratic.
+func sortRow(cols []int, vals []float64) {
+	if len(cols) > 128 {
+		row := make([]Triplet, len(cols))
+		for k := range row {
+			row[k] = Triplet{Col: cols[k], Val: vals[k]}
+		}
+		slices.SortStableFunc(row, func(p, q Triplet) int { return p.Col - q.Col })
+		for k, t := range row {
+			cols[k], vals[k] = t.Col, t.Val
+		}
+		return
+	}
+	for k := 1; k < len(cols); k++ {
+		c, v, j := cols[k], vals[k], k
+		for ; j > 0 && cols[j-1] > c; j-- {
+			cols[j], vals[j] = cols[j-1], vals[j-1]
+		}
+		cols[j], vals[j] = c, v
+	}
 }
 
 // NNZ returns the number of stored entries.

@@ -68,6 +68,73 @@ func TestCSRDuplicateTripletsSummed(t *testing.T) {
 	}
 }
 
+// TestCSRDuplicatesSummedInInputOrder: duplicates are summed left to
+// right in the order they were given, whatever order assembly visits the
+// rest in. 1e16 + 1 rounds back to 1e16, so both cells below are 0 in
+// input order, where another order of the same three gives 1: (0,1)
+// against any order that pairs 1e16 with -1e16 first, (1,1) against the
+// reverse.
+func TestCSRDuplicatesSummedInInputOrder(t *testing.T) {
+	a := NewCSRFromTriplets(2, 3, []Triplet{
+		{1, 2, 7}, {0, 1, 1e16}, {1, 1, 1}, {1, 0, 2}, {0, 1, 1}, {1, 1, 1e16},
+		{0, 0, 3}, {0, 1, -1e16}, {1, 1, -1e16},
+	})
+	if err := a.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if a.At(0, 1) != 0 || a.At(1, 1) != 0 {
+		t.Fatalf("(1e16 + 1) - 1e16 and (1 + 1e16) - 1e16 assembled to %v and %v, want 0", a.At(0, 1), a.At(1, 1))
+	}
+	if a.NNZ() != 5 || a.At(0, 0) != 3 || a.At(1, 0) != 2 || a.At(1, 2) != 7 {
+		t.Fatalf("assembled %v %v %v", a.RowPtr, a.Cols, a.Vals)
+	}
+
+	// The same through the long-row sort: 300 columns given descending,
+	// the three order-sensitive entries among them.
+	var tr []Triplet
+	for c := 299; c >= 0; c-- {
+		if c == 150 {
+			tr = append(tr, Triplet{1, c, 1}, Triplet{1, c, 1e16}, Triplet{1, c, -1e16})
+			continue
+		}
+		tr = append(tr, Triplet{1, c, float64(c)})
+	}
+	a = NewCSRFromTriplets(3, 300, tr)
+	if err := a.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if a.RowNNZ(0) != 0 || a.RowNNZ(1) != 300 || a.RowNNZ(2) != 0 {
+		t.Fatalf("row lengths %v", a.RowPtr)
+	}
+	for c := 0; c < 300; c++ {
+		if want := float64(c); c != 150 && a.At(1, c) != want || c == 150 && a.At(1, c) != 0 {
+			t.Fatalf("long row column %d: %v", c, a.At(1, c))
+		}
+	}
+}
+
+// BenchmarkNewCSRFromTriplets assembles the 27-point stencil on a 32³
+// grid (0.83 M triplets, cg-stream's operator) from its generator-order
+// triplets, shadows included.
+func BenchmarkNewCSRFromTriplets(b *testing.B) {
+	const g = 32
+	var tr []Triplet
+	for i := 0; i < g*g*g; i++ {
+		x, y, z := i/(g*g), i/g%g, i%g
+		tr = append(tr, Triplet{i, i, 26})
+		for d := 0; d < 27; d++ {
+			xx, yy, zz := x+d/9-1, y+d/3%3-1, z+d%3-1
+			if d != 13 && xx >= 0 && xx < g && yy >= 0 && yy < g && zz >= 0 && zz < g {
+				tr = append(tr, Triplet{i, (xx*g+yy)*g + zz, -1})
+			}
+		}
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		NewCSRFromTriplets(g*g*g, g*g*g, tr)
+	}
+}
+
 func TestCSROutOfRangePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

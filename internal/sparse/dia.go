@@ -1,5 +1,7 @@
 package sparse
 
+import "slices"
+
 // Diagonal (DIA) kernel shadow: stencil and banded matrices — the
 // paper's whole workload family — concentrate their nonzeros on a
 // handful of diagonals. Storing those diagonals as dense padded arrays
@@ -53,43 +55,38 @@ func (a *CSR) buildDIA() {
 	if a.N != a.M || a.N == 0 || len(a.Vals) == 0 {
 		return
 	}
-	seen := make(map[int]struct{}, maxDiaOffsets+1)
+	// seen[o+N-1] marks offset o = col - row, which lies in (-N, N).
+	seen := make([]bool, 2*a.N-1)
+	var offs []int
 	for i := 0; i < a.N; i++ {
-		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-			o := a.Cols[k] - i
-			if _, ok := seen[o]; !ok {
-				seen[o] = struct{}{}
-				if len(seen) > maxDiaOffsets {
+		for _, c := range a.Cols[a.RowPtr[i]:a.RowPtr[i+1]] {
+			if o := c - i; !seen[o+a.N-1] {
+				seen[o+a.N-1] = true
+				if offs = append(offs, o); len(offs) > maxDiaOffsets {
 					return
 				}
 			}
 		}
 	}
-	if len(seen)*a.N > diaWasteFactor*len(a.Vals) {
+	if len(offs)*a.N > diaWasteFactor*len(a.Vals) {
 		return
-	}
-	offs := make([]int, 0, len(seen))
-	for o := range seen {
-		offs = append(offs, o)
 	}
 	// Ascending offsets == ascending in-row column order: bitwise parity
 	// with the CSR accumulation.
-	for i := 1; i < len(offs); i++ {
-		for j := i; j > 0 && offs[j] < offs[j-1]; j-- {
-			offs[j], offs[j-1] = offs[j-1], offs[j]
-		}
-	}
-	idx := make(map[int]int, len(offs))
-	for d, o := range offs {
-		idx[o] = d
-	}
+	slices.Sort(offs)
 	vals := make([][]float64, len(offs))
 	for d := range vals {
 		vals[d] = make([]float64, a.N)
 	}
+	// Columns ascend within a row, so a row's offsets do too: one cursor
+	// per row walks the sorted offsets to each value's diagonal.
 	for i := 0; i < a.N; i++ {
+		d := 0
 		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-			vals[idx[a.Cols[k]-i]][i] = a.Vals[k]
+			for offs[d] != a.Cols[k]-i {
+				d++
+			}
+			vals[d][i] = a.Vals[k]
 		}
 	}
 	a.diaOffs, a.diaVals = offs, vals
