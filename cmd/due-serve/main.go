@@ -15,14 +15,10 @@
 //	POST /v1/matrices  {"key":"m1","gen":"thermal2","n":16384}
 //	POST /v1/solve     {"matrix":"m1","solver":"cg","method":"afeir",
 //	                    "precond":true,"priority":2,"due_mtbe_ns":5e6}
-//	POST /v1/solve     {"matrix":"m1","method":"feir","batch":true}
 //	GET  /v1/stats
 //
-// Requests with "batch":true that fit the batched envelope
-// (unpreconditioned single-node CG, no injection) are coalesced: a
-// dispatcher holds one open for -batch-window, pulling same-matrix
-// companions from the queue up to -batch-width, then runs one multi-RHS
-// solve that streams the operator once for the whole group.
+// "batch":true is accepted and ignored: every request, multi-RHS
+// clients' included, solves solo on a warm pooled instance.
 //
 // SIGINT/SIGTERM drain gracefully: admissions stop, queued and in-flight
 // solves finish, then the process exits.
@@ -51,19 +47,15 @@ func main() {
 	queue := flag.Int("queue", 0, "admission queue depth (0 = default)")
 	timeout := flag.Duration("timeout", 0, "default per-request budget (0 = default)")
 	cacheBytes := flag.Int64("cache-bytes", 0, "operator cache cap in bytes (0 = default)")
-	batchWidth := flag.Int("batch-width", 0, "max requests coalesced into one batched solve (0 = default)")
-	batchWindow := flag.Duration("batch-window", 0, "how long a dispatcher waits for batch companions (0 = default)")
 	preload := flag.String("preload", "", "comma-separated gen:n matrices to cache at startup (key = gen)")
 	flag.Parse()
 
 	srv := serve.New(serve.Options{
-		QueueDepth:  *queue,
-		Concurrent:  *concurrent,
-		Timeout:     *timeout,
-		CacheBytes:  *cacheBytes,
-		Workers:     *workers,
-		BatchWidth:  *batchWidth,
-		BatchWindow: *batchWindow,
+		QueueDepth: *queue,
+		Concurrent: *concurrent,
+		Timeout:    *timeout,
+		CacheBytes: *cacheBytes,
+		Workers:    *workers,
 	})
 	if err := preloadMatrices(srv, *preload); err != nil {
 		fmt.Fprintf(os.Stderr, "due-serve: %v\n", err)

@@ -35,14 +35,6 @@ const (
 	// ServeCacheBytes caps the operator-context cache (CSR + factorized
 	// diagonal blocks); least-recently-used contexts are evicted past it.
 	ServeCacheBytes = 256 << 20
-	// ServeBatchWidth is the kernel width of coalesced multi-RHS solves:
-	// how many same-matrix requests merge into one batched solve that
-	// streams the operator once for all of them.
-	ServeBatchWidth = 4
-	// ServeBatchWindow is how long a dispatcher holds a batch-opted
-	// request open for same-matrix companions before solving with
-	// whatever width it has.
-	ServeBatchWindow = 2 * time.Millisecond
 )
 
 // GMRESRestartOr resolves a configured restart length, falling back to
@@ -79,19 +71,6 @@ func ServeTimeoutOr(v time.Duration) time.Duration {
 		return v
 	}
 	return ServeTimeout
-}
-
-// ServeBatchWidthOr resolves a configured coalescing width, falling back
-// to ServeBatchWidth.
-func ServeBatchWidthOr(v int) int { return Int(v, ServeBatchWidth) }
-
-// ServeBatchWindowOr resolves a configured coalescing window, falling
-// back to ServeBatchWindow.
-func ServeBatchWindowOr(v time.Duration) time.Duration {
-	if v > 0 {
-		return v
-	}
-	return ServeBatchWindow
 }
 
 // ServeCacheBytesOr resolves a configured cache cap, falling back to

@@ -55,13 +55,6 @@ func TestSteadyStateIterationsDoNotAllocate(t *testing.T) {
 		{"core.CG/afeir", coreCG(core.MethodAFEIR, false)},
 		{"core.CG/feir+precond", coreCG(core.MethodFEIR, true)},
 		{"core.CG/afeir+precond", coreCG(core.MethodAFEIR, true)},
-		{"core.BatchCG/w4", func() error {
-			bcg, err := core.NewBatchCG(a, [][]float64{b, b, b, b}, 4, single(core.MethodFEIR, false))
-			if err == nil {
-				_, err = bcg.Run()
-			}
-			return err
-		}},
 		{"dist.CG", func() error { _, _, err := SolveCG(a, b, ranks, sharded); return err }},
 	} {
 		m0, m1 = runtime.MemStats{}, runtime.MemStats{}

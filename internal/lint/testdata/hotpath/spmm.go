@@ -1,8 +1,7 @@
-// Fixture for the hotpath-alloc analyzer: the multi-RHS kernel shapes
-// (SpMM row loops over interleaved multivectors, width-specialized
-// bodies using slice-to-array-pointer views, rolling column counters)
-// must lint clean, and the tempting per-call accumulator allocation must
-// be caught.
+// Fixture for the hotpath-alloc analyzer: multi-RHS kernel shapes (SpMM
+// row loops over interleaved multivectors, width-specialized bodies
+// using slice-to-array-pointer views, rolling column counters) must lint
+// clean, and the tempting per-call accumulator allocation must be caught.
 package hot
 
 type csrish struct {
@@ -11,8 +10,8 @@ type csrish struct {
 	vals   []float64
 }
 
-// spmmW4 mirrors the width-4 CSR SpMM kernel: a local fixed-size
-// accumulator array and (*[4]float64) views allocate nothing.
+// spmmW4 is a width-4 CSR SpMM: a local fixed-size accumulator array
+// and (*[4]float64) views allocate nothing.
 //
 //due:hotpath
 func (a *csrish) spmmW4(x, y []float64, lo, hi int) {
@@ -34,8 +33,8 @@ func (a *csrish) spmmW4(x, y []float64, lo, hi int) {
 	}
 }
 
-// batchAxpy mirrors the flat interleaved multivector pass: per-column
-// scalars indexed by a rolling counter instead of a division.
+// batchAxpy is a flat interleaved multivector pass: per-column scalars
+// indexed by a rolling counter instead of a division.
 //
 //due:hotpath
 func batchAxpy(alpha []float64, x, y []float64, b int) {

@@ -2,8 +2,10 @@ package registry
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/engine"
@@ -29,40 +31,104 @@ func batchRHS(n, cols int, seed int64) [][]float64 {
 	return rhs
 }
 
-// TestCheckoutBatchRejections pins the capability gate: batched solving
-// exists only for solvers declaring Batch, and only single-node.
+// TestCheckoutBatchRejections: a batch is refused whole, before any
+// column takes an instance, when it has no columns, more than its width,
+// or a column of the wrong length; and it refuses what Checkout refuses.
 func TestCheckoutBatchRejections(t *testing.T) {
-	a, _ := testSystem(t)
+	a, b := testSystem(t)
 	octx := NewOperatorContext("m", a, 64)
-	rhs := batchRHS(a.N, 2, 7)
+	co, err := octx.Checkout("cg", b, testBatchCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	co.Release()
 
-	for _, name := range []string{"bicgstab", "gmres"} {
-		if caps, ok := Caps(name); !ok || caps.Batch {
-			t.Fatalf("%s: unexpected Batch capability", name)
-		}
-		if _, err := octx.CheckoutBatch(name, rhs, 4, testBatchCfg()); err == nil {
-			t.Fatalf("%s: batched checkout did not fail", name)
-		}
-	}
-	if _, err := octx.CheckoutBatch("nosuch", rhs, 4, testBatchCfg()); err == nil {
-		t.Fatal("unknown solver accepted")
-	}
 	cfg := testBatchCfg()
-	cfg.Ranks = 2
-	if _, err := octx.CheckoutBatch("cg", rhs, 4, cfg); err == nil {
-		t.Fatal("distributed batch accepted")
-	}
-	cfg = testBatchCfg()
 	cfg.PageDoubles = 128
-	if _, err := octx.CheckoutBatch("cg", rhs, 4, cfg); err == nil {
-		t.Fatal("mismatched page size accepted")
+	for name, c := range map[string]struct {
+		solver string
+		rhs    [][]float64
+		cfg    Config
+	}{
+		"no columns":         {"cg", nil, testBatchCfg()},
+		"beyond the width":   {"cg", batchRHS(a.N, 5, 7), testBatchCfg()},
+		"short second col":   {"cg", [][]float64{b, b[1:]}, testBatchCfg()},
+		"unknown solver":     {"nosuch", batchRHS(a.N, 2, 7), testBatchCfg()},
+		"page size mismatch": {"cg", batchRHS(a.N, 2, 7), cfg},
+	} {
+		if _, err := octx.CheckoutBatch(c.solver, c.rhs, 4, c.cfg); err == nil {
+			t.Errorf("%s: batch accepted", name)
+		}
+	}
+	if co, err = octx.Checkout("cg", b, testBatchCfg()); err != nil {
+		t.Fatal(err)
+	}
+	defer co.Release()
+	if !co.Warm {
+		t.Fatal("a refused batch took the warm instance")
 	}
 }
 
-// TestCheckoutBatchWarmZeroRebuilds pins the batched serving claim:
-// after warmup, batched checkouts against a cached operator perform zero
-// factorizations and zero graph preparations, across Rebinds that vary
-// the number of bound columns.
+// TestCheckoutBatchColumnsMatchSolo: each column of a batch is bitwise
+// the solo Checkout on that column; Iterations is the most any column
+// ran, and Elapsed the wall time of the whole Run.
+func TestCheckoutBatchColumnsMatchSolo(t *testing.T) {
+	a, b := testSystem(t)
+	octx := NewOperatorContext("m", a, 64)
+	ax := make([]float64, a.N)
+	a.MulVec(b, ax) // its solution is all ones: fewer iterations
+	rhs := append(batchRHS(a.N, 2, 3), ax)
+
+	co, err := octx.CheckoutBatch("cg", rhs, 4, testBatchCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	res, err := co.S.Run()
+	wall := time.Since(start)
+	co.Release()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sum time.Duration
+	iters, distinct := 0, map[int]bool{}
+	for j, col := range res.Columns {
+		solo, err := octx.Checkout("cg", rhs[j], testBatchCfg())
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := solo.Instance.Run()
+		if err != nil || !want.Converged {
+			t.Fatalf("solo %d: converged=%v err=%v", j, want.Converged, err)
+		}
+		x := solo.Instance.Solution()
+		if col.Iterations != want.Iterations || col.RelResidual != want.RelResidual || col.Stats != want.Stats {
+			t.Errorf("column %d: %+v, solo %+v", j, col, want)
+		}
+		for i := range x {
+			if math.Float64bits(res.X[j][i]) != math.Float64bits(x[i]) {
+				t.Fatalf("column %d row %d: %v, solo %v", j, i, res.X[j][i], x[i])
+			}
+		}
+		solo.Release()
+		sum += col.Elapsed
+		iters = max(iters, col.Iterations)
+		distinct[col.Iterations] = true
+	}
+	if len(distinct) < 2 {
+		t.Fatalf("every column ran %d iterations: the maximum is not exercised", iters)
+	}
+	if res.Iterations != iters {
+		t.Errorf("Iterations %d, want the columns' maximum %d", res.Iterations, iters)
+	}
+	if res.Elapsed < sum || res.Elapsed > wall {
+		t.Errorf("Elapsed %v outside [columns' sum %v, wall time %v]", res.Elapsed, sum, wall)
+	}
+}
+
+// TestCheckoutBatchWarmZeroRebuilds: after one batch, the next is warm
+// and performs zero factorizations and zero graph preparations, whatever
+// its number of columns.
 func TestCheckoutBatchWarmZeroRebuilds(t *testing.T) {
 	a, _ := testSystem(t)
 	octx := NewOperatorContext("m", a, 64)
@@ -81,8 +147,7 @@ func TestCheckoutBatchWarmZeroRebuilds(t *testing.T) {
 
 	fac0, prep0 := sparse.FactorizationCount(), engine.GraphPrepCount()
 	for i := 0; i < 3; i++ {
-		cols := 2 + i // rebinding across widths stays warm
-		co, err := octx.CheckoutBatch("cg", batchRHS(a.N, cols, int64(10*i)), 4, testBatchCfg())
+		co, err := octx.CheckoutBatch("cg", batchRHS(a.N, 2+i, int64(10*i)), 4, testBatchCfg())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -109,10 +174,9 @@ func TestCheckoutBatchWarmZeroRebuilds(t *testing.T) {
 }
 
 // TestConcurrentBatchedCheckoutsDistinctRHS runs goroutines pushing
-// distinct batched RHS sets through one shared operator context — the
-// coalescing dispatcher's steady state. Under -race this is the data-race
-// gate for the batch pool; it also pins zero rebuilds after a concurrent
-// warmup.
+// distinct batches through one shared operator context. Under -race this
+// is the data-race gate for the solo pool the columns share; it also pins
+// zero rebuilds after a warmup as deep as the goroutines.
 func TestConcurrentBatchedCheckoutsDistinctRHS(t *testing.T) {
 	a, _ := testSystem(t)
 	octx := NewOperatorContext("m", a, 64)
@@ -132,6 +196,7 @@ func TestConcurrentBatchedCheckoutsDistinctRHS(t *testing.T) {
 						return
 					}
 					res, err := co.S.Run()
+					co.Release()
 					if err != nil {
 						errs <- err
 						return
@@ -139,11 +204,9 @@ func TestConcurrentBatchedCheckoutsDistinctRHS(t *testing.T) {
 					for j, col := range res.Columns {
 						if !col.Converged {
 							errs <- fmt.Errorf("%s g%d i%d col %d: %+v", tag, g, i, j, col)
-							co.Release()
 							return
 						}
 					}
-					co.Release()
 				}
 			}(g)
 		}
@@ -157,24 +220,20 @@ func TestConcurrentBatchedCheckoutsDistinctRHS(t *testing.T) {
 
 	// Deterministic warmup: hold gor instances at once so the pool is
 	// provably deep enough — a concurrent traffic round only pools as many
-	// instances as the scheduler happened to overlap, and the steady phase
-	// below would flake with a cold construction.
-	held := make([]*BatchCheckout, 0, gor)
+	// instances as the scheduler happened to overlap.
+	held := make([]*Checkout, 0, gor)
 	for g := 0; g < gor; g++ {
-		co, err := octx.CheckoutBatch("cg", batchRHS(a.N, 3, int64(g)), 4, testBatchCfg())
+		co, err := octx.Checkout("cg", batchRHS(a.N, 1, int64(g))[0], testBatchCfg())
 		if err != nil {
 			t.Fatal(err)
 		}
 		held = append(held, co)
-		if _, err := co.S.Run(); err != nil {
+		if _, err := co.Instance.Run(); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for _, co := range held {
 		co.Release()
-	}
-	if err := run("warmup"); err != nil {
-		t.Fatal(err)
 	}
 	fac0, prep0 := sparse.FactorizationCount(), engine.GraphPrepCount()
 	if err := run("steady"); err != nil {

@@ -66,21 +66,12 @@ type OperatorContext struct {
 	mu     sync.Mutex
 	blocks map[bool]*sparse.BlockSolverCache // spd -> cache
 	pool   map[poolKey][]*pooledCG
-	bpool  map[batchPoolKey][]*core.BatchCG
 }
 
 type pooledCG struct {
 	s      *core.CG
 	inst   *Instance
 	inline bool // built on a private taskrt.NewInline runtime
-}
-
-// batchPoolKey extends poolKey with the kernel width: a warm batched
-// instance replays its prepared graphs only at the width it was built
-// for (Rebind varies the BOUND columns, not the capacity).
-type batchPoolKey struct {
-	poolKey
-	width int
 }
 
 // NewOperatorContext builds the context for one matrix. pageDoubles <= 0
@@ -94,7 +85,6 @@ func NewOperatorContext(key string, a *sparse.CSR, pageDoubles int) *OperatorCon
 		Layout:      sparse.BlockLayout{N: a.N, BlockSize: pd},
 		blocks:      make(map[bool]*sparse.BlockSolverCache),
 		pool:        make(map[poolKey][]*pooledCG),
-		bpool:       make(map[batchPoolKey][]*core.BatchCG),
 	}
 }
 
@@ -238,6 +228,11 @@ func (c *OperatorContext) Checkout(name string, b []float64, cfg Config) (*Check
 	if pd := defaults.PageDoublesOr(cfg.PageDoubles); pd != c.PageDoubles {
 		return nil, fmt.Errorf("registry: page size %d does not match cached context (%d)", pd, c.PageDoubles)
 	}
+	// Before the pool is touched: a popped instance that failed its Rebind
+	// would be neither pooled again nor released.
+	if len(b) != c.A.N {
+		return nil, fmt.Errorf("registry: rhs length %d for n=%d", len(b), c.A.N)
+	}
 	cfg.Blocks = c.blocksFor(name, cfg)
 
 	// The single-node CG family is fully reusable: Rebind + reset instead
@@ -250,9 +245,7 @@ func (c *OperatorContext) Checkout(name string, b []float64, cfg Config) (*Check
 			p := q[len(q)-1]
 			c.pool[key] = q[:len(q)-1]
 			c.mu.Unlock()
-			if err := p.s.Rebind(b); err != nil {
-				return nil, err
-			}
+			_ = p.s.Rebind(b) // its one failure, a length mismatch, is ruled out above
 			p.s.SetCancelled(cfg.Cancelled)
 			p.s.SetOnIteration(cfg.OnIteration)
 			return &Checkout{Instance: p.inst, Warm: true, Inline: p.inline, ctx: c, key: key, cg: p}, nil
@@ -289,86 +282,6 @@ func (c *OperatorContext) Checkout(name string, b []float64, cfg Config) (*Check
 	return &Checkout{Instance: inst, ctx: c}, nil
 }
 
-// BatchCheckout is one coalesced batch's hold on a batched solver. The
-// caller binds per-column cancellation hooks on S directly (they are
-// per-request, like the RHS) and must Release when done; Release clears
-// every hook before the instance returns to the warm pool.
-type BatchCheckout struct {
-	S *core.BatchCG
-	// Warm reports whether the checkout reused a pooled instance.
-	Warm bool
-
-	ctx      *OperatorContext
-	key      batchPoolKey
-	released bool
-}
-
-// CheckoutBatch binds a width-`width` batched solver for one coalesced
-// group of requests sharing this operator. Only solvers declaring the
-// Batch capability have a batched variant — everything else is a loud
-// rejection, never a silent per-column fallback. The warm path mirrors
-// Checkout's: pooled instances Rebind across bound-column counts and
-// replay their prepared task graphs, so a steady batched load performs
-// zero factorizations and zero graph preparations.
-func (c *OperatorContext) CheckoutBatch(name string, rhs [][]float64, width int, cfg Config) (*BatchCheckout, error) {
-	caps, ok := Caps(name)
-	if !ok {
-		return nil, fmt.Errorf("registry: unknown solver %q (have %v)", name, Names())
-	}
-	if !caps.Batch {
-		return nil, fmt.Errorf("registry: solver %q has no batched variant (batched solving requires cg)", name)
-	}
-	if cfg.Ranks > 0 {
-		return nil, fmt.Errorf("registry: batched solving is single-node only (drop -ranks)")
-	}
-	if pd := defaults.PageDoublesOr(cfg.PageDoubles); pd != c.PageDoubles {
-		return nil, fmt.Errorf("registry: page size %d does not match cached context (%d)", pd, c.PageDoubles)
-	}
-	cfg.Blocks = c.blocksFor(name, cfg)
-	if cfg.RT == nil {
-		cfg.RT = taskrt.Shared(cfg.Workers)
-	}
-	key := batchPoolKey{poolKey: keyFor(name, cfg), width: width}
-	c.mu.Lock()
-	if q := c.bpool[key]; len(q) > 0 {
-		s := q[len(q)-1]
-		c.bpool[key] = q[:len(q)-1]
-		c.mu.Unlock()
-		if err := s.Rebind(rhs); err != nil {
-			return nil, err
-		}
-		s.SetCancelled(cfg.Cancelled)
-		s.SetOnIteration(cfg.OnIteration)
-		return &BatchCheckout{S: s, Warm: true, ctx: c, key: key}, nil
-	}
-	c.mu.Unlock()
-	s, err := core.NewBatchCG(c.A, rhs, width, cfg.Config)
-	if err != nil {
-		return nil, err
-	}
-	s.SetCancelled(cfg.Cancelled)
-	s.SetOnIteration(cfg.OnIteration)
-	return &BatchCheckout{S: s, ctx: c, key: key}, nil
-}
-
-// Release returns the batched instance to the warm pool, clearing the
-// whole-batch and per-column hooks so no stale cancellation can touch
-// the next coalesced group.
-func (co *BatchCheckout) Release() {
-	if co.released {
-		return
-	}
-	co.released = true
-	co.S.SetCancelled(nil)
-	co.S.SetOnIteration(nil)
-	for j := 0; j < co.S.Width(); j++ {
-		co.S.SetColumnCancelled(j, nil)
-	}
-	co.ctx.mu.Lock()
-	co.ctx.bpool[co.key] = append(co.ctx.bpool[co.key], co.S)
-	co.ctx.mu.Unlock()
-}
-
 // Release returns a poolable instance to the context's warm pool. The
 // per-request hooks are cleared first so a stale cancellation can never
 // abort the next tenant's solve.
@@ -382,6 +295,92 @@ func (co *Checkout) Release() {
 	co.ctx.mu.Lock()
 	co.ctx.pool[co.key] = append(co.ctx.pool[co.key], co.cg)
 	co.ctx.mu.Unlock()
+}
+
+// BatchCheckout is one multi-RHS operation's hold on this context. There
+// is no batched solver (DESIGN §11): S solves its columns one after
+// another, each a Checkout, Run and Release on the solo pool, so every
+// column is bitwise its solo solve. Release is needed only when S never
+// ran.
+type BatchCheckout struct {
+	S *BatchSolve
+	// Warm reports whether the first column's checkout reused a pooled
+	// instance.
+	Warm bool
+}
+
+// BatchSolve is the column-by-column solve behind a BatchCheckout.
+type BatchSolve struct {
+	ctx   *OperatorContext
+	name  string
+	rhs   [][]float64
+	cfg   Config
+	first *Checkout // the first column's, taken by CheckoutBatch
+}
+
+// BatchResult reports a BatchSolve: each column's result and solution,
+// the most iterations any column ran, and the wall time of the whole Run.
+type BatchResult struct {
+	Columns    []core.Result
+	X          [][]float64
+	Iterations int
+	Elapsed    time.Duration
+}
+
+// CheckoutBatch binds the columns of rhs (1 to width of them, each of
+// length n) to solver name under cfg. It takes the first column's
+// checkout now, so an error Checkout would return surfaces here.
+func (c *OperatorContext) CheckoutBatch(name string, rhs [][]float64, width int, cfg Config) (*BatchCheckout, error) {
+	if len(rhs) == 0 || len(rhs) > width {
+		return nil, fmt.Errorf("registry: %d right-hand sides at width %d", len(rhs), width)
+	}
+	for _, b := range rhs {
+		if len(b) != c.A.N {
+			return nil, fmt.Errorf("registry: rhs length %d for n=%d", len(b), c.A.N)
+		}
+	}
+	co, err := c.Checkout(name, rhs[0], cfg)
+	if err != nil {
+		return nil, err
+	}
+	s := &BatchSolve{ctx: c, name: name, rhs: rhs, cfg: cfg, first: co}
+	return &BatchCheckout{S: s, Warm: co.Warm}, nil
+}
+
+// Run solves the columns in order and stops at the first error.
+func (s *BatchSolve) Run() (BatchResult, error) {
+	start := time.Now()
+	out := BatchResult{Columns: make([]core.Result, len(s.rhs)), X: make([][]float64, len(s.rhs))}
+	for j, b := range s.rhs {
+		co := s.first
+		s.first = nil
+		if co == nil {
+			var err error
+			if co, err = s.ctx.Checkout(s.name, b, s.cfg); err != nil {
+				return out, err
+			}
+		}
+		res, err := co.Instance.Run()
+		if err == nil {
+			out.X[j] = append([]float64(nil), co.Instance.Solution()...)
+		}
+		co.Release()
+		if err != nil {
+			return out, err
+		}
+		out.Columns[j] = res
+		out.Iterations = max(out.Iterations, res.Iterations)
+	}
+	out.Elapsed = time.Since(start)
+	return out, nil
+}
+
+// Release returns the first column's instance if S never ran.
+func (co *BatchCheckout) Release() {
+	if co.S.first != nil {
+		co.S.first.Release()
+		co.S.first = nil
+	}
 }
 
 // ContextCache is an LRU of operator contexts under a memory cap, the

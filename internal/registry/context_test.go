@@ -399,3 +399,27 @@ func TestCheckoutRejectsMismatchedPageSize(t *testing.T) {
 		t.Fatal("checkout with mismatched page size succeeded")
 	}
 }
+
+// TestWrongLengthCheckoutKeepsWarmInstance: a right-hand side of the wrong
+// length is refused before the pool is touched. It used to pop the one
+// warm instance, fail its Rebind, and drop it, so the next valid request
+// under the same key built a new one.
+func TestWrongLengthCheckoutKeepsWarmInstance(t *testing.T) {
+	a, b := testSystem(t)
+	octx := NewOperatorContext("m", a, 64)
+	co, err := octx.Checkout("cg", b, testCtxCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	co.Release()
+	if _, err := octx.Checkout("cg", b[:len(b)-1], testCtxCfg()); err == nil {
+		t.Fatal("wrong-length rhs accepted")
+	}
+	if co, err = octx.Checkout("cg", b, testCtxCfg()); err != nil {
+		t.Fatal(err)
+	}
+	defer co.Release()
+	if !co.Warm {
+		t.Fatal("the warm instance was lost to the wrong-length checkout")
+	}
+}

@@ -92,9 +92,6 @@ type Capabilities struct {
 	// ABFT: the builder honors Config.ABFT (checksum-carrying kernels
 	// turning silent flips into recoverable poisons).
 	ABFT bool
-	// Batch: the solver has a multi-RHS batched variant reachable through
-	// OperatorContext.CheckoutBatch (one SpMM pass shared by all columns).
-	Batch bool
 }
 
 type entry struct {
@@ -182,7 +179,6 @@ var all = Capabilities{Precond: true, Distributed: true}
 func init() {
 	cgCaps := all
 	cgCaps.ABFT = true
-	cgCaps.Batch = true // core.BatchCG, via OperatorContext.CheckoutBatch
 	Register("cg", cgCaps, func(a *sparse.CSR, b []float64, cfg Config) (*Instance, error) {
 		if cfg.Ranks > 0 {
 			if cfg.ABFT {

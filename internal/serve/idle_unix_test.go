@@ -15,7 +15,7 @@ import (
 // polling — the shared pool's workers are asleep and an idle server burns
 // no CPU, however hot the pool ran a moment ago.
 func TestDrainLeavesPoolIdle(t *testing.T) {
-	srv := New(Options{Concurrent: 2})
+	srv := newServer(t, Options{Concurrent: 2})
 	srv.RegisterMatrix("m", matgen.Poisson2D(30, 30), 64)
 	for i := 0; i < 4; i++ {
 		if _, err := srv.Submit(fastReq()); err != nil {

@@ -20,8 +20,7 @@ import (
 // /v1/stats counts the solves the pool's own counters cannot see (with one
 // processor nothing polls or wakes, so those are not asserted on).
 func TestInlineAndPoolTenantsShareServer(t *testing.T) {
-	srv := New(Options{Concurrent: 2})
-	t.Cleanup(srv.Drain)
+	srv := newServer(t, Options{Concurrent: 2})
 	srv.RegisterMatrix("small", matgen.Thermal2Analogue(2048), 0) // 31 k memory operations: inline
 	srv.RegisterMatrix("large", matgen.ConsphAnalogue(4096), 0)   // 537 k: the pool
 	reqs := map[string]*Request{
@@ -124,8 +123,7 @@ func TestBadRequestRefusedAtAdmission(t *testing.T) {
 	if rr.Code != http.StatusBadRequest || !strings.Contains(rr.Body.String(), `unknown solver "pipecg" (have [bicgstab cg gmres])`) {
 		t.Fatalf("unknown solver over HTTP: %d %q", rr.Code, rr.Body.String())
 	}
-	capped := New(Options{Concurrent: 1, CacheBytes: 512})
-	t.Cleanup(capped.Drain)
+	capped := newServer(t, Options{Concurrent: 1, CacheBytes: 512})
 	rr = post(capped.Handler(), `{"matrix":"m","b":[1`+strings.Repeat(",1", 600)+`]}`)
 	if rr.Code != http.StatusBadRequest || !strings.Contains(rr.Body.String(), "too large") {
 		t.Fatalf("oversized body: %d %q", rr.Code, rr.Body.String())

@@ -63,13 +63,6 @@ type Options struct {
 	CacheBytes int64
 	// Workers sizes the shared task pool on first use; 0 = GOMAXPROCS.
 	Workers int
-	// BatchWidth is the kernel width of coalesced multi-RHS solves
-	// (capped at sparse.MaxBatchWidth); 0 = defaults.ServeBatchWidth.
-	// Coalescing applies only to requests that opt in (Request.Batch).
-	BatchWidth int
-	// BatchWindow is how long a dispatcher holds a batch-opted request
-	// open for same-matrix companions; 0 = defaults.ServeBatchWindow.
-	BatchWindow time.Duration
 }
 
 // Request is one solve submission. Matrix references a handle registered
@@ -85,18 +78,17 @@ type Request struct {
 	B        []float64     `json:"b,omitempty"` // nil = all-ones RHS
 	Priority int           `json:"priority,omitempty"`
 	Timeout  time.Duration `json:"timeout_ns,omitempty"`
-	Tenant   string        `json:"tenant,omitempty"`
+	// Tenant labels the request for its client; the server reads nothing
+	// from it (isolation is per request, see the package doc).
+	Tenant string `json:"tenant,omitempty"`
 	// DUEMTBE, when positive, runs a wall-clock DUE storm against this
 	// request's own fault domain for the duration of the solve.
 	DUEMTBE time.Duration `json:"due_mtbe_ns,omitempty"`
 	Seed    int64         `json:"seed,omitempty"`
 	// WantSolution includes the solution vector in the response.
 	WantSolution bool `json:"want_solution,omitempty"`
-	// Batch opts this request into multi-RHS coalescing: concurrent
-	// same-matrix, same-configuration requests merge into one batched
-	// solve that streams the operator once for all of them. Only the
-	// unpreconditioned single-node CG family (methods ideal/feir/afeir,
-	// no injection) is batchable; anything else solves solo as usual.
+	// Batch is accepted and ignored: every request solves solo on the
+	// warm pool (DESIGN §11 says why there is no batched path).
 	Batch bool `json:"batch,omitempty"`
 }
 
@@ -120,11 +112,7 @@ type Response struct {
 	Inline   bool       `json:"inline,omitempty"`
 	Injected int        `json:"injected"`
 	Stats    core.Stats `json:"stats"`
-	// BatchWidth is the number of requests that shared this solve's
-	// operator pass (0 or 1 = solved solo). Stats is the whole batch's
-	// aggregate for coalesced responses.
-	BatchWidth int       `json:"batch_width,omitempty"`
-	X          []float64 `json:"x,omitempty"`
+	X        []float64  `json:"x,omitempty"`
 }
 
 // Stats is a point-in-time snapshot of server counters.
@@ -142,8 +130,8 @@ type Stats struct {
 	// CacheHitRate is CacheHits/(CacheHits+CacheMisses); 0 before any
 	// lookup.
 	CacheHitRate float64 `json:"cache_hit_rate"`
-	// Batch occupancy: how many batched dispatches ran, how many
-	// requests they absorbed, and the mean width (coalesced/batches).
+	// Batch occupancy always reads 0: no request is coalesced (see
+	// Request.Batch). The fields stay for clients that read them.
 	BatchesDispatched int64   `json:"batches_dispatched"`
 	RequestsCoalesced int64   `json:"requests_coalesced"`
 	MeanBatchWidth    float64 `json:"mean_batch_width"`
@@ -184,7 +172,6 @@ type Server struct {
 	workers  sync.WaitGroup
 
 	accepted, rejected, completed, failed, warm, inline int64
-	batches, coalesced                                  int64
 }
 
 // New builds a server and starts its dispatchers.
@@ -218,9 +205,8 @@ func (s *Server) RegisterMatrix(key string, a *sparse.CSR, pageDoubles int) *reg
 // as a group. Traffic-based warmup grows the pool only as deep as the
 // checkouts that actually overlapped — scheduler luck — so a later burst
 // can still pay a construction mid-flight; after Prewarm(req, concurrent)
-// it cannot. A batch-opted request warms the batched pool at the
-// configured width instead of the solo pool. Prewarm bypasses admission
-// and leaves the serving stats untouched.
+// it cannot. Prewarm bypasses admission and leaves the serving stats
+// untouched.
 func (s *Server) Prewarm(req *Request, count int) error {
 	octx, ok := s.cache.Get(req.Matrix)
 	if !ok {
@@ -229,41 +215,6 @@ func (s *Server) Prewarm(req *Request, count int) error {
 	method, err := ParseMethod(req.Method)
 	if err != nil {
 		return err
-	}
-	ones := func() []float64 {
-		b := make([]float64, octx.A.N)
-		for k := range b {
-			b[k] = 1
-		}
-		return b
-	}
-	if s.batchable(req) {
-		width := s.batchWidth()
-		rhs := make([][]float64, width)
-		for j := range rhs {
-			rhs[j] = ones()
-		}
-		cfg := registry.Config{Config: core.Config{
-			Method: method, Workers: s.opts.Workers, PageDoubles: octx.PageDoubles,
-			Tol: req.Tol, MaxIter: req.MaxIter, TaskPriority: req.Priority,
-		}}
-		cos := make([]*registry.BatchCheckout, 0, count)
-		defer func() {
-			for _, co := range cos {
-				co.Release()
-			}
-		}()
-		for i := 0; i < count; i++ {
-			co, err := octx.CheckoutBatch("cg", rhs, width, cfg)
-			if err != nil {
-				return err
-			}
-			cos = append(cos, co)
-			if _, err := co.S.Run(); err != nil {
-				return err
-			}
-		}
-		return nil
 	}
 	solver := req.solverName()
 	cfg := registry.Config{
@@ -274,7 +225,10 @@ func (s *Server) Prewarm(req *Request, count int) error {
 		},
 		Ranks: req.Ranks,
 	}
-	b := ones()
+	b := make([]float64, octx.A.N)
+	for k := range b {
+		b[k] = 1
+	}
 	cos := make([]*registry.Checkout, 0, count)
 	defer func() {
 		for _, co := range cos {
@@ -368,25 +322,18 @@ func (s *Server) Snapshot() Stats {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var meanWidth float64
-	if s.batches > 0 {
-		meanWidth = float64(s.coalesced) / float64(s.batches)
-	}
 	return Stats{
-		Accepted:          s.accepted,
-		Rejected:          s.rejected,
-		Completed:         s.completed,
-		Failed:            s.failed,
-		WarmSolves:        s.warm,
-		CacheHits:         hits,
-		CacheMisses:       misses,
-		Cached:            s.cache.Len(),
-		CacheBytes:        s.cache.Bytes(),
-		QueueLen:          s.queue.Len(),
-		CacheHitRate:      hitRate,
-		BatchesDispatched: s.batches,
-		RequestsCoalesced: s.coalesced,
-		MeanBatchWidth:    meanWidth,
+		Accepted:     s.accepted,
+		Rejected:     s.rejected,
+		Completed:    s.completed,
+		Failed:       s.failed,
+		WarmSolves:   s.warm,
+		CacheHits:    hits,
+		CacheMisses:  misses,
+		Cached:       s.cache.Len(),
+		CacheBytes:   s.cache.Bytes(),
+		QueueLen:     s.queue.Len(),
+		CacheHitRate: hitRate,
 		// The pool every solve of this server runs on, unless it runs inline.
 		Pool:         taskrt.SharedCounters(),
 		InlineSolves: s.inline,
@@ -410,12 +357,6 @@ func (s *Server) dispatch() {
 		s.inflight.Add(1)
 		s.mu.Unlock()
 
-		if s.batchable(p.req) {
-			if group := s.collectBatch(p); len(group) > 1 {
-				s.executeBatch(group)
-				continue
-			}
-		}
 		resp, err := s.execute(p)
 		s.mu.Lock()
 		if err != nil {

@@ -6,21 +6,46 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/matgen"
+	"repro/internal/sparse"
+	"repro/internal/taskrt"
 )
 
-// newTestServer builds a server with one registered 900-row Poisson
-// operator under the handle "m" and drains it at test end.
+// newServer builds a server and, at test end, drains it and fails the
+// test unless the goroutine count falls back to where it stood before New
+// within a bounded wait: a dispatcher, injector or timer callback still
+// running after Drain is a leak. The shared task pool is started first;
+// its workers live as long as the process.
+func newServer(t *testing.T, opts Options) *Server {
+	t.Helper()
+	taskrt.Shared(opts.Workers)
+	before := runtime.NumGoroutine()
+	srv := New(opts)
+	t.Cleanup(func() {
+		srv.Drain()
+		for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Errorf("%d goroutines 5 s after Drain, %d before New", runtime.NumGoroutine(), before)
+				return
+			}
+		}
+	})
+	return srv
+}
+
+// newTestServer is newServer with one registered 900-row Poisson operator
+// under the handle "m".
 func newTestServer(t *testing.T, opts Options) *Server {
 	t.Helper()
-	srv := New(opts)
-	t.Cleanup(srv.Drain)
+	srv := newServer(t, opts)
 	srv.RegisterMatrix("m", matgen.Poisson2D(30, 30), 64)
 	return srv
 }
@@ -167,7 +192,7 @@ func TestPriorityDispatchOrder(t *testing.T) {
 }
 
 func TestDrainRejectsNewWork(t *testing.T) {
-	srv := New(Options{Concurrent: 1})
+	srv := newServer(t, Options{Concurrent: 1})
 	srv.RegisterMatrix("m", matgen.Poisson2D(20, 20), 64)
 	if _, err := srv.Submit(&Request{Matrix: "m", Tol: 1e-8}); err != nil {
 		t.Fatal(err)
@@ -287,5 +312,87 @@ func TestMatrixSubmissionRejectsMalformedCSR(t *testing.T) {
 	var resp Response
 	if err := json.Unmarshal(rr.Body.Bytes(), &resp); rr.Code != http.StatusOK || err != nil || !resp.Converged {
 		t.Fatalf("solve on the valid CSR: status %d err %v body %q", rr.Code, err, rr.Body.String())
+	}
+}
+
+// submitAll submits the requests at once and waits for every response.
+func submitAll(t *testing.T, srv *Server, reqs []*Request) []*Response {
+	t.Helper()
+	resps := make([]*Response, len(reqs))
+	var wg sync.WaitGroup
+	for i, req := range reqs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var err error
+			if resps[i], err = srv.Submit(req); err != nil || !resps[i].Converged {
+				t.Errorf("request %d: %+v err=%v", i, resps[i], err)
+			}
+		}()
+	}
+	wg.Wait()
+	if t.Failed() {
+		t.FailNow()
+	}
+	return resps
+}
+
+// TestBatchOptedRequestsSolveSolo: Request.Batch is accepted and ignored.
+// Four concurrent batch-opted requests on one operator each return the
+// solution of the same request without the flag, bit for bit, nothing
+// reads as coalesced, and the flag is no error over HTTP.
+func TestBatchOptedRequestsSolveSolo(t *testing.T) {
+	srv := newTestServer(t, Options{Concurrent: 2})
+	n := nOf(srv, "m")
+	batched := make([]*Request, 4)
+	for i := range batched {
+		batched[i] = &Request{Matrix: "m", Method: "feir", B: matgen.RandomVector(n, int64(i+1)), Batch: true, WantSolution: true}
+	}
+	got := submitAll(t, srv, batched)
+	for i, req := range batched {
+		solo := *req
+		solo.Batch = false
+		want, err := srv.Submit(&solo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k := range want.X {
+			if math.Float64bits(got[i].X[k]) != math.Float64bits(want.X[k]) {
+				t.Fatalf("request %d row %d: batch-opted %v, solo %v", i, k, got[i].X[k], want.X[k])
+			}
+		}
+	}
+	if s := srv.Snapshot(); s.BatchesDispatched != 0 || s.RequestsCoalesced != 0 || s.MeanBatchWidth != 0 {
+		t.Fatalf("batch occupancy %d/%d/%v, want zeros", s.BatchesDispatched, s.RequestsCoalesced, s.MeanBatchWidth)
+	}
+	rr := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(rr, httptest.NewRequest(http.MethodPost, "/v1/solve", strings.NewReader(`{"matrix":"m","method":"feir","batch":true}`)))
+	if rr.Code != http.StatusOK {
+		t.Fatalf(`"batch":true over HTTP: status %d body %q`, rr.Code, rr.Body.String())
+	}
+}
+
+// TestPrewarmPinsZeroRebuilds: Prewarm of a batch-opted request warms the
+// solo pool those requests run on, as deep as the dispatchers, so four
+// concurrent batch-opted requests after it factorize nothing and prepare
+// no task graph.
+func TestPrewarmPinsZeroRebuilds(t *testing.T) {
+	srv := newTestServer(t, Options{Concurrent: 2})
+	req := &Request{Matrix: "m", Method: "feir", Batch: true}
+	if err := srv.Prewarm(req, 2); err != nil {
+		t.Fatal(err)
+	}
+	fac0, prep0 := sparse.FactorizationCount(), engine.GraphPrepCount()
+	resps := submitAll(t, srv, []*Request{req, req, req, req})
+	for i, resp := range resps {
+		if !resp.Warm {
+			t.Errorf("request %d after Prewarm is not warm", i)
+		}
+	}
+	if d := sparse.FactorizationCount() - fac0; d != 0 {
+		t.Fatalf("%d factorizations after prewarm", d)
+	}
+	if d := engine.GraphPrepCount() - prep0; d != 0 {
+		t.Fatalf("%d graph preparations after prewarm", d)
 	}
 }

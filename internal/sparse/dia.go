@@ -96,7 +96,8 @@ func (a *CSR) buildDIA() {
 // offset in [oLo, oHi] has an x element in an n-column matrix, clamped
 // so that r0 <= i0 <= i1 <= r1 (a block out of the diagonals' reach
 // comes back empty, not inverted). The one statement of the DIA clip
-// arithmetic: the SpMM bodies of spmm.go call it per diagonal.
+// arithmetic: diaBlockMul calls it per group and, near either end of the
+// matrix, per diagonal.
 //
 //due:hotpath
 func diaClip(oLo, oHi, r0, r1, n int) (i0, i1 int) {

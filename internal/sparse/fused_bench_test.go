@@ -80,6 +80,37 @@ func grid5(nx, ny int) *CSR {
 	return NewCSRFromTriplets(n, n, tr)
 }
 
+// stencil27 builds the nx^3 27-point stencil with a DIA shadow — the
+// qa8fm-analogue shape the serving bench solves.
+func stencil27(nx int) *CSR {
+	n := nx * nx * nx
+	var tr []Triplet
+	idx := func(i, j, k int) int { return (i*nx+j)*nx + k }
+	for i := 0; i < nx; i++ {
+		for j := 0; j < nx; j++ {
+			for k := 0; k < nx; k++ {
+				r := idx(i, j, k)
+				for di := -1; di <= 1; di++ {
+					for dj := -1; dj <= 1; dj++ {
+						for dk := -1; dk <= 1; dk++ {
+							ii, jj, kk := i+di, j+dj, k+dk
+							if ii < 0 || jj < 0 || kk < 0 || ii >= nx || jj >= nx || kk >= nx {
+								continue
+							}
+							v := -1.0
+							if di == 0 && dj == 0 && dk == 0 {
+								v = 27.0
+							}
+							tr = append(tr, Triplet{Row: r, Col: idx(ii, jj, kk), Val: v})
+						}
+					}
+				}
+			}
+		}
+	}
+	return NewCSRFromTriplets(n, n, tr)
+}
+
 // BenchmarkSpMVDIA times the three DIA entry points the way the engine
 // calls them — page by page, 512 rows — on the pentadiagonal band and on
 // the diagonal patterns of the benchmark's two DIA operators: grid5(128,

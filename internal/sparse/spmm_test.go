@@ -6,12 +6,9 @@ import (
 	"testing"
 )
 
-// The batched-solve contract: every SpMM kernel and every batch vector
-// kernel is bitwise equal, per column, to its scalar composition. These
-// property tests sweep all four dispatch shadows and widths 1..MaxBatchWidth.
-
-// batchShadowMatrices builds one qualifying matrix per dispatch tier.
-func batchShadowMatrices(t *testing.T) map[string]*CSR {
+// shadowMatrices builds one qualifying matrix per MulVecRange dispatch
+// tier: MulMatRange's one row loop must match each of them per column.
+func shadowMatrices(t *testing.T) map[string]*CSR {
 	t.Helper()
 	nx := 40
 	var st []Triplet
@@ -39,39 +36,32 @@ func batchShadowMatrices(t *testing.T) map[string]*CSR {
 	return m
 }
 
-func randMultiVec(n, b int, seed int64) []float64 {
-	rng := rand.New(rand.NewSource(seed))
-	v := make([]float64, n*b)
-	for i := range v {
-		v[i] = rng.NormFloat64()
-	}
-	return v
-}
-
 func bitsEqual(a, b float64) bool {
 	return math.Float64bits(a) == math.Float64bits(b)
 }
 
-// testRanges returns row ranges exercising interior, boundary and
-// window/chunk-straddling cases.
-func testRanges(n int) [][2]int {
-	return [][2]int{{0, n}, {0, n / 3}, {n / 3, 2*n/3 + 5}, {n - 7, n}, {129, 517}}
-}
-
 func TestMulMatRangeBitwisePerColumn(t *testing.T) {
-	for name, a := range batchShadowMatrices(t) {
+	for name, a := range shadowMatrices(t) {
 		n := a.N
-		for b := 1; b <= MaxBatchWidth; b++ {
-			x := randMultiVec(n, b, int64(100+b))
+		// Interior, boundary and window/chunk-straddling row ranges.
+		ranges := [][2]int{{0, n}, {0, n / 3}, {n / 3, 2*n/3 + 5}, {n - 7, n}, {129, 517}}
+		for b := 1; b <= 8; b++ {
+			rng := rand.New(rand.NewSource(int64(100 + b)))
+			x := make([]float64, n*b)
+			for i := range x {
+				x[i] = rng.NormFloat64()
+			}
 			y := make([]float64, n*b)
 			xcol := make([]float64, n)
 			ycol := make([]float64, n)
-			for _, r := range testRanges(n) {
+			for _, r := range ranges {
 				lo, hi := r[0], r[1]
 				Fill(y, math.NaN())
 				a.MulMatRange(x, y, b, lo, hi)
 				for j := 0; j < b; j++ {
-					GatherColumn(x, b, j, xcol)
+					for i := range xcol {
+						xcol[i] = x[i*b+j]
+					}
 					Fill(ycol, math.NaN())
 					a.MulVecRange(xcol, ycol, lo, hi)
 					for i := lo; i < hi; i++ {
@@ -82,161 +72,6 @@ func TestMulMatRangeBitwisePerColumn(t *testing.T) {
 					}
 				}
 			}
-		}
-	}
-}
-
-func TestMulMatDotRangeBitwisePerColumn(t *testing.T) {
-	for name, a := range batchShadowMatrices(t) {
-		n := a.N
-		for _, b := range []int{1, 2, 3, 5, 8} {
-			x := randMultiVec(n, b, int64(200+b))
-			y := make([]float64, n*b)
-			xcol := make([]float64, n)
-			ycol := make([]float64, n)
-			xy := make([]float64, b)
-			yy := make([]float64, b)
-			for _, r := range testRanges(n) {
-				lo, hi := r[0], r[1]
-				Fill(xy, 0)
-				Fill(yy, 0)
-				a.MulMatDotRange(x, y, b, lo, hi, xy, yy)
-				for j := 0; j < b; j++ {
-					GatherColumn(x, b, j, xcol)
-					wantXY, wantYY := a.MulVecDotRange(xcol, ycol, lo, hi)
-					if !bitsEqual(xy[j], wantXY) || !bitsEqual(yy[j], wantYY) {
-						t.Fatalf("%s b=%d [%d,%d) col %d partials (%v,%v) != (%v,%v)",
-							name, b, lo, hi, j, xy[j], yy[j], wantXY, wantYY)
-					}
-					for i := lo; i < hi; i++ {
-						if !bitsEqual(y[i*b+j], ycol[i]) {
-							t.Fatalf("%s b=%d col %d row %d: fused y mismatch", name, b, j, i)
-						}
-					}
-				}
-			}
-		}
-	}
-}
-
-func TestMulMatRangeExcludingColsBitwisePerColumn(t *testing.T) {
-	a := randShortRowCSR(600, 9)
-	n := a.N
-	for _, b := range []int{1, 3, 8} {
-		x := randMultiVec(n, b, int64(300+b))
-		xcol := make([]float64, n)
-		for _, r := range [][2]int{{0, 64}, {128, 256}, {n - 64, n}} {
-			lo, hi := r[0], r[1]
-			y := make([]float64, (hi-lo)*b)
-			ycol := make([]float64, hi-lo)
-			for _, ex := range [][2]int{{0, 0}, {lo, hi}, {0, n / 2}} {
-				a.MulMatRangeExcludingCols(x, y, b, lo, hi, ex[0], ex[1])
-				for j := 0; j < b; j++ {
-					GatherColumn(x, b, j, xcol)
-					a.MulVecRangeExcludingCols(xcol, ycol, lo, hi, ex[0], ex[1])
-					for i := 0; i < hi-lo; i++ {
-						if !bitsEqual(y[i*b+j], ycol[i]) {
-							t.Fatalf("b=%d [%d,%d) ex=%v col %d row %d: %v != %v",
-								b, lo, hi, ex, j, i, y[i*b+j], ycol[i])
-						}
-					}
-				}
-			}
-		}
-	}
-}
-
-func TestBatchVectorKernelsBitwisePerColumn(t *testing.T) {
-	n := 700
-	for _, b := range []int{1, 2, 4, 8} {
-		x := randMultiVec(n, b, int64(400+b))
-		y := randMultiVec(n, b, int64(500+b))
-		alpha := make([]float64, b)
-		beta := make([]float64, b)
-		rng := rand.New(rand.NewSource(int64(600 + b)))
-		for j := range alpha {
-			alpha[j] = rng.NormFloat64()
-			beta[j] = rng.NormFloat64()
-		}
-		// Zero coefficients in some columns: the retired-column path.
-		alpha[0], beta[b-1] = 0, 0
-
-		xc := make([]float64, n)
-		yc := make([]float64, n)
-		oc := make([]float64, n)
-		lo, hi := 33, n-15
-
-		out := make([]float64, n*b)
-		BatchXpbyOutRange(x, beta, y, out, b, lo, hi)
-		for j := 0; j < b; j++ {
-			GatherColumn(x, b, j, xc)
-			GatherColumn(y, b, j, yc)
-			if beta[j] == 0 {
-				copy(oc[lo:hi], xc[lo:hi])
-			} else {
-				XpbyOutRange(xc, beta[j], yc, oc, lo, hi)
-			}
-			for i := lo; i < hi; i++ {
-				if !bitsEqual(out[i*b+j], oc[i]) {
-					t.Fatalf("BatchXpbyOutRange b=%d col %d row %d", b, j, i)
-				}
-			}
-		}
-
-		y2 := append([]float64(nil), y...)
-		BatchAxpyRange(alpha, x, y2, b, lo, hi)
-		for j := 0; j < b; j++ {
-			GatherColumn(x, b, j, xc)
-			GatherColumn(y, b, j, yc)
-			AxpyRange(alpha[j], xc, yc, lo, hi)
-			for i := lo; i < hi; i++ {
-				if !bitsEqual(y2[i*b+j], yc[i]) {
-					t.Fatalf("BatchAxpyRange b=%d col %d row %d", b, j, i)
-				}
-			}
-		}
-
-		y3 := append([]float64(nil), y...)
-		yy := make([]float64, b)
-		BatchAxpyDotRange(alpha, x, y3, b, lo, hi, yy)
-		for j := 0; j < b; j++ {
-			GatherColumn(x, b, j, xc)
-			GatherColumn(y, b, j, yc)
-			want := AxpyDotRange(alpha[j], xc, yc, lo, hi)
-			if !bitsEqual(yy[j], want) {
-				t.Fatalf("BatchAxpyDotRange b=%d col %d partial %v != %v", b, j, yy[j], want)
-			}
-			for i := lo; i < hi; i++ {
-				if !bitsEqual(y3[i*b+j], yc[i]) {
-					t.Fatalf("BatchAxpyDotRange b=%d col %d row %d", b, j, i)
-				}
-			}
-		}
-
-		dots := make([]float64, b)
-		BatchDotRange(x, y, b, lo, hi, dots)
-		for j := 0; j < b; j++ {
-			GatherColumn(x, b, j, xc)
-			GatherColumn(y, b, j, yc)
-			if want := DotRange(xc, yc, lo, hi); !bitsEqual(dots[j], want) {
-				t.Fatalf("BatchDotRange b=%d col %d: %v != %v", b, j, dots[j], want)
-			}
-		}
-	}
-}
-
-func TestGatherScatterColumnRoundTrip(t *testing.T) {
-	n, b := 53, 5
-	x := randMultiVec(n, b, 1)
-	col := make([]float64, n)
-	x2 := make([]float64, n*b)
-	for j := 0; j < b; j++ {
-		GatherColumn(x, b, j, col)
-		ScatterColumn(col, x2, b, j)
-	}
-	for i := range x {
-		if !bitsEqual(x[i], x2[i]) {
-			t.Fatalf("round trip mismatch at %d", i)
 		}
 	}
 }
