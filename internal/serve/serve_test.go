@@ -337,17 +337,11 @@ func submitAll(t *testing.T, srv *Server, reqs []*Request) []*Response {
 	return resps
 }
 
-// TestBatchOptedRequestsSolveSolo: Request.Batch is accepted and ignored.
-// Four concurrent batch-opted requests on one operator each return the
-// solution of the same request without the flag, bit for bit, nothing
-// reads as coalesced, and the flag is no error over HTTP.
-func TestBatchOptedRequestsSolveSolo(t *testing.T) {
-	srv := newTestServer(t, Options{Concurrent: 2})
-	n := nOf(srv, "m")
-	batched := make([]*Request, 4)
-	for i := range batched {
-		batched[i] = &Request{Matrix: "m", Method: "feir", B: matgen.RandomVector(n, int64(i+1)), Batch: true, WantSolution: true}
-	}
+// batchOptedMatchSolo submits the batch-opted requests at once, then each
+// again without the flag, and fails unless every pair of solutions is
+// equal bit for bit and nothing reads as coalesced.
+func batchOptedMatchSolo(t *testing.T, srv *Server, batched []*Request) {
+	t.Helper()
 	got := submitAll(t, srv, batched)
 	for i, req := range batched {
 		solo := *req
@@ -355,6 +349,9 @@ func TestBatchOptedRequestsSolveSolo(t *testing.T) {
 		want, err := srv.Submit(&solo)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if len(want.X) == 0 || len(got[i].X) != len(want.X) {
+			t.Fatalf("request %d: solution lengths %d, solo %d", i, len(got[i].X), len(want.X))
 		}
 		for k := range want.X {
 			if math.Float64bits(got[i].X[k]) != math.Float64bits(want.X[k]) {
@@ -365,10 +362,80 @@ func TestBatchOptedRequestsSolveSolo(t *testing.T) {
 	if s := srv.Snapshot(); s.BatchesDispatched != 0 || s.RequestsCoalesced != 0 || s.MeanBatchWidth != 0 {
 		t.Fatalf("batch occupancy %d/%d/%v, want zeros", s.BatchesDispatched, s.RequestsCoalesced, s.MeanBatchWidth)
 	}
+}
+
+// TestCoalesceDistinctRHSBitwise: Request.Batch is accepted and ignored.
+// Four concurrent batch-opted requests with distinct right-hand sides on
+// one operator each return the solution of the same request without the
+// flag, bit for bit, nothing reads as coalesced, and the flag is no error
+// over HTTP.
+func TestCoalesceDistinctRHSBitwise(t *testing.T) {
+	srv := newTestServer(t, Options{Concurrent: 2})
+	n := nOf(srv, "m")
+	batched := make([]*Request, 4)
+	for i := range batched {
+		batched[i] = &Request{Matrix: "m", Method: "feir", B: matgen.RandomVector(n, int64(i+1)), Batch: true, WantSolution: true}
+	}
+	batchOptedMatchSolo(t, srv, batched)
 	rr := httptest.NewRecorder()
 	srv.Handler().ServeHTTP(rr, httptest.NewRequest(http.MethodPost, "/v1/solve", strings.NewReader(`{"matrix":"m","method":"feir","batch":true}`)))
 	if rr.Code != http.StatusOK {
 		t.Fatalf(`"batch":true over HTTP: status %d body %q`, rr.Code, rr.Body.String())
+	}
+}
+
+// TestCoalesceRespectsEnvelope: the flag changes nothing for any request
+// shape. Batch-opted requests that are preconditioned, ask for another
+// solver, or for a method a multi-RHS solve could not run each solve as
+// the same request without the flag.
+func TestCoalesceRespectsEnvelope(t *testing.T) {
+	srv := newTestServer(t, Options{Concurrent: 2})
+	batchOptedMatchSolo(t, srv, []*Request{
+		{Matrix: "m", Precond: true, Batch: true, WantSolution: true},
+		{Matrix: "m", Solver: "bicgstab", Batch: true, WantSolution: true},
+		{Matrix: "m", Solver: "gmres", Batch: true, WantSolution: true},
+		{Matrix: "m", Method: "lossy", Batch: true, WantSolution: true},
+	})
+}
+
+// TestCoalescePerColumnTimeout: a batch-opted request's deadline is its
+// own. Two batch-opted requests queue together behind a busy dispatcher;
+// the one whose deadline passed in the queue is cancelled, the other
+// solves to convergence.
+func TestCoalescePerColumnTimeout(t *testing.T) {
+	srv := newTestServer(t, Options{Concurrent: 1})
+
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		_, _ = srv.Submit(slowReq(200 * time.Millisecond))
+	}()
+	waitFor(t, srv, "blocker in flight", func(s Stats) bool { return s.Accepted == 1 && s.QueueLen == 0 })
+
+	var okResp, deadResp *Response
+	var okErr, deadErr error
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		okResp, okErr = srv.Submit(&Request{Matrix: "m", Method: "feir", Batch: true, Tenant: "a"})
+	}()
+	go func() {
+		defer wg.Done()
+		// Expires before the first iteration.
+		deadResp, deadErr = srv.Submit(&Request{Matrix: "m", Method: "feir", Batch: true, Tenant: "b", Timeout: time.Nanosecond})
+	}()
+	waitFor(t, srv, "pair queued", func(s Stats) bool { return s.QueueLen == 2 })
+	wg.Wait()
+
+	if !errors.Is(deadErr, core.ErrCancelled) {
+		t.Fatalf("expired request: resp=%+v err=%v", deadResp, deadErr)
+	}
+	if okErr != nil || !okResp.Converged {
+		t.Fatalf("surviving request: %+v err=%v", okResp, okErr)
+	}
+	if s := srv.Snapshot(); s.Failed != 2 { // the blocker and the expired request
+		t.Fatalf("failed=%d, want 2", s.Failed)
 	}
 }
 
