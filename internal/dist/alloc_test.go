@@ -35,14 +35,20 @@ func TestSteadyStateIterationsDoNotAllocate(t *testing.T) {
 		return core.Config{Method: m, Workers: 2, PageDoubles: 64, Tol: 1e-300, MaxIter: last + 1,
 			UsePrecond: precond, OnIteration: hook}
 	}
-	sharded := Config{Method: core.MethodFEIR, Workers: 2, PageDoubles: 64, Tol: 1e-300, MaxIter: last + 1,
-		OnIteration: hook}
 	coreCG := func(m core.Method, precond bool) func() error {
 		return func() error {
 			cg, err := core.NewCG(a, b, single(m, precond))
 			if err == nil {
 				_, err = cg.Run()
 			}
+			return err
+		}
+	}
+	distCG := func(m core.Method, precond bool) func() error {
+		return func() error {
+			cfg := Config{Method: m, Workers: 2, PageDoubles: 64, Tol: 1e-300, MaxIter: last + 1,
+				UsePrecond: precond, OnIteration: hook}
+			_, _, err := SolveCG(a, b, ranks, cfg)
 			return err
 		}
 	}
@@ -55,7 +61,9 @@ func TestSteadyStateIterationsDoNotAllocate(t *testing.T) {
 		{"core.CG/afeir", coreCG(core.MethodAFEIR, false)},
 		{"core.CG/feir+precond", coreCG(core.MethodFEIR, true)},
 		{"core.CG/afeir+precond", coreCG(core.MethodAFEIR, true)},
-		{"dist.CG", func() error { _, _, err := SolveCG(a, b, ranks, sharded); return err }},
+		{"dist.CG", distCG(core.MethodFEIR, false)},
+		{"dist.CG/afeir", distCG(core.MethodAFEIR, false)},
+		{"dist.CG/feir+precond", distCG(core.MethodFEIR, true)},
 	} {
 		m0, m1 = runtime.MemStats{}, runtime.MemStats{}
 		if err := c.run(); err != nil {

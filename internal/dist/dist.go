@@ -52,14 +52,6 @@ type Config struct {
 	// PBiCGStab, PGMRES). Blocks coincide with pages and never cross rank
 	// boundaries, so application and recovery stay rank-local (§5.1).
 	UsePrecond bool
-	// Barrier forces the pre-overlap superstep discipline on CG: every
-	// halo exchange at a full barrier before any SpMV row runs. Default
-	// (false) overlaps the exchange with interior rows and gates boundary
-	// rows on the ghost pages they read (shard.OverlapStep); on no-fault
-	// runs the two paths are bitwise identical. It stays because
-	// overlap_storm_test.go uses the barrier branch as the reference its
-	// overlapped results and recovery counts are pinned to.
-	Barrier bool
 	// Inject, when non-nil, is called once per iteration with the ranks —
 	// the hook deterministic experiments use to drive injections into
 	// chosen fault domains and pages.
@@ -250,13 +242,12 @@ type CG struct {
 	beta           float64
 	restartPending bool
 
-	// Prepared communication-overlapping steady-state graph (nil when
-	// cfg.Barrier): stepA fuses the d-update, the d halo import, the
-	// interior/boundary q = A d rows and the <d,q> reduction into one
-	// superstep; stepB replays the x/g update with the fused <g,g>. Their
-	// bodies read stepBeta/stepAlpha, so replay allocates nothing.
-	stepA               *shard.OverlapStep
-	stepB               *shard.PreparedRankOp
+	// The steady-state page bodies, bound once per Run and handed to the
+	// substrate's prepared rank tasks every iteration: dStep is the
+	// d-update, xgStep the x/g update with its <g,g> partial. They read
+	// stepBeta/stepAlpha, so an iteration allocates nothing.
+	dStep               func(r *shard.Rank, p, lo, hi int)
+	xgStep              func(r *shard.Rank, p, lo, hi int) float64
 	stepBeta, stepAlpha float64
 
 	haveCkpt     bool
@@ -303,26 +294,7 @@ func (s *CG) Run() (core.Result, []float64, error) {
 	tol := s.cfg.tol()
 	maxIter := s.cfg.maxIter(sub.A.N)
 
-	if !s.cfg.Barrier {
-		// Prepare the overlapped steady-state graph once: same kernels,
-		// same per-page partial slots and the same coordinator sum order
-		// as the barrier path, so no-fault runs agree bitwise.
-		src := s.g
-		if s.z != nil {
-			src = s.z
-		}
-		s.stepA = sub.NewOverlapStep("d|q,<d,q>", s.d, s.q, func(r *shard.Rank, p, lo, hi int) {
-			if s.stepBeta == 0 {
-				copy(s.d.Of(r).Data[lo:hi], src.Of(r).Data[lo:hi])
-			} else {
-				sparse.XpbyRange(src.Of(r).Data, s.stepBeta, s.d.Of(r).Data, lo, hi)
-			}
-		}, true, false)
-		s.stepB = sub.PrepareRankOpDot("xg,<g,g>", func(r *shard.Rank, p, lo, hi int) float64 {
-			sparse.AxpyRange(s.stepAlpha, s.d.Of(r).Data, s.x.Of(r).Data, lo, hi)
-			return sparse.AxpyDotRange(-s.stepAlpha, s.q.Of(r).Data, s.g.Of(r).Data, lo, hi)
-		})
-	}
+	s.dStep, s.xgStep = s.updateD, s.updateXG
 
 	// x = 0, g = b, d = g (or z = M⁻¹g) via the beta=0 first step.
 	sub.RankOp("init", func(r *shard.Rank, p, lo, hi int) {
@@ -364,57 +336,27 @@ func (s *CG) Run() (core.Result, []float64, error) {
 			s.writeCheckpoint(it)
 		}
 
-		// d = src + beta d on owned pages, src the (preconditioned)
-		// residual.
-		beta := s.beta
+		// d = src + beta d on owned pages, restarted with beta = 0.
+		s.stepBeta = s.beta
 		if s.restartPending {
-			beta = 0
+			s.stepBeta = 0
 		}
-		var dq float64
-		if s.stepA != nil {
-			// Overlapped: the d-update, d halo import, interior/boundary
-			// q = A d rows and the <d,q> reduction run as one gated task
-			// graph — interior rows compute while ghost pages are still
-			// in flight (Fig 2b's asynchrony applied to communication).
-			s.stepBeta = beta
-			dq, _ = s.stepA.Run()
-		} else {
-			src := s.g
-			if s.z != nil {
-				src = s.z
-			}
-			sub.RankOp("d", func(r *shard.Rank, p, lo, hi int) {
-				if beta == 0 {
-					copy(s.d.Of(r).Data[lo:hi], src.Of(r).Data[lo:hi])
-				} else {
-					sparse.XpbyRange(src.Of(r).Data, beta, s.d.Of(r).Data, lo, hi)
-				}
-			})
-			// Halo exchange of d, then the fused q = A d with the <d,q>
-			// reduction riding the SpMV's pass — the §3.4 communication/
-			// computation pattern with one superstep fewer.
-			dq = sub.SpMVDot("q,<d,q>", s.d, s.q)
-		}
+		sub.RankOp("d", s.dStep)
+		// Halo exchange of d, then the fused q = A d with the <d,q>
+		// reduction riding the SpMV's pass — the §3.4 communication/
+		// computation pattern with one superstep fewer.
+		dq := sub.SpMVDot("q,<d,q>", s.d, s.q)
 		num := s.epsGG
 		if s.z != nil {
 			num = s.rho
 		}
-		alpha := 0.0
+		s.stepAlpha = 0
 		if dq != 0 && !isNaN(dq) && !isNaN(num) {
-			alpha = num / dq
+			s.stepAlpha = num / dq
 		}
 
 		// x += alpha d ; g -= alpha q fused with <g,g> ; [z = M⁻¹g ; <z,g>].
-		var gg float64
-		if s.stepB != nil {
-			s.stepAlpha = alpha
-			gg = s.stepB.RunDot()
-		} else {
-			gg = sub.RankOpDot("xg,<g,g>", func(r *shard.Rank, p, lo, hi int) float64 {
-				sparse.AxpyRange(alpha, s.d.Of(r).Data, s.x.Of(r).Data, lo, hi)
-				return sparse.AxpyDotRange(-alpha, s.q.Of(r).Data, s.g.Of(r).Data, lo, hi)
-			})
-		}
+		gg := sub.RankOpDot("xg,<g,g>", s.xgStep)
 		if s.z != nil {
 			sub.ApplyPrecondOwned("z", s.g, s.z)
 			zg := sub.Dot("<z,g>", s.z, s.g)
@@ -435,6 +377,31 @@ func (s *CG) Run() (core.Result, []float64, error) {
 
 	res, x := s.finish(it, converged, start, s.x)
 	return res, x, nil
+}
+
+// updateD is the d = src + stepBeta·d page body, src the (preconditioned)
+// residual; stepBeta 0 copies src.
+//
+//due:hotpath
+func (s *CG) updateD(r *shard.Rank, p, lo, hi int) {
+	src := s.g
+	if s.z != nil {
+		src = s.z
+	}
+	if s.stepBeta == 0 {
+		copy(s.d.Of(r).Data[lo:hi], src.Of(r).Data[lo:hi])
+	} else {
+		sparse.XpbyRange(src.Of(r).Data, s.stepBeta, s.d.Of(r).Data, lo, hi)
+	}
+}
+
+// updateXG is the x += stepAlpha·d, g -= stepAlpha·q page body, returning
+// the page's <g,g> partial.
+//
+//due:hotpath
+func (s *CG) updateXG(r *shard.Rank, p, lo, hi int) float64 {
+	sparse.AxpyRange(s.stepAlpha, s.d.Of(r).Data, s.x.Of(r).Data, lo, hi)
+	return sparse.AxpyDotRange(-s.stepAlpha, s.q.Of(r).Data, s.g.Of(r).Data, lo, hi)
 }
 
 // restartFromX rebuilds the whole recurrence from the owned iterate

@@ -43,6 +43,37 @@ func TestSolveCGMatchesSequential(t *testing.T) {
 	}
 }
 
+// TestCGRanksBitwise: the partials of every reduction are stored per page
+// and summed in page order whatever the rank count, and a clean FEIR or
+// AFEIR solve runs Ideal's arithmetic, so every clean solve on one operator
+// reaches the same iterate in the same number of iterations, to the bit.
+func TestCGRanksBitwise(t *testing.T) {
+	a, b := distSystem()
+	var want core.Result
+	var wantX []float64
+	for _, method := range []core.Method{core.MethodIdeal, core.MethodFEIR, core.MethodAFEIR} {
+		for ranks := 1; ranks <= 4; ranks++ {
+			res, x, err := SolveCG(a, b, ranks, baseCfg(method))
+			if err != nil || !res.Converged {
+				t.Fatalf("%v ranks=%d: %+v err=%v", method, ranks, res, err)
+			}
+			if wantX == nil {
+				want, wantX = res, x
+				continue
+			}
+			if res.Iterations != want.Iterations || res.RelResidual != want.RelResidual {
+				t.Fatalf("%v ranks=%d: %d iterations, residual %x; ideal on one rank %d, %x",
+					method, ranks, res.Iterations, res.RelResidual, want.Iterations, want.RelResidual)
+			}
+			for i := range x {
+				if x[i] != wantX[i] {
+					t.Fatalf("%v ranks=%d: x[%d] = %x, ideal on one rank %x", method, ranks, i, x[i], wantX[i])
+				}
+			}
+		}
+	}
+}
+
 // injectInto schedules one x-page poison per listed iteration, each into
 // an owned page of a distinct rank.
 func injectInto(iters []int) func(it int, ranks []*shard.Rank) {

@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -345,6 +346,102 @@ func TestDistPerRankStats(t *testing.T) {
 	for i, st := range rs {
 		if i != 2 && st.FaultsSeen != 0 {
 			t.Fatalf("rank %d saw phantom faults: %+v", i, st)
+		}
+	}
+}
+
+// TestDistStormCG: randomized 1–5 DUE campaigns into owned pages of
+// x/g/d/q at 4 ranks, exercising the strict-exchange recovery fixpoint and
+// the β = 0 rebuild of d and q, FEIR and AFEIR.
+func TestDistStormCG(t *testing.T) {
+	a, b := distSystem()
+	probe, _, err := SolveCG(a, b, 4, baseCfg(core.MethodFEIR))
+	if err != nil || !probe.Converged {
+		t.Fatalf("fault-free run: %+v err=%v", probe, err)
+	}
+	window := probe.Iterations * 3 / 4
+	if window < 2 {
+		t.Fatalf("fault-free run too short for a storm: %+v", probe)
+	}
+	vectors := []string{"x", "g", "d", "q"}
+	for _, method := range []core.Method{core.MethodFEIR, core.MethodAFEIR} {
+		for rate := 1; rate <= 5; rate++ {
+			seed := int64(7000*int(method) + rate)
+			cfg := baseCfg(method)
+			cfg.Inject = injectOwned(stormSchedule(rand.New(rand.NewSource(seed)), vectors, window, rate))
+			res, _, err := SolveCG(a, b, 4, cfg)
+			if err != nil {
+				t.Fatalf("%v rate %d: %v", method, rate, err)
+			}
+			checkRecovered(t, fmt.Sprintf("%v rate %d", method, rate), res)
+		}
+	}
+}
+
+// checkRecovered requires a stormed solve to converge to a verified true
+// residual with every fault it saw repaired.
+func checkRecovered(t *testing.T, name string, res core.Result) {
+	t.Helper()
+	if !res.Converged || res.RelResidual > 1e-8 {
+		t.Fatalf("%s: %+v", name, res)
+	}
+	if res.Stats.FaultsSeen == 0 {
+		t.Fatalf("%s: no faults seen", name)
+	}
+	if res.Stats.Unrecovered != 0 {
+		t.Fatalf("%s: %d pages unrecovered: %+v", name, res.Stats.Unrecovered, res.Stats)
+	}
+}
+
+// midFlightInjection lands count DUEs from inside the SpMV superstep, after
+// the halo of d was imported and before the rows of q compute: alternating
+// between a ghost page of d and an owned page of q on a rotating rank.
+func midFlightInjection(s *CG, count int) *int {
+	fires := 0
+	seen := 0
+	s.sub.TestHook = func(stage string) {
+		if stage != "spmv" {
+			return
+		}
+		fires++
+		if fires%4 != 0 || seen >= count {
+			return
+		}
+		target := s.sub.Ranks[(fires/4)%len(s.sub.Ranks)]
+		if len(target.Halo) == 0 {
+			return
+		}
+		if seen%2 == 0 {
+			s.d.Of(target).Poison(target.Halo[0])
+		} else {
+			s.q.Of(target).Poison(target.PLo)
+		}
+		seen++
+	}
+	return &seen
+}
+
+// TestCGMidFlightDUEs: DUEs raised while the SpMV superstep is in flight —
+// into a freshly imported ghost page of d and into an owned page of q —
+// are repaired like any other, for FEIR and AFEIR at 1–5 DUEs.
+func TestCGMidFlightDUEs(t *testing.T) {
+	a, b := distSystem()
+	for _, method := range []core.Method{core.MethodFEIR, core.MethodAFEIR} {
+		for count := 1; count <= 5; count++ {
+			name := fmt.Sprintf("%v count %d", method, count)
+			s, err := NewCG(a, b, 4, baseCfg(method))
+			if err != nil {
+				t.Fatal(err)
+			}
+			injected := midFlightInjection(s, count)
+			res, _, err := s.Run()
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if *injected != count {
+				t.Fatalf("%s: %d mid-flight DUEs landed", name, *injected)
+			}
+			checkRecovered(t, name, res)
 		}
 	}
 }

@@ -40,7 +40,25 @@ type Config struct {
 	SharedPool bool
 }
 
-func (c Config) distConfig() dist.Config {
+// distConfig maps the configuration onto the rank path. A core.Config
+// field the rank path does not honour is rejected by name, never silently
+// dropped; TaskPriority alone is dropped on purpose (ranked tasks run at
+// tier 0 until the shard layer takes a priority).
+func (c Config) distConfig() (dist.Config, error) {
+	for _, f := range []struct {
+		name string
+		set  bool
+	}{
+		{"ABFT", c.ABFT},
+		{"Fallback", c.Fallback != core.FallbackIgnore},
+		{"OnDemandRecovery", c.OnDemandRecovery},
+		{"ExpectedMTBE", c.ExpectedMTBE != 0},
+		{"Disk", c.Disk != nil},
+	} {
+		if f.set {
+			return dist.Config{}, fmt.Errorf("registry: %s is single-node only (drop it or -ranks)", f.name)
+		}
+	}
 	return dist.Config{
 		Method:             c.Method,
 		Workers:            c.Workers,
@@ -55,7 +73,7 @@ func (c Config) distConfig() dist.Config {
 		RT:                 c.RT,
 		Blocks:             c.Blocks,
 		Cancelled:          c.Cancelled,
-	}
+	}, nil
 }
 
 // Instance is one ready-to-run solver: the injection surface plus the
@@ -181,10 +199,11 @@ func init() {
 	cgCaps.ABFT = true
 	Register("cg", cgCaps, func(a *sparse.CSR, b []float64, cfg Config) (*Instance, error) {
 		if cfg.Ranks > 0 {
-			if cfg.ABFT {
-				return nil, fmt.Errorf("registry: ABFT checksum coverage is single-node only (drop -abft or -ranks)")
+			dc, err := cfg.distConfig()
+			if err != nil {
+				return nil, err
 			}
-			s, err := dist.NewCG(a, b, cfg.Ranks, cfg.distConfig())
+			s, err := dist.NewCG(a, b, cfg.Ranks, dc)
 			if err != nil {
 				return nil, err
 			}
@@ -203,7 +222,11 @@ func init() {
 	})
 	Register("bicgstab", all, func(a *sparse.CSR, b []float64, cfg Config) (*Instance, error) {
 		if cfg.Ranks > 0 {
-			s, err := dist.NewBiCGStab(a, b, cfg.Ranks, cfg.distConfig())
+			dc, err := cfg.distConfig()
+			if err != nil {
+				return nil, err
+			}
+			s, err := dist.NewBiCGStab(a, b, cfg.Ranks, dc)
 			if err != nil {
 				return nil, err
 			}
@@ -228,7 +251,11 @@ func init() {
 	})
 	Register("gmres", all, func(a *sparse.CSR, b []float64, cfg Config) (*Instance, error) {
 		if cfg.Ranks > 0 {
-			s, err := dist.NewGMRES(a, b, cfg.Ranks, cfg.distConfig())
+			dc, err := cfg.distConfig()
+			if err != nil {
+				return nil, err
+			}
+			s, err := dist.NewGMRES(a, b, cfg.Ranks, dc)
 			if err != nil {
 				return nil, err
 			}

@@ -30,7 +30,6 @@ package shard
 
 import (
 	"fmt"
-	"slices"
 
 	"repro/internal/core"
 	"repro/internal/defaults"
@@ -53,14 +52,6 @@ type Rank struct {
 	Space *pagemem.Space
 	// Halo lists the off-rank global pages this rank's rows read.
 	Halo []int
-	// Interior lists the owned pages whose SpMV kernel touches no Halo
-	// page — neither through a CSR column nor through a padded slot of
-	// the active kernel shadow (sparse.ShadowReads): their tasks run
-	// while the halo import is still in flight. Boundary lists the
-	// remaining owned pages, whose tasks are gated on the ghost pages
-	// they touch (see OverlapStep).
-	Interior []int
-	Boundary []int
 	// Eng is the shared engine restricted to the rank's owned pages: one
 	// task per phase per rank, like the paper's one-process-per-rank runs.
 	Eng *engine.Engine
@@ -72,10 +63,6 @@ type Rank struct {
 	Stats core.Stats
 	// Scratch is a full-length buffer for SpMV targets and residuals.
 	Scratch []float64
-
-	// ghosts[p-PLo] lists the Halo pages owned page p's SpMV kernel
-	// touches; empty for interior pages.
-	ghosts [][]int
 
 	pageScratch []float64
 	sub         *Substrate
@@ -128,11 +115,12 @@ type Substrate struct {
 	// recovery never cross a rank boundary — no extra halo traffic.
 	Pre *precond.BlockJacobi
 
-	// TestHook, when non-nil, is invoked by the supersteps while their
-	// tasks are in flight (after submission, before the coordinator
-	// waits), with a stage tag. Storm tests use it to land DUEs into halo
-	// pages and boundary-row outputs mid-superstep; production code never
-	// sets it.
+	// TestHook, when non-nil, is invoked by the steady-state SpMV
+	// supersteps (SpMV, SpMVDot, SpMVDot2, SpMVNorm) with the stage tag
+	// "spmv", between the halo exchange of the input and the row
+	// computation. Storm tests use it to land DUEs into freshly imported
+	// ghost pages and into SpMV output pages mid-superstep; production code
+	// never sets it.
 	TestHook func(stage string)
 
 	part  *engine.Partial
@@ -158,8 +146,8 @@ type Substrate struct {
 	// superstep kind. Supersteps are strictly sequential (each ends in a
 	// barrier), so the one shared task set and the argument fields are
 	// reused across calls — no handle slices, closures or label formatting
-	// are allocated per superstep (the single-node solvers are 0
-	// allocs/iter; the substrate's barrier path now matches).
+	// are allocated per superstep. A caller that binds its RankOp /
+	// RankOpDot body once (dist.CG) iterates with 0 allocations.
 	rankTasks []*taskrt.Handle // one per rank, body: stepFn(rank)
 	stepFn    func(r *Rank)
 
@@ -293,10 +281,9 @@ func NewOpts(a *sparse.CSR, b []float64, ranks, pageDoubles, workers int, spd bo
 		s.Ranks[id] = r
 	}
 	// Halo sets: every off-rank page an owned row reads (Conn, the true
-	// CSR columns — what recovery and the exchange mean by a ghost). A
-	// second pass splits the owned pages by what their SpMV *kernel*
-	// touches: a padded shadow also loads slots the row never reads, and
-	// such a slot can sit on a ghost page whose import is in flight.
+	// CSR columns — what recovery and the exchange mean by a ghost). The
+	// exchange completes at a barrier before any row computes, so a padded
+	// kernel shadow's extra loads never meet an import in flight.
 	for _, r := range s.Ranks {
 		isHalo := map[int]bool{}
 		for p := r.PLo; p < r.PHi; p++ {
@@ -307,36 +294,11 @@ func NewOpts(a *sparse.CSR, b []float64, ranks, pageDoubles, workers int, spd bo
 				}
 			}
 		}
-		r.ghosts = make([][]int, r.PHi-r.PLo)
-		for p := r.PLo; p < r.PHi; p++ {
-			var ghosts []int
-			touch := func(j int) {
-				if isHalo[j] && !slices.Contains(ghosts, j) {
-					ghosts = append(ghosts, j)
-				}
-			}
-			for _, j := range s.Conn[p] {
-				touch(j)
-			}
-			lo, hi := layout.Range(p)
-			a.ShadowReads(lo, hi, func(c0, c1 int) {
-				for j := layout.BlockOf(c0); j <= layout.BlockOf(c1-1); j++ {
-					touch(j)
-				}
-			})
-			r.ghosts[p-r.PLo] = ghosts
-			if len(ghosts) == 0 {
-				r.Interior = append(r.Interior, p)
-			} else {
-				r.Boundary = append(r.Boundary, p)
-			}
-		}
 	}
-	// One prepared task per rank, replayed by every barrier superstep with
-	// the body routed through stepFn — zero allocations per superstep.
-	// Each rank's task is homed to worker (rank mod workers): the same
-	// worker re-touches the same owned pages superstep after superstep,
-	// so the interior/boundary partition keeps its cache residency.
+	// One prepared task per rank, replayed by every superstep with the
+	// body routed through stepFn — zero allocations per superstep. Each
+	// rank's task is homed to worker (rank mod workers): the same worker
+	// re-touches the same owned pages superstep after superstep.
 	s.rankTasks = make([]*taskrt.Handle, len(s.Ranks))
 	for i, r := range s.Ranks {
 		r := r
@@ -433,8 +395,7 @@ func (s *Substrate) opStep(r *Rank) {
 // quiescent, so concurrent rank tasks read disjoint owned ranges while
 // writing only their own ghost pages. Importing overwrites the whole
 // ghost page, which heals any DUE that landed in it (the halo pages of a
-// vector are as replaceable as a recomputed q). OverlapStep runs the same
-// per-page import without the barrier.
+// vector are as replaceable as a recomputed q).
 //
 // strict additionally propagates the owner's fault state: a halo page
 // whose owner copy is failed is marked failed locally instead of copied,

@@ -2,6 +2,7 @@ package shard
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/matgen"
@@ -151,5 +152,52 @@ func TestStrictExchangePropagatesOwnerFaults(t *testing.T) {
 	}
 	if !x.Of(owner).Failed(h) {
 		t.Fatal("HealGhosts must not clear the owner's fault")
+	}
+}
+
+// TestPreparedOpsZeroAlloc: the supersteps replay the substrate's prepared
+// per-rank tasks, so Exchange, Dot and SpMVDot allocate nothing, and
+// RankOp / RankOpDot allocate nothing when the caller hands them a body it
+// bound once (dist.CG's steady loop does).
+func TestPreparedOpsZeroAlloc(t *testing.T) {
+	a := matgen.Poisson2D(64, 64)
+	b := matgen.Ones(a.N)
+	s, err := NewOpts(a, b, 4, 128, 2, true, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	g := s.AddVector("g")
+	d := s.AddVector("d")
+	q := s.AddVector("q")
+	x := s.AddVector("x")
+	s.Scatter(b, g)
+	beta, alpha := 0.5, 0.25
+	upd := func(r *Rank, p, lo, hi int) {
+		sparse.XpbyRange(g.Of(r).Data, beta, d.Of(r).Data, lo, hi)
+	}
+	xg := func(r *Rank, p, lo, hi int) float64 {
+		sparse.AxpyRange(alpha, d.Of(r).Data, x.Of(r).Data, lo, hi)
+		return sparse.AxpyDotRange(-alpha, q.Of(r).Data, g.Of(r).Data, lo, hi)
+	}
+	iter := func() {
+		s.RankOp("d", upd)
+		s.Exchange(d, false)
+		s.Dot("gg", g, g)
+		s.SpMVDot("q", d, q)
+		s.RankOpDot("xg", xg)
+	}
+	for i := 0; i < 10; i++ {
+		iter() // warm rings, conds, succ capacity
+	}
+	const n = 50
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for i := 0; i < n; i++ {
+		iter()
+	}
+	runtime.ReadMemStats(&m1)
+	if allocs := float64(m1.Mallocs-m0.Mallocs) / n; allocs > 0.5 {
+		t.Fatalf("supersteps allocate %.2f/iteration, want 0", allocs)
 	}
 }

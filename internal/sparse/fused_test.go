@@ -332,53 +332,6 @@ func TestDIAShadowMatchesGenericCSR(t *testing.T) {
 	}
 }
 
-// TestShadowReadsCoversDIAPadding: with NaN in every x element outside
-// the reported footprint, a padded slot's 0·NaN would surface in y, so
-// finite output means ShadowReads covers every load of the DIA kernel —
-// including the ±1 slots a grid-edge row has no CSR column for — through
-// all three entry points, over random row ranges of a 5-point grid and
-// over the pages of a 27-point stencil: grouping the diagonals must not
-// widen what a page loads, because shard gates its boundary pages on
-// exactly this set.
-func TestShadowReadsCoversDIAPadding(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for _, op := range []struct {
-		name string
-		a    *CSR
-	}{{"5pt", grid5(20, 25)}, {"27pt", stencil27(12)}} {
-		name, a := op.name, op.a
-		if a.ShadowName() != "dia" {
-			t.Fatalf("%s: shadow %s, want dia", name, a.ShadowName())
-		}
-		n := a.N
-		var ranges [][2]int
-		for lo := 0; lo < n; lo += 512 {
-			ranges = append(ranges, [2]int{lo, min(lo+512, n)})
-		}
-		for trial := 0; trial < 200; trial++ {
-			lo, hi := randRange(rng, n)
-			ranges = append(ranges, [2]int{lo, hi})
-		}
-		x, y, w := make([]float64, n), make([]float64, n), make([]float64, n)
-		for _, r := range ranges {
-			lo, hi := r[0], r[1]
-			Fill(x, math.NaN())
-			a.ShadowReads(lo, hi, func(c0, c1 int) { Fill(x[c0:c1], 1) })
-			for kernel, run := range map[string]func(){
-				"MulVecRange":       func() { a.MulVecRange(x, y, lo, hi) },
-				"MulVecDotRange":    func() { a.MulVecDotRange(x, y, lo, hi) },
-				"MulVecDotVecRange": func() { a.MulVecDotVecRange(x, y, w, lo, hi) },
-			} {
-				Fill(y, 0)
-				run()
-				if HasNonFinite(y[lo:hi]) {
-					t.Fatalf("%s rows [%d,%d): %s loaded x outside ShadowReads", name, lo, hi, kernel)
-				}
-			}
-		}
-	}
-}
-
 // TestDIAShadowSkipsIrregularMatrices checks the shadow is not built
 // when the diagonal count or padding waste disqualifies the matrix.
 func TestDIAShadowSkipsIrregularMatrices(t *testing.T) {

@@ -256,38 +256,6 @@ func (a *CSR) mulVecDotVecRangeSELL(x, y, w []float64, lo, hi int) (wy float64) 
 	return wy
 }
 
-// ShadowReads calls visit with half-open index ranges of x that the
-// MulVec*Range kernels touch when computing rows [lo, hi) beyond (or, for
-// DIA, including) those rows' CSR columns: the DIA shadow streams every
-// diagonal across every row, zero-padded slots included, and the SELL
-// shadow computes whole σ-windows (discarding the rows outside the range)
-// plus the x[0] slots of lanes with no backing row. The plain CSR kernels
-// read exactly their columns, so nothing is visited. A caller that lets
-// another task write x concurrently (shard's halo import) must keep it
-// off these ranges too: a padded slot's 0·x product is discarded, but the
-// load is real.
-func (a *CSR) ShadowReads(lo, hi int, visit func(c0, c1 int)) {
-	switch {
-	case a.diaOffs != nil:
-		for _, o := range a.diaOffs {
-			if c0, c1 := max(lo+o, 0), min(hi+o, a.N); c0 < c1 {
-				visit(c0, c1)
-			}
-		}
-	case a.sellPtr != nil:
-		wlo := lo / sellSigma * sellSigma
-		whi := min((hi+sellSigma-1)/sellSigma*sellSigma, a.N)
-		for _, rows := range [2][2]int{{wlo, lo}, {hi, whi}} {
-			for _, c := range a.Cols[a.RowPtr[rows[0]]:a.RowPtr[rows[1]]] {
-				visit(c, c+1)
-			}
-		}
-		if whi == a.N && a.N%sellC != 0 {
-			visit(0, 1)
-		}
-	}
-}
-
 // ShadowName reports which kernel shadow MulVecRange dispatches to:
 // "dia", "sell", "csr32" or "csr".
 func (a *CSR) ShadowName() string {
