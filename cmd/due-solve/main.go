@@ -57,10 +57,13 @@ func main() {
 	if err != nil {
 		fatalf("%v", err)
 	}
-	m, err := parseMethod(*method)
+	m, err := core.ParseMethod(*method)
 	if err != nil {
 		fatalf("%v", err)
 	}
+	// One process-wide pool: probe and main runs share it instead of
+	// stacking two pools' workers onto the same cores.
+	pool := taskrt.Shared(*workers)
 	cfg := registry.Config{
 		Config: core.Config{
 			Method:     m,
@@ -68,11 +71,9 @@ func main() {
 			Tol:        *tol,
 			UsePrecond: *precond,
 			ABFT:       *abft,
+			RT:         pool,
 		},
 		Ranks: *ranks,
-		// One process-wide pool: probe and main runs share it instead of
-		// stacking two pools' workers onto the same cores.
-		SharedPool: true,
 	}
 	fmt.Printf("system: n=%d nnz=%d, method=%s solver=%s precond=%v workers=%d ranks=%d abft=%v\n",
 		a.N, a.NNZ(), m, *solverName, *precond, *workers, *ranks, *abft)
@@ -109,7 +110,6 @@ func main() {
 		in.Start()
 		defer in.Stop()
 	}
-	pool := taskrt.Shared(*workers)
 	sched := pool.Counters()
 	res, err := run.Run()
 	if in != nil {
@@ -203,24 +203,6 @@ func loadSystem(path, gen string, n int) (*sparse.CSR, []float64, error) {
 		}
 		return a, matgen.Ones(a.N), nil
 	}
-}
-
-func parseMethod(s string) (core.Method, error) {
-	switch strings.ToLower(s) {
-	case "ideal":
-		return core.MethodIdeal, nil
-	case "trivial":
-		return core.MethodTrivial, nil
-	case "lossy":
-		return core.MethodLossy, nil
-	case "ckpt", "checkpoint":
-		return core.MethodCheckpoint, nil
-	case "feir":
-		return core.MethodFEIR, nil
-	case "afeir":
-		return core.MethodAFEIR, nil
-	}
-	return 0, fmt.Errorf("unknown method %q", s)
 }
 
 func fatalf(format string, args ...any) {

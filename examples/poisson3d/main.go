@@ -24,22 +24,21 @@ func main() {
 	fmt.Printf("27-point stencil: %d^3 = %d unknowns, %d nonzeros\n", nx, a.N, a.NNZ())
 
 	const ranks = 4
-	cfg := dist.Config{
-		Method:      core.MethodFEIR,
-		PageDoubles: 256,
-		Tol:         1e-10,
-		Inject: func(it int, ranks []*shard.Rank) {
-			// Two DUEs on different ranks while the solve is in flight,
-			// each targeting a page the rank owns.
-			if it == 10 {
-				ranks[1].Space.VectorByName("x").Poison(ranks[1].PLo + 1)
-			}
-			if it == 20 {
-				ranks[3].Space.VectorByName("g").Poison(ranks[3].PLo + 1)
-			}
-		},
+	s, err := dist.NewCG(a, b, ranks, dist.Config{Method: core.MethodFEIR, PageDoubles: 256, Tol: 1e-10})
+	if err != nil {
+		log.Fatal(err)
 	}
-	res, _, err := dist.SolveCG(a, b, ranks, cfg)
+	s.SetInject(func(it int, ranks []*shard.Rank) {
+		// Two DUEs on different ranks while the solve is in flight, each
+		// targeting a page the rank owns.
+		if it == 10 {
+			ranks[1].Space.VectorByName("x").Poison(ranks[1].PLo + 1)
+		}
+		if it == 20 {
+			ranks[3].Space.VectorByName("g").Poison(ranks[3].PLo + 1)
+		}
+	})
+	res, _, err := s.Run()
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -190,7 +190,7 @@ func (sv *BiCGStabSolver) Run() (Result, []float64, error) {
 		defer sv.rt.Close()
 	}
 	sv.eng = engine.New(sv.a, sv.layout, sv.rt, sv.resilient, 0)
-	sv.eng.RecoveryPriority = sv.cfg.overlapPriority()
+	sv.eng.RecoveryPriority = sv.cfg.OverlapPriority()
 	sv.conn = sv.eng.Conn
 	sv.rel = &Relations{a: sv.a, layout: sv.layout, conn: sv.conn, blocks: sv.blocks, b: sv.b, scratch: sv.scratch, stats: &sv.stats}
 
@@ -424,7 +424,7 @@ func (sv *BiCGStabSolver) runRecovery(label string, after []*taskrt.Handle, fn f
 		sv.rt.Wait(r)
 	}
 	if sv.cfg.Method == MethodFEIR && !skip {
-		sv.eng.CriticalRecovery(label, func() { fn(true) })
+		sv.eng.CriticalRecovery(label, 0, func() { fn(true) }) // BiCGStab computes at tier 0
 	}
 }
 

@@ -286,7 +286,7 @@ func (s *CG) resetState() {
 // instance lifetime in shared-pool mode.
 func (s *CG) buildEngine() {
 	s.eng = engine.New(s.a, s.layout, s.rt, s.resilient, 0)
-	s.eng.RecoveryPriority = s.cfg.overlapPriority()
+	s.eng.RecoveryPriority = s.cfg.OverlapPriority()
 	s.conn = s.eng.Conn
 	s.rel = &Relations{a: s.a, layout: s.layout, conn: s.conn, blocks: s.blocks, b: s.b, scratch: s.scratch, stats: &s.stats}
 	s.buildPrepared()
@@ -587,9 +587,9 @@ func (s *CG) buildPrepared() {
 		return func() { s.recoverPhase2(s.iterVer, s.iterCur, allowLate) }
 	}
 	//due:recovery
-	s.prep.r1o = e.PrepareSingle("r1", s.cfg.overlapPriority(), r1(false))
+	s.prep.r1o = e.PrepareSingle("r1", s.cfg.OverlapPriority(), r1(false))
 	//due:recovery
-	s.prep.r23o = e.PrepareSingle("r2r3", s.cfg.overlapPriority(), r23(false))
+	s.prep.r23o = e.PrepareSingle("r2r3", s.cfg.OverlapPriority(), r23(false))
 	//due:allow(priority-clamp) FEIR recovery is critical-path by design (Fig 2a): the coordinator blocks on it, so it runs at the compute tier, not below it
 	//due:recovery
 	s.prep.r1c = e.PrepareSingle("r1", prio, r1(true))

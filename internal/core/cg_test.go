@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -518,6 +519,25 @@ func TestMethodString(t *testing.T) {
 	}
 	if Method(99).String() == "" {
 		t.Fatal("unknown method string empty")
+	}
+}
+
+// TestParseMethodRoundTrip: every method parses back from its lower-cased
+// name, "" and "checkpoint" are Ideal and ckpt, and an unknown name is an
+// error.
+func TestParseMethodRoundTrip(t *testing.T) {
+	for _, m := range append([]Method{MethodIdeal}, Methods...) {
+		if got, err := ParseMethod(strings.ToLower(m.String())); err != nil || got != m {
+			t.Errorf("ParseMethod(%q) = %v, %v; want %v", strings.ToLower(m.String()), got, err, m)
+		}
+	}
+	for name, want := range map[string]Method{"": MethodIdeal, "checkpoint": MethodCheckpoint, "AFEIR": MethodAFEIR} {
+		if got, err := ParseMethod(name); err != nil || got != want {
+			t.Errorf("ParseMethod(%q) = %v, %v; want %v", name, got, err, want)
+		}
+	}
+	if _, err := ParseMethod("nosuch"); err == nil {
+		t.Error(`ParseMethod("nosuch") accepted`)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"math"
 	"time"
 
+	"repro/internal/defaults"
 	"repro/internal/sparse"
 )
 
@@ -47,13 +48,13 @@ func (c *checkpointer) currentInterval(iter int, elapsed time.Duration) int {
 		return c.interval
 	}
 	if c.mtbe <= 0 || iter == 0 {
-		return 1000 // the paper's default no-error-information period
+		return defaults.CheckpointInterval
 	}
 	writeTime := c.disk.WriteTime(c.bytes)
 	tOpt := math.Sqrt(2 * writeTime.Seconds() * c.mtbe.Seconds())
 	iterTime := elapsed.Seconds() / float64(iter)
 	if iterTime <= 0 {
-		return 1000
+		return defaults.CheckpointInterval
 	}
 	iv := int(tOpt / iterTime)
 	if iv < 1 {

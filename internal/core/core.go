@@ -19,6 +19,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"time"
 
 	"repro/internal/defaults"
@@ -77,6 +78,23 @@ func (m Method) String() string {
 // Methods lists all methods in the paper's comparison order.
 var Methods = []Method{MethodAFEIR, MethodFEIR, MethodLossy, MethodCheckpoint, MethodTrivial}
 
+// ParseMethod maps a method name, in any case, to its Method: the name
+// String returns, "checkpoint" for ckpt, and "" for Ideal.
+func ParseMethod(s string) (Method, error) {
+	switch s = strings.ToLower(s); s {
+	case "":
+		return MethodIdeal, nil
+	case "checkpoint":
+		return MethodCheckpoint, nil
+	}
+	for m := MethodIdeal; m <= MethodAFEIR; m++ {
+		if strings.ToLower(m.String()) == s {
+			return m, nil
+		}
+	}
+	return 0, fmt.Errorf("core: unknown method %q (ideal, trivial, lossy, ckpt, feir, afeir)", s)
+}
+
 // Fallback selects what FEIR/AFEIR do with errors that no redundancy
 // relation can repair (simultaneous errors on related data, §2.4 case 2).
 type Fallback int
@@ -96,8 +114,9 @@ const (
 type Config struct {
 	// Method is the resilience scheme. Default MethodIdeal.
 	Method Method
-	// Workers is the task-runtime pool size. 0 means GOMAXPROCS. The
-	// paper's single-node runs use 8 (§5.1).
+	// Workers is the task-runtime pool size. 0 means GOMAXPROCS on one
+	// node and one worker per rank on ranks (internal/dist). The paper's
+	// single-node runs use 8 (§5.1).
 	Workers int
 	// PageDoubles is the fault/recovery granularity in float64 elements.
 	// 0 means 512 (a 4 KiB page, §2.3).
@@ -163,10 +182,10 @@ type Config struct {
 	ABFT bool
 }
 
-// overlapPriority is the priority of overlapped (AFEIR) recovery tasks:
+// OverlapPriority is the priority of overlapped (AFEIR) recovery tasks:
 // strictly below the compute tier of every request, preserving the §3.3.2
 // "recoveries after reductions" ordering under concurrent solves.
-func (c Config) overlapPriority() int {
+func (c Config) OverlapPriority() int {
 	if c.TaskPriority-1 < 0 {
 		return c.TaskPriority - 1
 	}

@@ -5,6 +5,7 @@ import (
 	"math"
 	"time"
 
+	"repro/internal/defaults"
 	"repro/internal/engine"
 	"repro/internal/pagemem"
 	"repro/internal/precond"
@@ -88,9 +89,7 @@ func NewGMRES(a *sparse.CSR, b []float64, restart int, cfg Config) (*GMRESSolver
 	if len(b) != a.N {
 		return nil, fmt.Errorf("core: rhs length %d for n=%d", len(b), a.N)
 	}
-	if restart <= 0 {
-		restart = 30
-	}
+	restart = defaults.GMRESRestartOr(restart)
 	fixed := 3 // x, g, v_0..v_m
 	if cfg.UsePrecond {
 		fixed = 4 // plus the protected preconditioned residual z
@@ -167,7 +166,7 @@ func (sv *GMRESSolver) Run() (Result, []float64, error) {
 		defer sv.rt.Close()
 	}
 	sv.eng = engine.New(sv.a, sv.layout, sv.rt, false, 0)
-	sv.eng.RecoveryPriority = sv.cfg.overlapPriority()
+	sv.eng.RecoveryPriority = sv.cfg.OverlapPriority()
 	sv.conn = sv.eng.Conn
 	sv.rel = &Relations{a: sv.a, layout: sv.layout, conn: sv.conn, blocks: sv.blocks, b: sv.b,
 		scratch: make([]float64, sv.cfg.pageDoubles()), stats: &sv.stats}

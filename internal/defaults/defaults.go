@@ -1,9 +1,10 @@
 // Package defaults centralises the zero-value fallbacks shared by every
 // Config in the repository (§5.1/§5.4 of the paper): the convergence
 // tolerance, the iteration budget, the page granularity and the
-// checkpoint period. core.Config, dist.Config, solver.Options and
-// experiments.Options all resolve their optional fields through these
-// helpers, so a paper-wide constant changes in exactly one place.
+// checkpoint period. core.Config (which internal/dist takes as is),
+// solver.Options and experiments.Options all resolve their optional
+// fields through these helpers, so a paper-wide constant changes in
+// exactly one place.
 package defaults
 
 import "time"
@@ -15,8 +16,10 @@ const (
 	// a 4 KiB page (§2.3).
 	PageDoubles = 512
 	// CheckpointInterval is the snapshot period in iterations used when
-	// neither a fixed interval nor an MTBE estimate is configured.
-	CheckpointInterval = 100
+	// neither a fixed interval nor an MTBE estimate is configured: the
+	// paper's no-error-information period (Table 2's "ckpt 1K"), on one
+	// node and on ranks alike.
+	CheckpointInterval = 1000
 	// MaxIterFactor bounds iterations at MaxIterFactor*n when no explicit
 	// budget is set.
 	MaxIterFactor = 10

@@ -50,7 +50,7 @@ func TestPaperConstants(t *testing.T) {
 	if got := MaxIterOr(42, 100); got != 42 {
 		t.Fatalf("MaxIterOr(42, 100) = %v", got)
 	}
-	if got := CheckpointIntervalOr(0); got != 100 {
+	if got := CheckpointIntervalOr(0); got != 1000 {
 		t.Fatalf("CheckpointIntervalOr(0) = %v", got)
 	}
 	if got := GMRESRestartOr(0); got != 30 {

@@ -2,10 +2,10 @@ package dist
 
 import (
 	"fmt"
-
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/defaults"
 	"repro/internal/shard"
 	"repro/internal/sparse"
 )
@@ -78,8 +78,8 @@ func (s *BiCGStab) Run() (core.Result, []float64, error) {
 	s.sub.RT.ResetTimes() // exclude construction-to-launch idle from Table 3
 	start := time.Now()
 	sub := s.sub
-	tol := s.cfg.tol()
-	maxIter := s.cfg.maxIter(sub.A.N)
+	tol := defaults.TolOr(s.cfg.Tol)
+	maxIter := defaults.MaxIterOr(s.cfg.MaxIter, sub.A.N)
 
 	// x = 0: g = r̂0 = d = b.
 	sub.RankOp("init", func(r *shard.Rank, p, lo, hi int) {

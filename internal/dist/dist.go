@@ -19,6 +19,7 @@
 package dist
 
 import (
+	"fmt"
 	"math"
 	"time"
 
@@ -28,70 +29,41 @@ import (
 	"repro/internal/pagemem"
 	"repro/internal/shard"
 	"repro/internal/sparse"
-	"repro/internal/taskrt"
 )
 
-// Config parametrises a distributed solve.
-type Config struct {
-	// Method is the resilience scheme, as in core.Config.
-	Method core.Method
-	// Workers is the shared task-pool size; 0 means one worker per rank.
-	Workers int
-	// PageDoubles is the fault/recovery granularity; 0 means 512.
-	PageDoubles int
-	// Tol is the relative residual threshold; 0 means 1e-10.
-	Tol float64
-	// MaxIter bounds iterations; 0 means 10*n.
-	MaxIter int
-	// CheckpointInterval is the snapshot period in iterations for
-	// MethodCheckpoint (CG only); 0 means 100.
-	CheckpointInterval int
-	// Restart is the GMRES restart length; 0 means 30.
-	Restart int
-	// UsePrecond enables the block-Jacobi preconditioned variant (PCG,
-	// PBiCGStab, PGMRES). Blocks coincide with pages and never cross rank
-	// boundaries, so application and recovery stay rank-local (§5.1).
-	UsePrecond bool
-	// Inject, when non-nil, is called once per iteration with the ranks —
-	// the hook deterministic experiments use to drive injections into
-	// chosen fault domains and pages.
-	Inject func(it int, ranks []*shard.Rank)
-	// OnIteration, when non-nil, receives the recurrence residual trace.
-	OnIteration func(it int, relRes float64)
-	// RT, when non-nil, is an externally owned task pool (typically
-	// taskrt.Shared) the substrate submits to but never closes. nil keeps
-	// the historical private pool per substrate.
-	RT *taskrt.Runtime
-	// Blocks, when non-nil, is a diagonal-block cache shared across
-	// substrates for the same operator, factored at first use by a method
-	// that reads factors; mismatches are rejected.
-	Blocks *sparse.BlockSolverCache
-	// Cancelled, when non-nil, is polled at iteration boundaries; when it
-	// reports true the solve stops and Run returns core.ErrCancelled.
-	Cancelled func() bool
-}
-
-func (c Config) pageDoubles() int { return defaults.PageDoublesOr(c.PageDoubles) }
-
-func (c Config) tol() float64 { return defaults.TolOr(c.Tol) }
-
-func (c Config) maxIter(n int) int { return defaults.MaxIterOr(c.MaxIter, n) }
-
-func (c Config) ckptInterval() int { return defaults.CheckpointIntervalOr(c.CheckpointInterval) }
-
-func (c Config) restart() int { return defaults.GMRESRestartOr(c.Restart) }
+// Config parametrises a distributed solve: the single-node configuration
+// itself, so a knob is written once from flag to rank. The rank path
+// honours every field but the five single-node ones — ABFT, Fallback,
+// OnDemandRecovery, ExpectedMTBE and Disk — which every constructor
+// rejects by name. Workers 0 means one pool worker per rank here.
+type Config = core.Config
 
 // base carries the state shared by all three distributed solvers.
 type base struct {
-	sub     *shard.Substrate
-	cfg     Config
-	stats   core.Stats // coordinator-side counters (restarts, rollbacks, …)
-	dynamic []*pagemem.Vector
+	sub      *shard.Substrate
+	cfg      Config
+	stats    core.Stats // coordinator-side counters (restarts, rollbacks, …)
+	dynamic  []*pagemem.Vector
+	injectFn func(it int, ranks []*shard.Rank) // see SetInject
 }
 
 func (b *base) setup(a *sparse.CSR, rhs []float64, ranks int, cfg Config, spd bool) error {
-	sub, err := shard.NewOpts(a, rhs, ranks, cfg.pageDoubles(), cfg.Workers, spd,
-		shard.Options{RT: cfg.RT, Blocks: cfg.Blocks})
+	for _, f := range []struct {
+		name string
+		set  bool
+	}{
+		{"ABFT", cfg.ABFT},
+		{"Fallback", cfg.Fallback != core.FallbackIgnore},
+		{"OnDemandRecovery", cfg.OnDemandRecovery},
+		{"ExpectedMTBE", cfg.ExpectedMTBE != 0},
+		{"Disk", cfg.Disk != nil},
+	} {
+		if f.set {
+			return fmt.Errorf("dist: %s is single-node only (drop it or -ranks)", f.name)
+		}
+	}
+	sub, err := shard.NewOpts(a, rhs, ranks, cfg.PageDoubles, cfg.Workers, spd,
+		shard.Options{RT: cfg.RT, Blocks: cfg.Blocks, Priority: cfg.TaskPriority})
 	if err != nil {
 		return err
 	}
@@ -133,9 +105,15 @@ func (b *base) RankStats() []core.Stats { return b.sub.RankStats() }
 // after Run returned.
 func (b *base) Reductions() int64 { return b.sub.Reductions() }
 
+// SetInject installs fn to be called once per iteration with the ranks,
+// after the convergence check and before the iteration's fault boundary —
+// the hook deterministic experiments use to drive injections into chosen
+// fault domains and pages. nil removes it.
+func (b *base) SetInject(fn func(it int, ranks []*shard.Rank)) { b.injectFn = fn }
+
 func (b *base) inject(it int) {
-	if b.cfg.Inject != nil {
-		b.cfg.Inject(it, b.sub.Ranks)
+	if b.injectFn != nil {
+		b.injectFn(it, b.sub.Ranks)
 	}
 }
 
@@ -291,8 +269,8 @@ func (s *CG) Run() (core.Result, []float64, error) {
 	s.sub.RT.ResetTimes() // exclude construction-to-launch idle from Table 3
 	start := time.Now()
 	sub := s.sub
-	tol := s.cfg.tol()
-	maxIter := s.cfg.maxIter(sub.A.N)
+	tol := defaults.TolOr(s.cfg.Tol)
+	maxIter := defaults.MaxIterOr(s.cfg.MaxIter, sub.A.N)
 
 	s.dStep, s.xgStep = s.updateD, s.updateXG
 
@@ -332,7 +310,7 @@ func (s *CG) Run() (core.Result, []float64, error) {
 		if !s.boundary() {
 			continue // restart-style recovery consumed the iteration
 		}
-		if s.cfg.Method == core.MethodCheckpoint && (it-s.lastCkptIter >= s.cfg.ckptInterval() || !s.haveCkpt) {
+		if s.cfg.Method == core.MethodCheckpoint && (it-s.lastCkptIter >= defaults.CheckpointIntervalOr(s.cfg.CheckpointInterval) || !s.haveCkpt) {
 			s.writeCheckpoint(it)
 		}
 

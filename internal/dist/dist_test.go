@@ -21,6 +21,24 @@ func baseCfg(m core.Method) Config {
 	return Config{Method: m, PageDoubles: 64, Tol: 1e-9, MaxIter: 20000}
 }
 
+// injectable is a distributed solver: its injection hook and its run.
+type injectable interface {
+	SetInject(func(it int, ranks []*shard.Rank))
+	Run() (core.Result, []float64, error)
+}
+
+// injected returns a launcher that installs inject on a freshly built
+// solver and runs it: injected(fn)(NewCG(a, b, ranks, cfg)).
+func injected(inject func(it int, ranks []*shard.Rank)) func(injectable, error) (core.Result, []float64, error) {
+	return func(s injectable, err error) (core.Result, []float64, error) {
+		if err != nil {
+			return core.Result{}, nil, err
+		}
+		s.SetInject(inject)
+		return s.Run()
+	}
+}
+
 func TestSolveCGMatchesSequential(t *testing.T) {
 	a, b := distSystem()
 	for _, ranks := range []int{1, 3, 4} {
@@ -93,9 +111,7 @@ func TestSolveCGFEIRRecoversExactly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := baseCfg(core.MethodFEIR)
-	cfg.Inject = injectInto([]int{10, 25, 40})
-	res, _, err := SolveCG(a, b, 4, cfg)
+	res, _, err := injected(injectInto([]int{10, 25, 40}))(NewCG(a, b, 4, baseCfg(core.MethodFEIR)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,8 +134,7 @@ func TestSolveCGCheckpointRollsBack(t *testing.T) {
 	a, b := distSystem()
 	cfg := baseCfg(core.MethodCheckpoint)
 	cfg.CheckpointInterval = 20
-	cfg.Inject = injectInto([]int{30})
-	res, _, err := SolveCG(a, b, 4, cfg)
+	res, _, err := injected(injectInto([]int{30}))(NewCG(a, b, 4, cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,9 +148,7 @@ func TestSolveCGCheckpointRollsBack(t *testing.T) {
 
 func TestSolveCGLossyRestarts(t *testing.T) {
 	a, b := distSystem()
-	cfg := baseCfg(core.MethodLossy)
-	cfg.Inject = injectInto([]int{30})
-	res, _, err := SolveCG(a, b, 4, cfg)
+	res, _, err := injected(injectInto([]int{30}))(NewCG(a, b, 4, baseCfg(core.MethodLossy)))
 	if err != nil {
 		t.Fatal(err)
 	}

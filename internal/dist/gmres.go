@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/defaults"
 	"repro/internal/shard"
 	"repro/internal/sparse"
 )
@@ -47,9 +48,10 @@ type GMRES struct {
 	gCurrent bool
 }
 
-// NewGMRES builds a distributed GMRES(m) over the given number of ranks.
-// MethodCheckpoint is not supported; every other method applies.
-func NewGMRES(a *sparse.CSR, rhs []float64, ranks int, cfg Config) (*GMRES, error) {
+// NewGMRES builds a distributed GMRES(m) over the given number of ranks
+// with restart length m (0 means defaults.GMRESRestart). MethodCheckpoint
+// is not supported; every other method applies.
+func NewGMRES(a *sparse.CSR, rhs []float64, ranks, restart int, cfg Config) (*GMRES, error) {
 	if cfg.Method == core.MethodCheckpoint {
 		return nil, fmt.Errorf("dist: GMRES does not support %v", cfg.Method)
 	}
@@ -57,7 +59,7 @@ func NewGMRES(a *sparse.CSR, rhs []float64, ranks int, cfg Config) (*GMRES, erro
 	if err := s.setup(a, rhs, ranks, cfg, false); err != nil {
 		return nil, err
 	}
-	m := cfg.restart()
+	m := defaults.GMRESRestartOr(restart)
 	s.x = s.sub.AddVector("x")
 	s.g = s.sub.AddVector("g")
 	s.v = make([]*shard.Vec, m+1)
@@ -80,8 +82,8 @@ func NewGMRES(a *sparse.CSR, rhs []float64, ranks int, cfg Config) (*GMRES, erro
 }
 
 // SolveGMRES runs a rank-partitioned resilient GMRES(m) on A x = b.
-func SolveGMRES(a *sparse.CSR, b []float64, ranks int, cfg Config) (core.Result, []float64, error) {
-	s, err := NewGMRES(a, b, ranks, cfg)
+func SolveGMRES(a *sparse.CSR, b []float64, ranks, restart int, cfg Config) (core.Result, []float64, error) {
+	s, err := NewGMRES(a, b, ranks, restart, cfg)
 	if err != nil {
 		return core.Result{}, nil, err
 	}
@@ -95,9 +97,9 @@ func (s *GMRES) Run() (core.Result, []float64, error) {
 	s.sub.RT.ResetTimes() // exclude construction-to-launch idle from Table 3
 	start := time.Now()
 	sub := s.sub
-	tol := s.cfg.tol()
-	maxIter := s.cfg.maxIter(sub.A.N)
-	m := s.cfg.restart()
+	tol := defaults.TolOr(s.cfg.Tol)
+	maxIter := defaults.MaxIterOr(s.cfg.MaxIter, sub.A.N)
+	m := len(s.v) - 1 // the restart length
 
 	cs := make([]float64, m)
 	sn := make([]float64, m)

@@ -48,8 +48,7 @@ func TestDistPrecondFewerIterations(t *testing.T) {
 		{"gmres", func(precond bool) (core.Result, error) {
 			cfg := baseCfg(core.MethodFEIR)
 			cfg.UsePrecond = precond
-			cfg.Restart = 20
-			res, _, err := SolveGMRES(aG, bG, 4, cfg)
+			res, _, err := SolveGMRES(aG, bG, 4, 20, cfg)
 			return res, err
 		}},
 	}
@@ -91,9 +90,7 @@ func TestDistStormPrecondCG(t *testing.T) {
 		for rate := 1; rate <= 5; rate++ {
 			seed := int64(3000*int(method) + rate)
 			rng := rand.New(rand.NewSource(seed))
-			cfg := precondCfg(method)
-			cfg.Inject = injectOwned(stormSchedule(rng, vectors, window, rate))
-			res, _, err := SolveCG(a, b, 4, cfg)
+			res, _, err := injected(injectOwned(stormSchedule(rng, vectors, window, rate)))(NewCG(a, b, 4, precondCfg(method)))
 			if err != nil {
 				t.Fatalf("%v rate %d: %v", method, rate, err)
 			}
@@ -127,9 +124,7 @@ func TestDistStormPrecondBiCGStab(t *testing.T) {
 		for rate := 1; rate <= 5; rate++ {
 			seed := int64(4000*int(method) + rate)
 			rng := rand.New(rand.NewSource(seed))
-			cfg := precondCfg(method)
-			cfg.Inject = injectOwned(stormSchedule(rng, vectors, window, rate))
-			res, _, err := SolveBiCGStab(a, b, 4, cfg)
+			res, _, err := injected(injectOwned(stormSchedule(rng, vectors, window, rate)))(NewBiCGStab(a, b, 4, precondCfg(method)))
 			if err != nil {
 				t.Fatalf("%v rate %d: %v", method, rate, err)
 			}
@@ -150,9 +145,7 @@ func TestDistStormPrecondBiCGStab(t *testing.T) {
 // covering z alongside the x/g pair and the basis.
 func TestDistStormPrecondGMRES(t *testing.T) {
 	a, b := asymmetricDist(1000)
-	cfg0 := precondCfg(core.MethodFEIR)
-	cfg0.Restart = 20
-	base, _, err := SolveGMRES(a, b, 4, cfg0)
+	base, _, err := SolveGMRES(a, b, 4, 20, precondCfg(core.MethodFEIR))
 	if err != nil || !base.Converged {
 		t.Fatalf("fault-free run: %+v err=%v", base, err)
 	}
@@ -165,10 +158,7 @@ func TestDistStormPrecondGMRES(t *testing.T) {
 		for rate := 1; rate <= 5; rate++ {
 			seed := int64(6000*int(method) + rate)
 			rng := rand.New(rand.NewSource(seed))
-			cfg := precondCfg(method)
-			cfg.Restart = 20
-			cfg.Inject = injectOwned(stormSchedule(rng, vectors, window, rate))
-			res, _, err := SolveGMRES(a, b, 4, cfg)
+			res, _, err := injected(injectOwned(stormSchedule(rng, vectors, window, rate)))(NewGMRES(a, b, 4, 20, precondCfg(method)))
 			if err != nil {
 				t.Fatalf("%v rate %d: %v", method, rate, err)
 			}

@@ -91,9 +91,7 @@ func TestDistStormBiCGStab(t *testing.T) {
 		for rate := 1; rate <= 5; rate++ {
 			seed := int64(1000*int(method) + rate)
 			rng := rand.New(rand.NewSource(seed))
-			cfg := baseCfg(method)
-			cfg.Inject = injectOwned(stormSchedule(rng, vectors, window, rate))
-			res, _, err := SolveBiCGStab(a, b, 4, cfg)
+			res, _, err := injected(injectOwned(stormSchedule(rng, vectors, window, rate)))(NewBiCGStab(a, b, 4, baseCfg(method)))
 			if err != nil {
 				t.Fatalf("%v rate %d: %v", method, rate, err)
 			}
@@ -112,9 +110,7 @@ func TestDistStormBiCGStab(t *testing.T) {
 
 func TestDistStormGMRES(t *testing.T) {
 	a, b := asymmetricDist(1000)
-	cfg := baseCfg(core.MethodFEIR)
-	cfg.Restart = 20
-	base, _, err := SolveGMRES(a, b, 4, cfg)
+	base, _, err := SolveGMRES(a, b, 4, 20, baseCfg(core.MethodFEIR))
 	if err != nil || !base.Converged {
 		t.Fatalf("fault-free run: %+v err=%v", base, err)
 	}
@@ -127,10 +123,7 @@ func TestDistStormGMRES(t *testing.T) {
 		for rate := 1; rate <= 5; rate++ {
 			seed := int64(2000*int(method) + rate)
 			rng := rand.New(rand.NewSource(seed))
-			cfg := baseCfg(method)
-			cfg.Restart = 20
-			cfg.Inject = injectOwned(stormSchedule(rng, vectors, window, rate))
-			res, _, err := SolveGMRES(a, b, 4, cfg)
+			res, _, err := injected(injectOwned(stormSchedule(rng, vectors, window, rate)))(NewGMRES(a, b, 4, 20, baseCfg(method)))
 			if err != nil {
 				t.Fatalf("%v rate %d: %v", method, rate, err)
 			}
@@ -176,8 +169,7 @@ func TestDistMatchesSingleNodeTolerance(t *testing.T) {
 	}
 	cfg = baseCfg(core.MethodIdeal)
 	cfg.Tol = tol
-	cfg.Restart = 20
-	res, _, err = SolveGMRES(a, b, 3, cfg)
+	res, _, err = SolveGMRES(a, b, 3, 20, cfg)
 	if err != nil || !res.Converged {
 		t.Fatalf("dist gmres: %+v err=%v", res, err)
 	}
@@ -195,8 +187,7 @@ func TestDistHaloPageDUE(t *testing.T) {
 	if err != nil || !base.Converged {
 		t.Fatalf("fault-free: %+v err=%v", base, err)
 	}
-	cfg := baseCfg(core.MethodFEIR)
-	cfg.Inject = func(it int, ranks []*shard.Rank) {
+	res, _, err := injected(func(it int, ranks []*shard.Rank) {
 		if it != 12 && it != 30 {
 			return
 		}
@@ -212,8 +203,7 @@ func TestDistHaloPageDUE(t *testing.T) {
 				r.Space.VectorByName("x").Poison(r.Halo[0])
 			}
 		}
-	}
-	res, _, err := SolveCG(a, b, 4, cfg)
+	})(NewCG(a, b, 4, baseCfg(core.MethodFEIR)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,13 +234,11 @@ func TestDistBiCGStabStormExactness(t *testing.T) {
 	if third < 1 {
 		t.Fatalf("fault-free run too short: %+v", base)
 	}
-	cfg := baseCfg(core.MethodFEIR)
-	cfg.Inject = injectOwned([]distInjection{
+	res, x, err := injected(injectOwned([]distInjection{
 		{it: third, rank: 0, vec: "x", off: 1},
 		{it: 2 * third, rank: 1, vec: "g", off: 2},
 		{it: 2*third + 1, rank: 2, vec: "x", off: 0},
-	})
-	res, x, err := SolveBiCGStab(a, b, 4, cfg)
+	}))(NewBiCGStab(a, b, 4, baseCfg(core.MethodFEIR)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,13 +263,10 @@ func TestDistBiCGStabStormExactness(t *testing.T) {
 // and expects the Hessenberg redundancy to rebuild them rank-locally.
 func TestDistGMRESBasisRecovery(t *testing.T) {
 	a, b := asymmetricDist(1000)
-	cfg := baseCfg(core.MethodFEIR)
-	cfg.Restart = 20
-	cfg.Inject = injectOwned([]distInjection{
+	res, _, err := injected(injectOwned([]distInjection{
 		{it: 5, rank: 1, vec: "v1", off: 1},
 		{it: 9, rank: 2, vec: "v3", off: 2},
-	})
-	res, _, err := SolveGMRES(a, b, 4, cfg)
+	}))(NewGMRES(a, b, 4, 20, baseCfg(core.MethodFEIR)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,13 +285,11 @@ func TestDistGMRESBasisRecovery(t *testing.T) {
 func TestDistGMRESAbortedCycleMakesProgress(t *testing.T) {
 	a, b := asymmetricDist(1000)
 	cfg := baseCfg(core.MethodTrivial)
-	cfg.Restart = 10
 	cfg.MaxIter = 400
-	cfg.Inject = injectOwned([]distInjection{
+	res, _, err := injected(injectOwned([]distInjection{
 		{it: 3, rank: 0, vec: "v1", off: 1},
 		{it: 3, rank: 1, vec: "x", off: 0},
-	})
-	res, _, err := SolveGMRES(a, b, 4, cfg)
+	}))(NewGMRES(a, b, 4, 10, cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,12 +309,12 @@ func TestDistPerRankStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.cfg.Inject = func(it int, ranks []*shard.Rank) {
+	s.SetInject(func(it int, ranks []*shard.Rank) {
 		if it == 10 {
 			r := ranks[2]
 			r.Space.VectorByName("x").Poison((r.PLo + r.PHi) / 2)
 		}
-	}
+	})
 	res, _, err := s.Run()
 	if err != nil || !res.Converged {
 		t.Fatalf("%+v err=%v", res, err)
@@ -367,9 +350,7 @@ func TestDistStormCG(t *testing.T) {
 	for _, method := range []core.Method{core.MethodFEIR, core.MethodAFEIR} {
 		for rate := 1; rate <= 5; rate++ {
 			seed := int64(7000*int(method) + rate)
-			cfg := baseCfg(method)
-			cfg.Inject = injectOwned(stormSchedule(rand.New(rand.NewSource(seed)), vectors, window, rate))
-			res, _, err := SolveCG(a, b, 4, cfg)
+			res, _, err := injected(injectOwned(stormSchedule(rand.New(rand.NewSource(seed)), vectors, window, rate)))(NewCG(a, b, 4, baseCfg(method)))
 			if err != nil {
 				t.Fatalf("%v rate %d: %v", method, rate, err)
 			}

@@ -172,7 +172,7 @@ type Engine struct {
 	Resilient bool
 	// RecoveryPriority is the task priority for overlapped (AFEIR)
 	// recovery. New sets -1; solvers running compute at a non-default
-	// tier must lower it via Config.overlapPriority() so recovery stays
+	// tier must lower it via Config.OverlapPriority() so recovery stays
 	// strictly below their own compute tasks. Clamped to ≤ -1 at use.
 	RecoveryPriority int
 
@@ -420,10 +420,10 @@ func (e *Engine) OverlappedRecovery(label string, after []*taskrt.Handle, fn fun
 	return e.RT.Submit(taskrt.TaskSpec{Label: label, After: after, Priority: prio, Run: func(int) { fn() }})
 }
 
-// CriticalRecovery runs fn as a task on the runtime and waits for it —
-// the FEIR discipline (Fig 2a): recovery in the critical path, after
-// every computation of the phase has finished.
-func (e *Engine) CriticalRecovery(label string, fn func()) {
-	h := e.RT.Submit(taskrt.TaskSpec{Label: label, Run: func(int) { fn() }})
+// CriticalRecovery runs fn as a task at the solver's compute priority on
+// the runtime and waits for it — the FEIR discipline (Fig 2a): recovery in
+// the critical path, after every computation of the phase has finished.
+func (e *Engine) CriticalRecovery(label string, priority int, fn func()) {
+	h := e.RT.Submit(taskrt.TaskSpec{Label: label, Priority: priority, Run: func(int) { fn() }})
 	e.RT.Wait(h)
 }

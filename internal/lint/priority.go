@@ -9,7 +9,7 @@ import (
 // priorityClamp protects the AFEIR discipline: recovery work must run
 // strictly below every compute tier, so recovery task creation sites
 // (annotated //due:recovery) must derive their priority from the
-// overlap clamp — Config.overlapPriority(), Engine.RecoveryPriority —
+// overlap clamp — Config.OverlapPriority(), Engine.RecoveryPriority —
 // never from raw Config.TaskPriority or a hardcoded negative literal.
 var priorityClamp = &Analyzer{
 	Name: "priority-clamp",
@@ -50,11 +50,11 @@ func runPriorityClamp(ctx *Context, pkg *Package, report reportFunc) {
 			return true
 		})
 		if usesRaw != token.NoPos {
-			report(usesRaw, "recovery site reads raw Config.TaskPriority; derive the priority from overlapPriority() so recovery stays below the compute tier")
+			report(usesRaw, "recovery site reads raw Config.TaskPriority; derive the priority from OverlapPriority() so recovery stays below the compute tier")
 		} else if !usesClamp {
 			// Report at the governed node, not the comment, so a stacked
 			// //due:allow on the same node can waive it.
-			report(d.Node.Pos(), "//due:recovery site never consults the overlap clamp (overlapPriority / RecoveryPriority / OverlappedRecovery)")
+			report(d.Node.Pos(), "//due:recovery site never consults the overlap clamp (OverlapPriority / RecoveryPriority / OverlappedRecovery)")
 		}
 	}
 	if !scoped {

@@ -2,7 +2,6 @@ package registry
 
 import (
 	"reflect"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -384,52 +383,6 @@ func TestPoolKeyCoversConfig(t *testing.T) {
 		}
 		if keyFor("cg", cfg) == base {
 			t.Errorf("core.Config.%s does not change the pool key", f.Name)
-		}
-	}
-}
-
-// TestRankPathCoversConfig: every core.Config field is either copied into
-// dist.Config by distConfig or rejected there by name, so a field added
-// later cannot be silently dropped on the rank path.
-func TestRankPathCoversConfig(t *testing.T) {
-	// Dropped on purpose. ROADMAP item 3 makes ranked tasks honour it.
-	dropped := map[string]bool{"TaskPriority": true}
-	a, b := testSystem(t)
-	ct := reflect.TypeOf(core.Config{})
-	for i := 0; i < ct.NumField(); i++ {
-		f := ct.Field(i)
-		if dropped[f.Name] {
-			continue
-		}
-		cfg := Config{Ranks: 2}
-		v := reflect.ValueOf(&cfg.Config).Elem().Field(i)
-		switch v.Kind() {
-		case reflect.Bool:
-			v.SetBool(true)
-		case reflect.Int, reflect.Int64:
-			v.SetInt(7)
-		case reflect.Float64:
-			v.SetFloat(0.5)
-		case reflect.Pointer:
-			v.Set(reflect.New(f.Type.Elem()))
-		case reflect.Func:
-			v.Set(reflect.MakeFunc(f.Type, func([]reflect.Value) []reflect.Value {
-				panic("never called")
-			}))
-		default:
-			t.Fatalf("core.Config.%s (%s): the test cannot set this kind", f.Name, f.Type)
-		}
-		dc, err := cfg.distConfig()
-		if err != nil {
-			for _, solver := range Names() {
-				if _, err := New(solver, a, b, cfg); err == nil || !strings.Contains(err.Error(), f.Name) {
-					t.Errorf("%s on the rank path with core.Config.%s set: %v, want an error naming it", solver, f.Name, err)
-				}
-			}
-			continue
-		}
-		if got := reflect.ValueOf(dc).FieldByName(f.Name); !got.IsValid() || got.IsZero() {
-			t.Errorf("core.Config.%s is neither copied into dist.Config nor rejected on the rank path", f.Name)
 		}
 	}
 }

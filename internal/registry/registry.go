@@ -12,12 +12,10 @@ import (
 	"sort"
 
 	"repro/internal/core"
-	"repro/internal/defaults"
 	"repro/internal/dist"
 	"repro/internal/pagemem"
 	"repro/internal/shard"
 	"repro/internal/sparse"
-	"repro/internal/taskrt"
 )
 
 // Config extends the single-node configuration with the distributed
@@ -33,47 +31,6 @@ type Config struct {
 	// iteration with the substrate's ranks — the deterministic injection
 	// hook of the distributed validation runs.
 	RankInject func(it int, ranks []*shard.Rank)
-	// SharedPool routes the instance's tasks through the process-wide
-	// taskrt.Shared pool instead of constructing a private one — the fix
-	// for registry.New silently oversubscribing GOMAXPROCS with one pool
-	// per instance. Ignored when core.Config.RT is already set.
-	SharedPool bool
-}
-
-// distConfig maps the configuration onto the rank path. A core.Config
-// field the rank path does not honour is rejected by name, never silently
-// dropped; TaskPriority alone is dropped on purpose (ranked tasks run at
-// tier 0 until the shard layer takes a priority).
-func (c Config) distConfig() (dist.Config, error) {
-	for _, f := range []struct {
-		name string
-		set  bool
-	}{
-		{"ABFT", c.ABFT},
-		{"Fallback", c.Fallback != core.FallbackIgnore},
-		{"OnDemandRecovery", c.OnDemandRecovery},
-		{"ExpectedMTBE", c.ExpectedMTBE != 0},
-		{"Disk", c.Disk != nil},
-	} {
-		if f.set {
-			return dist.Config{}, fmt.Errorf("registry: %s is single-node only (drop it or -ranks)", f.name)
-		}
-	}
-	return dist.Config{
-		Method:             c.Method,
-		Workers:            c.Workers,
-		PageDoubles:        c.PageDoubles,
-		Tol:                c.Tol,
-		MaxIter:            c.MaxIter,
-		CheckpointInterval: c.CheckpointInterval,
-		Restart:            c.Restart,
-		UsePrecond:         c.UsePrecond,
-		Inject:             c.RankInject,
-		OnIteration:        c.OnIteration,
-		RT:                 c.RT,
-		Blocks:             c.Blocks,
-		Cancelled:          c.Cancelled,
-	}, nil
 }
 
 // Instance is one ready-to-run solver: the injection surface plus the
@@ -157,21 +114,24 @@ func New(name string, a *sparse.CSR, b []float64, cfg Config) (*Instance, error)
 	if cfg.ABFT && !e.caps.ABFT {
 		return nil, fmt.Errorf("registry: solver %q has no ABFT checksum coverage (drop -abft)", name)
 	}
-	if cfg.SharedPool && cfg.RT == nil {
-		cfg.RT = taskrt.Shared(cfg.Workers)
-	}
 	return e.build(a, b, cfg)
 }
 
-// distInstance adapts the common distributed solver surface.
+// distInstance adapts the common distributed solver surface, installing
+// the configuration's rank injection hook.
 type distSolver interface {
 	Spaces() []*pagemem.Space
 	DynamicVectors() []*pagemem.Vector
 	RankStats() []core.Stats
+	SetInject(func(it int, ranks []*shard.Rank))
 	Run() (core.Result, []float64, error)
 }
 
-func distInstance(s distSolver) *Instance {
+func distInstance(s distSolver, err error, cfg Config) (*Instance, error) {
+	if err != nil {
+		return nil, err
+	}
+	s.SetInject(cfg.RankInject)
 	inst := &Instance{
 		Spaces:    s.Spaces(),
 		Dynamic:   s.DynamicVectors(),
@@ -184,7 +144,7 @@ func distInstance(s distSolver) *Instance {
 		return res, err
 	}
 	inst.Solution = func() []float64 { return sol }
-	return inst
+	return inst, nil
 }
 
 // all declares the full capability set of the three built-in methods:
@@ -199,15 +159,8 @@ func init() {
 	cgCaps.ABFT = true
 	Register("cg", cgCaps, func(a *sparse.CSR, b []float64, cfg Config) (*Instance, error) {
 		if cfg.Ranks > 0 {
-			dc, err := cfg.distConfig()
-			if err != nil {
-				return nil, err
-			}
-			s, err := dist.NewCG(a, b, cfg.Ranks, dc)
-			if err != nil {
-				return nil, err
-			}
-			return distInstance(s), nil
+			s, err := dist.NewCG(a, b, cfg.Ranks, cfg.Config)
+			return distInstance(s, err, cfg)
 		}
 		s, err := core.NewCG(a, b, cfg.Config)
 		if err != nil {
@@ -222,15 +175,8 @@ func init() {
 	})
 	Register("bicgstab", all, func(a *sparse.CSR, b []float64, cfg Config) (*Instance, error) {
 		if cfg.Ranks > 0 {
-			dc, err := cfg.distConfig()
-			if err != nil {
-				return nil, err
-			}
-			s, err := dist.NewBiCGStab(a, b, cfg.Ranks, dc)
-			if err != nil {
-				return nil, err
-			}
-			return distInstance(s), nil
+			s, err := dist.NewBiCGStab(a, b, cfg.Ranks, cfg.Config)
+			return distInstance(s, err, cfg)
 		}
 		s, err := core.NewBiCGStab(a, b, cfg.Config)
 		if err != nil {
@@ -251,17 +197,10 @@ func init() {
 	})
 	Register("gmres", all, func(a *sparse.CSR, b []float64, cfg Config) (*Instance, error) {
 		if cfg.Ranks > 0 {
-			dc, err := cfg.distConfig()
-			if err != nil {
-				return nil, err
-			}
-			s, err := dist.NewGMRES(a, b, cfg.Ranks, dc)
-			if err != nil {
-				return nil, err
-			}
-			return distInstance(s), nil
+			s, err := dist.NewGMRES(a, b, cfg.Ranks, cfg.Restart, cfg.Config)
+			return distInstance(s, err, cfg)
 		}
-		s, err := core.NewGMRES(a, b, defaults.GMRESRestartOr(cfg.Restart), cfg.Config)
+		s, err := core.NewGMRES(a, b, cfg.Restart, cfg.Config)
 		if err != nil {
 			return nil, err
 		}

@@ -94,6 +94,34 @@ func TestAllVariantsDispatch(t *testing.T) {
 	}
 }
 
+// TestCheckpointDefaultAcrossTopologies: with neither an interval nor an
+// MTBE configured, a Checkpoint cg solve snapshots at the one default
+// period on one node and on ranks (it was 1000 iterations and 100).
+func TestCheckpointDefaultAcrossTopologies(t *testing.T) {
+	a := matgen.Poisson2D(64, 64)
+	b := matgen.Ones(a.N)
+	written := map[int]int{}
+	for _, ranks := range []int{0, 2} {
+		cfg := testCfg(false, ranks)
+		cfg.Method = core.MethodCheckpoint
+		inst, err := New("cg", a, b, cfg)
+		if err != nil {
+			t.Fatalf("ranks=%d: %v", ranks, err)
+		}
+		res, err := inst.Run()
+		if err != nil || !res.Converged {
+			t.Fatalf("ranks=%d: %+v err=%v", ranks, res, err)
+		}
+		if res.Iterations <= 100 || res.Iterations >= 1000 {
+			t.Fatalf("ranks=%d: %d iterations, want a solve between the two periods", ranks, res.Iterations)
+		}
+		written[ranks] = res.Stats.CheckpointsWritten
+	}
+	if written[0] != written[2] {
+		t.Fatalf("checkpoints written: %d on one node, %d on two ranks", written[0], written[2])
+	}
+}
+
 // TestCapabilityRejection keeps the never-drop-a-config contract as a
 // regression test: a builder that does not declare a capability must be
 // rejected with an error naming the solver, not run without it.

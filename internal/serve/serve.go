@@ -25,7 +25,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"strings"
 	"sync"
 	"time"
 
@@ -212,18 +211,9 @@ func (s *Server) Prewarm(req *Request, count int) error {
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrUnknownMatrix, req.Matrix)
 	}
-	method, err := ParseMethod(req.Method)
+	cfg, err := s.config(req, octx)
 	if err != nil {
 		return err
-	}
-	solver := req.solverName()
-	cfg := registry.Config{
-		Config: core.Config{
-			Method: method, Workers: s.opts.Workers, PageDoubles: octx.PageDoubles,
-			Tol: req.Tol, MaxIter: req.MaxIter, UsePrecond: req.Precond,
-			TaskPriority: req.Priority,
-		},
-		Ranks: req.Ranks,
 	}
 	b := make([]float64, octx.A.N)
 	for k := range b {
@@ -236,7 +226,7 @@ func (s *Server) Prewarm(req *Request, count int) error {
 		}
 	}()
 	for i := 0; i < count; i++ {
-		co, err := octx.Checkout(solver, b, cfg)
+		co, err := octx.Checkout(req.solverName(), b, cfg)
 		if err != nil {
 			return err
 		}
@@ -284,7 +274,7 @@ func (s *Server) validate(req *Request) error {
 	octx := s.cache.Peek(req.Matrix) // unknown handles are execute's to report
 	bb := sparse.Dot(req.B, req.B)   // ε = <g,g> of iteration 0: what rel < tol is computed from
 	_, known := registry.Caps(req.solverName())
-	_, methodErr := ParseMethod(req.Method)
+	_, methodErr := core.ParseMethod(req.Method)
 	switch {
 	case !known:
 		return fmt.Errorf("%w: unknown solver %q (have %v)", ErrBadRequest, req.Solver, registry.Names())
@@ -376,6 +366,29 @@ func (s *Server) dispatch() {
 	}
 }
 
+// config is the solve configuration of req against its cached operator:
+// the one place a request's fields become a registry.Config, for Prewarm
+// and execute alike. The request's priority is its solver tasks' tier, on
+// one node and on ranks.
+func (s *Server) config(req *Request, octx *registry.OperatorContext) (registry.Config, error) {
+	method, err := core.ParseMethod(req.Method)
+	return registry.Config{
+		Config: core.Config{
+			Method:  method,
+			Workers: s.opts.Workers,
+			// The fault-granularity layout belongs to the cached operator,
+			// not the request: a request cannot ask for a different page
+			// size without registering the matrix under another handle.
+			PageDoubles:  octx.PageDoubles,
+			Tol:          req.Tol,
+			MaxIter:      req.MaxIter,
+			UsePrecond:   req.Precond,
+			TaskPriority: req.Priority,
+		},
+		Ranks: req.Ranks,
+	}, err
+}
+
 // execute runs one admitted request against its cached operator context.
 func (s *Server) execute(p *pending) (*Response, error) {
 	req := p.req
@@ -383,11 +396,10 @@ func (s *Server) execute(p *pending) (*Response, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownMatrix, req.Matrix)
 	}
-	method, err := ParseMethod(req.Method)
+	cfg, err := s.config(req, octx)
 	if err != nil {
 		return nil, err
 	}
-	solver := req.solverName()
 	timeout := req.Timeout
 	if timeout <= 0 {
 		timeout = defaults.ServeTimeoutOr(s.opts.Timeout)
@@ -405,23 +417,8 @@ func (s *Server) execute(p *pending) (*Response, error) {
 		return nil, fmt.Errorf("serve: rhs length %d for n=%d", len(b), octx.A.N)
 	}
 
-	cfg := registry.Config{
-		Config: core.Config{
-			Method:  method,
-			Workers: s.opts.Workers,
-			// The fault-granularity layout belongs to the cached operator,
-			// not the request: a request cannot ask for a different page
-			// size without registering the matrix under another handle.
-			PageDoubles:  octx.PageDoubles,
-			Tol:          req.Tol,
-			MaxIter:      req.MaxIter,
-			UsePrecond:   req.Precond,
-			TaskPriority: req.Priority,
-			Cancelled:    func() bool { return cctx.Err() != nil },
-		},
-		Ranks: req.Ranks,
-	}
-	co, err := octx.Checkout(solver, b, cfg)
+	cfg.Cancelled = func() bool { return cctx.Err() != nil }
+	co, err := octx.Checkout(req.solverName(), b, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -462,26 +459,6 @@ func (s *Server) execute(p *pending) (*Response, error) {
 		resp.X = append([]float64(nil), co.Instance.Solution()...)
 	}
 	return resp, nil
-}
-
-// ParseMethod maps the wire name of a resilience scheme to core.Method.
-// "" means Ideal.
-func ParseMethod(s string) (core.Method, error) {
-	switch strings.ToLower(s) {
-	case "", "ideal":
-		return core.MethodIdeal, nil
-	case "trivial":
-		return core.MethodTrivial, nil
-	case "lossy":
-		return core.MethodLossy, nil
-	case "ckpt", "checkpoint":
-		return core.MethodCheckpoint, nil
-	case "feir":
-		return core.MethodFEIR, nil
-	case "afeir":
-		return core.MethodAFEIR, nil
-	}
-	return 0, fmt.Errorf("serve: unknown method %q", s)
 }
 
 // pendingHeap orders requests by descending priority, FIFO within a

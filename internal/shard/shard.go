@@ -137,6 +137,9 @@ type Substrate struct {
 	// ownRT records whether the substrate created RT (and must close it)
 	// or was handed an external, shared pool (Options.RT).
 	ownRT bool
+	// priority is Options.Priority: the tier of the rank tasks and of the
+	// critical-path repairs.
+	priority int
 
 	// Coordinator-side gather scratch, reused across TrueResidual and
 	// LossyInterpolateOwned calls instead of allocating 2N per check.
@@ -189,6 +192,11 @@ type Options struct {
 	// nil means a private cache factorized here. Mismatches are rejected
 	// loudly.
 	Blocks *sparse.BlockSolverCache
+	// Priority is the solve's compute tier (core.Config.TaskPriority): the
+	// prepared rank tasks and FEIR's critical-path repairs run at it,
+	// AFEIR's overlapped repairs below it (core.Config.OverlapPriority).
+	// 0 keeps the rank tasks on the per-worker FIFO fast path.
+	Priority int
 }
 
 // NewOpts builds the substrate for A x = b over the given number of ranks.
@@ -257,6 +265,8 @@ func NewOpts(a *sparse.CSR, b []float64, ranks, pageDoubles, workers int, spd bo
 		s.ownRT = true
 	}
 	s.Eng = engine.New(a, layout, s.RT, false, len(parts))
+	s.priority = opts.Priority
+	s.Eng.RecoveryPriority = core.Config{TaskPriority: opts.Priority}.OverlapPriority()
 	s.Conn = s.Eng.Conn
 
 	s.Ranks = make([]*Rank, len(parts))
@@ -303,9 +313,10 @@ func NewOpts(a *sparse.CSR, b []float64, ranks, pageDoubles, workers int, spd bo
 	for i, r := range s.Ranks {
 		r := r
 		s.rankTasks[i] = s.RT.NewTask(taskrt.TaskSpec{
-			Label: "superstep",
-			Home:  taskrt.HomeWorker(i),
-			Run:   func(int) { s.stepFn(r) },
+			Label:    "superstep",
+			Priority: opts.Priority,
+			Home:     taskrt.HomeWorker(i),
+			Run:      func(int) { s.stepFn(r) },
 		})
 	}
 	s.forEachStepF = s.forEachStep
@@ -808,10 +819,11 @@ func (s *Substrate) HealGhosts() {
 }
 
 // Recover schedules fn(r) for every rank with a visible fault per the
-// method's discipline: MethodAFEIR submits the repairs as low-priority
-// overlapped tasks (Fig 2b) so affected ranks recover concurrently with
-// one another and with queued work; every other method runs them in the
-// critical path (Fig 2a), one rank at a time. Repairs must be rank-local
+// method's discipline: MethodAFEIR submits the repairs as overlapped
+// tasks below the compute tier (Fig 2b) so affected ranks recover
+// concurrently with one another and with queued work; every other method
+// runs them in the critical path at the compute tier (Fig 2a), one rank
+// at a time. Repairs must be rank-local
 // (reads confined to the rank's own vectors) — cross-rank data moves only
 // through a prior strict Exchange.
 //
@@ -834,7 +846,7 @@ func (s *Substrate) Recover(method core.Method, label string, fn func(r *Rank)) 
 			continue
 		}
 		r := r
-		s.Eng.CriticalRecovery(fmt.Sprintf("rank%d:%s", r.ID, label), func() { fn(r) })
+		s.Eng.CriticalRecovery(fmt.Sprintf("rank%d:%s", r.ID, label), s.priority, func() { fn(r) })
 	}
 }
 
