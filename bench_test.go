@@ -285,29 +285,3 @@ func BenchmarkInjectorThroughput(b *testing.B) {
 	}
 	_ = inject.PlannedError{}
 }
-
-// BenchmarkAblationRecoveryAlwaysVsOnDemand measures the cost of the
-// paper's always-instantiated recovery tasks against the §7 proposal of
-// injecting them only when errors are signalled (no-error runs).
-func BenchmarkAblationRecoveryAlwaysVsOnDemand(b *testing.B) {
-	a := matgen.Poisson2D(48, 48)
-	rhs := matgen.Ones(a.N)
-	for _, onDemand := range []bool{false, true} {
-		name := "always"
-		if onDemand {
-			name = "ondemand"
-		}
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				cfg := core.Config{Method: core.MethodFEIR, Workers: 4, PageDoubles: 128, Tol: 1e-8, OnDemandRecovery: onDemand}
-				cg, err := core.NewCG(a, rhs, cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := cg.Run(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}

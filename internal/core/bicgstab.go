@@ -407,24 +407,27 @@ func (sv *BiCGStabSolver) Run() (Result, []float64, error) {
 	return sv.finish(it, converged, final, start), sv.x.Data, nil
 }
 
-// runRecovery schedules the phase recovery per the method: overlapped at
-// low priority after the producer tasks (AFEIR, Fig 2b) or in the
-// critical path once the whole phase finished (FEIR, Fig 2a). waitFor
-// lists every task of the phase; it is always awaited before returning.
+// runRecovery waits for every task of the phase (waitFor) and runs the
+// phase recovery only once a page is damaged, by CG.runRecovery's rule:
+// AFEIR overlaps it after the producer tasks (after, Fig 2b) when the
+// damage predates the phase; damage shown during the phase is repaired
+// once the phase finished (FEIR with late rights, AFEIR without).
 //
 //due:recovery
 func (sv *BiCGStabSolver) runRecovery(label string, after []*taskrt.Handle, fn func(allowLate bool), waitFor []*taskrt.Handle) {
-	skip := !sv.resilient || (sv.cfg.OnDemandRecovery && !sv.space.AnyFault())
 	var r *taskrt.Handle
-	if sv.cfg.Method == MethodAFEIR && !skip {
+	if sv.cfg.Method == MethodAFEIR && sv.space.AnyFault() {
 		r = sv.eng.OverlappedRecovery(label, after, func() { fn(false) })
 	}
 	sv.rt.WaitAll(waitFor)
-	if r != nil {
+	switch {
+	case r != nil:
 		sv.rt.Wait(r)
-	}
-	if sv.cfg.Method == MethodFEIR && !skip {
+	case !sv.resilient || !sv.space.AnyFault():
+	case sv.cfg.Method == MethodFEIR:
 		sv.eng.CriticalRecovery(label, 0, func() { fn(true) }) // BiCGStab computes at tier 0
+	default:
+		sv.rt.Wait(sv.eng.OverlappedRecovery(label, nil, func() { fn(false) }))
 	}
 }
 
@@ -661,14 +664,6 @@ func (sv *BiCGStabSolver) recoverPhase(ver int64, cur int, phase bicgPhase, allo
 	if sv.pre != nil {
 		dhatV, shatV = vec(sv.dhat, sv.dhatS), vec(sv.shat, sv.shatS)
 		qSrc, qSrcVer = dhatV, ver
-	}
-	if !sv.space.AnyFault() {
-		// Steady-state fast path: with no fault bit set anywhere there is
-		// nothing to repair — pages can only be stale downstream of a
-		// fault. The partial back-fill still runs. A fault arriving
-		// mid-scan was always racy; the phase boundary catches it.
-		sv.fillPhasePartials(ver, phase, qV, sV, tV, gV)
-		return
 	}
 	// recoverQSrc repairs the SpMV input: d̂ forward by partial
 	// application from dIn (or inverse through the new q), and dIn either

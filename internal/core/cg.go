@@ -605,8 +605,8 @@ func (s *CG) buildPrepared() {
 	s.prep.phase2 = append(append([]*taskrt.Handle{}, s.prep.r23After...), s.prep.r23o.Handles()...)
 }
 
-// runPhase1 replays the prepared d-update and fused q/<d,q> tasks plus
-// the r1 recovery task, and waits for them.
+// runPhase1 replays the prepared d-update and fused q/<d,q> tasks, waits
+// for them, and runs the r1 recovery if a page is damaged.
 func (s *CG) runPhase1(ver int64) {
 	t := int(ver)
 	cur, prev := 0, 0
@@ -622,27 +622,12 @@ func (s *CG) runPhase1(ver int64) {
 
 	dH := s.prep.d.Submit(nil)
 	s.prep.q.Submit(dH)
-
-	skipRecovery := s.cfg.OnDemandRecovery && !s.space.AnyFault()
-	overlapped := s.cfg.Method == MethodAFEIR && !skipRecovery
-	if overlapped {
-		// Overlapped with the reductions, lower priority so reduction
-		// tasks start first (§3.3.2, Fig 2b). Handles only faults whose
-		// consequences are visible as stale stamps plus poisons on
-		// vectors the concurrent reductions never read.
-		s.prep.r1o.Submit(s.prep.r1After)
-	}
-	s.rt.WaitAll(s.prep.phase1)
-	if s.cfg.Method == MethodFEIR && !(s.cfg.OnDemandRecovery && !s.space.AnyFault()) {
-		// In the critical path: runs after every computation (thus every
-		// potential error discovery) of the phase (Fig 2a).
-		s.prep.r1c.Submit(nil)
-		s.prep.r1c.Wait()
-	}
+	s.runRecovery(s.prep.r1o, s.prep.r1c, s.prep.r1After, s.prep.phase1)
 }
 
 // runPhase2 replays the prepared x update and the fused g/ε (z, <z,g>)
-// tasks — one wave — plus the r2/r3 recovery, and waits.
+// tasks — one wave —, waits, and runs the r2/r3 recovery if a page is
+// damaged.
 func (s *CG) runPhase2(ver int64) {
 	t := int(ver)
 	cur := 0
@@ -657,17 +642,33 @@ func (s *CG) runPhase2(ver int64) {
 
 	s.prep.x.Submit(nil)
 	s.prep.g.Submit(nil)
+	s.runRecovery(s.prep.r23o, s.prep.r23c, s.prep.r23After, s.prep.phase2)
+}
 
-	skipRecovery := s.cfg.OnDemandRecovery && !s.space.AnyFault()
-	overlapped := s.cfg.Method == MethodAFEIR && !skipRecovery
-	if overlapped {
-		s.prep.r23o.Submit(s.prep.r23After)
+// runRecovery waits for a phase and runs its repair only once a page is
+// damaged (§5.2/§7). Damage present when the phase starts: AFEIR submits
+// the overlapped repair (lower priority, ordered after the phase's
+// producers, Fig 2b). Damage that shows up during the phase — an ABFT
+// detection poisons a page mid-phase — is repaired once the phase
+// finished: FEIR's critical repair with late rights (Fig 2a), or AFEIR's
+// overlapped body without them. The latter sees exactly what the
+// overlapped task would have seen, since that task starts only after
+// every producer of the phase.
+func (s *CG) runRecovery(overlapped, critical *engine.Prepared, after, phase []*taskrt.Handle) {
+	afeir := s.cfg.Method == MethodAFEIR
+	early := afeir && s.space.AnyFault()
+	if early {
+		overlapped.Submit(after)
 	}
-	s.rt.WaitAll(s.prep.phase2)
-	if s.cfg.Method == MethodFEIR && !(s.cfg.OnDemandRecovery && !s.space.AnyFault()) {
-		s.prep.r23c.Submit(nil)
-		s.prep.r23c.Wait()
+	s.rt.WaitAll(phase)
+	if early || !s.resilient || !s.space.AnyFault() {
+		return
 	}
+	if afeir {
+		critical = overlapped
+	}
+	critical.Submit(nil)
+	critical.Wait()
 }
 
 type boundaryPoint int

@@ -110,7 +110,9 @@ const (
 	FallbackLossy
 )
 
-// Config parametrises a resilient solver run.
+// Config parametrises a resilient solver run. FEIR and AFEIR instantiate
+// recovery tasks only once a DUE has been signalled (the paper's §5.2/§7
+// proposal; its evaluation submitted them every phase).
 type Config struct {
 	// Method is the resilience scheme. Default MethodIdeal.
 	Method Method
@@ -141,12 +143,6 @@ type Config struct {
 	Disk *SimDisk
 	// Fallback selects the unrecoverable-error policy for FEIR/AFEIR.
 	Fallback Fallback
-	// OnDemandRecovery implements the runtime support the paper's §5.2/§7
-	// calls for: recovery tasks are instantiated only when a DUE has been
-	// signalled, removing most of the no-error overhead of FEIR and
-	// widening AFEIR's coverage. The paper measures the always-on
-	// variant; this flag is the proposed improvement.
-	OnDemandRecovery bool
 	// OnIteration, when non-nil, is called once per iteration with the
 	// relative recurrence residual — the Figure 3 trace hook.
 	OnIteration func(it int, relRes float64)

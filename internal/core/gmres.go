@@ -240,14 +240,15 @@ func (sv *GMRESSolver) Run() (Result, []float64, error) {
 		for l := 0; l < m && totalIt < maxIter; l++ {
 			sv.boundary() // Arnoldi-step boundary: repair before using data
 			// w = A v_l (then w = M⁻¹ w in place when preconditioned),
-			// chunked; under AFEIR the repair task overlaps with the
-			// orthogonalisation reductions that follow.
+			// chunked; under AFEIR a page damaged since the boundary is
+			// repaired by a task overlapping the orthogonalisation
+			// reductions that follow.
 			wH := sv.eng.RawSpMV("w", nil, sv.v[l].Data, sv.w)
 			if sv.pre != nil {
 				wH = sv.eng.RawApplyPrecond("Mw", wH, sv.pre, sv.w, sv.w)
 			}
 			var rOverlap *taskrt.Handle
-			if sv.cfg.Method == MethodAFEIR && !(sv.cfg.OnDemandRecovery && !sv.space.AnyFault()) {
+			if sv.cfg.Method == MethodAFEIR && sv.space.AnyFault() {
 				liveSteps := sv.steps // snapshot: the step counter advances mid-phase
 				//due:recovery
 				rOverlap = sv.eng.OverlappedRecovery("rV", wH, func() { sv.repairPasses(liveSteps) })

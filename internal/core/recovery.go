@@ -25,6 +25,11 @@ import (
 // bit was set mid-phase ("late" poisons). FEIR recovery starts only after
 // every computation of the phase finished, so it repairs those too; this
 // is exactly the paper's coverage difference (§5.4).
+//
+// A recovery task is instantiated only once a DUE has been signalled
+// (§5.2/§7, see CG.runRecovery): a phase with no damaged page submits no
+// recovery, so r1 always starts with a fault bit set and has no fast
+// path. r2/r3 keep theirs for reconcile, which runs every iteration.
 
 // current reports whether page p of vector v holds version ver.
 func current(v *pagemem.Vector, stamps []atomic.Int64, p int, ver int64) bool {
@@ -195,15 +200,6 @@ func (s *CG) recoverPhase1(ver int64, beta float64, cur, prev int, allowLate boo
 	if s.pre != nil {
 		src, srcS = s.z, s.zS
 	}
-	if !s.space.AnyFault() {
-		// Fast path for the steady state: with no fault bit set anywhere
-		// there is nothing to repair — pages can only be stale downstream
-		// of a fault. Partial back-fill below still runs (it is what a
-		// late repair feeds). A fault arriving mid-scan was always racy;
-		// the phase boundary and reconcile catch it, exactly as before.
-		s.fillPhase1Partials(ver, dCur, dCurS)
-		return
-	}
 	for pass := 0; pass < 4; pass++ {
 		progress := false
 		for p := 0; p < s.np; p++ {
@@ -289,7 +285,10 @@ func (s *CG) recoverPhase2(ver int64, cur int, allowLate bool) {
 	dCur, dCurS := s.d[cur], s.dS[cur]
 	alpha := s.alpha
 	if !s.space.AnyFault() {
-		// Steady-state fast path: see recoverPhase1.
+		// Steady-state fast path for reconcile, which runs every
+		// iteration: with no fault bit set anywhere there is nothing to
+		// repair — pages can only be stale downstream of a fault. The
+		// partial back-fill still runs.
 		s.fillPhase2Partials(ver)
 		return
 	}

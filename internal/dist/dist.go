@@ -33,9 +33,10 @@ import (
 
 // Config parametrises a distributed solve: the single-node configuration
 // itself, so a knob is written once from flag to rank. The rank path
-// honours every field but the five single-node ones — ABFT, Fallback,
-// OnDemandRecovery, ExpectedMTBE and Disk — which every constructor
-// rejects by name. Workers 0 means one pool worker per rank here.
+// honours every field but the four single-node ones — ABFT, Fallback,
+// ExpectedMTBE and Disk — which every constructor rejects by name. Like
+// core, it repairs only once a DUE has been signalled (AnyFault at its
+// boundary). Workers 0 means one pool worker per rank here.
 type Config = core.Config
 
 // base carries the state shared by all three distributed solvers.
@@ -54,7 +55,6 @@ func (b *base) setup(a *sparse.CSR, rhs []float64, ranks int, cfg Config, spd bo
 	}{
 		{"ABFT", cfg.ABFT},
 		{"Fallback", cfg.Fallback != core.FallbackIgnore},
-		{"OnDemandRecovery", cfg.OnDemandRecovery},
 		{"ExpectedMTBE", cfg.ExpectedMTBE != 0},
 		{"Disk", cfg.Disk != nil},
 	} {

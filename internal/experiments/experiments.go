@@ -162,7 +162,10 @@ type Table2Result struct {
 }
 
 // Table2 measures the no-error overhead of every resilience method against
-// the ideal CG, per matrix, and aggregates with the harmonic mean.
+// the ideal CG, per matrix, and aggregates with the harmonic mean. The
+// FEIR and AFEIR rows measure the paper's §7 variant, which submits no
+// recovery task in a phase without a DUE, not the always-on tasks its
+// Table 2 timed.
 func Table2(opts Options) (*Table2Result, error) {
 	type variant struct {
 		name   string
@@ -170,6 +173,7 @@ func Table2(opts Options) (*Table2Result, error) {
 		ckpt   int
 	}
 	variants := []variant{
+		{"Ideal", core.MethodIdeal, 0}, // the reference, not a row
 		{"Lossy", core.MethodLossy, 0},
 		{"Trivial", core.MethodTrivial, 0},
 		{"AFEIR", core.MethodAFEIR, 0},
@@ -183,32 +187,28 @@ func Table2(opts Options) (*Table2Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		ideal := measureBest(a, b, baseConfig(opts, core.MethodIdeal, false), opts.reps())
-		for _, v := range variants {
-			cfg := baseConfig(opts, v.method, false)
-			cfg.CheckpointInterval = v.ckpt
-			t := measureBest(a, b, cfg, opts.reps())
-			overheads[v.name] = append(overheads[v.name], t.Seconds()/ideal.Seconds()-1)
+		// Round-robin reps (rep r of every variant before rep r+1 of
+		// any), keeping each variant's fastest: a slow moment of the
+		// host then costs every variant one rep, not one variant all.
+		best := make([]time.Duration, len(variants))
+		for r := 0; r < opts.reps(); r++ {
+			for i, v := range variants {
+				cfg := baseConfig(opts, v.method, false)
+				cfg.CheckpointInterval = v.ckpt
+				if res, err := runOnce(a, b, cfg); err == nil && (best[i] == 0 || res.Elapsed < best[i]) {
+					best[i] = res.Elapsed
+				}
+			}
+		}
+		for i, v := range variants[1:] {
+			overheads[v.name] = append(overheads[v.name], best[i+1].Seconds()/best[0].Seconds()-1)
 		}
 	}
 	res := &Table2Result{}
-	for _, v := range variants {
+	for _, v := range variants[1:] {
 		res.Rows = append(res.Rows, Table2Row{Method: v.name, Overhead: harmonicMean(overheads[v.name])})
 	}
 	return res, nil
-}
-
-// measureBest runs the configuration reps times and returns the fastest
-// time (minimum is the standard noise-robust estimator for overheads).
-func measureBest(a *sparse.CSR, b []float64, cfg core.Config, reps int) time.Duration {
-	best := time.Duration(math.MaxInt64)
-	for r := 0; r < reps; r++ {
-		res, err := runOnce(a, b, cfg)
-		if err == nil && res.Elapsed < best {
-			best = res.Elapsed
-		}
-	}
-	return best
 }
 
 // String renders the table in the paper's row format.
@@ -247,7 +247,8 @@ type Table3Result struct {
 
 // Table3 measures how FEIR and AFEIR shift worker time across states
 // (useful / runtime / idle) relative to the ideal CG, averaged over the
-// workload set. Values are the increase of each state's total time.
+// workload set. Values are the increase of each state's total time. As in
+// Table2, a clean solve submits no recovery task (§7's variant).
 func Table3(opts Options) (*Table3Result, error) {
 	type acc struct{ useful, runtime, idle []float64 }
 	sums := map[string]*acc{"AFEIR": {}, "FEIR": {}}

@@ -7,13 +7,14 @@ import (
 	"repro/internal/core"
 )
 
-// quickOpts keeps harness tests fast: tiny matrices, few pages, 1 rep.
+// quickOpts keeps harness tests fast: tiny matrices, few pages, 3 reps
+// (Table 2 keeps each variant's fastest).
 func quickOpts() Options {
 	return Options{
 		Scale:       1024,
 		Workers:     2,
 		PageDoubles: 64,
-		Reps:        1,
+		Reps:        3,
 		Tol:         1e-7,
 		Matrices:    []string{"qa8fm", "Dubcova3"},
 		Rates:       []int{1, 5},

@@ -44,7 +44,6 @@ type poolKey struct {
 	tol                float64
 	maxIter            int
 	fallback           core.Fallback
-	onDemand           bool
 	taskPriority       int
 	checkpointInterval int
 	abft               bool
@@ -184,7 +183,6 @@ func keyFor(name string, cfg Config) poolKey {
 		tol:                defaults.TolOr(cfg.Tol),
 		maxIter:            cfg.MaxIter,
 		fallback:           cfg.Fallback,
-		onDemand:           cfg.OnDemandRecovery,
 		taskPriority:       cfg.TaskPriority,
 		checkpointInterval: cfg.CheckpointInterval,
 		abft:               cfg.ABFT,
