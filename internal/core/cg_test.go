@@ -549,3 +549,44 @@ func TestStatsAdd(t *testing.T) {
 		t.Fatalf("Add wrong: %+v", a)
 	}
 }
+
+func TestOnDemandRecoveryNoErrors(t *testing.T) {
+	// §7's proposed runtime support, now the only schedule: with no errors,
+	// recovery tasks are never instantiated and the solve converges as the
+	// always-on variant did.
+	a, b := testSystem()
+	for _, m := range []Method{MethodFEIR, MethodAFEIR} {
+		cg, err := NewCG(a, b, testConfig(m))
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := cg.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Converged || res.RelResidual > 1e-9 {
+			t.Fatalf("%v on-demand: %+v", m, res)
+		}
+	}
+}
+
+func TestOnDemandRecoveryStillRecovers(t *testing.T) {
+	// Recovery submitted only after a DUE still repairs scripted losses.
+	a, b := testSystem()
+	base := idealIterations(t, a, b)
+	for _, m := range []Method{MethodFEIR, MethodAFEIR} {
+		res := runWithInjections(t, a, b, testConfig(m), []injection{
+			{it: 20, vec: "x", page: 7},
+			{it: 45, vec: "g", page: 12},
+		})
+		if !res.Converged || res.RelResidual > 1e-8 {
+			t.Fatalf("%v on-demand with errors: %+v", m, res)
+		}
+		if d := res.Iterations - base; d < -2 || d > 2 {
+			t.Fatalf("%v on-demand: %d vs ideal %d iterations", m, res.Iterations, base)
+		}
+		if res.Stats.RecoveredForward+res.Stats.RecoveredInverse == 0 {
+			t.Fatalf("%v on-demand: no recoveries recorded %+v", m, res.Stats)
+		}
+	}
+}
