@@ -18,8 +18,10 @@
 // variant is rejected by the registry instead of silently running
 // unpreconditioned. -abft enables the checksum-carrying kernels (silent
 // bit flips become detections and then ordinary page recoveries), and -sdc
-// makes the injector emit that fraction of its events as single-bit
-// flips; the report then includes the SDC counters.
+// makes the storm emit that fraction of its events as single-bit flips;
+// the report then includes the SDC counters. The storm is fired by the
+// solve's own tasks; the report's injected= count is how many losses it
+// fired, next to the faults= count the solver saw.
 package main
 
 import (
@@ -82,7 +84,7 @@ func main() {
 	if err != nil {
 		fatalf("%v", err)
 	}
-	var in *inject.Injector
+	var storm *inject.Plan
 	if *rate > 0 {
 		// Estimate the ideal time with a probe run of the same solver to
 		// normalise the MTBE like the paper (§5.3).
@@ -102,34 +104,34 @@ func main() {
 		mtbe := time.Duration(pres.Elapsed.Seconds() / *rate * float64(time.Second))
 		fmt.Printf("ideal time %v -> MTBE %v (rate %g)\n",
 			pres.Elapsed.Round(time.Millisecond), mtbe.Round(time.Millisecond), *rate)
-		// All fault domains share one page layout, so a single injector
-		// drawing uniformly over every protected (vector, page) pair
-		// covers single-node and distributed runs alike.
-		in = inject.NewInjector(run.Spaces[0], run.Dynamic, mtbe, *seed)
-		in.SDCFraction = *sdc
-		in.Start()
-		defer in.Stop()
+		// All fault domains share one page layout, so one stream drawing
+		// uniformly over every protected (vector, page) pair covers
+		// single-node and distributed runs alike.
+		storm = &inject.Plan{Stream: &inject.Stream{Targets: run.Dynamic, MTBE: mtbe, Seed: *seed, SDCFraction: *sdc}}
+		storm.Start()
+		run.SetSite(storm.Site)
 	}
 	sched := pool.Counters()
 	res, err := run.Run()
-	if in != nil {
-		in.Stop()
+	injected := 0
+	if storm != nil {
+		injected = storm.Fired()
 	}
-	report(res, err, pool.Counters().Sub(sched))
+	report(res, err, injected, pool.Counters().Sub(sched))
 	if run.RankStats != nil {
 		reportRanks(run.RankStats())
 	}
 }
 
-func report(res core.Result, err error, sched taskrt.Counters) {
+func report(res core.Result, err error, injected int, sched taskrt.Counters) {
 	if err != nil {
 		fatalf("solve: %v", err)
 	}
 	fmt.Printf("converged=%v iterations=%d elapsed=%v trueResidual=%.3e\n",
 		res.Converged, res.Iterations, res.Elapsed.Round(time.Millisecond), res.RelResidual)
 	s := res.Stats
-	fmt.Printf("faults=%d recovered: forward=%d inverse=%d coupled=%d qRecomputed=%d precondPartial=%d\n",
-		s.FaultsSeen, s.RecoveredForward, s.RecoveredInverse, s.RecoveredCoupled, s.RecomputedQ, s.PrecondPartialApplies)
+	fmt.Printf("faults=%d injected=%d recovered: forward=%d inverse=%d coupled=%d qRecomputed=%d precondPartial=%d\n",
+		s.FaultsSeen, injected, s.RecoveredForward, s.RecoveredInverse, s.RecoveredCoupled, s.RecomputedQ, s.PrecondPartialApplies)
 	fmt.Printf("contributionsLost=%d unrecovered=%d lossyInterp=%d restarts=%d rollbacks=%d checkpoints=%d\n",
 		s.ContributionsLost, s.Unrecovered, s.LossyInterpolations, s.Restarts, s.Rollbacks, s.CheckpointsWritten)
 	if s.SDCInjected > 0 || s.SDCDetected > 0 {

@@ -1,7 +1,7 @@
 // Faultstorm: a miniature Figure 4 — compare every recovery method on the
 // thermal2 analogue (the paper's slowest-converging matrix) under
 // increasing error-injection rates, with the wall-clock exponential
-// injector of §5.3.
+// stream of §5.3 fired from the solve's own tasks.
 package main
 
 import (
@@ -58,10 +58,10 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			in := inject.NewInjector(cg.Space(), cg.DynamicVectors(), mtbe, int64(rate)*7+int64(m))
-			in.Start()
+			storm := &inject.Plan{Stream: &inject.Stream{Targets: cg.DynamicVectors(), MTBE: mtbe, Seed: int64(rate)*7 + int64(m)}}
+			storm.Start()
+			cg.SetSite(storm.Site)
 			res, err := cg.Run()
-			in.Stop()
 			if err != nil || !res.Converged {
 				fmt.Printf("%14s", "F")
 				continue

@@ -77,6 +77,7 @@ type BiCGStabSolver struct {
 
 	rt        *taskrt.Runtime
 	eng       *engine.Engine
+	sites     engine.Sites // see SetSite
 	resilient bool
 
 	scratch []float64
@@ -176,6 +177,10 @@ func (sv *BiCGStabSolver) DynamicVectors() []*pagemem.Vector {
 	return vs
 }
 
+// SetSite installs (or clears) the fault-site hook (DESIGN §12), typically
+// a started inject.Plan's Site. Set it only between Runs.
+func (sv *BiCGStabSolver) SetSite(f func(iteration int, task string)) { sv.sites.Hook = f }
+
 // ErrRecurrenceBreakdown reports a degenerate recurrence.
 var ErrRecurrenceBreakdown = fmt.Errorf("core: recurrence breakdown")
 
@@ -191,6 +196,7 @@ func (sv *BiCGStabSolver) Run() (Result, []float64, error) {
 	}
 	sv.eng = engine.New(sv.a, sv.layout, sv.rt, sv.resilient, 0)
 	sv.eng.RecoveryPriority = sv.cfg.OverlapPriority()
+	sv.eng.Sites = &sv.sites
 	sv.conn = sv.eng.Conn
 	sv.rel = &Relations{a: sv.a, layout: sv.layout, conn: sv.conn, blocks: sv.blocks, b: sv.b, scratch: sv.scratch, stats: &sv.stats}
 
@@ -210,6 +216,7 @@ func (sv *BiCGStabSolver) Run() (Result, []float64, error) {
 	converged := false
 	var final float64 // the true residual of the check that accepted x
 	for it = 0; it < maxIter; it++ {
+		sv.sites.Close() // the convergence check and restarts below are no sites
 		if sv.cfg.Cancelled != nil && sv.cfg.Cancelled() {
 			return sv.finish(it, false, 0, start), sv.x.Data, ErrCancelled
 		}
@@ -246,6 +253,7 @@ func (sv *BiCGStabSolver) Run() (Result, []float64, error) {
 			sv.restart(ver - 1)
 			sv.restartPending = false
 		}
+		sv.sites.Open(it)
 
 		// ---------------- Phase 1: [d̂ = M⁻¹d,] q = A d̂, <q, r̂> -------
 		sv.qrPart.ResetMissing()

@@ -49,8 +49,9 @@ type CG struct {
 
 	dqPart, ggPart, zgPart *engine.Partial
 
-	rt  *taskrt.Runtime
-	eng *engine.Engine
+	rt    *taskrt.Runtime
+	eng   *engine.Engine
+	sites engine.Sites // see SetSite
 
 	stats Stats
 	beta  float64
@@ -223,6 +224,10 @@ func (s *CG) SetCancelled(f func() bool) { s.cfg.Cancelled = f }
 // SetOnIteration installs (or clears) the per-request residual trace hook.
 func (s *CG) SetOnIteration(f func(it int, relRes float64)) { s.cfg.OnIteration = f }
 
+// SetSite installs (or clears) the fault-site hook (DESIGN §12), typically
+// a started inject.Plan's Site. Set it only between Runs.
+func (s *CG) SetSite(f func(iteration int, task string)) { s.sites.Hook = f }
+
 // Rebind replaces the right-hand side in place — the Relations layer and
 // the prepared task bodies keep their reference to the same backing array,
 // so a pooled instance serves a new RHS without rebuilding anything.
@@ -287,6 +292,7 @@ func (s *CG) resetState() {
 func (s *CG) buildEngine() {
 	s.eng = engine.New(s.a, s.layout, s.rt, s.resilient, 0)
 	s.eng.RecoveryPriority = s.cfg.OverlapPriority()
+	s.eng.Sites = &s.sites
 	s.conn = s.eng.Conn
 	s.rel = &Relations{a: s.a, layout: s.layout, conn: s.conn, blocks: s.blocks, b: s.b, scratch: s.scratch, stats: &s.stats}
 	s.buildPrepared()
@@ -619,6 +625,7 @@ func (s *CG) runPhase1(ver int64) {
 	}
 	s.iterVer, s.iterBeta, s.iterCur, s.iterPrev = ver, beta, cur, prev
 	s.dqPart.ResetMissing()
+	s.sites.Open(t)
 
 	dH := s.prep.d.Submit(nil)
 	s.prep.q.Submit(dH)
@@ -639,6 +646,7 @@ func (s *CG) runPhase2(ver int64) {
 	if s.pre != nil {
 		s.zgPart.ResetMissing()
 	}
+	s.sites.Open(t)
 
 	s.prep.x.Submit(nil)
 	s.prep.g.Submit(nil)
@@ -685,10 +693,11 @@ const (
 	actionSkipIteration
 )
 
-// boundary is a task-phase boundary: all workers are quiescent. Pending
-// data losses take effect here, and the non-ABFT methods react to any
-// visible fault.
+// boundary is a task-phase boundary: all workers are quiescent. The fault
+// sites close until the next phase, pending data losses take effect, and
+// the non-ABFT methods react to any visible fault.
 func (s *CG) boundary(ver int64, _ boundaryPoint) boundaryAction {
+	s.sites.Close()
 	evs := s.space.ScramblePending()
 	s.stats.FaultsSeen += len(evs)
 	if !s.space.AnyFault() {

@@ -73,6 +73,7 @@ type GMRESSolver struct {
 
 	rt      *taskrt.Runtime
 	eng     *engine.Engine
+	sites   engine.Sites // see SetSite
 	dotPart *engine.Partial
 	resid   []float64 // full-length true-residual scratch (reused)
 
@@ -156,6 +157,10 @@ func (sv *GMRESSolver) DynamicVectors() []*pagemem.Vector {
 	return append(vs, sv.v...)
 }
 
+// SetSite installs (or clears) the fault-site hook (DESIGN §12), typically
+// a started inject.Plan's Site. Set it only between Runs.
+func (sv *GMRESSolver) SetSite(f func(iteration int, task string)) { sv.sites.Hook = f }
+
 // Run executes the resilient solve and returns the result and solution.
 func (sv *GMRESSolver) Run() (Result, []float64, error) {
 	start := time.Now()
@@ -167,6 +172,7 @@ func (sv *GMRESSolver) Run() (Result, []float64, error) {
 	}
 	sv.eng = engine.New(sv.a, sv.layout, sv.rt, false, 0)
 	sv.eng.RecoveryPriority = sv.cfg.OverlapPriority()
+	sv.eng.Sites = &sv.sites
 	sv.conn = sv.eng.Conn
 	sv.rel = &Relations{a: sv.a, layout: sv.layout, conn: sv.conn, blocks: sv.blocks, b: sv.b,
 		scratch: make([]float64, sv.cfg.pageDoubles()), stats: &sv.stats}
@@ -239,6 +245,7 @@ func (sv *GMRESSolver) Run() (Result, []float64, error) {
 		steps := 0
 		for l := 0; l < m && totalIt < maxIter; l++ {
 			sv.boundary() // Arnoldi-step boundary: repair before using data
+			sv.sites.Open(totalIt)
 			// w = A v_l (then w = M⁻¹ w in place when preconditioned),
 			// chunked; under AFEIR a page damaged since the boundary is
 			// repaired by a task overlapping the orthogonalisation
@@ -313,6 +320,7 @@ func (sv *GMRESSolver) Run() (Result, []float64, error) {
 		}
 		// y = R⁻¹ (rotated rhs); x += Σ y_l v_l.
 		sv.boundary()
+		sv.sites.Close() // the update and the next cycle's residual are no sites
 		for i := steps - 1; i >= 0; i-- {
 			s := res[i]
 			for j := i + 1; j < steps; j++ {

@@ -1,20 +1,54 @@
 package core
 
 import (
+	"fmt"
+	"hash/fnv"
+	"math"
+	"runtime"
 	"testing"
 	"time"
 
 	"repro/internal/inject"
+	"repro/internal/matgen"
 	"repro/internal/taskrt"
 )
 
+// stormed runs s under a wall-clock DUE stream armed on its fault sites
+// and checks that the storm left nothing behind: every loss it fired was
+// applied inside the Run (nothing pending in the space) and no goroutine
+// outlives it (earlier tests' pools may still be winding down, so the
+// count may only fall). It returns the result and the fired log.
+func stormed(t *testing.T, s *CG, plan *inject.Plan) (Result, *inject.Plan) {
+	t.Helper()
+	goroutines := runtime.NumGoroutine()
+	plan.Start()
+	s.SetSite(plan.Site)
+	res, err := s.Run()
+	s.SetSite(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := s.Space().PendingCount(); n != 0 {
+		t.Fatalf("%d losses pending after Run returned", n)
+	}
+	if n := runtime.NumGoroutine(); n > goroutines {
+		t.Fatalf("%d goroutines after the stormed Run, %d before", n, goroutines)
+	}
+	return res, plan.Log()
+}
+
+// stream is a wall-clock DUE storm over the solver's dynamic vectors.
+func stream(s *CG, mtbe time.Duration, seed int64) *inject.Plan {
+	return &inject.Plan{Stream: &inject.Stream{Targets: s.DynamicVectors(), MTBE: mtbe, Seed: seed}}
+}
+
 // TestInlineCGUnderWallClockStorm runs the whole task graph — prepared
 // bodies, overlapped and critical-path recoveries, boundaries — on the
-// calling goroutine (taskrt.NewInline) while an injector goroutine poisons
-// pages on the wall clock: what a due-serve request with due_mtbe_ns does
-// on a small operator. The solver's guards must stand without a pool's
-// hand-offs between them and the injector; under -race this is the gate.
-// The same instance is then replayed clean and must allocate nothing per
+// calling goroutine (taskrt.NewInline) under a wall-clock storm fired from
+// the solve's own task starts: what a due-serve request with due_mtbe_ns
+// does on a small operator. Every loss the storm fires is seen by the
+// solve, none is left pending, and under -race this is the gate. The same
+// instance is then replayed clean and must allocate nothing per
 // iteration.
 func TestInlineCGUnderWallClockStorm(t *testing.T) {
 	a, b := testSystem()
@@ -22,24 +56,20 @@ func TestInlineCGUnderWallClockStorm(t *testing.T) {
 		for _, usePrecond := range []bool{false, true} {
 			cfg := testConfig(method)
 			cfg.UsePrecond = usePrecond
-			cfg.MaxIter = 600 // the race detector slows the solve, not the injector: bound the storm
+			cfg.MaxIter = 600 // the race detector slows the solve, not the storm's clock: bound it
 			cfg.RT = taskrt.NewInline()
 			s, err := NewCG(a, b, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			in := inject.NewInjector(s.Space(), s.DynamicVectors(), 300*time.Microsecond, 7)
-			in.Start()
-			res, err := s.Run()
-			in.Stop()
-			s.Space().ScramblePending() // a poison that landed after the last boundary
-			if err != nil {
-				t.Fatalf("%v precond=%v: %v", method, usePrecond, err)
-			}
+			res, log := stormed(t, s, stream(s, 300*time.Microsecond, 7))
 			if res.Converged && res.RelResidual > 1e-8 {
 				t.Fatalf("%v precond=%v: converged with true residual %g (%+v)", method, usePrecond, res.RelResidual, res.Stats)
 			}
-			t.Logf("%v precond=%v: %d injected, converged=%v in %d iterations, %+v", method, usePrecond, in.Injected(), res.Converged, res.Iterations, res.Stats)
+			if res.Stats.FaultsSeen != len(log.Errors) {
+				t.Fatalf("%v precond=%v: %d losses fired, %d seen", method, usePrecond, len(log.Errors), res.Stats.FaultsSeen)
+			}
+			t.Logf("%v precond=%v: %d injected, converged=%v in %d iterations, %+v", method, usePrecond, len(log.Errors), res.Converged, res.Iterations, res.Stats)
 
 			clean, err := s.Run() // same instance, same prepared graph
 			if err != nil || !clean.Converged || clean.Stats.FaultsSeen != 0 {
@@ -55,4 +85,83 @@ func TestInlineCGUnderWallClockStorm(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestStormReplaysOnInline records wall-clock storms on the inline runtime
+// and replays each one's fired log, an iteration plan stamped with the
+// site of every loss, on a fresh inline instance: ten replays per row, and
+// every one must reproduce the recorded solve exactly — iterations, the
+// residual's bits, every resilience counter and the bits of x.
+func TestStormReplaysOnInline(t *testing.T) {
+	// A ninth of testSystem's pages: 176 solves a pass stay cheap under
+	// -race at every processor count.
+	a := matgen.Poisson2D(24, 24)
+	b := matgen.RandomVector(a.N, 42)
+	fired := 0
+	for _, method := range []Method{MethodFEIR, MethodAFEIR} {
+		for _, usePrecond := range []bool{false, true} {
+			cfg := testConfig(method)
+			cfg.UsePrecond = usePrecond
+			cfg.MaxIter = 600
+			build := func() *CG {
+				cfg.RT = taskrt.NewInline()
+				s, err := NewCG(a, b, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return s
+			}
+			// The storm's MTBE is a fraction of this host's own clean solve
+			// time, so a row fires a handful of losses at any speed.
+			clean, err := build().Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			mtbe := clean.Elapsed / 6
+			for seed := int64(1); seed <= 4; seed++ {
+				name := fmt.Sprintf("%v precond=%v seed %d", method, usePrecond, seed)
+				rec := build()
+				want, log := stormed(t, rec, stream(rec, mtbe, seed))
+				fired += len(log.Errors)
+				wantX := hashX(rec.Solution())
+				for replay := 0; replay < 10; replay++ {
+					s := build()
+					got, _ := stormed(t, s, retarget(log, s))
+					if got.Converged != want.Converged || got.Iterations != want.Iterations ||
+						math.Float64bits(got.RelResidual) != math.Float64bits(want.RelResidual) ||
+						got.Stats != want.Stats || hashX(s.Solution()) != wantX {
+						t.Fatalf("%s replay %d: %d losses replayed to %+v, recorded %+v", name, replay, len(log.Errors), got, want)
+					}
+				}
+			}
+		}
+	}
+	if fired == 0 {
+		t.Fatal("no storm fired a loss: nothing was replayed")
+	}
+	t.Logf("%d losses over 16 recorded storms, each replayed 10 times", fired)
+}
+
+// retarget points a recorded log at another instance's vectors of the
+// same names.
+func retarget(log *inject.Plan, s *CG) *inject.Plan {
+	out := &inject.Plan{ByIteration: true, Errors: append([]inject.PlannedError(nil), log.Errors...)}
+	for i := range out.Errors {
+		out.Errors[i].Vector = s.Space().VectorByName(out.Errors[i].Vector.Name())
+	}
+	return out
+}
+
+// hashX is the FNV-1a hash of x's bits.
+func hashX(x []float64) uint64 {
+	h := fnv.New64a()
+	var buf [8]byte
+	for _, v := range x {
+		bits := math.Float64bits(v)
+		for i := range buf {
+			buf[i] = byte(bits >> (8 * i))
+		}
+		h.Write(buf[:])
+	}
+	return h.Sum64()
 }

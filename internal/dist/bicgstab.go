@@ -59,6 +59,7 @@ func NewBiCGStab(a *sparse.CSR, rhs []float64, ranks int, cfg Config) (*BiCGStab
 		s.shat = s.sub.AddVector("sh")
 		s.track(s.dhat, s.shat)
 	}
+	s.settle = s.boundary
 	return s, nil
 }
 
@@ -93,6 +94,9 @@ func (s *BiCGStab) Run() (core.Result, []float64, error) {
 	var it int
 	converged := false
 	for it = 0; it < maxIter; it++ {
+		if !s.land() {
+			continue
+		}
 		if s.cfg.Cancelled != nil && s.cfg.Cancelled() {
 			res, x := s.finish(it, false, start, s.x)
 			return res, x, core.ErrCancelled
@@ -114,6 +118,7 @@ func (s *BiCGStab) Run() (core.Result, []float64, error) {
 		if !s.boundary() {
 			continue
 		}
+		sub.Sites.Open(it)
 
 		// Phase 1: [d̂ = M⁻¹d,] q = A d̂ (halo exchange inside) fused with
 		// the <q, r̂> reduction.

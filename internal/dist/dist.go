@@ -46,6 +46,9 @@ type base struct {
 	stats    core.Stats // coordinator-side counters (restarts, rollbacks, …)
 	dynamic  []*pagemem.Vector
 	injectFn func(it int, ranks []*shard.Rank) // see SetInject
+	// settle is the solver's iteration boundary (apply, then repair),
+	// run by land; false when a restart consumed the iteration.
+	settle func() bool
 }
 
 func (b *base) setup(a *sparse.CSR, rhs []float64, ranks int, cfg Config, spd bool) error {
@@ -111,6 +114,19 @@ func (b *base) Reductions() int64 { return b.sub.Reductions() }
 // fault domains and pages. nil removes it.
 func (b *base) SetInject(fn func(it int, ranks []*shard.Rank)) { b.injectFn = fn }
 
+// SetSite installs (or clears) the fault-site hook (DESIGN §12), entered
+// before every rank superstep of an iteration's steady state.
+func (b *base) SetSite(fn func(iteration int, task string)) { b.sub.Sites.Hook = fn }
+
+// land closes the fault sites and applies, with repairs, the losses they
+// fired since the last boundary. Loop heads call it before the
+// convergence check and finish before the result, so no loss outlives
+// the solve. False when a restart-style recovery consumed the iteration.
+func (b *base) land() bool {
+	b.sub.Sites.Close()
+	return !b.sub.Pending() || b.settle()
+}
+
 func (b *base) inject(it int) {
 	if b.injectFn != nil {
 		b.injectFn(it, b.sub.Ranks)
@@ -118,6 +134,7 @@ func (b *base) inject(it int) {
 }
 
 func (b *base) finish(it int, converged bool, start time.Time, x *shard.Vec) (core.Result, []float64) {
+	b.land()
 	xg := make([]float64, b.sub.A.N)
 	b.sub.Gather(x, xg)
 	st := b.sub.Stats()
@@ -249,6 +266,7 @@ func NewCG(a *sparse.CSR, rhs []float64, ranks int, cfg Config) (*CG, error) {
 		s.z = s.sub.AddVector("z")
 		s.track(s.z)
 	}
+	s.settle = s.boundary
 	return s, nil
 }
 
@@ -289,6 +307,9 @@ func (s *CG) Run() (core.Result, []float64, error) {
 	var it int
 	converged := false
 	for it = 0; it < maxIter; it++ {
+		if !s.land() {
+			continue
+		}
 		if s.cfg.Cancelled != nil && s.cfg.Cancelled() {
 			res, x := s.finish(it, false, start, s.x)
 			return res, x, core.ErrCancelled
@@ -310,6 +331,7 @@ func (s *CG) Run() (core.Result, []float64, error) {
 		if !s.boundary() {
 			continue // restart-style recovery consumed the iteration
 		}
+		sub.Sites.Open(it)
 		if s.cfg.Method == core.MethodCheckpoint && (it-s.lastCkptIter >= defaults.CheckpointIntervalOr(s.cfg.CheckpointInterval) || !s.haveCkpt) {
 			s.writeCheckpoint(it)
 		}

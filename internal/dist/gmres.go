@@ -78,6 +78,7 @@ func NewGMRES(a *sparse.CSR, rhs []float64, ranks, restart int, cfg Config) (*GM
 		s.track(s.z)
 	}
 	s.track(s.v...)
+	s.settle = func() bool { return s.boundary(-1) }
 	return s, nil
 }
 
@@ -109,6 +110,7 @@ func (s *GMRES) Run() (core.Result, []float64, error) {
 	totalIt := 0
 	converged := false
 	for totalIt < maxIter {
+		sub.Sites.Close()
 		if s.cfg.Cancelled != nil && s.cfg.Cancelled() {
 			result, x := s.finish(totalIt, false, start, s.x)
 			return result, x, core.ErrCancelled
@@ -156,6 +158,7 @@ func (s *GMRES) Run() (core.Result, []float64, error) {
 				aborted = true
 				break
 			}
+			sub.Sites.Open(totalIt)
 			// w = A v_l on owned rows, after a halo exchange of v_l;
 			// preconditioned, w = M⁻¹ A v_l with the block-diagonal M⁻¹
 			// applied rank-locally in place.
@@ -230,7 +233,9 @@ func (s *GMRES) Run() (core.Result, []float64, error) {
 			totalIt++
 			continue
 		}
-		if !s.boundary(steps) {
+		ok := s.boundary(steps)
+		sub.Sites.Close()
+		if !ok {
 			s.stats.Restarts++
 			totalIt++
 			continue

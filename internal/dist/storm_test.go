@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/shard"
@@ -374,14 +376,15 @@ func checkRecovered(t *testing.T, name string, res core.Result) {
 	}
 }
 
-// midFlightInjection lands count DUEs from inside the SpMV superstep, after
-// the halo of d was imported and before the rows of q compute: alternating
-// between a ghost page of d and an owned page of q on a rotating rank.
+// midFlightInjection lands count DUEs from the fault site of the SpMV
+// superstep, after the halo of d was imported and before the rows of q
+// compute: alternating between a ghost page of d and an owned page of q
+// on a rotating rank.
 func midFlightInjection(s *CG, count int) *int {
 	fires := 0
 	seen := 0
-	s.sub.TestHook = func(stage string) {
-		if stage != "spmv" {
+	s.SetSite(func(_ int, task string) {
+		if task != "q,<d,q>" {
 			return
 		}
 		fires++
@@ -398,18 +401,20 @@ func midFlightInjection(s *CG, count int) *int {
 			s.q.Of(target).Poison(target.PLo)
 		}
 		seen++
-	}
+	})
 	return &seen
 }
 
 // TestCGMidFlightDUEs: DUEs raised while the SpMV superstep is in flight —
 // into a freshly imported ghost page of d and into an owned page of q —
-// are repaired like any other, for FEIR and AFEIR at 1–5 DUEs.
+// are repaired like any other, for FEIR and AFEIR at 1–5 DUEs, and none
+// outlives its Run: nothing is pending and the solve's pool winds down.
 func TestCGMidFlightDUEs(t *testing.T) {
 	a, b := distSystem()
 	for _, method := range []core.Method{core.MethodFEIR, core.MethodAFEIR} {
 		for count := 1; count <= 5; count++ {
 			name := fmt.Sprintf("%v count %d", method, count)
+			goroutines := runtime.NumGoroutine()
 			s, err := NewCG(a, b, 4, baseCfg(method))
 			if err != nil {
 				t.Fatal(err)
@@ -423,6 +428,17 @@ func TestCGMidFlightDUEs(t *testing.T) {
 				t.Fatalf("%s: %d mid-flight DUEs landed", name, *injected)
 			}
 			checkRecovered(t, name, res)
+			for i, sp := range s.Spaces() {
+				if n := sp.PendingCount(); n != 0 {
+					t.Fatalf("%s: rank %d holds %d pending losses after Run", name, i, n)
+				}
+			}
+			// Close does not wait for the pool's workers to exit.
+			for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > goroutines; time.Sleep(time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Fatalf("%s: %d goroutines after Run, %d before NewCG", name, runtime.NumGoroutine(), goroutines)
+				}
+			}
 		}
 	}
 }

@@ -96,6 +96,35 @@ type Operand struct {
 // In builds a read operand at version ver.
 func In(v Vec, ver int64) Operand { return Operand{Vec: v, Ver: ver} }
 
+// Sites are one solve's fault sites: the hook an armed fault plan hangs
+// on (inject.Plan.Site) and the iteration its coordinator publishes. The
+// coordinator opens them for the tasks whose losses a boundary of the
+// same Run applies and closes them at that boundary, so no loss outlives
+// its Run. The zero value is closed and has no hook.
+type Sites struct {
+	// Hook, when non-nil, is called with the published iteration and the
+	// task's label; set it only while none of the solve's tasks runs.
+	Hook func(iteration int, task string)
+	it   atomic.Int64 // published iteration + 1; 0 while closed
+}
+
+// Open publishes iteration it and opens the sites.
+func (s *Sites) Open(it int) { s.it.Store(int64(it) + 1) }
+
+// Close closes the sites.
+func (s *Sites) Close() { s.it.Store(0) }
+
+// Enter is a fault site: the hook fires if one is set and the sites are
+// open. A nil *Sites is always closed.
+func (s *Sites) Enter(task string) {
+	if s == nil || s.Hook == nil {
+		return
+	}
+	if it := s.it.Load(); it > 0 {
+		s.Hook(int(it-1), task)
+	}
+}
+
 // ChunkRanges splits [0, np) pages into at most nchunks contiguous,
 // non-empty [lo, hi) ranges — the strip-mining of Figure 1.
 func ChunkRanges(np, nchunks int) [][2]int {
@@ -175,6 +204,9 @@ type Engine struct {
 	// tier must lower it via Config.OverlapPriority() so recovery stays
 	// strictly below their own compute tasks. Clamped to ≤ -1 at use.
 	RecoveryPriority int
+	// Sites, when non-nil, are the owning solve's fault sites, entered at
+	// the start of every task the engine submits or replays.
+	Sites *Sites
 
 	nchunks int
 	chunks  [][2]int
@@ -228,37 +260,24 @@ func (e *Engine) Sub(pLo, pHi, nchunks int) *Engine {
 // read-modify-write updates like x += αd must NOT pass overwrite, so a
 // poison landing mid-task stays detected).
 func (e *Engine) PageOp(label string, after []*taskrt.Handle, ins []Operand, out *Operand, overwrite bool, fn func(p, lo, hi int) bool) []*taskrt.Handle {
-	handles := make([]*taskrt.Handle, 0, len(e.chunks))
-	for _, ch := range e.chunks {
-		pLo, pHi := ch[0], ch[1]
-		handles = append(handles, e.RT.Submit(taskrt.TaskSpec{Label: label, After: after, Run: func(int) {
-			for p := pLo; p < pHi; p++ {
-				lo, hi := e.Layout.Range(p)
-				if e.Resilient {
-					ok := true
-					for _, in := range ins {
-						if !in.Current(p, in.Ver) {
-							ok = false
-							break
-						}
-					}
-					if !ok {
-						continue
-					}
-				}
-				if !fn(p, lo, hi) {
-					continue
-				}
-				if e.Resilient && out != nil {
-					if overwrite {
-						out.V.MarkRecovered(p)
-					}
-					out.S[p].Store(out.Ver)
+	return e.RawOp(label, after, func(p, lo, hi int) {
+		if e.Resilient {
+			for _, in := range ins {
+				if !in.Current(p, in.Ver) {
+					return
 				}
 			}
-		}}))
-	}
-	return handles
+		}
+		if !fn(p, lo, hi) {
+			return
+		}
+		if e.Resilient && out != nil {
+			if overwrite {
+				out.V.MarkRecovered(p)
+			}
+			out.S[p].Store(out.Ver)
+		}
+	})
 }
 
 // BlockApplier is the block-diagonal apply-M⁻¹ surface the engine needs
@@ -304,64 +323,35 @@ func (e *Engine) RawApplyPrecond(label string, after []*taskrt.Handle, m BlockAp
 // only when every connected input page is current at in.Ver; the output
 // page is then stamped at out.Ver (full overwrite, so it revalidates).
 func (e *Engine) SpMV(label string, after []*taskrt.Handle, in, out Operand) []*taskrt.Handle {
-	handles := make([]*taskrt.Handle, 0, len(e.chunks))
-	for _, ch := range e.chunks {
-		pLo, pHi := ch[0], ch[1]
-		handles = append(handles, e.RT.Submit(taskrt.TaskSpec{Label: label, After: after, Run: func(int) {
-			for p := pLo; p < pHi; p++ {
-				lo, hi := e.Layout.Range(p)
-				if e.Resilient && !in.ConnCurrent(e.Conn[p], in.Ver, -1) {
-					continue // output page keeps its OLD values
-				}
-				e.A.MulVecRange(in.V.Data, out.V.Data, lo, hi)
-				if e.Resilient {
-					out.V.MarkRecovered(p)
-					out.S[p].Store(out.Ver)
-				}
-			}
-		}}))
-	}
-	return handles
+	return e.RawOp(label, after, func(p, lo, hi int) {
+		if e.Resilient && !in.ConnCurrent(e.Conn[p], in.Ver, -1) {
+			return // output page keeps its OLD values
+		}
+		e.A.MulVecRange(in.V.Data, out.V.Data, lo, hi)
+		if e.Resilient {
+			out.V.MarkRecovered(p)
+			out.S[p].Store(out.Ver)
+		}
+	})
 }
 
 // DotPartials submits chunked tasks storing the per-page inner products
 // <x, y> into part. Pages where either operand is stale stay missing —
 // the recovery tasks may fill them later (Figure 1(b)'s r1).
 func (e *Engine) DotPartials(label string, after []*taskrt.Handle, x, y Operand, part *Partial) []*taskrt.Handle {
-	handles := make([]*taskrt.Handle, 0, len(e.chunks))
-	for _, ch := range e.chunks {
-		pLo, pHi := ch[0], ch[1]
-		handles = append(handles, e.RT.Submit(taskrt.TaskSpec{Label: label, After: after, Run: func(int) {
-			for p := pLo; p < pHi; p++ {
-				lo, hi := e.Layout.Range(p)
-				if e.Resilient && (!x.Current(p, x.Ver) || !y.Current(p, y.Ver)) {
-					continue // slot stays missing
-				}
-				part.Store(p, sparse.DotRange(x.V.Data, y.V.Data, lo, hi))
-			}
-		}}))
-	}
-	return handles
+	return e.RawOp(label, after, func(p, lo, hi int) { e.DotPartialPage(p, lo, hi, x, y, part) })
 }
 
 // DotPartialsReliable is DotPartials with the second operand living in
 // reliable memory (constant data like the BiCGStab shadow residual r̂0,
 // §2.1): only x is guarded.
 func (e *Engine) DotPartialsReliable(label string, after []*taskrt.Handle, x Operand, y []float64, part *Partial) []*taskrt.Handle {
-	handles := make([]*taskrt.Handle, 0, len(e.chunks))
-	for _, ch := range e.chunks {
-		pLo, pHi := ch[0], ch[1]
-		handles = append(handles, e.RT.Submit(taskrt.TaskSpec{Label: label, After: after, Run: func(int) {
-			for p := pLo; p < pHi; p++ {
-				lo, hi := e.Layout.Range(p)
-				if e.Resilient && !x.Current(p, x.Ver) {
-					continue
-				}
-				part.Store(p, sparse.DotRange(x.V.Data, y, lo, hi))
-			}
-		}}))
-	}
-	return handles
+	return e.RawOp(label, after, func(p, lo, hi int) {
+		if e.Resilient && !x.Current(p, x.Ver) {
+			return
+		}
+		part.Store(p, sparse.DotRange(x.V.Data, y, lo, hi))
+	})
 }
 
 // RawOp submits chunked tasks running fn over every page range with no
@@ -372,14 +362,23 @@ func (e *Engine) RawOp(label string, after []*taskrt.Handle, fn func(p, lo, hi i
 	handles := make([]*taskrt.Handle, 0, len(e.chunks))
 	for _, ch := range e.chunks {
 		pLo, pHi := ch[0], ch[1]
-		handles = append(handles, e.RT.Submit(taskrt.TaskSpec{Label: label, After: after, Run: func(int) {
+		handles = append(handles, e.RT.Submit(e.task(label, after, 0, func(int) {
 			for p := pLo; p < pHi; p++ {
 				lo, hi := e.Layout.Range(p)
 				fn(p, lo, hi)
 			}
-		}}))
+		})))
 	}
 	return handles
+}
+
+// task is the spec of every task the engine submits or replays: the body
+// enters the fault sites, then runs.
+func (e *Engine) task(label string, after []*taskrt.Handle, priority int, run func(worker int)) taskrt.TaskSpec {
+	return taskrt.TaskSpec{Label: label, After: after, Priority: priority, Run: func(w int) {
+		e.Sites.Enter(label)
+		run(w)
+	}}
 }
 
 // RawSpMV submits unguarded chunked tasks computing y rows = A * x.
@@ -417,13 +416,12 @@ func (e *Engine) OverlappedRecovery(label string, after []*taskrt.Handle, fn fun
 	if prio > -1 {
 		prio = -1
 	}
-	return e.RT.Submit(taskrt.TaskSpec{Label: label, After: after, Priority: prio, Run: func(int) { fn() }})
+	return e.RT.Submit(e.task(label, after, prio, func(int) { fn() }))
 }
 
 // CriticalRecovery runs fn as a task at the solver's compute priority on
 // the runtime and waits for it — the FEIR discipline (Fig 2a): recovery in
 // the critical path, after every computation of the phase has finished.
 func (e *Engine) CriticalRecovery(label string, priority int, fn func()) {
-	h := e.RT.Submit(taskrt.TaskSpec{Label: label, Priority: priority, Run: func(int) { fn() }})
-	e.RT.Wait(h)
+	e.RT.Wait(e.RT.Submit(e.task(label, nil, priority, func(int) { fn() })))
 }

@@ -79,17 +79,7 @@ func (e *Engine) SpMVDotPage(p, lo, hi int, in, out Operand, xy, yy *Partial) {
 // current at in.Ver, the output revalidates at out.Ver, and skipped pages
 // leave their partial slots missing.
 func (e *Engine) SpMVDot(label string, after []*taskrt.Handle, in, out Operand, xy, yy *Partial) []*taskrt.Handle {
-	handles := make([]*taskrt.Handle, 0, len(e.chunks))
-	for _, ch := range e.chunks {
-		pLo, pHi := ch[0], ch[1]
-		handles = append(handles, e.RT.Submit(taskrt.TaskSpec{Label: label, After: after, Run: func(int) {
-			for p := pLo; p < pHi; p++ {
-				lo, hi := e.Layout.Range(p)
-				e.SpMVDotPage(p, lo, hi, in, out, xy, yy)
-			}
-		}}))
-	}
-	return handles
+	return e.RawOp(label, after, func(p, lo, hi int) { e.SpMVDotPage(p, lo, hi, in, out, xy, yy) })
 }
 
 // SpMVDotVecPage is the per-page body of SpMVDotReliable: out rows = A·in
@@ -113,17 +103,7 @@ func (e *Engine) SpMVDotVecPage(p, lo, hi int, in, out Operand, y []float64, par
 // SpMVDotReliable submits chunked tasks computing out rows = A * in fused
 // with the per-page partials <out, y> for a reliable-memory y.
 func (e *Engine) SpMVDotReliable(label string, after []*taskrt.Handle, in, out Operand, y []float64, part *Partial) []*taskrt.Handle {
-	handles := make([]*taskrt.Handle, 0, len(e.chunks))
-	for _, ch := range e.chunks {
-		pLo, pHi := ch[0], ch[1]
-		handles = append(handles, e.RT.Submit(taskrt.TaskSpec{Label: label, After: after, Run: func(int) {
-			for p := pLo; p < pHi; p++ {
-				lo, hi := e.Layout.Range(p)
-				e.SpMVDotVecPage(p, lo, hi, in, out, y, part)
-			}
-		}}))
-	}
-	return handles
+	return e.RawOp(label, after, func(p, lo, hi int) { e.SpMVDotVecPage(p, lo, hi, in, out, y, part) })
 }
 
 // AxpyDotPage is the per-page body of the fused read-modify-write update
@@ -153,17 +133,7 @@ func (e *Engine) AxpyDotPage(p, lo, hi int, alpha float64, x, y Operand, yy *Par
 // fused with the per-page <y, y> partials of the updated values — the CG
 // phase-2 g -= αq with ε = <g,g> in one task per chunk.
 func (e *Engine) AxpyDot(label string, after []*taskrt.Handle, alpha float64, x, y Operand, yy *Partial) []*taskrt.Handle {
-	handles := make([]*taskrt.Handle, 0, len(e.chunks))
-	for _, ch := range e.chunks {
-		pLo, pHi := ch[0], ch[1]
-		handles = append(handles, e.RT.Submit(taskrt.TaskSpec{Label: label, After: after, Run: func(int) {
-			for p := pLo; p < pHi; p++ {
-				lo, hi := e.Layout.Range(p)
-				e.AxpyDotPage(p, lo, hi, alpha, x, y, yy)
-			}
-		}}))
-	}
-	return handles
+	return e.RawOp(label, after, func(p, lo, hi int) { e.AxpyDotPage(p, lo, hi, alpha, x, y, yy) })
 }
 
 // AxpyDotPageABFT is the checksum-carrying variant of AxpyDotPage: the
@@ -222,21 +192,6 @@ func (e *Engine) DotPartialPage(p, lo, hi int, x, y Operand, part *Partial) {
 	part.Store(p, sparse.DotRange(x.V.Data, y.V.Data, lo, hi))
 }
 
-// RawSpMVDot submits unguarded chunked tasks computing y rows = A * x
-// fused with the per-page partials <x, y> (into xy) and <y, y> (into yy);
-// pass nil to skip either.
-func (e *Engine) RawSpMVDot(label string, after []*taskrt.Handle, x, y []float64, xy, yy *Partial) []*taskrt.Handle {
-	return e.RawOp(label, after, func(p, lo, hi int) {
-		sxy, syy := e.A.MulVecDotRange(x, y, lo, hi)
-		if xy != nil {
-			xy.Store(p, sxy)
-		}
-		if yy != nil {
-			yy.Store(p, syy)
-		}
-	})
-}
-
 // AxpyNorm runs the fused y += alpha*x with the <y,y> partials of the
 // updated values, waits, and returns the squared norm — the GMRES final
 // orthogonalisation update fused with the Arnoldi normalisation norm
@@ -281,11 +236,7 @@ func (e *Engine) Prepare(label string, priority int, body func(worker, pLo, pHi 
 	p := &Prepared{rt: e.RT, handles: make([]*taskrt.Handle, 0, len(e.chunks))}
 	for _, ch := range e.chunks {
 		pLo, pHi := ch[0], ch[1]
-		p.handles = append(p.handles, e.RT.NewTask(taskrt.TaskSpec{
-			Label:    label,
-			Priority: priority,
-			Run:      func(w int) { body(w, pLo, pHi) },
-		}))
+		p.handles = append(p.handles, e.RT.NewTask(e.task(label, nil, priority, func(w int) { body(w, pLo, pHi) })))
 	}
 	return p
 }
@@ -294,9 +245,7 @@ func (e *Engine) Prepare(label string, priority int, body func(worker, pLo, pHi 
 // tasks: one task, not chunked).
 func (e *Engine) PrepareSingle(label string, priority int, body func()) *Prepared {
 	graphPreps.Add(1)
-	return &Prepared{rt: e.RT, handles: []*taskrt.Handle{
-		e.RT.NewTask(taskrt.TaskSpec{Label: label, Priority: priority, Run: func(int) { body() }}),
-	}}
+	return &Prepared{rt: e.RT, handles: []*taskrt.Handle{e.RT.NewTask(e.task(label, nil, priority, func(int) { body() }))}}
 }
 
 // Submit replays every chunk task after the given dependencies and

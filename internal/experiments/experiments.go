@@ -397,11 +397,10 @@ func traceRun(a *sparse.CSR, b []float64, cfg core.Config, plan func(*core.CG) *
 	if err != nil {
 		return nil, core.Result{}, err
 	}
-	var p *inject.Plan
 	if plan != nil {
-		p = plan(cg)
+		p := plan(cg)
 		p.Start()
-		defer p.Stop()
+		cg.SetSite(p.Site)
 	}
 	start = time.Now()
 	res, err := cg.Run()
@@ -497,11 +496,10 @@ func Fig4(opts Options, precond bool) (*Fig4Result, error) {
 		if err != nil {
 			return core.Result{}, err
 		}
-		var in *inject.Injector
 		if mtbe > 0 {
-			in = inject.NewInjector(inst.Spaces[0], inst.Dynamic, mtbe, injectSeed)
-			in.Start()
-			defer in.Stop()
+			storm := &inject.Plan{Stream: &inject.Stream{Targets: inst.Dynamic, MTBE: mtbe, Seed: injectSeed}}
+			storm.Start()
+			inst.SetSite(storm.Site)
 		}
 		return inst.Run()
 	}

@@ -1,17 +1,23 @@
 // Package inject drives the paper's error-injection methodology (§5.3):
-// errors arrive from a separate goroutine at times drawn from an
-// exponential distribution parametrised by the Mean Time Between Errors
-// (MTBE), normalised to the ideal convergence time of the target problem;
-// affected memory pages are selected uniformly at random over the
-// protected (dynamic) vectors.
+// errors arrive at times drawn from an exponential distribution
+// parametrised by the Mean Time Between Errors (MTBE), normalised to the
+// ideal convergence time of the target problem; affected memory pages are
+// selected uniformly at random over the protected (dynamic) vectors.
 //
-// Two injection drivers are provided:
-//
-//   - Injector: wall-clock driven, matching the paper's separate-thread
-//     setup, for the benchmark harness.
-//   - Plan: deterministic scripted injections (at fixed wall-clock offsets
-//     or fixed iteration numbers), for reproducible tests and for the
-//     single-error convergence study of Figure 3.
+// One driver, Plan, covers every storm: scripted arrivals at iteration
+// numbers or at wall-clock offsets, and a seeded exponential wall-clock
+// Stream. There is no injection goroutine. The paper's separate thread is
+// replaced by the solve's own fault sites: a solve armed with a plan calls
+// Plan.Site at the start of every task (single node) or before every rank
+// superstep (distributed), and each call fires every arrival that has come
+// due. A loss therefore lands at the next task start after its time — on a
+// pool, in the middle of whatever the other workers are running — and is
+// applied at the boundary that ends the phase, inside the same Run. The
+// wall-clock MTBE stays the unit of a storm; only its delivery is
+// synchronous. Every fired arrival is logged with its site, so a
+// wall-clock storm's Log is an iteration plan that replays it exactly on
+// an inline runtime. Tick fires iteration arrivals from a per-iteration
+// callback instead, for scripts that land at iteration boundaries.
 package inject
 
 import (
@@ -22,133 +28,15 @@ import (
 	"repro/internal/pagemem"
 )
 
-// RampStep changes the injection rate mid-run: After the given offset from
-// Start, the mean time between errors becomes MTBE. Steps must be in
-// ascending After order.
-type RampStep struct {
-	After time.Duration
-	MTBE  time.Duration
-}
-
-// Injector injects DUEs into random pages of the target vectors at
-// exponential intervals, from its own goroutine, until stopped.
-type Injector struct {
-	Space   *pagemem.Space
-	Targets []*pagemem.Vector // dynamic data covered by injections
-	MTBE    time.Duration     // mean time between errors
-	Seed    int64
-	// SDCFraction is the probability that an injected error is a silent
-	// single-bit flip (enqueued via FlipBit) instead of a page DUE.
-	SDCFraction float64
-	// Ramp, when non-empty, is a time-varying MTBE schedule: each step
-	// replaces the current MTBE once its After offset has elapsed.
-	Ramp []RampStep
-
-	mu       sync.Mutex
-	stop     chan struct{}
-	done     chan struct{}
-	injected int
-}
-
-// NewInjector builds an injector over the given targets. MTBE must be
-// positive.
-func NewInjector(space *pagemem.Space, targets []*pagemem.Vector, mtbe time.Duration, seed int64) *Injector {
-	if mtbe <= 0 {
-		panic("inject: non-positive MTBE")
-	}
-	if len(targets) == 0 {
-		panic("inject: no target vectors")
-	}
-	return &Injector{Space: space, Targets: targets, MTBE: mtbe, Seed: seed}
-}
-
-// Start launches the injection goroutine. It panics if already running.
-func (in *Injector) Start() {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	if in.stop != nil {
-		panic("inject: injector already running")
-	}
-	in.stop = make(chan struct{})
-	in.done = make(chan struct{})
-	go in.run(in.stop, in.done)
-}
-
-// Stop terminates the injection goroutine and waits for it to exit.
-// Stopping a non-started injector is a no-op.
-func (in *Injector) Stop() {
-	in.mu.Lock()
-	stop, done := in.stop, in.done
-	in.stop, in.done = nil, nil
-	in.mu.Unlock()
-	if stop == nil {
-		return
-	}
-	close(stop)
-	<-done
-}
-
-// Injected returns the number of errors injected so far.
-func (in *Injector) Injected() int {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return in.injected
-}
-
-func (in *Injector) run(stop, done chan struct{}) {
-	defer close(done)
-	rng := rand.New(rand.NewSource(in.Seed))
-	start := time.Now()
-	timer := time.NewTimer(in.nextDelay(rng, start))
-	defer timer.Stop()
-	for {
-		select {
-		case <-stop:
-			return
-		case <-timer.C:
-			in.injectOne(rng)
-			timer.Reset(in.nextDelay(rng, start))
-		}
-	}
-}
-
-// currentMTBE resolves the ramp schedule at elapsed time since Start.
-func (in *Injector) currentMTBE(elapsed time.Duration) time.Duration {
-	mtbe := in.MTBE
-	for _, s := range in.Ramp {
-		if elapsed >= s.After {
-			mtbe = s.MTBE
-		}
-	}
-	return mtbe
-}
-
-func (in *Injector) nextDelay(rng *rand.Rand, start time.Time) time.Duration {
-	return time.Duration(rng.ExpFloat64() * float64(in.currentMTBE(time.Since(start))))
-}
-
-func (in *Injector) injectOne(rng *rand.Rand) {
-	// Uniform over (vector, page) pairs: every protected page is equally
-	// likely, as in the paper's uniform page selection.
-	v := in.Targets[rng.Intn(len(in.Targets))]
-	p := rng.Intn(in.Space.NumPages())
-	if in.SDCFraction > 0 && rng.Float64() < in.SDCFraction {
-		lo, hi := v.PageRange(p)
-		v.FlipBit(p, rng.Intn(hi-lo), uint(rng.Intn(64)))
-	} else {
-		v.Poison(p)
-	}
-	in.mu.Lock()
-	in.injected++
-	in.mu.Unlock()
-}
-
-// ---------------------------------------------------------------------
-
 // PlannedError is one scripted injection. Exactly one of At (wall-clock
-// offset from Plan.Start) or AtIteration is used, selected by ByIteration.
-// With SDC set the injection is a silent single-bit flip of element Elem
-// (page-relative) bit Bit instead of a page DUE.
+// offset from Plan.Start) or AtIteration is used, selected by
+// Plan.ByIteration. With SDC set the injection is a silent single-bit flip
+// of element Elem (page-relative) bit Bit instead of a page DUE.
+//
+// Task names a fault site: an iteration arrival with Task set fires at
+// the TaskIndex-th start of a task labelled Task in iteration AtIteration
+// (counting from 0), or at the first site of a later iteration should that
+// one never run. Plan.Log stamps every fired arrival this way.
 type PlannedError struct {
 	Vector      *pagemem.Vector
 	Page        int
@@ -157,76 +45,132 @@ type PlannedError struct {
 	SDC         bool
 	Elem        int
 	Bit         uint
+	Task        string
+	TaskIndex   int
 }
 
-// fire applies the planned injection.
-func (e PlannedError) fire() {
-	if e.SDC {
-		e.Vector.FlipBit(e.Page, e.Elem, e.Bit)
-	} else {
-		e.Vector.Poison(e.Page)
-	}
+// Stream is a seeded exponential wall-clock arrival stream (§5.3): gaps
+// of mean MTBE, each arrival a uniformly drawn (vector, page) of Targets,
+// and with probability SDCFraction a silent single-bit flip instead of a
+// page DUE. The same seed draws the same gaps, vectors, pages and bits.
+type Stream struct {
+	Targets     []*pagemem.Vector
+	MTBE        time.Duration
+	Seed        int64
+	SDCFraction float64
 }
 
-// Plan injects a fixed list of errors either at wall-clock offsets
-// (driven by an internal goroutine) or at iteration boundaries (driven by
-// the solver calling Tick).
+// Plan injects a fixed list of errors, at iteration numbers (ByIteration)
+// or at wall-clock offsets, plus the arrivals of an optional Stream. Start
+// arms it; Site fires what is due at a fault site, Tick what is due at an
+// iteration boundary.
 type Plan struct {
 	ByIteration bool
 	Errors      []PlannedError
+	Stream      *Stream
 
-	mu    sync.Mutex
-	next  int
-	start time.Time
-	stop  chan struct{}
-	done  chan struct{}
+	mu     sync.Mutex
+	next   int // Errors[:next] have fired
+	start  time.Time
+	rng    *rand.Rand
+	nextAt time.Duration  // the stream's next arrival
+	siteIt int            // the iteration whose task starts seen counts
+	seen   map[string]int // per label
+	fired  []PlannedError
 }
 
-// Start arms the plan. For wall-clock plans it launches the timing
-// goroutine; for iteration plans it only records readiness.
+// Start arms the plan: the wall clock starts, the stream is reseeded and
+// the log emptied, so a restarted plan replays the same arrivals. It
+// panics on a stream with no targets or a non-positive MTBE.
 func (p *Plan) Start() {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.start = time.Now()
 	p.next = 0
-	if p.ByIteration {
-		return
-	}
-	p.stop = make(chan struct{})
-	p.done = make(chan struct{})
-	// Sort-free: errors are fired in slice order; offsets should be
-	// non-decreasing, which callers control.
-	go func(stop, done chan struct{}) {
-		defer close(done)
-		for i := range p.Errors {
-			e := p.Errors[i]
-			delay := time.Until(p.start.Add(e.At))
-			if delay > 0 {
-				select {
-				case <-stop:
-					return
-				case <-time.After(delay):
-				}
-			}
-			e.fire()
-			p.mu.Lock()
-			p.next = i + 1
-			p.mu.Unlock()
+	p.siteIt = -1
+	p.seen = map[string]int{}
+	p.fired = p.fired[:0]
+	if st := p.Stream; st != nil {
+		if st.MTBE <= 0 {
+			panic("inject: non-positive MTBE")
 		}
-	}(p.stop, p.done)
+		if len(st.Targets) == 0 {
+			panic("inject: no target vectors")
+		}
+		p.rng = rand.New(rand.NewSource(st.Seed))
+		p.nextAt = p.gap()
+	}
 }
 
-// Stop cancels any pending wall-clock injections.
-func (p *Plan) Stop() {
+// Site is the solve's fault-site hook: it fires every arrival due at the
+// start of a task labelled task in the given iteration, stamping each
+// with the site in the log.
+func (p *Plan) Site(iteration int, task string) {
+	p.advance(time.Since(p.start), iteration, task)
+}
+
+// advance fires every arrival due at elapsed time from Start, at the
+// site (iteration, task), and returns how many fired. Site is advance at
+// the wall-clock time of the call.
+func (p *Plan) advance(elapsed time.Duration, iteration int, task string) int {
 	p.mu.Lock()
-	stop, done := p.stop, p.done
-	p.stop, p.done = nil, nil
-	p.mu.Unlock()
-	if stop == nil {
-		return
+	defer p.mu.Unlock()
+	if iteration != p.siteIt {
+		p.siteIt = iteration
+		clear(p.seen)
 	}
-	close(stop)
-	<-done
+	index := p.seen[task]
+	p.seen[task] = index + 1
+	n := len(p.fired)
+	for p.next < len(p.Errors) && p.due(p.Errors[p.next], elapsed, iteration, task, index) {
+		p.record(p.Errors[p.next], iteration, task, index)
+		p.next++
+	}
+	for p.Stream != nil && elapsed >= p.nextAt {
+		p.record(p.draw(), iteration, task, index)
+	}
+	return len(p.fired) - n
+}
+
+// due reports whether scripted error e fires at the site (iteration, task,
+// index) reached at elapsed time.
+func (p *Plan) due(e PlannedError, elapsed time.Duration, iteration int, task string, index int) bool {
+	switch {
+	case !p.ByIteration:
+		return elapsed >= e.At
+	case e.Task == "" || iteration > e.AtIteration:
+		return iteration >= e.AtIteration
+	}
+	return iteration == e.AtIteration && task == e.Task && index >= e.TaskIndex
+}
+
+// draw takes the stream's next arrival, in the draw order of gap, vector,
+// page, then (for a flip) element and bit, and schedules the one after.
+func (p *Plan) draw() PlannedError {
+	st := p.Stream
+	v := st.Targets[p.rng.Intn(len(st.Targets))]
+	e := PlannedError{Vector: v, Page: p.rng.Intn(v.Space().NumPages()), At: p.nextAt}
+	if st.SDCFraction > 0 && p.rng.Float64() < st.SDCFraction {
+		lo, hi := v.PageRange(e.Page)
+		e.SDC, e.Elem, e.Bit = true, p.rng.Intn(hi-lo), uint(p.rng.Intn(64))
+	}
+	p.nextAt += p.gap()
+	return e
+}
+
+func (p *Plan) gap() time.Duration {
+	return time.Duration(p.rng.ExpFloat64() * float64(p.Stream.MTBE))
+}
+
+// record fires e and logs it stamped with the site that fired it.
+func (p *Plan) record(e PlannedError, iteration int, task string, index int) {
+	if e.SDC {
+		e.Vector.FlipBit(e.Page, e.Elem, e.Bit)
+	} else {
+		e.Vector.Poison(e.Page)
+	}
+	e.AtIteration, e.Task, e.TaskIndex = iteration, task, index
+	p.fired = append(p.fired, e)
 }
 
 // Tick fires all iteration-scheduled errors due at iteration it. Solvers
@@ -237,20 +181,28 @@ func (p *Plan) Tick(it int) int {
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	fired := 0
+	n := len(p.fired)
 	for p.next < len(p.Errors) && p.Errors[p.next].AtIteration <= it {
-		p.Errors[p.next].fire()
+		p.record(p.Errors[p.next], it, "", 0)
 		p.next++
-		fired++
 	}
-	return fired
+	return len(p.fired) - n
 }
 
-// Fired returns how many planned errors have been injected.
+// Fired returns how many errors the plan has injected since Start.
 func (p *Plan) Fired() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.next
+	return len(p.fired)
+}
+
+// Log returns the injected errors as an iteration plan, in firing order:
+// each one stamped with the site that fired it. On an inline runtime the
+// log replays the storm exactly.
+func (p *Plan) Log() *Plan {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return &Plan{ByIteration: true, Errors: append([]PlannedError(nil), p.fired...)}
 }
 
 // ---------------------------------------------------------------------
@@ -267,8 +219,7 @@ type RatePhase struct {
 
 // Schedule is a deterministic, wall-clock-free description of a
 // time-varying error rate, in iteration units. Compile expands it into an
-// iteration-driven Plan: same Schedule, same Plan, every run — the
-// reproducible counterpart of Injector.Ramp.
+// iteration-driven Plan: same Schedule, same Plan, every run.
 type Schedule struct {
 	Phases  []RatePhase
 	Seed    int64

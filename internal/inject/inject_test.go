@@ -1,6 +1,9 @@
 package inject
 
 import (
+	"fmt"
+	"math"
+	"runtime"
 	"testing"
 	"time"
 
@@ -11,73 +14,6 @@ func newSpace(t *testing.T) (*pagemem.Space, *pagemem.Vector, *pagemem.Vector) {
 	t.Helper()
 	s := pagemem.NewSpace(5120, 512)
 	return s, s.AddVector("x"), s.AddVector("g")
-}
-
-func TestInjectorInjectsAtRoughRate(t *testing.T) {
-	s, x, g := newSpace(t)
-	in := NewInjector(s, []*pagemem.Vector{x, g}, 2*time.Millisecond, 1)
-	in.Start()
-	time.Sleep(100 * time.Millisecond)
-	in.Stop()
-	s.ScramblePending()
-	n := in.Injected()
-	if n == 0 {
-		t.Fatal("no errors injected in 100ms with MTBE 2ms")
-	}
-	if int64(n) != s.FaultCount() {
-		t.Fatalf("Injected=%d but FaultCount=%d", n, s.FaultCount())
-	}
-	// Expected ~50; accept a very loose band to avoid flakiness.
-	if n < 5 || n > 400 {
-		t.Fatalf("injected %d errors, far from expected ~50", n)
-	}
-}
-
-func TestInjectorStopIsIdempotent(t *testing.T) {
-	s, x, _ := newSpace(t)
-	in := NewInjector(s, []*pagemem.Vector{x}, time.Hour, 1)
-	in.Start()
-	in.Stop()
-	in.Stop() // second stop is a no-op
-}
-
-func TestInjectorRestartAfterStop(t *testing.T) {
-	s, x, _ := newSpace(t)
-	in := NewInjector(s, []*pagemem.Vector{x}, time.Hour, 1)
-	in.Start()
-	in.Stop()
-	in.Start()
-	in.Stop()
-}
-
-func TestInjectorDoubleStartPanics(t *testing.T) {
-	s, x, _ := newSpace(t)
-	in := NewInjector(s, []*pagemem.Vector{x}, time.Hour, 1)
-	in.Start()
-	defer in.Stop()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on double Start")
-		}
-	}()
-	in.Start()
-}
-
-func TestInjectorValidation(t *testing.T) {
-	s, x, _ := newSpace(t)
-	for _, f := range []func(){
-		func() { NewInjector(s, []*pagemem.Vector{x}, 0, 1) },
-		func() { NewInjector(s, nil, time.Second, 1) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatal("expected constructor panic")
-				}
-			}()
-			f()
-		}()
-	}
 }
 
 func TestPlanByIteration(t *testing.T) {
@@ -109,20 +45,117 @@ func TestPlanByIteration(t *testing.T) {
 	}
 }
 
+func TestPlanTickOnWallClockPlanIsNoop(t *testing.T) {
+	_, x, _ := newSpace(t)
+	p := &Plan{Errors: []PlannedError{{Vector: x, Page: 0, At: 0}}}
+	p.Start()
+	if p.Tick(100) != 0 {
+		t.Fatal("Tick fired on wall-clock plan")
+	}
+}
+
+// stream arms a plan over x and g whose stream has a 1 ms mean gap.
+func stream(t *testing.T, seed int64, sdc float64) (*Plan, *pagemem.Space) {
+	t.Helper()
+	s, x, g := newSpace(t)
+	p := &Plan{Stream: &Stream{Targets: []*pagemem.Vector{x, g}, MTBE: time.Millisecond, Seed: seed, SDCFraction: sdc}}
+	p.Start()
+	return p, s
+}
+
+// Over 10 k arrivals the stream's mean gap is the MTBE within 3 %, and
+// every arrival is a loss the space counts.
+func TestScheduleStreamMeanGapIsMTBE(t *testing.T) {
+	p, s := stream(t, 1, 0)
+	n := p.advance(10000*time.Millisecond, 0, "t")
+	log := p.Log().Errors
+	if n != len(log) || n < 9000 {
+		t.Fatalf("advance fired %d, log holds %d", n, len(log))
+	}
+	mean := log[n-1].At / time.Duration(n)
+	if d := math.Abs(float64(mean-time.Millisecond)) / float64(time.Millisecond); d > 0.03 {
+		t.Fatalf("mean gap %v over %d arrivals, %.1f%% off the 1ms MTBE", mean, n, 100*d)
+	}
+	if int64(n) != s.FaultCount() {
+		t.Fatalf("fired %d but FaultCount=%d", n, s.FaultCount())
+	}
+}
+
+// A seed is a sequence: two plans on one seed, and one plan started
+// twice, fire the same gaps, vectors, pages and bits; another seed does
+// not.
+func TestScheduleStreamSameSeedSameSequence(t *testing.T) {
+	draw := func(p *Plan) []PlannedError {
+		p.advance(200*time.Millisecond, 0, "t")
+		return p.Log().Errors
+	}
+	a, _ := stream(t, 7, 0.5)
+	b, _ := stream(t, 7, 0.5)
+	c, _ := stream(t, 8, 0.5)
+	first := draw(a)
+	a.Start()
+	for name, got := range map[string][]PlannedError{"same seed": draw(b), "restart": draw(a)} {
+		if len(got) != len(first) {
+			t.Fatalf("%s: %d arrivals, want %d", name, len(got), len(first))
+		}
+		for i := range got {
+			// The two spaces differ; compare the vector by name.
+			g, w := got[i], first[i]
+			if g.Vector.Name() != w.Vector.Name() {
+				t.Fatalf("%s: arrival %d on %s, want %s", name, i, g.Vector.Name(), w.Vector.Name())
+			}
+			g.Vector, w.Vector = nil, nil
+			if g != w {
+				t.Fatalf("%s: arrival %d is %+v, want %+v", name, i, g, w)
+			}
+		}
+	}
+	other := draw(c)
+	if len(other) == len(first) && other[0].At == first[0].At {
+		t.Fatal("seeds 7 and 8 drew the same stream")
+	}
+}
+
+// The share of silent flips is SDCFraction (10 k draws, within 3 sigma),
+// and flips stay silent: only the page losses raise fault bits.
+func TestScheduleStreamSDCShare(t *testing.T) {
+	const frac = 0.3
+	p, s := stream(t, 3, frac)
+	n := p.advance(10000*time.Millisecond, 0, "t")
+	sdc := 0
+	for _, e := range p.Log().Errors {
+		if e.SDC {
+			sdc++
+		}
+	}
+	if share := float64(sdc) / float64(n); math.Abs(share-frac) > 3*math.Sqrt(frac*(1-frac)/float64(n)) {
+		t.Fatalf("%d of %d arrivals are flips (%.3f), want %.2f", sdc, n, share, frac)
+	}
+	if int64(n-sdc) != s.FaultCount() {
+		t.Fatalf("%d page losses but FaultCount=%d", n-sdc, s.FaultCount())
+	}
+	if got := s.ApplySilentPending(); got != sdc {
+		t.Fatalf("%d flips pending, want %d", got, sdc)
+	}
+}
+
+// Wall-clock offsets fire at the first call at or after them: each call
+// fires exactly what is due at its elapsed time.
 func TestPlanByWallClock(t *testing.T) {
 	_, x, _ := newSpace(t)
-	p := &Plan{
-		Errors: []PlannedError{
-			{Vector: x, Page: 0, At: 5 * time.Millisecond},
-			{Vector: x, Page: 1, At: 10 * time.Millisecond},
-		},
-	}
+	p := &Plan{Errors: []PlannedError{
+		{Vector: x, Page: 0, At: 5 * time.Millisecond},
+		{Vector: x, Page: 1, At: 10 * time.Millisecond},
+	}}
 	p.Start()
-	deadline := time.Now().Add(2 * time.Second)
-	for p.Fired() < 2 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
+	for _, c := range []struct {
+		at   time.Duration
+		want int
+	}{{0, 0}, {5 * time.Millisecond, 1}, {9 * time.Millisecond, 0}, {10 * time.Millisecond, 1}, {time.Hour, 0}} {
+		if got := p.advance(c.at, 0, "t"); got != c.want {
+			t.Fatalf("advance(%v) fired %d, want %d", c.at, got, c.want)
+		}
 	}
-	p.Stop()
 	if p.Fired() != 2 {
 		t.Fatalf("Fired = %d, want 2", p.Fired())
 	}
@@ -132,31 +165,100 @@ func TestPlanByWallClock(t *testing.T) {
 	}
 }
 
+// A plan stops when its solve stops calling it: an arrival still pending
+// at the last call never fires, however long after it falls due, and no
+// goroutine is left behind to fire it.
 func TestPlanStopCancelsPending(t *testing.T) {
 	_, x, _ := newSpace(t)
-	p := &Plan{
-		Errors: []PlannedError{
-			{Vector: x, Page: 0, At: time.Hour},
-		},
-	}
+	goroutines := runtime.NumGoroutine()
+	p := &Plan{Errors: []PlannedError{{Vector: x, Page: 0, At: time.Millisecond}}}
 	p.Start()
-	p.Stop()
-	if p.Fired() != 0 {
-		t.Fatal("stop did not cancel pending error")
+	if got := p.advance(0, 0, "t"); got != 0 {
+		t.Fatalf("advance(0) fired %d before the arrival was due", got)
+	}
+	time.Sleep(5 * time.Millisecond)
+	if p.Fired() != 0 || x.Space().FaultCount() != 0 || runtime.NumGoroutine() > goroutines {
+		t.Fatalf("fired %d (FaultCount %d, %d goroutines, %d before) with no call",
+			p.Fired(), x.Space().FaultCount(), runtime.NumGoroutine(), goroutines)
 	}
 	x.Space().ScramblePending()
 	if x.Failed(0) {
-		t.Fatal("page poisoned after Stop")
+		t.Fatal("page poisoned after the last call")
 	}
 }
 
-func TestPlanTickOnWallClockPlanIsNoop(t *testing.T) {
+// A due stream arrival fires at the next call and never before it: a call
+// just short of the first arrival fires nothing, a call at it fires it.
+// The scripted-offset cases are TestPlanByWallClock and
+// TestPlanStopCancelsPending.
+func TestScheduleFiresDueArrivalsAtNextCall(t *testing.T) {
+	s, _ := stream(t, 5, 0)
+	first := s.nextAt
+	if got := s.advance(first-1, 0, "t"); got != 0 {
+		t.Fatalf("fired %d before the first arrival at %v", got, first)
+	}
+	if got := s.advance(first, 0, "t"); got < 1 {
+		t.Fatalf("first arrival at %v not fired at %v", first, first)
+	}
+}
+
+// Start refuses a stream that cannot draw: no MTBE or no targets.
+func TestScheduleStreamValidation(t *testing.T) {
 	_, x, _ := newSpace(t)
-	p := &Plan{Errors: []PlannedError{{Vector: x, Page: 0, At: time.Hour}}}
-	p.Start()
-	defer p.Stop()
-	if p.Tick(100) != 0 {
-		t.Fatal("Tick fired on wall-clock plan")
+	for _, st := range []*Stream{
+		{Targets: []*pagemem.Vector{x}},
+		{MTBE: time.Second},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("Start accepted %+v", st)
+				}
+			}()
+			(&Plan{Stream: st}).Start()
+		}()
+	}
+}
+
+// The log stamps each arrival with its site, and replayed as a plan it
+// fires every arrival at that same site: same iteration, same label, same
+// start of that label within the iteration.
+func TestScheduleLogReplaysAtSameSites(t *testing.T) {
+	_, x, _ := newSpace(t)
+	sites := []struct {
+		it   int
+		task string
+	}{{0, "d"}, {0, "q"}, {0, "d"}, {1, "d"}, {1, "r1"}, {1, "d"}, {2, "q"}}
+	rec := &Plan{Errors: []PlannedError{
+		{Vector: x, Page: 0, At: 2}, {Vector: x, Page: 1, At: 2}, {Vector: x, Page: 2, At: 5},
+	}}
+	rec.Start()
+	var fired []int
+	for i, s := range sites {
+		if rec.advance(time.Duration(i), s.it, s.task) > 0 {
+			fired = append(fired, i)
+		}
+	}
+	log := rec.Log()
+	want := []PlannedError{
+		{AtIteration: 0, Task: "d", TaskIndex: 1},
+		{AtIteration: 0, Task: "d", TaskIndex: 1},
+		{AtIteration: 1, Task: "d", TaskIndex: 1},
+	}
+	for i, e := range log.Errors {
+		if e.AtIteration != want[i].AtIteration || e.Task != want[i].Task || e.TaskIndex != want[i].TaskIndex {
+			t.Fatalf("log entry %d stamped %d/%s/%d, want %+v", i, e.AtIteration, e.Task, e.TaskIndex, want[i])
+		}
+	}
+	log.Start()
+	var replayed []int
+	for i, s := range sites {
+		if log.advance(time.Hour, s.it, s.task) > 0 {
+			replayed = append(replayed, i)
+		}
+	}
+	if fmt.Sprint(replayed) != fmt.Sprint(fired) || log.Fired() != 3 {
+		t.Fatalf("replay fired at sites %v (%d), recorded at %v", replayed, log.Fired(), fired)
 	}
 }
 

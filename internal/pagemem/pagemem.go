@@ -13,9 +13,10 @@
 // bit; recovery tasks clear bits after interpolating replacement data.
 //
 // Poisoning is split in two to mirror detect-on-access semantics without
-// data races: an injector goroutine calls Vector.Poison, which atomically
-// sets the fault bit at once (tasks checking the mask from then on skip the
-// page — this is the detection) and enqueues the data loss. The solver
+// data races: an injector (a solve's fault site, see inject) calls
+// Vector.Poison, which atomically sets the fault bit at once (tasks
+// checking the mask from then on skip the page — this is the detection)
+// and enqueues the data loss. The solver
 // calls Space.ScramblePending at task-phase boundaries, where no task is
 // touching vector data, to actually destroy the content of pages that are
 // still marked failed. Tasks that passed their mask check before the bit

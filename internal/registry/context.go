@@ -266,6 +266,7 @@ func (c *OperatorContext) Checkout(name string, b []float64, cfg Config) (*Check
 			Dynamic:  s.DynamicVectors(),
 			Run:      func() (core.Result, error) { return s.Run() },
 			Solution: s.Solution,
+			SetSite:  s.SetSite,
 		}
 		return &Checkout{Instance: inst, Inline: inline, ctx: c, key: key, cg: &pooledCG{s: s, inst: inst, inline: inline}}, nil
 	}
@@ -282,7 +283,7 @@ func (c *OperatorContext) Checkout(name string, b []float64, cfg Config) (*Check
 
 // Release returns a poolable instance to the context's warm pool. The
 // per-request hooks are cleared first so a stale cancellation can never
-// abort the next tenant's solve.
+// abort the next tenant's solve, nor a stale fault plan storm it.
 func (co *Checkout) Release() {
 	if co.released || co.cg == nil {
 		return
@@ -290,6 +291,7 @@ func (co *Checkout) Release() {
 	co.released = true
 	co.cg.s.SetCancelled(nil)
 	co.cg.s.SetOnIteration(nil)
+	co.cg.s.SetSite(nil)
 	co.ctx.mu.Lock()
 	co.ctx.pool[co.key] = append(co.ctx.pool[co.key], co.cg)
 	co.ctx.mu.Unlock()

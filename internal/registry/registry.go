@@ -49,6 +49,10 @@ type Instance struct {
 	// Solution returns the solution vector; only valid after Run
 	// returned (and overwritten by the next Run on a pooled instance).
 	Solution func() []float64
+	// SetSite installs the solve's fault-site hook, typically a started
+	// inject.Plan's Site: the next Run fires the plan itself. nil removes
+	// it; Checkout.Release removes it from a pooled instance.
+	SetSite func(func(iteration int, task string))
 }
 
 // Builder constructs an instance of one named method for either topology.
@@ -124,6 +128,7 @@ type distSolver interface {
 	DynamicVectors() []*pagemem.Vector
 	RankStats() []core.Stats
 	SetInject(func(it int, ranks []*shard.Rank))
+	SetSite(func(iteration int, task string))
 	Run() (core.Result, []float64, error)
 }
 
@@ -136,6 +141,7 @@ func distInstance(s distSolver, err error, cfg Config) (*Instance, error) {
 		Spaces:    s.Spaces(),
 		Dynamic:   s.DynamicVectors(),
 		RankStats: s.RankStats,
+		SetSite:   s.SetSite,
 	}
 	var sol []float64
 	inst.Run = func() (core.Result, error) {
@@ -171,6 +177,7 @@ func init() {
 			Dynamic:  s.DynamicVectors(),
 			Run:      func() (core.Result, error) { return s.Run() },
 			Solution: s.Solution,
+			SetSite:  s.SetSite,
 		}, nil
 	})
 	Register("bicgstab", all, func(a *sparse.CSR, b []float64, cfg Config) (*Instance, error) {
@@ -185,6 +192,7 @@ func init() {
 		inst := &Instance{
 			Spaces:  []*pagemem.Space{s.Space()},
 			Dynamic: s.DynamicVectors(),
+			SetSite: s.SetSite,
 		}
 		var sol []float64
 		inst.Run = func() (core.Result, error) {
@@ -207,6 +215,7 @@ func init() {
 		inst := &Instance{
 			Spaces:  []*pagemem.Space{s.Space()},
 			Dynamic: s.DynamicVectors(),
+			SetSite: s.SetSite,
 		}
 		var sol []float64
 		inst.Run = func() (core.Result, error) {

@@ -80,8 +80,9 @@ type Request struct {
 	// Tenant labels the request for its client; the server reads nothing
 	// from it (isolation is per request, see the package doc).
 	Tenant string `json:"tenant,omitempty"`
-	// DUEMTBE, when positive, runs a wall-clock DUE storm against this
-	// request's own fault domain for the duration of the solve.
+	// DUEMTBE, when positive, runs a wall-clock DUE storm (an
+	// inject.Stream of this mean gap, seeded by Seed) against this
+	// request's own fault domain, fired by the solve's own tasks.
 	DUEMTBE time.Duration `json:"due_mtbe_ns,omitempty"`
 	Seed    int64         `json:"seed,omitempty"`
 	// WantSolution includes the solution vector in the response.
@@ -424,22 +425,23 @@ func (s *Server) execute(p *pending) (*Response, error) {
 	}
 	defer co.Release()
 
-	// Per-tenant storm: the injector targets this instance's own fault
-	// domain, so concurrent tenants' solves are untouched by design.
-	var in *inject.Injector
+	// Per-tenant storm: the plan targets this instance's own fault domain
+	// and fires from its own tasks, so concurrent tenants' solves are
+	// untouched and no loss lands after Run returns. Release disarms it.
+	var storm *inject.Plan
 	if req.DUEMTBE > 0 {
 		seed := req.Seed
 		if seed == 0 {
 			seed = p.seq
 		}
-		in = inject.NewInjector(co.Instance.Spaces[0], co.Instance.Dynamic, req.DUEMTBE, seed)
-		in.Start()
+		storm = &inject.Plan{Stream: &inject.Stream{Targets: co.Instance.Dynamic, MTBE: req.DUEMTBE, Seed: seed}}
+		storm.Start()
+		co.Instance.SetSite(storm.Site)
 	}
 	res, runErr := co.Instance.Run()
 	injected := 0
-	if in != nil {
-		in.Stop()
-		injected = in.Injected()
+	if storm != nil {
+		injected = storm.Fired()
 	}
 	if runErr != nil {
 		return nil, runErr

@@ -204,7 +204,7 @@ func TestDrainRejectsNewWork(t *testing.T) {
 }
 
 // TestStormTenantIsolation runs a DUE-storm tenant concurrently with a
-// clean tenant against the same cached operator: the storm's injector
+// clean tenant against the same cached operator: the storm's plan
 // targets only its own request's fault domain, so the clean solve sees
 // zero injections and both converge. Under -race this is the gate for
 // concurrent solves sharing one context.
@@ -213,10 +213,7 @@ func TestDrainRejectsNewWork(t *testing.T) {
 // this host's own clean solve time (the paper's normalized error frequency
 // 2, inside the exact-recovery regime whatever the runner's speed or the
 // race detector's slowdown), a pair whose storm solve drew no fault is
-// repeated so the test cannot pass vacuously, and the operator is large
-// enough that a solve outlasts the Go scheduler's 10 ms time slice — on
-// one processor the injector only gets to run when the solver is
-// preempted.
+// repeated so the test cannot pass vacuously.
 func TestStormTenantIsolation(t *testing.T) {
 	srv := newTestServer(t, Options{Concurrent: 2})
 	srv.RegisterMatrix("grid", matgen.Poisson2D(100, 100), 0)
@@ -252,6 +249,46 @@ func TestStormTenantIsolation(t *testing.T) {
 		}
 		if cleanResp.Injected != 0 {
 			t.Fatalf("clean tenant saw %d injections — fault domains are not isolated", cleanResp.Injected)
+		}
+		if stormResp.Injected > 0 {
+			return
+		}
+		if attempt == 100 {
+			t.Fatalf("no fault landed in %d storm solves at MTBE %v", attempt, storm.DUEMTBE)
+		}
+	}
+}
+
+// TestStormLeavesWarmInstanceClean: a storm request's losses all land
+// inside its own solve, so its injected count is exactly the faults its
+// solve saw, and the clean request that takes the same warm instance next
+// sees neither an injection nor a fault.
+func TestStormLeavesWarmInstanceClean(t *testing.T) {
+	srv := newTestServer(t, Options{Concurrent: 1})
+	srv.RegisterMatrix("grid", matgen.Poisson2D(100, 100), 0)
+	clean := &Request{Matrix: "grid", Solver: "cg", Method: "afeir", Tol: 1e-10}
+	warm, err := srv.Submit(clean)
+	if err != nil {
+		t.Fatal(err)
+	}
+	storm := *clean
+	storm.DUEMTBE = warm.Elapsed / 4
+	for attempt := 1; ; attempt++ {
+		storm.Seed = int64(attempt)
+		stormResp, err := srv.Submit(&storm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stormResp.Injected != stormResp.Stats.FaultsSeen {
+			t.Fatalf("storm fired %d losses, its solve saw %d", stormResp.Injected, stormResp.Stats.FaultsSeen)
+		}
+		cleanResp, err := srv.Submit(clean)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !cleanResp.Warm || !cleanResp.Converged || cleanResp.Injected != 0 || cleanResp.Stats.FaultsSeen != 0 {
+			t.Fatalf("clean request after a storm: warm=%v converged=%v injected=%d %+v",
+				cleanResp.Warm, cleanResp.Converged, cleanResp.Injected, cleanResp.Stats)
 		}
 		if stormResp.Injected > 0 {
 			return

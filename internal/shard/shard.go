@@ -115,14 +115,6 @@ type Substrate struct {
 	// recovery never cross a rank boundary — no extra halo traffic.
 	Pre *precond.BlockJacobi
 
-	// TestHook, when non-nil, is invoked by the steady-state SpMV
-	// supersteps (SpMV, SpMVDot, SpMVDot2, SpMVNorm) with the stage tag
-	// "spmv", between the halo exchange of the input and the row
-	// computation. Storm tests use it to land DUEs into freshly imported
-	// ghost pages and into SpMV output pages mid-superstep; production code
-	// never sets it.
-	TestHook func(stage string)
-
 	part  *engine.Partial
 	part2 *engine.Partial // second slot set for fused double reductions
 
@@ -177,6 +169,12 @@ type Substrate struct {
 	xchStepF, dotStepF, dotRelStepF, dotMixStepF   func(r *Rank)
 	spmvStepF, spmvDotStepF, spmvRelStepF          func(r *Rank)
 	precondStepF                                   func(r *Rank)
+
+	// Sites are the solve's fault sites, entered by the coordinator before
+	// every rank superstep with the superstep's label ("halo" for an
+	// exchange), so a loss lands between supersteps: after an SpMV's halo
+	// import and before its rows, for one.
+	Sites engine.Sites
 }
 
 // Options carries serving-layer resources a substrate can share instead
@@ -334,10 +332,11 @@ func NewOpts(a *sparse.CSR, b []float64, ranks, pageDoubles, workers int, spd bo
 	return s, nil
 }
 
-// runStep replays the per-rank superstep tasks with the given body and
-// waits — the allocation-free BSP superstep primitive every barrier
-// operation below routes through.
-func (s *Substrate) runStep(fn func(r *Rank)) {
+// runStep enters the fault sites, then replays the per-rank superstep
+// tasks with the given body and waits — the allocation-free BSP
+// superstep primitive every barrier operation below routes through.
+func (s *Substrate) runStep(label string, fn func(r *Rank)) {
+	s.Sites.Enter(label)
 	s.stepFn = fn
 	s.RT.ResubmitAll(s.rankTasks, nil)
 	s.RT.WaitAll(s.rankTasks)
@@ -376,12 +375,11 @@ func (s *Substrate) Spaces() []*pagemem.Space {
 
 // ForEachRank runs fn(r) as one task per rank on the shared pool and
 // waits — the BSP superstep primitive for rank-granular work. The label
-// is diagnostic only; the caller's closure is the only per-call
-// allocation.
+// names the superstep's fault site; the caller's closure is the only
+// per-call allocation.
 func (s *Substrate) ForEachRank(label string, fn func(r *Rank)) {
-	_ = label
 	s.forEachFn = fn
-	s.runStep(s.forEachStepF)
+	s.runStep(label, s.forEachStepF)
 }
 
 func (s *Substrate) forEachStep(r *Rank) { s.forEachFn(r) }
@@ -389,9 +387,8 @@ func (s *Substrate) forEachStep(r *Rank) { s.forEachFn(r) }
 // RankOp runs fn(r, p, lo, hi) for every owned page of every rank as one
 // task per rank, and waits.
 func (s *Substrate) RankOp(label string, fn func(r *Rank, p, lo, hi int)) {
-	_ = label
 	s.opFn = fn
-	s.runStep(s.opStepF)
+	s.runStep(label, s.opStepF)
 }
 
 func (s *Substrate) opStep(r *Rank) {
@@ -414,7 +411,7 @@ func (s *Substrate) opStep(r *Rank) {
 // map during recovery fixpoints.
 func (s *Substrate) Exchange(v *Vec, strict bool) {
 	s.xchVec, s.xchStrict = v, strict
-	s.runStep(s.xchStepF)
+	s.runStep("halo", s.xchStepF)
 }
 
 //due:hotpath
@@ -438,10 +435,9 @@ func (s *Substrate) xchStep(r *Rank) {
 // slots are disjoint across ranks), and the coordinator's sum plays the
 // allreduce.
 func (s *Substrate) Dot(label string, x, y *Vec) float64 {
-	_ = label
 	s.part.ResetMissing()
 	s.dotX, s.dotY = x, y
-	s.runStep(s.dotStepF)
+	s.runStep(label, s.dotStepF)
 	s.reductions++
 	sum, _ := s.part.SumAvailable()
 	return sum
@@ -459,10 +455,9 @@ func (s *Substrate) dotStep(r *Rank) {
 // DotReliable is Dot with the second operand in reliable (unsharded)
 // memory, e.g. the BiCGStab shadow residual.
 func (s *Substrate) DotReliable(label string, x *Vec, y []float64) float64 {
-	_ = label
 	s.part.ResetMissing()
 	s.dotX, s.dotYRel = x, y
-	s.runStep(s.dotRelStepF)
+	s.runStep(label, s.dotRelStepF)
 	s.reductions++
 	sum, _ := s.part.SumAvailable()
 	return sum
@@ -481,10 +476,9 @@ func (s *Substrate) dotRelStep(r *Rank) {
 // <xs[rank], y> over its owned pages — for per-rank scratch (like the
 // GMRES w) against a sharded vector.
 func (s *Substrate) DotMixed(label string, xs [][]float64, y *Vec) float64 {
-	_ = label
 	s.part.ResetMissing()
 	s.dotXs, s.dotY = xs, y
-	s.runStep(s.dotMixStepF)
+	s.runStep(label, s.dotMixStepF)
 	s.reductions++
 	sum, _ := s.part.SumAvailable()
 	return sum
@@ -501,13 +495,9 @@ func (s *Substrate) dotMixStep(r *Rank) {
 
 // SpMV computes out = A * in on owned rows after refreshing in's halo.
 func (s *Substrate) SpMV(label string, in, out *Vec) {
-	_ = label
 	s.Exchange(in, false)
-	if s.TestHook != nil {
-		s.TestHook("spmv")
-	}
 	s.spmvIn, s.spmvOut = in, out
-	s.runStep(s.spmvStepF)
+	s.runStep(label, s.spmvStepF)
 }
 
 //due:hotpath
@@ -543,11 +533,7 @@ func (s *Substrate) SpMVNorm(label string, in, out *Vec) float64 {
 }
 
 func (s *Substrate) spmvDots(label string, in, out *Vec, wantXY, wantYY bool) (xy, yy float64) {
-	_ = label
 	s.Exchange(in, false)
-	if s.TestHook != nil {
-		s.TestHook("spmv")
-	}
 	s.spmvXY, s.spmvYY = nil, nil
 	if wantXY {
 		s.part.ResetMissing()
@@ -558,7 +544,7 @@ func (s *Substrate) spmvDots(label string, in, out *Vec, wantXY, wantYY bool) (x
 		s.spmvYY = s.part2
 	}
 	s.spmvIn, s.spmvOut = in, out
-	s.runStep(s.spmvDotStepF)
+	s.runStep(label, s.spmvDotStepF)
 	if wantXY || wantYY {
 		s.reductions++
 	}
@@ -590,11 +576,10 @@ func (s *Substrate) spmvDotStep(r *Rank) {
 // global <out, y> reduction against reliable (unsharded) memory y — the
 // BiCGStab q = A d̂ superstep with its <q, r̂0> reduction.
 func (s *Substrate) SpMVDotReliable(label string, in, out *Vec, y []float64) float64 {
-	_ = label
 	s.Exchange(in, false)
 	s.part.ResetMissing()
 	s.spmvIn, s.spmvOut, s.spmvRelY = in, out, y
-	s.runStep(s.spmvRelStepF)
+	s.runStep(label, s.spmvRelStepF)
 	s.reductions++
 	sum, _ := s.part.SumAvailable()
 	return sum
@@ -614,10 +599,9 @@ func (s *Substrate) spmvRelStep(r *Rank) {
 // analogue of RankOp followed by Dot, for update kernels that can carry
 // their reduction in the same pass (sparse.AxpyDotRange and friends).
 func (s *Substrate) RankOpDot(label string, fn func(r *Rank, p, lo, hi int) float64) float64 {
-	_ = label
 	s.part.ResetMissing()
 	s.opDotFn = fn
-	s.runStep(s.opDotStepF)
+	s.runStep(label, s.opDotStepF)
 	s.reductions++
 	sum, _ := s.part.SumAvailable()
 	return sum
@@ -635,11 +619,10 @@ func (s *Substrate) opDotStep(r *Rank) {
 // that produce a pair of partials in one pass (the BiCGStab phase-3
 // g = s - ωt with both <g, r̂0> and <g, g>).
 func (s *Substrate) RankOpDot2(label string, fn func(r *Rank, p, lo, hi int) (float64, float64)) (float64, float64) {
-	_ = label
 	s.part.ResetMissing()
 	s.part2.ResetMissing()
 	s.opDot2Fn = fn
-	s.runStep(s.opDot2StepF)
+	s.runStep(label, s.opDot2StepF)
 	s.reductions++
 	a, _ := s.part.SumAvailable()
 	b, _ := s.part2.SumAvailable()
@@ -676,9 +659,8 @@ func (s *Substrate) EnablePrecond() error {
 // exactly that page of in, so the operation is embarrassingly
 // rank-parallel with zero communication.
 func (s *Substrate) ApplyPrecondOwned(label string, in, out *Vec) {
-	_ = label
 	s.preIn, s.preOut = in, out
-	s.runStep(s.precondStepF)
+	s.runStep(label, s.precondStepF)
 }
 
 func (s *Substrate) precondStep(r *Rank) {
@@ -775,6 +757,17 @@ func (s *Substrate) ApplyPending() int {
 		total += n
 	}
 	return total
+}
+
+// Pending reports whether any rank holds a loss ApplyPending has yet to
+// apply.
+func (s *Substrate) Pending() bool {
+	for _, r := range s.Ranks {
+		if r.Space.PendingCount() > 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // AnyFault reports whether any rank has a failed page (owned or ghost).
