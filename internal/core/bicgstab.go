@@ -103,6 +103,9 @@ func NewBiCGStab(a *sparse.CSR, b []float64, cfg Config) (*BiCGStabSolver, error
 	if len(b) != a.N {
 		return nil, fmt.Errorf("core: rhs length %d for n=%d", len(b), a.N)
 	}
+	if err := cgOnlyFallback("bicgstab", cfg); err != nil {
+		return nil, err
+	}
 	sv := &BiCGStabSolver{
 		cfg:    cfg,
 		a:      a,

@@ -106,9 +106,19 @@ const (
 	// in Stats.Unrecovered.
 	FallbackIgnore Fallback = iota
 	// FallbackLossy applies the §2.4 recommendation: a Lossy-style
-	// block-Jacobi interpolation of the iterate page and a restart.
+	// block-Jacobi interpolation of the iterate page and a restart. Only
+	// CG implements it; BiCGStab and GMRES refuse it (cgOnlyFallback).
 	FallbackLossy
 )
+
+// cgOnlyFallback refuses, by name, a Fallback the Krylov-basis solvers do
+// not implement, rather than let them drop the field silently.
+func cgOnlyFallback(solver string, cfg Config) error {
+	if cfg.Fallback == FallbackLossy {
+		return fmt.Errorf("core: %s does not implement Fallback FallbackLossy (cg only); leave Fallback at FallbackIgnore", solver)
+	}
+	return nil
+}
 
 // Config parametrises a resilient solver run. FEIR and AFEIR instantiate
 // recovery tasks only once a DUE has been signalled (the paper's §5.2/§7

@@ -90,6 +90,9 @@ func NewGMRES(a *sparse.CSR, b []float64, restart int, cfg Config) (*GMRESSolver
 	if len(b) != a.N {
 		return nil, fmt.Errorf("core: rhs length %d for n=%d", len(b), a.N)
 	}
+	if err := cgOnlyFallback("gmres", cfg); err != nil {
+		return nil, err
+	}
 	restart = defaults.GMRESRestartOr(restart)
 	fixed := 3 // x, g, v_0..v_m
 	if cfg.UsePrecond {

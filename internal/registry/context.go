@@ -142,11 +142,12 @@ func (c *OperatorContext) SizeBytes() int64 {
 // host), so the pool pays only once a sequential iteration passes ≈ 90 µs.
 // BenchmarkInlineVsPool, one solve alone on the machine, pool of two
 // against no workers, median of 5 × 40 alternating solves — estimate, pool
-// time ÷ inline time (DESIGN §8 has the operators):
+// time ÷ inline time (DESIGN §8 has the operators; the two preconditioned
+// rows, 205 k and 368 k, measured on renumbered block factors):
 //
 //	 61 k 1.30   115 k 0.94   124 k 1.16   138 k 1.00   184 k 1.04
-//	215 k 0.95   229 k 0.86   245 k 0.86   245 k 0.96   537 k 0.77
-//	560 k 0.83  1158 k 0.66
+//	205 k 0.70   229 k 0.86   245 k 0.86   245 k 0.96   368 k 0.73
+//	537 k 0.77  1158 k 0.66
 //
 // The bound sits where alone turns from tie to loss. Under load the rows
 // below it gain what this cannot show (two dispatchers sharing one pool:
@@ -156,10 +157,23 @@ func (c *OperatorContext) SizeBytes() int64 {
 // speed levels 1.4× apart): a constant, not a setting.
 const inlineMaxOps = 192 << 10
 
+// blockRowOps is what one row of a block-Jacobi apply costs beyond its
+// factor entries, in IterOps' memory operations: a renumbered page of a
+// 2-D grid has a half-bandwidth of 4–8, so its solve waits on two
+// dependent divisions per row (forward and back) and the moves of its
+// order, not on bytes.
+// BenchmarkInlineVsPool calibrates it: inline, the two preconditioned
+// thermal2 rows take 45–62 operations per row longer than their entries
+// alone price, at the 0.40–0.44 ns per operation of the unpreconditioned
+// thermal2 rows — and BenchmarkBlockSolve agrees, 24–28 ns a row beyond
+// the entries. Like inlineMaxOps, a constant, not a setting.
+const blockRowOps = 56
+
 // IterOps estimates the memory operations of one cg iteration — one per
 // nonzero through the DIA shadow, two (value + gather) through an indexed
-// one, 10 per row for the d/q/x/g updates and their partials, two per
-// factor entry for the block-Jacobi apply — and returns inlineMaxOps.
+// one, 10 per row for the d/q/x/g updates and their partials, and for the
+// block-Jacobi apply two per factor entry plus blockRowOps per row — and
+// returns inlineMaxOps.
 func (c *OperatorContext) IterOps(usePrecond bool) (ops, inlineBelow int64) {
 	nnz := int64(c.A.NNZ())
 	ops = nnz + 10*int64(c.A.N)
@@ -169,7 +183,7 @@ func (c *OperatorContext) IterOps(usePrecond bool) (ops, inlineBelow int64) {
 	if usePrecond {
 		bc := c.Blocks(true)
 		bc.PrefactorizeLenient() // a preconditioned solve reads them all
-		ops += bc.Bytes() / 4
+		ops += bc.Bytes()/4 + blockRowOps*int64(c.A.N)
 	}
 	return ops, inlineMaxOps
 }

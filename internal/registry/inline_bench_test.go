@@ -27,12 +27,12 @@ var inlineSweep = []struct {
 	{"thermal2-8280-afeir", func() *sparse.CSR { return matgen.Thermal2Analogue(8192) }, core.MethodAFEIR, false, 123836, true},
 	{"poisson27-16-afeir", func() *sparse.CSR { return matgen.Poisson3D27(16, 16, 16) }, core.MethodAFEIR, false, 138296, true},
 	{"thermal2-12320-afeir", func() *sparse.CSR { return matgen.Thermal2Analogue(12288) }, core.MethodAFEIR, false, 184356, true},
-	{"thermal2-2070-feir-precond", func() *sparse.CSR { return matgen.Thermal2Analogue(2048) }, core.MethodFEIR, true, 214818, false},
+	{"thermal2-2070-feir-precond", func() *sparse.CSR { return matgen.Thermal2Analogue(2048) }, core.MethodFEIR, true, 204533, false},
 	{"rspd8-8192-ideal", func() *sparse.CSR { return matgen.RandomSPD(8192, 8, 1.5, 7) }, core.MethodIdeal, false, 229308, false},
 	{"rspd24-4096-ideal", func() *sparse.CSR { return matgen.RandomSPD(4096, 24, 1.5, 7) }, core.MethodIdeal, false, 245144, false},
 	{"thermal2-16384-afeir", func() *sparse.CSR { return matgen.Thermal2Analogue(16384) }, core.MethodAFEIR, false, 245248, false},
 	{"consph-4096-feir", func() *sparse.CSR { return matgen.ConsphAnalogue(4096) }, core.MethodFEIR, false, 537116, false},
-	{"thermal2-4096-feir-precond", func() *sparse.CSR { return matgen.Thermal2Analogue(4096) }, core.MethodFEIR, true, 560384, false},
+	{"thermal2-4096-feir-precond", func() *sparse.CSR { return matgen.Thermal2Analogue(4096) }, core.MethodFEIR, true, 367792, false},
 	{"poisson27-32-afeir", func() *sparse.CSR { return matgen.Poisson3D27(32, 32, 32) }, core.MethodAFEIR, false, 1158264, false},
 }
 

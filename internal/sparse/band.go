@@ -6,23 +6,26 @@ import (
 )
 
 // Banded direct factors of the page-sized diagonal blocks. A block of a
-// stencil-like operator is itself banded (half-bandwidth 64–128 inside a
-// 512×512 page block), and neither Cholesky nor LU with row pivoting
-// leaves that band: every entry outside it is an exact structural zero in
-// the factor too. The factors below store only the band and skip exactly
-// the products with those zeros, in the summation order of the textbook
-// dense algorithms — so their results equal the dense factor's bit for
-// bit, a full block is simply the widest band, and there is one factor
-// path for every bandwidth.
+// stencil-like operator is banded, renumbered (order.go) its band is a
+// handful of rows wide (half-bandwidth 4–8 inside a 512×512 page block of
+// a 2-D grid, where the natural order gives the grid's width, 64–128),
+// and neither Cholesky nor LU with row pivoting leaves that band: every
+// entry outside it is an exact structural zero in the factor too. The
+// factors below store only the band and skip exactly the products with
+// those zeros, in the summation order of the textbook dense algorithms —
+// so their results equal the dense factor's of the renumbered block bit
+// for bit, a full block is simply the widest band, and there is one
+// factor path for every bandwidth and order.
 //
 // Storage is triangular-ragged: a row or column of the band is clipped to
 // the matrix, so at full bandwidth LU holds n² doubles, what the dense n×n
 // factor did, and Cholesky half of that.
 
 // blockRows enumerates the stored entries (j, v) of row i of a square
-// block, ascending in j, in the block's own index space. It is all a
-// factor constructor reads, so a block is factorized straight from its
-// source — the CSR rows of A or a Dense — without a dense temporary.
+// block, in the block's own index space and in no particular order (a
+// renumbered block's rows are not ascending). It is all a factor
+// constructor reads, so a block is factorized straight from its source —
+// the CSR rows of A or a Dense — without a dense temporary.
 type blockRows func(i int, visit func(j int, v float64))
 
 // denseRows reads the nonzeros of a dense block.
@@ -66,16 +69,37 @@ func (a *CSR) spanRows(spans []span) blockRows {
 	}
 }
 
+// entries visits every stored entry (i, j, v) of a block, row by row,
+// through one visitor for all the rows.
+func entries(n int, rows blockRows, f func(i, j int, v float64)) {
+	var i int
+	row := func(j int, v float64) { f(i, j, v) }
+	for i = 0; i < n; i++ {
+		rows(i, row)
+	}
+}
+
 // bandwidths returns the lower and upper half-bandwidths of a block: the
 // largest i-j and j-i over its stored entries.
 func bandwidths(n int, rows blockRows) (kl, ku int) {
-	for i := 0; i < n; i++ {
-		rows(i, func(j int, _ float64) {
-			kl = max(kl, i-j)
-			ku = max(ku, j-i)
-		})
-	}
+	entries(n, rows, func(i, j int, _ float64) {
+		kl = max(kl, i-j)
+		ku = max(ku, j-i)
+	})
 	return kl, ku
+}
+
+// banded is a block ready to be factored: its rows, which are those of
+// P A Pᵀ for the order o, and their half-bandwidths.
+type banded struct {
+	rows   blockRows
+	kl, ku int
+	o      order
+}
+
+func newBanded(n int, rows blockRows, o order) banded {
+	kl, ku := bandwidths(n, rows)
+	return banded{rows: rows, kl: kl, ku: ku, o: o}
 }
 
 // bandOff is the length of the first i rows of a strictly triangular band
@@ -95,14 +119,16 @@ func bandOff(i, w int) int {
 // SPD, we solve the inverse block relations with a direct solver").
 // ----------------------------------------------------------------------
 
-// Cholesky holds the lower-triangular factor L with A = L*Lᵀ inside the
-// half-bandwidth bw of A's lower triangle, stored by columns: forward
+// Cholesky holds the lower-triangular factor L with P A Pᵀ = L*Lᵀ, P
+// the block's order (the identity from NewCholesky), inside the
+// half-bandwidth bw of P A Pᵀ's lower triangle, stored by columns: forward
 // substitution sweeps them as updates, back substitution as dot products,
 // so one copy serves both at unit stride.
 type Cholesky struct {
 	n, bw int
 	diag  []float64 // l_ii
 	cols  []float64 // column j: l_ij for i in (j, min(n-1,j+bw)], columns concatenated
+	o     order     // the factor is of P A Pᵀ
 }
 
 // NewCholesky factorizes the SPD matrix a, reading its lower triangle. It
@@ -112,23 +138,21 @@ func NewCholesky(a *Dense) (*Cholesky, error) {
 	if a.Rows != a.Cols {
 		return nil, fmt.Errorf("sparse: Cholesky of non-square %dx%d", a.Rows, a.Cols)
 	}
-	return newCholesky(a.Rows, denseRows(a))
+	return newCholesky(a.Rows, newBanded(a.Rows, denseRows(a), nil))
 }
 
-func newCholesky(n int, rows blockRows) (*Cholesky, error) {
-	bw, _ := bandwidths(n, rows)
+func newCholesky(n int, b banded) (*Cholesky, error) {
+	bw := b.kl
 	size := bandOff(n, bw)
-	c := &Cholesky{n: n, bw: bw, diag: make([]float64, n), cols: make([]float64, size)}
-	for i := 0; i < n; i++ {
-		rows(i, func(j int, v float64) {
-			switch {
-			case j == i:
-				c.diag[i] = v
-			case j < i:
-				c.cols[size-bandOff(n-j, bw)+i-j-1] = v
-			}
-		})
-	}
+	c := &Cholesky{n: n, bw: bw, diag: make([]float64, n), cols: make([]float64, size), o: b.o}
+	entries(n, b.rows, func(i, j int, v float64) {
+		switch {
+		case j == i:
+			c.diag[i] = v
+		case j < i:
+			c.cols[size-bandOff(n-j, bw)+i-j-1] = v
+		}
+	})
 	// Right-looking, in place: once column j is final it is subtracted
 	// from the columns to its right, so entry (i,k) still collects its
 	// products l_ij*l_kj in ascending j, as the dot-product form does.
@@ -161,7 +185,11 @@ func newCholesky(n int, rows blockRows) (*Cholesky, error) {
 }
 
 // Bytes returns the memory the factor holds.
-func (c *Cholesky) Bytes() int64 { return 8 * int64(len(c.diag)+len(c.cols)) }
+func (c *Cholesky) Bytes() int64 { return 8*int64(len(c.diag)+len(c.cols)) + 4*int64(len(c.o)) }
+
+// cholBytes is the size of a Cholesky factor of half-bandwidth bw, its
+// order aside.
+func cholBytes(n, bw int) int64 { return 8 * int64(n+bandOff(n, bw)) }
 
 // Solve solves A*x = b in place: b is overwritten with x.
 func (c *Cholesky) Solve(b []float64) {
@@ -177,13 +205,16 @@ func (c *Cholesky) SolveInPlace(rhs []float64) error {
 	return nil
 }
 
-// solve runs forward then back substitution. Forward, every entry
-// collects its products in ascending-k order; backward, in descending.
+// solve runs forward then back substitution on P b and returns Pᵀ of the
+// result. Forward, every entry collects its products in ascending-k
+// order; backward, in descending.
 //
 //due:hotpath
 func (c *Cholesky) solve(b []float64) {
+	c.o.gather(b)
 	c.forward(b)
 	backSubst(c.n, c.bw, c.diag, c.cols, b) // Lᵀ*x = y: row i of Lᵀ is column i of L
+	c.o.scatter(b)
 }
 
 // forward solves L*y = b in place as a column sweep, four columns per
@@ -321,11 +352,13 @@ func subDesc(s float64, row, x []float64) float64 {
 // GMRES operate on general matrices).
 // ----------------------------------------------------------------------
 
-// LU holds a PA = LU factorization with partial pivoting of a matrix with
-// lower and upper half-bandwidths kl and ku. Row interchanges widen U to
-// kl+ku; L keeps kl multipliers per column, stored where they were
-// computed (interchanges are not applied to earlier columns of L, so the
-// solve interleaves them with the elimination, as LAPACK's band LU does).
+// LU holds a Π P A Pᵀ = LU factorization with partial pivoting (Π the
+// row interchanges, P the block's order, the identity from NewLU) of a
+// matrix with lower and upper half-bandwidths kl and ku. Row interchanges
+// widen U to kl+ku; L keeps kl multipliers per column, stored where they
+// were computed (interchanges are not applied to earlier columns of L, so
+// the solve interleaves them with the elimination, as LAPACK's band LU
+// does).
 type LU struct {
 	n, kl, kw int
 	ipiv      []int32   // step k swapped rows k and ipiv[k]
@@ -333,6 +366,7 @@ type LU struct {
 	upper     []float64 // row i: u_ij for j in (i, min(n-1,i+kw)], rows concatenated
 	lcols     []float64 // column k: multipliers of rows (k, min(n-1,k+kl)], columns concatenated
 	sign      int
+	o         order // the factor is of P A Pᵀ
 }
 
 // NewLU factorizes a general square matrix with partial pivoting.
@@ -340,11 +374,11 @@ func NewLU(a *Dense) (*LU, error) {
 	if a.Rows != a.Cols {
 		return nil, fmt.Errorf("sparse: LU of non-square %dx%d", a.Rows, a.Cols)
 	}
-	return newLU(a.Rows, denseRows(a))
+	return newLU(a.Rows, newBanded(a.Rows, denseRows(a), nil))
 }
 
-func newLU(n int, rows blockRows) (*LU, error) {
-	kl, ku := bandwidths(n, rows)
+func newLU(n int, b banded) (*LU, error) {
+	kl, ku := b.kl, b.ku
 	kw := min(kl+ku, n-1)
 	// Working rows: row i holds columns [i-kl, i+kw], which covers its
 	// fill in any position an interchange can move it to; once that is
@@ -357,11 +391,9 @@ func newLU(n int, rows blockRows) (*LU, error) {
 		return i*width + slant*(kl-i)
 	}
 	w := make([]float64, n*width)
-	for i := 0; i < n; i++ {
-		rows(i, func(j int, v float64) { w[base(i)+j] = v })
-	}
+	entries(n, b.rows, func(i, j int, v float64) { w[base(i)+j] = v })
 	f := &LU{
-		n: n, kl: kl, kw: kw, sign: 1,
+		n: n, kl: kl, kw: kw, sign: 1, o: b.o,
 		ipiv:  make([]int32, n),
 		diag:  make([]float64, n),
 		upper: make([]float64, bandOff(n, kw)),
@@ -407,7 +439,13 @@ func newLU(n int, rows blockRows) (*LU, error) {
 
 // Bytes returns the memory the factor holds.
 func (f *LU) Bytes() int64 {
-	return 8*int64(len(f.diag)+len(f.upper)+len(f.lcols)) + 4*int64(len(f.ipiv))
+	return 8*int64(len(f.diag)+len(f.upper)+len(f.lcols)) + 4*int64(len(f.ipiv)+len(f.o))
+}
+
+// luBytes is the size of an LU factor of half-bandwidths kl and ku, its
+// order aside.
+func luBytes(n, kl, ku int) int64 {
+	return 8*int64(n+bandOff(n, min(kl+ku, n-1))+bandOff(n, kl)) + 4*int64(n)
 }
 
 // Solve solves A*x = b; x is returned in a new slice, b is untouched.
@@ -418,9 +456,9 @@ func (f *LU) Solve(b []float64) []float64 {
 }
 
 // SolveInPlace implements BlockSolver. The factor is shared between
-// concurrent solves, so the permutation is applied to rhs itself as the
-// recorded swap sequence: nothing is allocated and nothing is written to
-// the factor.
+// concurrent solves, so both permutations are applied to rhs itself, the
+// order along its cycles and the interchanges as the recorded swap
+// sequence: nothing is allocated and nothing is written to the factor.
 func (f *LU) SolveInPlace(rhs []float64) error {
 	if len(rhs) != f.n {
 		panic(fmt.Sprintf("sparse: LU.Solve dim %d want %d", len(rhs), f.n))
@@ -429,14 +467,16 @@ func (f *LU) SolveInPlace(rhs []float64) error {
 	return nil
 }
 
-// solve eliminates column by column (each entry still accumulates its
-// products in ascending-k order), then back-substitutes through backSubst.
+// solve eliminates column by column on P b (each entry still accumulates
+// its products in ascending-k order), back-substitutes through backSubst
+// and returns Pᵀ of the result.
 //
 //due:hotpath
 func (f *LU) solve(b []float64) {
 	n, kl, kw := f.n, f.kl, f.kw
+	f.o.gather(b)
 	off := 0
-	for k := 0; k < n; k++ { // L*y = P*b
+	for k := 0; k < n; k++ { // L*y = Π*(P*b)
 		if p := int(f.ipiv[k]); p != k {
 			b[k], b[p] = b[p], b[k]
 		}
@@ -445,6 +485,7 @@ func (f *LU) solve(b []float64) {
 		off += w
 	}
 	backSubst(n, kw, f.diag, f.upper, b) // U*x = y
+	f.o.scatter(b)
 }
 
 // Det returns the determinant of the factorized matrix.

@@ -5,6 +5,9 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
+	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/matgen"
@@ -140,6 +143,28 @@ func oracleSolve(block *sparse.Dense, spd bool, rhs []float64) (kind string, err
 	return "qr", q.SolveInPlace(rhs)
 }
 
+// permutedSolve solves block*x = rhs in place through the oracle chain on
+// P block Pᵀ, p being a factor's order (row k of P block Pᵀ is row p[k]
+// of block; nil is the natural order): x = Pᵀ (P block Pᵀ)⁻¹ P rhs.
+func permutedSolve(p []int, block *sparse.Dense, spd bool, rhs []float64) (kind string, err error) {
+	if p == nil {
+		return oracleSolve(block, spd, rhs)
+	}
+	pb := sparse.NewDense(block.Rows, block.Cols)
+	y := make([]float64, len(rhs))
+	for k, i := range p {
+		for l, j := range p {
+			pb.Set(k, l, block.At(i, j))
+		}
+		y[k] = rhs[i]
+	}
+	kind, err = oracleSolve(pb, spd, y)
+	for k, i := range p {
+		rhs[i] = y[k]
+	}
+	return kind, err
+}
+
 func solverKind(s sparse.BlockSolver) string {
 	switch s.(type) {
 	case *sparse.Cholesky:
@@ -238,8 +263,10 @@ func sameBits(a, b []float64) int {
 // both page-relevant block sizes (none divides the dimensions, so each
 // has a short last block), the cached factor built from the CSR rows and
 // the one FactorizeBlock builds from the dense block are the same kind of
-// factor as the dense oracle's chain picks, and solve to the same bits.
+// factor as the dense oracle's chain picks on the block in the factor's
+// order, P A Pᵀ, and solve to the same bits.
 func TestBandedFactorsBitwiseEqualDenseOracle(t *testing.T) {
+	renumbered := 0
 	for _, tc := range bandCases(t) {
 		for _, bs := range []int{64, 512} {
 			layout := sparse.BlockLayout{N: tc.a.N, BlockSize: bs}
@@ -251,32 +278,125 @@ func TestBandedFactorsBitwiseEqualDenseOracle(t *testing.T) {
 				lo, hi := layout.Range(blk)
 				block := tc.a.DiagBlock(lo, hi)
 				rhs := matgen.RandomVector(hi-lo, int64(blk+1))
-				want := append([]float64(nil), rhs...)
-				wantKind, wantErr := oracleSolve(block, tc.spd, want)
-
 				fromCSR, err := cache.Solver(blk)
-				if (err == nil) != (wantErr == nil) {
-					t.Fatalf("%s bs=%d block %d: err %v, oracle err %v", tc.name, bs, blk, err, wantErr)
-				}
-				if wantErr != nil {
+				if err != nil {
+					if _, oerr := oracleSolve(block, tc.spd, append([]float64(nil), rhs...)); oerr == nil {
+						t.Fatalf("%s bs=%d block %d: err %v, the oracle solves", tc.name, bs, blk, err)
+					}
 					continue
 				}
 				fromDense, err := sparse.FactorizeBlock(block, tc.spd)
 				if err != nil {
 					t.Fatal(err)
 				}
-				for src, s := range map[string]sparse.BlockSolver{"csr": fromCSR, "dense": fromDense} {
-					if k := solverKind(s); k != wantKind {
-						t.Fatalf("%s bs=%d block %d (%s): factor is %s, oracle chose %s", tc.name, bs, blk, src, k, wantKind)
+				// The oracle's solution in the order of the factor before,
+				// kept while the next factor shares that order.
+				var want []float64
+				var wantOrder []int
+				var wantKind string
+				for _, src := range []struct {
+					name string
+					s    sparse.BlockSolver
+				}{{"csr", fromCSR}, {"dense", fromDense}} {
+					order := sparse.BlockOrder(src.s)
+					if order != nil {
+						renumbered++
+					}
+					if want == nil || !slices.Equal(order, wantOrder) {
+						wantOrder, want = order, append([]float64(nil), rhs...)
+						if wantKind, err = permutedSolve(order, block, tc.spd, want); err != nil {
+							t.Fatalf("%s bs=%d block %d (%s): oracle on the factor's order: %v", tc.name, bs, blk, src.name, err)
+						}
+					}
+					if k := solverKind(src.s); k != wantKind {
+						t.Fatalf("%s bs=%d block %d (%s): factor is %s, oracle chose %s", tc.name, bs, blk, src.name, k, wantKind)
 					}
 					got := append([]float64(nil), rhs...)
-					if err := s.SolveInPlace(got); err != nil {
+					if err := src.s.SolveInPlace(got); err != nil {
 						t.Fatal(err)
 					}
 					if i := sameBits(got, want); i >= 0 {
-						t.Fatalf("%s bs=%d block %d (%s, %s): x[%d] = %v, dense oracle %v", tc.name, bs, blk, src, wantKind, i, got[i], want[i])
+						t.Fatalf("%s bs=%d block %d (%s, %s): x[%d] = %v, dense oracle %v", tc.name, bs, blk, src.name, wantKind, i, got[i], want[i])
 					}
 				}
+			}
+		}
+	}
+	if renumbered == 0 {
+		t.Fatal("no factor was built in a renumbered order: the permuted path went untested")
+	}
+}
+
+// TestBlockOrderNarrowsOrIsNatural: every factor's order is a bijection
+// of the block's rows, its band is never wider than the natural one, and
+// it is the natural order exactly when renumbering would not make the
+// factor smaller: a renumbered factor, order included, holds fewer bytes
+// than the natural factor of the same kind, and a natural one the same.
+// Blocks already as narrow as they can be (a ladder, a full block) keep
+// the natural order; the strips of a 2-D grid are renumbered.
+func TestBlockOrderNarrowsOrIsNatural(t *testing.T) {
+	cases := append(bandCases(t),
+		bandCase{"ladder", matgen.Poisson2D(700, 2), true},
+		bandCase{"ladder-lu", convectionDiffusion(2, 700), false},
+		bandCase{"full", matgen.RandomSPD(700, 700, 1.5, 1), true},
+		bandCase{"full-lu", wildBand(700, 700, 700, 1), false},
+	)
+	for _, tc := range cases {
+		layout := sparse.BlockLayout{N: tc.a.N, BlockSize: 512}
+		cache := sparse.NewBlockSolverCache(tc.a, layout, tc.spd)
+		for blk := 0; blk < layout.NumBlocks(); blk++ {
+			s, err := cache.Solver(blk)
+			if err != nil {
+				continue // singular: TestFactorizeBlockFallsThroughOnBandedBlocks
+			}
+			lo, hi := layout.Range(blk)
+			block := tc.a.DiagBlock(lo, hi)
+			var natural sparse.BlockSolver
+			switch s.(type) {
+			case *sparse.Cholesky:
+				natural, err = sparse.NewCholesky(block)
+			case *sparse.LU:
+				natural, err = sparse.NewLU(block)
+			default:
+				continue // QR is always natural
+			}
+			if err != nil {
+				// A block claimed SPD that is not symmetric: its lower
+				// triangle is positive definite only renumbered.
+				if !strings.HasSuffix(tc.name, "claimed-spd") {
+					t.Fatalf("%s block %d: the natural %s fails: %v", tc.name, blk, solverKind(s), err)
+				}
+				continue
+			}
+			p := sparse.BlockOrder(s)
+			where := fmt.Sprintf("%s block %d (%s, half-bandwidth %d, natural %d)", tc.name, blk, solverKind(s), sparse.HalfBandwidth(s), sparse.HalfBandwidth(natural))
+			if p == nil {
+				if s.Bytes() != natural.Bytes() {
+					t.Errorf("%s: natural order in %d bytes, the natural factor holds %d", where, s.Bytes(), natural.Bytes())
+				}
+				if tc.name == "thermal2" {
+					t.Errorf("%s: a grid strip kept its natural order", where)
+				}
+				continue
+			}
+			seen := make([]bool, hi-lo)
+			for _, i := range p {
+				if seen[i] {
+					t.Fatalf("%s: row %d placed twice", where, i)
+				}
+				seen[i] = true
+			}
+			if len(p) != hi-lo {
+				t.Fatalf("%s: order of %d rows for %d", where, len(p), hi-lo)
+			}
+			if s.Bytes() >= natural.Bytes() {
+				t.Errorf("%s: renumbered in %d bytes, the natural factor holds %d", where, s.Bytes(), natural.Bytes())
+			}
+			if sparse.HalfBandwidth(s) > sparse.HalfBandwidth(natural) {
+				t.Errorf("%s: the renumbered band is wider", where)
+			}
+			if strings.HasPrefix(tc.name, "ladder") || strings.HasPrefix(tc.name, "full") {
+				t.Errorf("%s: renumbered a block that is as narrow as it gets", where)
 			}
 		}
 	}
@@ -348,9 +468,33 @@ func TestFactorizeBlockFallsThroughOnBandedBlocks(t *testing.T) {
 	}
 }
 
+// TestRenumberedStripIsItsHeight: a page of a 2-D grid is a strip a few
+// grid rows tall; renumbered, its band is about that height, not the
+// grid's width — 8 for the 64-wide grid of pcg-block (natural 64), 4 for
+// the 128-wide one of storm-exact and dist-cg (natural 128).
+func TestRenumberedStripIsItsHeight(t *testing.T) {
+	for _, tc := range []struct {
+		n, want int
+	}{{4096, 8}, {16384, 4}} {
+		a := matgen.Thermal2Analogue(tc.n)
+		cache := sparse.NewBlockSolverCache(a, sparse.BlockLayout{N: a.N, BlockSize: 512}, true)
+		cache.PrefactorizeLenient()
+		for blk := 0; blk < cache.Layout.NumBlocks(); blk++ {
+			s, err := cache.Solver(blk)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if bw := sparse.HalfBandwidth(s); bw > tc.want {
+				t.Errorf("thermal2-%d block %d: half-bandwidth %d, want at most %d", tc.n, blk, bw, tc.want)
+			}
+		}
+	}
+}
+
 // TestCoupledBlocksBitwiseEqualDenseOracle: the coupled system of §2.4,
 // banded in the concatenated index space of a non-adjacent page set,
-// solves to the bits of the dense assembly it replaced.
+// solves to the bits of the dense assembly it replaced, in the order its
+// factor exposes.
 func TestCoupledBlocksBitwiseEqualDenseOracle(t *testing.T) {
 	for _, tc := range []bandCase{
 		{"thermal2", matgen.Thermal2Analogue(1500), true},
@@ -375,9 +519,16 @@ func TestCoupledBlocksBitwiseEqualDenseOracle(t *testing.T) {
 			}
 		}
 		rhs := matgen.RandomVector(len(idx), 11)
+		s, err := cache.CoupledSolver(group)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
 		want := append([]float64(nil), rhs...)
-		if _, err := oracleSolve(dense, tc.spd, want); err != nil {
+		if _, err := permutedSolve(sparse.BlockOrder(s), dense, tc.spd, want); err != nil {
 			t.Fatal(err)
+		}
+		if sparse.BlockOrder(s) == nil && tc.name == "thermal2" {
+			t.Fatalf("%s: the coupled strips kept their natural order", tc.name)
 		}
 		got, err := cache.SolveCoupledBlocks(group, rhs)
 		if err != nil {
@@ -490,23 +641,33 @@ func TestGroupedSubstitutionEdgeShapes(t *testing.T) {
 
 // TestBlockSolveDoesNotAllocate: the factors sit on the //due:hotpath z
 // pass of the preconditioned solvers and are shared between concurrent
-// solves, so SolveInPlace may neither allocate nor keep scratch.
+// solves, so SolveInPlace may neither allocate nor keep scratch — in the
+// natural order (the blocks of a two-wide ladder) or a renumbered one
+// (the strips of a 32×32 grid), which is applied to the right-hand side
+// along its cycles.
 func TestBlockSolveDoesNotAllocate(t *testing.T) {
-	for _, tc := range []bandCase{
-		{"cholesky", matgen.Poisson2D(32, 32), true},
-		{"lu", wildBand(1024, 9, 23, 3), false},
+	for _, tc := range []struct {
+		kind       string
+		renumbered bool
+		a          *sparse.CSR
+		spd        bool
+	}{
+		{"cholesky", false, matgen.Poisson2D(512, 2), true},
+		{"cholesky", true, matgen.Poisson2D(32, 32), true},
+		{"lu", false, convectionDiffusion(2, 512), false},
+		{"lu", true, convectionDiffusion(32, 32), false},
 	} {
 		cache := sparse.NewBlockSolverCache(tc.a, sparse.BlockLayout{N: tc.a.N, BlockSize: 512}, tc.spd)
 		s, err := cache.Solver(1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if k := solverKind(s); k != tc.name {
-			t.Fatalf("factor is %s, want %s", k, tc.name)
+		if k, r := solverKind(s), sparse.BlockOrder(s) != nil; k != tc.kind || r != tc.renumbered {
+			t.Fatalf("factor is %s renumbered=%v, want %s renumbered=%v", k, r, tc.kind, tc.renumbered)
 		}
 		rhs := matgen.RandomVector(512, 5)
 		if n := testing.AllocsPerRun(20, func() { _ = s.SolveInPlace(rhs) }); n != 0 {
-			t.Errorf("%s SolveInPlace allocates %v times per call", tc.name, n)
+			t.Errorf("%s (renumbered=%v) SolveInPlace allocates %v times per call", tc.kind, tc.renumbered, n)
 		}
 	}
 	sing := sparse.NewDense(2, 2)
@@ -518,6 +679,54 @@ func TestBlockSolveDoesNotAllocate(t *testing.T) {
 	rhs := []float64{1, 2}
 	if n := testing.AllocsPerRun(20, func() { _ = q.SolveInPlace(rhs) }); n > 1 {
 		t.Errorf("qr SolveInPlace allocates %v times per call, want at most 1", n)
+	}
+}
+
+// TestSharedRenumberedFactorSolvesConcurrently: goroutines solving on
+// one shared renumbered factor at once (the block-Jacobi apply's workers,
+// recoveries beside it) each get the bits of a serial solve — the order
+// is applied to each caller's own right-hand side, never to the factor.
+// Run under -race it also shows that a solve writes nothing shared.
+func TestSharedRenumberedFactorSolvesConcurrently(t *testing.T) {
+	for _, tc := range []bandCase{
+		{"cholesky", matgen.Thermal2Analogue(4096), true},
+		{"lu", convectionDiffusion(64, 64), false},
+	} {
+		s, err := sparse.NewBlockSolverCache(tc.a, sparse.BlockLayout{N: tc.a.N, BlockSize: 512}, tc.spd).Solver(2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if k := solverKind(s); k != tc.name || sparse.BlockOrder(s) == nil {
+			t.Fatalf("%s: factor is %s renumbered=%v", tc.name, k, sparse.BlockOrder(s) != nil)
+		}
+		const callers, rounds = 4, 25
+		want := make([][]float64, callers)
+		for g := range want {
+			want[g] = matgen.RandomVector(512, int64(g+1))
+			if err := s.SolveInPlace(want[g]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var wg sync.WaitGroup
+		for g := 0; g < callers; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				x := make([]float64, 512)
+				for r := 0; r < rounds; r++ {
+					copy(x, matgen.RandomVector(512, int64(g+1)))
+					if err := s.SolveInPlace(x); err != nil {
+						t.Error(err)
+						return
+					}
+					if i := sameBits(x, want[g]); i >= 0 {
+						t.Errorf("%s caller %d round %d: x[%d] = %v, serial %v", tc.name, g, r, i, x[i], want[g][i])
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
 	}
 }
 
@@ -553,26 +762,32 @@ func TestPrefactorizeParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// benchBlocks: one 512-row page block at the half-bandwidths of the
-// benchmark's operators (5-point grids 64 and 128 wide) and full.
+// benchBlocks: one 512-row page block of the benchmark's operators —
+// pcg-block's thermal2 on 4,096 rows (a strip 64 wide in natural order),
+// storm-exact's and dist-cg's on 16,384 (128 wide) — a general
+// convection-diffusion strip for LU, and a full block. Each case reports
+// the half-bandwidth its factor is stored in: what it actually timed.
 func benchBlocks() []bandCase {
 	return []bandCase{
-		{"bw64", matgen.Poisson2D(16, 64), true},
-		{"bw128", matgen.Poisson2D(8, 128), true},
+		{"thermal2-4096", matgen.Thermal2Analogue(4096), true},
+		{"thermal2-16384", matgen.Thermal2Analogue(16384), true},
 		{"full", matgen.RandomSPD(1024, 1024, 1.5, 1), true},
-		{"lu-bw64", convectionDiffusion(64, 16), false},
+		{"convdiff-64x16-lu", convectionDiffusion(64, 16), false},
 	}
 }
 
 func BenchmarkBlockFactor(b *testing.B) {
 	for _, tc := range benchBlocks() {
 		b.Run(tc.name, func(b *testing.B) {
+			var s sparse.BlockSolver
 			for i := 0; i < b.N; i++ {
 				cache := sparse.NewBlockSolverCache(tc.a, sparse.BlockLayout{N: tc.a.N, BlockSize: 512}, tc.spd)
-				if _, err := cache.Solver(1); err != nil {
+				var err error
+				if s, err = cache.Solver(1); err != nil {
 					b.Fatal(err)
 				}
 			}
+			b.ReportMetric(float64(sparse.HalfBandwidth(s)), "half-bandwidth")
 		})
 	}
 }
@@ -589,6 +804,7 @@ func BenchmarkBlockSolve(b *testing.B) {
 			b.Fatal(err)
 		}
 		rhs := matgen.RandomVector(512, 1)
+		bw := float64(sparse.HalfBandwidth(s))
 		run := func(name string, solve func(buf []float64)) {
 			b.Run(tc.name+"/"+name, func(b *testing.B) {
 				buf := make([]float64, 512)
@@ -596,6 +812,7 @@ func BenchmarkBlockSolve(b *testing.B) {
 					copy(buf, rhs)
 					solve(buf)
 				}
+				b.ReportMetric(bw, "half-bandwidth")
 			})
 		}
 		run("solve", func(buf []float64) { _ = s.SolveInPlace(buf) })
@@ -607,6 +824,7 @@ func BenchmarkBlockSolve(b *testing.B) {
 					_ = s.SolveInPlace(buf)
 				}
 			})
+			b.ReportMetric(bw, "half-bandwidth")
 		})
 		if c, ok := s.(*sparse.Cholesky); ok {
 			run("forward", c.ForwardSubst)

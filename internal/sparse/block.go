@@ -170,23 +170,12 @@ func (c *BlockSolverCache) SolveDiagBlock(i int, rhs []float64) error {
 // in sorted block order; the returned permutation maps position -> block id.
 //
 // The coupled operator is factorized like a diagonal block, straight from
-// the CSR rows of the page set, inside its bandwidth in the concatenated
-// index space.
+// the CSR rows of the page set, renumbered and inside its bandwidth in
+// the concatenated index space.
 func (c *BlockSolverCache) SolveCoupledBlocks(blocks []int, rhs []float64) ([]int, error) {
-	if len(blocks) == 0 {
-		return nil, fmt.Errorf("sparse: SolveCoupledBlocks with no blocks")
-	}
-	sorted := append([]int(nil), blocks...)
-	sort.Ints(sorted)
-	spans := make([]span, len(sorted))
-	dim := 0
-	for k, b := range sorted {
-		if k > 0 && b == sorted[k-1] {
-			return nil, fmt.Errorf("sparse: duplicate block %d", b)
-		}
-		lo, hi := c.Layout.Range(b)
-		spans[k] = span{lo: lo, hi: hi, off: dim}
-		dim += hi - lo
+	sorted, spans, dim, err := c.coupled(blocks)
+	if err != nil {
+		return nil, err
 	}
 	if len(rhs) != dim {
 		return nil, fmt.Errorf("sparse: coupled rhs dim %d want %d", len(rhs), dim)
@@ -199,4 +188,24 @@ func (c *BlockSolverCache) SolveCoupledBlocks(blocks []int, rhs []float64) ([]in
 		return nil, err
 	}
 	return sorted, nil
+}
+
+// coupled returns the distinct blocks sorted, their spans in the
+// concatenated index space, and its dimension.
+func (c *BlockSolverCache) coupled(blocks []int) (sorted []int, spans []span, dim int, err error) {
+	if len(blocks) == 0 {
+		return nil, nil, 0, fmt.Errorf("sparse: SolveCoupledBlocks with no blocks")
+	}
+	sorted = append([]int(nil), blocks...)
+	sort.Ints(sorted)
+	spans = make([]span, len(sorted))
+	for k, b := range sorted {
+		if k > 0 && b == sorted[k-1] {
+			return nil, nil, 0, fmt.Errorf("sparse: duplicate block %d", b)
+		}
+		lo, hi := c.Layout.Range(b)
+		spans[k] = span{lo: lo, hi: hi, off: dim}
+		dim += hi - lo
+	}
+	return sorted, spans, dim, nil
 }

@@ -199,33 +199,50 @@ var factorizations atomic.Int64
 // performed by this process so far.
 func FactorizationCount() int64 { return factorizations.Load() }
 
-// FactorizeBlock builds a BlockSolver for a dense square block, measuring
-// its bandwidth and factorizing inside it (see factorBlock).
+// FactorizeBlock builds a BlockSolver for a dense square block, ordering
+// it and factorizing inside its bandwidth (see factorBlock). The order
+// and the factor read every row several times, so the block's nonzeros
+// are gathered once, in CSR form, rather than every row rescanned at full
+// width.
 func FactorizeBlock(block *Dense, spd bool) (BlockSolver, error) {
 	if block.Rows != block.Cols {
 		return nil, fmt.Errorf("sparse: FactorizeBlock of non-square %dx%d", block.Rows, block.Cols)
 	}
-	return factorBlock(block.Rows, denseRows(block), spd)
+	n := block.Rows
+	c := &CSR{N: n, M: n, RowPtr: make([]int, n+1)}
+	for i := 0; i < n; i++ {
+		for j, v := range block.Data[i*n : (i+1)*n] {
+			if v != 0 {
+				c.Cols = append(c.Cols, j)
+				c.Vals = append(c.Vals, v)
+			}
+		}
+		c.RowPtr[i+1] = len(c.Cols)
+	}
+	return factorBlock(n, c.spanRows([]span{{lo: 0, hi: n}}), spd)
 }
 
 // factorBlock builds the BlockSolver of an n×n block read through rows,
 // trying Cholesky when spd is claimed, then LU, then QR least squares,
-// mirroring the paper's §2.3 strategy. The result is a pure function of
-// the block's entries.
+// mirroring the paper's §2.3 strategy. Cholesky and LU factor the block
+// renumbered when that makes their factor smaller (renumbered, smaller).
+// The result is a pure function of the block's entries.
 func factorBlock(n int, rows blockRows, spd bool) (BlockSolver, error) {
 	factorizations.Add(1)
+	natural := newBanded(n, rows, nil)
+	prows, o := renumbered(n, rows)
+	reordered := newBanded(n, prows, o)
 	if spd {
-		if c, err := newCholesky(n, rows); err == nil {
+		b := smaller(natural, reordered, func(kl, _ int) int64 { return cholBytes(n, kl) })
+		if c, err := newCholesky(n, b); err == nil {
 			return c, nil
 		}
 	}
-	if f, err := newLU(n, rows); err == nil {
+	if f, err := newLU(n, smaller(natural, reordered, func(kl, ku int) int64 { return luBytes(n, kl, ku) })); err == nil {
 		return f, nil
 	}
 	// Singular to working precision: the one case that needs the block dense.
 	d := NewDense(n, n)
-	for i := 0; i < n; i++ {
-		rows(i, func(j int, v float64) { d.Set(i, j, v) })
-	}
+	entries(n, rows, func(i, j int, v float64) { d.Set(i, j, v) })
 	return NewQR(d)
 }

@@ -34,3 +34,60 @@ func (f *LU) Swaps() int {
 	}
 	return n
 }
+
+// BlockOrder is the order a block factor was built in, row k of the
+// factored block being row p[k] of the block: nil for the natural order
+// (and for QR, which is always built in it).
+func BlockOrder(s BlockSolver) []int {
+	switch f := s.(type) {
+	case *Cholesky:
+		return f.o.perm(f.n)
+	case *LU:
+		return f.o.perm(f.n)
+	}
+	return nil
+}
+
+// perm returns the order as p (row k of the renumbered block is row
+// p[k]), or nil for the identity.
+func (o order) perm(n int) []int {
+	if len(o) == 0 {
+		return nil
+	}
+	p := make([]int, n)
+	for k := range p {
+		p[k] = k
+	}
+	for s := 0; s < len(o); {
+		k0 := int(^o[s])
+		k := k0
+		for s++; s < len(o) && o[s] >= 0; s++ {
+			p[k] = int(o[s])
+			k = int(o[s])
+		}
+		p[k] = k0
+	}
+	return p
+}
+
+// HalfBandwidth is the half-bandwidth a block factor is stored in: L's
+// for Cholesky, the wider of the block's two for LU (-1 for QR).
+func HalfBandwidth(s BlockSolver) int {
+	switch f := s.(type) {
+	case *Cholesky:
+		return f.bw
+	case *LU:
+		return max(f.kl, f.kw-f.kl)
+	}
+	return -1
+}
+
+// CoupledSolver is the factor SolveCoupledBlocks solves the coupled
+// system of blocks with.
+func (c *BlockSolverCache) CoupledSolver(blocks []int) (BlockSolver, error) {
+	_, spans, dim, err := c.coupled(blocks)
+	if err != nil {
+		return nil, err
+	}
+	return factorBlock(dim, c.A.spanRows(spans), c.SPD)
+}
