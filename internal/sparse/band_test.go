@@ -145,10 +145,19 @@ func oracleSolve(block *sparse.Dense, spd bool, rhs []float64) (kind string, err
 
 // permutedSolve solves block*x = rhs in place through the oracle chain on
 // P block Pᵀ, p being a factor's order (row k of P block Pᵀ is row p[k]
-// of block; nil is the natural order): x = Pᵀ (P block Pᵀ)⁻¹ P rhs.
+// of block; nil is the natural order): x = Pᵀ (P block Pᵀ)⁻¹ P rhs. A
+// block claimed SPD that is not symmetric is tried by Cholesky in its
+// natural order only, as the factor chain does.
 func permutedSolve(p []int, block *sparse.Dense, spd bool, rhs []float64) (kind string, err error) {
 	if p == nil {
 		return oracleSolve(block, spd, rhs)
+	}
+	if spd && !denseSymmetric(block) {
+		if l, err := oracleCholesky(block); err == nil {
+			oracleCholeskySolve(l, rhs)
+			return "cholesky", nil
+		}
+		spd = false
 	}
 	pb := sparse.NewDense(block.Rows, block.Cols)
 	y := make([]float64, len(rhs))
@@ -163,6 +172,17 @@ func permutedSolve(p []int, block *sparse.Dense, spd bool, rhs []float64) (kind 
 		rhs[i] = y[k]
 	}
 	return kind, err
+}
+
+func denseSymmetric(a *sparse.Dense) bool {
+	for i := 0; i < a.Rows; i++ {
+		for j := 0; j < i; j++ {
+			if a.At(i, j) != a.At(j, i) {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 func solverKind(s sparse.BlockSolver) string {
@@ -341,6 +361,7 @@ func TestBlockOrderNarrowsOrIsNatural(t *testing.T) {
 		bandCase{"full", matgen.RandomSPD(700, 700, 1.5, 1), true},
 		bandCase{"full-lu", wildBand(700, 700, 700, 1), false},
 	)
+	fellThrough := map[string]int{}
 	for _, tc := range cases {
 		layout := sparse.BlockLayout{N: tc.a.N, BlockSize: 512}
 		cache := sparse.NewBlockSolverCache(tc.a, layout, tc.spd)
@@ -351,6 +372,17 @@ func TestBlockOrderNarrowsOrIsNatural(t *testing.T) {
 			}
 			lo, hi := layout.Range(blk)
 			block := tc.a.DiagBlock(lo, hi)
+			if tc.spd && !denseSymmetric(block) {
+				// Claimed SPD but not symmetric: Cholesky, reading one
+				// triangle, is tried in the natural order only, so the
+				// chain takes the block where it does unrenumbered.
+				if k, _ := oracleSolve(block, true, make([]float64, hi-lo)); k != solverKind(s) {
+					t.Errorf("%s block %d: factor is %s, the natural chain picks %s", tc.name, blk, solverKind(s), k)
+				}
+				if solverKind(s) == "lu" {
+					fellThrough[tc.name]++
+				}
+			}
 			var natural sparse.BlockSolver
 			switch s.(type) {
 			case *sparse.Cholesky:
@@ -361,12 +393,7 @@ func TestBlockOrderNarrowsOrIsNatural(t *testing.T) {
 				continue // QR is always natural
 			}
 			if err != nil {
-				// A block claimed SPD that is not symmetric: its lower
-				// triangle is positive definite only renumbered.
-				if !strings.HasSuffix(tc.name, "claimed-spd") {
-					t.Fatalf("%s block %d: the natural %s fails: %v", tc.name, blk, solverKind(s), err)
-				}
-				continue
+				t.Fatalf("%s block %d: the natural %s fails: %v", tc.name, blk, solverKind(s), err)
 			}
 			p := sparse.BlockOrder(s)
 			where := fmt.Sprintf("%s block %d (%s, half-bandwidth %d, natural %d)", tc.name, blk, solverKind(s), sparse.HalfBandwidth(s), sparse.HalfBandwidth(natural))
@@ -399,6 +426,9 @@ func TestBlockOrderNarrowsOrIsNatural(t *testing.T) {
 				t.Errorf("%s: renumbered a block that is as narrow as it gets", where)
 			}
 		}
+	}
+	if fellThrough["convdiff-claimed-spd"] == 0 {
+		t.Error("no convdiff block claimed SPD fell through to LU: the fall-through went untested")
 	}
 }
 
@@ -642,20 +672,22 @@ func TestGroupedSubstitutionEdgeShapes(t *testing.T) {
 // TestBlockSolveDoesNotAllocate: the factors sit on the //due:hotpath z
 // pass of the preconditioned solvers and are shared between concurrent
 // solves, so SolveInPlace may neither allocate nor keep scratch — in the
-// natural order (the blocks of a two-wide ladder) or a renumbered one
-// (the strips of a 32×32 grid), which is applied to the right-hand side
-// along its cycles.
+// natural order (the blocks of a two-wide ladder, and a wild band whose
+// LU interchanges rows at most steps) or a renumbered one (the strips of
+// a 32×32 grid), which is applied to the right-hand side along its
+// cycles.
 func TestBlockSolveDoesNotAllocate(t *testing.T) {
 	for _, tc := range []struct {
 		kind       string
 		renumbered bool
 		a          *sparse.CSR
-		spd        bool
+		spd, swaps bool
 	}{
-		{"cholesky", false, matgen.Poisson2D(512, 2), true},
-		{"cholesky", true, matgen.Poisson2D(32, 32), true},
-		{"lu", false, convectionDiffusion(2, 512), false},
-		{"lu", true, convectionDiffusion(32, 32), false},
+		{"cholesky", false, matgen.Poisson2D(512, 2), true, false},
+		{"cholesky", true, matgen.Poisson2D(32, 32), true, false},
+		{"lu", false, convectionDiffusion(2, 512), false, false},
+		{"lu", true, convectionDiffusion(32, 32), false, false},
+		{"lu", false, wildBand(1024, 9, 23, 3), false, true},
 	} {
 		cache := sparse.NewBlockSolverCache(tc.a, sparse.BlockLayout{N: tc.a.N, BlockSize: 512}, tc.spd)
 		s, err := cache.Solver(1)
@@ -664,6 +696,11 @@ func TestBlockSolveDoesNotAllocate(t *testing.T) {
 		}
 		if k, r := solverKind(s), sparse.BlockOrder(s) != nil; k != tc.kind || r != tc.renumbered {
 			t.Fatalf("factor is %s renumbered=%v, want %s renumbered=%v", k, r, tc.kind, tc.renumbered)
+		}
+		if tc.swaps {
+			if n := s.(*sparse.LU).Swaps(); n < 256 {
+				t.Fatalf("the wild band's LU interchanges rows at %d of 512 steps", n)
+			}
 		}
 		rhs := matgen.RandomVector(512, 5)
 		if n := testing.AllocsPerRun(20, func() { _ = s.SolveInPlace(rhs) }); n != 0 {

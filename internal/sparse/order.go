@@ -2,6 +2,7 @@ package sparse
 
 import (
 	"cmp"
+	"math"
 	"slices"
 )
 
@@ -93,35 +94,66 @@ func smaller(nat, ren banded, size func(kl, ku int) int64) banded {
 	return nat
 }
 
-// rcm numbers the graph of a block — its pattern and its transpose's — in
-// reverse Cuthill–McKee order: each connected component breadth-first
-// from a pseudo-peripheral row (George & Liu's search: the lowest-degree
-// row of the last level, until the level count stops growing), the rows
-// of a level by the position of the first row that reached them, then by
-// degree, and the whole numbering reversed. It returns p (row k of the
-// result is row p[k]) and its inverse. The work space is four n-vectors:
-// the rows are read through the visitor, never copied into adjacency
-// lists. A pattern that is not symmetric has its transpose found by
-// scanning the rows not yet reached, once per level.
+// symmetric reports whether a block's values are symmetric, a_ij = a_ji.
+// Cholesky reads only the lower triangle, so a block claimed SPD that is
+// not symmetric is factored in its natural order, where the §2.3 chain
+// falls through to LU exactly as it would without renumbering; in another
+// order its lower triangle holds different entries. Each nonzero off the
+// diagonal is hashed with its position mirrored into the upper triangle,
+// the upper ones added and the lower ones subtracted: a symmetric block
+// sums to 0, any other only by a 64-bit hash collision.
+func symmetric(n int, rows blockRows) bool {
+	var sum uint64
+	entries(n, rows, func(i, j int, v float64) {
+		switch {
+		case v == 0:
+		case j > i:
+			sum += entryHash(i, j, v)
+		case j < i:
+			sum -= entryHash(j, i, v)
+		}
+	})
+	return sum == 0
+}
+
+// entryHash mixes an entry's position and value bits (splitmix64's
+// finaliser, twice).
+func entryHash(i, j int, v float64) uint64 {
+	return mix(mix(uint64(i)<<32|uint64(j)) ^ math.Float64bits(v))
+}
+
+func mix(z uint64) uint64 {
+	z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
+	z = (z ^ z>>27) * 0x94d049bb133111eb
+	return z ^ z>>31
+}
+
+// rcm numbers a block's graph — an edge from each row to the columns of
+// its entries — in reverse Cuthill–McKee order: each part of the graph
+// breadth-first from a pseudo-peripheral row (George & Liu's search: the
+// lowest-degree row of the last level, until the level count stops
+// growing), the rows of a level by the position of the first row that
+// reached them, then by degree, and the whole numbering reversed. It
+// returns p (row k of the result is row p[k]) and its inverse. The work
+// space is four n-vectors: the rows are read through the visitor, never
+// copied into adjacency lists. A pattern that is not symmetric is walked
+// along its rows only — the order is a bijection all the same, and
+// smaller keeps it only if it pays.
 func rcm(n int, rows blockRows) (p, inv []int32) {
 	p, inv = make([]int32, n), make([]int32, n)
 	deg, key := make([]int32, n), make([]int32, n) // key: position of the first row that reached this one
-	// A symmetric pattern is its own transpose: the entries (i, j) and
-	// (j, i) hash to the same sum, and the degrees count each pair twice.
-	var asym uint64
 	entries(n, rows, func(i, j int, _ float64) {
 		if j != i {
 			deg[i]++
 			deg[j]++
-			asym += pairHash(i, j) - pairHash(j, i)
 		}
 	})
 	for i := range inv {
 		inv[i] = -1
 	}
-	// Expanding the level at positions [lo, hi) of p appends the rows it
+	// Expanding a level that ends at position hi of p appends the rows it
 	// reaches at end, each keyed by the position of its first reacher.
-	var lo, hi, end, from, scanned int
+	var hi, end, from int
 	reach := func(j int, _ float64) {
 		switch {
 		case inv[j] < 0:
@@ -131,32 +163,20 @@ func rcm(n int, rows blockRows) (p, inv []int32) {
 			key[j] = min(key[j], int32(from))
 		}
 	}
-	reachedBy := func(c int, _ float64) { // an entry (scanned, c), c in the level
-		if q := int(inv[c]); q >= lo && q < hi {
-			from = q
-			reach(scanned, 0)
-		}
-	}
 	byReach := func(a, b int32) int {
 		return cmp.Or(cmp.Compare(key[a], key[b]), cmp.Compare(deg[a], deg[b]), cmp.Compare(a, b))
 	}
-	// levels numbers the component of root breadth-first from position
+	// levels numbers the rows root reaches breadth-first from position
 	// start: it returns the number of levels and where the last starts;
 	// end is where the numbering ends.
 	levels := func(root, start int) (depth, last int) {
 		p[start], inv[root] = int32(root), int32(start)
 		end = start + 1
-		for lo, hi = start, end; lo < hi; lo, hi = hi, end {
+		for lo := start; lo < end; lo = hi {
+			hi = end
 			depth, last = depth+1, lo
 			for from = lo; from < hi; from++ {
 				rows(int(p[from]), reach)
-			}
-			if asym != 0 {
-				for scanned = 0; scanned < n; scanned++ {
-					if q := inv[scanned]; q < 0 || int(q) >= hi {
-						rows(scanned, reachedBy)
-					}
-				}
 			}
 			next := p[hi:end]
 			slices.SortFunc(next, byReach)
@@ -198,12 +218,4 @@ func rcm(n int, rows blockRows) (p, inv []int32) {
 		inv[j] = int32(k)
 	}
 	return p, inv
-}
-
-// pairHash mixes an index pair (splitmix64's finaliser).
-func pairHash(i, j int) uint64 {
-	z := uint64(i)<<32 | uint64(j)
-	z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
-	z = (z ^ z>>27) * 0x94d049bb133111eb
-	return z ^ z>>31
 }
