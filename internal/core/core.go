@@ -241,7 +241,8 @@ type Stats struct {
 	// (Lossy Restart, or FallbackLossy).
 	LossyInterpolations int
 	// Restarts counts solver restarts (Lossy Restart, FallbackLossy and
-	// consistency refreshes).
+	// consistency refreshes) and, on ranks, the β = 0 direction restarts
+	// of a CG whose lost direction page no relation could rebuild.
 	Restarts int
 	// Rollbacks counts checkpoint restores.
 	Rollbacks int

@@ -8,14 +8,16 @@
 // solvers apply.
 //
 // Resilience follows the single-node schemes: FEIR/AFEIR repair lost
-// pages exactly through the g = b - A x / x = A⁻¹(b - g) relations
-// (inverse repairs need only the halo, so recovery stays rank-local plus
-// one exchange — the paper's observation that the recovery blast radius
-// is bounded by the stencil), Lossy interpolates the iterate and
-// restarts, Checkpoint (CG) rolls back to a periodic global snapshot,
-// and the remaining methods blank lost pages and keep running. GMRES
-// additionally rebuilds damaged basis vectors from its pristine
-// Hessenberg copy, importing the one halo the relation needs.
+// pages exactly through the g = b - A x / x = A⁻¹(b - g) relations and,
+// in CG, the direction's d = A⁻¹ q (inverse repairs need only the halo,
+// so recovery stays rank-local plus one exchange — the paper's
+// observation that the recovery blast radius is bounded by the stencil;
+// q itself is rewritten by the next SpMV before a read), Lossy
+// interpolates the iterate and restarts, Checkpoint (CG) rolls back to a
+// periodic global snapshot, and the remaining methods blank lost pages
+// and keep running. GMRES additionally rebuilds damaged basis vectors
+// from its pristine Hessenberg copy, importing the one halo the relation
+// needs.
 package dist
 
 import (
@@ -149,41 +151,27 @@ func (b *base) finish(it int, converged bool, start time.Time, x *shard.Vec) (co
 	}, xg
 }
 
-// recoverXG runs the residual/iterate relations to a fixpoint across
-// ranks: g pages by the forward g = b - A x, x pages by the rank-local
-// inverse over the diagonal block plus the halo. Each pass starts with a
-// strict x exchange so the local relation guards see the global failure
-// map; repairs then run rank-parallel per the method's discipline.
-// Returns false when x or g pages stay unrecovered.
-func recoverXG(sub *shard.Substrate, method core.Method, x, g *shard.Vec) bool {
+// fixpoint runs a rank-local repair across ranks until no owned page of
+// vs is failed, a pass makes no progress, or four passes ran. Each pass
+// starts with a strict exchange of halo (the vector the relations read
+// across ranks) so the local relation guards see the global failure map;
+// repair then runs rank-parallel per the method's discipline and reports
+// whether it rebuilt a page. Returns false when pages of vs stay failed.
+func fixpoint(sub *shard.Substrate, method core.Method, label string, halo *shard.Vec, vs []*shard.Vec, repair func(r *shard.Rank) bool) bool {
 	failed := func() bool {
 		for _, r := range sub.Ranks {
-			if len(r.OwnedFailed(x)) > 0 || len(r.OwnedFailed(g)) > 0 {
-				return true
+			for _, v := range vs {
+				if len(r.OwnedFailed(v)) > 0 {
+					return true
+				}
 			}
 		}
 		return false
 	}
 	for pass := 0; pass < 4 && failed(); pass++ {
-		sub.Exchange(x, true)
+		sub.Exchange(halo, true)
 		progress := make([]bool, len(sub.Ranks))
-		sub.Recover(method, "xg", func(r *shard.Rank) {
-			gV := engine.Vec{V: g.Of(r)}
-			xV := engine.Vec{V: x.Of(r)}
-			for _, p := range r.OwnedFailed(g) {
-				if r.Rel.ForwardResidual(gV, 0, xV, 0, p) {
-					progress[r.ID] = true
-				}
-			}
-			for _, p := range r.OwnedFailed(x) {
-				if g.Of(r).Failed(p) {
-					continue
-				}
-				if r.Rel.InverseIterate(xV, 0, gV, 0, p) {
-					progress[r.ID] = true
-				}
-			}
-		})
+		sub.Recover(method, label, func(r *shard.Rank) { progress[r.ID] = repair(r) })
 		any := false
 		for _, p := range progress {
 			any = any || p
@@ -194,6 +182,51 @@ func recoverXG(sub *shard.Substrate, method core.Method, x, g *shard.Vec) bool {
 	}
 	sub.HealGhosts()
 	return !failed()
+}
+
+// recoverXG runs the residual/iterate relations to a fixpoint across
+// ranks: g pages by the forward g = b - A x, x pages by the rank-local
+// inverse over the diagonal block plus the halo. Returns false when x or
+// g pages stay unrecovered.
+func recoverXG(sub *shard.Substrate, method core.Method, x, g *shard.Vec) bool {
+	return fixpoint(sub, method, "xg", x, []*shard.Vec{x, g}, func(r *shard.Rank) bool {
+		progress := false
+		gV := engine.Vec{V: g.Of(r)}
+		xV := engine.Vec{V: x.Of(r)}
+		for _, p := range r.OwnedFailed(g) {
+			if r.Rel.ForwardResidual(gV, 0, xV, 0, p) {
+				progress = true
+			}
+		}
+		for _, p := range r.OwnedFailed(x) {
+			if g.Of(r).Failed(p) {
+				continue
+			}
+			if r.Rel.InverseIterate(xV, 0, gV, 0, p) {
+				progress = true
+			}
+		}
+		return progress
+	})
+}
+
+// recoverD runs the direction's inverse relation to a fixpoint across
+// ranks: a d page from A_pp d_p = q_p - Σ_{j≠p} A_pj d_j over the
+// diagonal block plus the halo (Table 1, row 1), which needs its own q
+// page and every connected d page intact. Returns false when d pages
+// stay unrecovered; q is left as found.
+func recoverD(sub *shard.Substrate, method core.Method, d, q *shard.Vec) bool {
+	return fixpoint(sub, method, "d", d, []*shard.Vec{d}, func(r *shard.Rank) bool {
+		progress := false
+		dV := engine.Vec{V: d.Of(r)}
+		qV := engine.Vec{V: q.Of(r)}
+		for _, p := range r.OwnedFailed(d) {
+			if r.Rel.InverseDirection(dV, 0, qV, 0, p) {
+				progress = true
+			}
+		}
+		return progress
+	})
 }
 
 // blankOwned remaps and clears every failed owned page of the vectors,
@@ -503,27 +536,21 @@ func (s *CG) boundary() bool {
 	}
 }
 
-// exactRecover runs the FEIR relations across ranks to a fixpoint:
-// q and d heal by overwrite (they are rebuilt every iteration from g and
-// the halo under a forced beta=0 step), g pages by the forward relation
-// g = b - A x, x pages by the rank-local inverse over the halo.
-// Returns false if any page stays unrecovered.
+// exactRecover runs the FEIR relations across ranks to a fixpoint: d
+// pages by the rank-local inverse A_pp d_p = q_p - Σ_{j≠p} A_pj d_j over
+// the halo (q = A d still holds at the boundary), g pages by the forward
+// relation g = b - A x, x pages by the rank-local inverse over the halo.
+// q is blanked: the next SpMV overwrites every owned row before a read.
+// A d page the inverse cannot rebuild (its q page lost too, or a
+// connected d page still failed) falls back to a β = 0 direction restart,
+// counted in Restarts. Returns false if an x or g page stays unrecovered.
 func (s *CG) exactRecover() bool {
-	// d is rebuilt from g at the next phase under a forced beta=0 step
-	// (exact restart of the direction, not of the iterate); q likewise.
-	for _, r := range s.sub.Ranks {
-		redirect := false
-		for _, v := range []*shard.Vec{s.d, s.q} {
-			for _, p := range r.OwnedFailed(v) {
-				v.Of(r).Remap(p)
-				v.Of(r).MarkRecovered(p)
-				redirect = true
-			}
-		}
-		if redirect {
-			s.restartPending = true
-		}
+	if !s.restartPending && !recoverD(s.sub, s.cfg.Method, s.d, s.q) {
+		s.restartPending = true
+		s.stats.Restarts++
 	}
+	// With a restart pending d is not read: blanking it is exact.
+	blankOwned(s.sub, false, s.d, s.q)
 	if !recoverXG(s.sub, s.cfg.Method, s.x, s.g) {
 		return false
 	}

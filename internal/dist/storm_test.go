@@ -336,8 +336,9 @@ func TestDistPerRankStats(t *testing.T) {
 }
 
 // TestDistStormCG: randomized 1–5 DUE campaigns into owned pages of
-// x/g/d/q at 4 ranks, exercising the strict-exchange recovery fixpoint and
-// the β = 0 rebuild of d and q, FEIR and AFEIR.
+// x/g/d/q at 4 ranks, exercising the strict-exchange recovery fixpoints,
+// FEIR and AFEIR. A storm every page of which was rebuilt exactly (no
+// restart) keeps the fault-free convergence rate.
 func TestDistStormCG(t *testing.T) {
 	a, b := distSystem()
 	probe, _, err := SolveCG(a, b, 4, baseCfg(core.MethodFEIR))
@@ -356,7 +357,75 @@ func TestDistStormCG(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%v rate %d: %v", method, rate, err)
 			}
-			checkRecovered(t, fmt.Sprintf("%v rate %d", method, rate), res)
+			name := fmt.Sprintf("%v rate %d", method, rate)
+			checkRecovered(t, name, res)
+			if res.Stats.Restarts == 0 && res.Iterations > probe.Iterations+2 {
+				t.Fatalf("%s: %d iterations without a restart, fault-free %d", name, res.Iterations, probe.Iterations)
+			}
+		}
+	}
+}
+
+// TestCGDirectionLoss lands one DUE mid-solve into an owned page of the
+// direction d, of q = A d, or of both, on 2 and 4 ranks, FEIR and AFEIR,
+// with and without the block-Jacobi preconditioner. A lost q page is
+// rewritten by the next SpMV before a read: the solve is bitwise the
+// fault-free one. A lost d page is rebuilt from its q page through the
+// inverse relation (Table 1, row 1): the convergence rate is kept and no
+// restart runs. Both lost on one page leave no relation: the direction
+// restarts once with β = 0, counted in Restarts.
+func TestCGDirectionLoss(t *testing.T) {
+	a, b := distSystem()
+	for _, method := range []core.Method{core.MethodFEIR, core.MethodAFEIR} {
+		for _, precond := range []bool{false, true} {
+			for _, ranks := range []int{2, 4} {
+				cfg := baseCfg(method)
+				cfg.UsePrecond = precond
+				name := fmt.Sprintf("%v precond=%v ranks=%d", method, precond, ranks)
+				base, xBase, err := SolveCG(a, b, ranks, cfg)
+				if err != nil || !base.Converged {
+					t.Fatalf("%s fault-free: %+v err=%v", name, base, err)
+				}
+				lose := func(vecs ...string) (core.Result, []float64) {
+					var inj []distInjection
+					for _, v := range vecs {
+						inj = append(inj, distInjection{it: base.Iterations / 2, rank: 1, vec: v, off: 1})
+					}
+					res, x, err := injected(injectOwned(inj))(NewCG(a, b, ranks, cfg))
+					if err != nil {
+						t.Fatalf("%s %v: %v", name, vecs, err)
+					}
+					checkRecovered(t, fmt.Sprintf("%s %v", name, vecs), res)
+					return res, x
+				}
+
+				res, x := lose("q")
+				if res.Iterations != base.Iterations || res.RelResidual != base.RelResidual {
+					t.Fatalf("%s q: %d iterations, residual %x; fault-free %d, %x",
+						name, res.Iterations, res.RelResidual, base.Iterations, base.RelResidual)
+				}
+				for i := range x {
+					if x[i] != xBase[i] {
+						t.Fatalf("%s q: x[%d] = %x, fault-free %x", name, i, x[i], xBase[i])
+					}
+				}
+				if res.Stats.Restarts != 0 {
+					t.Fatalf("%s q: %+v", name, res.Stats)
+				}
+
+				res, _ = lose("d")
+				if d := res.Iterations - base.Iterations; d < -2 || d > 2 {
+					t.Fatalf("%s d: %d iterations, fault-free %d", name, res.Iterations, base.Iterations)
+				}
+				if res.Stats.RecoveredInverse == 0 || res.Stats.Restarts != 0 {
+					t.Fatalf("%s d: %+v", name, res.Stats)
+				}
+
+				res, _ = lose("d", "q")
+				if res.Stats.Restarts != 1 {
+					t.Fatalf("%s d+q: %d restarts, want 1: %+v", name, res.Stats.Restarts, res.Stats)
+				}
+			}
 		}
 	}
 }
