@@ -127,7 +127,7 @@ func BenchmarkFig5Model(b *testing.B) {
 func BenchmarkFig5Functional(b *testing.B) {
 	opts := benchOpts()
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.ValidateDistributed(core.MethodFEIR, 4, 2, opts)
+		res, err := experiments.ValidateDistributed(core.MethodFEIR, 4, 2, false, opts)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -164,26 +164,17 @@ func main() {
 			}
 		}
 		fmt.Println("\nfunctional validation (goroutine ranks, 16^3 stencil, 2 injected errors):")
-		for _, spec := range []struct {
-			solver  string
-			methods []core.Method
-		}{
-			{"cg", []core.Method{core.MethodFEIR, core.MethodLossy, core.MethodCheckpoint}},
-			{"bicgstab", []core.Method{core.MethodFEIR, core.MethodAFEIR}},
-			{"gmres", []core.Method{core.MethodFEIR, core.MethodAFEIR}},
-		} {
-			for _, meth := range spec.methods {
-				for _, precond := range []bool{false, true} {
-					if precond && meth != core.MethodFEIR {
-						continue // one preconditioned run per solver
-					}
-					res, err := experiments.ValidateDistributedSolver(spec.solver, meth, 4, 2, precond, opts)
-					if err != nil {
-						return err
-					}
-					fmt.Printf("  %-9s %-6s precond=%-5v converged=%v iterations=%d residual=%.2e faults=%d\n",
-						spec.solver, meth, precond, res.Converged, res.Iterations, res.RelResidual, res.Stats.FaultsSeen)
+		for _, meth := range []core.Method{core.MethodFEIR, core.MethodLossy, core.MethodCheckpoint} {
+			for _, precond := range []bool{false, true} {
+				if precond && meth != core.MethodFEIR {
+					continue // one preconditioned run
 				}
+				res, err := experiments.ValidateDistributed(meth, 4, 2, precond, opts)
+				if err != nil {
+					return err
+				}
+				fmt.Printf("  cg        %-6s precond=%-5v converged=%v iterations=%d residual=%.2e faults=%d\n",
+					meth, precond, res.Converged, res.Iterations, res.RelResidual, res.Stats.FaultsSeen)
 			}
 		}
 		return nil

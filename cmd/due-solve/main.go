@@ -2,15 +2,16 @@
 // built-in generator) with one of the resilient solvers, optionally
 // injecting DUEs at a chosen rate, and reports convergence, recovery
 // statistics and the per-state worker-time breakdown (Table 3). With
-// -ranks N the solve runs on the rank-sharded substrate (§3.4) and the
-// report adds per-rank recovery counts.
+// -ranks N a cg solve runs on the rank-sharded substrate (§3.4) and the
+// report adds per-rank recovery counts; the other solvers have no
+// distributed variant and are refused by name.
 //
 // Usage:
 //
 //	due-solve -matrix system.mtx -method afeir -rate 2
 //	due-solve -gen thermal2 -n 20000 -method feir -precond -rate 5
 //	due-solve -gen poisson3d -n 32768 -solver gmres -method afeir -precond -rate 3 -workers 8
-//	due-solve -gen poisson3d -n 32768 -solver bicgstab -method feir -precond -ranks 4 -rate 3
+//	due-solve -gen poisson3d -n 32768 -method feir -precond -ranks 4 -rate 3
 //	due-solve -gen poisson2d -n 4096 -method feir -abft -rate 10 -sdc 0.3
 //
 // -precond selects the block-Jacobi preconditioned variant of every
@@ -45,8 +46,8 @@ func main() {
 	n := flag.Int("n", 10000, "dimension for -gen workloads")
 	method := flag.String("method", "afeir", "ideal | trivial | lossy | ckpt | feir | afeir")
 	solverName := flag.String("solver", "cg", strings.Join(registry.Names(), " | "))
-	precond := flag.Bool("precond", false, "use the block-Jacobi preconditioner (all solvers, single-node and -ranks)")
-	ranks := flag.Int("ranks", 0, "run distributed across N ranks on the sharded substrate (0 = single-node)")
+	precond := flag.Bool("precond", false, "use the block-Jacobi preconditioner (all solvers, and cg on -ranks)")
+	ranks := flag.Int("ranks", 0, "run cg distributed across N ranks on the sharded substrate (0 = single-node)")
 	rate := flag.Float64("rate", 0, "expected DUEs per solver run (0 = no injection)")
 	sdc := flag.Float64("sdc", 0, "fraction of injected events that are silent single-bit flips instead of DUEs (0..1, needs -rate)")
 	abft := flag.Bool("abft", false, "enable checksum (ABFT) silent-error coverage: detected flips become recoverable poisons (single-node cg, resilient methods)")

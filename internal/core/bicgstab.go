@@ -389,7 +389,7 @@ func (sv *BiCGStabSolver) Run() (Result, []float64, error) {
 		gg, missGG := sv.ggPart.SumAvailable()
 		sv.stats.ContributionsLost += missGG
 		sv.epsGG = gg
-		if RhoBoundaryBreakdown(sv.rho, omega, rhoNew, gg, sv.bnorm, tol) {
+		if rhoBoundaryBreakdown(sv.rho, omega, rhoNew, gg, sv.bnorm, tol) {
 			if missRho == 0 && !sv.space.AnyFault() {
 				return sv.finish(it, false, 0, start), sv.x.Data, ErrRecurrenceBreakdown
 			}
@@ -447,7 +447,7 @@ func relFromEpsilon(eps, bnorm float64) float64 {
 	return math.Sqrt(math.Max(eps, 0)) / bnorm
 }
 
-// RhoBoundaryBreakdown reports whether the phase-3 boundary scalars
+// rhoBoundaryBreakdown reports whether the phase-3 boundary scalars
 // indicate a recurrence breakdown. Besides the classic ω == 0 / stale
 // ρ == 0 / NaN cases, a zero NEW rho is one too: it flows into
 // β = ρ'/ρ · α/ω as a harmless-looking zero, but the ρ' carried into the
@@ -455,7 +455,7 @@ func relFromEpsilon(eps, bnorm float64) float64 {
 // detected at this boundary like ω == 0. Exception: a zero ρ' with the
 // residual already below tolerance is just convergence, which the loop
 // head reports cleanly.
-func RhoBoundaryBreakdown(rho, omega, rhoNew, gg, bnorm, tol float64) bool {
+func rhoBoundaryBreakdown(rho, omega, rhoNew, gg, bnorm, tol float64) bool {
 	if math.IsNaN(rhoNew) || rho == 0 || omega == 0 {
 		return true
 	}

@@ -247,8 +247,8 @@ func TestRhoBoundaryBreakdown(t *testing.T) {
 		{"rhoNewNaN", 1, 0.5, math.NaN(), 1, true},
 	}
 	for _, c := range cases {
-		if got := RhoBoundaryBreakdown(c.rho, c.omega, c.rhoNew, c.gg, bnorm, tol); got != c.want {
-			t.Errorf("%s: RhoBoundaryBreakdown = %v, want %v", c.name, got, c.want)
+		if got := rhoBoundaryBreakdown(c.rho, c.omega, c.rhoNew, c.gg, bnorm, tol); got != c.want {
+			t.Errorf("%s: rhoBoundaryBreakdown = %v, want %v", c.name, got, c.want)
 		}
 	}
 }

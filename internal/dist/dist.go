@@ -1,23 +1,19 @@
-// Package dist implements the distributed Krylov solvers of §3.4 — CG,
-// BiCGStab and GMRES — as thin recurrences over the rank-sharded
-// substrate of internal/shard. The substrate owns shard layout, per-rank
-// fault domains, halo computation/exchange and allreduce-style scalar
-// reduction (all as task graphs on one shared internal/taskrt pool); the
-// solvers here own only the per-method recurrence and the per-method
-// recovery policy, reusing the same core.Relations the single-node
-// solvers apply.
+// Package dist implements the distributed CG of §3.4 — the paper's
+// hybrid runs — as a thin recurrence over the rank-sharded substrate of
+// internal/shard. The substrate owns shard layout, per-rank fault
+// domains, halo computation/exchange and allreduce-style scalar reduction
+// (all as task graphs on one shared internal/taskrt pool); the solver
+// here owns only the recurrence and its recovery policy, reusing the same
+// core.Relations the single-node solvers apply.
 //
 // Resilience follows the single-node schemes: FEIR/AFEIR repair lost
-// pages exactly through the g = b - A x / x = A⁻¹(b - g) relations and,
-// in CG, the direction's d = A⁻¹ q (inverse repairs need only the halo,
-// so recovery stays rank-local plus one exchange — the paper's
-// observation that the recovery blast radius is bounded by the stencil;
-// q itself is rewritten by the next SpMV before a read), Lossy
-// interpolates the iterate and restarts, Checkpoint (CG) rolls back to a
-// periodic global snapshot, and the remaining methods blank lost pages
-// and keep running. GMRES additionally rebuilds damaged basis vectors
-// from its pristine Hessenberg copy, importing the one halo the relation
-// needs.
+// pages exactly through the g = b - A x / x = A⁻¹(b - g) relations and
+// the direction's d = A⁻¹ q (inverse repairs need only the halo, so
+// recovery stays rank-local plus one exchange — the paper's observation
+// that the recovery blast radius is bounded by the stencil; q itself is
+// rewritten by the next SpMV before a read), Lossy interpolates the
+// iterate and restarts, Checkpoint rolls back to a periodic global
+// snapshot, and the remaining methods blank lost pages and keep running.
 package dist
 
 import (
@@ -36,120 +32,10 @@ import (
 // Config parametrises a distributed solve: the single-node configuration
 // itself, so a knob is written once from flag to rank. The rank path
 // honours every field but the four single-node ones — ABFT, Fallback,
-// ExpectedMTBE and Disk — which every constructor rejects by name. Like
-// core, it repairs only once a DUE has been signalled (AnyFault at its
-// boundary). Workers 0 means one pool worker per rank here.
+// ExpectedMTBE and Disk — which NewCG rejects by name. Like core, it
+// repairs only once a DUE has been signalled (AnyFault at its boundary).
+// Workers 0 means one pool worker per rank here.
 type Config = core.Config
-
-// base carries the state shared by all three distributed solvers.
-type base struct {
-	sub      *shard.Substrate
-	cfg      Config
-	stats    core.Stats // coordinator-side counters (restarts, rollbacks, …)
-	dynamic  []*pagemem.Vector
-	injectFn func(it int, ranks []*shard.Rank) // see SetInject
-	// settle is the solver's iteration boundary (apply, then repair),
-	// run by land; false when a restart consumed the iteration.
-	settle func() bool
-}
-
-func (b *base) setup(a *sparse.CSR, rhs []float64, ranks int, cfg Config, spd bool) error {
-	for _, f := range []struct {
-		name string
-		set  bool
-	}{
-		{"ABFT", cfg.ABFT},
-		{"Fallback", cfg.Fallback != core.FallbackIgnore},
-		{"ExpectedMTBE", cfg.ExpectedMTBE != 0},
-		{"Disk", cfg.Disk != nil},
-	} {
-		if f.set {
-			return fmt.Errorf("dist: %s is single-node only (drop it or -ranks)", f.name)
-		}
-	}
-	sub, err := shard.NewOpts(a, rhs, ranks, cfg.PageDoubles, cfg.Workers, spd,
-		shard.Options{RT: cfg.RT, Blocks: cfg.Blocks, Priority: cfg.TaskPriority})
-	if err != nil {
-		return err
-	}
-	if cfg.UsePrecond {
-		if err := sub.EnablePrecond(); err != nil {
-			sub.Close()
-			return err
-		}
-	}
-	b.sub = sub
-	b.cfg = cfg
-	return nil
-}
-
-// track registers every rank copy of the vectors as injection targets.
-func (b *base) track(vs ...*shard.Vec) {
-	for _, v := range vs {
-		for _, rv := range v.R {
-			b.dynamic = append(b.dynamic, rv)
-		}
-	}
-}
-
-// Spaces returns the per-rank fault domains (the injection surface).
-func (b *base) Spaces() []*pagemem.Space { return b.sub.Spaces() }
-
-// Ranks exposes the substrate's ranks (layout, halo, per-rank stats).
-func (b *base) Ranks() []*shard.Rank { return b.sub.Ranks }
-
-// DynamicVectors lists every rank copy of the protected vectors (§5.3):
-// injections may land in owned shards, halo pages or unused ghost pages.
-func (b *base) DynamicVectors() []*pagemem.Vector { return b.dynamic }
-
-// RankStats returns a snapshot of each rank's resilience counters.
-func (b *base) RankStats() []core.Stats { return b.sub.RankStats() }
-
-// Reductions reports how many global reduction supersteps the substrate
-// performed — the communication metric of a distributed solve. Valid
-// after Run returned.
-func (b *base) Reductions() int64 { return b.sub.Reductions() }
-
-// SetInject installs fn to be called once per iteration with the ranks,
-// after the convergence check and before the iteration's fault boundary —
-// the hook deterministic experiments use to drive injections into chosen
-// fault domains and pages. nil removes it.
-func (b *base) SetInject(fn func(it int, ranks []*shard.Rank)) { b.injectFn = fn }
-
-// SetSite installs (or clears) the fault-site hook (DESIGN §12), entered
-// before every rank superstep of an iteration's steady state.
-func (b *base) SetSite(fn func(iteration int, task string)) { b.sub.Sites.Hook = fn }
-
-// land closes the fault sites and applies, with repairs, the losses they
-// fired since the last boundary. Loop heads call it before the
-// convergence check and finish before the result, so no loss outlives
-// the solve. False when a restart-style recovery consumed the iteration.
-func (b *base) land() bool {
-	b.sub.Sites.Close()
-	return !b.sub.Pending() || b.settle()
-}
-
-func (b *base) inject(it int) {
-	if b.injectFn != nil {
-		b.injectFn(it, b.sub.Ranks)
-	}
-}
-
-func (b *base) finish(it int, converged bool, start time.Time, x *shard.Vec) (core.Result, []float64) {
-	b.land()
-	xg := make([]float64, b.sub.A.N)
-	b.sub.Gather(x, xg)
-	st := b.sub.Stats()
-	st.Add(b.stats)
-	return core.Result{
-		Converged:   converged,
-		Iterations:  it,
-		RelResidual: b.sub.TrueResidual(x),
-		Elapsed:     time.Since(start),
-		Stats:       st,
-		WorkerTimes: b.sub.RT.WorkerTimes(),
-	}, xg
-}
 
 // fixpoint runs a rank-local repair across ranks until no owned page of
 // vs is failed, a pass makes no progress, or four passes ran. Each pass
@@ -249,19 +135,18 @@ func relFromEps(eps, bnorm float64) float64 {
 	return math.Sqrt(math.Max(eps, 0)) / bnorm
 }
 
-func isNaN(v float64) bool { return math.IsNaN(v) }
-
-// ---------------------------------------------------------------------
-// Distributed CG.
-// ---------------------------------------------------------------------
-
 // CG is the rank-partitioned resilient Conjugate Gradient on the shard
 // substrate. With Config.UsePrecond it runs the paper's block-Jacobi PCG:
 // the protected preconditioned residual z = M⁻¹ g is rank-local to
 // produce (block diagonality) and rank-local to recover (partial
 // application from g, §3.2), so preconditioning adds no halo traffic.
 type CG struct {
-	base
+	sub      *shard.Substrate
+	cfg      Config
+	stats    core.Stats // coordinator-side counters (restarts, rollbacks, …)
+	dynamic  []*pagemem.Vector
+	injectFn func(it int, ranks []*shard.Rank) // see SetInject
+
 	x, g, d, q *shard.Vec
 	z          *shard.Vec // preconditioned residual (UsePrecond), else nil
 
@@ -286,20 +171,43 @@ type CG struct {
 
 // NewCG builds a distributed CG over the given number of ranks.
 func NewCG(a *sparse.CSR, rhs []float64, ranks int, cfg Config) (*CG, error) {
-	s := &CG{}
-	if err := s.setup(a, rhs, ranks, cfg, true); err != nil {
+	for _, f := range []struct {
+		name string
+		set  bool
+	}{
+		{"ABFT", cfg.ABFT},
+		{"Fallback", cfg.Fallback != core.FallbackIgnore},
+		{"ExpectedMTBE", cfg.ExpectedMTBE != 0},
+		{"Disk", cfg.Disk != nil},
+	} {
+		if f.set {
+			return nil, fmt.Errorf("dist: %s is single-node only (drop it or -ranks)", f.name)
+		}
+	}
+	sub, err := shard.NewOpts(a, rhs, ranks, cfg.PageDoubles, cfg.Workers, true,
+		shard.Options{RT: cfg.RT, Blocks: cfg.Blocks, Priority: cfg.TaskPriority})
+	if err != nil {
 		return nil, err
 	}
-	s.x = s.sub.AddVector("x")
-	s.g = s.sub.AddVector("g")
-	s.d = s.sub.AddVector("d")
-	s.q = s.sub.AddVector("q")
-	s.track(s.x, s.g, s.d, s.q)
 	if cfg.UsePrecond {
-		s.z = s.sub.AddVector("z")
-		s.track(s.z)
+		if err := sub.EnablePrecond(); err != nil {
+			sub.Close()
+			return nil, err
+		}
 	}
-	s.settle = s.boundary
+	s := &CG{sub: sub, cfg: cfg}
+	s.x = sub.AddVector("x")
+	s.g = sub.AddVector("g")
+	s.d = sub.AddVector("d")
+	s.q = sub.AddVector("q")
+	vs := []*shard.Vec{s.x, s.g, s.d, s.q}
+	if cfg.UsePrecond {
+		s.z = sub.AddVector("z")
+		vs = append(vs, s.z)
+	}
+	for _, v := range vs {
+		s.dynamic = append(s.dynamic, v.R...)
+	}
 	return s, nil
 }
 
@@ -311,6 +219,56 @@ func SolveCG(a *sparse.CSR, b []float64, ranks int, cfg Config) (core.Result, []
 		return core.Result{}, nil, err
 	}
 	return s.Run()
+}
+
+// Spaces returns the per-rank fault domains (the injection surface).
+func (s *CG) Spaces() []*pagemem.Space { return s.sub.Spaces() }
+
+// DynamicVectors lists every rank copy of the protected vectors (§5.3):
+// injections may land in owned shards, halo pages or unused ghost pages.
+func (s *CG) DynamicVectors() []*pagemem.Vector { return s.dynamic }
+
+// RankStats returns a snapshot of each rank's resilience counters.
+func (s *CG) RankStats() []core.Stats { return s.sub.RankStats() }
+
+// Reductions reports how many global reduction supersteps the substrate
+// performed — the communication metric of a distributed solve. Valid
+// after Run returned.
+func (s *CG) Reductions() int64 { return s.sub.Reductions() }
+
+// SetInject installs fn to be called once per iteration with the ranks,
+// after the convergence check and before the iteration's fault boundary —
+// the hook deterministic experiments use to drive injections into chosen
+// fault domains and pages. nil removes it.
+func (s *CG) SetInject(fn func(it int, ranks []*shard.Rank)) { s.injectFn = fn }
+
+// SetSite installs (or clears) the fault-site hook (DESIGN §12), entered
+// before every rank superstep of an iteration's steady state.
+func (s *CG) SetSite(fn func(iteration int, task string)) { s.sub.Sites.Hook = fn }
+
+// land closes the fault sites and applies, with repairs, the losses they
+// fired since the last boundary. The loop head calls it before the
+// convergence check and finish before the result, so no loss outlives
+// the solve. False when a restart-style recovery consumed the iteration.
+func (s *CG) land() bool {
+	s.sub.Sites.Close()
+	return !s.sub.Pending() || s.boundary()
+}
+
+func (s *CG) finish(it int, converged bool, start time.Time) (core.Result, []float64) {
+	s.land()
+	xg := make([]float64, s.sub.A.N)
+	s.sub.Gather(s.x, xg)
+	st := s.sub.Stats()
+	st.Add(s.stats)
+	return core.Result{
+		Converged:   converged,
+		Iterations:  it,
+		RelResidual: s.sub.TrueResidual(s.x),
+		Elapsed:     time.Since(start),
+		Stats:       st,
+		WorkerTimes: s.sub.RT.WorkerTimes(),
+	}, xg
 }
 
 // Run executes the solve. It may be called once; the substrate's task
@@ -344,7 +302,7 @@ func (s *CG) Run() (core.Result, []float64, error) {
 			continue
 		}
 		if s.cfg.Cancelled != nil && s.cfg.Cancelled() {
-			res, x := s.finish(it, false, start, s.x)
+			res, x := s.finish(it, false, start)
 			return res, x, core.ErrCancelled
 		}
 		rel := relFromEps(s.epsGG, sub.Bnorm)
@@ -360,7 +318,9 @@ func (s *CG) Run() (core.Result, []float64, error) {
 			s.stats.Restarts++
 			continue
 		}
-		s.inject(it)
+		if s.injectFn != nil {
+			s.injectFn(it, sub.Ranks)
+		}
 		if !s.boundary() {
 			continue // restart-style recovery consumed the iteration
 		}
@@ -384,7 +344,7 @@ func (s *CG) Run() (core.Result, []float64, error) {
 			num = s.rho
 		}
 		s.stepAlpha = 0
-		if dq != 0 && !isNaN(dq) && !isNaN(num) {
+		if dq != 0 && !math.IsNaN(dq) && !math.IsNaN(num) {
 			s.stepAlpha = num / dq
 		}
 
@@ -393,13 +353,13 @@ func (s *CG) Run() (core.Result, []float64, error) {
 		if s.z != nil {
 			sub.ApplyPrecondOwned("z", s.g, s.z)
 			zg := sub.Dot("<z,g>", s.z, s.g)
-			if s.rho != 0 && !isNaN(zg) {
+			if s.rho != 0 && !math.IsNaN(zg) {
 				s.beta = zg / s.rho
 			} else {
 				s.beta = 0
 			}
 			s.rho = zg
-		} else if s.epsGG != 0 && !isNaN(gg) {
+		} else if s.epsGG != 0 && !math.IsNaN(gg) {
 			s.beta = gg / s.epsGG
 		} else {
 			s.beta = 0
@@ -408,7 +368,7 @@ func (s *CG) Run() (core.Result, []float64, error) {
 		s.restartPending = false
 	}
 
-	res, x := s.finish(it, converged, start, s.x)
+	res, x := s.finish(it, converged, start)
 	return res, x, nil
 }
 

@@ -21,16 +21,10 @@ func baseCfg(m core.Method) Config {
 	return Config{Method: m, PageDoubles: 64, Tol: 1e-9, MaxIter: 20000}
 }
 
-// injectable is a distributed solver: its injection hook and its run.
-type injectable interface {
-	SetInject(func(it int, ranks []*shard.Rank))
-	Run() (core.Result, []float64, error)
-}
-
 // injected returns a launcher that installs inject on a freshly built
 // solver and runs it: injected(fn)(NewCG(a, b, ranks, cfg)).
-func injected(inject func(it int, ranks []*shard.Rank)) func(injectable, error) (core.Result, []float64, error) {
-	return func(s injectable, err error) (core.Result, []float64, error) {
+func injected(inject func(it int, ranks []*shard.Rank)) func(*CG, error) (core.Result, []float64, error) {
+	return func(s *CG, err error) (core.Result, []float64, error) {
 		if err != nil {
 			return core.Result{}, nil, err
 		}

@@ -2,7 +2,6 @@ package dist
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -10,38 +9,13 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/shard"
-	"repro/internal/solver"
-	"repro/internal/sparse"
 )
 
-// Storm tests for the distributed solvers, mirroring
+// Storm tests for the distributed CG, mirroring
 // internal/core/storm_test.go: randomized multi-error campaigns (1–5
 // DUEs per run) across ranks and vectors, checking the end-to-end
 // invariant — every run converges to the single-node tolerance with a
 // verified true residual, with recovery staying rank-local plus halo.
-
-// asymmetricDist builds a diagonally dominant non-symmetric test system
-// (the core storm system) for the distributed BiCGStab and GMRES.
-func asymmetricDist(n int) (*sparse.CSR, []float64) {
-	var tr []sparse.Triplet
-	for i := 0; i < n; i++ {
-		tr = append(tr, sparse.Triplet{Row: i, Col: i, Val: 4})
-		if i > 0 {
-			tr = append(tr, sparse.Triplet{Row: i, Col: i - 1, Val: -1.4})
-		}
-		if i < n-1 {
-			tr = append(tr, sparse.Triplet{Row: i, Col: i + 1, Val: -0.6})
-		}
-	}
-	a := sparse.NewCSRFromTriplets(n, n, tr)
-	want := make([]float64, n)
-	for i := range want {
-		want[i] = 1 + float64(i%7)/7
-	}
-	b := make([]float64, n)
-	a.MulVec(want, b)
-	return a, b
-}
 
 // distInjection schedules one poison: at iteration it, into the vec of
 // rank (rank mod ranks), at page offset off within its owned range.
@@ -76,108 +50,6 @@ func stormSchedule(rng *rand.Rand, vectors []string, window, count int) []distIn
 		}
 	}
 	return inj
-}
-
-func TestDistStormBiCGStab(t *testing.T) {
-	a, b := asymmetricDist(1000) // 16 pages of 64 across 4 ranks
-	base, _, err := SolveBiCGStab(a, b, 4, baseCfg(core.MethodFEIR))
-	if err != nil || !base.Converged {
-		t.Fatalf("fault-free run: %+v err=%v", base, err)
-	}
-	window := base.Iterations * 3 / 4
-	if window < 2 {
-		t.Fatalf("fault-free run too short for a storm: %+v", base)
-	}
-	vectors := []string{"x", "g", "d", "q", "s", "t"}
-	for _, method := range []core.Method{core.MethodFEIR, core.MethodAFEIR} {
-		for rate := 1; rate <= 5; rate++ {
-			seed := int64(1000*int(method) + rate)
-			rng := rand.New(rand.NewSource(seed))
-			res, _, err := injected(injectOwned(stormSchedule(rng, vectors, window, rate)))(NewBiCGStab(a, b, 4, baseCfg(method)))
-			if err != nil {
-				t.Fatalf("%v rate %d: %v", method, rate, err)
-			}
-			if !res.Converged {
-				t.Fatalf("%v rate %d: not converged: %+v", method, rate, res)
-			}
-			if res.RelResidual > 1e-8 {
-				t.Fatalf("%v rate %d: true residual %v", method, rate, res.RelResidual)
-			}
-			if res.Stats.FaultsSeen == 0 {
-				t.Fatalf("%v rate %d: no faults seen", method, rate)
-			}
-		}
-	}
-}
-
-func TestDistStormGMRES(t *testing.T) {
-	a, b := asymmetricDist(1000)
-	base, _, err := SolveGMRES(a, b, 4, 20, baseCfg(core.MethodFEIR))
-	if err != nil || !base.Converged {
-		t.Fatalf("fault-free run: %+v err=%v", base, err)
-	}
-	window := base.Iterations * 3 / 4
-	if window < 2 {
-		t.Fatalf("fault-free run too short for a storm: %+v", base)
-	}
-	vectors := []string{"x", "g", "v0", "v1", "v3", "v7"}
-	for _, method := range []core.Method{core.MethodFEIR, core.MethodAFEIR} {
-		for rate := 1; rate <= 5; rate++ {
-			seed := int64(2000*int(method) + rate)
-			rng := rand.New(rand.NewSource(seed))
-			res, _, err := injected(injectOwned(stormSchedule(rng, vectors, window, rate)))(NewGMRES(a, b, 4, 20, baseCfg(method)))
-			if err != nil {
-				t.Fatalf("%v rate %d: %v", method, rate, err)
-			}
-			if !res.Converged {
-				t.Fatalf("%v rate %d: not converged: %+v", method, rate, res)
-			}
-			if res.RelResidual > 1e-8 {
-				t.Fatalf("%v rate %d: true residual %v", method, rate, res.RelResidual)
-			}
-			if res.Stats.FaultsSeen == 0 {
-				t.Fatalf("%v rate %d: no faults seen", method, rate)
-			}
-		}
-	}
-}
-
-// TestDistMatchesSingleNodeTolerance is the acceptance gate: under no
-// injections, the distributed BiCGStab and GMRES converge to the same
-// relative-residual tolerance as their single-node counterparts.
-func TestDistMatchesSingleNodeTolerance(t *testing.T) {
-	a, b := asymmetricDist(1000)
-	tol := 1e-9
-
-	x := make([]float64, a.N)
-	ref, err := solver.BiCGStab(a, b, x, solver.Options{Tol: tol})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := baseCfg(core.MethodIdeal)
-	cfg.Tol = tol
-	res, _, err := SolveBiCGStab(a, b, 3, cfg)
-	if err != nil || !res.Converged {
-		t.Fatalf("dist bicgstab: %+v err=%v", res, err)
-	}
-	if res.RelResidual > ref.RelResidual*100 && res.RelResidual > tol*10 {
-		t.Fatalf("dist bicgstab residual %v vs single-node %v", res.RelResidual, ref.RelResidual)
-	}
-
-	x = make([]float64, a.N)
-	refG, err := solver.GMRES(a, b, x, solver.GMRESOptions{Options: solver.Options{Tol: tol}, Restart: 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg = baseCfg(core.MethodIdeal)
-	cfg.Tol = tol
-	res, _, err = SolveGMRES(a, b, 3, 20, cfg)
-	if err != nil || !res.Converged {
-		t.Fatalf("dist gmres: %+v err=%v", res, err)
-	}
-	if res.RelResidual > refG.RelResidual*100 && res.RelResidual > tol*10 {
-		t.Fatalf("dist gmres residual %v vs single-node %v", res.RelResidual, refG.RelResidual)
-	}
 }
 
 // TestDistHaloPageDUE lands DUEs in halo (ghost) pages: pages a rank
@@ -221,85 +93,6 @@ func TestDistHaloPageDUE(t *testing.T) {
 	// Ghost damage is invisible to the recurrence: same convergence rate.
 	if d := res.Iterations - base.Iterations; d < -2 || d > 2 {
 		t.Fatalf("%d iterations vs fault-free %d", res.Iterations, base.Iterations)
-	}
-}
-
-// TestDistBiCGStabStormExactness: storms that only hit x and g must be
-// repaired exactly (inverse/forward relations), preserving the solution.
-func TestDistBiCGStabStormExactness(t *testing.T) {
-	a, b := asymmetricDist(1000)
-	base, xBase, err := SolveBiCGStab(a, b, 4, baseCfg(core.MethodFEIR))
-	if err != nil || !base.Converged {
-		t.Fatalf("fault-free: %+v err=%v", base, err)
-	}
-	third := base.Iterations / 3
-	if third < 1 {
-		t.Fatalf("fault-free run too short: %+v", base)
-	}
-	res, x, err := injected(injectOwned([]distInjection{
-		{it: third, rank: 0, vec: "x", off: 1},
-		{it: 2 * third, rank: 1, vec: "g", off: 2},
-		{it: 2*third + 1, rank: 2, vec: "x", off: 0},
-	}))(NewBiCGStab(a, b, 4, baseCfg(core.MethodFEIR)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Converged || res.RelResidual > 1e-8 {
-		t.Fatalf("storm: %+v", res)
-	}
-	if res.Stats.RecoveredInverse == 0 || res.Stats.RecoveredForward == 0 {
-		t.Fatalf("expected exact recoveries: %+v", res.Stats)
-	}
-	var maxDiff float64
-	for i := range x {
-		if d := math.Abs(x[i] - xBase[i]); d > maxDiff {
-			maxDiff = d
-		}
-	}
-	if maxDiff > 1e-6 {
-		t.Fatalf("solutions diverged by %v after exact recovery", maxDiff)
-	}
-}
-
-// TestDistGMRESBasisRecovery damages live Arnoldi basis vectors mid-cycle
-// and expects the Hessenberg redundancy to rebuild them rank-locally.
-func TestDistGMRESBasisRecovery(t *testing.T) {
-	a, b := asymmetricDist(1000)
-	res, _, err := injected(injectOwned([]distInjection{
-		{it: 5, rank: 1, vec: "v1", off: 1},
-		{it: 9, rank: 2, vec: "v3", off: 2},
-	}))(NewGMRES(a, b, 4, 20, baseCfg(core.MethodFEIR)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Converged || res.RelResidual > 1e-8 {
-		t.Fatalf("basis recovery: %+v", res)
-	}
-	if res.Stats.RecoveredForward == 0 {
-		t.Fatalf("expected Hessenberg basis rebuilds: %+v", res.Stats)
-	}
-}
-
-// TestDistGMRESAbortedCycleMakesProgress regression-tests the aborted
-// cycle path: a non-repairing method whose live basis keeps getting
-// poisoned by an iteration-keyed hook must still advance the iteration
-// counter (no livelock) and terminate within the budget.
-func TestDistGMRESAbortedCycleMakesProgress(t *testing.T) {
-	a, b := asymmetricDist(1000)
-	cfg := baseCfg(core.MethodTrivial)
-	cfg.MaxIter = 400
-	res, _, err := injected(injectOwned([]distInjection{
-		{it: 3, rank: 0, vec: "v1", off: 1},
-		{it: 3, rank: 1, vec: "x", off: 0},
-	}))(NewGMRES(a, b, 4, 10, cfg))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Iterations > cfg.MaxIter {
-		t.Fatalf("iteration budget not honoured: %+v", res)
-	}
-	if res.Stats.FaultsSeen == 0 {
-		t.Fatal("injections never fired")
 	}
 }
 

@@ -8,18 +8,11 @@ import (
 )
 
 // ValidateDistributed runs the functional rank-sharded CG on a small
-// 27-point stencil with the given method and error count, confirming the
-// §3.4 protocol converges. It is the correctness anchor behind the
-// modelled Figure 5 curves.
-func ValidateDistributed(method core.Method, ranks, errors int, opts Options) (core.Result, error) {
-	return ValidateDistributedSolver("cg", method, ranks, errors, false, opts)
-}
-
-// ValidateDistributedSolver is ValidateDistributed for any registered
-// solver (cg, bicgstab, gmres) on the shared rank-sharded substrate,
-// optionally block-Jacobi preconditioned: errors DUEs are injected into
-// owned iterate pages of rotating ranks.
-func ValidateDistributedSolver(solver string, method core.Method, ranks, errors int, precond bool, opts Options) (core.Result, error) {
+// 27-point stencil with the given method and error count, optionally
+// block-Jacobi preconditioned, confirming the §3.4 protocol converges:
+// errors DUEs are injected into owned iterate pages of rotating ranks. It
+// is the correctness anchor behind the modelled Figure 5 curves.
+func ValidateDistributed(method core.Method, ranks, errors int, precond bool, opts Options) (core.Result, error) {
 	nx := 16
 	a := matgen.Poisson3D27(nx, nx, nx)
 	b := matgen.Ones(a.N)
@@ -43,7 +36,7 @@ func ValidateDistributedSolver(solver string, method core.Method, ranks, errors 
 			}
 		}
 	}
-	inst, err := registry.New(solver, a, b, cfg)
+	inst, err := registry.New("cg", a, b, cfg)
 	if err != nil {
 		return core.Result{}, err
 	}

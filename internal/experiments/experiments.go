@@ -619,6 +619,5 @@ func (f *Fig4Result) String() string {
 // Figure 5: scaling (model + functional validation).
 // ---------------------------------------------------------------------
 
-// The distributed validation entry points (ValidateDistributed and
-// ValidateDistributedSolver) live in dist_glue.go; the Figure 5 curves
-// come from perfmodel.Fig5 directly.
+// The distributed validation entry point (ValidateDistributed) lives in
+// dist_glue.go; the Figure 5 curves come from perfmodel.Fig5 directly.

@@ -127,16 +127,19 @@ func TestFig4Runs(t *testing.T) {
 }
 
 func TestValidateDistributed(t *testing.T) {
-	for _, m := range []core.Method{core.MethodIdeal, core.MethodFEIR, core.MethodLossy} {
-		res, err := ValidateDistributed(m, 4, 2, quickOpts())
+	for _, c := range []struct {
+		m       core.Method
+		precond bool
+	}{{core.MethodIdeal, false}, {core.MethodFEIR, false}, {core.MethodLossy, false}, {core.MethodFEIR, true}} {
+		res, err := ValidateDistributed(c.m, 4, 2, c.precond, quickOpts())
 		if err != nil {
-			t.Fatalf("%v: %v", m, err)
+			t.Fatalf("%v precond=%v: %v", c.m, c.precond, err)
 		}
 		if !res.Converged {
-			t.Fatalf("%v: not converged", m)
+			t.Fatalf("%v precond=%v: not converged", c.m, c.precond)
 		}
 		if res.RelResidual > 1e-6 {
-			t.Fatalf("%v: residual %v", m, res.RelResidual)
+			t.Fatalf("%v precond=%v: residual %v", c.m, c.precond, res.RelResidual)
 		}
 	}
 }

@@ -1,7 +1,8 @@
 // Package registry is the single dispatch point for every solver in the
-// repository: a name-indexed table of constructors, each handling both
-// the single-node task-parallel implementation (internal/core) and the
-// rank-sharded distributed one (internal/dist) behind one launch shape.
+// repository: a name-indexed table of constructors behind one launch
+// shape, each building the single-node task-parallel implementation
+// (internal/core) and, for cg, the rank-sharded distributed one
+// (internal/dist).
 // cmd/due-solve, cmd/due-bench and internal/experiments all consume it,
 // so adding a method or a topology is one registration here instead of a
 // switch edit per consumer.
@@ -121,52 +122,37 @@ func New(name string, a *sparse.CSR, b []float64, cfg Config) (*Instance, error)
 	return e.build(a, b, cfg)
 }
 
-// distInstance adapts the common distributed solver surface, installing
-// the configuration's rank injection hook.
-type distSolver interface {
-	Spaces() []*pagemem.Space
-	DynamicVectors() []*pagemem.Vector
-	RankStats() []core.Stats
-	SetInject(func(it int, ranks []*shard.Rank))
-	SetSite(func(iteration int, task string))
-	Run() (core.Result, []float64, error)
-}
-
-func distInstance(s distSolver, err error, cfg Config) (*Instance, error) {
-	if err != nil {
-		return nil, err
-	}
-	s.SetInject(cfg.RankInject)
-	inst := &Instance{
-		Spaces:    s.Spaces(),
-		Dynamic:   s.DynamicVectors(),
-		RankStats: s.RankStats,
-		SetSite:   s.SetSite,
-	}
+// withSolution completes inst with run, a solver's launch that returns
+// the solution, keeping the last one for inst.Solution.
+func withSolution(inst *Instance, run func() (core.Result, []float64, error)) *Instance {
 	var sol []float64
 	inst.Run = func() (core.Result, error) {
-		res, x, err := s.Run()
+		res, x, err := run()
 		sol = x
 		return res, err
 	}
 	inst.Solution = func() []float64 { return sol }
-	return inst, nil
+	return inst
 }
 
-// all declares the full capability set of the three built-in methods:
-// since PR 3 every one of them dispatches a preconditioned variant for
-// both topologies. ABFT checksum coverage exists only for the single-node
-// CG's resilient kernels; the cg builder rejects the distributed
-// combination explicitly.
-var all = Capabilities{Precond: true, Distributed: true}
-
+// The cg builder dispatches both topologies, preconditioned or not, and
+// is the one with ABFT checksum coverage (single-node only: dist.NewCG
+// rejects the distributed combination by name). bicgstab and gmres are
+// single-node: New refuses Ranks > 0 for them by name.
 func init() {
-	cgCaps := all
-	cgCaps.ABFT = true
-	Register("cg", cgCaps, func(a *sparse.CSR, b []float64, cfg Config) (*Instance, error) {
+	Register("cg", Capabilities{Precond: true, Distributed: true, ABFT: true}, func(a *sparse.CSR, b []float64, cfg Config) (*Instance, error) {
 		if cfg.Ranks > 0 {
 			s, err := dist.NewCG(a, b, cfg.Ranks, cfg.Config)
-			return distInstance(s, err, cfg)
+			if err != nil {
+				return nil, err
+			}
+			s.SetInject(cfg.RankInject)
+			return withSolution(&Instance{
+				Spaces:    s.Spaces(),
+				Dynamic:   s.DynamicVectors(),
+				RankStats: s.RankStats,
+				SetSite:   s.SetSite,
+			}, s.Run), nil
 		}
 		s, err := core.NewCG(a, b, cfg.Config)
 		if err != nil {
@@ -180,50 +166,26 @@ func init() {
 			SetSite:  s.SetSite,
 		}, nil
 	})
-	Register("bicgstab", all, func(a *sparse.CSR, b []float64, cfg Config) (*Instance, error) {
-		if cfg.Ranks > 0 {
-			s, err := dist.NewBiCGStab(a, b, cfg.Ranks, cfg.Config)
-			return distInstance(s, err, cfg)
-		}
+	Register("bicgstab", Capabilities{Precond: true}, func(a *sparse.CSR, b []float64, cfg Config) (*Instance, error) {
 		s, err := core.NewBiCGStab(a, b, cfg.Config)
 		if err != nil {
 			return nil, err
 		}
-		inst := &Instance{
+		return withSolution(&Instance{
 			Spaces:  []*pagemem.Space{s.Space()},
 			Dynamic: s.DynamicVectors(),
 			SetSite: s.SetSite,
-		}
-		var sol []float64
-		inst.Run = func() (core.Result, error) {
-			res, x, err := s.Run()
-			sol = x
-			return res, err
-		}
-		inst.Solution = func() []float64 { return sol }
-		return inst, nil
+		}, s.Run), nil
 	})
-	Register("gmres", all, func(a *sparse.CSR, b []float64, cfg Config) (*Instance, error) {
-		if cfg.Ranks > 0 {
-			s, err := dist.NewGMRES(a, b, cfg.Ranks, cfg.Restart, cfg.Config)
-			return distInstance(s, err, cfg)
-		}
+	Register("gmres", Capabilities{Precond: true}, func(a *sparse.CSR, b []float64, cfg Config) (*Instance, error) {
 		s, err := core.NewGMRES(a, b, cfg.Restart, cfg.Config)
 		if err != nil {
 			return nil, err
 		}
-		inst := &Instance{
+		return withSolution(&Instance{
 			Spaces:  []*pagemem.Space{s.Space()},
 			Dynamic: s.DynamicVectors(),
 			SetSite: s.SetSite,
-		}
-		var sol []float64
-		inst.Run = func() (core.Result, error) {
-			res, x, err := s.Run()
-			sol = x
-			return res, err
-		}
-		inst.Solution = func() []float64 { return sol }
-		return inst, nil
+		}, s.Run), nil
 	})
 }

@@ -63,7 +63,9 @@ func TestUnknownSolverError(t *testing.T) {
 // topology × preconditioning combinations: each must converge, and the
 // preconditioned run must take strictly fewer iterations than its
 // unpreconditioned counterpart — the regression test for the PR-3 bug
-// where -precond was silently dropped outside single-node CG.
+// where -precond was silently dropped outside single-node CG. Only cg has
+// a distributed variant; a ranked bicgstab or gmres is refused by name
+// before anything is built.
 func TestAllVariantsDispatch(t *testing.T) {
 	a, b := testSystem(t)
 	for _, solver := range []string{"cg", "bicgstab", "gmres"} {
@@ -71,6 +73,13 @@ func TestAllVariantsDispatch(t *testing.T) {
 			iters := map[bool]int{}
 			for _, precond := range []bool{false, true} {
 				inst, err := New(solver, a, b, testCfg(precond, ranks))
+				if ranks > 0 && solver != "cg" {
+					want := fmt.Sprintf("solver %q has no distributed variant (drop -ranks)", solver)
+					if err == nil || !strings.Contains(err.Error(), want) {
+						t.Fatalf("%s ranks=%d precond=%v: %v, want an error containing %q", solver, ranks, precond, err, want)
+					}
+					continue
+				}
 				if err != nil {
 					t.Fatalf("%s ranks=%d precond=%v: %v", solver, ranks, precond, err)
 				}
@@ -84,9 +93,12 @@ func TestAllVariantsDispatch(t *testing.T) {
 				if res.RelResidual > 1e-8 {
 					t.Fatalf("%s ranks=%d precond=%v: residual %v", solver, ranks, precond, res.RelResidual)
 				}
+				if (inst.RankStats != nil) != (ranks > 0) {
+					t.Fatalf("%s ranks=%d precond=%v: RankStats set = %v", solver, ranks, precond, inst.RankStats != nil)
+				}
 				iters[precond] = res.Iterations
 			}
-			if iters[true] >= iters[false] {
+			if len(iters) > 0 && iters[true] >= iters[false] {
 				t.Fatalf("%s ranks=%d: preconditioned run not faster (%d vs %d iterations) — -precond silently dropped?",
 					solver, ranks, iters[true], iters[false])
 			}
@@ -145,25 +157,37 @@ func TestCapabilityRejection(t *testing.T) {
 }
 
 // TestBuiltinsDeclareFullCapabilities pins the registry's built-in
-// surface: exactly cg, bicgstab and gmres, each dispatching -precond and
-// -ranks; any other name — pipecg and cacg are the two a
-// caller may still send — answers the unknown-solver error listing what
-// is registered.
+// surface: exactly cg, bicgstab and gmres, each dispatching -precond, and
+// cg alone -ranks (and -abft), a ranked bicgstab or gmres answering the
+// named no-distributed-variant error; any other name — pipecg and cacg
+// are the two a caller may still send — answers the unknown-solver error
+// listing what is registered.
 func TestBuiltinsDeclareFullCapabilities(t *testing.T) {
 	builtins := []string{"bicgstab", "cg", "gmres"}
 	if names := Names(); !slices.Equal(names, builtins) {
 		t.Fatalf("Names() = %v, want exactly %v", names, builtins)
+	}
+	wantCaps := map[string]Capabilities{
+		"cg":       {Precond: true, Distributed: true, ABFT: true},
+		"bicgstab": {Precond: true},
+		"gmres":    {Precond: true},
 	}
 	for _, solver := range builtins {
 		caps, ok := Caps(solver)
 		if !ok {
 			t.Fatalf("%s not registered", solver)
 		}
-		if !caps.Precond || !caps.Distributed {
-			t.Fatalf("%s caps = %+v, want full", solver, caps)
+		if caps != wantCaps[solver] {
+			t.Fatalf("%s caps = %+v, want %+v", solver, caps, wantCaps[solver])
 		}
 	}
 	a, b := testSystem(t)
+	for _, solver := range []string{"bicgstab", "gmres"} {
+		want := fmt.Sprintf("registry: solver %q has no distributed variant (drop -ranks)", solver)
+		if _, err := New(solver, a, b, testCfg(false, 2)); err == nil || err.Error() != want {
+			t.Fatalf("New(%q, ranks 2) = %v, want %q", solver, err, want)
+		}
+	}
 	for _, gone := range []string{"pipecg", "cacg"} {
 		want := fmt.Sprintf("unknown solver %q (have %v)", gone, builtins)
 		if _, err := New(gone, a, b, testCfg(false, 2)); err == nil || !strings.Contains(err.Error(), want) {

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -66,8 +67,9 @@ func nOf(srv *Server, key string) int { return srv.Cache().Peek(key).A.N }
 // TestBadRequestRefusedAtAdmission: a request no solve can answer never
 // reaches a dispatcher. Before this check one NaN in B held a dispatcher
 // for the full 10·n iterations and produced a response JSON cannot encode;
-// a solver or method the server does not have was counted Accepted, waited
-// its turn in the queue and failed only at checkout.
+// a solver or method the server does not have, or ranks for a solver with
+// no distributed variant, was counted Accepted, waited its turn in the
+// queue and failed only at checkout.
 func TestBadRequestRefusedAtAdmission(t *testing.T) {
 	srv := newTestServer(t, Options{Concurrent: 1})
 	n := nOf(srv, "m")
@@ -88,6 +90,8 @@ func TestBadRequestRefusedAtAdmission(t *testing.T) {
 		"solver pipecg":   {Matrix: "m", Solver: "pipecg", Ranks: 2},
 		"solver cacg":     {Matrix: "m", Solver: "cacg", Ranks: 2},
 		"solver nope":     {Matrix: "m", Solver: "nope"},
+		"ranked bicgstab": {Matrix: "m", Solver: "bicgstab", Ranks: 2},
+		"ranked gmres":    {Matrix: "m", Solver: "gmres", Ranks: 2},
 		"method exact":    {Matrix: "m", Method: "exact"},
 	}
 	for name, req := range cases {
@@ -103,10 +107,14 @@ func TestBadRequestRefusedAtAdmission(t *testing.T) {
 	if s := srv.Snapshot(); s.Rejected != int64(len(cases)) || s.Accepted != 0 {
 		t.Fatalf("rejected=%d accepted=%d, want %d/0", s.Rejected, s.Accepted, len(cases))
 	}
-	for _, solver := range []string{"", "bicgstab"} {
-		if resp, err := srv.Submit(&Request{Matrix: "m", Solver: solver, B: matgen.Ones(n), Tol: 1e-9}); err != nil || !resp.Converged {
-			t.Fatalf("the valid request (solver %q): %+v, %v", solver, resp, err)
+	for _, valid := range []*Request{{Solver: "bicgstab"}, {Ranks: 2}} {
+		valid.Matrix, valid.B, valid.Tol = "m", matgen.Ones(n), 1e-9
+		if resp, err := srv.Submit(valid); err != nil || !resp.Converged {
+			t.Fatalf("the valid request (solver %q, ranks %d): %+v, %v", valid.Solver, valid.Ranks, resp, err)
 		}
+	}
+	if s := srv.Snapshot(); s.Completed != 2 || s.Failed != 0 {
+		t.Fatalf("completed=%d failed=%d, want 2/0", s.Completed, s.Failed)
 	}
 
 	// Over HTTP: 400 with the reason, and a body past the cap is cut off.
@@ -122,6 +130,15 @@ func TestBadRequestRefusedAtAdmission(t *testing.T) {
 	rr = post(srv.Handler(), `{"matrix":"m","solver":"pipecg","ranks":2}`)
 	if rr.Code != http.StatusBadRequest || !strings.Contains(rr.Body.String(), `unknown solver "pipecg" (have [bicgstab cg gmres])`) {
 		t.Fatalf("unknown solver over HTTP: %d %q", rr.Code, rr.Body.String())
+	}
+	for _, solver := range []string{"bicgstab", "gmres"} {
+		rr = post(srv.Handler(), `{"matrix":"m","solver":"`+solver+`","ranks":2}`)
+		if want := fmt.Sprintf("solver %q has no distributed variant", solver); rr.Code != http.StatusBadRequest || !strings.Contains(rr.Body.String(), want) {
+			t.Fatalf("ranked %s over HTTP: %d %q", solver, rr.Code, rr.Body.String())
+		}
+	}
+	if s := srv.Snapshot(); s.Failed != 0 {
+		t.Fatalf("failed=%d after refusals over HTTP, want 0", s.Failed)
 	}
 	capped := newServer(t, Options{Concurrent: 1, CacheBytes: 512})
 	rr = post(capped.Handler(), `{"matrix":"m","b":[1`+strings.Repeat(",1", 600)+`]}`)

@@ -43,7 +43,8 @@ var (
 	ErrUnknownMatrix = errors.New("serve: unknown matrix handle")
 	// ErrBadRequest refuses at admission what no solve can answer: rel < tol
 	// is never true of a NaN, so it would hold a dispatcher for MaxIter; a
-	// solver or method name nothing answers to would queue only to fail.
+	// solver or method name nothing answers to, or ranks for a solver with
+	// no distributed variant, would queue only to fail.
 	ErrBadRequest = errors.New("serve: bad request")
 )
 
@@ -274,11 +275,13 @@ func (s *Server) Submit(req *Request) (*Response, error) {
 func (s *Server) validate(req *Request) error {
 	octx := s.cache.Peek(req.Matrix) // unknown handles are execute's to report
 	bb := sparse.Dot(req.B, req.B)   // ε = <g,g> of iteration 0: what rel < tol is computed from
-	_, known := registry.Caps(req.solverName())
+	caps, known := registry.Caps(req.solverName())
 	_, methodErr := core.ParseMethod(req.Method)
 	switch {
 	case !known:
 		return fmt.Errorf("%w: unknown solver %q (have %v)", ErrBadRequest, req.Solver, registry.Names())
+	case req.Ranks > 0 && !caps.Distributed:
+		return fmt.Errorf("%w: solver %q has no distributed variant (drop ranks)", ErrBadRequest, req.solverName())
 	case methodErr != nil:
 		return fmt.Errorf("%w: %v", ErrBadRequest, methodErr)
 	case octx != nil && req.B != nil && len(req.B) != octx.A.N:

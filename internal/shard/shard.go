@@ -1,12 +1,11 @@
-// Package shard is the method-agnostic rank-sharded substrate of §3.4: a
-// functional model of the paper's MPI+tasks hybrid on which any Krylov
-// method can run distributed. It owns everything that is not the
-// recurrence itself — shard layout (contiguous page ranges per rank),
-// per-rank fault domains, halo computation from the page connectivity of
-// the matrix, halo exchange, allreduce-style scalar reduction and the
-// FEIR/AFEIR recovery scheduling — expressed as engine task graphs on one
-// shared internal/taskrt pool. internal/dist builds CG, BiCGStab and
-// GMRES as thin recurrences on top.
+// Package shard is the rank-sharded substrate of §3.4: a functional model
+// of the paper's MPI+tasks hybrid, on which internal/dist runs CG as a
+// thin recurrence. It owns everything that is not the recurrence itself —
+// shard layout (contiguous page ranges per rank), per-rank fault domains,
+// halo computation from the page connectivity of the matrix, halo
+// exchange, allreduce-style scalar reduction and the FEIR/AFEIR recovery
+// scheduling — expressed as engine task graphs on one shared
+// internal/taskrt pool.
 //
 // Data model: every rank holds full-length, globally indexed vectors in
 // its own pagemem.Space. The rank's authoritative data lives in its owned
@@ -115,15 +114,10 @@ type Substrate struct {
 	// recovery never cross a rank boundary — no extra halo traffic.
 	Pre *precond.BlockJacobi
 
-	part  *engine.Partial
-	part2 *engine.Partial // second slot set for fused double reductions
+	part *engine.Partial
 
 	// reductions counts global reduction supersteps: every coordinator
-	// partial-sum that plays an allreduce adds one, regardless of how
-	// many values ride it (a fused <x,y>/<y,y> pair counts one, like one
-	// MPI_Allreduce of a small buffer). Solvers snapshot it around
-	// recovery blocks to attribute steady-state vs recovery
-	// communication.
+	// partial-sum that plays an allreduce adds one.
 	reductions int64
 
 	// ownRT records whether the substrate created RT (and must close it)
@@ -146,29 +140,22 @@ type Substrate struct {
 	rankTasks []*taskrt.Handle // one per rank, body: stepFn(rank)
 	stepFn    func(r *Rank)
 
-	forEachFn func(r *Rank)                                   // ForEachRank body
-	opFn      func(r *Rank, p, lo, hi int)                    // RankOp body
-	opDotFn   func(r *Rank, p, lo, hi int) float64            // RankOpDot body
-	opDot2Fn  func(r *Rank, p, lo, hi int) (float64, float64) // RankOpDot2 body
+	forEachFn func(r *Rank)                        // ForEachRank body
+	opFn      func(r *Rank, p, lo, hi int)         // RankOp body
+	opDotFn   func(r *Rank, p, lo, hi int) float64 // RankOpDot body
 	xchVec    *Vec
 	xchStrict bool
 	dotX      *Vec
 	dotY      *Vec
-	dotYRel   []float64   // DotReliable second operand
-	dotXs     [][]float64 // DotMixed per-rank first operands
 	spmvIn    *Vec
 	spmvOut   *Vec
-	spmvXY    *engine.Partial // nil: skip the <in,out> partials
-	spmvYY    *engine.Partial // nil: skip the <out,out> partials
-	spmvRelY  []float64       // SpMVDotReliable reduction operand
-	preIn     *Vec            // ApplyPrecondOwned operands
+	preIn     *Vec // ApplyPrecondOwned operands
 	preOut    *Vec
 
 	// Bound step bodies (method values created once, not per call).
-	forEachStepF, opStepF, opDotStepF, opDot2StepF func(r *Rank)
-	xchStepF, dotStepF, dotRelStepF, dotMixStepF   func(r *Rank)
-	spmvStepF, spmvDotStepF, spmvRelStepF          func(r *Rank)
-	precondStepF                                   func(r *Rank)
+	forEachStepF, opStepF, opDotStepF, xchStepF func(r *Rank)
+	dotStepF, spmvStepF, spmvDotStepF           func(r *Rank)
+	precondStepF                                func(r *Rank)
 
 	// Sites are the solve's fault sites, entered by the coordinator before
 	// every rank superstep with the superstep's label ("halo" for an
@@ -225,7 +212,6 @@ func NewOpts(a *sparse.CSR, b []float64, ranks, pageDoubles, workers int, spd bo
 		NP:     np,
 		Owner:  make([]int, np),
 		part:   engine.NewPartial(np),
-		part2:  engine.NewPartial(np),
 	}
 	sharedBlocks := opts.Blocks != nil
 	if sharedBlocks {
@@ -320,14 +306,10 @@ func NewOpts(a *sparse.CSR, b []float64, ranks, pageDoubles, workers int, spd bo
 	s.forEachStepF = s.forEachStep
 	s.opStepF = s.opStep
 	s.opDotStepF = s.opDotStep
-	s.opDot2StepF = s.opDot2Step
 	s.xchStepF = s.xchStep
 	s.dotStepF = s.dotStep
-	s.dotRelStepF = s.dotRelStep
-	s.dotMixStepF = s.dotMixStep
 	s.spmvStepF = s.spmvStep
 	s.spmvDotStepF = s.spmvDotStep
-	s.spmvRelStepF = s.spmvRelStep
 	s.precondStepF = s.precondStep
 	return s, nil
 }
@@ -452,47 +434,6 @@ func (s *Substrate) dotStep(r *Rank) {
 	}
 }
 
-// DotReliable is Dot with the second operand in reliable (unsharded)
-// memory, e.g. the BiCGStab shadow residual.
-func (s *Substrate) DotReliable(label string, x *Vec, y []float64) float64 {
-	s.part.ResetMissing()
-	s.dotX, s.dotYRel = x, y
-	s.runStep(label, s.dotRelStepF)
-	s.reductions++
-	sum, _ := s.part.SumAvailable()
-	return sum
-}
-
-//due:hotpath
-func (s *Substrate) dotRelStep(r *Rank) {
-	x, y := s.dotX.R[r.ID].Data, s.dotYRel
-	for p := r.PLo; p < r.PHi; p++ {
-		lo, hi := s.Layout.Range(p)
-		s.part.Store(p, sparse.DotRange(x, y, lo, hi))
-	}
-}
-
-// DotMixed computes a global inner product where each rank contributes
-// <xs[rank], y> over its owned pages — for per-rank scratch (like the
-// GMRES w) against a sharded vector.
-func (s *Substrate) DotMixed(label string, xs [][]float64, y *Vec) float64 {
-	s.part.ResetMissing()
-	s.dotXs, s.dotY = xs, y
-	s.runStep(label, s.dotMixStepF)
-	s.reductions++
-	sum, _ := s.part.SumAvailable()
-	return sum
-}
-
-//due:hotpath
-func (s *Substrate) dotMixStep(r *Rank) {
-	x, y := s.dotXs[r.ID], s.dotY.R[r.ID].Data
-	for p := r.PLo; p < r.PHi; p++ {
-		lo, hi := s.Layout.Range(p)
-		s.part.Store(p, sparse.DotRange(x, y, lo, hi))
-	}
-}
-
 // SpMV computes out = A * in on owned rows after refreshing in's halo.
 func (s *Substrate) SpMV(label string, in, out *Vec) {
 	s.Exchange(in, false)
@@ -514,47 +455,13 @@ func (s *Substrate) spmvStep(r *Rank) {
 // store their dot partials in the same pass that writes out, and the
 // coordinator's sum plays the allreduce.
 func (s *Substrate) SpMVDot(label string, in, out *Vec) float64 {
-	xy, _ := s.spmvDots(label, in, out, true, false)
-	return xy
-}
-
-// SpMVDot2 is SpMVDot additionally returning <out, out> — the BiCGStab
-// t = A s superstep, where <t,s> and <t,t> both ride the SpMV's pass.
-func (s *Substrate) SpMVDot2(label string, in, out *Vec) (xy, yy float64) {
-	return s.spmvDots(label, in, out, true, true)
-}
-
-// SpMVNorm computes out = A * in fused with <out, out> only — the
-// preconditioned BiCGStab t = A ŝ superstep, where <t,s> pairs t with a
-// vector other than the SpMV input and stays a separate reduction.
-func (s *Substrate) SpMVNorm(label string, in, out *Vec) float64 {
-	_, yy := s.spmvDots(label, in, out, false, true)
-	return yy
-}
-
-func (s *Substrate) spmvDots(label string, in, out *Vec, wantXY, wantYY bool) (xy, yy float64) {
 	s.Exchange(in, false)
-	s.spmvXY, s.spmvYY = nil, nil
-	if wantXY {
-		s.part.ResetMissing()
-		s.spmvXY = s.part
-	}
-	if wantYY {
-		s.part2.ResetMissing()
-		s.spmvYY = s.part2
-	}
+	s.part.ResetMissing()
 	s.spmvIn, s.spmvOut = in, out
 	s.runStep(label, s.spmvDotStepF)
-	if wantXY || wantYY {
-		s.reductions++
-	}
-	if wantXY {
-		xy, _ = s.part.SumAvailable()
-	}
-	if wantYY {
-		yy, _ = s.part2.SumAvailable()
-	}
-	return xy, yy
+	s.reductions++
+	sum, _ := s.part.SumAvailable()
+	return sum
 }
 
 //due:hotpath
@@ -562,35 +469,8 @@ func (s *Substrate) spmvDotStep(r *Rank) {
 	in, out := s.spmvIn.R[r.ID].Data, s.spmvOut.R[r.ID].Data
 	for p := r.PLo; p < r.PHi; p++ {
 		lo, hi := s.Layout.Range(p)
-		sxy, syy := s.A.MulVecDotRange(in, out, lo, hi)
-		if s.spmvXY != nil {
-			s.spmvXY.Store(p, sxy)
-		}
-		if s.spmvYY != nil {
-			s.spmvYY.Store(p, syy)
-		}
-	}
-}
-
-// SpMVDotReliable computes out = A * in on owned rows fused with the
-// global <out, y> reduction against reliable (unsharded) memory y — the
-// BiCGStab q = A d̂ superstep with its <q, r̂0> reduction.
-func (s *Substrate) SpMVDotReliable(label string, in, out *Vec, y []float64) float64 {
-	s.Exchange(in, false)
-	s.part.ResetMissing()
-	s.spmvIn, s.spmvOut, s.spmvRelY = in, out, y
-	s.runStep(label, s.spmvRelStepF)
-	s.reductions++
-	sum, _ := s.part.SumAvailable()
-	return sum
-}
-
-//due:hotpath
-func (s *Substrate) spmvRelStep(r *Rank) {
-	in, out := s.spmvIn.R[r.ID].Data, s.spmvOut.R[r.ID].Data
-	for p := r.PLo; p < r.PHi; p++ {
-		lo, hi := s.Layout.Range(p)
-		s.part.Store(p, s.A.MulVecDotVecRange(in, out, s.spmvRelY, lo, hi))
+		xy, _ := s.A.MulVecDotRange(in, out, lo, hi)
+		s.part.Store(p, xy)
 	}
 }
 
@@ -612,30 +492,6 @@ func (s *Substrate) opDotStep(r *Rank) {
 	for p := r.PLo; p < r.PHi; p++ {
 		lo, hi := s.Layout.Range(p)
 		s.part.Store(p, s.opDotFn(r, p, lo, hi))
-	}
-}
-
-// RankOpDot2 is RankOpDot with two reductions per page — update kernels
-// that produce a pair of partials in one pass (the BiCGStab phase-3
-// g = s - ωt with both <g, r̂0> and <g, g>).
-func (s *Substrate) RankOpDot2(label string, fn func(r *Rank, p, lo, hi int) (float64, float64)) (float64, float64) {
-	s.part.ResetMissing()
-	s.part2.ResetMissing()
-	s.opDot2Fn = fn
-	s.runStep(label, s.opDot2StepF)
-	s.reductions++
-	a, _ := s.part.SumAvailable()
-	b, _ := s.part2.SumAvailable()
-	return a, b
-}
-
-//due:hotpath
-func (s *Substrate) opDot2Step(r *Rank) {
-	for p := r.PLo; p < r.PHi; p++ {
-		lo, hi := s.Layout.Range(p)
-		a, b := s.opDot2Fn(r, p, lo, hi)
-		s.part.Store(p, a)
-		s.part2.Store(p, b)
 	}
 }
 
@@ -715,24 +571,6 @@ func (s *Substrate) ResidualFromX(x, g *Vec) {
 		for i := lo; i < hi; i++ {
 			gd[i] = s.B[i] - r.Scratch[i]
 		}
-	})
-}
-
-// ResidualFromXDot is ResidualFromX fused with the global <g, g>
-// reduction: the residual norm rides the rebuild's own pass.
-func (s *Substrate) ResidualFromXDot(x, g *Vec) float64 {
-	s.Exchange(x, false)
-	return s.RankOpDot("g=b-Ax,<g,g>", func(r *Rank, p, lo, hi int) float64 {
-		xd := x.R[r.ID].Data
-		gd := g.R[r.ID].Data
-		s.A.MulVecRange(xd, r.Scratch, lo, hi)
-		var gg float64
-		for i := lo; i < hi; i++ {
-			d := s.B[i] - r.Scratch[i]
-			gd[i] = d
-			gg += d * d
-		}
-		return gg
 	})
 }
 
