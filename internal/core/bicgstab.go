@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/pagemem"
-	"repro/internal/precond"
 	"repro/internal/sparse"
 	"repro/internal/taskrt"
 )
@@ -48,25 +47,15 @@ import (
 // diagonality), inverse d = M d̂, and the inverse d̂ = A⁻¹ q through the
 // factorized diagonal blocks.
 type BiCGStabSolver struct {
-	cfg     Config
-	a       *sparse.CSR
-	b       []float64
-	bnorm   float64
-	layout  sparse.BlockLayout
-	np      int
-	space   *pagemem.Space
-	x, g, q *pagemem.Vector
-	d       [2]*pagemem.Vector
-	s, t    *pagemem.Vector
-	rhat    []float64
-	blocks  *sparse.BlockSolverCache
-	conn    [][]int
-	rel     *Relations
-	stats   Stats
+	solverBase
+
+	g, q *pagemem.Vector
+	d    [2]*pagemem.Vector
+	s, t *pagemem.Vector
+	rhat []float64
 
 	// Preconditioned variant (Listing 6): d̂ = M⁻¹ d and ŝ = M⁻¹ s, nil
 	// otherwise.
-	pre        *precond.BlockJacobi
 	dhat, shat *pagemem.Vector
 
 	xS, gS, qS, sS, tS engine.Stamps
@@ -74,14 +63,6 @@ type BiCGStabSolver struct {
 	dhatS, shatS       engine.Stamps
 
 	qrPart, ttPart, tsPart, rhoPart, ggPart *engine.Partial
-
-	rt        *taskrt.Runtime
-	eng       *engine.Engine
-	sites     engine.Sites // see SetSite
-	resilient bool
-
-	scratch []float64
-	resid   []float64 // full-length true-residual scratch (reused)
 
 	// Scalars of the current and last iteration. They live outside the
 	// page fault domain (the error model only kills memory pages, §5.3).
@@ -97,27 +78,13 @@ type BiCGStabSolver struct {
 // the iterate and restarts; the remaining methods run unguarded with
 // blank-page forward recovery.
 func NewBiCGStab(a *sparse.CSR, b []float64, cfg Config) (*BiCGStabSolver, error) {
-	if a.N != a.M {
-		return nil, fmt.Errorf("core: non-square matrix %dx%d", a.N, a.M)
-	}
-	if len(b) != a.N {
-		return nil, fmt.Errorf("core: rhs length %d for n=%d", len(b), a.N)
+	sv := &BiCGStabSolver{}
+	if err := sv.init(a, b, cfg, false); err != nil { // LU: general A
+		return nil, err
 	}
 	if err := cgOnlyFallback("bicgstab", cfg); err != nil {
 		return nil, err
 	}
-	sv := &BiCGStabSolver{
-		cfg:    cfg,
-		a:      a,
-		b:      append([]float64(nil), b...),
-		layout: sparse.BlockLayout{N: a.N, BlockSize: cfg.pageDoubles()},
-	}
-	sv.bnorm = sparse.Norm2(b)
-	if sv.bnorm == 0 {
-		sv.bnorm = 1
-	}
-	sv.np = sv.layout.NumBlocks()
-	sv.space = pagemem.NewSpace(a.N, cfg.pageDoubles())
 	sv.x = sv.space.AddVector("x")
 	sv.g = sv.space.AddVector("g")
 	sv.q = sv.space.AddVector("q")
@@ -126,31 +93,12 @@ func NewBiCGStab(a *sparse.CSR, b []float64, cfg Config) (*BiCGStabSolver, error
 	sv.s = sv.space.AddVector("s")
 	sv.t = sv.space.AddVector("t")
 	sv.rhat = make([]float64, a.N)
-	if cfg.Blocks != nil {
-		if cfg.Blocks.A != a || cfg.Blocks.Layout != sv.layout || cfg.Blocks.SPD {
-			return nil, fmt.Errorf("core: shared block cache mismatch (want matrix %p layout %+v spd=false, have %p %+v spd=%v)",
-				a, sv.layout, cfg.Blocks.A, cfg.Blocks.Layout, cfg.Blocks.SPD)
-		}
-		sv.blocks = cfg.Blocks
-	} else {
-		sv.blocks = sparse.NewBlockSolverCache(a, sv.layout, false) // LU: general A
-	}
-	sv.resilient = cfg.Method == MethodFEIR || cfg.Method == MethodAFEIR
 	if cfg.UsePrecond {
-		// Reuse the recovery cache's LU factorizations as the
-		// preconditioner blocks — they are the same A_pp (§5.1: "the
-		// factorization of diagonal blocks ... is already computed").
-		pre, err := precond.FromCache(sv.blocks)
-		if err != nil {
-			return nil, fmt.Errorf("core: block-Jacobi setup: %w", err)
-		}
-		sv.pre = pre
 		sv.dhat = sv.space.AddVector("dh")
 		sv.shat = sv.space.AddVector("sh")
-		sv.dhatS = engine.NewStamps(sv.layout.NumBlocks())
-		sv.shatS = engine.NewStamps(sv.layout.NumBlocks())
+		sv.dhatS = engine.NewStamps(sv.np)
+		sv.shatS = engine.NewStamps(sv.np)
 	}
-
 	sv.xS = engine.NewStamps(sv.np)
 	sv.gS = engine.NewStamps(sv.np)
 	sv.qS = engine.NewStamps(sv.np)
@@ -163,13 +111,8 @@ func NewBiCGStab(a *sparse.CSR, b []float64, cfg Config) (*BiCGStabSolver, error
 	sv.tsPart = engine.NewPartial(sv.np)
 	sv.rhoPart = engine.NewPartial(sv.np)
 	sv.ggPart = engine.NewPartial(sv.np)
-	sv.scratch = make([]float64, cfg.pageDoubles())
-	sv.resid = make([]float64, a.N)
 	return sv, nil
 }
-
-// Space exposes the fault domain for error injection.
-func (sv *BiCGStabSolver) Space() *pagemem.Space { return sv.space }
 
 // DynamicVectors lists the vectors injections cover (§5.3).
 func (sv *BiCGStabSolver) DynamicVectors() []*pagemem.Vector {
@@ -180,10 +123,6 @@ func (sv *BiCGStabSolver) DynamicVectors() []*pagemem.Vector {
 	return vs
 }
 
-// SetSite installs (or clears) the fault-site hook (DESIGN §12), typically
-// a started inject.Plan's Site. Set it only between Runs.
-func (sv *BiCGStabSolver) SetSite(f func(iteration int, task string)) { sv.sites.Hook = f }
-
 // ErrRecurrenceBreakdown reports a degenerate recurrence.
 var ErrRecurrenceBreakdown = fmt.Errorf("core: recurrence breakdown")
 
@@ -191,17 +130,7 @@ var ErrRecurrenceBreakdown = fmt.Errorf("core: recurrence breakdown")
 // vector and the resilience statistics.
 func (sv *BiCGStabSolver) Run() (Result, []float64, error) {
 	start := time.Now()
-	if sv.cfg.RT != nil {
-		sv.rt = sv.cfg.RT // externally owned (shared pool): never closed here
-	} else {
-		sv.rt = taskrt.New(sv.cfg.workers())
-		defer sv.rt.Close()
-	}
-	sv.eng = engine.New(sv.a, sv.layout, sv.rt, sv.resilient, 0)
-	sv.eng.RecoveryPriority = sv.cfg.OverlapPriority()
-	sv.eng.Sites = &sv.sites
-	sv.conn = sv.eng.Conn
-	sv.rel = &Relations{a: sv.a, layout: sv.layout, conn: sv.conn, blocks: sv.blocks, b: sv.b, scratch: sv.scratch, stats: &sv.stats}
+	defer sv.open(sv.resilient)()
 
 	tol := sv.cfg.tol()
 	maxIter := sv.cfg.maxIter(sv.a.N)
@@ -221,7 +150,7 @@ func (sv *BiCGStabSolver) Run() (Result, []float64, error) {
 	for it = 0; it < maxIter; it++ {
 		sv.sites.Close() // the convergence check and restarts below are no sites
 		if sv.cfg.Cancelled != nil && sv.cfg.Cancelled() {
-			return sv.finish(it, false, 0, start), sv.x.Data, ErrCancelled
+			return sv.result(it, false, 0, start), sv.x.Data, ErrCancelled
 		}
 		ver := int64(it)
 		cur, prev := it%2, (it+1)%2
@@ -275,12 +204,12 @@ func (sv *BiCGStabSolver) Run() (Result, []float64, error) {
 		sv.runRecovery("r1", phase1, func(allowLate bool) {
 			sv.recoverPhase(ver, cur, bPhase1, allowLate)
 		}, phase1)
-		sv.phaseBoundary()
+		sv.applyPending()
 		qr, missQR := sv.qrPart.SumAvailable()
 		sv.stats.ContributionsLost += missQR
 		if qr == 0 || math.IsNaN(qr) || math.IsNaN(sv.rho) {
 			if missQR == 0 && !sv.space.AnyFault() {
-				return sv.finish(it, false, 0, start), sv.x.Data, ErrRecurrenceBreakdown
+				return sv.result(it, false, 0, start), sv.x.Data, ErrRecurrenceBreakdown
 			}
 			sv.restartPending = true
 			continue
@@ -324,7 +253,7 @@ func (sv *BiCGStabSolver) Run() (Result, []float64, error) {
 		sv.runRecovery("r2", phase2, func(allowLate bool) {
 			sv.recoverPhase(ver, cur, bPhase2, allowLate)
 		}, append(append([]*taskrt.Handle{}, phase2...), tsH...))
-		sv.phaseBoundary()
+		sv.applyPending()
 		tt, missTT := sv.ttPart.SumAvailable()
 		ts, missTS := sv.tsPart.SumAvailable()
 		sv.stats.ContributionsLost += missTT + missTS
@@ -383,7 +312,7 @@ func (sv *BiCGStabSolver) Run() (Result, []float64, error) {
 		sv.runRecovery("r3", append(append([]*taskrt.Handle{}, xH...), gH...), func(allowLate bool) {
 			sv.recoverPhase(ver, cur, bPhase3, allowLate)
 		}, append(append([]*taskrt.Handle{}, xH...), gH...))
-		sv.phaseBoundary()
+		sv.applyPending()
 		rhoNew, missRho := sv.rhoPart.SumAvailable()
 		sv.stats.ContributionsLost += missRho
 		gg, missGG := sv.ggPart.SumAvailable()
@@ -391,7 +320,7 @@ func (sv *BiCGStabSolver) Run() (Result, []float64, error) {
 		sv.epsGG = gg
 		if rhoBoundaryBreakdown(sv.rho, omega, rhoNew, gg, sv.bnorm, tol) {
 			if missRho == 0 && !sv.space.AnyFault() {
-				return sv.finish(it, false, 0, start), sv.x.Data, ErrRecurrenceBreakdown
+				return sv.result(it, false, 0, start), sv.x.Data, ErrRecurrenceBreakdown
 			}
 			sv.restartPending = true
 			continue
@@ -410,12 +339,12 @@ func (sv *BiCGStabSolver) Run() (Result, []float64, error) {
 		sv.runRecovery("r4", dH, func(allowLate bool) {
 			sv.recoverPhase(ver, cur, bPhase4, true)
 		}, dH)
-		sv.phaseBoundary()
+		sv.applyPending()
 
 		sv.rho = rhoNew
 		sv.lastBeta, sv.lastOmega = beta, omega
 	}
-	return sv.finish(it, converged, final, start), sv.x.Data, nil
+	return sv.result(it, converged, final, start), sv.x.Data, nil
 }
 
 // runRecovery waits for every task of the phase (waitFor) and runs the
@@ -442,11 +371,6 @@ func (sv *BiCGStabSolver) runRecovery(label string, after []*taskrt.Handle, fn f
 	}
 }
 
-// relFromEpsilon converts an <g,g> reduction into the relative residual.
-func relFromEpsilon(eps, bnorm float64) float64 {
-	return math.Sqrt(math.Max(eps, 0)) / bnorm
-}
-
 // rhoBoundaryBreakdown reports whether the phase-3 boundary scalars
 // indicate a recurrence breakdown. Besides the classic ω == 0 / stale
 // ρ == 0 / NaN cases, a zero NEW rho is one too: it flows into
@@ -460,37 +384,6 @@ func rhoBoundaryBreakdown(rho, omega, rhoNew, gg, bnorm, tol float64) bool {
 		return true
 	}
 	return rhoNew == 0 && relFromEpsilon(gg, bnorm) >= tol
-}
-
-// phaseBoundary applies pending data losses with all workers quiescent.
-func (sv *BiCGStabSolver) phaseBoundary() {
-	evs := sv.space.ScramblePending()
-	sv.stats.FaultsSeen += len(evs)
-}
-
-// trueResidual computes ||b - A x|| / ||b|| sequentially, in the
-// solver-owned scratch (no per-check allocation).
-func (sv *BiCGStabSolver) trueResidual() float64 {
-	r := sv.resid
-	sv.a.MulVec(sv.x.Data, r)
-	sparse.Sub(sv.b, r, r)
-	return sparse.Norm2(r) / sv.bnorm
-}
-
-// finish builds the Result; final is the true residual of the accepting
-// check, computed here for a solve that ended any other way.
-func (sv *BiCGStabSolver) finish(it int, converged bool, final float64, start time.Time) Result {
-	if !converged {
-		final = sv.trueResidual()
-	}
-	return Result{
-		Converged:   converged,
-		Iterations:  it,
-		RelResidual: final,
-		Elapsed:     time.Since(start),
-		Stats:       sv.stats,
-		WorkerTimes: sv.rt.WorkerTimes(),
-	}
 }
 
 // restart rebuilds the whole recurrence from the current iterate: failed
@@ -538,8 +431,7 @@ func (sv *BiCGStabSolver) restart(ver int64) {
 // outgoing buffer's ver-2 content), s and t by blanking (they regenerate).
 // Returns false when a restart-style fallback consumed the iteration.
 func (sv *BiCGStabSolver) boundaryRecover(ver int64) bool {
-	evs := sv.space.ScramblePending()
-	sv.stats.FaultsSeen += len(evs)
+	sv.applyPending()
 	if !sv.space.AnyFault() {
 		return true
 	}
@@ -551,13 +443,7 @@ func (sv *BiCGStabSolver) boundaryRecover(ver int64) bool {
 	case MethodFEIR, MethodAFEIR:
 		// Exact repairs below.
 	case MethodLossy:
-		failed := sv.x.FailedPages()
-		if len(failed) > 0 && LossyInterpolate(sv.a, sv.layout, sv.blocks, sv.b, sv.x.Data, failed) {
-			sv.stats.LossyInterpolations += len(failed)
-			for _, p := range failed {
-				sv.x.MarkRecovered(p)
-			}
-		}
+		sv.interpolateLostIterate(sv.x.FailedPages())
 		// Stamp at ver: this loop index is consumed by the restart and
 		// the next iteration reads a consistent state.
 		sv.restart(ver)

@@ -1,13 +1,11 @@
 package core
 
 import (
-	"fmt"
 	"math"
 	"time"
 
 	"repro/internal/engine"
 	"repro/internal/pagemem"
-	"repro/internal/precond"
 	"repro/internal/sparse"
 	"repro/internal/taskrt"
 )
@@ -26,22 +24,10 @@ import (
 // is clear. Skipped tasks leave the previous version (and its stamp) in
 // place, which is what makes the old-q/dPrev recovery of §3.1.1 possible.
 type CG struct {
-	cfg    Config
-	a      *sparse.CSR
-	b      []float64
-	bnorm  float64
-	layout sparse.BlockLayout
-	np     int
+	solverBase
 
-	space   *pagemem.Space
-	x, g, q *pagemem.Vector
+	g, q, z *pagemem.Vector // z: the preconditioned residual (UsePrecond)
 	d       [2]*pagemem.Vector
-	z       *pagemem.Vector
-
-	pre    *precond.BlockJacobi
-	blocks *sparse.BlockSolverCache
-	conn   [][]int
-	rel    *Relations
 
 	// Per-page version stamps (see package comment).
 	xS, gS, qS, zS engine.Stamps
@@ -49,18 +35,12 @@ type CG struct {
 
 	dqPart, ggPart, zgPart *engine.Partial
 
-	rt    *taskrt.Runtime
-	eng   *engine.Engine
-	sites engine.Sites // see SetSite
-
-	stats Stats
 	beta  float64
 	epsGG float64 // <g, g>
 	rho   float64 // <z, g> (preconditioned only)
 	alpha float64
 
 	doubleBuffer bool
-	resilient    bool
 	abft         bool // checksum-carrying kernels + verify-on-read
 
 	// sdcInjBase/sdcDetBase snapshot the space's cumulative SDC counters
@@ -68,10 +48,6 @@ type CG struct {
 	sdcInjBase, sdcDetBase int64
 
 	ck *checkpointer
-
-	scratch  []float64 // one page of recovery scratch
-	scratch2 []float64
-	resid    []float64 // full-length true-residual scratch (reused)
 
 	// restartPending requests a beta=0 step (d rebuilt from g alone) on
 	// the next iteration, set by restart-style recoveries.
@@ -100,94 +76,41 @@ type CG struct {
 
 // NewCG builds a resilient CG solver for the SPD system A x = b.
 func NewCG(a *sparse.CSR, b []float64, cfg Config) (*CG, error) {
-	if a.N != a.M {
-		return nil, fmt.Errorf("core: non-square matrix %dx%d", a.N, a.M)
+	s := &CG{}
+	if err := s.init(a, b, cfg, true); err != nil {
+		return nil, err
 	}
-	if len(b) != a.N {
-		return nil, fmt.Errorf("core: rhs length %d for n=%d", len(b), a.N)
-	}
-	s := &CG{
-		cfg:    cfg,
-		a:      a,
-		b:      append([]float64(nil), b...),
-		layout: sparse.BlockLayout{N: a.N, BlockSize: cfg.pageDoubles()},
-	}
-	s.bnorm = sparse.Norm2(b)
-	if s.bnorm == 0 {
-		s.bnorm = 1
-	}
-	s.np = s.layout.NumBlocks()
-	s.space = pagemem.NewSpace(a.N, cfg.pageDoubles())
 	s.x = s.space.AddVector("x")
 	s.g = s.space.AddVector("g")
 	s.q = s.space.AddVector("q")
 	s.d[0] = s.space.AddVector("d0")
-	s.resilient = cfg.Method == MethodFEIR || cfg.Method == MethodAFEIR
-	s.doubleBuffer = s.resilient
-	if s.doubleBuffer {
-		s.d[1] = s.space.AddVector("d1")
-	} else {
-		s.d[1] = s.d[0]
-	}
-	s.abft = cfg.ABFT && s.resilient
-	if cfg.Blocks != nil {
-		if cfg.Blocks.A != a || cfg.Blocks.Layout != s.layout || !cfg.Blocks.SPD {
-			return nil, fmt.Errorf("core: shared block cache mismatch (want matrix %p layout %+v spd=true, have %p %+v spd=%v)",
-				a, s.layout, cfg.Blocks.A, cfg.Blocks.Layout, cfg.Blocks.SPD)
-		}
-		s.blocks = cfg.Blocks
-	} else {
-		s.blocks = sparse.NewBlockSolverCache(a, s.layout, true)
-	}
-	if cfg.UsePrecond {
-		s.z = s.space.AddVector("z")
-		// Reuse the recovery cache's Cholesky factorizations as the
-		// preconditioner blocks — they are the same A_pp (§5.1).
-		pre, err := precond.FromCache(s.blocks)
-		if err != nil {
-			return nil, fmt.Errorf("core: block-Jacobi setup: %w", err)
-		}
-		s.pre = pre
-	}
-
 	s.xS = engine.NewStamps(s.np)
 	s.gS = engine.NewStamps(s.np)
 	s.qS = engine.NewStamps(s.np)
 	s.dS[0] = engine.NewStamps(s.np)
+	s.doubleBuffer = s.resilient
 	if s.doubleBuffer {
+		s.d[1] = s.space.AddVector("d1")
 		s.dS[1] = engine.NewStamps(s.np)
 	} else {
+		s.d[1] = s.d[0]
 		s.dS[1] = s.dS[0]
 	}
 	if cfg.UsePrecond {
+		s.z = s.space.AddVector("z")
 		s.zS = engine.NewStamps(s.np)
 	}
+	s.abft = cfg.ABFT && s.resilient
 	s.dqPart = engine.NewPartial(s.np)
 	s.ggPart = engine.NewPartial(s.np)
 	s.zgPart = engine.NewPartial(s.np)
-
 	if s.abft {
 		for _, v := range s.DynamicVectors() {
 			v.EnableChecksums()
 		}
 	}
-
-	s.scratch = make([]float64, cfg.pageDoubles())
-	s.scratch2 = make([]float64, cfg.pageDoubles())
-	s.resid = make([]float64, a.N)
-
-	if cfg.Method == MethodCheckpoint {
-		disk := cfg.Disk
-		if disk == nil {
-			disk = NewSimDisk(0)
-		}
-		s.ck = newCheckpointer(disk, cfg.CheckpointInterval, cfg.ExpectedMTBE, a.N, cfg.UsePrecond)
-	}
 	return s, nil
 }
-
-// Space returns the fault domain: error injectors target its vectors.
-func (s *CG) Space() *pagemem.Space { return s.space }
 
 // DynamicVectors lists the vectors the paper's injections cover (§5.3):
 // the Krylov vectors, excluding constant data and resilience metadata.
@@ -201,10 +124,6 @@ func (s *CG) DynamicVectors() []*pagemem.Vector {
 	}
 	return vs
 }
-
-// Stats returns a snapshot of the resilience counters. Only valid after
-// Run returned.
-func (s *CG) Stats() Stats { return s.stats }
 
 // captureSDC folds the space's SDC counter deltas (relative to this Run's
 // start) into the stats before a Result snapshot is built.
@@ -224,57 +143,29 @@ func (s *CG) SetCancelled(f func() bool) { s.cfg.Cancelled = f }
 // SetOnIteration installs (or clears) the per-request residual trace hook.
 func (s *CG) SetOnIteration(f func(it int, relRes float64)) { s.cfg.OnIteration = f }
 
-// SetSite installs (or clears) the fault-site hook (DESIGN §12), typically
-// a started inject.Plan's Site. Set it only between Runs.
-func (s *CG) SetSite(f func(iteration int, task string)) { s.sites.Hook = f }
-
 // Rebind replaces the right-hand side in place — the Relations layer and
 // the prepared task bodies keep their reference to the same backing array,
 // so a pooled instance serves a new RHS without rebuilding anything.
-func (s *CG) Rebind(b []float64) error {
-	if len(b) != s.a.N {
-		return fmt.Errorf("core: rhs length %d for n=%d", len(b), s.a.N)
+func (s *CG) Rebind(b []float64) error { return s.rebind(b) }
+
+// fillStamps stores ver into every page stamp of every vector.
+func (s *CG) fillStamps(ver int64) {
+	for _, st := range []engine.Stamps{s.xS, s.gS, s.qS, s.dS[0], s.dS[1], s.zS} {
+		st.Fill(ver)
 	}
-	copy(s.b, b)
-	s.bnorm = sparse.Norm2(b)
-	if s.bnorm == 0 {
-		s.bnorm = 1
-	}
-	return nil
 }
 
 // resetState returns the instance to its pre-Run state so a pooled solver
 // can serve a fresh request: failed pages remapped, vectors zeroed, stamps
-// and scalar recurrences cleared, counters rezeroed. Idempotent on a fresh
-// instance.
+// and scalar recurrences cleared, counters rezeroed, a fresh checkpointer.
+// Idempotent on a fresh instance.
 func (s *CG) resetState() {
 	blankAllFailed(s.space)
-	zero := func(v *pagemem.Vector) {
-		for i := range v.Data {
-			v.Data[i] = 0
-		}
+	for _, v := range s.DynamicVectors() {
+		clear(v.Data)
 		v.InvalidateChecksums()
 	}
-	zero(s.x)
-	zero(s.g)
-	zero(s.q)
-	zero(s.d[0])
-	if s.doubleBuffer {
-		zero(s.d[1])
-	}
-	if s.z != nil {
-		zero(s.z)
-	}
-	s.xS.Fill(-1)
-	s.gS.Fill(-1)
-	s.qS.Fill(-1)
-	s.dS[0].Fill(-1)
-	if s.doubleBuffer {
-		s.dS[1].Fill(-1)
-	}
-	if s.zS != nil {
-		s.zS.Fill(-1)
-	}
+	s.fillStamps(-1)
 	s.stats = Stats{}
 	s.alpha, s.beta, s.rho, s.epsGG = 0, 0, 0, 0
 	if s.cfg.Method == MethodCheckpoint {
@@ -282,35 +173,22 @@ func (s *CG) resetState() {
 		if disk == nil {
 			disk = NewSimDisk(0)
 		}
-		s.ck = newCheckpointer(disk, s.cfg.CheckpointInterval, s.cfg.ExpectedMTBE, s.a.N, s.cfg.UsePrecond)
+		s.ck = newCheckpointer(disk, s.cfg.CheckpointInterval, s.cfg.ExpectedMTBE, s.a.N)
 	}
-}
-
-// buildEngine constructs the engine, relations and prepared task graph on
-// the current runtime. Called once per Run in owned-pool mode, once per
-// instance lifetime in shared-pool mode.
-func (s *CG) buildEngine() {
-	s.eng = engine.New(s.a, s.layout, s.rt, s.resilient, 0)
-	s.eng.RecoveryPriority = s.cfg.OverlapPriority()
-	s.eng.Sites = &s.sites
-	s.conn = s.eng.Conn
-	s.rel = &Relations{a: s.a, layout: s.layout, conn: s.conn, blocks: s.blocks, b: s.b, scratch: s.scratch, stats: &s.stats}
-	s.buildPrepared()
-}
-
-// ensureEngine lazily builds the engine against the external runtime. The
-// prepared graph survives across Runs — the zero-rebuild property the
-// serving layer's counter test pins.
-func (s *CG) ensureEngine() {
-	if s.eng != nil {
-		return
-	}
-	s.rt = s.cfg.RT
-	s.buildEngine()
 }
 
 // vec couples a solver vector with its stamps for the engine operations.
 func vec(v *pagemem.Vector, st engine.Stamps) engine.Vec { return engine.Vec{V: v, S: st} }
+
+// buffers returns iteration t's current and previous direction buffers:
+// Listing 2's double buffering, or the one buffer of the unguarded
+// methods.
+func (s *CG) buffers(t int64) (cur, prev int) {
+	if !s.doubleBuffer {
+		return 0, 0
+	}
+	return int(t % 2), int((t + 1) % 2)
+}
 
 // Run executes the solve and returns its Result. Run may be called
 // repeatedly (with Rebind in between to change the RHS): with Config.RT
@@ -319,12 +197,11 @@ func vec(v *pagemem.Vector, st engine.Stamps) engine.Vec { return engine.Vec{V: 
 // per Run (and the pool closed after).
 func (s *CG) Run() (Result, error) {
 	start := time.Now()
-	if s.cfg.RT != nil {
-		s.ensureEngine()
-	} else {
-		s.rt = taskrt.New(s.cfg.workers())
-		defer func() { s.rt.Close(); s.rt, s.eng = nil, nil }()
-		s.buildEngine()
+	if s.eng == nil {
+		// A private pool is opened (and closed) per Run, Config.RT once
+		// per instance: every later Run replays the same prepared graph.
+		defer s.open(s.resilient)()
+		s.buildPrepared()
 	}
 	s.resetState()
 	s.sdcInjBase = s.space.SDCInjected()
@@ -349,15 +226,9 @@ func (s *CG) Run() (Result, error) {
 	for t = 0; t < maxIter; t++ {
 		if s.cfg.Cancelled != nil && s.cfg.Cancelled() {
 			s.captureSDC()
-			return Result{
-				Iterations:  t,
-				RelResidual: s.trueResidual(),
-				Elapsed:     time.Since(start),
-				Stats:       s.stats,
-				WorkerTimes: s.rt.WorkerTimes(),
-			}, ErrCancelled
+			return s.result(t, false, 0, start), ErrCancelled
 		}
-		rel := math.Sqrt(math.Max(s.epsGG, 0)) / s.bnorm
+		rel := relFromEpsilon(s.epsGG, s.bnorm)
 		if s.cfg.OnIteration != nil {
 			s.cfg.OnIteration(t, rel)
 		}
@@ -384,7 +255,7 @@ func (s *CG) Run() (Result, error) {
 		// ---------------- Phase 1: d, q, <d,q> (+ r1) ----------------
 		ver := int64(t)
 		s.runPhase1(ver)
-		if act := s.boundary(ver, afterPhase1); act == actionSkipIteration {
+		if s.boundary(ver) {
 			continue
 		}
 		dq, missing := s.dqPart.SumAvailable()
@@ -401,7 +272,7 @@ func (s *CG) Run() (Result, error) {
 
 		// ---------------- Phase 2: x, g, z, eps (+ r2/r3) -------------
 		s.runPhase2(ver)
-		if act := s.boundary(ver, afterPhase2); act == actionSkipIteration {
+		if s.boundary(ver) {
 			continue
 		}
 		gg, missingGG := s.ggPart.SumAvailable()
@@ -431,18 +302,7 @@ func (s *CG) Run() (Result, error) {
 	}
 
 	s.captureSDC()
-	if !converged {
-		final = s.trueResidual()
-	}
-	res := Result{
-		Converged:   converged,
-		Iterations:  t,
-		RelResidual: final,
-		Elapsed:     time.Since(start),
-		Stats:       s.stats,
-		WorkerTimes: s.rt.WorkerTimes(),
-	}
-	return res, nil
+	return s.result(t, converged, final, start), nil
 }
 
 // buildPrepared constructs the prepared steady-state task graph once per
@@ -614,18 +474,14 @@ func (s *CG) buildPrepared() {
 // runPhase1 replays the prepared d-update and fused q/<d,q> tasks, waits
 // for them, and runs the r1 recovery if a page is damaged.
 func (s *CG) runPhase1(ver int64) {
-	t := int(ver)
-	cur, prev := 0, 0
-	if s.doubleBuffer {
-		cur, prev = t%2, (t+1)%2
-	}
+	cur, prev := s.buffers(ver)
 	beta := s.beta
 	if s.restartPending {
 		beta = 0
 	}
 	s.iterVer, s.iterBeta, s.iterCur, s.iterPrev = ver, beta, cur, prev
 	s.dqPart.ResetMissing()
-	s.sites.Open(t)
+	s.sites.Open(int(ver))
 
 	dH := s.prep.d.Submit(nil)
 	s.prep.q.Submit(dH)
@@ -636,17 +492,13 @@ func (s *CG) runPhase1(ver int64) {
 // tasks — one wave —, waits, and runs the r2/r3 recovery if a page is
 // damaged.
 func (s *CG) runPhase2(ver int64) {
-	t := int(ver)
-	cur := 0
-	if s.doubleBuffer {
-		cur = t % 2
-	}
-	s.iterVer, s.iterCur = ver, cur
+	s.iterVer = ver
+	s.iterCur, _ = s.buffers(ver)
 	s.ggPart.ResetMissing()
 	if s.pre != nil {
 		s.zgPart.ResetMissing()
 	}
-	s.sites.Open(t)
+	s.sites.Open(int(ver))
 
 	s.prep.x.Submit(nil)
 	s.prep.g.Submit(nil)
@@ -679,46 +531,29 @@ func (s *CG) runRecovery(overlapped, critical *engine.Prepared, after, phase []*
 	critical.Wait()
 }
 
-type boundaryPoint int
-
-const (
-	afterPhase1 boundaryPoint = iota
-	afterPhase2
-)
-
-type boundaryAction int
-
-const (
-	actionContinue boundaryAction = iota
-	actionSkipIteration
-)
-
 // boundary is a task-phase boundary: all workers are quiescent. The fault
 // sites close until the next phase, pending data losses take effect, and
-// the non-ABFT methods react to any visible fault.
-func (s *CG) boundary(ver int64, _ boundaryPoint) boundaryAction {
+// the non-exact methods react to any visible fault. It reports whether a
+// restart-style recovery consumed the iteration.
+func (s *CG) boundary(ver int64) (skip bool) {
 	s.sites.Close()
-	evs := s.space.ScramblePending()
-	s.stats.FaultsSeen += len(evs)
+	s.applyPending()
 	if !s.space.AnyFault() {
-		return actionContinue
+		return false
 	}
 	switch s.cfg.Method {
-	case MethodFEIR, MethodAFEIR:
-		// Handled by recovery tasks and reconcile.
-		return actionContinue
 	case MethodIdeal, MethodTrivial:
 		// Blank-page forward recovery (§4.1): keep running.
 		blankAllFailed(s.space)
-		return actionContinue
 	case MethodLossy:
 		s.lossyRestart(ver)
-		return actionSkipIteration
+		return true
 	case MethodCheckpoint:
 		s.ck.rollback(s)
-		return actionSkipIteration
+		return true
 	}
-	return actionContinue
+	// FEIR/AFEIR: handled by the recovery tasks and reconcile.
+	return false
 }
 
 // blankAllFailed remaps every failed page of the space to a blank one and
@@ -730,15 +565,6 @@ func blankAllFailed(sp *pagemem.Space) {
 			v.MarkRecovered(p)
 		}
 	}
-}
-
-// trueResidual computes ||b - A x|| / ||b|| sequentially, in the
-// solver-owned scratch (no per-check allocation).
-func (s *CG) trueResidual() float64 {
-	r := s.resid
-	s.a.MulVec(s.x.Data, r)
-	sparse.Sub(s.b, r, r)
-	return sparse.Norm2(r) / s.bnorm
 }
 
 // applyPrecond computes z = M⁻¹ g outside the steady state, unguarded, on

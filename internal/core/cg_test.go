@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -206,25 +207,61 @@ func TestFEIRExactRecoveryCounters(t *testing.T) {
 	}
 }
 
+// TestFEIRMultipleErrorsSameVectorCoupled: several connected pages of one
+// vector lost together defeat the single-page inverse relation (each
+// page's neighbour is lost too), so §2.4's combined block system must
+// rebuild them — exactly, at the fault-free iteration count. Three x
+// pages are repaired at the iterate's current version; two or three
+// pages of the OLD direction (the buffer the d-update reads, lost at an
+// iteration boundary) are repaired at the previous version through the
+// old q the double buffering preserves, at both buffer parities.
 func TestFEIRMultipleErrorsSameVectorCoupled(t *testing.T) {
 	a, b := testSystem()
-	base := idealIterations(t, a, b)
-	// Two adjacent x pages in the same iteration: individually the
-	// inverse relation can still work page by page (the other page is
-	// excluded), so also hit THREE pages to exercise the coupled path.
-	res := runWithInjections(t, a, b, testConfig(MethodFEIR), []injection{
-		{it: 25, vec: "x", page: 6},
-		{it: 25, vec: "x", page: 7},
-		{it: 25, vec: "x", page: 8},
-	})
-	if !res.Converged {
-		t.Fatal("not converged with multi-page x errors")
+	losses := []struct {
+		name  string
+		it    int
+		vec   string
+		pages []int
+	}{
+		{"x-6..8", 25, "x", []int{6, 7, 8}},
+		{"dPrev-d1-6,7", 20, "d1", []int{6, 7}},
+		{"dPrev-d0-6,7", 21, "d0", []int{6, 7}},
+		{"dPrev-d1-6..8", 20, "d1", []int{6, 7, 8}},
+		{"dPrev-d0-6..8", 21, "d0", []int{6, 7, 8}},
 	}
-	if d := res.Iterations - base; d < -3 || d > 3 {
-		t.Fatalf("%d iterations vs ideal %d", res.Iterations, base)
-	}
-	if res.Stats.RecoveredInverse+res.Stats.RecoveredCoupled < 3 {
-		t.Fatalf("expected 3 pages recovered, stats %+v", res.Stats)
+	for _, pre := range []bool{false, true} {
+		ideal := testConfig(MethodIdeal)
+		ideal.UsePrecond = pre
+		clean, err := NewCG(a, b, ideal)
+		if err != nil {
+			t.Fatal(err)
+		}
+		base, err := clean.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range []Method{MethodFEIR, MethodAFEIR} {
+			for _, l := range losses {
+				t.Run(fmt.Sprintf("%v/precond=%v/%s", m, pre, l.name), func(t *testing.T) {
+					var inj []injection
+					for _, p := range l.pages {
+						inj = append(inj, injection{it: l.it, vec: l.vec, page: p})
+					}
+					cfg := testConfig(m)
+					cfg.UsePrecond = pre
+					res := runWithInjections(t, a, b, cfg, inj)
+					if !res.Converged {
+						t.Fatalf("not converged: %+v", res)
+					}
+					if d := res.Iterations - base.Iterations; d < -3 || d > 3 {
+						t.Errorf("%d iterations vs ideal %d", res.Iterations, base.Iterations)
+					}
+					if res.Stats.RecoveredCoupled != len(l.pages) || res.Stats.Unrecovered != 0 {
+						t.Errorf("want %d pages coupled and 0 unrecovered, stats %+v", len(l.pages), res.Stats)
+					}
+				})
+			}
+		}
 	}
 }
 
@@ -384,19 +421,19 @@ func TestCheckpointRollbackBeforeFirstCheckpointRestarts(t *testing.T) {
 }
 
 func TestCheckpointAutoIntervalDaly(t *testing.T) {
-	ck := newCheckpointer(NewSimDisk(30e6), 0, 10*time.Second, 100000, false)
+	ck := newCheckpointer(NewSimDisk(30e6), 0, 10*time.Second, 100000)
 	// C = 1.6MB/30MBps ≈ 53ms; Topt = sqrt(2*0.053*10) ≈ 1.03s.
 	iv := ck.currentInterval(100, 1*time.Second) // 10ms per iteration
 	if iv < 50 || iv > 250 {
 		t.Fatalf("Daly interval = %d iterations, want ~103", iv)
 	}
 	// Fixed interval overrides.
-	ck2 := newCheckpointer(NewSimDisk(30e6), 77, 10*time.Second, 100000, false)
+	ck2 := newCheckpointer(NewSimDisk(30e6), 77, 10*time.Second, 100000)
 	if ck2.currentInterval(100, time.Second) != 77 {
 		t.Fatal("fixed interval ignored")
 	}
 	// No MTBE information: the paper's default period.
-	ck3 := newCheckpointer(NewSimDisk(30e6), 0, 0, 100000, false)
+	ck3 := newCheckpointer(NewSimDisk(30e6), 0, 0, 100000)
 	if ck3.currentInterval(100, time.Second) != 1000 {
 		t.Fatal("default interval wrong")
 	}

@@ -27,7 +27,7 @@ type checkpointer struct {
 	beta     float64
 }
 
-func newCheckpointer(disk *SimDisk, interval int, mtbe time.Duration, n int, _ bool) *checkpointer {
+func newCheckpointer(disk *SimDisk, interval int, mtbe time.Duration, n int) *checkpointer {
 	return &checkpointer{
 		disk:     disk,
 		interval: interval,

@@ -14,6 +14,14 @@
 // gmres.go — each with a block-Jacobi preconditioned variant
 // (Config.UsePrecond) whose preconditioned vectors recover by partial
 // application (§3.2).
+//
+// The three solvers embed one solverBase (base.go): the system, the fault
+// domain, the block factors, the runtime and engine, the counters and the
+// run plumbing around the recurrences. They repair through one Relations
+// (relations.go), which states each Table 1 relation and the §2.4
+// combined block systems once; the solvers differ only in which versions
+// they pair and in the relations layered on top (CG's double-buffered
+// direction, BiCGStab's intermediate vectors, GMRES's Hessenberg copy).
 package core
 
 import (

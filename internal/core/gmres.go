@@ -8,7 +8,6 @@ import (
 	"repro/internal/defaults"
 	"repro/internal/engine"
 	"repro/internal/pagemem"
-	"repro/internal/precond"
 	"repro/internal/sparse"
 	"repro/internal/taskrt"
 )
@@ -52,30 +51,15 @@ import (
 // The x/g pair keeps the UNpreconditioned g = b - A x relation, and
 // convergence is still declared on the true residual.
 type GMRESSolver struct {
-	cfg     Config
+	solverBase
+
 	restart int
-	a       *sparse.CSR
-	b       []float64
-	bnorm   float64
-	layout  sparse.BlockLayout
-	np      int
-	space   *pagemem.Space
-	x, g    *pagemem.Vector
+	g       *pagemem.Vector
 	z       *pagemem.Vector // preconditioned residual M⁻¹ g (UsePrecond)
 	v       []*pagemem.Vector
 	w       []float64     // unprotected per-step scratch
 	hCopy   *sparse.Dense // pristine H, the redundancy store
-	pre     *precond.BlockJacobi
-	blocks  *sparse.BlockSolverCache
-	conn    [][]int
-	rel     *Relations
-	stats   Stats
-
-	rt      *taskrt.Runtime
-	eng     *engine.Engine
-	sites   engine.Sites // see SetSite
 	dotPart *engine.Partial
-	resid   []float64 // full-length true-residual scratch (reused)
 
 	zeta  float64 // ||z|| of the current cycle (reliable scalar)
 	steps int     // completed Arnoldi steps in the current cycle
@@ -84,72 +68,34 @@ type GMRESSolver struct {
 // NewGMRES builds a resilient GMRES(m) solver. restart m must satisfy
 // m+3 <= pagemem.MaxVectors.
 func NewGMRES(a *sparse.CSR, b []float64, restart int, cfg Config) (*GMRESSolver, error) {
-	if a.N != a.M {
-		return nil, fmt.Errorf("core: non-square matrix %dx%d", a.N, a.M)
-	}
-	if len(b) != a.N {
-		return nil, fmt.Errorf("core: rhs length %d for n=%d", len(b), a.N)
+	sv := &GMRESSolver{restart: defaults.GMRESRestartOr(restart)}
+	if err := sv.init(a, b, cfg, false); err != nil {
+		return nil, err
 	}
 	if err := cgOnlyFallback("gmres", cfg); err != nil {
 		return nil, err
 	}
-	restart = defaults.GMRESRestartOr(restart)
 	fixed := 3 // x, g, v_0..v_m
 	if cfg.UsePrecond {
 		fixed = 4 // plus the protected preconditioned residual z
 	}
-	if restart+fixed > pagemem.MaxVectors {
-		return nil, fmt.Errorf("core: restart %d exceeds protectable vectors (max %d)", restart, pagemem.MaxVectors-fixed)
+	if sv.restart+fixed > pagemem.MaxVectors {
+		return nil, fmt.Errorf("core: restart %d exceeds protectable vectors (max %d)", sv.restart, pagemem.MaxVectors-fixed)
 	}
-	sv := &GMRESSolver{
-		cfg:     cfg,
-		restart: restart,
-		a:       a,
-		b:       append([]float64(nil), b...),
-		layout:  sparse.BlockLayout{N: a.N, BlockSize: cfg.pageDoubles()},
-	}
-	sv.bnorm = sparse.Norm2(b)
-	if sv.bnorm == 0 {
-		sv.bnorm = 1
-	}
-	sv.np = sv.layout.NumBlocks()
-	sv.space = pagemem.NewSpace(a.N, cfg.pageDoubles())
 	sv.x = sv.space.AddVector("x")
 	sv.g = sv.space.AddVector("g")
 	if cfg.UsePrecond {
 		sv.z = sv.space.AddVector("z")
 	}
-	sv.v = make([]*pagemem.Vector, restart+1)
+	sv.v = make([]*pagemem.Vector, sv.restart+1)
 	for i := range sv.v {
 		sv.v[i] = sv.space.AddVector(fmt.Sprintf("v%d", i))
 	}
 	sv.w = make([]float64, a.N)
-	sv.hCopy = sparse.NewDense(restart+1, restart)
-	if cfg.Blocks != nil {
-		if cfg.Blocks.A != a || cfg.Blocks.Layout != sv.layout || cfg.Blocks.SPD {
-			return nil, fmt.Errorf("core: shared block cache mismatch (want matrix %p layout %+v spd=false, have %p %+v spd=%v)",
-				a, sv.layout, cfg.Blocks.A, cfg.Blocks.Layout, cfg.Blocks.SPD)
-		}
-		sv.blocks = cfg.Blocks
-	} else {
-		sv.blocks = sparse.NewBlockSolverCache(a, sv.layout, false)
-	}
-	if cfg.UsePrecond {
-		// Reuse the recovery cache's LU factorizations as the
-		// preconditioner blocks — they are the same A_pp (§5.1).
-		pre, err := precond.FromCache(sv.blocks)
-		if err != nil {
-			return nil, fmt.Errorf("core: block-Jacobi setup: %w", err)
-		}
-		sv.pre = pre
-	}
+	sv.hCopy = sparse.NewDense(sv.restart+1, sv.restart)
 	sv.dotPart = engine.NewPartial(sv.np)
-	sv.resid = make([]float64, a.N)
 	return sv, nil
 }
-
-// Space exposes the fault domain for error injection.
-func (sv *GMRESSolver) Space() *pagemem.Space { return sv.space }
 
 // DynamicVectors lists the vectors injections cover (§5.3).
 func (sv *GMRESSolver) DynamicVectors() []*pagemem.Vector {
@@ -160,25 +106,10 @@ func (sv *GMRESSolver) DynamicVectors() []*pagemem.Vector {
 	return append(vs, sv.v...)
 }
 
-// SetSite installs (or clears) the fault-site hook (DESIGN §12), typically
-// a started inject.Plan's Site. Set it only between Runs.
-func (sv *GMRESSolver) SetSite(f func(iteration int, task string)) { sv.sites.Hook = f }
-
 // Run executes the resilient solve and returns the result and solution.
 func (sv *GMRESSolver) Run() (Result, []float64, error) {
 	start := time.Now()
-	if sv.cfg.RT != nil {
-		sv.rt = sv.cfg.RT // externally owned (shared pool): never closed here
-	} else {
-		sv.rt = taskrt.New(sv.cfg.workers())
-		defer sv.rt.Close()
-	}
-	sv.eng = engine.New(sv.a, sv.layout, sv.rt, false, 0)
-	sv.eng.RecoveryPriority = sv.cfg.OverlapPriority()
-	sv.eng.Sites = &sv.sites
-	sv.conn = sv.eng.Conn
-	sv.rel = &Relations{a: sv.a, layout: sv.layout, conn: sv.conn, blocks: sv.blocks, b: sv.b,
-		scratch: make([]float64, sv.cfg.pageDoubles()), stats: &sv.stats}
+	defer sv.open(false)() // the Arnoldi discipline: fault bits, no stamps
 
 	tol := sv.cfg.tol()
 	maxIter := sv.cfg.maxIter(sv.a.N)
@@ -191,11 +122,11 @@ func (sv *GMRESSolver) Run() (Result, []float64, error) {
 	y := make([]float64, m)
 
 	totalIt := 0
-	restarts := 0
 	converged := false
+	var final float64 // the true residual of the accepted x
 	for totalIt < maxIter {
 		if sv.cfg.Cancelled != nil && sv.cfg.Cancelled() {
-			return sv.finish(totalIt, restarts, false, start), sv.x.Data, ErrCancelled
+			return sv.result(totalIt, false, 0, start), sv.x.Data, ErrCancelled
 		}
 		sv.boundary()
 		// Start of cycle: g = b - A x (full rebuild validates g), fused
@@ -219,7 +150,7 @@ func (sv *GMRESSolver) Run() (Result, []float64, error) {
 			sv.cfg.OnIteration(totalIt, trueRel)
 		}
 		if trueRel < tol {
-			converged = true
+			final, converged = sv.trueResidual(), true
 			break
 		}
 		// The Arnoldi start vector: g, or the preconditioned residual
@@ -331,7 +262,7 @@ func (sv *GMRESSolver) Run() (Result, []float64, error) {
 			}
 			d := h.At(i, i)
 			if d == 0 {
-				return sv.finish(totalIt, restarts, converged, start), sv.x.Data, ErrRecurrenceBreakdown
+				return sv.result(totalIt, false, 0, start), sv.x.Data, ErrRecurrenceBreakdown
 			}
 			y[i] = s / d
 		}
@@ -340,25 +271,9 @@ func (sv *GMRESSolver) Run() (Result, []float64, error) {
 				sparse.AxpyRange(y[l], sv.v[l].Data, sv.x.Data, lo, hi)
 			}
 		}))
-		restarts++
 		sv.steps = 0
 	}
-	return sv.finish(totalIt, restarts, converged, start), sv.x.Data, nil
-}
-
-func (sv *GMRESSolver) finish(it, restarts int, converged bool, start time.Time) Result {
-	r := sv.resid
-	sv.a.MulVec(sv.x.Data, r)
-	sparse.Sub(sv.b, r, r)
-	_ = restarts
-	return Result{
-		Converged:   converged,
-		Iterations:  it,
-		RelResidual: sparse.Norm2(r) / sv.bnorm,
-		Elapsed:     time.Since(start),
-		Stats:       sv.stats,
-		WorkerTimes: sv.rt.WorkerTimes(),
-	}
+	return sv.result(totalIt, converged, final, start), sv.x.Data, nil
 }
 
 func (sv *GMRESSolver) clearFailed(v *pagemem.Vector) {
@@ -372,8 +287,7 @@ func (sv *GMRESSolver) clearFailed(v *pagemem.Vector) {
 // interpolation for Lossy, blank pages otherwise. Leaving a boundary no
 // page is failed, which is what lets the compute tasks run unguarded.
 func (sv *GMRESSolver) boundary() {
-	evs := sv.space.ScramblePending()
-	sv.stats.FaultsSeen += len(evs)
+	sv.applyPending()
 	if !sv.space.AnyFault() {
 		return
 	}
@@ -381,12 +295,7 @@ func (sv *GMRESSolver) boundary() {
 	case MethodFEIR, MethodAFEIR:
 		sv.repairPasses(sv.steps)
 	case MethodLossy:
-		failed := sv.x.FailedPages()
-		if len(failed) > 0 && LossyInterpolate(sv.a, sv.layout, sv.blocks, sv.b, sv.x.Data, failed) {
-			sv.stats.LossyInterpolations += len(failed)
-			for _, p := range failed {
-				sv.x.MarkRecovered(p)
-			}
+		if sv.interpolateLostIterate(sv.x.FailedPages()) {
 			sv.stats.Restarts++
 		}
 	}

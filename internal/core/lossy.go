@@ -77,16 +77,11 @@ func LossyInterpolate(a *sparse.CSR, layout sparse.BlockLayout, blocks *sparse.B
 // lossyRestart reacts to detected faults for MethodLossy: interpolate any
 // lost iterate pages, rebuild all other dynamic data from x, restart.
 func (s *CG) lossyRestart(ver int64) {
-	failedX := s.x.FailedPages()
-	if len(failedX) > 0 {
-		if LossyInterpolate(s.a, s.layout, s.blocks, s.b, s.x.Data, failedX) {
-			s.stats.LossyInterpolations += len(failedX)
-		} else {
-			// Interpolation failed (degenerate block): blank the pages;
-			// the restart still yields a consistent state.
-			for _, p := range failedX {
-				s.x.Remap(p)
-			}
+	if failedX := s.x.FailedPages(); !s.interpolateLostIterate(failedX) {
+		// Interpolation failed (degenerate block): blank the pages;
+		// the restart still yields a consistent state.
+		for _, p := range failedX {
+			s.x.Remap(p)
 		}
 	}
 	s.space.ClearAll()
@@ -98,43 +93,17 @@ func (s *CG) lossyRestart(ver int64) {
 // relations cannot repair simultaneous related-data errors: lossy
 // interpolation of whatever iterate pages are not current, then a restart.
 func (s *CG) lossyFallback(ver int64) {
-	var failedX []int
-	for p := 0; p < s.np; p++ {
-		if !current(s.x, s.xS, p, ver) {
-			failedX = append(failedX, p)
-		}
-	}
-	if len(failedX) > 0 && LossyInterpolate(s.a, s.layout, s.blocks, s.b, s.x.Data, failedX) {
-		s.stats.LossyInterpolations += len(failedX)
-		for _, p := range failedX {
-			s.x.MarkRecovered(p)
-			s.xS[p].Store(ver)
-		}
-	} else {
+	x := vec(s.x, s.xS)
+	failedX := s.pages(func(p int) bool { return !x.Current(p, ver) })
+	if !s.interpolateLostIterate(failedX) {
 		for _, p := range failedX {
 			s.x.Remap(p)
 			s.x.MarkRecovered(p)
-			s.xS[p].Store(ver)
 			s.stats.Unrecovered++
 		}
 	}
 	s.space.ClearAll()
-	s.forceAllStamps(ver)
+	s.fillStamps(ver)
 	s.refreshResidual(ver)
 	s.stats.Restarts++
-}
-
-// forceAllStamps stamps every page of every tracked vector at ver, used
-// after restart-style recoveries that rebuild all dynamic data.
-func (s *CG) forceAllStamps(ver int64) {
-	s.xS.Fill(ver)
-	s.gS.Fill(ver)
-	s.qS.Fill(ver)
-	s.dS[0].Fill(ver)
-	if s.doubleBuffer {
-		s.dS[1].Fill(ver)
-	}
-	if s.zS != nil {
-		s.zS.Fill(ver)
-	}
 }

@@ -1,10 +1,7 @@
 package core
 
 import (
-	"sync/atomic"
-
 	"repro/internal/engine"
-	"repro/internal/pagemem"
 	"repro/internal/sparse"
 )
 
@@ -31,174 +28,25 @@ import (
 // recovery, so r1 always starts with a fault bit set and has no fast
 // path. r2/r3 keep theirs for reconcile, which runs every iteration.
 
-// current reports whether page p of vector v holds version ver.
-func current(v *pagemem.Vector, stamps []atomic.Int64, p int, ver int64) bool {
-	return stamps[p].Load() == ver && !v.Failed(p)
-}
-
-// lateFault reports whether page p of v was poisoned after being written
-// at version ver (fault bit set, stamp already current).
-func lateFault(v *pagemem.Vector, stamps []atomic.Int64, p int, ver int64) bool {
-	return stamps[p].Load() == ver && v.Failed(p)
-}
-
-// connCurrent reports whether every page of v listed in pages is current
-// at ver, optionally skipping one page index.
-func connCurrent(v *pagemem.Vector, stamps []atomic.Int64, pages []int, ver int64, skip int) bool {
-	for _, j := range pages {
-		if j == skip {
-			continue
-		}
-		if !current(v, stamps, j, ver) {
-			return false
+// pages lists, in ascending order, the pages p for which keep(p) holds.
+func (s *CG) pages(keep func(p int) bool) []int {
+	var ps []int
+	for p := 0; p < s.np; p++ {
+		if keep(p) {
+			ps = append(ps, p)
 		}
 	}
-	return true
-}
-
-// recoverGForward rebuilds page p of g at version ver from g = b - A x,
-// requiring x current at ver on the connected pages. Table 1, row 3 lhs.
-func (s *CG) recoverGForward(p int, ver int64) bool {
-	return s.rel.ForwardResidual(vec(s.g, s.gS), ver, vec(s.x, s.xS), ver, p)
-}
-
-// recoverXInverse rebuilds page p of x at version ver from
-// A_pp x_p = b_p - g_p - Σ_{j≠p} A_pj x_j (Table 1, row 3 rhs), requiring
-// g current at ver on page p and x current at ver on the other connected
-// pages.
-func (s *CG) recoverXInverse(p int, ver int64) bool {
-	return s.rel.InverseIterate(vec(s.x, s.xS), ver, vec(s.g, s.gS), ver, p)
-}
-
-// recoverDInverse rebuilds page p of a direction buffer at version ver
-// from A_pp d_p = q_p - Σ_{j≠p} A_pj d_j (Table 1, row 1 rhs), requiring q
-// at the SAME version on page p (for dPrev recovery that is the old q the
-// double buffering of Listing 2 preserves) and the other connected pages
-// of d current.
-func (s *CG) recoverDInverse(d *pagemem.Vector, dS []atomic.Int64, p int, ver int64) bool {
-	return s.rel.InverseDirection(engine.Vec{V: d, S: dS}, ver, vec(s.q, s.qS), ver, p)
-}
-
-// recomputeQ rebuilds page p of q at version ver by re-running the SpMV
-// rows (Table 1, row 1 lhs), requiring d current on the connected pages.
-func (s *CG) recomputeQ(d *pagemem.Vector, dS []atomic.Int64, p int, ver int64) bool {
-	return s.rel.ForwardSpMV(vec(s.q, s.qS), ver, engine.Vec{V: d, S: dS}, ver, p)
-}
-
-// recoverZ rebuilds page p of the preconditioned residual by a partial
-// block-Jacobi application (§3.2), requiring g current at ver on page p.
-func (s *CG) recoverZ(p int, ver int64) bool {
-	return s.rel.PrecondApply(s.pre, vec(s.z, s.zS), ver, vec(s.g, s.gS), ver, p)
-}
-
-// coupledRecoverD solves the combined §2.4 system for a set of direction
-// pages that are individually unrecoverable but whose q pages are current
-// at ver. All direction pages outside the group must be current.
-func (s *CG) coupledRecoverD(d *pagemem.Vector, dS []atomic.Int64, group []int, ver int64) bool {
-	if len(group) < 2 {
-		return false
-	}
-	inGroup := make(map[int]bool, len(group))
-	var exclude [][2]int
-	for _, p := range group {
-		if s.qS[p].Load() != ver || s.q.Failed(p) {
-			return false
-		}
-		inGroup[p] = true
-		lo, hi := s.layout.Range(p)
-		exclude = append(exclude, [2]int{lo, hi})
-	}
-	// Every off-group page read by the group's rows must be current.
-	for _, p := range group {
-		for _, j := range s.conn[p] {
-			if !inGroup[j] && !current(d, dS, j, ver) {
-				return false
-			}
-		}
-	}
-	var rhs []float64
-	for _, p := range group {
-		lo, hi := s.layout.Range(p)
-		part := make([]float64, hi-lo)
-		s.a.MulVecRangeExcludingBlocks(d.Data, part, lo, hi, exclude)
-		for i := lo; i < hi; i++ {
-			part[i-lo] = s.q.Data[i] - part[i-lo]
-		}
-		rhs = append(rhs, part...)
-	}
-	order, err := s.blocks.SolveCoupledBlocks(group, rhs)
-	if err != nil {
-		return false
-	}
-	off := 0
-	for _, p := range order {
-		lo, hi := s.layout.Range(p)
-		copy(d.Data[lo:hi], rhs[off:off+hi-lo])
-		d.MarkRecovered(p)
-		dS[p].Store(ver)
-		off += hi - lo
-	}
-	s.stats.RecoveredCoupled += len(order)
-	return true
-}
-
-// coupledRecoverX solves the combined system for several lost iterate
-// pages, requiring g current at ver on all of them.
-func (s *CG) coupledRecoverX(group []int, ver int64) bool {
-	if len(group) < 2 {
-		return false
-	}
-	inGroup := make(map[int]bool, len(group))
-	var exclude [][2]int
-	for _, p := range group {
-		if !current(s.g, s.gS, p, ver) {
-			return false
-		}
-		inGroup[p] = true
-		lo, hi := s.layout.Range(p)
-		exclude = append(exclude, [2]int{lo, hi})
-	}
-	for _, p := range group {
-		for _, j := range s.conn[p] {
-			if !inGroup[j] && !current(s.x, s.xS, j, ver) {
-				return false
-			}
-		}
-	}
-	var rhs []float64
-	for _, p := range group {
-		lo, hi := s.layout.Range(p)
-		part := make([]float64, hi-lo)
-		s.a.MulVecRangeExcludingBlocks(s.x.Data, part, lo, hi, exclude)
-		for i := lo; i < hi; i++ {
-			part[i-lo] = s.b[i] - s.g.Data[i] - part[i-lo]
-		}
-		rhs = append(rhs, part...)
-	}
-	order, err := s.blocks.SolveCoupledBlocks(group, rhs)
-	if err != nil {
-		return false
-	}
-	off := 0
-	for _, p := range order {
-		lo, hi := s.layout.Range(p)
-		copy(s.x.Data[lo:hi], rhs[off:off+hi-lo])
-		s.x.MarkRecovered(p)
-		s.xS[p].Store(ver)
-		off += hi - lo
-	}
-	s.stats.RecoveredCoupled += len(order)
-	return true
+	return ps
 }
 
 // recoverPhase1 is the r1 recovery: repair inputs (g, z, dPrev), then the
 // current direction, then q, then fill missing <d,q> partials.
 func (s *CG) recoverPhase1(ver int64, beta float64, cur, prev int, allowLate bool) {
-	dCur, dCurS := s.d[cur], s.dS[cur]
-	dPrev, dPrevS := s.d[prev], s.dS[prev]
-	src, srcS := s.g, s.gS
+	dCur, dPrev := vec(s.d[cur], s.dS[cur]), vec(s.d[prev], s.dS[prev])
+	x, g, q := vec(s.x, s.xS), vec(s.g, s.gS), vec(s.q, s.qS)
+	src := g
 	if s.pre != nil {
-		src, srcS = s.z, s.zS
+		src = vec(s.z, s.zS)
 	}
 	for pass := 0; pass < 4; pass++ {
 		progress := false
@@ -207,74 +55,75 @@ func (s *CG) recoverPhase1(ver int64, beta float64, cur, prev int, allowLate boo
 			// never read g, z or dPrev, so these repairs are safe even
 			// for AFEIR.
 			if s.g.Failed(p) && s.gS[p].Load() == ver-1 {
-				if s.recoverGForward(p, ver-1) {
+				if s.rel.ForwardResidual(g, ver-1, x, ver-1, p) {
 					progress = true
 				}
 			}
-			if s.pre != nil && !current(s.z, s.zS, p, ver-1) && s.zS[p].Load() <= ver-1 {
-				if s.recoverZ(p, ver-1) {
+			if s.pre != nil && !src.Current(p, ver-1) && s.zS[p].Load() <= ver-1 {
+				if s.rel.PrecondApply(s.pre, src, ver-1, g, ver-1, p) {
 					progress = true
 				}
 			}
-			if beta != 0 && !current(dPrev, dPrevS, p, ver-1) && dPrevS[p].Load() <= ver-1 {
+			if beta != 0 && !dPrev.Current(p, ver-1) && dPrev.S[p].Load() <= ver-1 {
 				// Inverse through the OLD q preserved by double buffering.
-				if s.recoverDInverse(dPrev, dPrevS, p, ver-1) {
+				if s.rel.InverseDirection(dPrev, ver-1, q, ver-1, p) {
 					progress = true
 				}
 			}
 			// Current direction at version ver.
-			if !current(dCur, dCurS, p, ver) {
-				if allowLate || !lateFault(dCur, dCurS, p, ver) {
-					if current(src, srcS, p, ver-1) && (beta == 0 || current(dPrev, dPrevS, p, ver-1)) {
+			if !dCur.Current(p, ver) {
+				if allowLate || !dCur.LateFault(p, ver) {
+					if src.Current(p, ver-1) && (beta == 0 || dPrev.Current(p, ver-1)) {
 						lo, hi := s.layout.Range(p)
 						if beta == 0 {
-							copy(dCur.Data[lo:hi], src.Data[lo:hi])
+							copy(dCur.V.Data[lo:hi], src.V.Data[lo:hi])
 						} else {
-							sparse.XpbyOutRange(src.Data, beta, dPrev.Data, dCur.Data, lo, hi)
+							sparse.XpbyOutRange(src.V.Data, beta, dPrev.V.Data, dCur.V.Data, lo, hi)
 						}
-						dCur.MarkRecovered(p)
-						dCurS[p].Store(ver)
+						s.rel.MarkRecovered(dCur, p, ver)
 						s.stats.RecoveredForward++
 						progress = true
-					} else if s.recoverDInverse(dCur, dCurS, p, ver) {
+					} else if s.rel.InverseDirection(dCur, ver, q, ver, p) {
 						progress = true
 					}
 				}
 			}
 			// q rows at version ver.
-			if !current(s.q, s.qS, p, ver) {
-				if allowLate || !lateFault(s.q, s.qS, p, ver) {
-					if s.recomputeQ(dCur, dCurS, p, ver) {
+			if !q.Current(p, ver) {
+				if allowLate || !q.LateFault(p, ver) {
+					if s.rel.ForwardSpMV(q, ver, dCur, ver, p) {
 						progress = true
 					}
 				}
 			}
 		}
 		if !progress {
-			// Multi-error combined recovery (§2.4): gather direction
-			// pages that are individually stuck but have current q.
-			var group []int
-			for p := 0; p < s.np; p++ {
-				if !current(dCur, dCurS, p, ver) &&
-					(allowLate || !lateFault(dCur, dCurS, p, ver)) &&
-					s.qS[p].Load() == ver && !s.q.Failed(p) {
-					group = append(group, p)
-				}
+			// Multi-error combined recovery (§2.4): direction pages that
+			// are individually stuck, because a connected page is lost
+			// too, but have current q — the current direction at ver,
+			// else the old one at ver-1 through the old q.
+			curGroup := s.pages(func(p int) bool {
+				return !dCur.Current(p, ver) && (allowLate || !dCur.LateFault(p, ver)) && q.Current(p, ver)
+			})
+			if s.rel.CoupledDirection(dCur, ver, q, ver, curGroup) {
+				continue
 			}
-			if !s.coupledRecoverD(dCur, dCurS, group, ver) {
+			if beta == 0 {
+				break
+			}
+			prevGroup := s.pages(func(p int) bool {
+				return !dPrev.Current(p, ver-1) && dPrev.S[p].Load() <= ver-1 && q.Current(p, ver-1)
+			})
+			if !s.rel.CoupledDirection(dPrev, ver-1, q, ver-1, prevGroup) {
 				break
 			}
 		}
 	}
 	// Fill the partial contributions that are now computable.
-	s.fillPhase1Partials(ver, dCur, dCurS)
-}
-
-func (s *CG) fillPhase1Partials(ver int64, dCur *pagemem.Vector, dCurS []atomic.Int64) {
 	for p := 0; p < s.np; p++ {
-		if s.dqPart.Missing(p) && current(dCur, dCurS, p, ver) && current(s.q, s.qS, p, ver) {
+		if s.dqPart.Missing(p) && dCur.Current(p, ver) && q.Current(p, ver) {
 			lo, hi := s.layout.Range(p)
-			s.dqPart.Store(p, sparse.DotRange(dCur.Data, s.q.Data, lo, hi))
+			s.dqPart.Store(p, sparse.DotRange(dCur.V.Data, s.q.Data, lo, hi))
 		}
 	}
 }
@@ -282,7 +131,8 @@ func (s *CG) fillPhase1Partials(ver int64, dCur *pagemem.Vector, dCurS []atomic.
 // recoverPhase2 is the r2/r3 recovery: repair x and g (and z), the late
 // direction/q damage, and fill missing ε partials.
 func (s *CG) recoverPhase2(ver int64, cur int, allowLate bool) {
-	dCur, dCurS := s.d[cur], s.dS[cur]
+	dCur := vec(s.d[cur], s.dS[cur])
+	x, g, q, z := vec(s.x, s.xS), vec(s.g, s.gS), vec(s.q, s.qS), vec(s.z, s.zS)
 	alpha := s.alpha
 	if !s.space.AnyFault() {
 		// Steady-state fast path for reconcile, which runs every
@@ -300,8 +150,8 @@ func (s *CG) recoverPhase2(ver int64, cur int, allowLate bool) {
 			// the page was lost. x is not read by the ε reductions, so
 			// both are safe for AFEIR too (r3 runs concurrently, §3.3.2).
 			if !s.x.Failed(p) && s.xS[p].Load() == ver-1 {
-				if current(dCur, dCurS, p, ver) {
-					sparse.AxpyRange(alpha, dCur.Data, s.x.Data, lo, hi)
+				if dCur.Current(p, ver) {
+					sparse.AxpyRange(alpha, dCur.V.Data, s.x.Data, lo, hi)
 					// Direct repair outside the checksum-carrying producer:
 					// the stored checksum describes the ver-1 content.
 					s.x.InvalidateChecksum(p)
@@ -310,7 +160,7 @@ func (s *CG) recoverPhase2(ver int64, cur int, allowLate bool) {
 					progress = true
 				}
 			} else if s.x.Failed(p) {
-				if s.recoverXInverse(p, ver) {
+				if s.rel.InverseIterate(x, ver, g, ver, p) {
 					progress = true
 				}
 			}
@@ -318,12 +168,12 @@ func (s *CG) recoverPhase2(ver int64, cur int, allowLate bool) {
 			// reductions read g, so AFEIR must leave late poisons alone.
 			if s.g.Failed(p) {
 				if allowLate || s.gS[p].Load() != ver {
-					if s.recoverGForward(p, ver) {
+					if s.rel.ForwardResidual(g, ver, x, ver, p) {
 						progress = true
 					}
 				}
 			} else if s.gS[p].Load() == ver-1 {
-				if current(s.q, s.qS, p, ver) {
+				if q.Current(p, ver) {
 					sparse.AxpyRange(-alpha, s.q.Data, s.g.Data, lo, hi)
 					// See the x repair above: stored checksum is ver-1's.
 					s.g.InvalidateChecksum(p)
@@ -334,33 +184,28 @@ func (s *CG) recoverPhase2(ver int64, cur int, allowLate bool) {
 			}
 			// z: rebuild by partial preconditioner application. Read by
 			// the <z,g> reductions: same late rule.
-			if s.pre != nil && !current(s.z, s.zS, p, ver) {
-				if allowLate || !lateFault(s.z, s.zS, p, ver) {
-					if s.recoverZ(p, ver) {
+			if s.pre != nil && !z.Current(p, ver) {
+				if allowLate || !z.LateFault(p, ver) {
+					if s.rel.PrecondApply(s.pre, z, ver, g, ver, p) {
 						progress = true
 					}
 				}
 			}
 			// Late damage to the phase-1 outputs, needed next iteration.
-			if !current(dCur, dCurS, p, ver) {
-				if s.recoverDInverse(dCur, dCurS, p, ver) {
+			if !dCur.Current(p, ver) {
+				if s.rel.InverseDirection(dCur, ver, q, ver, p) {
 					progress = true
 				}
 			}
-			if !current(s.q, s.qS, p, ver) {
-				if s.recomputeQ(dCur, dCurS, p, ver) {
+			if !q.Current(p, ver) {
+				if s.rel.ForwardSpMV(q, ver, dCur, ver, p) {
 					progress = true
 				}
 			}
 		}
 		if !progress {
-			var group []int
-			for p := 0; p < s.np; p++ {
-				if s.x.Failed(p) && current(s.g, s.gS, p, ver) {
-					group = append(group, p)
-				}
-			}
-			if !s.coupledRecoverX(group, ver) {
+			group := s.pages(func(p int) bool { return s.x.Failed(p) && g.Current(p, ver) })
+			if !s.rel.CoupledIterate(x, ver, g, ver, group) {
 				break
 			}
 		}
@@ -369,13 +214,14 @@ func (s *CG) recoverPhase2(ver int64, cur int, allowLate bool) {
 }
 
 func (s *CG) fillPhase2Partials(ver int64) {
+	g, z := vec(s.g, s.gS), vec(s.z, s.zS)
 	for p := 0; p < s.np; p++ {
 		lo, hi := s.layout.Range(p)
-		gOK := current(s.g, s.gS, p, ver)
+		gOK := g.Current(p, ver)
 		if s.ggPart.Missing(p) && gOK {
 			s.ggPart.Store(p, sparse.DotRange(s.g.Data, s.g.Data, lo, hi))
 		}
-		if s.pre != nil && s.zgPart.Missing(p) && gOK && current(s.z, s.zS, p, ver) {
+		if s.pre != nil && s.zgPart.Missing(p) && gOK && z.Current(p, ver) {
 			s.zgPart.Store(p, sparse.DotRange(s.z.Data, s.g.Data, lo, hi))
 		}
 	}
@@ -388,31 +234,25 @@ func (s *CG) fillPhase2Partials(ver int64) {
 // left: blank-remap under FallbackIgnore (§5.1), or a Lossy-style
 // interpolation + restart under FallbackLossy (§2.4).
 func (s *CG) reconcile(ver int64) {
-	cur := 0
-	if s.doubleBuffer {
-		cur = int(ver) % 2
-	}
+	cur, _ := s.buffers(ver)
 	s.recoverPhase2(ver, cur, true)
 
 	type victim struct {
-		v  *pagemem.Vector
-		st []atomic.Int64
-		p  int
+		v engine.Vec
+		p int
 	}
 	var leftovers []victim
-	collect := func(v *pagemem.Vector, st []atomic.Int64, want int64) {
+	vs := [...]engine.Vec{vec(s.x, s.xS), vec(s.g, s.gS), vec(s.d[cur], s.dS[cur]), vec(s.q, s.qS), vec(s.z, s.zS)}
+	n := len(vs)
+	if s.pre == nil {
+		n--
+	}
+	for _, v := range vs[:n] {
 		for p := 0; p < s.np; p++ {
-			if !current(v, st, p, want) {
-				leftovers = append(leftovers, victim{v, st, p})
+			if !v.Current(p, ver) {
+				leftovers = append(leftovers, victim{v, p})
 			}
 		}
-	}
-	collect(s.x, s.xS, ver)
-	collect(s.g, s.gS, ver)
-	collect(s.d[cur], s.dS[cur], ver)
-	collect(s.q, s.qS, ver)
-	if s.pre != nil {
-		collect(s.z, s.zS, ver)
 	}
 	if len(leftovers) == 0 {
 		return
@@ -424,9 +264,8 @@ func (s *CG) reconcile(ver int64) {
 	// FallbackIgnore: blank pages and move on; convergence pays the
 	// price, the true-residual guard protects the reported result.
 	for _, lv := range leftovers {
-		lv.v.Remap(lv.p)
-		lv.v.MarkRecovered(lv.p)
-		lv.st[lv.p].Store(ver)
+		lv.v.V.Remap(lv.p)
+		s.rel.MarkRecovered(lv.v, lv.p, ver)
 		s.stats.Unrecovered++
 	}
 }

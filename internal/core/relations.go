@@ -12,8 +12,9 @@ import (
 // from data that is current at the stated versions; CG, BiCGStab and
 // GMRES differ only in which versions pair up (double buffering shifts
 // the q/d pairing by one iteration in BiCGStab) and in the method-specific
-// relations layered on top (CG's coupled systems, GMRES's Hessenberg
-// redundancy).
+// relations layered on top (GMRES's Hessenberg redundancy). The §2.4
+// combined block systems for several connected lost pages of one vector
+// live here too, one body behind the iterate and direction entry points.
 type Relations struct {
 	a       *sparse.CSR
 	layout  sparse.BlockLayout
@@ -54,24 +55,7 @@ func (r *Relations) ForwardResidual(g engine.Vec, gVer int64, x engine.Vec, xVer
 // g current at gVer on page p and x current at xVer on the other
 // connected pages.
 func (r *Relations) InverseIterate(x engine.Vec, xVer int64, g engine.Vec, gVer int64, p int) bool {
-	if !g.Current(p, gVer) {
-		return false
-	}
-	if !x.ConnCurrent(r.conn[p], xVer, p) {
-		return false
-	}
-	lo, hi := r.layout.Range(p)
-	r.a.MulVecRangeExcludingCols(x.V.Data, r.scratch, lo, hi, lo, hi)
-	for i := lo; i < hi; i++ {
-		r.scratch[i-lo] = r.b[i] - g.V.Data[i] - r.scratch[i-lo]
-	}
-	if err := r.blocks.SolveDiagBlock(p, r.scratch[:hi-lo]); err != nil {
-		return false
-	}
-	copy(x.V.Data[lo:hi], r.scratch[:hi-lo])
-	r.MarkRecovered(x, p, xVer)
-	r.stats.RecoveredInverse++
-	return true
+	return r.inverse(x, xVer, g, gVer, r.b, p)
 }
 
 // InverseDirection rebuilds page p of d at dVer from
@@ -80,24 +64,108 @@ func (r *Relations) InverseIterate(x engine.Vec, xVer int64, g engine.Vec, gVer 
 // the double buffering of Listing 2 preserves) and the other connected
 // pages of d current at dVer.
 func (r *Relations) InverseDirection(d engine.Vec, dVer int64, q engine.Vec, qVer int64, p int) bool {
-	if !q.Current(p, qVer) {
+	return r.inverse(d, dVer, q, qVer, nil, p)
+}
+
+// inverse is the one body of both inverse relations: v_p at ver from
+// A_pp v_p = side_p - Σ_{j≠p} A_pj v_j, where side is b - src for the
+// iterate (b non-nil) and src for the direction.
+func (r *Relations) inverse(v engine.Vec, ver int64, src engine.Vec, srcVer int64, b []float64, p int) bool {
+	if !src.Current(p, srcVer) {
 		return false
 	}
-	if !d.ConnCurrent(r.conn[p], dVer, p) {
+	if !v.ConnCurrent(r.conn[p], ver, p) {
 		return false
 	}
 	lo, hi := r.layout.Range(p)
-	r.a.MulVecRangeExcludingCols(d.V.Data, r.scratch, lo, hi, lo, hi)
-	for i := lo; i < hi; i++ {
-		r.scratch[i-lo] = q.V.Data[i] - r.scratch[i-lo]
-	}
+	r.a.MulVecRangeExcludingCols(v.V.Data, r.scratch, lo, hi, lo, hi)
+	side(r.scratch, b, src.V.Data, lo, hi)
 	if err := r.blocks.SolveDiagBlock(p, r.scratch[:hi-lo]); err != nil {
 		return false
 	}
-	copy(d.V.Data[lo:hi], r.scratch[:hi-lo])
-	r.MarkRecovered(d, p, dVer)
+	copy(v.V.Data[lo:hi], r.scratch[:hi-lo])
+	r.MarkRecovered(v, p, ver)
 	r.stats.RecoveredInverse++
 	return true
+}
+
+// CoupledIterate rebuilds the group's pages of x at xVer from the §2.4
+// combined system A_GG x_G = b_G - g_G - Σ_{j∉G} A_Gj x_j, for a group of
+// at least two pages that are lost together, so that no single-page
+// inverse can rebuild them. It requires g current at gVer on every group
+// page and x current at xVer on every other page the group's rows read.
+func (r *Relations) CoupledIterate(x engine.Vec, xVer int64, g engine.Vec, gVer int64, group []int) bool {
+	return r.coupled(x, xVer, g, gVer, r.b, group)
+}
+
+// CoupledDirection is CoupledIterate's direction system,
+// A_GG d_G = q_G - Σ_{j∉G} A_Gj d_j, requiring q current at qVer on every
+// group page.
+func (r *Relations) CoupledDirection(d engine.Vec, dVer int64, q engine.Vec, qVer int64, group []int) bool {
+	return r.coupled(d, dVer, q, qVer, nil, group)
+}
+
+// coupled is the one body of both coupled systems; b as in inverse. The
+// group is in ascending page order, the order SolveCoupledBlocks reads
+// and returns the concatenated right-hand side in.
+func (r *Relations) coupled(v engine.Vec, ver int64, src engine.Vec, srcVer int64, b []float64, group []int) bool {
+	if len(group) < 2 {
+		return false
+	}
+	inGroup := make(map[int]bool, len(group))
+	var exclude [][2]int
+	for _, p := range group {
+		if !src.Current(p, srcVer) {
+			return false
+		}
+		inGroup[p] = true
+		lo, hi := r.layout.Range(p)
+		exclude = append(exclude, [2]int{lo, hi})
+	}
+	// Every off-group page read by the group's rows must be current.
+	for _, p := range group {
+		for _, j := range r.conn[p] {
+			if !inGroup[j] && !v.Current(j, ver) {
+				return false
+			}
+		}
+	}
+	var rhs []float64
+	for _, p := range group {
+		lo, hi := r.layout.Range(p)
+		part := make([]float64, hi-lo)
+		r.a.MulVecRangeExcludingBlocks(v.V.Data, part, lo, hi, exclude)
+		side(part, b, src.V.Data, lo, hi)
+		rhs = append(rhs, part...)
+	}
+	order, err := r.blocks.SolveCoupledBlocks(group, rhs)
+	if err != nil {
+		return false
+	}
+	off := 0
+	for _, p := range order {
+		lo, hi := r.layout.Range(p)
+		copy(v.V.Data[lo:hi], rhs[off:off+hi-lo])
+		r.MarkRecovered(v, p, ver)
+		off += hi - lo
+	}
+	r.stats.RecoveredCoupled += len(order)
+	return true
+}
+
+// side turns the off-block products in out (rows lo..hi) into the
+// right-hand side of an inverse relation: b - src - out, or src - out
+// when b is nil.
+func side(out, b, src []float64, lo, hi int) {
+	if b == nil {
+		for i := lo; i < hi; i++ {
+			out[i-lo] = src[i] - out[i-lo]
+		}
+		return
+	}
+	for i := lo; i < hi; i++ {
+		out[i-lo] = b[i] - src[i] - out[i-lo]
+	}
 }
 
 // ForwardSpMV rebuilds page p of q at qVer by re-running the SpMV rows
