@@ -354,6 +354,31 @@ func TestTrivialSurvivesButDegrades(t *testing.T) {
 	}
 }
 
+// TestNaNIterateNeverConverges: an iterate overwritten with NaN behind
+// the recurrence's back leaves g converging while b - A x is all NaN; the
+// true-residual check must refuse it, so Norm2 must keep the NaN.
+func TestNaNIterateNeverConverges(t *testing.T) {
+	a, b := testSystem()
+	cfg := testConfig(MethodIdeal)
+	cfg.MaxIter = 300
+	cg, err := NewCG(a, b, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cg.SetOnIteration(func(it int, _ float64) {
+		if it == 5 {
+			sparse.Fill(cg.Space().VectorByName("x").Data, math.NaN())
+		}
+	})
+	res, err := cg.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Converged {
+		t.Fatalf("converged on a NaN iterate: %+v", res)
+	}
+}
+
 func TestLossyRestartRecovers(t *testing.T) {
 	a, b := testSystem()
 	base := idealIterations(t, a, b)

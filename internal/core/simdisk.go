@@ -23,8 +23,9 @@ type SimDisk struct {
 	bytesRead    int64
 }
 
-// DefaultDiskBandwidth is the default simulated bandwidth. See the Table 2
-// calibration notes in EXPERIMENTS.md.
+// DefaultDiskBandwidth is the default simulated bandwidth. Its Table 2
+// calibration is unrecorded; ROADMAP item 10 (the claims ledger) is where
+// it belongs.
 const DefaultDiskBandwidth = 30e6 // 30 MB/s
 
 // NewSimDisk builds a simulated disk with the given bandwidth (0 means

@@ -55,6 +55,28 @@ func TestSolveCGMatchesSequential(t *testing.T) {
 	}
 }
 
+// TestNaNIterateNeverConverges: every rank's owned iterate overwritten
+// with NaN behind the recurrence's back; the gathered true residual must
+// refuse convergence, so Norm2 must keep the NaN.
+func TestNaNIterateNeverConverges(t *testing.T) {
+	a, b := distSystem()
+	cfg := baseCfg(core.MethodIdeal)
+	cfg.MaxIter = 300
+	res, _, err := injected(func(it int, ranks []*shard.Rank) {
+		if it == 5 {
+			for _, r := range ranks {
+				sparse.Fill(r.Space.VectorByName("x").Data[r.Lo:r.Hi], math.NaN())
+			}
+		}
+	})(NewCG(a, b, 2, cfg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Converged {
+		t.Fatalf("converged on a NaN iterate: %+v", res)
+	}
+}
+
 // TestCGRanksBitwise: the partials of every reduction are stored per page
 // and summed in page order whatever the rank count, and a clean FEIR or
 // AFEIR solve runs Ideal's arithmetic, so every clean solve on one operator

@@ -9,7 +9,8 @@
 // E5-2670 sockets, while CI-class hosts may expose a single core, which
 // compresses the FEIR/AFEIR overlap contrast (overlap needs idle cores).
 // The regenerated artefact is the SHAPE: method orderings, growth with
-// error rate, and crossovers. EXPERIMENTS.md records paper-vs-measured.
+// error rate, and crossovers. ROADMAP item 10 (the claims ledger) is where
+// paper-vs-measured is to be recorded.
 package experiments
 
 import (

@@ -142,70 +142,86 @@ func (a *CSR) buildSELL() {
 	a.sellWin[nw] = int32(numChunks)
 }
 
-// sellChunk accumulates the per-lane row sums of chunk c into acc: a
-// dense unguarded sweep up to the chunk's shortest real row, then a
-// ragged tail guarded by each lane's length. Lanes without a backing
-// row accumulate padding slots (0·x[0]) that the callers never store.
+// sellChunk returns the row sums of chunk c's eight lanes, held in
+// registers for the whole chunk: a dense unguarded sweep up to the chunk's
+// shortest real row, then a ragged tail guarded by each lane's length.
+// Lanes without a backing row sum padding slots (0·x[0]) that the caller
+// never stores.
 //
 //due:hotpath
-func (a *CSR) sellChunk(x []float64, c int, acc *[sellC]float64) {
-	base := int(a.sellPtr[c])
-	width := (int(a.sellPtr[c+1]) - base) / sellC
-	lens := a.sellLens[c*sellC : (c+1)*sellC]
-	minL := int(a.sellMin[c])
-	vals := a.sellVals[base : base+width*sellC]
-	cols := a.sellCols[base : base+width*sellC]
-	for l := range acc {
-		acc[l] = 0
+func (a *CSR) sellChunk(x []float64, c int) (s0, s1, s2, s3, s4, s5, s6, s7 float64) {
+	vals := a.sellVals[a.sellPtr[c]:a.sellPtr[c+1]]
+	cols := a.sellCols[a.sellPtr[c]:a.sellPtr[c+1]]
+	k, dense := 0, int(a.sellMin[c])*sellC
+	for ; k < dense; k += sellC {
+		v := vals[k : k+sellC : k+sellC]
+		j := cols[k : k+sellC : k+sellC]
+		s0 += v[0] * x[j[0]]
+		s1 += v[1] * x[j[1]]
+		s2 += v[2] * x[j[2]]
+		s3 += v[3] * x[j[3]]
+		s4 += v[4] * x[j[4]]
+		s5 += v[5] * x[j[5]]
+		s6 += v[6] * x[j[6]]
+		s7 += v[7] * x[j[7]]
 	}
-	k := 0
-	for j := 0; j < minL; j++ {
-		for l := 0; l < sellC; l++ {
-			acc[l] += vals[k] * x[cols[k]]
-			k++
+	lens := a.sellLens[c*sellC : c*sellC+sellC : c*sellC+sellC]
+	for w := a.sellMin[c]; k < len(vals); w, k = w+1, k+sellC {
+		v := vals[k : k+sellC : k+sellC]
+		j := cols[k : k+sellC : k+sellC]
+		if w < lens[0] {
+			s0 += v[0] * x[j[0]]
+		}
+		if w < lens[1] {
+			s1 += v[1] * x[j[1]]
+		}
+		if w < lens[2] {
+			s2 += v[2] * x[j[2]]
+		}
+		if w < lens[3] {
+			s3 += v[3] * x[j[3]]
+		}
+		if w < lens[4] {
+			s4 += v[4] * x[j[4]]
+		}
+		if w < lens[5] {
+			s5 += v[5] * x[j[5]]
+		}
+		if w < lens[6] {
+			s6 += v[6] * x[j[6]]
+		}
+		if w < lens[7] {
+			s7 += v[7] * x[j[7]]
 		}
 	}
-	for j := minL; j < width; j++ {
-		for l := 0; l < sellC; l++ {
-			if int32(j) < lens[l] {
-				acc[l] += vals[k] * x[cols[k]]
-			}
-			k++
-		}
+	return
+}
+
+// sellStore writes a lane's sum to its row when the lane has a row in
+// [lo, hi).
+func sellStore(y []float64, r int32, lo, hi int, s float64) {
+	if ri := int(r); ri >= lo && ri < hi {
+		y[ri] = s
 	}
 }
 
-// mulVecRangeSELL computes y[lo:hi] = (A*x)[lo:hi] from the SELL shadow.
-// Chunks never cross a σ window, so only the windows at the range
-// boundaries need the per-lane row-range guard on the scatter.
+// mulVecRangeSELL computes y[lo:hi] = (A*x)[lo:hi] from the SELL shadow,
+// scattering each chunk's lane sums straight from registers; a padding
+// lane's row is -1, outside every range.
 //
 //due:hotpath
 func (a *CSR) mulVecRangeSELL(x, y []float64, lo, hi int) {
-	w0, w1 := lo/sellSigma, (hi-1)/sellSigma
-	for w := w0; w <= w1; w++ {
-		wlo, whi := w*sellSigma, (w+1)*sellSigma
-		if whi > a.N {
-			whi = a.N
-		}
-		full := lo <= wlo && whi <= hi
-		for c := int(a.sellWin[w]); c < int(a.sellWin[w+1]); c++ {
-			var acc [sellC]float64
-			a.sellChunk(x, c, &acc)
-			rows := a.sellRows[c*sellC : (c+1)*sellC]
-			if full {
-				for l, r := range rows {
-					if r >= 0 {
-						y[r] = acc[l]
-					}
-				}
-				continue
-			}
-			for l, r := range rows {
-				if ri := int(r); r >= 0 && ri >= lo && ri < hi {
-					y[ri] = acc[l]
-				}
-			}
-		}
+	for c := int(a.sellWin[lo/sellSigma]); c < int(a.sellWin[(hi-1)/sellSigma+1]); c++ {
+		s0, s1, s2, s3, s4, s5, s6, s7 := a.sellChunk(x, c)
+		rows := a.sellRows[c*sellC : c*sellC+sellC : c*sellC+sellC]
+		sellStore(y, rows[0], lo, hi, s0)
+		sellStore(y, rows[1], lo, hi, s1)
+		sellStore(y, rows[2], lo, hi, s2)
+		sellStore(y, rows[3], lo, hi, s3)
+		sellStore(y, rows[4], lo, hi, s4)
+		sellStore(y, rows[5], lo, hi, s5)
+		sellStore(y, rows[6], lo, hi, s6)
+		sellStore(y, rows[7], lo, hi, s7)
 	}
 }
 

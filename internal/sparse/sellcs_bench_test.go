@@ -1,6 +1,9 @@
 package sparse
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 func benchSpMV(b *testing.B, a *CSR) {
 	x := randVec(a.N, 1)
@@ -12,16 +15,28 @@ func benchSpMV(b *testing.B, a *CSR) {
 	}
 }
 
+// shortRowSizes: 4,096 rows keep x (32 KB) in L1, the shape of serve-mix's
+// short class; 40,000 rows put x (320 KB) in L2.
+var shortRowSizes = []int{4096, 40000}
+
 func BenchmarkSpMVShortRowSELL(b *testing.B) {
-	a := randShortRowCSR(40000, 1)
-	if a.ShadowName() != "sell" {
-		b.Fatalf("shadow %s", a.ShadowName())
+	for _, n := range shortRowSizes {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			a := randShortRowCSR(n, 1)
+			if a.ShadowName() != "sell" {
+				b.Fatalf("shadow %s", a.ShadowName())
+			}
+			benchSpMV(b, a)
+		})
 	}
-	benchSpMV(b, a)
 }
 
 func BenchmarkSpMVShortRowCSR32(b *testing.B) {
-	a := randShortRowCSR(40000, 1)
-	a.DisableShadow("sell")
-	benchSpMV(b, a)
+	for _, n := range shortRowSizes {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			a := randShortRowCSR(n, 1)
+			a.DisableShadow("sell")
+			benchSpMV(b, a)
+		})
+	}
 }

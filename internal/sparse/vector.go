@@ -174,19 +174,20 @@ func Fill(x []float64, v float64) {
 }
 
 // Norm2 returns the Euclidean norm of x, guarding against overflow for
-// large vectors by scaling with the max magnitude.
+// large vectors by scaling with the max magnitude. It is NaN when any
+// entry is NaN and +Inf when any other entry is infinite, so a poisoned
+// vector never reads as small.
 func Norm2(x []float64) float64 {
 	var maxAbs float64
 	for _, v := range x {
 		if a := math.Abs(v); a > maxAbs {
 			maxAbs = a
+		} else if a != a {
+			return math.NaN()
 		}
 	}
-	if maxAbs == 0 || math.IsInf(maxAbs, 0) || math.IsNaN(maxAbs) {
-		if maxAbs == 0 {
-			return 0
-		}
-		return math.NaN()
+	if maxAbs == 0 || math.IsInf(maxAbs, 1) {
+		return maxAbs
 	}
 	var s float64
 	for _, v := range x {

@@ -181,6 +181,79 @@ func TestNorm2NaN(t *testing.T) {
 	}
 }
 
+// norm2Scaled is Norm2's scaled formula without its NaN and Inf cases: the
+// oracle for finite input, whose result the benchmark's verifier reads to
+// the bit.
+func norm2Scaled(x []float64) float64 {
+	var maxAbs float64
+	for _, v := range x {
+		if a := math.Abs(v); a > maxAbs {
+			maxAbs = a
+		}
+	}
+	if maxAbs == 0 {
+		return 0
+	}
+	var s float64
+	for _, v := range x {
+		r := v / maxAbs
+		s += r * r
+	}
+	return maxAbs * math.Sqrt(s)
+}
+
+// TestNorm2Table: finite input keeps the scaled formula bit for bit; a NaN
+// anywhere makes the norm NaN, and an infinity with no NaN makes it +Inf.
+func TestNorm2Table(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	sub := math.SmallestNonzeroFloat64
+	for _, tc := range []struct {
+		name string
+		x    []float64
+		want float64 // NaN, ±Inf; 0 means "the scaled formula"
+	}{
+		{"zeros", []float64{0, math.Copysign(0, -1), 0}, 0},
+		{"empty", nil, 0},
+		{"near 1e300", []float64{1e300, -3e300, 2e299}, 0},
+		{"near 1e-300", []float64{1e-300, -3e-300, 2e-301}, 0},
+		{"mixed scales", []float64{1e300, 1e-300, -7}, 0},
+		{"subnormals", []float64{sub, -3 * sub, 1e-310}, 0},
+		{"one NaN", []float64{1, nan, 2}, nan},
+		{"NaN first", []float64{nan, 5, -7}, nan},
+		{"all NaN", []float64{nan, nan, nan}, nan},
+		{"+Inf", []float64{1, inf, 2}, inf},
+		{"-Inf", []float64{-inf, 1}, inf},
+		{"Inf then NaN", []float64{inf, nan}, nan},
+		{"NaN then Inf", []float64{nan, -inf}, nan},
+	} {
+		got := Norm2(tc.x)
+		switch {
+		case math.IsNaN(tc.want):
+			if !math.IsNaN(got) {
+				t.Errorf("%s: Norm2 = %v, want NaN", tc.name, got)
+			}
+		case tc.want != 0:
+			if got != tc.want {
+				t.Errorf("%s: Norm2 = %v, want %v", tc.name, got, tc.want)
+			}
+		default:
+			if want := norm2Scaled(tc.x); math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("%s: Norm2 = %v, scaled formula %v", tc.name, got, want)
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	for k := 0; k < 50; k++ {
+		x := make([]float64, 1+rng.Intn(200))
+		for i := range x {
+			x[i] = math.Ldexp(rng.NormFloat64(), rng.Intn(2000)-1000)
+		}
+		if got, want := Norm2(x), norm2Scaled(x); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("random vector %d: Norm2 = %v, scaled formula %v", k, got, want)
+		}
+	}
+}
+
 func TestNormInf(t *testing.T) {
 	if got := NormInf([]float64{-7, 3, 5}); got != 7 {
 		t.Fatalf("NormInf = %v, want 7", got)
