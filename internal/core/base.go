@@ -140,6 +140,14 @@ func (s *solverBase) trueResidual() float64 {
 	return sparse.Norm2(r) / s.bnorm
 }
 
+// accept computes the true residual of x and applies the acceptance rule
+// (AcceptTrueResidual) to it.
+func (s *solverBase) accept(tol float64) (final float64, ok bool, err error) {
+	final = s.trueResidual()
+	ok, err = AcceptTrueResidual(final, tol)
+	return final, ok, err
+}
+
 // relFromEpsilon converts an <g,g> reduction into the relative residual.
 func relFromEpsilon(eps, bnorm float64) float64 {
 	return math.Sqrt(math.Max(eps, 0)) / bnorm

@@ -164,9 +164,13 @@ func (sv *BiCGStabSolver) Run() (Result, []float64, error) {
 			sv.cfg.OnIteration(it, rel)
 		}
 		if rel < tol {
-			if final = sv.trueResidual(); final < tol*10 {
-				converged = true
+			f, ok, err := sv.accept(tol)
+			if ok {
+				final, converged = f, true
 				break
+			}
+			if err != nil {
+				return sv.result(it, false, 0, start), sv.x.Data, err
 			}
 			// Recurrence lied (possible after ignored unrecoverable
 			// errors): rebuild the recurrence from x and keep going.

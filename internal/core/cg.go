@@ -236,9 +236,14 @@ func (s *CG) Run() (Result, error) {
 			// The recurrence claims convergence: check the true residual.
 			// Exact forward recovery preserves the recurrence, but ignored
 			// unrecoverable errors can desynchronise g from b - Ax.
-			if final = s.trueResidual(); final < tol*10 {
-				converged = true
+			f, ok, err := s.accept(tol)
+			if ok {
+				final, converged = f, true
 				break
+			}
+			if err != nil {
+				s.captureSDC()
+				return s.result(t, false, 0, start), err
 			}
 			// Recurrence said converged but the true residual disagrees
 			// (possible after ignored unrecoverable errors): refresh the

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"strings"
@@ -356,7 +357,9 @@ func TestTrivialSurvivesButDegrades(t *testing.T) {
 
 // TestNaNIterateNeverConverges: an iterate overwritten with NaN behind
 // the recurrence's back leaves g converging while b - A x is all NaN; the
-// true-residual check must refuse it, so Norm2 must keep the NaN.
+// true-residual check must refuse it, so Norm2 must keep the NaN, and end
+// the solve with ErrNonFinite when the recurrence first claims
+// convergence, not run on to MaxIter.
 func TestNaNIterateNeverConverges(t *testing.T) {
 	a, b := testSystem()
 	cfg := testConfig(MethodIdeal)
@@ -371,11 +374,11 @@ func TestNaNIterateNeverConverges(t *testing.T) {
 		}
 	})
 	res, err := cg.Run()
-	if err != nil {
-		t.Fatal(err)
+	if !errors.Is(err, ErrNonFinite) {
+		t.Fatalf("err = %v, want ErrNonFinite", err)
 	}
-	if res.Converged {
-		t.Fatalf("converged on a NaN iterate: %+v", res)
+	if res.Converged || res.Iterations >= cfg.MaxIter/2 {
+		t.Fatalf("NaN iterate: converged=%v after %d of %d iterations", res.Converged, res.Iterations, cfg.MaxIter)
 	}
 }
 

@@ -27,6 +27,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"time"
 
@@ -39,6 +40,33 @@ import (
 // iteration boundary. The solver state is left consistent (the prepared
 // graph is quiescent), so a pooled instance can be reset and reused.
 var ErrCancelled = errors.New("core: solve cancelled")
+
+// ErrNonFinite is returned by Run when the true residual ‖b − A x‖/‖b‖ of
+// the iterate is NaN or infinite: x holds a non-finite entry (or A x
+// overflows), and no further iteration can make the recurrence's residual
+// describe it again. The Result reports the iterations run and that
+// residual.
+var ErrNonFinite = errors.New("core: non-finite true residual")
+
+// trueResidualSlack is the c of the acceptance rule: the recurrence stops
+// when its own residual falls below tol, and the true residual, computed
+// afresh from x, may exceed tol by the rounding the recurrence accumulated
+// over the iterations (and, after inverse or coupled repairs, by their
+// rounding) — up to c·tol.
+const trueResidualSlack = 10
+
+// AcceptTrueResidual is the one acceptance rule of every solver here,
+// core's three and dist's CG: an iterate whose recurrence claims
+// convergence is accepted when its true residual final is finite and at
+// most trueResidualSlack·tol. A non-finite final is ErrNonFinite; a finite
+// one above the bound is neither accepted nor an error (the solver
+// rebuilds its recurrence from x and goes on).
+func AcceptTrueResidual(final, tol float64) (bool, error) {
+	if math.IsNaN(final) || math.IsInf(final, 0) {
+		return false, ErrNonFinite
+	}
+	return final <= trueResidualSlack*tol, nil
+}
 
 // Method selects the resilience scheme of a solver run (§5.1).
 type Method int

@@ -149,9 +149,15 @@ func (sv *GMRESSolver) Run() (Result, []float64, error) {
 		if sv.cfg.OnIteration != nil {
 			sv.cfg.OnIteration(totalIt, trueRel)
 		}
-		if trueRel < tol {
-			final, converged = sv.trueResidual(), true
-			break
+		if trueRel < tol || math.IsNaN(trueRel) || math.IsInf(trueRel, 0) {
+			f, ok, err := sv.accept(tol)
+			if ok {
+				final, converged = f, true
+				break
+			}
+			if err != nil {
+				return sv.result(totalIt, false, 0, start), sv.x.Data, err
+			}
 		}
 		// The Arnoldi start vector: g, or the preconditioned residual
 		// z = M⁻¹ g (full overwrite, so the rebuild heals z losses too).

@@ -310,9 +310,14 @@ func (s *CG) Run() (core.Result, []float64, error) {
 			s.cfg.OnIteration(it, rel)
 		}
 		if rel < tol {
-			if sub.TrueResidual(s.x) < tol*10 {
+			ok, err := core.AcceptTrueResidual(sub.TrueResidual(s.x), tol)
+			if ok {
 				converged = true
 				break
+			}
+			if err != nil {
+				res, x := s.finish(it, false, start)
+				return res, x, err
 			}
 			s.restartFromX() // recurrence lied: rebuild and keep going
 			s.stats.Restarts++

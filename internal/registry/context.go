@@ -142,13 +142,18 @@ func (c *OperatorContext) SizeBytes() int64 {
 // host), so the pool pays only once a sequential iteration passes ≈ 90 µs.
 // BenchmarkInlineVsPool, one solve alone on the machine, pool of two
 // against no workers, median of 5 × 40 alternating solves — estimate, pool
-// time ÷ inline time (DESIGN §8 has the operators; the two preconditioned
-// rows, 205 k and 368 k, measured on renumbered block factors):
+// time ÷ inline time, with the DIA and vector kernels on their AVX2 bodies
+// (DESIGN §8 has the operators, and the readings on the Go bodies):
 //
-//	 61 k 1.30   115 k 0.94   124 k 1.16   138 k 1.00   184 k 1.04
-//	205 k 0.70   229 k 0.86   245 k 0.86   245 k 0.96   368 k 0.73
-//	537 k 0.77  1158 k 0.66
+//	 61 k 1.37   115 k 0.94   124 k 1.10   138 k 0.97   184 k 0.94
+//	205 k 0.70   229 k 0.79   245 k 0.73   245 k 0.89   368 k 0.70
+//	537 k 0.62  1158 k 0.62
 //
+// The AVX2 bodies cut the kernel time and not the hand-offs, so the DIA
+// rows moved towards inline (the Go bodies read 1.02, 0.85–0.88,
+// 0.76–0.77, 0.73–0.76 and 0.67–0.73 on the 61 k, 124 k, 138 k, 184 k
+// and 245 k DIA rows in the same session); the turn from tie to loss
+// still lies between 184 k and 205 k, so the bound did not move.
 // The bound sits where alone turns from tie to loss. Under load the rows
 // below it gain what this cannot show (two dispatchers sharing one pool:
 // serve-mix solve_ms_p50 4.20 → 2.88 ms, ten pairs); the rows above it are

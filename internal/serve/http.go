@@ -115,6 +115,10 @@ func statusFor(err error) int {
 		return http.StatusNotFound
 	case errors.Is(err, core.ErrCancelled):
 		return http.StatusGatewayTimeout
+	case errors.Is(err, core.ErrNonFinite):
+		// The request was well formed and the solve ran: its iterate
+		// went non-finite, which no retry of the same request changes.
+		return http.StatusUnprocessableEntity
 	}
 	return http.StatusBadRequest
 }

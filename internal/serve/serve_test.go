@@ -3,6 +3,7 @@ package serve
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -349,6 +350,21 @@ func TestMatrixSubmissionRejectsMalformedCSR(t *testing.T) {
 	var resp Response
 	if err := json.Unmarshal(rr.Body.Bytes(), &resp); rr.Code != http.StatusOK || err != nil || !resp.Converged {
 		t.Fatalf("solve on the valid CSR: status %d err %v body %q", rr.Code, err, rr.Body.String())
+	}
+}
+
+// TestNonFiniteIsUnprocessable: a solve that ends in core.ErrNonFinite is
+// answered 422 under that error's name, apart from the 400 of a request
+// refused before it ran and the 504 of one that ran out of time.
+func TestNonFiniteIsUnprocessable(t *testing.T) {
+	for err, want := range map[error]int{
+		fmt.Errorf("registry: %w", core.ErrNonFinite): http.StatusUnprocessableEntity,
+		core.ErrCancelled: http.StatusGatewayTimeout,
+		ErrBadMatrix:      http.StatusBadRequest,
+	} {
+		if got := statusFor(err); got != want {
+			t.Errorf("statusFor(%v) = %d, want %d", err, got, want)
+		}
 	}
 }
 

@@ -180,11 +180,18 @@ func (a *CSR) mulRangeDIA(x, y, w []float64, lo, hi int) (wy, yy float64) {
 // resume them from y, resume them and take the partials of the finished
 // rows — each written out for g = 1…diaGroup. vs[j] and xs[j] are
 // diagonal j's values and its shifted x window; every slice is cut to
-// len(y) so the loops carry no bounds checks.
+// len(y) so the loops carry no bounds checks. With AVX2 each runs its
+// assembly body instead (simd_amd64.s), four rows per instruction and
+// bitwise the Go loop's result.
 //
 //due:hotpath
 func diaWrite(y []float64, vs, xs *[diaGroup][]float64, g int) {
 	m := len(y)
+	if useAVX2 {
+		diaWindows(vs, xs, g, m)
+		diaWriteAVX2(y, vs, xs, g)
+		return
+	}
 	switch g {
 	case 1:
 		v0, x0 := vs[0][:m], xs[0][:m]
@@ -228,6 +235,11 @@ func diaWrite(y []float64, vs, xs *[diaGroup][]float64, g int) {
 //due:hotpath
 func diaAccum(y []float64, vs, xs *[diaGroup][]float64, g int) {
 	m := len(y)
+	if useAVX2 {
+		diaWindows(vs, xs, g, m)
+		diaAccumAVX2(y, vs, xs, g)
+		return
+	}
 	switch g {
 	case 1:
 		v0, x0 := vs[0][:m], xs[0][:m]
@@ -270,6 +282,10 @@ func diaAccum(y []float64, vs, xs *[diaGroup][]float64, g int) {
 func diaAccumDot(y, w []float64, vs, xs *[diaGroup][]float64, g int, wy, yy float64) (float64, float64) {
 	m := len(y)
 	w = w[:m]
+	if useAVX2 {
+		diaWindows(vs, xs, g, m)
+		return diaAccumDotAVX2(y, w, vs, xs, g, wy, yy)
+	}
 	switch g {
 	case 1:
 		v0, x0 := vs[0][:m], xs[0][:m]
@@ -313,4 +329,15 @@ func diaAccumDot(y, w []float64, vs, xs *[diaGroup][]float64, g int, wy, yy floa
 		}
 	}
 	return wy, yy
+}
+
+// diaWindows makes the checks the Go bodies' reslicing makes — every
+// window of the group reaches m rows — before an assembly body reads
+// them unchecked.
+//
+//due:hotpath
+func diaWindows(vs, xs *[diaGroup][]float64, g, m int) {
+	for j := range g {
+		_, _ = vs[j][:m], xs[j][:m]
+	}
 }

@@ -121,6 +121,9 @@ func (a *CSR) mulVecDotVecRange32(x, y, w []float64, lo, hi int) (wy float64) {
 func AxpyDotRange(alpha float64, x, y []float64, lo, hi int) (yy float64) {
 	xs := x[lo:hi]
 	ys := y[lo:hi:hi]
+	if useAVX2 {
+		return axpyDotAVX2(alpha, xs, ys)
+	}
 	for i, v := range xs {
 		u := ys[i] + alpha*v
 		ys[i] = u

@@ -148,14 +148,35 @@ func BenchmarkSpMVDIA(b *testing.B) {
 		}
 		for _, k := range kernels {
 			b.Run(op.name+"/"+k.name, func(b *testing.B) {
-				b.SetBytes(int64(8*a.NNZ() + 16*a.N))
-				for i := 0; i < b.N; i++ {
-					for lo := 0; lo < a.N; lo += page {
-						k.fn(lo, min(lo+page, a.N))
+				forBodies(b, a.NNZ(), "ns/nonzero", func(b *testing.B) {
+					b.SetBytes(int64(8*a.NNZ() + 16*a.N))
+					for i := 0; i < b.N; i++ {
+						for lo := 0; lo < a.N; lo += page {
+							k.fn(lo, min(lo+page, a.N))
+						}
 					}
-				}
+				})
 			})
 		}
+	}
+}
+
+// forBodies runs bench once on the Go bodies (body=go) and, where this
+// build has them, once on the assembly bodies (body=simd), and reports
+// the time per pass over units things (nonzeros, elements) as unit.
+func forBodies(b *testing.B, units int, unit string, bench func(b *testing.B)) {
+	for _, simd := range []bool{false, true} {
+		name := "body=go"
+		if simd {
+			name = "body=simd"
+		}
+		b.Run(name, func(b *testing.B) {
+			if simd && !useAVX2 {
+				b.Skip("no AVX2 body in this build")
+			}
+			withBody(simd, func() { bench(b) })
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(units), unit)
+		})
 	}
 }
 
@@ -183,34 +204,40 @@ func BenchmarkSpMVDotFused(b *testing.B) {
 }
 
 func BenchmarkAxpyThenDot(b *testing.B) {
-	x, y := benchVec(benchN, 1), benchVec(benchN, 2)
-	b.SetBytes(int64(8 * benchN))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		AxpyRange(1e-9, x, y, 0, benchN)
-		sinkF = DotRange(y, y, 0, benchN)
-	}
+	forBodies(b, benchN, "ns/element", func(b *testing.B) {
+		x, y := benchVec(benchN, 1), benchVec(benchN, 2)
+		b.SetBytes(int64(8 * benchN))
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			AxpyRange(1e-9, x, y, 0, benchN)
+			sinkF = DotRange(y, y, 0, benchN)
+		}
+	})
 }
 
 func BenchmarkAxpyDotFused(b *testing.B) {
-	x, y := benchVec(benchN, 1), benchVec(benchN, 2)
-	b.SetBytes(int64(8 * benchN))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sinkF = AxpyDotRange(1e-9, x, y, 0, benchN)
-	}
+	forBodies(b, benchN, "ns/element", func(b *testing.B) {
+		x, y := benchVec(benchN, 1), benchVec(benchN, 2)
+		b.SetBytes(int64(8 * benchN))
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			sinkF = AxpyDotRange(1e-9, x, y, 0, benchN)
+		}
+	})
 }
 
 func BenchmarkXpbyThenDots(b *testing.B) {
-	x, y, w := benchVec(benchN, 1), benchVec(benchN, 2), benchVec(benchN, 3)
-	out := make([]float64, benchN)
-	b.SetBytes(int64(8 * benchN))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		XpbyOutRange(x, -0.5, y, out, 0, benchN)
-		sinkF = DotRange(out, w, 0, benchN)
-		sinkF += DotRange(out, out, 0, benchN)
-	}
+	forBodies(b, benchN, "ns/element", func(b *testing.B) {
+		x, y, w := benchVec(benchN, 1), benchVec(benchN, 2), benchVec(benchN, 3)
+		out := make([]float64, benchN)
+		b.SetBytes(int64(8 * benchN))
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			XpbyOutRange(x, -0.5, y, out, 0, benchN)
+			sinkF = DotRange(out, w, 0, benchN)
+			sinkF += DotRange(out, out, 0, benchN)
+		}
+	})
 }
 
 func BenchmarkXpbyDotNormFused(b *testing.B) {

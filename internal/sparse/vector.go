@@ -59,6 +59,10 @@ func Axpy(alpha float64, x, y []float64) {
 func AxpyRange(alpha float64, x, y []float64, lo, hi int) {
 	xs := x[lo:hi]
 	ys := y[lo:hi]
+	if useAVX2 {
+		axpyAVX2(alpha, xs, ys)
+		return
+	}
 	for i, v := range xs {
 		ys[i] += alpha * v
 	}
@@ -80,6 +84,10 @@ func Xpby(x []float64, beta float64, y []float64) {
 func XpbyRange(x []float64, beta float64, y []float64, lo, hi int) {
 	xs := x[lo:hi]
 	ys := y[lo:hi]
+	if useAVX2 {
+		xpbyAVX2(xs, beta, ys)
+		return
+	}
 	for i, v := range xs {
 		ys[i] = v + beta*ys[i]
 	}
@@ -103,6 +111,10 @@ func XpbyOutRange(x []float64, beta float64, y, out []float64, lo, hi int) {
 	xs := x[lo:hi]
 	ys := y[lo:hi:hi]
 	os := out[lo:hi:hi]
+	if useAVX2 {
+		xpbyOutAVX2(xs, beta, ys, os)
+		return
+	}
 	for i, v := range xs {
 		os[i] = v + beta*ys[i]
 	}
