@@ -136,6 +136,11 @@ func (s *CG) captureSDC() {
 // Run returned; the next Run (or resetState) overwrites it.
 func (s *CG) Solution() []float64 { return s.x.Data }
 
+// SetStop rebinds the stopping rule, Config.Tol and Config.MaxIter (zero
+// for their defaults): Run reads both only as it starts, so a warm
+// instance serves any request's tolerance and cap.
+func (s *CG) SetStop(tol float64, maxIter int) { s.cfg.Tol, s.cfg.MaxIter = tol, maxIter }
+
 // SetCancelled installs (or clears) the per-request cancellation poll —
 // pooled instances carry a different request context each checkout.
 func (s *CG) SetCancelled(f func() bool) { s.cfg.Cancelled = f }

@@ -162,7 +162,7 @@ func PageConnectivity(a *sparse.CSR, layout sparse.BlockLayout) [][]int {
 		lo, hi := layout.Range(p)
 		for r := lo; r < hi; r++ {
 			for k := a.RowPtr[r]; k < a.RowPtr[r+1]; k++ {
-				cp := layout.BlockOf(a.Cols[k])
+				cp := layout.BlockOf(int(a.Cols[k]))
 				if seen[cp] != p {
 					seen[cp] = p
 					conn[p] = append(conn[p], cp)

@@ -203,7 +203,7 @@ func TestBandedStructure(t *testing.T) {
 	requireSPDish(t, a, "banded")
 	for i := 0; i < a.N; i++ {
 		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-			if d := a.Cols[k] - i; d > 5 || d < -5 {
+			if d := int(a.Cols[k]) - i; d > 5 || d < -5 {
 				t.Fatalf("entry (%d,%d) outside band", i, a.Cols[k])
 			}
 		}

@@ -15,7 +15,8 @@ import (
 // matrix. Symmetric files are expanded to full storage. Repeated entries
 // of one cell are summed left to right in file order. Pattern and integer
 // fields are accepted (pattern entries become 1.0). Complex and array
-// formats are rejected.
+// formats are rejected, and so is a matrix past sparse.MaxIndex rows,
+// columns or entries (sparse.ErrTooLarge), before any entry is read.
 func ReadMatrixMarket(r io.Reader) (*sparse.CSR, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
@@ -61,6 +62,9 @@ func ReadMatrixMarket(r io.Reader) (*sparse.CSR, error) {
 	}
 	if n <= 0 || m <= 0 {
 		return nil, fmt.Errorf("matgen: non-positive dimensions %dx%d", n, m)
+	}
+	if err := sparse.CheckSize(n, m, nnz); err != nil {
+		return nil, err
 	}
 
 	tr := make([]sparse.Triplet, 0, nnz*2)
@@ -112,6 +116,10 @@ func ReadMatrixMarket(r io.Reader) (*sparse.CSR, error) {
 	if count != nnz {
 		return nil, fmt.Errorf("matgen: expected %d entries, found %d", nnz, count)
 	}
+	// Expanded, a symmetric file holds each off-diagonal entry twice.
+	if err := sparse.CheckSize(n, m, len(tr)); err != nil {
+		return nil, err
+	}
 	return sparse.NewCSRFromTriplets(n, m, tr), nil
 }
 
@@ -130,7 +138,7 @@ func WriteMatrixMarket(w io.Writer, a *sparse.CSR, symmetric bool) error {
 	nnz := 0
 	for i := 0; i < a.N; i++ {
 		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-			if symmetric && a.Cols[k] > i {
+			if symmetric && int(a.Cols[k]) > i {
 				continue
 			}
 			nnz++
@@ -141,7 +149,7 @@ func WriteMatrixMarket(w io.Writer, a *sparse.CSR, symmetric bool) error {
 	}
 	for i := 0; i < a.N; i++ {
 		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-			j := a.Cols[k]
+			j := int(a.Cols[k])
 			if symmetric && j > i {
 				continue
 			}

@@ -2,6 +2,7 @@ package matgen
 
 import (
 	"bytes"
+	"errors"
 	"strings"
 	"testing"
 
@@ -119,6 +120,19 @@ func TestReadMatrixMarketErrors(t *testing.T) {
 	}
 }
 
+// TestReadMatrixMarketRefusesPastInt32: a size line claiming more rows,
+// columns or entries than an int32 index holds is refused with
+// sparse.ErrTooLarge before any entry is read (the entry buffer is sized
+// from the claim, so reading on would first try to allocate it).
+func TestReadMatrixMarketRefusesPastInt32(t *testing.T) {
+	for _, size := range []string{"3000000000 4 1", "4 3000000000 1", "4 4 3000000000"} {
+		src := "%%MatrixMarket matrix coordinate real general\n" + size + "\n1 1 1.0\n"
+		if _, err := ReadMatrixMarket(strings.NewReader(src)); !errors.Is(err, sparse.ErrTooLarge) {
+			t.Errorf("%q: err = %v, want sparse.ErrTooLarge", size, err)
+		}
+	}
+}
+
 func TestMatrixMarketRoundTripGeneral(t *testing.T) {
 	a := RandomSPD(40, 6, 1.1, 11)
 	var buf bytes.Buffer
@@ -152,7 +166,7 @@ func requireEqualCSR(t *testing.T, a, b *sparse.CSR) {
 	}
 	for i := 0; i < a.N; i++ {
 		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-			j := a.Cols[k]
+			j := int(a.Cols[k])
 			if got := b.At(i, j); got != a.Vals[k] {
 				t.Fatalf("(%d,%d) = %v, want %v", i, j, got, a.Vals[k])
 			}

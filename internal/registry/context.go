@@ -34,15 +34,15 @@ func spdFor(name string) bool {
 }
 
 // poolKey identifies one reusable solver build: every Config field that
-// is baked into construction (per-request fields — RHS, cancellation,
-// trace hooks — are rebound at checkout instead).
+// is baked into construction (per-request fields — RHS, tolerance,
+// iteration cap, cancellation, trace hooks — are rebound at checkout
+// instead, so a context keeps one warm instance set per configuration,
+// not one per tolerance a client sends).
 type poolKey struct {
 	name               string
 	method             core.Method
 	workers            int
 	usePrecond         bool
-	tol                float64
-	maxIter            int
 	fallback           core.Fallback
 	taskPriority       int
 	checkpointInterval int
@@ -118,15 +118,12 @@ func (c *OperatorContext) blocksFor(name string, cfg Config) *sparse.BlockSolver
 	return bc
 }
 
-// SizeBytes estimates the resident cost of the context: the CSR (values,
-// index arrays and their narrow shadows) plus the diagonal-block factors
-// built so far, at their actual (banded) size. The estimate drives cache
-// eviction only, so page-granularity accuracy is enough.
+// SizeBytes is the resident cost of the context: what the operator holds
+// (sparse.CSR.Bytes: its arrays and kernel shadow) plus the
+// diagonal-block factors built so far, at their actual (banded) size.
+// It drives cache eviction. The warm instances' vectors are not counted.
 func (c *OperatorContext) SizeBytes() int64 {
-	nnz := int64(len(c.A.Vals))
-	n := int64(c.A.N)
-	bytes := nnz*8 + nnz*8 + (n+1)*8 // vals + cols + rowptr
-	bytes += nnz*4 + (n+1)*4         // int32 shadows (worst case: present)
+	bytes := c.A.Bytes()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for _, bc := range c.blocks {
@@ -199,8 +196,6 @@ func keyFor(name string, cfg Config) poolKey {
 		method:             cfg.Method,
 		workers:            cfg.Workers,
 		usePrecond:         cfg.UsePrecond,
-		tol:                defaults.TolOr(cfg.Tol),
-		maxIter:            cfg.MaxIter,
 		fallback:           cfg.Fallback,
 		taskPriority:       cfg.TaskPriority,
 		checkpointInterval: cfg.CheckpointInterval,
@@ -263,6 +258,7 @@ func (c *OperatorContext) Checkout(name string, b []float64, cfg Config) (*Check
 			c.pool[key] = q[:len(q)-1]
 			c.mu.Unlock()
 			_ = p.s.Rebind(b) // its one failure, a length mismatch, is ruled out above
+			p.s.SetStop(cfg.Tol, cfg.MaxIter)
 			p.s.SetCancelled(cfg.Cancelled)
 			p.s.SetOnIteration(cfg.OnIteration)
 			return &Checkout{Instance: p.inst, Warm: true, Inline: p.inline, ctx: c, key: key, cg: p}, nil

@@ -1,6 +1,7 @@
 package registry
 
 import (
+	"math"
 	"reflect"
 	"sync"
 	"testing"
@@ -354,12 +355,13 @@ func TestCheckoutKeysConstructionFields(t *testing.T) {
 }
 
 // TestPoolKeyCoversConfig: every core.Config field either changes the
-// warm pool's key or is rebound per request, so a field added later cannot
+// warm pool's key or is rebound per request (Tol and MaxIter by
+// TestWarmCheckoutRebindsStopRule), so a field added later cannot
 // let one configuration's warm instance serve another.
 func TestPoolKeyCoversConfig(t *testing.T) {
 	// Set at checkout (hooks, runtime, the context's block cache) or fixed
 	// per context (TestCheckoutRejectsMismatchedPageSize).
-	rebound := map[string]bool{"Cancelled": true, "OnIteration": true, "RT": true, "Blocks": true, "PageDoubles": true}
+	rebound := map[string]bool{"Cancelled": true, "OnIteration": true, "RT": true, "Blocks": true, "PageDoubles": true, "Tol": true, "MaxIter": true}
 	base := keyFor("cg", Config{})
 	ct := reflect.TypeOf(core.Config{})
 	for i := 0; i < ct.NumField(); i++ {
@@ -384,6 +386,71 @@ func TestPoolKeyCoversConfig(t *testing.T) {
 		if keyFor("cg", cfg) == base {
 			t.Errorf("core.Config.%s does not change the pool key", f.Name)
 		}
+	}
+}
+
+// TestWarmCheckoutRebindsStopRule: tolerance and iteration cap are
+// per-request, not pool-key fields. One warm instance serves a request
+// with a new cap (it stops there), a new tolerance (it converges to it)
+// and the original pair again, each bitwise the solve of an instance
+// built fresh for that request, and the pool never grows past one.
+func TestWarmCheckoutRebindsStopRule(t *testing.T) {
+	a, b := testSystem(t)
+	octx := NewOperatorContext("m", a, 64)
+	solve := func(o *OperatorContext, cfg Config, wantWarm bool) (core.Result, []float64) {
+		t.Helper()
+		co, err := o.Checkout("cg", b, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if co.Warm != wantWarm {
+			t.Fatalf("tol %g max_iter %d: warm = %v, want %v", cfg.Tol, cfg.MaxIter, co.Warm, wantWarm)
+		}
+		res, err := co.Instance.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		x := append([]float64(nil), co.Instance.Solution()...)
+		co.Release()
+		return res, x
+	}
+	base := testCfg(false, 0)
+	first, _ := solve(octx, base, false)
+	if !first.Converged {
+		t.Fatal("base solve did not converge")
+	}
+	capped, loose := base, base
+	capped.MaxIter = 7
+	loose.Tol = 1e-4
+	for _, c := range []struct {
+		name string
+		cfg  Config
+		ok   func(core.Result) bool
+	}{
+		{"max_iter 7", capped, func(r core.Result) bool { return !r.Converged && r.Iterations == 7 }},
+		{"tol 1e-4", loose, func(r core.Result) bool {
+			return r.Converged && r.Iterations < first.Iterations && r.RelResidual <= 10*1e-4
+		}},
+		{"the base pair again", base, func(r core.Result) bool { return r.Converged && r.Iterations == first.Iterations }},
+	} {
+		warm, wx := solve(octx, c.cfg, true)
+		if !c.ok(warm) {
+			t.Errorf("%s: warm solve converged=%v after %d iterations (base: %d)", c.name, warm.Converged, warm.Iterations, first.Iterations)
+		}
+		fresh, fx := solve(NewOperatorContext("m", a, 64), c.cfg, false)
+		if warm.Iterations != fresh.Iterations || math.Float64bits(warm.RelResidual) != math.Float64bits(fresh.RelResidual) {
+			t.Errorf("%s: warm %d iterations, residual %v; fresh %d, %v", c.name, warm.Iterations, warm.RelResidual, fresh.Iterations, fresh.RelResidual)
+		}
+		for i := range wx {
+			if math.Float64bits(wx[i]) != math.Float64bits(fx[i]) {
+				t.Fatalf("%s: x[%d] warm %v, fresh %v", c.name, i, wx[i], fx[i])
+			}
+		}
+	}
+	octx.mu.Lock()
+	defer octx.mu.Unlock()
+	if len(octx.pool) != 1 || len(octx.pool[keyFor("cg", base)]) != 1 {
+		t.Fatalf("pool holds %d keys, want one key with one instance", len(octx.pool))
 	}
 }
 

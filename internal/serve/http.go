@@ -18,14 +18,16 @@ type MatrixSubmission struct {
 	Key         string    `json:"key"`
 	Gen         string    `json:"gen,omitempty"`
 	N           int       `json:"n,omitempty"`
-	RowPtr      []int     `json:"rowptr,omitempty"`
-	Cols        []int     `json:"cols,omitempty"`
+	RowPtr      []int32   `json:"rowptr,omitempty"`
+	Cols        []int32   `json:"cols,omitempty"`
 	Vals        []float64 `json:"vals,omitempty"`
 	PageDoubles int       `json:"page_doubles,omitempty"`
 }
 
 // ErrBadMatrix rejects a raw CSR submission that is not a well-formed
-// square matrix; POST /v1/matrices answers it with 400.
+// square matrix, or one past the int32 index limit (sparse.ErrTooLarge);
+// POST /v1/matrices answers it with 400. An index past int32 in the body
+// is a 400 from the decoder.
 var ErrBadMatrix = errors.New("serve: malformed matrix")
 
 // Build materialises the submitted matrix. A raw CSR is checked before
@@ -42,6 +44,9 @@ func (m *MatrixSubmission) Build() (*sparse.CSR, error) {
 	if m.N <= 0 {
 		return nil, fmt.Errorf("%w: n = %d", ErrBadMatrix, m.N)
 	}
+	if err := sparse.CheckSize(m.N, m.N, len(m.Vals)); err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrBadMatrix, err)
+	}
 	a := &sparse.CSR{N: m.N, M: m.N, RowPtr: m.RowPtr, Cols: m.Cols, Vals: m.Vals}
 	if err := a.Validate(); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadMatrix, err)
@@ -49,7 +54,7 @@ func (m *MatrixSubmission) Build() (*sparse.CSR, error) {
 	if sparse.HasNonFinite(m.Vals) {
 		return nil, fmt.Errorf("%w: non-finite value", ErrBadMatrix)
 	}
-	a.BuildIndex32()
+	a.BuildShadows()
 	return a, nil
 }
 

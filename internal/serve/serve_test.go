@@ -338,7 +338,7 @@ func TestMatrixSubmissionRejectsMalformedCSR(t *testing.T) {
 			t.Errorf("%s: status %d body %q, want 400 with %q", name, rr.Code, rr.Body.String(), ErrBadMatrix)
 		}
 	}
-	if _, err := (&MatrixSubmission{Key: "k", N: 1, RowPtr: []int{0, 1}, Cols: []int{0}, Vals: []float64{math.Inf(1)}}).Build(); !errors.Is(err, ErrBadMatrix) {
+	if _, err := (&MatrixSubmission{Key: "k", N: 1, RowPtr: []int32{0, 1}, Cols: []int32{0}, Vals: []float64{math.Inf(1)}}).Build(); !errors.Is(err, ErrBadMatrix) {
 		t.Errorf("non-finite value: err = %v, want ErrBadMatrix", err)
 	}
 
@@ -350,6 +350,33 @@ func TestMatrixSubmissionRejectsMalformedCSR(t *testing.T) {
 	var resp Response
 	if err := json.Unmarshal(rr.Body.Bytes(), &resp); rr.Code != http.StatusOK || err != nil || !resp.Converged {
 		t.Fatalf("solve on the valid CSR: status %d err %v body %q", rr.Code, err, rr.Body.String())
+	}
+}
+
+// TestMatrixSubmissionPastInt32IsBadMatrix: a raw CSR claiming more rows
+// than an int32 index holds is a 400 through ErrBadMatrix, naming
+// sparse.ErrTooLarge, and an index past int32 a 400 from the decoder.
+// Nothing of the claimed size is allocated.
+func TestMatrixSubmissionPastInt32IsBadMatrix(t *testing.T) {
+	if _, err := (&MatrixSubmission{Key: "k", N: sparse.MaxIndex + 1}).Build(); !errors.Is(err, ErrBadMatrix) || !errors.Is(err, sparse.ErrTooLarge) {
+		t.Errorf("n past the limit: err = %v, want ErrBadMatrix and sparse.ErrTooLarge", err)
+	}
+	srv := newTestServer(t, Options{})
+	h := srv.Handler()
+	for name, body := range map[string]string{
+		"n past the limit":      `{"key":"k","n":2147483648,"rowptr":[0],"cols":[],"vals":[]}`,
+		"column past the limit": `{"key":"k","n":2,"rowptr":[0,1,2],"cols":[0,4294967297],"vals":[1,1]}`,
+		"rowptr past the limit": `{"key":"k","n":2,"rowptr":[0,4294967297,2],"cols":[0,1],"vals":[1,1]}`,
+	} {
+		rr := httptest.NewRecorder()
+		h.ServeHTTP(rr, httptest.NewRequest(http.MethodPost, "/v1/matrices", strings.NewReader(body)))
+		if rr.Code != http.StatusBadRequest {
+			t.Errorf("%s: status %d body %q, want 400", name, rr.Code, rr.Body.String())
+		}
+		named := strings.Contains(rr.Body.String(), ErrBadMatrix.Error()) && strings.Contains(rr.Body.String(), sparse.ErrTooLarge.Error())
+		if named != (name == "n past the limit") {
+			t.Errorf("%s: body %q names ErrBadMatrix and sparse.ErrTooLarge: %v", name, rr.Body.String(), named)
+		}
 	}
 }
 

@@ -55,7 +55,7 @@ func (a *CSR) spanRows(spans []span) blockRows {
 		g := spans[s].lo + i - spans[s].off
 		c := 0 // columns ascend within a row, so one cursor walks the spans
 		for p := a.RowPtr[g]; p < a.RowPtr[g+1]; p++ {
-			col := a.Cols[p]
+			col := int(a.Cols[p])
 			for c < len(spans) && col >= spans[c].hi {
 				c++
 			}

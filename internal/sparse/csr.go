@@ -10,29 +10,25 @@ import (
 // CSR is a sparse matrix in compressed sparse row format. Rows(i) spans
 // Cols[RowPtr[i]:RowPtr[i+1]] with values Vals[RowPtr[i]:RowPtr[i+1]],
 // column indices strictly increasing within a row.
+//
+// The index arrays are int32, the width the kernels read: a matrix with
+// more than MaxIndex rows, columns or nonzeros is refused (CheckSize).
+// The matrix is treated as immutable after assembly: code that edits
+// Cols or Vals in place must call BuildShadows again (the DIA and SELL
+// shadows copy values, not just indices).
 type CSR struct {
 	N      int // number of rows
 	M      int // number of columns
-	RowPtr []int
-	Cols   []int
+	RowPtr []int32
+	Cols   []int32
 	Vals   []float64
-
-	// cols32/rowPtr32 are narrow shadows of Cols/RowPtr used by the hot
-	// SpMV kernels: halving the index streams from 8 to 4 bytes per
-	// nonzero (and per row) cuts the dominant memory traffic of a
-	// memory-bound iteration by ~15-25% on stencil-like matrices. Built
-	// by the constructors (BuildIndex32 for hand-assembled matrices);
-	// nil when the matrix exceeds int32 indexing or the shadow was never
-	// built, in which case the kernels fall back to the wide arrays. The
-	// matrix is treated as immutable after assembly — code that edits
-	// Cols OR Vals in place must call BuildIndex32 again (the diagonal
-	// shadow of dia.go copies values, not just indices).
-	cols32   []int32
-	rowPtr32 []int32
 
 	// diaOffs/diaVals are the diagonal (DIA) kernel shadow for stencil
 	// and banded matrices — see dia.go. Nil when the matrix does not
-	// qualify; the kernels then use the narrow-index CSR path.
+	// qualify; the kernels then use SELL or the CSR arrays. The two
+	// diagonals of a mirrored pair are views of one backing array, so
+	// nothing may write into diaVals after buildDIA: DisableShadow only
+	// drops it, and the kernels only read it.
 	diaOffs []int
 	diaVals [][]float64
 
@@ -52,34 +48,31 @@ type CSR struct {
 	sellCols []int32
 }
 
-// BuildIndex32 (re)builds the kernel shadows the hot SpMV kernels read:
-// the narrow (int32) index arrays, the diagonal shadow of dia.go for
-// stencil/banded matrices, and the SELL-C-σ shadow of sellcs.go for
-// short-row matrices DIA rejects. Constructors call it automatically;
-// hand-assembled matrices that pass Validate may call it to opt in. The
-// narrow indices are skipped when the column count or the nonzero count
-// does not fit in an int32.
-func (a *CSR) BuildIndex32() {
+// MaxIndex is the largest row count, column count or nonzero count a CSR
+// holds: its index arrays are int32.
+const MaxIndex = 1<<31 - 1
+
+// ErrTooLarge refuses a matrix whose rows, columns or nonzeros exceed
+// MaxIndex.
+var ErrTooLarge = fmt.Errorf("sparse: matrix exceeds the int32 index limit (%d rows, columns or nonzeros)", MaxIndex)
+
+// CheckSize returns ErrTooLarge, with the offending sizes, when an n×m
+// matrix of nnz stored entries does not fit the int32 index arrays.
+func CheckSize(n, m, nnz int) error {
+	if n > MaxIndex || m > MaxIndex || nnz > MaxIndex {
+		return fmt.Errorf("%w: %dx%d with %d nonzeros", ErrTooLarge, n, m, nnz)
+	}
+	return nil
+}
+
+// BuildShadows (re)builds the kernel shadows the hot SpMV kernels read:
+// the diagonal shadow of dia.go for stencil/banded matrices, else the
+// SELL-C-σ shadow of sellcs.go for short-row matrices. A matrix with
+// neither runs the CSR kernels on its own arrays. Constructors call it;
+// hand-assembled matrices that pass Validate may call it to opt in.
+func (a *CSR) BuildShadows() {
 	a.buildDIA()
-	defer a.buildSELL()
-	if a.M > (1<<31-1) || len(a.Cols) > (1<<31-1) {
-		a.cols32, a.rowPtr32 = nil, nil
-		return
-	}
-	if cap(a.cols32) < len(a.Cols) {
-		a.cols32 = make([]int32, len(a.Cols))
-	}
-	a.cols32 = a.cols32[:len(a.Cols)]
-	for k, c := range a.Cols {
-		a.cols32[k] = int32(c)
-	}
-	if cap(a.rowPtr32) < len(a.RowPtr) {
-		a.rowPtr32 = make([]int32, len(a.RowPtr))
-	}
-	a.rowPtr32 = a.rowPtr32[:len(a.RowPtr)]
-	for i, p := range a.RowPtr {
-		a.rowPtr32[i] = int32(p)
-	}
+	a.buildSELL()
 }
 
 // Triplet is a single (row, col, value) entry used to assemble matrices.
@@ -90,13 +83,17 @@ type Triplet struct {
 
 // NewCSRFromTriplets assembles an n×m CSR matrix from coordinate entries.
 // Duplicate (row, col) entries are summed left to right in input order.
-// Entries out of range panic. entries is not modified.
+// Entries out of range panic, and so does a size past MaxIndex (CheckSize
+// counts the entries before duplicates merge). entries is not modified.
 //
 // A counting sort by row: one pass sizes the rows, one scatters (col,
 // val) into the final arrays, then each row is sorted by column, stably,
 // and its duplicates merged in place.
 func NewCSRFromTriplets(n, m int, entries []Triplet) *CSR {
-	a := &CSR{N: n, M: m, RowPtr: make([]int, n+1)}
+	if err := CheckSize(n, m, len(entries)); err != nil {
+		panic(err.Error())
+	}
+	a := &CSR{N: n, M: m, RowPtr: make([]int32, n+1)}
 	for _, t := range entries {
 		if t.Row < 0 || t.Row >= n || t.Col < 0 || t.Col >= m {
 			panic(fmt.Sprintf("sparse: triplet (%d,%d) out of range for %dx%d matrix", t.Row, t.Col, n, m))
@@ -107,13 +104,13 @@ func NewCSRFromTriplets(n, m int, entries []Triplet) *CSR {
 		a.RowPtr[i+1] += a.RowPtr[i]
 	}
 	// RowPtr[i] is row i's scatter cursor: it ends at the row's end.
-	cols, vals := make([]int, len(entries)), make([]float64, len(entries))
+	cols, vals := make([]int32, len(entries)), make([]float64, len(entries))
 	for _, t := range entries {
 		k := a.RowPtr[t.Row]
-		cols[k], vals[k] = t.Col, t.Val
+		cols[k], vals[k] = int32(t.Col), t.Val
 		a.RowPtr[t.Row]++
 	}
-	lo, w := 0, 0
+	var lo, w int32
 	for i := 0; i < n; i++ {
 		hi := a.RowPtr[i]
 		a.RowPtr[i] = w
@@ -130,22 +127,22 @@ func NewCSRFromTriplets(n, m int, entries []Triplet) *CSR {
 	}
 	a.RowPtr[n] = w
 	a.Cols, a.Vals = cols[:w], vals[:w]
-	a.BuildIndex32()
+	a.BuildShadows()
 	return a
 }
 
 // sortRow sorts one row's entries by column, stably: by insertion, or
 // through a merge sort of a copy when the row is long enough to make
 // insertion quadratic.
-func sortRow(cols []int, vals []float64) {
+func sortRow(cols []int32, vals []float64) {
 	if len(cols) > 128 {
 		row := make([]Triplet, len(cols))
 		for k := range row {
-			row[k] = Triplet{Col: cols[k], Val: vals[k]}
+			row[k] = Triplet{Col: int(cols[k]), Val: vals[k]}
 		}
 		slices.SortStableFunc(row, func(p, q Triplet) int { return p.Col - q.Col })
 		for k, t := range row {
-			cols[k], vals[k] = t.Col, t.Val
+			cols[k], vals[k] = int32(t.Col), t.Val
 		}
 		return
 	}
@@ -161,6 +158,18 @@ func sortRow(cols []int, vals []float64) {
 // NNZ returns the number of stored entries.
 func (a *CSR) NNZ() int { return len(a.Vals) }
 
+// Bytes is what the operator holds: Vals, Cols and RowPtr, the DIA
+// shadow's offsets and each distinct diagonal backing once (the two views
+// of a mirrored pair share one), and the SELL shadow's arrays.
+func (a *CSR) Bytes() int64 {
+	b := 8*len(a.Vals) + 4*len(a.Cols) + 4*len(a.RowPtr) + 8*len(a.diaOffs)
+	for _, n := range diaBackings(a.diaVals) {
+		b += 8 * n
+	}
+	b += 4 * (len(a.sellPtr) + len(a.sellWin) + len(a.sellRows) + len(a.sellLens) + len(a.sellMin) + len(a.sellCols))
+	return int64(b + 8*len(a.sellVals))
+}
+
 // Validate checks structural invariants: monotone RowPtr, sorted in-row
 // columns, indices in range. It returns a descriptive error on violation.
 func (a *CSR) Validate() error {
@@ -170,18 +179,18 @@ func (a *CSR) Validate() error {
 	if a.RowPtr[0] != 0 {
 		return fmt.Errorf("sparse: RowPtr[0] = %d, want 0", a.RowPtr[0])
 	}
-	if a.RowPtr[a.N] != len(a.Vals) || len(a.Cols) != len(a.Vals) {
+	if int(a.RowPtr[a.N]) != len(a.Vals) || len(a.Cols) != len(a.Vals) {
 		return fmt.Errorf("sparse: RowPtr[N]=%d Cols=%d Vals=%d inconsistent", a.RowPtr[a.N], len(a.Cols), len(a.Vals))
 	}
 	for i := 0; i < a.N; i++ {
 		// The second test keeps the scan below inside Cols when a middle
 		// row overshoots (RowPtr [0,5,2] over two entries).
-		if a.RowPtr[i] > a.RowPtr[i+1] || a.RowPtr[i+1] > len(a.Cols) {
+		if a.RowPtr[i] > a.RowPtr[i+1] || int(a.RowPtr[i+1]) > len(a.Cols) {
 			return fmt.Errorf("sparse: RowPtr not monotone at row %d", i)
 		}
 		prev := -1
-		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-			c := a.Cols[k]
+		for _, c32 := range a.Cols[a.RowPtr[i]:a.RowPtr[i+1]] {
+			c := int(c32)
 			if c < 0 || c >= a.M {
 				return fmt.Errorf("sparse: row %d column %d out of range", i, c)
 			}
@@ -197,10 +206,8 @@ func (a *CSR) Validate() error {
 // At returns the value at (i, j), zero when not stored.
 func (a *CSR) At(i, j int) float64 {
 	lo, hi := a.RowPtr[i], a.RowPtr[i+1]
-	cols := a.Cols[lo:hi]
-	k := sort.SearchInts(cols, j)
-	if k < len(cols) && cols[k] == j {
-		return a.Vals[lo+k]
+	if k, ok := slices.BinarySearch(a.Cols[lo:hi], int32(j)); ok {
+		return a.Vals[int(lo)+k]
 	}
 	return 0
 }
@@ -229,29 +236,10 @@ func (a *CSR) MulVecRange(x, y []float64, lo, hi int) {
 		a.mulVecRangeSELL(x, y, lo, hi)
 		return
 	}
-	if a.cols32 != nil {
-		a.mulVecRange32(x, y, lo, hi)
-		return
-	}
 	rp := a.RowPtr
 	for i := lo; i < hi; i++ {
 		row := rp[i]
 		cols := a.Cols[row:rp[i+1]]
-		vals := a.Vals[row:rp[i+1]]
-		var s float64
-		for k, c := range cols {
-			s += vals[k] * x[c]
-		}
-		y[i] = s
-	}
-}
-
-//due:hotpath
-func (a *CSR) mulVecRange32(x, y []float64, lo, hi int) {
-	rp := a.rowPtr32
-	for i := lo; i < hi; i++ {
-		row := rp[i]
-		cols := a.cols32[row:rp[i+1]]
 		vals := a.Vals[row:rp[i+1]]
 		var s float64
 		for k, c := range cols {
@@ -276,7 +264,7 @@ func (a *CSR) MulVecRangeExcludingCols(x, y []float64, lo, hi, exLo, exHi int) {
 		vals := a.Vals[row:rp[i+1]]
 		var s float64
 		for k, c := range cols {
-			if c >= exLo && c < exHi {
+			if int(c) >= exLo && int(c) < exHi {
 				continue
 			}
 			s += vals[k] * x[c]
@@ -300,7 +288,7 @@ func (a *CSR) MulVecRangeWithinCols(x, y []float64, lo, hi, inLo, inHi int) {
 		vals := a.Vals[row:rp[i+1]]
 		var s float64
 		for k, c := range cols {
-			if c >= inLo && c < inHi {
+			if int(c) >= inLo && int(c) < inHi {
 				s += vals[k] * x[c]
 			}
 		}
@@ -328,10 +316,10 @@ func (a *CSR) MulVecRangeExcludingBlocks(x, y []float64, lo, hi int, exclude [][
 		var s float64
 		ex := 0
 		for k, c := range cols {
-			for ex < len(merged) && c >= merged[ex][1] {
+			for ex < len(merged) && int(c) >= merged[ex][1] {
 				ex++
 			}
-			if ex < len(merged) && c >= merged[ex][0] {
+			if ex < len(merged) && int(c) >= merged[ex][0] {
 				continue
 			}
 			s += vals[k] * x[c]
@@ -383,7 +371,7 @@ func (a *CSR) DiagBlock(lo, hi int) *Dense {
 	for i := lo; i < hi; i++ {
 		end := a.RowPtr[i+1]
 		for p := a.RowPtr[i]; p < end; p++ {
-			c := a.Cols[p]
+			c := int(a.Cols[p])
 			if c >= lo && c < hi {
 				d.Set(i-lo, c-lo, a.Vals[p])
 			}
@@ -413,7 +401,7 @@ func (a *CSR) IsSymmetric(tol float64) bool {
 	}
 	for i := 0; i < a.N; i++ {
 		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-			j := a.Cols[k]
+			j := int(a.Cols[k])
 			v, w := a.Vals[k], a.At(j, i)
 			scale := math.Max(math.Abs(v), math.Abs(w))
 			if scale == 0 {
@@ -429,8 +417,8 @@ func (a *CSR) IsSymmetric(tol float64) bool {
 
 // Transpose returns a new CSR holding Aᵀ.
 func (a *CSR) Transpose() *CSR {
-	t := &CSR{N: a.M, M: a.N, RowPtr: make([]int, a.M+1)}
-	t.Cols = make([]int, len(a.Cols))
+	t := &CSR{N: a.M, M: a.N, RowPtr: make([]int32, a.M+1)}
+	t.Cols = make([]int32, len(a.Cols))
 	t.Vals = make([]float64, len(a.Vals))
 	for _, c := range a.Cols {
 		t.RowPtr[c+1]++
@@ -438,40 +426,39 @@ func (a *CSR) Transpose() *CSR {
 	for i := 0; i < t.N; i++ {
 		t.RowPtr[i+1] += t.RowPtr[i]
 	}
-	next := make([]int, t.N)
-	copy(next, t.RowPtr[:t.N])
+	next := slices.Clone(t.RowPtr[:t.N])
 	for i := 0; i < a.N; i++ {
 		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
 			c := a.Cols[k]
 			pos := next[c]
-			t.Cols[pos] = i
+			t.Cols[pos] = int32(i)
 			t.Vals[pos] = a.Vals[k]
 			next[c]++
 		}
 	}
-	t.BuildIndex32()
+	t.BuildShadows()
 	return t
 }
 
 // Clone returns a deep copy of the matrix.
 func (a *CSR) Clone() *CSR {
 	b := &CSR{N: a.N, M: a.M}
-	b.RowPtr = append([]int(nil), a.RowPtr...)
-	b.Cols = append([]int(nil), a.Cols...)
-	b.Vals = append([]float64(nil), a.Vals...)
-	b.BuildIndex32()
+	b.RowPtr = slices.Clone(a.RowPtr)
+	b.Cols = slices.Clone(a.Cols)
+	b.Vals = slices.Clone(a.Vals)
+	b.BuildShadows()
 	return b
 }
 
 // RowNNZ returns the number of stored entries in row i.
-func (a *CSR) RowNNZ(i int) int { return a.RowPtr[i+1] - a.RowPtr[i] }
+func (a *CSR) RowNNZ(i int) int { return int(a.RowPtr[i+1] - a.RowPtr[i]) }
 
 // OffBlockRowAbsSum returns sum_{j outside [lo,hi)} |A[i][j]| for row i.
 // It is used to compute the contraction constant of Theorem 1.
 func (a *CSR) OffBlockRowAbsSum(i, lo, hi int) float64 {
 	var s float64
 	for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-		c := a.Cols[k]
+		c := int(a.Cols[k])
 		if c >= lo && c < hi {
 			continue
 		}

@@ -280,7 +280,7 @@ func TestTranspose(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
 			j := a.Cols[k]
-			if at.At(j, i) != a.Vals[k] {
+			if at.At(int(j), i) != a.Vals[k] {
 				t.Fatalf("transpose mismatch at (%d,%d)", i, j)
 			}
 		}
@@ -327,5 +327,43 @@ func TestValidateDetectsCorruption(t *testing.T) {
 	a.Cols[0], a.Cols[1] = a.Cols[1], a.Cols[0] // break ordering
 	if err := a.Validate(); err == nil {
 		t.Fatal("Validate missed unsorted columns")
+	}
+}
+
+// TestBytesCountsHeldArrays: Bytes is the summed len × element size of
+// the arrays an operator holds, whichever shadow it selected, with a
+// mirrored pair's one backing (n + k doubles) counted once.
+func TestBytesCountsHeldArrays(t *testing.T) {
+	dia := stencil27(8)
+	sell := randShortRowCSR(1000, 7)
+	csr := randShortRowCSR(1000, 7)
+	csr.DisableShadow("sell")
+	for _, c := range []struct {
+		a      *CSR
+		shadow string
+	}{{dia, "dia"}, {sell, "sell"}, {csr, "csr32"}} {
+		a := c.a
+		if a.ShadowName() != c.shadow {
+			t.Fatalf("shadow %s, want %s", a.ShadowName(), c.shadow)
+		}
+		want := 8*len(a.Vals) + 4*len(a.Cols) + 4*len(a.RowPtr)
+		if c.shadow == "dia" {
+			want += 8 * len(a.diaOffs)
+			for _, o := range a.diaOffs {
+				if o >= 0 { // −o shares its backing (stencil27 is symmetric)
+					want += 8 * (a.N + o)
+				}
+			}
+		}
+		for _, s := range [][]int32{a.sellPtr, a.sellWin, a.sellRows, a.sellLens, a.sellMin, a.sellCols} {
+			want += 4 * len(s)
+		}
+		want += 8 * len(a.sellVals)
+		if got := a.Bytes(); got != int64(want) {
+			t.Errorf("%s: Bytes() = %d, want %d", c.shadow, got, want)
+		}
+	}
+	if len(dia.diaOffs) != 27 || len(sell.sellVals) == 0 {
+		t.Fatalf("fixtures: %d diagonals, %d SELL slots", len(dia.diaOffs), len(sell.sellVals))
 	}
 }

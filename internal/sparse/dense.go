@@ -212,15 +212,15 @@ func FactorizeBlock(block *Dense, spd bool) (BlockSolver, error) {
 		return nil, fmt.Errorf("sparse: FactorizeBlock of non-square %dx%d", block.Rows, block.Cols)
 	}
 	n := block.Rows
-	c := &CSR{N: n, M: n, RowPtr: make([]int, n+1)}
+	c := &CSR{N: n, M: n, RowPtr: make([]int32, n+1)}
 	for i := 0; i < n; i++ {
 		for j, v := range block.Data[i*n : (i+1)*n] {
 			if v != 0 {
-				c.Cols = append(c.Cols, j)
+				c.Cols = append(c.Cols, int32(j))
 				c.Vals = append(c.Vals, v)
 			}
 		}
-		c.RowPtr[i+1] = len(c.Cols)
+		c.RowPtr[i+1] = int32(len(c.Cols))
 	}
 	return factorBlock(n, c.spanRows([]span{{lo: 0, hi: n}}), spd)
 }

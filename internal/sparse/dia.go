@@ -1,13 +1,16 @@
 package sparse
 
-import "slices"
+import (
+	"math"
+	"slices"
+)
 
 // Diagonal (DIA) kernel shadow: stencil and banded matrices — the
 // paper's whole workload family — concentrate their nonzeros on a
 // handful of diagonals. Storing those diagonals as dense padded arrays
 // lets the SpMV kernels stream values in long contiguous loops with NO
 // index loads and NO gather indirection. The shadow is built by
-// BuildIndex32 when the matrix is square and its distinct offsets are
+// BuildShadows when the matrix is square and its distinct offsets are
 // few enough that the padding wastes at most half the storage
 // (maxDiaOffsets / diaWasteFactor); every other matrix keeps the CSR
 // kernels.
@@ -49,47 +52,84 @@ const (
 )
 
 // buildDIA populates the diagonal shadow, or clears it when the matrix
-// does not qualify.
+// does not qualify. Mirrored diagonals share one array: when every slot
+// of −k equals its mirror in +k bit for bit (vals[−k][i] = A[i][i−k] =
+// A[i−k][i] = vals[+k][i−k]; −0.0 against +0.0 does not share), one
+// backing of n+k doubles holds +k as backing[k:] and −k as backing[:n],
+// the padding rows of both on its zeroed ends (DESIGN §5).
 func (a *CSR) buildDIA() {
 	a.diaOffs, a.diaVals = nil, nil
-	if a.N != a.M || a.N == 0 || len(a.Vals) == 0 {
+	n := a.N
+	if n != a.M || n == 0 || len(a.Vals) == 0 {
 		return
 	}
-	// seen[o+N-1] marks offset o = col - row, which lies in (-N, N).
-	seen := make([]bool, 2*a.N-1)
+	// seen[o+n-1] marks offset o = col - row, which lies in (-n, n).
+	seen := make([]bool, 2*n-1)
 	var offs []int
-	for i := 0; i < a.N; i++ {
+	for i := 0; i < n; i++ {
 		for _, c := range a.Cols[a.RowPtr[i]:a.RowPtr[i+1]] {
-			if o := c - i; !seen[o+a.N-1] {
-				seen[o+a.N-1] = true
+			if o := int(c) - i; !seen[o+n-1] {
+				seen[o+n-1] = true
 				if offs = append(offs, o); len(offs) > maxDiaOffsets {
 					return
 				}
 			}
 		}
 	}
-	if len(offs)*a.N > diaWasteFactor*len(a.Vals) {
+	if len(offs)*n > diaWasteFactor*len(a.Vals) {
 		return
 	}
 	// Ascending offsets == ascending in-row column order: bitwise parity
 	// with the CSR accumulation.
 	slices.Sort(offs)
-	vals := make([][]float64, len(offs))
-	for d := range vals {
-		vals[d] = make([]float64, a.N)
-	}
-	// Columns ascend within a row, so a row's offsets do too: one cursor
-	// per row walks the sorted offsets to each value's diagonal.
-	for i := 0; i < a.N; i++ {
-		d := 0
-		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-			for offs[d] != a.Cols[k]-i {
-				d++
+	// Each −k with a +k starts as a view of +k's backing.
+	vals, view := make([][]float64, len(offs)), make([]bool, len(offs))
+	for d, o := range offs {
+		if o > 0 {
+			backing := make([]float64, n+o)
+			vals[d] = backing[o:]
+			if m, ok := slices.BinarySearch(offs, -o); ok {
+				vals[m], view[m] = backing[:n], true
 			}
-			vals[d][i] = a.Vals[k]
+		}
+	}
+	for d := range vals {
+		if vals[d] == nil {
+			vals[d] = make([]float64, n)
+		}
+	}
+	// Row by row, every diagonal: a row's columns ascend, and so do the
+	// offsets, so one cursor walks the row's entries. A view is checked,
+	// not written: its row i reads what +k's row i−k wrote. At its first
+	// mismatch it becomes its own array, equal to the view so far.
+	for i := 0; i < n; i++ {
+		k, end := a.RowPtr[i], a.RowPtr[i+1]
+		for d, o := range offs {
+			v := 0.0 // row i stores nothing on diagonal o
+			if k < end && int(a.Cols[k]) == i+o {
+				v, k = a.Vals[k], k+1
+			}
+			if view[d] && math.Float64bits(v) != math.Float64bits(vals[d][i]) {
+				vals[d], view[d] = slices.Clone(vals[d]), false
+			}
+			if !view[d] {
+				vals[d][i] = v
+			}
 		}
 	}
 	a.diaOffs, a.diaVals = offs, vals
+}
+
+// diaBackings returns the length of each distinct array behind the
+// diagonals: a mirrored pair's two views share one, whose last element
+// they both end at.
+func diaBackings(vals [][]float64) map[*float64]int {
+	b := make(map[*float64]int, len(vals))
+	for _, v := range vals {
+		end := &v[:cap(v)][cap(v)-1]
+		b[end] = max(b[end], cap(v))
+	}
+	return b
 }
 
 // diaClip returns the rows of [r0, r1) on which every diagonal with an

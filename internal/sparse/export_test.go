@@ -91,3 +91,7 @@ func (c *BlockSolverCache) CoupledSolver(blocks []int) (BlockSolver, error) {
 	}
 	return factorBlock(dim, c.A.spanRows(spans), c.SPD)
 }
+
+// DIABackings counts the distinct arrays behind a's DIA shadow: one per
+// diagonal, less one per mirrored pair that shares (0 without the shadow).
+func DIABackings(a *CSR) int { return len(diaBackings(a.diaVals)) }

@@ -24,33 +24,10 @@ func (a *CSR) MulVecDotRange(x, y []float64, lo, hi int) (xy, yy float64) {
 	if a.sellPtr != nil {
 		return a.mulVecDotRangeSELL(x, y, lo, hi)
 	}
-	if a.cols32 != nil {
-		return a.mulVecDotRange32(x, y, lo, hi)
-	}
 	rp := a.RowPtr
 	for i := lo; i < hi; i++ {
-		// Slice the row span once: the inner loop then runs without
-		// re-checking RowPtr-derived bounds on every nonzero.
 		row := rp[i]
 		cols := a.Cols[row:rp[i+1]]
-		vals := a.Vals[row:rp[i+1]]
-		var s float64
-		for k, c := range cols {
-			s += vals[k] * x[c]
-		}
-		y[i] = s
-		xy += x[i] * s
-		yy += s * s
-	}
-	return xy, yy
-}
-
-//due:hotpath
-func (a *CSR) mulVecDotRange32(x, y []float64, lo, hi int) (xy, yy float64) {
-	rp := a.rowPtr32
-	for i := lo; i < hi; i++ {
-		row := rp[i]
-		cols := a.cols32[row:rp[i+1]]
 		vals := a.Vals[row:rp[i+1]]
 		var s float64
 		for k, c := range cols {
@@ -77,30 +54,10 @@ func (a *CSR) MulVecDotVecRange(x, y, w []float64, lo, hi int) (wy float64) {
 	if a.sellPtr != nil {
 		return a.mulVecDotVecRangeSELL(x, y, w, lo, hi)
 	}
-	if a.cols32 != nil {
-		return a.mulVecDotVecRange32(x, y, w, lo, hi)
-	}
 	rp := a.RowPtr
 	for i := lo; i < hi; i++ {
 		row := rp[i]
 		cols := a.Cols[row:rp[i+1]]
-		vals := a.Vals[row:rp[i+1]]
-		var s float64
-		for k, c := range cols {
-			s += vals[k] * x[c]
-		}
-		y[i] = s
-		wy += s * w[i]
-	}
-	return wy
-}
-
-//due:hotpath
-func (a *CSR) mulVecDotVecRange32(x, y, w []float64, lo, hi int) (wy float64) {
-	rp := a.rowPtr32
-	for i := lo; i < hi; i++ {
-		row := rp[i]
-		cols := a.cols32[row:rp[i+1]]
 		vals := a.Vals[row:rp[i+1]]
 		var s float64
 		for k, c := range cols {

@@ -35,25 +35,13 @@ func benchVec(n int, seed int64) []float64 {
 	return v
 }
 
-// Kernel-path attribution: the same pentadiagonal SpMV through the three
-// dispatch tiers (generic wide-index CSR, narrow-index CSR, diagonal
-// shadow). benchMatrix qualifies for the DIA shadow, so the *ThenDots /
-// *Fused benchmarks below measure the best path; these isolate each tier.
-func BenchmarkSpMVGeneric(b *testing.B) {
-	a := benchMatrix(benchN)
-	g := &CSR{N: a.N, M: a.M, RowPtr: a.RowPtr, Cols: a.Cols, Vals: a.Vals} // no shadows
-	x, y := benchVec(benchN, 1), make([]float64, benchN)
-	b.SetBytes(int64(8 * benchN))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g.MulVecRange(x, y, 0, benchN)
-	}
-}
-
-func BenchmarkSpMVIndex32(b *testing.B) {
-	a := benchMatrix(benchN)
-	c := &CSR{N: a.N, M: a.M, RowPtr: a.RowPtr, Cols: a.Cols, Vals: a.Vals}
-	c.cols32, c.rowPtr32 = a.cols32, a.rowPtr32 // narrow indices, no DIA
+// Kernel-path attribution: the same pentadiagonal SpMV on the CSR
+// arrays, with the diagonal shadow dropped. benchMatrix qualifies for the
+// DIA shadow, so the *ThenDots / *Fused benchmarks below measure the best
+// path; this isolates the CSR tier.
+func BenchmarkSpMVCSR(b *testing.B) {
+	c := benchMatrix(benchN)
+	c.DisableShadow("dia")
 	x, y := benchVec(benchN, 1), make([]float64, benchN)
 	b.SetBytes(int64(8 * benchN))
 	b.ResetTimer()

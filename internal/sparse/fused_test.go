@@ -185,7 +185,7 @@ func TestPropertyExcludingBlocksMergedCursor(t *testing.T) {
 			for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
 				c := a.Cols[k]
 				for _, ex := range exclude {
-					if c >= ex[0] && c < ex[1] {
+					if int(c) >= ex[0] && int(c) < ex[1] {
 						continue scan
 					}
 				}

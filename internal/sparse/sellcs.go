@@ -8,11 +8,11 @@ package sparse
 // loop walks C lanes at a time over contiguous value/index streams with
 // no per-row slice headers and no per-row loop setup, which is where the
 // row-major CSR kernel loses its time when rows are short. The shadow is
-// built by BuildIndex32 when the matrix is square, large enough to be
+// built by BuildShadows when the matrix is square, large enough to be
 // memory-bound, short-rowed on average and padded by at most 25%
 // (sellMinRows / sellMaxAvgRow / sellWasteNum below — thresholds set from
 // the kernels microbench so the shadow is only selected where it beats
-// the narrow-index CSR kernel); DIA still wins whenever it qualifies.
+// the CSR kernel); DIA still wins whenever it qualifies.
 //
 // Exactness: each row's nonzeros occupy consecutive j-slots of its lane
 // in original CSR (ascending-column) order, and the lane accumulator adds
@@ -40,14 +40,10 @@ const (
 )
 
 // buildSELL populates the SELL-C-σ shadow, or clears it when the matrix
-// does not qualify. Must run after buildDIA and the narrow-index build:
-// DIA wins when both qualify, and the packed column indices reuse the
-// int32 range check.
+// does not qualify. Must run after buildDIA: DIA wins when both qualify.
 func (a *CSR) buildSELL() {
-	a.sellPtr, a.sellWin = nil, nil
-	a.sellRows, a.sellLens, a.sellMin = nil, nil, nil
-	a.sellVals, a.sellCols = nil, nil
-	if a.diaOffs != nil || a.cols32 == nil {
+	a.DisableShadow("sell")
+	if a.diaOffs != nil {
 		return
 	}
 	n := a.N
@@ -61,7 +57,7 @@ func (a *CSR) buildSELL() {
 	for i := range order {
 		order[i] = int32(i)
 	}
-	rowLen := func(i int32) int { return a.RowPtr[i+1] - a.RowPtr[i] }
+	rowLen := func(i int32) int { return int(a.RowPtr[i+1] - a.RowPtr[i]) }
 	// Per-window insertion sort by (length desc, row asc): windows are
 	// small and near-sorted inputs (constant-stencil rows) cost O(σ).
 	for w := 0; w < nw; w++ {
@@ -128,10 +124,10 @@ func (a *CSR) buildSELL() {
 				row := lanes[l]
 				a.sellRows[li] = row
 				a.sellLens[li] = int32(rowLen(row))
-				base := a.RowPtr[row]
+				base := int(a.RowPtr[row])
 				for j := 0; j < rowLen(row); j++ {
 					a.sellVals[cursor+j*sellC+l] = a.Vals[base+j]
-					a.sellCols[cursor+j*sellC+l] = a.cols32[base+j]
+					a.sellCols[cursor+j*sellC+l] = a.Cols[base+j]
 				}
 			}
 			cursor += width * sellC
@@ -273,24 +269,24 @@ func (a *CSR) mulVecDotVecRangeSELL(x, y, w []float64, lo, hi int) (wy float64) 
 }
 
 // ShadowName reports which kernel shadow MulVecRange dispatches to:
-// "dia", "sell", "csr32" or "csr".
+// "dia", "sell", or "csr32" for the CSR arrays themselves (whose index is
+// int32).
 func (a *CSR) ShadowName() string {
 	switch {
 	case a.diaOffs != nil:
 		return "dia"
 	case a.sellPtr != nil:
 		return "sell"
-	case a.cols32 != nil:
-		return "csr32"
 	default:
-		return "csr"
+		return "csr32"
 	}
 }
 
-// DisableShadow drops the named shadow ("dia", "sell" or "int32") so
-// benchmarks and tests can compare dispatch tiers on the same matrix.
-// Dropping "dia" does not resurrect a SELL shadow the DIA build
-// suppressed; call BuildIndex32 variants by hand for that.
+// DisableShadow drops the named shadow ("dia" or "sell") so benchmarks
+// and tests can compare dispatch tiers on the same matrix. Dropping "dia"
+// does not resurrect a SELL shadow the DIA build suppressed; call
+// buildSELL by hand for that. "int32" is accepted and does nothing: the
+// CSR arrays are the int32 tier.
 func (a *CSR) DisableShadow(name string) {
 	switch name {
 	case "dia":
@@ -299,7 +295,5 @@ func (a *CSR) DisableShadow(name string) {
 		a.sellPtr, a.sellWin = nil, nil
 		a.sellRows, a.sellLens, a.sellMin = nil, nil, nil
 		a.sellVals, a.sellCols = nil, nil
-	case "int32":
-		a.cols32, a.rowPtr32 = nil, nil
 	}
 }

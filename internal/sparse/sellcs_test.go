@@ -89,7 +89,7 @@ func profileCSR(n int, seed int64, rowLen func(i int) int) *CSR {
 }
 
 // TestSELLMatchesCSRBitwise pins the three SELL entry points bitwise
-// against both CSR tiers on full, page-aligned and misaligned ranges,
+// against the CSR kernels on full, page-aligned and misaligned ranges,
 // across sizes that exercise partial windows and partial chunks, and
 // across row-length profiles that drive the chunk kernel's paths one at a
 // time: no ragged tail at all, one lane alone in a deep tail while the
@@ -120,10 +120,10 @@ func TestSELLMatchesCSRBitwise(t *testing.T) {
 	}
 }
 
-// checkSELLBitwise compares each of a's three SELL entry points with both
-// CSR tiers on x = randVec(n, seed) and w = randVec(n, seed+100). Every
+// checkSELLBitwise compares each of a's three SELL entry points with the
+// CSR kernels on x = randVec(n, seed) and w = randVec(n, seed+100). Every
 // entry point writes its own NaN-filled y, checked as soon as it returns:
-// rows in [lo, hi) equal to both tiers bitwise, every other row still NaN
+// rows in [lo, hi) equal to the CSR kernels' bitwise, every other row still NaN
 // (a row written outside the range would be another task's row under the
 // pool).
 func checkSELLBitwise(t *testing.T, name string, a *CSR, seed int64) {
@@ -134,10 +134,7 @@ func checkSELLBitwise(t *testing.T, name string, a *CSR, seed int64) {
 	n := a.N
 	ref32 := a.Clone()
 	ref32.DisableShadow("sell")
-	refWide := a.Clone()
-	refWide.DisableShadow("sell")
-	refWide.DisableShadow("int32")
-	refs := []*CSR{ref32, refWide}
+	refs := []*CSR{ref32}
 	x := randVec(n, seed)
 	w := randVec(n, seed+100)
 	ranges := [][2]int{{0, n}, {0, 64}, {64, 128}, {17, n - 23}, {n - 1, n}, {255, 257}}
@@ -223,7 +220,7 @@ func TestSELLDoesNotAllocate(t *testing.T) {
 }
 
 // TestSELLRecoveryPathsUnperturbed: the exclusion kernels recovery uses
-// (MulVecRangeExcludingCols/Blocks) read the wide arrays, which the SELL
+// (MulVecRangeExcludingCols/Blocks) read the CSR arrays, which the SELL
 // shadow must leave untouched — a recovery-style exclusion sweep on the
 // shadowed matrix is bitwise the sweep on a shadow-free clone, and the
 // shadowed SpMV around the healed region agrees too.
@@ -235,7 +232,6 @@ func TestSELLRecoveryPathsUnperturbed(t *testing.T) {
 	}
 	bare := a.Clone()
 	bare.DisableShadow("sell")
-	bare.DisableShadow("int32")
 	x := randVec(n, 8)
 	lo, hi := 128, 192 // the "failed page" rows
 	got := make([]float64, hi-lo)

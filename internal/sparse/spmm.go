@@ -22,7 +22,8 @@ func (a *CSR) MulMatRange(x, y []float64, b, lo, hi int) {
 		}
 		for k, c := range cols {
 			v := vals[k]
-			xr := x[c*b : c*b+b : c*b+b]
+			cb := int(c) * b
+			xr := x[cb : cb+b : cb+b]
 			for j, xv := range xr {
 				yr[j] += v * xv
 			}

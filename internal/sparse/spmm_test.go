@@ -24,10 +24,7 @@ func shadowMatrices(t *testing.T) map[string]*CSR {
 	sell := randShortRowCSR(1000, 7)
 	csr32 := randShortRowCSR(1000, 7)
 	csr32.DisableShadow("sell")
-	csr := randShortRowCSR(1000, 7)
-	csr.DisableShadow("sell")
-	csr.DisableShadow("int32")
-	m := map[string]*CSR{"dia": dia, "sell": sell, "csr32": csr32, "csr": csr}
+	m := map[string]*CSR{"dia": dia, "sell": sell, "csr32": csr32}
 	for want, a := range m {
 		if got := a.ShadowName(); got != want {
 			t.Fatalf("shadow %q selected for the %q fixture", got, want)
