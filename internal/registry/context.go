@@ -139,22 +139,25 @@ func (c *OperatorContext) SizeBytes() int64 {
 // host), so the pool pays only once a sequential iteration passes ≈ 90 µs.
 // BenchmarkInlineVsPool, one solve alone on the machine, pool of two
 // against no workers, median of 5 × 40 alternating solves — estimate, pool
-// time ÷ inline time, with the DIA and vector kernels on their AVX2 bodies
-// (DESIGN §8 has the operators, and the readings on the Go bodies):
+// time ÷ inline time, two runs, with the DIA, vector and reduction kernels
+// on their AVX2 bodies and the reductions in four lanes (DESIGN §8 has the
+// operators, and the readings with one serial accumulator per reduction):
 //
-//	 61 k 1.37   115 k 0.94   124 k 1.10   138 k 0.97   184 k 0.94
-//	205 k 0.70   229 k 0.79   245 k 0.73   245 k 0.89   368 k 0.70
-//	537 k 0.62  1158 k 0.62
+//	 61 k 1.56/1.75   115 k 1.17/1.00   124 k 1.44/1.42   138 k 1.02/1.13
+//	184 k 1.34/1.26   205 k 0.90/0.91   229 k 0.96/0.94   245 k 0.82/0.91
+//	245 k 1.28/1.32   368 k 0.79/0.78   537 k 0.72/0.73  1158 k 0.78/0.83
 //
-// The AVX2 bodies cut the kernel time and not the hand-offs, so the DIA
-// rows moved towards inline (the Go bodies read 1.02, 0.85–0.88,
-// 0.76–0.77, 0.73–0.76 and 0.67–0.73 on the 61 k, 124 k, 138 k, 184 k
-// and 245 k DIA rows in the same session); the turn from tie to loss
-// still lies between 184 k and 205 k, so the bound did not move.
-// The bound sits where alone turns from tie to loss. Under load the rows
-// below it gain what this cannot show (two dispatchers sharing one pool:
-// serve-mix solve_ms_p50 4.20 → 2.88 ms, ten pairs); the rows above it are
-// every other benchmark workload. A timed probe, or the server's load,
+// Faster kernels cut the work a pool iteration splits and not its
+// hand-offs, so the unpreconditioned DIA rows moved towards inline again
+// (the 245 k DIA row, thermal2 16384, read 1.08 with serial reductions
+// in the same session): alone, inline now wins on them up to 245 k. The
+// SELL, csr32 and preconditioned rows still turn from tie to loss
+// between 184 k and 205 k. The bound sits there, where alone turns from
+// tie to loss on every shadow, and stays: moving it moves serve-mix,
+// which needs its own alternating pairs (ROADMAP Parked). Under load the
+// rows below it gain what this cannot show (two dispatchers sharing one
+// pool: serve-mix solve_ms_p50 4.20 → 2.88 ms, ten pairs); the rows above
+// it are every other benchmark workload. A timed probe, or the server's load,
 // would flip operators near the bound from run to run (the host has two
 // speed levels 1.4× apart): a constant, not a setting.
 const inlineMaxOps = 192 << 10

@@ -44,9 +44,17 @@ var (
 	// ErrBadRequest refuses at admission what no solve can answer: rel < tol
 	// is never true of a NaN, so it would hold a dispatcher for MaxIter; a
 	// solver or method name nothing answers to, or ranks for a solver with
-	// no distributed variant, would queue only to fail.
+	// no distributed variant, would queue only to fail; a priority past
+	// MaxPriority would strand a warm instance set.
 	ErrBadRequest = errors.New("serve: bad request")
 )
+
+// MaxPriority bounds Request.Priority to [-MaxPriority, MaxPriority]. A
+// request's priority is baked into its solver's prepared task graphs, so
+// it keys the operator context's warm pool: each distinct value a client
+// sends keeps one warm instance set for the context's life. The bound
+// holds that to 2·MaxPriority+1 sets per configuration.
+const MaxPriority = 8
 
 // Options configures a Server. Zero values resolve through
 // internal/defaults (ServeQueueDepth, ServeConcurrent, ServeTimeout,
@@ -292,6 +300,8 @@ func (s *Server) validate(req *Request) error {
 		return fmt.Errorf("%w: tol %v", ErrBadRequest, req.Tol)
 	case req.MaxIter < 0 || req.Ranks < 0:
 		return fmt.Errorf("%w: max_iter %d, ranks %d", ErrBadRequest, req.MaxIter, req.Ranks)
+	case req.Priority < -MaxPriority || req.Priority > MaxPriority:
+		return fmt.Errorf("%w: priority %d outside [%d, %d]", ErrBadRequest, req.Priority, -MaxPriority, MaxPriority)
 	}
 	return nil
 }

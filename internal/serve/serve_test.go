@@ -192,6 +192,48 @@ func TestPriorityDispatchOrder(t *testing.T) {
 	}
 }
 
+// TestPriorityBoundedAtAdmission: a priority outside [-MaxPriority,
+// MaxPriority] is a bad request, refused and counted before checkout, so
+// fifty distinct out-of-range values build no warm instance in the
+// context's pool; the instance the pool already held still serves, and
+// the bound itself solves.
+func TestPriorityBoundedAtAdmission(t *testing.T) {
+	srv := newTestServer(t, Options{Concurrent: 1})
+	if resp, err := srv.Submit(fastReq()); err != nil || !resp.Converged {
+		t.Fatalf("warm-up: %+v, %v", resp, err)
+	}
+	preps := engine.GraphPrepCount()
+	for i := 1; i <= 50; i++ {
+		req := fastReq()
+		req.Priority = MaxPriority + i
+		if i%2 == 0 {
+			req.Priority = -req.Priority
+		}
+		if _, err := srv.Submit(req); !errors.Is(err, ErrBadRequest) {
+			t.Fatalf("priority %d: %v, want ErrBadRequest", req.Priority, err)
+		}
+	}
+	if d := engine.GraphPrepCount() - preps; d != 0 {
+		t.Fatalf("%d graph preparations for refused priorities: the pool grew", d)
+	}
+	if s := srv.Snapshot(); s.Rejected != 50 || s.Accepted != 1 {
+		t.Fatalf("rejected=%d accepted=%d, want 50/1", s.Rejected, s.Accepted)
+	}
+	if resp, err := srv.Submit(fastReq()); err != nil || !resp.Converged || !resp.Warm {
+		t.Fatalf("priority 0 after the refusals: %+v, %v, want a warm solve", resp, err)
+	}
+	if d := engine.GraphPrepCount() - preps; d != 0 {
+		t.Fatalf("%d graph preparations for the warm priority", d)
+	}
+	for _, p := range []int{-MaxPriority, MaxPriority} {
+		req := fastReq()
+		req.Priority = p
+		if resp, err := srv.Submit(req); err != nil || !resp.Converged {
+			t.Fatalf("priority %d: %+v, %v", p, resp, err)
+		}
+	}
+}
+
 func TestDrainRejectsNewWork(t *testing.T) {
 	srv := newServer(t, Options{Concurrent: 1})
 	srv.RegisterMatrix("m", matgen.Poisson2D(20, 20), 64)

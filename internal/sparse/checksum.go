@@ -88,17 +88,27 @@ func AxpyChecksumRange(alpha float64, x, y []float64, lo, hi int) uint64 {
 // AxpyDotChecksumRange computes y[lo:hi] += alpha*x[lo:hi] fused with
 // the partial squared norm of the updated values AND their page
 // checksum — the checksum-carrying CG phase-2 kernel g -= α q with
-// ε = <g,g>. The arithmetic is identical to AxpyDotRange.
+// ε = <g,g>. The arithmetic, and the order of the norm's additions
+// (fused.go), are AxpyDotRange's.
 //
 //due:hotpath
 func AxpyDotChecksumRange(alpha float64, x, y []float64, lo, hi int) (yy float64, ck uint64) {
 	xs := x[lo:hi]
 	ys := y[lo:hi:hi]
-	for i, v := range xs {
-		u := ys[i] + alpha*v
-		ys[i] = u
-		yy += u * u
+	var l lanes
+	k := 0
+	for ; k+4 <= len(xs); k += 4 {
+		x4, y4 := xs[k:k+4:k+4], ys[k:k+4:k+4]
+		u0, u1, u2, u3 := y4[0]+alpha*x4[0], y4[1]+alpha*x4[1], y4[2]+alpha*x4[2], y4[3]+alpha*x4[3]
+		y4[0], y4[1], y4[2], y4[3] = u0, u1, u2, u3
+		l = l.add4(u0*u0, u1*u1, u2*u2, u3*u3)
+		ck ^= math.Float64bits(u0) ^ math.Float64bits(u1) ^ math.Float64bits(u2) ^ math.Float64bits(u3)
+	}
+	for ; k < len(xs); k++ {
+		u := ys[k] + alpha*xs[k]
+		ys[k] = u
+		l = l.add(k, u*u)
 		ck ^= math.Float64bits(u)
 	}
-	return yy, ck
+	return l.sum(), ck
 }

@@ -236,17 +236,22 @@ func (a *CSR) MulVecRange(x, y []float64, lo, hi int) {
 		a.mulVecRangeSELL(x, y, lo, hi)
 		return
 	}
-	rp := a.RowPtr
 	for i := lo; i < hi; i++ {
-		row := rp[i]
-		cols := a.Cols[row:rp[i+1]]
-		vals := a.Vals[row:rp[i+1]]
-		var s float64
-		for k, c := range cols {
-			s += vals[k] * x[c]
-		}
-		y[i] = s
+		y[i] = a.rowSum(x, i)
 	}
+}
+
+// rowSum returns (A*x)[i] from the CSR arrays: the row's products in
+// ascending column order from +0.0.
+//
+//due:hotpath
+func (a *CSR) rowSum(x []float64, i int) (s float64) {
+	row, end := a.RowPtr[i], a.RowPtr[i+1]
+	vals := a.Vals[row:end]
+	for k, c := range a.Cols[row:end] {
+		s += vals[k] * x[c]
+	}
+	return s
 }
 
 // MulVecRangeExcludingCols computes, for rows in [lo, hi),

@@ -32,9 +32,11 @@ import (
 // Exactness: per row the products are added one at a time in ascending
 // offset order, which is exactly the ascending column order of the CSR
 // rows, starting from the same +0.0 (a padded zero entry contributes
-// +0.0), and the partials are taken in ascending row order with one
-// accumulator each, carried from block to block — so y and the partials
-// match the CSR kernels bitwise however the diagonals are grouped.
+// +0.0), and the partials keep the package's reduction order (fused.go):
+// four lanes, carried from block to block — a block starts diaBlock rows
+// after the last, a multiple of four, so its first row is lane 0 — so y
+// and the partials match the CSR kernels bitwise however the diagonals
+// are grouped.
 // Caveat inherited from the padding: a padded slot multiplies 0 by an
 // x element the CSR row never reads, so a non-finite value THERE would
 // produce NaN. The solvers never feed non-finite data to an SpMV —
@@ -50,6 +52,9 @@ const (
 	// registers (measured 3/4/5 on BenchmarkSpMVDIA, DESIGN §5).
 	diaGroup = 4
 )
+
+// A block must start in lane 0 of the range's reduction order.
+var _ [diaBlock % 4]struct{} = [0]struct{}{}
 
 // buildDIA populates the diagonal shadow, or clears it when the matrix
 // does not qualify. Mirrored diagonals share one array: when every slot
@@ -146,14 +151,14 @@ func diaClip(oLo, oHi, r0, r1, n int) (i0, i1 int) {
 }
 
 // diaBlockMul computes y[b0:b1] = (A*x)[b0:b1] group by group and, when
-// w is non-nil, adds the block's partials Σ y[i]·w[i] and Σ y[i]·y[i] to
-// wy and yy in ascending row order. The partials ride the last group's
-// loop; a block that group does not cover whole (or whose only group it
-// is — that loop writes, it does not resume) takes them in a second pass
-// while y is L1-hot. w may alias x or y.
+// w is non-nil, adds the block's terms y[i]·w[i] and y[i]·y[i] to the
+// lanes acc[0] and acc[1], row b0 in lane 0. The partials ride the last
+// group's loop; a block that group does not cover whole (or whose only
+// group it is — that loop writes, it does not resume) takes them in a
+// second pass while y is L1-hot. w may alias x or y.
 //
 //due:hotpath
-func (a *CSR) diaBlockMul(x, y, w []float64, b0, b1 int, wy, yy float64) (float64, float64) {
+func (a *CSR) diaBlockMul(x, y, w []float64, b0, b1 int, acc *[2]lanes) {
 	offs, n := a.diaOffs, a.N
 	var vs, xs [diaGroup][]float64
 	fused := false
@@ -168,7 +173,7 @@ func (a *CSR) diaBlockMul(x, y, w []float64, b0, b1 int, wy, yy float64) (float6
 			case d == 0:
 				diaWrite(y[i0:i1], &vs, &xs, g)
 			case w != nil && d+g == len(offs) && i0 == b0 && i1 == b1:
-				wy, yy = diaAccumDot(y[i0:i1], w[i0:i1], &vs, &xs, g, wy, yy)
+				diaAccumDot(y[i0:i1], w[i0:i1], &vs, &xs, g, acc)
 				fused = true
 			default:
 				diaAccum(y[i0:i1], &vs, &xs, g)
@@ -193,13 +198,9 @@ func (a *CSR) diaBlockMul(x, y, w []float64, b0, b1 int, wy, yy float64) (float6
 		}
 	}
 	if w != nil && !fused {
-		ws := w[b0:b1]
-		for k, u := range y[b0:b1] {
-			wy += u * ws[k]
-			yy += u * u
-		}
+		acc[0] = dotLanes(acc[0], y[b0:b1], w[b0:b1])
+		acc[1] = dotLanes(acc[1], y[b0:b1], y[b0:b1])
 	}
-	return wy, yy
 }
 
 // mulRangeDIA computes y[lo:hi] = (A*x)[lo:hi] from the diagonal shadow
@@ -209,10 +210,11 @@ func (a *CSR) diaBlockMul(x, y, w []float64, b0, b1 int, wy, yy float64) (float6
 //
 //due:hotpath
 func (a *CSR) mulRangeDIA(x, y, w []float64, lo, hi int) (wy, yy float64) {
+	var acc [2]lanes
 	for b0 := lo; b0 < hi; b0 += diaBlock {
-		wy, yy = a.diaBlockMul(x, y, w, b0, min(b0+diaBlock, hi), wy, yy)
+		a.diaBlockMul(x, y, w, b0, min(b0+diaBlock, hi), &acc)
 	}
-	return wy, yy
+	return acc[0].sum(), acc[1].sum()
 }
 
 // diaWrite, diaAccum and diaAccumDot are the three bodies of a group of
@@ -222,7 +224,7 @@ func (a *CSR) mulRangeDIA(x, y, w []float64, lo, hi int) (wy, yy float64) {
 // diagonal j's values and its shifted x window; every slice is cut to
 // len(y) so the loops carry no bounds checks. With AVX2 each runs its
 // assembly body instead (simd_amd64.s), four rows per instruction and
-// bitwise the Go loop's result.
+// bitwise the Go body's result.
 //
 //due:hotpath
 func diaWrite(y []float64, vs, xs *[diaGroup][]float64, g int) {
@@ -316,59 +318,103 @@ func diaAccum(y []float64, vs, xs *[diaGroup][]float64, g int) {
 	}
 }
 
-// diaAccumDot stores y[k] before it loads w[k]: w may alias y.
+// diaAccumDot adds the terms y[k]·w[k] and y[k]·y[k] of the finished
+// rows to the lanes acc[0] and acc[1], row 0 in lane 0, four rows a
+// step. It stores y[k] before it loads w[k]: w may alias y.
 //
 //due:hotpath
-func diaAccumDot(y, w []float64, vs, xs *[diaGroup][]float64, g int, wy, yy float64) (float64, float64) {
+func diaAccumDot(y, w []float64, vs, xs *[diaGroup][]float64, g int, acc *[2]lanes) {
 	m := len(y)
 	w = w[:m]
 	if useAVX2 {
 		diaWindows(vs, xs, g, m)
-		return diaAccumDotAVX2(y, w, vs, xs, g, wy, yy)
+		diaAccumDotAVX2(y, w, vs, xs, g, acc)
+		return
 	}
+	wl, yl := acc[0], acc[1]
+	k := 0
 	switch g {
 	case 1:
 		v0, x0 := vs[0][:m], xs[0][:m]
-		for k, s := range y {
-			s += v0[k] * x0[k]
-			y[k] = s
-			wy += s * w[k]
-			yy += s * s
+		for ; k+4 <= m; k += 4 {
+			y4, w4 := y[k:k+4:k+4], w[k:k+4:k+4]
+			s0 := y4[0] + v0[k]*x0[k]
+			y4[0] = s0
+			wl.l0, yl.l0 = wl.l0+s0*w4[0], yl.l0+s0*s0
+			s1 := y4[1] + v0[k+1]*x0[k+1]
+			y4[1] = s1
+			wl.l1, yl.l1 = wl.l1+s1*w4[1], yl.l1+s1*s1
+			s2 := y4[2] + v0[k+2]*x0[k+2]
+			y4[2] = s2
+			wl.l2, yl.l2 = wl.l2+s2*w4[2], yl.l2+s2*s2
+			s3 := y4[3] + v0[k+3]*x0[k+3]
+			y4[3] = s3
+			wl.l3, yl.l3 = wl.l3+s3*w4[3], yl.l3+s3*s3
 		}
 	case 2:
-		v0, v1, x0, x1 := vs[0][:m], vs[1][:m], xs[0][:m], xs[1][:m]
-		for k, s := range y {
-			s += v0[k] * x0[k]
-			s += v1[k] * x1[k]
-			y[k] = s
-			wy += s * w[k]
-			yy += s * s
+		v0, v1 := vs[0][:m], vs[1][:m]
+		x0, x1 := xs[0][:m], xs[1][:m]
+		for ; k+4 <= m; k += 4 {
+			y4, w4 := y[k:k+4:k+4], w[k:k+4:k+4]
+			s0 := y4[0] + v0[k]*x0[k] + v1[k]*x1[k]
+			y4[0] = s0
+			wl.l0, yl.l0 = wl.l0+s0*w4[0], yl.l0+s0*s0
+			s1 := y4[1] + v0[k+1]*x0[k+1] + v1[k+1]*x1[k+1]
+			y4[1] = s1
+			wl.l1, yl.l1 = wl.l1+s1*w4[1], yl.l1+s1*s1
+			s2 := y4[2] + v0[k+2]*x0[k+2] + v1[k+2]*x1[k+2]
+			y4[2] = s2
+			wl.l2, yl.l2 = wl.l2+s2*w4[2], yl.l2+s2*s2
+			s3 := y4[3] + v0[k+3]*x0[k+3] + v1[k+3]*x1[k+3]
+			y4[3] = s3
+			wl.l3, yl.l3 = wl.l3+s3*w4[3], yl.l3+s3*s3
 		}
 	case 3:
 		v0, v1, v2 := vs[0][:m], vs[1][:m], vs[2][:m]
 		x0, x1, x2 := xs[0][:m], xs[1][:m], xs[2][:m]
-		for k, s := range y {
-			s += v0[k] * x0[k]
-			s += v1[k] * x1[k]
-			s += v2[k] * x2[k]
-			y[k] = s
-			wy += s * w[k]
-			yy += s * s
+		for ; k+4 <= m; k += 4 {
+			y4, w4 := y[k:k+4:k+4], w[k:k+4:k+4]
+			s0 := y4[0] + v0[k]*x0[k] + v1[k]*x1[k] + v2[k]*x2[k]
+			y4[0] = s0
+			wl.l0, yl.l0 = wl.l0+s0*w4[0], yl.l0+s0*s0
+			s1 := y4[1] + v0[k+1]*x0[k+1] + v1[k+1]*x1[k+1] + v2[k+1]*x2[k+1]
+			y4[1] = s1
+			wl.l1, yl.l1 = wl.l1+s1*w4[1], yl.l1+s1*s1
+			s2 := y4[2] + v0[k+2]*x0[k+2] + v1[k+2]*x1[k+2] + v2[k+2]*x2[k+2]
+			y4[2] = s2
+			wl.l2, yl.l2 = wl.l2+s2*w4[2], yl.l2+s2*s2
+			s3 := y4[3] + v0[k+3]*x0[k+3] + v1[k+3]*x1[k+3] + v2[k+3]*x2[k+3]
+			y4[3] = s3
+			wl.l3, yl.l3 = wl.l3+s3*w4[3], yl.l3+s3*s3
 		}
 	case 4:
 		v0, v1, v2, v3 := vs[0][:m], vs[1][:m], vs[2][:m], vs[3][:m]
 		x0, x1, x2, x3 := xs[0][:m], xs[1][:m], xs[2][:m], xs[3][:m]
-		for k, s := range y {
-			s += v0[k] * x0[k]
-			s += v1[k] * x1[k]
-			s += v2[k] * x2[k]
-			s += v3[k] * x3[k]
-			y[k] = s
-			wy += s * w[k]
-			yy += s * s
+		for ; k+4 <= m; k += 4 {
+			y4, w4 := y[k:k+4:k+4], w[k:k+4:k+4]
+			s0 := y4[0] + v0[k]*x0[k] + v1[k]*x1[k] + v2[k]*x2[k] + v3[k]*x3[k]
+			y4[0] = s0
+			wl.l0, yl.l0 = wl.l0+s0*w4[0], yl.l0+s0*s0
+			s1 := y4[1] + v0[k+1]*x0[k+1] + v1[k+1]*x1[k+1] + v2[k+1]*x2[k+1] + v3[k+1]*x3[k+1]
+			y4[1] = s1
+			wl.l1, yl.l1 = wl.l1+s1*w4[1], yl.l1+s1*s1
+			s2 := y4[2] + v0[k+2]*x0[k+2] + v1[k+2]*x1[k+2] + v2[k+2]*x2[k+2] + v3[k+2]*x3[k+2]
+			y4[2] = s2
+			wl.l2, yl.l2 = wl.l2+s2*w4[2], yl.l2+s2*s2
+			s3 := y4[3] + v0[k+3]*x0[k+3] + v1[k+3]*x1[k+3] + v2[k+3]*x2[k+3] + v3[k+3]*x3[k+3]
+			y4[3] = s3
+			wl.l3, yl.l3 = wl.l3+s3*w4[3], yl.l3+s3*s3
 		}
 	}
-	return wy, yy
+	for ; k < m; k++ {
+		s := y[k]
+		for j := range g {
+			s += vs[j][k] * xs[j][k]
+		}
+		y[k] = s
+		wl, yl = wl.add(k, s*w[k]), yl.add(k, s*s)
+	}
+	acc[0], acc[1] = wl, yl
 }
 
 // diaWindows makes the checks the Go bodies' reslicing makes — every

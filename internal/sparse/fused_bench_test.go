@@ -168,6 +168,51 @@ func forBodies(b *testing.B, units int, unit string, bench func(b *testing.B)) {
 	}
 }
 
+// BenchmarkReductionsPerPage sets each range reduction beside the kernel
+// it rides on, in the 512-row calls the solver issues (one page): the
+// axpy with and without <y,y>, the SpMV with and without <x,y> and <y,y>
+// on the patterns of the benchmark's two DIA operators (see
+// BenchmarkSpMVDIA), and DotRange on its own. ns/element is per row.
+func BenchmarkReductionsPerPage(b *testing.B) {
+	const page, n = 512, 16384
+	paged := func(n int, fn func(lo, hi int)) func(b *testing.B) {
+		return func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				for lo := 0; lo < n; lo += page {
+					fn(lo, min(lo+page, n))
+				}
+			}
+		}
+	}
+	x, y := benchVec(n, 1), benchVec(n, 2)
+	type kernel struct {
+		name string
+		n    int
+		fn   func(lo, hi int)
+	}
+	kernels := []kernel{
+		{"AxpyRange", n, func(lo, hi int) { AxpyRange(1e-9, x, y, lo, hi) }},
+		{"AxpyDotRange", n, func(lo, hi int) { sinkF += AxpyDotRange(1e-9, x, y, lo, hi) }},
+		{"DotRange", n, func(lo, hi int) { sinkF += DotRange(x, y, lo, hi) }},
+	}
+	for _, op := range []struct {
+		name string
+		a    *CSR
+	}{{"5pt128x128", grid5(128, 128)}, {"27pt32x32x32", stencil27(32)}} {
+		a := op.a
+		ax, ay := benchVec(a.N, 3), make([]float64, a.N)
+		kernels = append(kernels,
+			kernel{op.name + "/MulVecRange", a.N, func(lo, hi int) { a.MulVecRange(ax, ay, lo, hi) }},
+			kernel{op.name + "/MulVecDotRange", a.N, func(lo, hi int) {
+				xy, yy := a.MulVecDotRange(ax, ay, lo, hi)
+				sinkF += xy + yy
+			}})
+	}
+	for _, k := range kernels {
+		b.Run(k.name, func(b *testing.B) { forBodies(b, k.n, "ns/element", paged(k.n, k.fn)) })
+	}
+}
+
 func BenchmarkSpMVThenDots(b *testing.B) {
 	a := benchMatrix(benchN)
 	x, y := benchVec(benchN, 1), make([]float64, benchN)

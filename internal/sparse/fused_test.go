@@ -8,29 +8,18 @@ import (
 	"testing/quick"
 )
 
-// ulpTol reports whether got equals want to within a few ulps of the
-// magnitudes involved. The fused kernels perform the same operations in
-// the same order as their unfused compositions, so they should in fact
-// agree bitwise; the tolerance only shields the assertion from a future
-// reassociating rewrite of either side.
-func ulpTol(got, want float64) bool {
-	if math.IsNaN(got) || math.IsNaN(want) {
-		return math.IsNaN(got) == math.IsNaN(want)
-	}
-	scale := math.Max(math.Abs(got), math.Abs(want))
-	if scale == 0 {
-		return got == want
-	}
-	ulp := math.Nextafter(scale, math.Inf(1)) - scale
-	return math.Abs(got-want) <= 4*ulp
-}
-
 // randRange draws a half-open subrange of [0, n).
 func randRange(rng *rand.Rand, n int) (int, int) {
 	lo := rng.Intn(n)
 	hi := lo + rng.Intn(n-lo) + 1
 	return lo, hi
 }
+
+// The four equivalence properties hold each fused kernel to its unfused
+// composition — the producing kernel, then DotRange over what it
+// produced — with the same bits (or NaN on both sides): a stormed solve
+// is exact because recovery rebuilds a lost page's fused partial with
+// DotRange, bit for bit.
 
 // Property: MulVecDotRange ≡ MulVecRange followed by DotRange twice.
 func TestPropertyMulVecDotRangeEquivalence(t *testing.T) {
@@ -51,7 +40,7 @@ func TestPropertyMulVecDotRangeEquivalence(t *testing.T) {
 				return false
 			}
 		}
-		return ulpTol(xy, wantXY) && ulpTol(yy, wantYY)
+		return sameFloat(xy, wantXY) && sameFloat(yy, wantYY)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
@@ -80,7 +69,7 @@ func TestPropertyMulVecDotVecRangeEquivalence(t *testing.T) {
 				return false
 			}
 		}
-		return ulpTol(wy, wantWY)
+		return sameFloat(wy, wantWY)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
@@ -111,7 +100,7 @@ func TestPropertyAxpyDotRangeEquivalence(t *testing.T) {
 				return false
 			}
 		}
-		return ulpTol(yy, wantYY)
+		return sameFloat(yy, wantYY)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
@@ -148,7 +137,7 @@ func TestPropertyXpbyNormRangeEquivalence(t *testing.T) {
 				return false
 			}
 		}
-		return ulpTol(oo, wantOO) && ulpTol(oo2, wantOO) && ulpTol(ow, wantOW)
+		return sameFloat(oo, wantOO) && sameFloat(oo2, wantOO) && sameFloat(ow, wantOW)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)

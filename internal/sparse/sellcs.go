@@ -23,10 +23,9 @@ package sparse
 // length in the ragged tail — a padded +0.0 product can therefore never
 // perturb a real row's sum (unlike zero-padding schemes, which break
 // bitwise parity when a partial sum is -0.0). The fused dot variants take
-// their partials in a second ascending-row pass over the window while it
-// is still cache-hot (the DIA shadow does the same for the blocks its
-// last diagonal group does not cover whole), preserving the CSR
-// reduction order bitwise.
+// their partials in a second pass over each window while it is still
+// cache-hot, in the package's reduction order (fused.go), so they match
+// the CSR and DIA kernels bitwise.
 
 const (
 	sellC       = 8   // chunk height: lanes per chunk
@@ -222,50 +221,35 @@ func (a *CSR) mulVecRangeSELL(x, y []float64, lo, hi int) {
 }
 
 // mulVecDotRangeSELL is the fused variant: the dot partials are taken in
-// a short ascending-row pass over each window while it is still hot — the
-// same discipline (and bitwise the same reduction order) as the DIA and
-// CSR fused kernels.
+// a pass over each window's rows while they are still hot. Row i's terms
+// go to lane (i−lo)&3, so a window whose first row b0 is not lo+4k runs
+// its pass on lanes turned by b0−lo.
 //
 //due:hotpath
 func (a *CSR) mulVecDotRangeSELL(x, y []float64, lo, hi int) (xy, yy float64) {
-	w0, w1 := lo/sellSigma, (hi-1)/sellSigma
-	for w := w0; w <= w1; w++ {
-		wlo, whi := w*sellSigma, (w+1)*sellSigma
-		if whi > a.N {
-			whi = a.N
-		}
-		b0, b1 := max(lo, wlo), min(hi, whi)
+	var xl, yl lanes
+	for w := lo / sellSigma; w <= (hi-1)/sellSigma; w++ {
+		b0, b1 := max(lo, w*sellSigma), min(hi, (w+1)*sellSigma)
 		a.mulVecRangeSELL(x, y, b0, b1)
-		xb := x[b0:b1]
-		yb := y[b0:b1:b1]
-		for i, v := range xb {
-			u := yb[i]
-			xy += v * u
-			yy += u * u
-		}
+		r := b0 - lo
+		xl = dotLanes(xl.rot(r), x[b0:b1], y[b0:b1]).rot(-r)
+		yl = dotLanes(yl.rot(r), y[b0:b1], y[b0:b1]).rot(-r)
 	}
-	return xy, yy
+	return xl.sum(), yl.sum()
 }
 
 // mulVecDotVecRangeSELL fuses the <y, w> partial instead.
 //
 //due:hotpath
 func (a *CSR) mulVecDotVecRangeSELL(x, y, w []float64, lo, hi int) (wy float64) {
-	w0, w1 := lo/sellSigma, (hi-1)/sellSigma
-	for wi := w0; wi <= w1; wi++ {
-		wlo, whi := wi*sellSigma, (wi+1)*sellSigma
-		if whi > a.N {
-			whi = a.N
-		}
-		b0, b1 := max(lo, wlo), min(hi, whi)
+	var wl lanes
+	for wi := lo / sellSigma; wi <= (hi-1)/sellSigma; wi++ {
+		b0, b1 := max(lo, wi*sellSigma), min(hi, (wi+1)*sellSigma)
 		a.mulVecRangeSELL(x, y, b0, b1)
-		wb := w[b0:b1]
-		yb := y[b0:b1:b1]
-		for i, v := range wb {
-			wy += yb[i] * v
-		}
+		r := b0 - lo
+		wl = dotLanes(wl.rot(r), y[b0:b1], w[b0:b1]).rot(-r)
 	}
-	return wy
+	return wl.sum()
 }
 
 // ShadowName reports which kernel shadow MulVecRange dispatches to:

@@ -3,7 +3,8 @@
 package sparse
 
 // useAVX2 selects the assembly bodies of simd_amd64.s: the DIA group
-// kernels and AxpyRange, XpbyRange, XpbyOutRange and AxpyDotRange. It is
+// kernels, AxpyRange, XpbyRange, XpbyOutRange and AxpyDotRange, and the
+// dot pass behind DotRange and the fused SpMVs' partials. It is
 // read from the processor once, at package init, and from nothing else.
 // The Go bodies stay the path everywhere else and the oracle the
 // assembly is tested against; tests and benchmarks switch between the
@@ -33,7 +34,9 @@ func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv() (eax, edx uint32)
 
 // The assembly bodies. Every slice the Go body would cut to len(y) (or
-// len(x)) must be at least that long: the callers check it.
+// len(x)) must be at least that long: the callers check it. A body with
+// a reduction adds its terms to the lanes behind acc, in the package's
+// reduction order (fused.go).
 
 //go:noescape
 func diaWriteAVX2(y []float64, vs, xs *[diaGroup][]float64, width int)
@@ -42,13 +45,16 @@ func diaWriteAVX2(y []float64, vs, xs *[diaGroup][]float64, width int)
 func diaAccumAVX2(y []float64, vs, xs *[diaGroup][]float64, width int)
 
 //go:noescape
-func diaAccumDotAVX2(y, w []float64, vs, xs *[diaGroup][]float64, width int, wy, yy float64) (float64, float64)
+func diaAccumDotAVX2(y, w []float64, vs, xs *[diaGroup][]float64, width int, acc *[2]lanes)
 
 //go:noescape
 func axpyAVX2(alpha float64, x, y []float64)
 
 //go:noescape
-func axpyDotAVX2(alpha float64, x, y []float64) float64
+func axpyDotAVX2(alpha float64, x, y []float64, acc *lanes)
+
+//go:noescape
+func dotAVX2(x, y []float64, acc *lanes)
 
 //go:noescape
 func xpbyAVX2(x []float64, beta float64, y []float64)

@@ -11,13 +11,15 @@ func diaWriteAVX2(y []float64, vs, xs *[diaGroup][]float64, width int) { panic(n
 
 func diaAccumAVX2(y []float64, vs, xs *[diaGroup][]float64, width int) { panic(noSIMD) }
 
-func diaAccumDotAVX2(y, w []float64, vs, xs *[diaGroup][]float64, width int, wy, yy float64) (float64, float64) {
+func diaAccumDotAVX2(y, w []float64, vs, xs *[diaGroup][]float64, width int, acc *[2]lanes) {
 	panic(noSIMD)
 }
 
 func axpyAVX2(alpha float64, x, y []float64) { panic(noSIMD) }
 
-func axpyDotAVX2(alpha float64, x, y []float64) float64 { panic(noSIMD) }
+func axpyDotAVX2(alpha float64, x, y []float64, acc *lanes) { panic(noSIMD) }
+
+func dotAVX2(x, y []float64, acc *lanes) { panic(noSIMD) }
 
 func xpbyAVX2(x []float64, beta float64, y []float64) { panic(noSIMD) }
 

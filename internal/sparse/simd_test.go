@@ -45,9 +45,10 @@ func simdValues(rng *rand.Rand, v []float64, special bool) {
 }
 
 // TestSIMDBodiesMatchGo holds every assembly body to its Go body, bit for
-// bit: the DIA group kernels in each mode and width 1–4, and the four
-// vector kernels, at every length 0…67 (every tail of the four-row
-// loop), on scattered offsets, with w a separate vector, x's own window
+// bit: the DIA group kernels in each mode and width 1–4 (every lane
+// of the partials carried in and out), and the five vector kernels, at
+// every length 0…67 (every tail of the four-row loop), on scattered
+// offsets, with w a separate vector, x's own window
 // or y itself, and on finite and on NaN/±Inf inputs. Some rows have only
 // −0.0 products: a written row sum must start from +0.0, so they read
 // +0.0, not −0.0.
@@ -80,12 +81,16 @@ func TestSIMDBodiesMatchGo(t *testing.T) {
 				y0, wsep := make([]float64, m), make([]float64, m)
 				simdValues(rng, y0, special)
 				simdValues(rng, wsep, special)
-				wy0, yy0 := rng.NormFloat64(), rng.NormFloat64()
+				// The lanes carried in from earlier blocks.
+				acc0 := [2]lanes{
+					{rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()},
+					{rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()},
+				}
 
 				for _, alias := range []string{"separate", "x", "y"} {
 					name := fmt.Sprintf("special=%v/m=%d/g=%d/offs=%v/w=%s", special, m, g, offs, alias)
 					var ys [2][]float64
-					var wys, yys [2]float64
+					var accs [2][2]lanes
 					for b, simd := range []bool{false, true} {
 						ys[b] = append([]float64(nil), y0...)
 						w := wsep
@@ -98,7 +103,8 @@ func TestSIMDBodiesMatchGo(t *testing.T) {
 						withBody(simd, func() {
 							diaWrite(ys[b], &vs, &xs, g)
 							diaAccum(ys[b], &vs, &xs, g)
-							wys[b], yys[b] = diaAccumDot(ys[b], w, &vs, &xs, g, wy0, yy0)
+							accs[b] = acc0
+							diaAccumDot(ys[b], w, &vs, &xs, g, &accs[b])
 						})
 					}
 					for k := range ys[0] {
@@ -107,8 +113,14 @@ func TestSIMDBodiesMatchGo(t *testing.T) {
 								ys[1][k], math.Float64bits(ys[1][k]), ys[0][k], math.Float64bits(ys[0][k]))
 						}
 					}
-					if !sameFloat(wys[1], wys[0]) || !sameFloat(yys[1], yys[0]) {
-						t.Fatalf("%s: partials simd (%v, %v), go (%v, %v)", name, wys[1], yys[1], wys[0], yys[0])
+					for p, l := range accs[0] {
+						s := accs[1][p]
+						for j, v := range [4][2]float64{{s.l0, l.l0}, {s.l1, l.l1}, {s.l2, l.l2}, {s.l3, l.l3}} {
+							if !sameFloat(v[0], v[1]) {
+								t.Fatalf("%s: partial %d lane %d simd %v (%#x), go %v (%#x)", name, p, j,
+									v[0], math.Float64bits(v[0]), v[1], math.Float64bits(v[1]))
+							}
+						}
 					}
 				}
 				// The write body on its own: its rows of −0.0 products are
@@ -133,8 +145,8 @@ func TestSIMDBodiesMatchGo(t *testing.T) {
 	}
 }
 
-// checkVectorBodies runs AxpyRange, XpbyRange, XpbyOutRange and
-// AxpyDotRange on both bodies over [lo, lo+m) of vectors with a
+// checkVectorBodies runs AxpyRange, XpbyRange, XpbyOutRange,
+// AxpyDotRange and DotRange on both bodies over [lo, lo+m) of vectors with a
 // sentinel on either side, with out (or y) separate from or aliasing x.
 func checkVectorBodies(t *testing.T, rng *rand.Rand, m int, special bool) {
 	t.Helper()
@@ -154,6 +166,7 @@ func checkVectorBodies(t *testing.T, rng *rand.Rand, m int, special bool) {
 		{"XpbyRange", func(x, y, _ []float64) float64 { XpbyRange(x, alpha, y, lo, hi); return 0 }},
 		{"XpbyOutRange", func(x, y, out []float64) float64 { XpbyOutRange(x, alpha, y, out, lo, hi); return 0 }},
 		{"AxpyDotRange", func(x, y, _ []float64) float64 { return AxpyDotRange(alpha, x, y, lo, hi) }},
+		{"DotRange", func(x, y, _ []float64) float64 { return DotRange(x, y, lo, hi) }},
 	}
 	for _, k := range kernels {
 		for _, alias := range []string{"separate", "out=x", "out=y", "y=x"} {
@@ -198,11 +211,12 @@ func TestSIMDBodiesDoNotAllocate(t *testing.T) {
 	for j := range vs {
 		vs[j], xs[j] = benchVec(m, int64(3+j)), x[2*j:2*j+m]
 	}
+	var acc [2]lanes
 	for g := 1; g <= diaGroup; g++ {
 		allocs := testing.AllocsPerRun(20, func() {
 			diaWrite(y, &vs, &xs, g)
 			diaAccum(y, &vs, &xs, g)
-			sinkF, _ = diaAccumDot(y, w, &vs, &xs, g, 0, 0)
+			diaAccumDot(y, w, &vs, &xs, g, &acc)
 		})
 		if allocs != 0 {
 			t.Fatalf("DIA bodies, width %d: %v allocations per call", g, allocs)
@@ -213,6 +227,7 @@ func TestSIMDBodiesDoNotAllocate(t *testing.T) {
 		XpbyRange(w, 0.5, y, 0, m)
 		XpbyOutRange(w, 0.5, y, x, 0, m)
 		sinkF = AxpyDotRange(0.5, w, y, 0, m)
+		sinkF = DotRange(w, y, 0, m)
 	})
 	if allocs != 0 {
 		t.Fatalf("vector bodies: %v allocations per call", allocs)

@@ -15,32 +15,24 @@ import (
 	"math"
 )
 
-// Dot returns the inner product <x, y>. The slices must have equal length.
+// Dot returns the inner product <x, y>: DotRange over the whole slices.
+// The slices must have equal length.
 func Dot(x, y []float64) float64 {
 	if len(x) != len(y) {
 		panic(fmt.Sprintf("sparse: Dot length mismatch %d != %d", len(x), len(y)))
 	}
-	var s float64
-	for i, v := range x {
-		s += v * y[i]
-	}
-	return s
+	return DotRange(x, y, 0, len(x))
 }
 
 // DotRange returns the partial inner product over the half-open index range
-// [lo, hi). It is the strip-mined building block for task-level reductions.
-// (The hot range kernels reslice once so the inner loops run bounds-check
-// free.)
+// [lo, hi), in the package's one reduction order (fused.go): the order of
+// every fused partial, so a partial rebuilt with DotRange is bitwise the
+// one a fused kernel produced. It is the strip-mined building block for
+// task-level reductions.
 //
 //due:hotpath
 func DotRange(x, y []float64, lo, hi int) float64 {
-	xs := x[lo:hi]
-	ys := y[lo:hi:hi]
-	var s float64
-	for i, v := range xs {
-		s += v * ys[i]
-	}
-	return s
+	return dotLanes(lanes{}, x[lo:hi], y[lo:hi:hi]).sum()
 }
 
 // Axpy computes y += alpha*x in place.
