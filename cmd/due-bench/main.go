@@ -10,18 +10,15 @@
 //
 //	due-bench -exp table2 [-scale 20000] [-reps 5]
 //	due-bench -exp fig4 -rates 1,10,50 -matrices thermal2,qa8fm
-//	due-bench -exp fig4pcg -json BENCH_fig4.json
+//	due-bench -exp fig4pcg -scale 900 -reps 1 -rates 1 -matrices qa8fm
 //	due-bench -exp all
 //
-// -json writes the fig4/fig4pcg cells as BENCH_fig4.json-style output
-// with a provenance block (CI runs a tiny-scale smoke). Benching with
-// GOMAXPROCS == 1 prints a loud warning and marks the JSON with
-// "degraded_provenance": the FEIR/AFEIR overlap contrast needs idle
-// cores. Performance is tracked by benchmark/ (BENCHMARK.json), not here.
+// Benching with GOMAXPROCS == 1 prints a loud warning: the FEIR/AFEIR
+// overlap contrast needs idle cores. Performance is tracked by benchmark/
+// (BENCHMARK.json), not here.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -48,13 +45,12 @@ func main() {
 	rates := flag.String("rates", "", "comma-separated normalized error rates for fig4 (default 1,2,5,10,20,50)")
 	matrices := flag.String("matrices", "", "comma-separated matrix subset (default all nine analogues)")
 	seed := flag.Int64("seed", 1, "injection seed")
-	jsonPath := flag.String("json", "", "write the fig4/fig4pcg sweeps as machine-readable JSON")
 	flag.Parse()
 	if *exp != "all" && !slices.Contains(expNames, *exp) {
 		fatalf("unknown -exp %q (valid: %s, all)", *exp, strings.Join(expNames, ", "))
 	}
 
-	// One degraded-provenance warning per invocation, whatever -exp runs:
+	// One degraded-run warning per invocation, whatever -exp runs:
 	// the single-core caveat applies to every timing number we print.
 	warnDegraded()
 
@@ -120,7 +116,6 @@ func main() {
 		}
 		return nil
 	})
-	var fig4Results []*experiments.Fig4Result
 	run("fig4", func() error {
 		res, err := experiments.Fig4(opts, false)
 		if err != nil {
@@ -128,7 +123,6 @@ func main() {
 		}
 		fmt.Println(res)
 		printFig4Cells(res)
-		fig4Results = append(fig4Results, res)
 		return nil
 	})
 	run("fig4pcg", func() error {
@@ -138,7 +132,6 @@ func main() {
 		}
 		fmt.Println(res)
 		printFig4Cells(res)
-		fig4Results = append(fig4Results, res)
 		return nil
 	})
 	run("fig5", func() error {
@@ -179,35 +172,6 @@ func main() {
 		}
 		return nil
 	})
-
-	if *jsonPath != "" {
-		if len(fig4Results) == 0 {
-			fatalf("-json set but no fig4/fig4pcg sweep ran (use -exp fig4, fig4pcg or all)")
-		}
-		if err := writeBenchJSON(*jsonPath, opts, fig4Results); err != nil {
-			fatalf("writing %s: %v", *jsonPath, err)
-		}
-	}
-}
-
-// benchJSON is the machine-readable fig4 artefact tracked across PRs:
-// every (solver, matrix, rate, method) cell with and without
-// preconditioning, plus the harmonic-mean panels.
-//
-//due:bench-artefact
-type benchJSON struct {
-	Options    experiments.Options       `json:"options"`
-	Fig4       []*experiments.Fig4Result `json:"fig4"`
-	Provenance experiments.Provenance    `json:"provenance"`
-}
-
-func writeBenchJSON(path string, opts experiments.Options, results []*experiments.Fig4Result) error {
-	writeJSON(path, benchJSON{
-		Options:    opts,
-		Fig4:       results,
-		Provenance: experiments.CollectProvenance(),
-	})
-	return nil
 }
 
 func printFig4Cells(res *experiments.Fig4Result) {
@@ -218,22 +182,10 @@ func printFig4Cells(res *experiments.Fig4Result) {
 	}
 }
 
-func writeJSON(path string, v any) {
-	data, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		fatalf("marshal %s: %v", path, err)
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		fatalf("write %s: %v", path, err)
-	}
-	fmt.Printf("wrote %s\n", path)
-}
-
 // warnDegraded makes single-core runs impossible to mistake for
 // regressions: with GOMAXPROCS == 1 the latency-hiding contrasts the
 // tables and figures show (AFEIR's overlapped recovery vs FEIR, FEIR vs
-// trivial) collapse to parity. The JSON carries the same fact as
-// "degraded_provenance": true.
+// trivial) collapse to parity.
 func warnDegraded() {
 	if runtime.GOMAXPROCS(0) > 1 {
 		return
@@ -242,7 +194,6 @@ func warnDegraded() {
 	fmt.Fprintln(os.Stderr, "WARNING: GOMAXPROCS == 1 — DEGRADED BENCH PROVENANCE")
 	fmt.Fprintln(os.Stderr, "Overlapped recovery needs idle cores; on one core the method contrasts")
 	fmt.Fprintln(os.Stderr, "collapse to parity. These numbers are NOT comparable to multi-core runs.")
-	fmt.Fprintln(os.Stderr, "The JSON is marked with \"degraded_provenance\": true.")
 	fmt.Fprintln(os.Stderr, strings.Repeat("=", 72))
 }
 

@@ -1,8 +1,6 @@
-// due-lint enforces the repository's cross-cutting invariants as
-// machine-checked law: zero-alloc hot paths, exactly-accounted
-// reduction supersteps, clamped recovery priorities, cancellation
-// polling, bitwise-reproducible kernels, and provenance-carrying bench
-// artefacts. See DESIGN.md §9.
+// due-lint enforces the invariants of this repository that no
+// behavioural test can state: zero-alloc hot paths, clamped recovery
+// priorities and clock-free, random-free kernels. See DESIGN.md §9.
 //
 // Usage:
 //
@@ -31,6 +29,7 @@ func main() {
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: due-lint [-checks a,b,...] [packages]\n\nChecks:\n")
 		printChecks(os.Stderr)
+		fmt.Fprintf(os.Stderr, "  %-22s %s\n", "due-directive", "//due: grammar itself (always on, not waivable)")
 	}
 	flag.Parse()
 
@@ -94,5 +93,4 @@ func printChecks(w *os.File) {
 	for _, a := range lint.Analyzers() {
 		fmt.Fprintf(w, "  %-22s %s\n", a.Name, a.Doc)
 	}
-	fmt.Fprintf(w, "  %-22s %s\n", "due-directive", "//due: grammar itself (always on, not waivable)")
 }

@@ -1,20 +1,21 @@
 package core
 
 import (
-	"errors"
 	"strings"
 	"testing"
 
 	"repro/internal/sparse"
 )
 
-// baseSolvers builds each solver through its constructor and runs it, so
-// one table states the contract the three share.
-var baseSolvers = []struct {
-	name string
-	spd  bool
-	run  func(a *sparse.CSR, b []float64, cfg Config) (Result, error)
-}{
+// baseSolver builds a solver through its constructor and runs it, so one
+// table states the contract the solvers share.
+type baseSolver struct {
+	Name string
+	SPD  bool
+	Run  func(a *sparse.CSR, b []float64, cfg Config) (Result, error)
+}
+
+var baseSolvers = []baseSolver{
 	{"cg", true, func(a *sparse.CSR, b []float64, cfg Config) (Result, error) {
 		s, err := NewCG(a, b, cfg)
 		if err != nil {
@@ -50,7 +51,7 @@ func TestSolverBaseRefusesBadInput(t *testing.T) {
 	layout := sparse.BlockLayout{N: a.N, BlockSize: cfg.PageDoubles}
 	for _, sv := range baseSolvers {
 		other := cfg
-		other.Blocks = sparse.NewBlockSolverCache(a, layout, !sv.spd)
+		other.Blocks = sparse.NewBlockSolverCache(a, layout, !sv.SPD)
 		for _, c := range []struct {
 			name string
 			a    *sparse.CSR
@@ -62,28 +63,10 @@ func TestSolverBaseRefusesBadInput(t *testing.T) {
 			{"rhs length", a, b[:10], cfg, "core: rhs length 10 for n=1600"},
 			{"blocks spd", a, b, other, "core: shared block cache mismatch"},
 		} {
-			_, err := sv.run(c.a, c.b, c.cfg)
+			_, err := sv.Run(c.a, c.b, c.cfg)
 			if err == nil || !strings.Contains(err.Error(), c.want) {
-				t.Errorf("%s %s: err = %v, want %q", sv.name, c.name, err, c.want)
+				t.Errorf("%s %s: err = %v, want %q", sv.Name, c.name, err, c.want)
 			}
-		}
-	}
-}
-
-// TestSolverBaseCancelledAtFirstPoll: a Cancelled hook that reports true
-// at the first poll stops the solve before any iteration with
-// ErrCancelled, and the result reports the untouched iterate x = 0.
-func TestSolverBaseCancelledAtFirstPoll(t *testing.T) {
-	a, b := testSystem()
-	for _, sv := range baseSolvers {
-		cfg := testConfig(MethodFEIR)
-		cfg.Cancelled = func() bool { return true }
-		res, err := sv.run(a, b, cfg)
-		if !errors.Is(err, ErrCancelled) {
-			t.Errorf("%s: err = %v, want ErrCancelled", sv.name, err)
-		}
-		if res.Iterations != 0 || res.RelResidual != 1 || res.Converged {
-			t.Errorf("%s: iterations %d, residual %v, converged %v; want 0, 1, false", sv.name, res.Iterations, res.RelResidual, res.Converged)
 		}
 	}
 }

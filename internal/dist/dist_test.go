@@ -188,3 +188,30 @@ func TestSolveCGValidation(t *testing.T) {
 		t.Fatal("accepted non-square matrix")
 	}
 }
+
+// TestCGReductionsPerIteration pins a clean solve's Reductions() to 2k+3
+// after k iterations: the initial <g,g>, two per iteration (q = A d with
+// <d,q>, the x/g update with <g,g>), and the true residuals of the
+// accepting check and of the result; 3k+4 preconditioned, with <z,g> up
+// front and per iteration. A sum taken outside the substrate drops out.
+func TestCGReductionsPerIteration(t *testing.T) {
+	a, b := distSystem()
+	for _, precond := range []bool{false, true} {
+		cfg := baseCfg(core.MethodFEIR)
+		cfg.UsePrecond = precond
+		s, err := NewCG(a, b, 2, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, _, err := s.Run()
+		k := int64(res.Iterations)
+		want := 2*k + 3
+		if precond {
+			want = 3*k + 4
+		}
+		if err != nil || !res.Converged || s.Reductions() != want {
+			t.Errorf("precond=%v: err %v, converged %v, Reductions() = %d after %d iterations, want %d",
+				precond, err, res.Converged, s.Reductions(), k, want)
+		}
+	}
+}

@@ -9,9 +9,6 @@
 //	                               recovery tasks: priorities must come
 //	                               from the overlap clamp, never raw
 //	                               Config.TaskPriority
-//	//due:bench-artefact           the struct below is a tracked
-//	                               BENCH_*.json schema: it must carry a
-//	                               json:"provenance" block
 //	//due:allow(<check>) <reason>  waive exactly <check> for the node
 //	                               below; the reason is mandatory
 //
@@ -32,7 +29,6 @@ type DirKind int
 const (
 	DirHotpath DirKind = iota
 	DirRecovery
-	DirBenchArtefact
 	DirAllow
 	DirUnknown
 )
@@ -44,7 +40,6 @@ type Directive struct {
 	Check  string // allow: the waived check name
 	Reason string // allow: mandatory justification
 	Pos    token.Pos
-	File   *ast.File
 	Node   ast.Node // attached node; nil when nothing follows
 	used   bool     // allow: suppressed at least one diagnostic
 }
@@ -76,14 +71,12 @@ func parseDirectives(fset *token.FileSet, files []*ast.File) *Directives {
 				if !ok {
 					continue
 				}
-				d := &Directive{Raw: c.Text, Pos: c.Pos(), File: f}
+				d := &Directive{Raw: c.Text, Pos: c.Pos()}
 				switch {
 				case rest == "hotpath":
 					d.Kind = DirHotpath
 				case rest == "recovery":
 					d.Kind = DirRecovery
-				case rest == "bench-artefact":
-					d.Kind = DirBenchArtefact
 				case strings.HasPrefix(rest, "allow("):
 					d.Kind = DirAllow
 					body := strings.TrimPrefix(rest, "allow(")
@@ -156,14 +149,4 @@ func attach(fset *token.FileSet, f *ast.File, dirs []*Directive) {
 			d.Node = best.node
 		}
 	}
-}
-
-// covers reports whether the directive's attached node (or its own
-// line) spans pos.
-func (d *Directive) covers(fset *token.FileSet, pos token.Pos) bool {
-	if d.Node != nil && d.Node.Pos() <= pos && pos <= d.Node.End() {
-		return true
-	}
-	dp, pp := fset.Position(d.Pos), fset.Position(pos)
-	return dp.Filename == pp.Filename && dp.Line == pp.Line
 }

@@ -17,7 +17,7 @@ var hotpathAlloc = &Analyzer{
 	Run:  runHotpathAlloc,
 }
 
-func runHotpathAlloc(ctx *Context, pkg *Package, report reportFunc) {
+func runHotpathAlloc(pkg *Package, report reportFunc) {
 	for _, d := range pkg.Dirs.OfKind(DirHotpath) {
 		if d.Node == nil {
 			continue
@@ -119,53 +119,29 @@ func checkHotComposite(info *types.Info, lit *ast.CompositeLit, report reportFun
 		case *types.Slice:
 			report(lit.Pos(), "slice literal allocates; pre-size at prepare time")
 		}
-		return
-	}
-	// Type info unavailable (fixture with missing deps): fall back to
-	// syntax.
-	switch lt := lit.Type.(type) {
-	case *ast.MapType:
-		report(lit.Pos(), "map literal allocates; build the map at prepare time")
-	case *ast.ArrayType:
-		if lt.Len == nil {
-			report(lit.Pos(), "slice literal allocates; pre-size at prepare time")
-		}
 	}
 }
 
 // --- shared type-query helpers ---
+//
+// A type error is a tool failure, so no fallback guesses at what an
+// unresolved expression or identifier might mean.
 
 func typeOf(info *types.Info, e ast.Expr) types.Type {
-	if info == nil {
-		return nil
-	}
-	if tv, ok := info.Types[e]; ok {
-		return tv.Type
-	}
-	return nil
+	return info.Types[e].Type
 }
 
-// isBuiltin reports whether id resolves to (or, with no type info,
-// textually names) the given builtin.
+// isBuiltin reports whether id resolves to the given builtin.
 func isBuiltin(info *types.Info, id *ast.Ident, name string) bool {
-	if id.Name != name {
-		return false
-	}
-	if obj := info.Uses[id]; obj != nil {
-		_, ok := obj.(*types.Builtin)
-		return ok
-	}
-	return true // unresolved: assume the predeclared meaning
+	_, ok := info.Uses[id].(*types.Builtin)
+	return ok && id.Name == name
 }
 
 // isPackage reports whether id names an imported package with the given
-// path (or, with no type info, that textual name).
+// path.
 func isPackage(info *types.Info, id *ast.Ident, path string) bool {
-	if obj := info.Uses[id]; obj != nil {
-		pn, ok := obj.(*types.PkgName)
-		return ok && pn.Imported().Path() == path
-	}
-	return id.Name == path
+	pn, ok := info.Uses[id].(*types.PkgName)
+	return ok && pn.Imported().Path() == path
 }
 
 func isStringExpr(info *types.Info, e ast.Expr) bool {

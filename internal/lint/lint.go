@@ -1,26 +1,17 @@
-// Package lint is due-lint: an invariant-enforcing static analysis
-// suite for this repository's hot paths, reductions, priorities and
-// cancellation discipline. Built on go/parser, go/ast and go/types
-// only — the module stays dependency-free.
+// Package lint is due-lint: a static analysis suite for the invariants
+// of this repository that no behavioural test can state. Built on
+// go/parser, go/ast and go/types only — the module stays
+// dependency-free.
 //
-// The six checks (DESIGN.md §9):
+// The three checks (DESIGN.md §9):
 //
 //	hotpath-alloc        //due:hotpath bodies contain no
 //	                     allocation-causing constructs
-//	reduction-accounting coordinator partial sums in internal/shard
-//	                     and internal/dist always account a reduction
-//	                     superstep, so Substrate.Reductions() never
-//	                     drifts from reality
 //	priority-clamp       recovery tasks take their priority from the
 //	                     overlap clamp, never raw Config.TaskPriority
 //	                     or a hardcoded literal
-//	cancellation-poll    every registered solver's main iteration loop
-//	                     polls Config.Cancelled
 //	no-wallclock-rand    no time.Now / math/rand in the bitwise-
 //	                     reproducible kernel packages
-//	bench-provenance     every BENCH_*.json writer goes through a
-//	                     //due:bench-artefact schema carrying the
-//	                     provenance block
 //
 // Violations are waivable per-site with //due:allow(<check>) <reason>;
 // the directive grammar itself is enforced by the always-on
@@ -58,7 +49,7 @@ type Result struct {
 type Analyzer struct {
 	Name string
 	Doc  string
-	Run  func(ctx *Context, pkg *Package, report reportFunc)
+	Run  func(pkg *Package, report reportFunc)
 }
 
 type reportFunc func(pos token.Pos, format string, args ...any)
@@ -68,23 +59,9 @@ type reportFunc func(pos token.Pos, format string, args ...any)
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		hotpathAlloc,
-		reductionAccounting,
 		priorityClamp,
-		cancellationPoll,
 		noWallclockRand,
-		benchProvenance,
 	}
-}
-
-// Context carries cross-package state: the loader's cache (every
-// module package pulled in, analyzed or not) and the module-wide
-// registry of //due:bench-artefact types.
-type Context struct {
-	fset *token.FileSet
-	pkgs map[string]*Package
-	// artefacts maps "pkgpath.TypeName" of every //due:bench-artefact
-	// struct in the loaded tree.
-	artefacts map[string]bool
 }
 
 // Config selects what to lint.
@@ -136,14 +113,6 @@ func runSuite(l *loader, targets []*Package, checks []string, res *Result) {
 	}
 	active := func(name string) bool { return len(enabled) == 0 || enabled[name] }
 
-	ctx := &Context{fset: l.fset, pkgs: l.pkgs, artefacts: make(map[string]bool)}
-	// The artefact registry spans every loaded package (targets plus
-	// their module-internal dependencies): a writeJSON in cmd/due-bench
-	// must see the schema declared in internal/experiments.
-	for _, p := range l.pkgs {
-		registerArtefacts(ctx, p)
-	}
-
 	for _, pkg := range targets {
 		for _, e := range pkg.TypeErrs {
 			res.ToolErrs = append(res.ToolErrs, e)
@@ -154,7 +123,7 @@ func runSuite(l *loader, targets []*Package, checks []string, res *Result) {
 				continue
 			}
 			name := a.Name
-			a.Run(ctx, pkg, func(pos token.Pos, format string, args ...any) {
+			a.Run(pkg, func(pos token.Pos, format string, args ...any) {
 				raw = append(raw, Diagnostic{
 					Pos:     l.fset.Position(pos),
 					Check:   name,
@@ -252,7 +221,7 @@ func checkDirectives(fset *token.FileSet, pkg *Package, active func(string) bool
 	for _, d := range pkg.Dirs.All {
 		switch d.Kind {
 		case DirUnknown:
-			emit(at(d), "unknown //due: directive %q (known: hotpath, recovery, bench-artefact, allow(<check>) <reason>)", d.Raw)
+			emit(at(d), "unknown //due: directive %q (known: hotpath, recovery, allow(<check>) <reason>)", d.Raw)
 			continue
 		case DirAllow:
 			if !known[d.Check] {

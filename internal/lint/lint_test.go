@@ -5,6 +5,8 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -103,28 +105,12 @@ func TestHotpathAllocFixture(t *testing.T) {
 	checkFixture(t, "hotpath", "fixture/hot", nil)
 }
 
-func TestReductionShardFixture(t *testing.T) {
-	checkFixture(t, "reduction_shard", "fixture/internal/shard", nil)
-}
-
-func TestReductionDistFixture(t *testing.T) {
-	checkFixture(t, "reduction_dist", "fixture/internal/dist", nil)
-}
-
 func TestPriorityClampFixture(t *testing.T) {
 	checkFixture(t, "priority", "fixture/internal/core", nil)
 }
 
-func TestCancellationPollFixture(t *testing.T) {
-	checkFixture(t, "cancel", "fixture/internal/core", nil)
-}
-
 func TestWallclockFixture(t *testing.T) {
 	checkFixture(t, "wallclock", "fixture/internal/sparse", nil)
-}
-
-func TestProvenanceFixture(t *testing.T) {
-	checkFixture(t, "provenance", "fixture/experiments", nil)
 }
 
 func TestDirectivesFixture(t *testing.T) {
@@ -132,22 +118,22 @@ func TestDirectivesFixture(t *testing.T) {
 }
 
 // TestWaiverFixture pins the waiver contract via want comments: the
-// reduction-accounting violations are suppressed while the
-// hotpath-alloc violation in the same function still fires.
+// no-wallclock-rand violations are suppressed while the hotpath-alloc
+// violation in the same function still fires.
 func TestWaiverFixture(t *testing.T) {
-	checkFixture(t, "waiver", "fixture/internal/shard", nil)
+	checkFixture(t, "waiver", "fixture/internal/sparse", nil)
 }
 
 // TestWaiverSuppressesOnlyNamedCheck runs the waiver fixture one check
 // at a time: the waived check reports nothing (and the waiver counts as
 // used), the unnamed check is untouched.
 func TestWaiverSuppressesOnlyNamedCheck(t *testing.T) {
-	res, _ := runFixture(t, "waiver", "fixture/internal/shard", []string{"reduction-accounting"})
+	res, _ := runFixture(t, "waiver", "fixture/internal/sparse", []string{"no-wallclock-rand"})
 	for _, d := range res.Diags {
 		t.Errorf("waived check still reports: %s", d)
 	}
 
-	res, _ = runFixture(t, "waiver", "fixture/internal/shard", []string{"hotpath-alloc"})
+	res, _ = runFixture(t, "waiver", "fixture/internal/sparse", []string{"hotpath-alloc"})
 	var hot int
 	for _, d := range res.Diags {
 		if d.Check != "hotpath-alloc" {
@@ -175,5 +161,26 @@ func TestUnattachedDirective(t *testing.T) {
 	}
 	if !found {
 		t.Error("unattached directive not reported")
+	}
+}
+
+// TestLoaderPicksPlatformFiles pins the loader's file selection, which is
+// go/build's: internal/sparse loads simd_amd64.go on amd64 and
+// simd_other.go on every other architecture.
+func TestLoaderPicksPlatformFiles(t *testing.T) {
+	root, _, err := findModule(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	names, err := goFilesIn(filepath.Join(root, "internal", "sparse"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, not := "simd_amd64.go", "simd_other.go"
+	if runtime.GOARCH != "amd64" {
+		want, not = not, want
+	}
+	if !slices.Contains(names, want) || slices.Contains(names, not) {
+		t.Errorf("internal/sparse on %s loads %v; want %s and not %s", runtime.GOARCH, names, want, not)
 	}
 }

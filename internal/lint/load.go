@@ -11,15 +11,13 @@ package lint
 import (
 	"fmt"
 	"go/ast"
-	"go/build/constraint"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
 	"os"
 	"path/filepath"
-	"runtime"
-	"sort"
 	"strings"
 )
 
@@ -28,7 +26,6 @@ import (
 // //due: directives.
 type Package struct {
 	Path  string // import path ("repro/internal/shard")
-	Dir   string
 	Files []*ast.File
 	TPkg  *types.Package
 	Info  *types.Info
@@ -138,7 +135,7 @@ func (l *loader) loadDir(dir, ipath string) (*Package, error) {
 	if len(names) == 0 {
 		return nil, fmt.Errorf("no buildable Go files in %s", dir)
 	}
-	p := &Package{Path: ipath, Dir: dir}
+	p := &Package{Path: ipath}
 	for _, name := range names {
 		f, err := parser.ParseFile(l.fset, filepath.Join(dir, name), nil, parser.ParseComments)
 		if err != nil {
@@ -165,9 +162,9 @@ func (l *loader) loadDir(dir, ipath string) (*Package, error) {
 	return p, nil
 }
 
-// goFilesIn lists the non-test .go files of dir that build on the
-// current platform (filename GOOS/GOARCH suffixes plus //go:build
-// lines — the two mechanisms this module uses).
+// goFilesIn lists the non-test .go files of dir that build for the
+// default build context, by go/build's own file matching (GOOS/GOARCH
+// filename suffixes and //go:build lines).
 func goFilesIn(dir string) ([]string, error) {
 	ents, err := os.ReadDir(dir)
 	if err != nil {
@@ -176,85 +173,18 @@ func goFilesIn(dir string) ([]string, error) {
 	var names []string
 	for _, e := range ents {
 		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".go") ||
-			strings.HasSuffix(name, "_test.go") || strings.HasPrefix(name, ".") {
+		if e.IsDir() || strings.HasSuffix(name, "_test.go") {
 			continue
 		}
-		if !matchesPlatform(name) {
-			continue
-		}
-		src, err := os.ReadFile(filepath.Join(dir, name))
+		ok, err := build.Default.MatchFile(dir, name)
 		if err != nil {
 			return nil, err
 		}
-		if !buildTagsSatisfied(src) {
-			continue
+		if ok && strings.HasSuffix(name, ".go") {
+			names = append(names, name)
 		}
-		names = append(names, name)
 	}
-	sort.Strings(names)
 	return names, nil
-}
-
-var knownOS = map[string]bool{
-	"aix": true, "android": true, "darwin": true, "dragonfly": true,
-	"freebsd": true, "illumos": true, "ios": true, "js": true,
-	"linux": true, "netbsd": true, "openbsd": true, "plan9": true,
-	"solaris": true, "wasip1": true, "windows": true,
-}
-
-var knownArch = map[string]bool{
-	"386": true, "amd64": true, "arm": true, "arm64": true,
-	"loong64": true, "mips": true, "mips64": true, "mips64le": true,
-	"mipsle": true, "ppc64": true, "ppc64le": true, "riscv64": true,
-	"s390x": true, "wasm": true,
-}
-
-// matchesPlatform applies the _GOOS / _GOARCH / _GOOS_GOARCH filename
-// convention.
-func matchesPlatform(name string) bool {
-	base := strings.TrimSuffix(name, ".go")
-	parts := strings.Split(base, "_")
-	if len(parts) >= 3 && knownOS[parts[len(parts)-2]] && knownArch[parts[len(parts)-1]] {
-		return parts[len(parts)-2] == runtime.GOOS && parts[len(parts)-1] == runtime.GOARCH
-	}
-	if len(parts) >= 2 {
-		last := parts[len(parts)-1]
-		if knownOS[last] {
-			return last == runtime.GOOS
-		}
-		if knownArch[last] {
-			return last == runtime.GOARCH
-		}
-	}
-	return true
-}
-
-// buildTagsSatisfied evaluates //go:build lines before the package
-// clause against the current GOOS/GOARCH (compiler gc, all go1.x
-// release tags considered satisfied).
-func buildTagsSatisfied(src []byte) bool {
-	for _, line := range strings.Split(string(src), "\n") {
-		trimmed := strings.TrimSpace(line)
-		if strings.HasPrefix(trimmed, "package ") {
-			break
-		}
-		if !constraint.IsGoBuild(trimmed) {
-			continue
-		}
-		expr, err := constraint.Parse(trimmed)
-		if err != nil {
-			continue
-		}
-		ok := expr.Eval(func(tag string) bool {
-			return tag == runtime.GOOS || tag == runtime.GOARCH ||
-				tag == "gc" || strings.HasPrefix(tag, "go1")
-		})
-		if !ok {
-			return false
-		}
-	}
-	return true
 }
 
 // expandPatterns resolves the command-line patterns ("./...",

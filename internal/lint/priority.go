@@ -28,7 +28,7 @@ var clampNames = map[string]bool{
 	"OverlappedRecovery": true,
 }
 
-func runPriorityClamp(ctx *Context, pkg *Package, report reportFunc) {
+func runPriorityClamp(pkg *Package, report reportFunc) {
 	scoped := pathUnder(pkg.Path, "internal/core") || pathUnder(pkg.Path, "internal/engine") ||
 		pathUnder(pkg.Path, "internal/shard") || pathUnder(pkg.Path, "internal/dist")
 	for _, d := range pkg.Dirs.OfKind(DirRecovery) {

@@ -22,7 +22,7 @@ var wallclockFuncs = map[string]bool{
 	"Now": true, "Since": true, "Until": true, "Sleep": true,
 }
 
-func runNoWallclockRand(ctx *Context, pkg *Package, report reportFunc) {
+func runNoWallclockRand(pkg *Package, report reportFunc) {
 	if !pathUnder(pkg.Path, "internal/sparse") && !pathUnder(pkg.Path, "internal/engine") {
 		return
 	}

@@ -24,25 +24,32 @@ type MatrixSubmission struct {
 	PageDoubles int       `json:"page_doubles,omitempty"`
 }
 
-// ErrBadMatrix rejects a raw CSR submission that is not a well-formed
-// square matrix, or one past the int32 index limit (sparse.ErrTooLarge);
-// POST /v1/matrices answers it with 400. An index past int32 in the body
-// is a 400 from the decoder.
+// ErrBadMatrix rejects a submission with n < 1, a generator n whose
+// operator could not fit in the operator cache, or a raw CSR that is not
+// a well-formed square matrix or is past the int32 index limit
+// (sparse.ErrTooLarge); POST /v1/matrices answers it with 400. An index
+// past int32 in the body is a 400 from the decoder.
 var ErrBadMatrix = errors.New("serve: malformed matrix")
 
-// Build materialises the submitted matrix. A raw CSR is checked before
-// any kernel shadow is built from it: the shadows index by its row
-// pointers and columns unchecked, and their bitwise parity with the CSR
-// kernels rests on strictly ascending in-row columns.
-func (m *MatrixSubmission) Build() (*sparse.CSR, error) {
+// Build materialises the submitted matrix. cacheBytes is the operator
+// cache's cap (Options.CacheBytes, 0 for the default): every row costs at
+// least 16 B (a value, a column index, a row pointer), so a generator n
+// past cacheBytes/16 is refused before anything is generated. A raw CSR
+// is checked before any kernel shadow is built from it: the shadows index
+// by its row pointers and columns unchecked, and their bitwise parity
+// with the CSR kernels rests on strictly ascending in-row columns.
+func (m *MatrixSubmission) Build(cacheBytes int64) (*sparse.CSR, error) {
 	if m.Key == "" {
 		return nil, fmt.Errorf("serve: matrix submission needs a key")
 	}
-	if m.Gen != "" {
-		return matgen.PaperMatrix(m.Gen, m.N)
-	}
-	if m.N <= 0 {
+	if m.N < 1 {
 		return nil, fmt.Errorf("%w: n = %d", ErrBadMatrix, m.N)
+	}
+	if m.Gen != "" {
+		if limit := defaults.ServeCacheBytesOr(cacheBytes) / 16; int64(m.N) > limit {
+			return nil, fmt.Errorf("%w: n = %d rows cannot fit in the operator cache (at most %d)", ErrBadMatrix, m.N, limit)
+		}
+		return matgen.PaperMatrix(m.Gen, m.N)
 	}
 	if err := sparse.CheckSize(m.N, m.N, len(m.Vals)); err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrBadMatrix, err)
@@ -78,7 +85,7 @@ func (s *Server) Handler() http.Handler {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		a, err := sub.Build()
+		a, err := sub.Build(s.opts.CacheBytes)
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return

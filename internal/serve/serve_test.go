@@ -359,9 +359,11 @@ func TestWantSolution(t *testing.T) {
 // died without a response), the second was accepted with its
 // out-of-range entry silently dropped by the shadow, the third was
 // accepted and broke the DIA/CSR bitwise parity, the fourth panicked in
-// makeslice.
+// makeslice. A generator n is refused the same way below 1 (a negative one
+// panicked in matgen, 0 registered an empty operator) and past the cache's
+// 16 B per row.
 func TestMatrixSubmissionRejectsMalformedCSR(t *testing.T) {
-	srv := newTestServer(t, Options{})
+	srv := newTestServer(t, Options{CacheBytes: 1 << 20}) // room for 65,536 rows
 	h := srv.Handler()
 	post := func(path, body string) *httptest.ResponseRecorder {
 		rr := httptest.NewRecorder()
@@ -374,13 +376,16 @@ func TestMatrixSubmissionRejectsMalformedCSR(t *testing.T) {
 		"unsorted columns":        `{"key":"k","n":2,"rowptr":[0,2,3],"cols":[1,0,1],"vals":[1,2,3]}`,
 		"negative n":              `{"key":"k","n":-1,"rowptr":[],"cols":[],"vals":[]}`,
 		"rowptr overshoots":       `{"key":"k","n":2,"rowptr":[0,5,2],"cols":[0,1],"vals":[1,1]}`,
+		"generator n negative":    `{"key":"k","gen":"thermal2","n":-5}`,
+		"generator n zero":        `{"key":"k","gen":"qa8fm","n":0}`,
+		"generator past cache":    `{"key":"k","gen":"thermal2","n":65537}`,
 	} {
 		rr := post("/v1/matrices", body)
 		if rr.Code != http.StatusBadRequest || !strings.Contains(rr.Body.String(), ErrBadMatrix.Error()) {
 			t.Errorf("%s: status %d body %q, want 400 with %q", name, rr.Code, rr.Body.String(), ErrBadMatrix)
 		}
 	}
-	if _, err := (&MatrixSubmission{Key: "k", N: 1, RowPtr: []int32{0, 1}, Cols: []int32{0}, Vals: []float64{math.Inf(1)}}).Build(); !errors.Is(err, ErrBadMatrix) {
+	if _, err := (&MatrixSubmission{Key: "k", N: 1, RowPtr: []int32{0, 1}, Cols: []int32{0}, Vals: []float64{math.Inf(1)}}).Build(0); !errors.Is(err, ErrBadMatrix) {
 		t.Errorf("non-finite value: err = %v, want ErrBadMatrix", err)
 	}
 
@@ -400,7 +405,7 @@ func TestMatrixSubmissionRejectsMalformedCSR(t *testing.T) {
 // sparse.ErrTooLarge, and an index past int32 a 400 from the decoder.
 // Nothing of the claimed size is allocated.
 func TestMatrixSubmissionPastInt32IsBadMatrix(t *testing.T) {
-	if _, err := (&MatrixSubmission{Key: "k", N: sparse.MaxIndex + 1}).Build(); !errors.Is(err, ErrBadMatrix) || !errors.Is(err, sparse.ErrTooLarge) {
+	if _, err := (&MatrixSubmission{Key: "k", N: sparse.MaxIndex + 1}).Build(0); !errors.Is(err, ErrBadMatrix) || !errors.Is(err, sparse.ErrTooLarge) {
 		t.Errorf("n past the limit: err = %v, want ErrBadMatrix and sparse.ErrTooLarge", err)
 	}
 	srv := newTestServer(t, Options{})

@@ -201,3 +201,30 @@ func TestPreparedOpsZeroAlloc(t *testing.T) {
 		t.Fatalf("supersteps allocate %.2f/iteration, want 0", allocs)
 	}
 }
+
+// TestReductionsCountSupersteps: Dot, SpMVDot and RankOpDot each play one
+// allreduce and advance Reductions() by exactly 1; SpMV, Exchange and
+// RankOp reduce nothing and advance it by 0.
+func TestReductionsCountSupersteps(t *testing.T) {
+	s := testSubstrate(t, 2)
+	defer s.Close()
+	x, y := s.AddVector("x"), s.AddVector("y")
+	for _, c := range []struct {
+		name string
+		op   func()
+		want int64
+	}{
+		{"Dot", func() { s.Dot("d", x, y) }, 1},
+		{"SpMVDot", func() { s.SpMVDot("q", x, y) }, 1},
+		{"RankOpDot", func() { s.RankOpDot("o", func(*Rank, int, int, int) float64 { return 0 }) }, 1},
+		{"SpMV", func() { s.SpMV("q", x, y) }, 0},
+		{"Exchange", func() { s.Exchange(x, false) }, 0},
+		{"RankOp", func() { s.RankOp("o", func(*Rank, int, int, int) {}) }, 0},
+	} {
+		before := s.Reductions()
+		c.op()
+		if got := s.Reductions() - before; got != c.want {
+			t.Errorf("%s advanced Reductions() by %d, want %d", c.name, got, c.want)
+		}
+	}
+}
