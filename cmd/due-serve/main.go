@@ -14,7 +14,7 @@
 //
 //	POST /v1/matrices  {"key":"m1","gen":"thermal2","n":16384}
 //	POST /v1/solve     {"matrix":"m1","solver":"cg","method":"afeir",
-//	                    "precond":true,"priority":2,"due_mtbe_ns":5e6}
+//	                    "precond":true,"priority":2,"due_rate":2}
 //	GET  /v1/stats
 //
 // "batch":true is accepted and ignored: every request, multi-RHS

@@ -48,7 +48,7 @@ func main() {
 	solverName := flag.String("solver", "cg", strings.Join(registry.Names(), " | "))
 	precond := flag.Bool("precond", false, "use the block-Jacobi preconditioner (all solvers, and cg on -ranks)")
 	ranks := flag.Int("ranks", 0, "run cg distributed across N ranks on the sharded substrate (0 = single-node)")
-	rate := flag.Float64("rate", 0, "expected DUEs per solver run (0 = no injection)")
+	rate := flag.Float64("rate", 0, "expected DUEs per ideal solve's page operations (0 = no injection)")
 	sdc := flag.Float64("sdc", 0, "fraction of injected events that are silent single-bit flips instead of DUEs (0..1, needs -rate)")
 	abft := flag.Bool("abft", false, "enable checksum (ABFT) silent-error coverage: detected flips become recoverable poisons (single-node cg, resilient methods)")
 	tol := flag.Float64("tol", 1e-10, "relative residual tolerance")
@@ -87,30 +87,28 @@ func main() {
 	}
 	var storm *inject.Plan
 	if *rate > 0 {
-		// Estimate the ideal time with a probe run of the same solver to
-		// normalise the MTBE like the paper (§5.3).
+		// Count the page operations of an ideal probe run of the same
+		// solver: the unit the rate is normalised to, like the paper's
+		// MTBE (§5.3), without a stopwatch (DESIGN §12).
 		probeCfg := cfg
 		probeCfg.Method = core.MethodIdeal
-		// The probe must not pay the checksum folds: it only measures the
-		// ideal time.
 		probeCfg.ABFT = false
 		probe, err := registry.New(*solverName, a, b, probeCfg)
 		if err != nil {
 			fatalf("%v", err)
 		}
-		pres, err := probe.Run()
-		if err != nil {
+		unit := &inject.Plan{}
+		probe.Arm(unit)
+		if _, err := probe.Run(); err != nil {
 			fatalf("probe: %v", err)
 		}
-		mtbe := time.Duration(pres.Elapsed.Seconds() / *rate * float64(time.Second))
-		fmt.Printf("ideal time %v -> MTBE %v (rate %g)\n",
-			pres.Elapsed.Round(time.Millisecond), mtbe.Round(time.Millisecond), *rate)
+		mean := float64(unit.Work()) / *rate
+		fmt.Printf("ideal solve %d page operations -> mean gap %.0f (rate %g)\n", unit.Work(), mean, *rate)
 		// All fault domains share one page layout, so one stream drawing
 		// uniformly over every protected (vector, page) pair covers
 		// single-node and distributed runs alike.
-		storm = &inject.Plan{Stream: &inject.Stream{Targets: run.Dynamic, MTBE: mtbe, Seed: *seed, SDCFraction: *sdc}}
-		storm.Start()
-		run.SetSite(storm.Site)
+		storm = &inject.Plan{Stream: &inject.Stream{MeanWork: mean, Seed: *seed, SDCFraction: *sdc}}
+		run.Arm(storm)
 	}
 	sched := pool.Counters()
 	res, err := run.Run()

@@ -1,7 +1,7 @@
 // Faultstorm: a miniature Figure 4 — compare every recovery method on the
 // thermal2 analogue (the paper's slowest-converging matrix) under
-// increasing error-injection rates, with the wall-clock exponential
-// stream of §5.3 fired from the solve's own tasks.
+// increasing error-injection rates, with the exponential stream of §5.3
+// on the work clock, fired from the solve's own tasks.
 package main
 
 import (
@@ -21,19 +21,23 @@ func main() {
 
 	base := core.Config{Workers: 4, PageDoubles: 256, Tol: 1e-8}
 
-	// Ideal baseline for the normalized MTBE.
+	// Ideal baseline: its page operations are the rate's unit, its time
+	// the slowdown's.
 	idealCfg := base
 	idealCfg.Method = core.MethodIdeal
 	ideal, err := core.NewCG(a, b, idealCfg)
 	if err != nil {
 		log.Fatal(err)
 	}
+	unit := &inject.Plan{}
+	unit.Start()
+	ideal.SetSite(unit.Site)
 	iref, err := ideal.Run()
 	if err != nil {
 		log.Fatal(err)
 	}
 	tau := iref.Elapsed
-	fmt.Printf("ideal: %d iterations in %v\n\n", iref.Iterations, tau.Round(time.Millisecond))
+	fmt.Printf("ideal: %d iterations, %d page operations in %v\n\n", iref.Iterations, unit.Work(), tau.Round(time.Millisecond))
 
 	methods := []core.Method{core.MethodAFEIR, core.MethodFEIR, core.MethodLossy, core.MethodCheckpoint, core.MethodTrivial}
 	rates := []float64{1, 5, 20}
@@ -46,19 +50,18 @@ func main() {
 	for _, m := range methods {
 		fmt.Printf("%-8s", m)
 		for _, rate := range rates {
-			mtbe := time.Duration(tau.Seconds() / rate * float64(time.Second))
 			cfg := base
 			cfg.Method = m
 			cfg.MaxIter = 40 * a.N
 			if m == core.MethodCheckpoint {
-				cfg.ExpectedMTBE = mtbe
+				cfg.ExpectedMTBE = time.Duration(float64(tau) / rate) // Young/Daly is a model in time
 				cfg.Disk = core.NewSimDisk(0)
 			}
 			cg, err := core.NewCG(a, b, cfg)
 			if err != nil {
 				log.Fatal(err)
 			}
-			storm := &inject.Plan{Stream: &inject.Stream{Targets: cg.DynamicVectors(), MTBE: mtbe, Seed: int64(rate)*7 + int64(m)}}
+			storm := &inject.Plan{Stream: &inject.Stream{Targets: cg.DynamicVectors(), MeanWork: float64(unit.Work()) / rate, Seed: int64(rate)*7 + int64(m)}}
 			storm.Start()
 			cg.SetSite(storm.Site)
 			res, err := cg.Run()

@@ -36,7 +36,6 @@ func main() {
 	// the hardware would raise SIGBUS; here the page's fault bit is set
 	// and the content is lost.
 	plan := &inject.Plan{
-		ByIteration: true,
 		Errors: []inject.PlannedError{
 			{Vector: cg.Space().VectorByName("x"), Page: 7, AtIteration: 40},
 		},

@@ -123,7 +123,7 @@ func (s *solverBase) Space() *pagemem.Space { return s.space }
 
 // SetSite installs (or clears) the fault-site hook (DESIGN §12), typically
 // a started inject.Plan's Site. Set it only between Runs.
-func (s *solverBase) SetSite(f func(iteration int, task string)) { s.sites.Hook = f }
+func (s *solverBase) SetSite(f func(iteration int, task string, pages int)) { s.sites.Hook = f }
 
 // applyPending makes the pending data losses take effect — call it with
 // every worker quiescent — and counts them as seen.

@@ -244,7 +244,7 @@ func (s *CG) SetInject(fn func(it int, ranks []*shard.Rank)) { s.injectFn = fn }
 
 // SetSite installs (or clears) the fault-site hook (DESIGN §12), entered
 // before every rank superstep of an iteration's steady state.
-func (s *CG) SetSite(fn func(iteration int, task string)) { s.sub.Sites.Hook = fn }
+func (s *CG) SetSite(fn func(iteration int, task string, pages int)) { s.sub.Sites.Hook = fn }
 
 // land closes the fault sites and applies, with repairs, the losses they
 // fired since the last boundary. The loop head calls it before the

@@ -245,7 +245,7 @@ func checkRecovered(t *testing.T, name string, res core.Result) {
 func midFlightInjection(s *CG, count int) *int {
 	fires := 0
 	seen := 0
-	s.SetSite(func(_ int, task string) {
+	s.SetSite(func(_ int, task string, _ int) {
 		if task != "q,<d,q>" {
 			return
 		}

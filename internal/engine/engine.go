@@ -102,9 +102,11 @@ func In(v Vec, ver int64) Operand { return Operand{Vec: v, Ver: ver} }
 // same Run applies and closes them at that boundary, so no loss outlives
 // its Run. The zero value is closed and has no hook.
 type Sites struct {
-	// Hook, when non-nil, is called with the published iteration and the
-	// task's label; set it only while none of the solve's tasks runs.
-	Hook func(iteration int, task string)
+	// Hook, when non-nil, is called with the published iteration, the
+	// task's label and the pages the task is about to cover (the work
+	// clock's tick, DESIGN §12); set it only while none of the solve's
+	// tasks runs.
+	Hook func(iteration int, task string, pages int)
 	it   atomic.Int64 // published iteration + 1; 0 while closed
 }
 
@@ -114,14 +116,14 @@ func (s *Sites) Open(it int) { s.it.Store(int64(it) + 1) }
 // Close closes the sites.
 func (s *Sites) Close() { s.it.Store(0) }
 
-// Enter is a fault site: the hook fires if one is set and the sites are
-// open. A nil *Sites is always closed.
-func (s *Sites) Enter(task string) {
+// Enter is a fault site of a task about to cover pages: the hook fires
+// if one is set and the sites are open. A nil *Sites is always closed.
+func (s *Sites) Enter(task string, pages int) {
 	if s == nil || s.Hook == nil {
 		return
 	}
 	if it := s.it.Load(); it > 0 {
-		s.Hook(int(it-1), task)
+		s.Hook(int(it-1), task, pages)
 	}
 }
 
@@ -362,7 +364,7 @@ func (e *Engine) RawOp(label string, after []*taskrt.Handle, fn func(p, lo, hi i
 	handles := make([]*taskrt.Handle, 0, len(e.chunks))
 	for _, ch := range e.chunks {
 		pLo, pHi := ch[0], ch[1]
-		handles = append(handles, e.RT.Submit(e.task(label, after, 0, func(int) {
+		handles = append(handles, e.RT.Submit(e.task(label, after, 0, pHi-pLo, func(int) {
 			for p := pLo; p < pHi; p++ {
 				lo, hi := e.Layout.Range(p)
 				fn(p, lo, hi)
@@ -373,10 +375,11 @@ func (e *Engine) RawOp(label string, after []*taskrt.Handle, fn func(p, lo, hi i
 }
 
 // task is the spec of every task the engine submits or replays: the body
-// enters the fault sites, then runs.
-func (e *Engine) task(label string, after []*taskrt.Handle, priority int, run func(worker int)) taskrt.TaskSpec {
+// enters the fault sites with the pages it covers (a chunk its page
+// count, a single task 1), then runs.
+func (e *Engine) task(label string, after []*taskrt.Handle, priority, pages int, run func(worker int)) taskrt.TaskSpec {
 	return taskrt.TaskSpec{Label: label, After: after, Priority: priority, Run: func(w int) {
-		e.Sites.Enter(label)
+		e.Sites.Enter(label, pages)
 		run(w)
 	}}
 }
@@ -416,12 +419,12 @@ func (e *Engine) OverlappedRecovery(label string, after []*taskrt.Handle, fn fun
 	if prio > -1 {
 		prio = -1
 	}
-	return e.RT.Submit(e.task(label, after, prio, func(int) { fn() }))
+	return e.RT.Submit(e.task(label, after, prio, 1, func(int) { fn() }))
 }
 
 // CriticalRecovery runs fn as a task at the solver's compute priority on
 // the runtime and waits for it — the FEIR discipline (Fig 2a): recovery in
 // the critical path, after every computation of the phase has finished.
 func (e *Engine) CriticalRecovery(label string, priority int, fn func()) {
-	e.RT.Wait(e.RT.Submit(e.task(label, nil, priority, func(int) { fn() })))
+	e.RT.Wait(e.RT.Submit(e.task(label, nil, priority, 1, func(int) { fn() })))
 }

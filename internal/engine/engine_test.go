@@ -133,3 +133,34 @@ func TestEngineSpMVConnGuard(t *testing.T) {
 		}
 	}
 }
+
+// TestSitesCountPages: the fault sites are the work clock. A chunked wave
+// hands them the operator's page count however it is chunked, replayed
+// or immediate; a single task hands them 1; closed sites hand nothing.
+func TestSitesCountPages(t *testing.T) {
+	const n, page = 1000, 32 // 32 pages, the last one short
+	a := testMatrix(n)
+	layout := sparse.BlockLayout{N: n, BlockSize: page}
+	rt := taskrt.NewInline()
+	for _, nchunks := range []int{1, 3, 7, 32} {
+		e := New(a, layout, rt, false, nchunks)
+		var sites Sites
+		pages := 0
+		sites.Hook = func(_ int, _ string, p int) { pages += p }
+		e.Sites = &sites
+		wave := e.Prepare("wave", 0, func(int, int, int) {})
+		single := e.PrepareSingle("r1", 0, func() {})
+
+		rt.WaitAll(e.RawOp("closed", nil, func(int, int, int) {}))
+		sites.Open(0)
+		rt.WaitAll(e.RawOp("raw", nil, func(int, int, int) {}))
+		rt.WaitAll(wave.Submit(nil))
+		rt.WaitAll(single.Submit(nil))
+		e.CriticalRecovery("r2r3", 0, func() {})
+		sites.Close()
+		rt.WaitAll(wave.Submit(nil))
+		if want := 2*e.NP + 2; pages != want {
+			t.Fatalf("%d chunks: the sites counted %d pages, want %d", nchunks, pages, want)
+		}
+	}
+}

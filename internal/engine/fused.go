@@ -236,7 +236,7 @@ func (e *Engine) Prepare(label string, priority int, body func(worker, pLo, pHi 
 	p := &Prepared{rt: e.RT, handles: make([]*taskrt.Handle, 0, len(e.chunks))}
 	for _, ch := range e.chunks {
 		pLo, pHi := ch[0], ch[1]
-		p.handles = append(p.handles, e.RT.NewTask(e.task(label, nil, priority, func(w int) { body(w, pLo, pHi) })))
+		p.handles = append(p.handles, e.RT.NewTask(e.task(label, nil, priority, pHi-pLo, func(w int) { body(w, pLo, pHi) })))
 	}
 	return p
 }
@@ -245,7 +245,7 @@ func (e *Engine) Prepare(label string, priority int, body func(worker, pLo, pHi 
 // tasks: one task, not chunked).
 func (e *Engine) PrepareSingle(label string, priority int, body func()) *Prepared {
 	graphPreps.Add(1)
-	return &Prepared{rt: e.RT, handles: []*taskrt.Handle{e.RT.NewTask(e.task(label, nil, priority, func(int) { body() }))}}
+	return &Prepared{rt: e.RT, handles: []*taskrt.Handle{e.RT.NewTask(e.task(label, nil, priority, 1, func(int) { body() }))}}
 }
 
 // Submit replays every chunk task after the given dependencies and

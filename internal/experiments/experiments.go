@@ -337,10 +337,11 @@ type Fig3Series struct {
 }
 
 // Fig3Result reproduces Figure 3: thermal2-analogue, one error injected
-// into an iterate page midway through the ideal convergence time.
+// into an iterate page midway through the ideal convergence, at the first
+// task of iteration InjectIter.
 type Fig3Result struct {
 	Matrix     string
-	InjectAt   time.Duration
+	InjectIter int
 	IdealTotal time.Duration
 	Series     []Fig3Series
 }
@@ -360,7 +361,7 @@ func Fig3(opts Options) (*Fig3Result, error) {
 		return nil, err
 	}
 	out.IdealTotal = idealRes.Elapsed
-	out.InjectAt = idealRes.Elapsed / 2
+	out.InjectIter = idealRes.Iterations / 2
 	out.Series = append(out.Series, Fig3Series{Method: "Ideal", Points: idealTrace})
 
 	methods := []core.Method{core.MethodAFEIR, core.MethodFEIR, core.MethodLossy, core.MethodCheckpoint}
@@ -373,7 +374,7 @@ func Fig3(opts Options) (*Fig3Result, error) {
 		trace, _, err := traceRun(a, b, cfg, func(cg *core.CG) *inject.Plan {
 			x := cg.Space().VectorByName("x")
 			page := cg.Space().NumPages() / 2
-			return &inject.Plan{Errors: []inject.PlannedError{{Vector: x, Page: page, At: out.InjectAt}}}
+			return &inject.Plan{Errors: []inject.PlannedError{{Vector: x, Page: page, AtIteration: out.InjectIter}}}
 		}, 0)
 		if err != nil {
 			return nil, err
@@ -414,8 +415,8 @@ func traceRun(a *sparse.CSR, b []float64, cfg core.Config, plan func(*core.CG) *
 // String renders a compact textual form of the traces.
 func (f *Fig3Result) String() string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "Figure 3: CG convergence, matrix %s, single error in x at %v (ideal total %v)\n",
-		f.Matrix, f.InjectAt.Round(time.Millisecond), f.IdealTotal.Round(time.Millisecond))
+	fmt.Fprintf(&sb, "Figure 3: CG convergence, matrix %s, single error in x at iteration %d (ideal total %v)\n",
+		f.Matrix, f.InjectIter, f.IdealTotal.Round(time.Millisecond))
 	for _, s := range f.Series {
 		last := TracePoint{}
 		if len(s.Points) > 0 {
@@ -471,8 +472,9 @@ func fig4MeanKey(solver string, m core.Method) string {
 	return solver + ":" + m.String()
 }
 
-// Fig4 sweeps matrices × rates × methods with wall-clock exponential error
-// injection (MTBE = idealTime/rate), repeating each cell and aggregating
+// Fig4 sweeps matrices × rates × methods with exponential error injection
+// on the work clock (mean gap = an ideal solve's page operations / rate,
+// DESIGN §12), repeating each cell and aggregating
 // like the paper. The unpreconditioned panel is the paper's CG sweep; the
 // preconditioned one covers the preconditioned variants of all three
 // registered methods (PCG, PBiCGStab, PGMRES) through the same registry
@@ -492,15 +494,14 @@ func Fig4(opts Options, precond bool) (*Fig4Result, error) {
 		}
 	}
 	seed := opts.Seed
-	run := func(solver string, a *sparse.CSR, b []float64, cfg core.Config, injectSeed int64, mtbe time.Duration) (core.Result, error) {
+	// run solves once with plan (nil for none) armed on the solve.
+	run := func(solver string, a *sparse.CSR, b []float64, cfg core.Config, plan *inject.Plan) (core.Result, error) {
 		inst, err := registry.New(solver, a, b, registry.Config{Config: cfg})
 		if err != nil {
 			return core.Result{}, err
 		}
-		if mtbe > 0 {
-			storm := &inject.Plan{Stream: &inject.Stream{Targets: inst.Dynamic, MTBE: mtbe, Seed: injectSeed}}
-			storm.Start()
-			inst.SetSite(storm.Site)
+		if plan != nil {
+			inst.Arm(plan)
 		}
 		return inst.Run()
 	}
@@ -511,13 +512,14 @@ func Fig4(opts Options, precond bool) (*Fig4Result, error) {
 		}
 		for _, solver := range solvers {
 			idealCfg := baseConfig(opts, core.MethodIdeal, precond)
-			idealRes, err := run(solver, a, b, idealCfg, 0, 0)
+			unit := &inject.Plan{} // counts the ideal solve's page operations
+			idealRes, err := run(solver, a, b, idealCfg, unit)
 			if err != nil {
 				return nil, err
 			}
 			tau := idealRes.Elapsed.Seconds()
 			for r := 1; r < opts.reps(); r++ {
-				if res, err := run(solver, a, b, idealCfg, 0, 0); err == nil && res.Elapsed.Seconds() < tau {
+				if res, err := run(solver, a, b, idealCfg, nil); err == nil && res.Elapsed.Seconds() < tau {
 					tau = res.Elapsed.Seconds()
 				}
 			}
@@ -529,7 +531,7 @@ func Fig4(opts Options, precond bool) (*Fig4Result, error) {
 				iterBudget = 2000
 			}
 			for _, rate := range opts.rates() {
-				mtbe := time.Duration(tau / float64(rate) * float64(time.Second))
+				meanWork := float64(unit.Work()) / float64(rate)
 				for _, m := range fig4Methods(solver) {
 					var times []float64
 					fails := 0
@@ -538,10 +540,11 @@ func Fig4(opts Options, precond bool) (*Fig4Result, error) {
 						cfg := baseConfig(opts, m, precond)
 						cfg.MaxIter = iterBudget
 						if m == core.MethodCheckpoint {
-							cfg.ExpectedMTBE = mtbe
+							// Young/Daly is a model in time (DESIGN §12).
+							cfg.ExpectedMTBE = time.Duration(tau / float64(rate) * float64(time.Second))
 							cfg.Disk = core.NewSimDisk(0)
 						}
-						res, err := run(solver, a, b, cfg, seed, mtbe)
+						res, err := run(solver, a, b, cfg, &inject.Plan{Stream: &inject.Stream{MeanWork: meanWork, Seed: seed}})
 						if err != nil || !res.Converged {
 							fails++
 							continue

@@ -19,7 +19,6 @@ func newSpace(t *testing.T) (*pagemem.Space, *pagemem.Vector, *pagemem.Vector) {
 func TestPlanByIteration(t *testing.T) {
 	_, x, g := newSpace(t)
 	p := &Plan{
-		ByIteration: true,
 		Errors: []PlannedError{
 			{Vector: x, Page: 1, AtIteration: 3},
 			{Vector: g, Page: 2, AtIteration: 3},
@@ -45,36 +44,48 @@ func TestPlanByIteration(t *testing.T) {
 	}
 }
 
+// Tick fires no stream arrival: those come due on counted work, which only
+// Site counts, however many iterations pass.
 func TestPlanTickOnWallClockPlanIsNoop(t *testing.T) {
-	_, x, _ := newSpace(t)
-	p := &Plan{Errors: []PlannedError{{Vector: x, Page: 0, At: 0}}}
-	p.Start()
-	if p.Tick(100) != 0 {
-		t.Fatal("Tick fired on wall-clock plan")
+	p, _ := stream(t, 1, 0)
+	if p.Tick(100) != 0 || p.Fired() != 0 {
+		t.Fatal("Tick fired a stream arrival")
 	}
 }
 
-// stream arms a plan over x and g whose stream has a 1 ms mean gap.
+// meanWork is the stream tests' mean gap, in page operations.
+const meanWork = 1000
+
+// stream arms a plan over x and g whose stream has a mean gap of meanWork.
 func stream(t *testing.T, seed int64, sdc float64) (*Plan, *pagemem.Space) {
 	t.Helper()
 	s, x, g := newSpace(t)
-	p := &Plan{Stream: &Stream{Targets: []*pagemem.Vector{x, g}, MTBE: time.Millisecond, Seed: seed, SDCFraction: sdc}}
+	p := &Plan{Stream: &Stream{Targets: []*pagemem.Vector{x, g}, MeanWork: meanWork, Seed: seed, SDCFraction: sdc}}
 	p.Start()
 	return p, s
 }
 
-// Over 10 k arrivals the stream's mean gap is the MTBE within 3 %, and
+// site enters p's fault site for a task covering pages, then one covering
+// none, so every arrival due by the work done fires; it returns how many
+// fired.
+func site(p *Plan, pages int) int {
+	n := p.Fired()
+	p.Site(0, "t", pages)
+	p.Site(0, "t", 0)
+	return p.Fired() - n
+}
+
+// Over ~10 k arrivals the stream's mean gap is MeanWork within 3 %, and
 // every arrival is a loss the space counts.
 func TestScheduleStreamMeanGapIsMTBE(t *testing.T) {
 	p, s := stream(t, 1, 0)
-	n := p.advance(10000*time.Millisecond, 0, "t")
-	log := p.Log().Errors
-	if n != len(log) || n < 9000 {
-		t.Fatalf("advance fired %d, log holds %d", n, len(log))
+	const work = 10000 * meanWork
+	n := site(p, work)
+	if n != len(p.Log().Errors) || n < 9000 {
+		t.Fatalf("fired %d, log holds %d", n, len(p.Log().Errors))
 	}
-	mean := log[n-1].At / time.Duration(n)
-	if d := math.Abs(float64(mean-time.Millisecond)) / float64(time.Millisecond); d > 0.03 {
-		t.Fatalf("mean gap %v over %d arrivals, %.1f%% off the 1ms MTBE", mean, n, 100*d)
+	if d := math.Abs(work/float64(n)-meanWork) / meanWork; d > 0.03 {
+		t.Fatalf("mean gap %.1f over %d arrivals, %.1f%% off MeanWork %d", work/float64(n), n, 100*d, meanWork)
 	}
 	if int64(n) != s.FaultCount() {
 		t.Fatalf("fired %d but FaultCount=%d", n, s.FaultCount())
@@ -82,11 +93,11 @@ func TestScheduleStreamMeanGapIsMTBE(t *testing.T) {
 }
 
 // A seed is a sequence: two plans on one seed, and one plan started
-// twice, fire the same gaps, vectors, pages and bits; another seed does
-// not.
+// twice, fire the same vectors, pages and bits at the same work; another
+// seed does not.
 func TestScheduleStreamSameSeedSameSequence(t *testing.T) {
 	draw := func(p *Plan) []PlannedError {
-		p.advance(200*time.Millisecond, 0, "t")
+		site(p, 200*meanWork)
 		return p.Log().Errors
 	}
 	a, _ := stream(t, 7, 0.5)
@@ -110,18 +121,17 @@ func TestScheduleStreamSameSeedSameSequence(t *testing.T) {
 			}
 		}
 	}
-	other := draw(c)
-	if len(other) == len(first) && other[0].At == first[0].At {
+	if other := draw(c); len(other) == len(first) && other[0].Page == first[0].Page && other[1].Page == first[1].Page {
 		t.Fatal("seeds 7 and 8 drew the same stream")
 	}
 }
 
-// The share of silent flips is SDCFraction (10 k draws, within 3 sigma),
+// The share of silent flips is SDCFraction (~10 k draws, within 3 sigma),
 // and flips stay silent: only the page losses raise fault bits.
 func TestScheduleStreamSDCShare(t *testing.T) {
 	const frac = 0.3
 	p, s := stream(t, 3, frac)
-	n := p.advance(10000*time.Millisecond, 0, "t")
+	n := site(p, 10000*meanWork)
 	sdc := 0
 	for _, e := range p.Log().Errors {
 		if e.SDC {
@@ -139,75 +149,82 @@ func TestScheduleStreamSDCShare(t *testing.T) {
 	}
 }
 
-// Wall-clock offsets fire at the first call at or after them: each call
-// fires exactly what is due at its elapsed time.
+// No clock but counted work moves a storm: scripted arrivals fire at the
+// first site of their iteration, stream arrivals on the pages the sites
+// counted, and elapsed time between sites changes neither.
 func TestPlanByWallClock(t *testing.T) {
-	_, x, _ := newSpace(t)
-	p := &Plan{Errors: []PlannedError{
-		{Vector: x, Page: 0, At: 5 * time.Millisecond},
-		{Vector: x, Page: 1, At: 10 * time.Millisecond},
-	}}
+	_, x, g := newSpace(t)
+	p := &Plan{
+		Errors: []PlannedError{{Vector: x, Page: 0, AtIteration: 1}, {Vector: x, Page: 1, AtIteration: 3}},
+		Stream: &Stream{Targets: []*pagemem.Vector{g}, MeanWork: 1e9, Seed: 1},
+	}
 	p.Start()
-	for _, c := range []struct {
-		at   time.Duration
-		want int
-	}{{0, 0}, {5 * time.Millisecond, 1}, {9 * time.Millisecond, 0}, {10 * time.Millisecond, 1}, {time.Hour, 0}} {
-		if got := p.advance(c.at, 0, "t"); got != c.want {
-			t.Fatalf("advance(%v) fired %d, want %d", c.at, got, c.want)
+	for _, c := range []struct{ it, want int }{{0, 0}, {1, 1}, {1, 0}, {2, 0}, {3, 1}, {9, 0}} {
+		time.Sleep(time.Millisecond)
+		n := p.Fired()
+		if p.Site(c.it, "t", 1); p.Fired()-n != c.want {
+			t.Fatalf("site in iteration %d fired %d, want %d", c.it, p.Fired()-n, c.want)
 		}
 	}
-	if p.Fired() != 2 {
-		t.Fatalf("Fired = %d, want 2", p.Fired())
+	if p.Fired() != 2 || p.Work() != 6 {
+		t.Fatalf("Fired = %d, Work = %d, want 2 and 6", p.Fired(), p.Work())
 	}
 	x.Space().ScramblePending()
-	if !x.Failed(0) || !x.Failed(1) {
-		t.Fatal("planned pages not poisoned")
+	if !x.Failed(0) || !x.Failed(1) || g.AnyFailed() {
+		t.Fatal("wrong pages poisoned")
 	}
 }
 
 // A plan stops when its solve stops calling it: an arrival still pending
-// at the last call never fires, however long after it falls due, and no
-// goroutine is left behind to fire it.
+// at the last call never fires, however long after, and no goroutine is
+// left behind to fire it.
 func TestPlanStopCancelsPending(t *testing.T) {
-	_, x, _ := newSpace(t)
 	goroutines := runtime.NumGoroutine()
-	p := &Plan{Errors: []PlannedError{{Vector: x, Page: 0, At: time.Millisecond}}}
-	p.Start()
-	if got := p.advance(0, 0, "t"); got != 0 {
-		t.Fatalf("advance(0) fired %d before the arrival was due", got)
+	p, s := stream(t, 5, 0)
+	if got := site(p, 0); got != 0 {
+		t.Fatalf("fired %d before any work was done", got)
 	}
 	time.Sleep(5 * time.Millisecond)
-	if p.Fired() != 0 || x.Space().FaultCount() != 0 || runtime.NumGoroutine() > goroutines {
+	if p.Fired() != 0 || s.FaultCount() != 0 || runtime.NumGoroutine() > goroutines {
 		t.Fatalf("fired %d (FaultCount %d, %d goroutines, %d before) with no call",
-			p.Fired(), x.Space().FaultCount(), runtime.NumGoroutine(), goroutines)
+			p.Fired(), s.FaultCount(), runtime.NumGoroutine(), goroutines)
 	}
-	x.Space().ScramblePending()
-	if x.Failed(0) {
-		t.Fatal("page poisoned after the last call")
+	if s.PendingCount() != 0 {
+		t.Fatal("a loss is pending after the last call")
 	}
 }
 
-// A due stream arrival fires at the next call and never before it: a call
-// just short of the first arrival fires nothing, a call at it fires it.
-// The scripted-offset cases are TestPlanByWallClock and
-// TestPlanStopCancelsPending.
+// A due stream arrival fires at the first site whose work before it
+// reaches the arrival, never at the site whose pages cross it: sites that
+// stop just short fire nothing, and the next one fires it. Work counts
+// every page the sites were handed.
 func TestScheduleFiresDueArrivalsAtNextCall(t *testing.T) {
 	s, _ := stream(t, 5, 0)
 	first := s.nextAt
-	if got := s.advance(first-1, 0, "t"); got != 0 {
-		t.Fatalf("fired %d before the first arrival at %v", got, first)
+	short := int(math.Ceil(first)) - 1
+	s.Site(0, "t", short)
+	s.Site(0, "t", 1) // its pages reach the arrival
+	if got := s.Fired(); got != 0 {
+		t.Fatalf("fired %d before the first arrival at %.1f page operations", got, first)
 	}
-	if got := s.advance(first, 0, "t"); got < 1 {
-		t.Fatalf("first arrival at %v not fired at %v", first, first)
+	if s.Site(0, "t", 0); s.Fired() < 1 {
+		t.Fatalf("first arrival at %.1f not fired at %d", first, s.Work())
+	}
+	if s.Work() != int64(short+1) {
+		t.Fatalf("Work = %d, want %d", s.Work(), short+1)
+	}
+	if s.Start(); s.Work() != 0 {
+		t.Fatalf("Work = %d after Start", s.Work())
 	}
 }
 
-// Start refuses a stream that cannot draw: no MTBE or no targets.
+// Start refuses a stream that cannot draw: no mean gap or no targets.
 func TestScheduleStreamValidation(t *testing.T) {
 	_, x, _ := newSpace(t)
 	for _, st := range []*Stream{
 		{Targets: []*pagemem.Vector{x}},
-		{MTBE: time.Second},
+		{Targets: []*pagemem.Vector{x}, MeanWork: math.NaN()},
+		{MeanWork: 1},
 	} {
 		func() {
 			defer func() {
@@ -228,22 +245,26 @@ func TestScheduleLogReplaysAtSameSites(t *testing.T) {
 	sites := []struct {
 		it   int
 		task string
-	}{{0, "d"}, {0, "q"}, {0, "d"}, {1, "d"}, {1, "r1"}, {1, "d"}, {2, "q"}}
-	rec := &Plan{Errors: []PlannedError{
-		{Vector: x, Page: 0, At: 2}, {Vector: x, Page: 1, At: 2}, {Vector: x, Page: 2, At: 5},
-	}}
+	}{{0, "d"}, {0, "q"}, {0, "d"}, {1, "d"}, {1, "r1"}, {1, "d"}, {2, "q"}, {2, "q"}, {3, "d"}, {3, "q"}, {3, "d"}}
+	rec := &Plan{Stream: &Stream{Targets: []*pagemem.Vector{x}, MeanWork: 1.5, Seed: 1}}
 	rec.Start()
 	var fired []int
+	var want []PlannedError
+	index := map[[2]any]int{}
 	for i, s := range sites {
-		if rec.advance(time.Duration(i), s.it, s.task) > 0 {
+		n := rec.Fired()
+		if rec.Site(s.it, s.task, 1); rec.Fired() > n {
 			fired = append(fired, i)
 		}
+		k := [2]any{s.it, s.task}
+		for range rec.Fired() - n {
+			want = append(want, PlannedError{AtIteration: s.it, Task: s.task, TaskIndex: index[k]})
+		}
+		index[k]++
 	}
 	log := rec.Log()
-	want := []PlannedError{
-		{AtIteration: 0, Task: "d", TaskIndex: 1},
-		{AtIteration: 0, Task: "d", TaskIndex: 1},
-		{AtIteration: 1, Task: "d", TaskIndex: 1},
+	if len(fired) < 2 || len(fired) == len(sites) || len(log.Errors) != len(want) {
+		t.Fatalf("recorded at sites %v: %d logged, want %d; the test needs some sites with and some without", fired, len(log.Errors), len(want))
 	}
 	for i, e := range log.Errors {
 		if e.AtIteration != want[i].AtIteration || e.Task != want[i].Task || e.TaskIndex != want[i].TaskIndex {
@@ -253,11 +274,12 @@ func TestScheduleLogReplaysAtSameSites(t *testing.T) {
 	log.Start()
 	var replayed []int
 	for i, s := range sites {
-		if log.advance(time.Hour, s.it, s.task) > 0 {
+		n := log.Fired()
+		if log.Site(s.it, s.task, 1); log.Fired() > n {
 			replayed = append(replayed, i)
 		}
 	}
-	if fmt.Sprint(replayed) != fmt.Sprint(fired) || log.Fired() != 3 {
+	if fmt.Sprint(replayed) != fmt.Sprint(fired) || log.Fired() != len(want) {
 		t.Fatalf("replay fired at sites %v (%d), recorded at %v", replayed, log.Fired(), fired)
 	}
 }
@@ -348,7 +370,7 @@ func TestPlanFiresSilentFlips(t *testing.T) {
 	for i := range v.Data {
 		v.Data[i] = 1.0
 	}
-	plan := &Plan{ByIteration: true, Errors: []PlannedError{
+	plan := &Plan{Errors: []PlannedError{
 		{Vector: v, Page: 1, AtIteration: 0, SDC: true, Elem: 3, Bit: 52},
 	}}
 	plan.Start()

@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dist"
+	"repro/internal/inject"
 	"repro/internal/pagemem"
 	"repro/internal/shard"
 	"repro/internal/sparse"
@@ -53,7 +54,7 @@ type Instance struct {
 	// SetSite installs the solve's fault-site hook, typically a started
 	// inject.Plan's Site: the next Run fires the plan itself. nil removes
 	// it; Checkout.Release removes it from a pooled instance.
-	SetSite func(func(iteration int, task string))
+	SetSite func(func(iteration int, task string, pages int))
 }
 
 // Builder constructs an instance of one named method for either topology.
@@ -120,6 +121,16 @@ func New(name string, a *sparse.CSR, b []float64, cfg Config) (*Instance, error)
 		return nil, fmt.Errorf("registry: solver %q has no ABFT checksum coverage (drop -abft)", name)
 	}
 	return e.build(a, b, cfg)
+}
+
+// Arm starts plan and installs it on the instance's fault sites; a
+// stream with no targets draws over the instance's dynamic vectors.
+func (inst *Instance) Arm(plan *inject.Plan) {
+	if plan.Stream != nil && plan.Stream.Targets == nil {
+		plan.Stream.Targets = inst.Dynamic
+	}
+	plan.Start()
+	inst.SetSite(plan.Site)
 }
 
 // withSolution completes inst with run, a solver's launch that returns

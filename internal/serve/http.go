@@ -98,12 +98,21 @@ func (s *Server) Handler() http.Handler {
 			http.Error(w, "POST only", http.StatusMethodNotAllowed)
 			return
 		}
-		var req Request
+		var req struct {
+			Request
+			// The wall-clock storm's mean gap, gone with that clock: a
+			// client still sending it is told, not served a clean solve.
+			OldMTBE json.RawMessage `json:"due_mtbe_ns"`
+		}
 		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBody)).Decode(&req); err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		resp, err := s.Submit(&req)
+		if req.OldMTBE != nil {
+			http.Error(w, "due_mtbe_ns is no longer read: send due_rate, expected DUEs per fault-free solve", http.StatusBadRequest)
+			return
+		}
+		resp, err := s.Submit(&req.Request)
 		if err != nil {
 			http.Error(w, err.Error(), statusFor(err))
 			return

@@ -89,11 +89,14 @@ type Request struct {
 	// Tenant labels the request for its client; the server reads nothing
 	// from it (isolation is per request, see the package doc).
 	Tenant string `json:"tenant,omitempty"`
-	// DUEMTBE, when positive, runs a wall-clock DUE storm (an
-	// inject.Stream of this mean gap, seeded by Seed) against this
-	// request's own fault domain, fired by the solve's own tasks.
-	DUEMTBE time.Duration `json:"due_mtbe_ns,omitempty"`
-	Seed    int64         `json:"seed,omitempty"`
+	// DUERate, when positive, runs a DUE storm (an inject.Stream seeded
+	// by Seed) against this request's own fault domain, fired by the
+	// solve's own tasks: expected DUEs per fault-free solve of this
+	// request. Its unit is counted, not timed: the request first solves
+	// clean to count its page operations, so a storm costs two solves
+	// (Response reports the stormed one; its Queued holds the first).
+	DUERate float64 `json:"due_rate,omitempty"`
+	Seed    int64   `json:"seed,omitempty"`
 	// WantSolution includes the solution vector in the response.
 	WantSolution bool `json:"want_solution,omitempty"`
 	// Batch is accepted and ignored: every request solves solo on the
@@ -432,32 +435,43 @@ func (s *Server) execute(p *pending) (*Response, error) {
 	}
 
 	cfg.Cancelled = func() bool { return cctx.Err() != nil }
+	// A storm's unit: the page operations of this request solved clean
+	// (DESIGN §12), on the warm instance the storm then takes.
+	var storm *inject.Plan
+	if req.DUERate > 0 {
+		unit := &inject.Plan{}
+		if _, err := s.run(p, octx, b, cfg, unit); err != nil {
+			return nil, err
+		}
+		seed := req.Seed
+		if seed == 0 {
+			seed = p.seq
+		}
+		if mean := float64(unit.Work()) / req.DUERate; mean > 0 {
+			storm = &inject.Plan{Stream: &inject.Stream{MeanWork: mean, Seed: seed}}
+		}
+	}
+	return s.run(p, octx, b, cfg, storm)
+}
+
+// run checks out an instance for the request, solves it with plan (nil
+// for none) armed on its fault sites, and releases it. The plan's stream
+// targets this instance's own fault domain and fires from its own tasks,
+// so concurrent tenants' solves are untouched and no loss lands after
+// Run returns; Release disarms it.
+func (s *Server) run(p *pending, octx *registry.OperatorContext, b []float64, cfg registry.Config, plan *inject.Plan) (*Response, error) {
+	req := p.req
 	co, err := octx.Checkout(req.solverName(), b, cfg)
 	if err != nil {
 		return nil, err
 	}
 	defer co.Release()
-
-	// Per-tenant storm: the plan targets this instance's own fault domain
-	// and fires from its own tasks, so concurrent tenants' solves are
-	// untouched and no loss lands after Run returns. Release disarms it.
-	var storm *inject.Plan
-	if req.DUEMTBE > 0 {
-		seed := req.Seed
-		if seed == 0 {
-			seed = p.seq
-		}
-		storm = &inject.Plan{Stream: &inject.Stream{Targets: co.Instance.Dynamic, MTBE: req.DUEMTBE, Seed: seed}}
-		storm.Start()
-		co.Instance.SetSite(storm.Site)
+	if plan != nil {
+		co.Instance.Arm(plan)
 	}
-	res, runErr := co.Instance.Run()
-	injected := 0
-	if storm != nil {
-		injected = storm.Fired()
-	}
-	if runErr != nil {
-		return nil, runErr
+	res, err := co.Instance.Run()
+	if err != nil {
+		return nil, err
 	}
 	resp := &Response{
 		Converged:   res.Converged,
@@ -467,8 +481,10 @@ func (s *Server) execute(p *pending) (*Response, error) {
 		Queued:      time.Since(p.enqueued) - res.Elapsed,
 		Warm:        co.Warm,
 		Inline:      co.Inline,
-		Injected:    injected,
 		Stats:       res.Stats,
+	}
+	if plan != nil {
+		resp.Injected = plan.Fired()
 	}
 	if req.WantSolution && co.Instance.Solution != nil {
 		resp.X = append([]float64(nil), co.Instance.Solution()...)

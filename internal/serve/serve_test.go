@@ -252,25 +252,21 @@ func TestDrainRejectsNewWork(t *testing.T) {
 // zero injections and both converge. Under -race this is the gate for
 // concurrent solves sharing one context.
 //
-// Nothing here depends on wall-clock rates: the storm's MTBE is half of
-// this host's own clean solve time (the paper's normalized error frequency
-// 2, inside the exact-recovery regime whatever the runner's speed or the
-// race detector's slowdown), a pair whose storm solve drew no fault is
-// repeated so the test cannot pass vacuously.
+// Nothing here depends on the host's speed: the storm's rate is two DUEs
+// per fault-free solve on the work clock, and its unpreconditioned solve
+// runs inline on its dispatcher, so one seed is one storm. The pair runs
+// twice and the storm must repeat itself; the clean tenant's
+// preconditioned solve runs on the shared pool.
 func TestStormTenantIsolation(t *testing.T) {
 	srv := newTestServer(t, Options{Concurrent: 2})
 	srv.RegisterMatrix("grid", matgen.Poisson2D(100, 100), 0)
 	clean := &Request{Matrix: "grid", Solver: "cg", Precond: true, Tol: 1e-10, Tenant: "clean"}
-	warm, err := srv.Submit(clean)
-	if err != nil {
-		t.Fatal(err)
-	}
 	storm := &Request{
-		Matrix: "grid", Solver: "cg", Method: "afeir", Precond: true,
-		Tol: 1e-10, Tenant: "storm", DUEMTBE: warm.Elapsed / 2,
+		Matrix: "grid", Solver: "cg", Method: "afeir",
+		Tol: 1e-10, Tenant: "storm", DUERate: 2, Seed: 1,
 	}
-	for attempt := 1; ; attempt++ {
-		storm.Seed = int64(attempt)
+	var first *Response
+	for round := 0; round < 2; round++ {
 		var wg sync.WaitGroup
 		var stormResp, cleanResp *Response
 		var stormErr, cleanErr error
@@ -290,39 +286,50 @@ func TestStormTenantIsolation(t *testing.T) {
 		if !stormResp.Converged || !cleanResp.Converged {
 			t.Fatalf("converged: storm=%v (%d faults) clean=%v", stormResp.Converged, stormResp.Injected, cleanResp.Converged)
 		}
-		if cleanResp.Injected != 0 {
-			t.Fatalf("clean tenant saw %d injections — fault domains are not isolated", cleanResp.Injected)
+		if cleanResp.Injected != 0 || cleanResp.Stats.FaultsSeen != 0 {
+			t.Fatalf("clean tenant saw %d injections, %d faults — fault domains are not isolated", cleanResp.Injected, cleanResp.Stats.FaultsSeen)
 		}
-		if stormResp.Injected > 0 {
-			return
+		if !stormResp.Inline || cleanResp.Inline {
+			t.Fatalf("storm inline=%v, clean inline=%v: want the storm inline and the clean tenant on the pool", stormResp.Inline, cleanResp.Inline)
 		}
-		if attempt == 100 {
-			t.Fatalf("no fault landed in %d storm solves at MTBE %v", attempt, storm.DUEMTBE)
+		if stormResp.Injected == 0 {
+			t.Fatalf("no fault landed in the storm solve at rate %g, seed %d", storm.DUERate, storm.Seed)
 		}
+		if first == nil {
+			first = stormResp
+		} else {
+			sameStorm(t, first, stormResp)
+		}
+	}
+}
+
+// sameStorm fails unless two responses to one storm request agree.
+func sameStorm(t *testing.T, a, b *Response) {
+	t.Helper()
+	if a.Injected != b.Injected || a.Iterations != b.Iterations || a.Stats != b.Stats {
+		t.Fatalf("one storm request, two storms: injected %d/%d, iterations %d/%d, %+v against %+v",
+			a.Injected, b.Injected, a.Iterations, b.Iterations, a.Stats, b.Stats)
 	}
 }
 
 // TestStormLeavesWarmInstanceClean: a storm request's losses all land
 // inside its own solve, so its injected count is exactly the faults its
 // solve saw, and the clean request that takes the same warm instance next
-// sees neither an injection nor a fault.
+// sees neither an injection nor a fault. The same storm request sent
+// again is the same storm.
 func TestStormLeavesWarmInstanceClean(t *testing.T) {
 	srv := newTestServer(t, Options{Concurrent: 1})
 	srv.RegisterMatrix("grid", matgen.Poisson2D(100, 100), 0)
 	clean := &Request{Matrix: "grid", Solver: "cg", Method: "afeir", Tol: 1e-10}
-	warm, err := srv.Submit(clean)
-	if err != nil {
-		t.Fatal(err)
-	}
 	storm := *clean
-	storm.DUEMTBE = warm.Elapsed / 4
-	for attempt := 1; ; attempt++ {
-		storm.Seed = int64(attempt)
+	storm.DUERate, storm.Seed = 2, 1
+	var first *Response
+	for round := 0; round < 2; round++ {
 		stormResp, err := srv.Submit(&storm)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if stormResp.Injected != stormResp.Stats.FaultsSeen {
+		if stormResp.Injected == 0 || stormResp.Injected != stormResp.Stats.FaultsSeen {
 			t.Fatalf("storm fired %d losses, its solve saw %d", stormResp.Injected, stormResp.Stats.FaultsSeen)
 		}
 		cleanResp, err := srv.Submit(clean)
@@ -333,12 +340,35 @@ func TestStormLeavesWarmInstanceClean(t *testing.T) {
 			t.Fatalf("clean request after a storm: warm=%v converged=%v injected=%d %+v",
 				cleanResp.Warm, cleanResp.Converged, cleanResp.Injected, cleanResp.Stats)
 		}
-		if stormResp.Injected > 0 {
-			return
+		if first == nil {
+			first = stormResp
+		} else {
+			sameStorm(t, first, stormResp)
 		}
-		if attempt == 100 {
-			t.Fatalf("no fault landed in %d storm solves at MTBE %v", attempt, storm.DUEMTBE)
-		}
+	}
+}
+
+// TestOldStormFieldIsRefused: a body that still names the wall-clock
+// storm's due_mtbe_ns is a 400 naming due_rate before it queues, not a
+// silently fault-free solve; the new name is read over HTTP.
+func TestOldStormFieldIsRefused(t *testing.T) {
+	srv := newTestServer(t, Options{Concurrent: 1})
+	post := func(body string) *httptest.ResponseRecorder {
+		rr := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rr, httptest.NewRequest(http.MethodPost, "/v1/solve", strings.NewReader(body)))
+		return rr
+	}
+	rr := post(`{"matrix":"m","method":"afeir","due_mtbe_ns":2000000}`)
+	if rr.Code != http.StatusBadRequest || !strings.Contains(rr.Body.String(), "due_rate") {
+		t.Fatalf("due_mtbe_ns: %d %q, want 400 naming due_rate", rr.Code, rr.Body.String())
+	}
+	if s := srv.Snapshot(); s.Accepted != 0 {
+		t.Fatalf("accepted=%d: the refused body was queued", s.Accepted)
+	}
+	rr = post(`{"matrix":"m","method":"afeir","due_rate":2,"seed":1}`)
+	var resp Response
+	if err := json.Unmarshal(rr.Body.Bytes(), &resp); rr.Code != http.StatusOK || err != nil || !resp.Converged || resp.Injected == 0 {
+		t.Fatalf("due_rate over HTTP: %d %q", rr.Code, rr.Body.String())
 	}
 }
 

@@ -159,8 +159,8 @@ type Substrate struct {
 
 	// Sites are the solve's fault sites, entered by the coordinator before
 	// every rank superstep with the superstep's label ("halo" for an
-	// exchange), so a loss lands between supersteps: after an SpMV's halo
-	// import and before its rows, for one.
+	// exchange) and NP pages, so a loss lands between supersteps: after an
+	// SpMV's halo import and before its rows, for one.
 	Sites engine.Sites
 }
 
@@ -314,11 +314,12 @@ func NewOpts(a *sparse.CSR, b []float64, ranks, pageDoubles, workers int, spd bo
 	return s, nil
 }
 
-// runStep enters the fault sites, then replays the per-rank superstep
-// tasks with the given body and waits — the allocation-free BSP
-// superstep primitive every barrier operation below routes through.
+// runStep enters the fault sites with every rank's pages, then replays
+// the per-rank superstep tasks with the given body and waits — the
+// allocation-free BSP superstep primitive every barrier operation below
+// routes through.
 func (s *Substrate) runStep(label string, fn func(r *Rank)) {
-	s.Sites.Enter(label)
+	s.Sites.Enter(label, s.NP)
 	s.stepFn = fn
 	s.RT.ResubmitAll(s.rankTasks, nil)
 	s.RT.WaitAll(s.rankTasks)
