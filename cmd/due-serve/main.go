@@ -102,10 +102,11 @@ func preloadMatrices(srv *serve.Server, spec string) error {
 		}
 		octx := srv.RegisterMatrix(gen, a, 0)
 		fmt.Printf("due-serve: cached %s (n=%d nnz=%d)\n", gen, a.N, a.NNZ())
-		for _, precond := range []bool{false, true} {
-			ops, limit := octx.IterOps(precond)
-			fmt.Printf("due-serve:   cg precond=%v: ≈%d memory operations per iteration, inline (on its dispatcher, off the pool) below %d: %v\n", precond, ops, limit, ops < limit)
-		}
+		// Only the unpreconditioned estimate: the preconditioned one counts
+		// the block factors, which a context builds at its first
+		// preconditioned request or first loss, not at preload.
+		ops, limit := octx.IterOps(false)
+		fmt.Printf("due-serve:   cg: ≈%d memory operations per iteration, inline (on its dispatcher, off the pool) below %d: %v\n", ops, limit, ops < limit)
 	}
 	return nil
 }

@@ -126,9 +126,15 @@ func (s *solverBase) Space() *pagemem.Space { return s.space }
 func (s *solverBase) SetSite(f func(iteration int, task string, pages int)) { s.sites.Hook = f }
 
 // applyPending makes the pending data losses take effect — call it with
-// every worker quiescent — and counts them as seen.
+// every worker quiescent — and counts them as seen. The first loss of a
+// method that reads factors fills the whole block cache (DESIGN §8);
+// a later loss pays one atomic load for it.
 func (s *solverBase) applyPending() {
-	s.stats.FaultsSeen += len(s.space.ScramblePending())
+	n := len(s.space.ScramblePending())
+	s.stats.FaultsSeen += n
+	if n > 0 && s.cfg.Method.ReadsFactors() {
+		s.blocks.PrefactorizeLenient()
+	}
 }
 
 // trueResidual computes ||b - A x|| / ||b|| sequentially, in the

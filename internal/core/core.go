@@ -111,6 +111,14 @@ func (m Method) String() string {
 	return fmt.Sprintf("Method(%d)", int(m))
 }
 
+// ReadsFactors reports whether the method's recovery can read a
+// diagonal-block factor: FEIR's and AFEIR's inverse relations, Lossy's
+// interpolation. Ideal, Trivial and Checkpoint repair nothing through a
+// block.
+func (m Method) ReadsFactors() bool {
+	return m == MethodFEIR || m == MethodAFEIR || m == MethodLossy
+}
+
 // Methods lists all methods in the paper's comparison order.
 var Methods = []Method{MethodAFEIR, MethodFEIR, MethodLossy, MethodCheckpoint, MethodTrivial}
 
@@ -199,10 +207,10 @@ type Config struct {
 	// solver owns a private pool per Run (the historical behaviour).
 	RT *taskrt.Runtime
 	// Blocks, when non-nil, is a diagonal-block solver cache shared across
-	// solver instances for the same operator, its blocks factored at first
-	// use by a method that reads factors (the registry factors it whole
-	// at the first checkout that can); the constructor uses it instead of
-	// building its own.
+	// solver instances for the same operator (the registry's); the
+	// constructor uses it instead of building its own. Either cache is
+	// factored whole at the first page loss a solve whose method reads
+	// factors applies, or at construction for UsePrecond.
 	// It must have been built for the same matrix, block size and SPD
 	// setting — constructors reject mismatches loudly.
 	Blocks *sparse.BlockSolverCache

@@ -469,7 +469,7 @@ func (s *CG) rollback() {
 // run unguarded, like the single-node GMRES discipline).
 func (s *CG) boundary() bool {
 	sub := s.sub
-	sub.ApplyPending()
+	sub.ApplyPending(s.cfg.Method)
 	if !sub.AnyFault() {
 		return true
 	}

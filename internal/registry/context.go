@@ -1,7 +1,7 @@
 // Operator contexts: the cacheable half of solver construction. Building
 // a solver splits into (1) everything derivable from the operator alone —
 // CSR shadows, the diagonal-block caches that double as block-Jacobi
-// preconditioners (factored at first use by a method that reads factors),
+// preconditioners (factored at a solve's first page loss, DESIGN §8),
 // the shard layout — and (2) a cheap per-request binding of RHS and
 // launch configuration. An OperatorContext owns (1) plus a pool of warm
 // solver instances whose prepared task graphs replay across requests, so
@@ -53,9 +53,10 @@ type poolKey struct {
 
 // OperatorContext is the cached, shareable state for one matrix. All
 // methods are safe for concurrent use. A block cache is factored whole,
-// in parallel, at the first checkout whose solve can read a factor, so
-// no such solve ever factorizes; a context whose solves were all Ideal,
-// Trivial or Checkpoint without a preconditioner holds none.
+// in parallel, once: at the first page loss that a FEIR, AFEIR or Lossy
+// solve applies, or at the first preconditioned checkout (the apply reads
+// every block). A context whose solves saw no loss and were not
+// preconditioned holds no factors.
 type OperatorContext struct {
 	Key         string
 	A           *sparse.CSR
@@ -89,8 +90,9 @@ func NewOperatorContext(key string, a *sparse.CSR, pageDoubles int) *OperatorCon
 
 // Blocks returns the diagonal-block cache of the requested family, built
 // empty on first request. Its factors — the expensive step this whole
-// layer exists to amortize — are computed by the first checkout that can
-// read them (blocksFor), or by a caller's own PrefactorizeLenient.
+// layer exists to amortize — are computed once per context by the first
+// solve that applies a loss its method repairs through a factor, by the
+// first preconditioned checkout, or by a caller's own PrefactorizeLenient.
 func (c *OperatorContext) Blocks(spd bool) *sparse.BlockSolverCache {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -99,22 +101,6 @@ func (c *OperatorContext) Blocks(spd bool) *sparse.BlockSolverCache {
 	}
 	bc := sparse.NewBlockSolverCache(c.A, c.Layout, spd)
 	c.blocks[spd] = bc
-	return bc
-}
-
-// blocksFor returns the cache a checkout under cfg binds, factored whole
-// first when the solve can read a factor — the block-Jacobi apply, FEIR's
-// and AFEIR's inverse relations, Lossy's interpolation — so no request
-// pays for one mid-solve. Ideal, Trivial and Checkpoint repair nothing
-// through a block. Method and UsePrecond are pool-key fields, so whether
-// a checkout factors is a function of operator and key alone, like the
-// inline choice.
-func (c *OperatorContext) blocksFor(name string, cfg Config) *sparse.BlockSolverCache {
-	bc := c.Blocks(spdFor(name))
-	switch {
-	case cfg.UsePrecond, cfg.Method == core.MethodFEIR, cfg.Method == core.MethodAFEIR, cfg.Method == core.MethodLossy:
-		bc.PrefactorizeLenient()
-	}
 	return bc
 }
 
@@ -228,8 +214,8 @@ type Checkout struct {
 
 // Checkout binds a solver for one request against the cached operator.
 // The request supplies only RHS and launch configuration; the context
-// supplies the matrix, the block cache (factored whole first if the
-// method can read it, so the solve itself never factorizes) and (for the
+// supplies the matrix, the block cache (filled whole at the first loss
+// any solve on it applies, so a clean solve never factorizes) and (for the
 // pooled single-node CG family) a warm instance whose prepared task
 // graphs replay as-is. Non-pooled solvers are built fresh but still share
 // the block cache and the process-wide task pool, so the dominant setup
@@ -248,7 +234,7 @@ func (c *OperatorContext) Checkout(name string, b []float64, cfg Config) (*Check
 	if len(b) != c.A.N {
 		return nil, fmt.Errorf("registry: rhs length %d for n=%d", len(b), c.A.N)
 	}
-	cfg.Blocks = c.blocksFor(name, cfg)
+	cfg.Blocks = c.Blocks(spdFor(name))
 
 	// The single-node CG family is fully reusable: Rebind + reset instead
 	// of construction. Everything else (distributed substrates, the

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/inject"
 	"repro/internal/sparse"
 	"repro/internal/taskrt"
 )
@@ -153,11 +154,11 @@ func TestSharedBlocksBitwiseIdentical(t *testing.T) {
 
 // TestSizeBytesCountsBuiltFactors: the eviction estimate charges a
 // context the factors it actually holds — nothing while its caches are
-// empty, then exactly the banded factors' bytes once FEIR checkouts of
-// both families have built them, well under the dense blocks × bs² × 8 a
-// 5-point operator was charged before. The checkouts run from several
+// empty, then exactly the banded factors' bytes once preconditioned solves
+// of both families have built them, well under the dense blocks × bs² × 8
+// a 5-point operator was charged before. The solves run from several
 // goroutines at once, so under -race this is also the gate for the
-// parallel factorization behind a checkout.
+// parallel factorization behind a preconditioned checkout.
 func TestSizeBytesCountsBuiltFactors(t *testing.T) {
 	a, b := testSystem(t)
 	octx := NewOperatorContext("m", a, 64)
@@ -173,9 +174,15 @@ func TestSizeBytesCountsBuiltFactors(t *testing.T) {
 		wg.Add(1)
 		go func(name string) {
 			defer wg.Done()
-			if _, err := octx.Checkout(name, b, testCfg(false, 0)); err != nil {
+			co, err := octx.Checkout(name, b, testCfg(true, 0))
+			if err != nil {
 				t.Error(err)
+				return
 			}
+			if res, err := co.Instance.Run(); err != nil || !res.Converged {
+				t.Errorf("%s: converged=%v err=%v", name, res.Converged, err)
+			}
+			co.Release()
 		}([]string{"cg", "bicgstab"}[g%2])
 	}
 	wg.Wait()
@@ -192,68 +199,155 @@ func TestSizeBytesCountsBuiltFactors(t *testing.T) {
 	}
 }
 
-// TestFactorsAtFirstCheckoutThatReadsThem: a context builds a block's
-// factor only for a solve that can read one. Ideal and Trivial solves
-// without a preconditioner leave the cache empty; the first FEIR checkout
-// factors every block once, before its solve starts, and nothing after it
-// factors again — warm, cold on another topology, or preconditioned.
-func TestFactorsAtFirstCheckoutThatReadsThem(t *testing.T) {
+// lossSolve checks out cg on octx under cfg, loses page of vector vec
+// (none when vec is "") at the first fault site of iteration 3, runs the
+// solve and returns its result. On ranks the loss lands in rank 0's space.
+// It reports failures with t.Errorf, so any goroutine may call it.
+func lossSolve(t *testing.T, octx *OperatorContext, b []float64, cfg Config, vec string, page int) core.Result {
+	t.Helper()
+	co, err := octx.Checkout("cg", b, cfg)
+	if err != nil {
+		t.Error(err)
+		return core.Result{}
+	}
+	defer co.Release()
+	if vec != "" {
+		plan := &inject.Plan{Errors: []inject.PlannedError{{Vector: co.Instance.Spaces[0].VectorByName(vec), Page: page, AtIteration: 3}}}
+		plan.Start()
+		co.Instance.SetSite(plan.Site)
+		defer func() {
+			if plan.Fired() != 1 {
+				t.Errorf("%v solve: %d losses fired, want 1", cfg.Method, plan.Fired())
+			}
+		}()
+	}
+	res, err := co.Instance.Run()
+	if err != nil || !res.Converged {
+		t.Errorf("%v solve (loss on %q): converged=%v err=%v", cfg.Method, vec, res.Converged, err)
+	}
+	return res
+}
+
+// TestFactorsAtFirstLoss: a context builds its factors at the first page
+// loss that a solve which can read a factor applies (DESIGN §8). Clean
+// solves of every method leave the cache empty, and so does a Trivial
+// solve that loses a page; the first FEIR loss, even on q, which only
+// forward recovery repairs, factors every block once; nothing after it
+// factors again — warm, ranked, stormed or preconditioned.
+func TestFactorsAtFirstLoss(t *testing.T) {
 	a, b := testSystem(t)
 	octx := NewOperatorContext("m", a, 64)
 	fac0 := sparse.FactorizationCount()
-	solve := func(cfg Config) {
-		t.Helper()
-		co, err := octx.Checkout("cg", b, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res, err := co.Instance.Run(); err != nil || !res.Converged {
-			t.Fatalf("%v solve: converged=%v err=%v", cfg.Method, res.Converged, err)
-		}
-		co.Release()
-	}
-	for _, m := range []core.Method{core.MethodIdeal, core.MethodTrivial} {
+	factored := func() int64 { return sparse.FactorizationCount() - fac0 }
+	for _, m := range []core.Method{core.MethodIdeal, core.MethodTrivial, core.MethodFEIR, core.MethodAFEIR, core.MethodLossy} {
 		cfg := testCfg(false, 0)
 		cfg.Method = m
-		solve(cfg)
+		lossSolve(t, octx, b, cfg, "", 0)
 	}
 	if got := octx.Blocks(true).Bytes(); got != 0 {
-		t.Fatalf("ideal and trivial solves left %d bytes of factors", got)
+		t.Fatalf("clean solves left %d bytes of factors", got)
 	}
-	if d := sparse.FactorizationCount() - fac0; d != 0 {
-		t.Fatalf("ideal and trivial solves factorized %d blocks", d)
+	if d := factored(); d != 0 {
+		t.Fatalf("clean solves factorized %d blocks", d)
+	}
+	trivial := testCfg(false, 0)
+	trivial.Method = core.MethodTrivial
+	lossSolve(t, octx, b, trivial, "x", 4)
+	if d := factored(); d != 0 {
+		t.Fatalf("a trivial solve's loss factorized %d blocks", d)
 	}
 
-	co, err := octx.Checkout("cg", b, testCfg(false, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	co.Release()
+	res := lossSolve(t, octx, b, testCfg(false, 0), "q", 4)
 	blocks := int64(octx.Layout.NumBlocks())
-	if d := sparse.FactorizationCount() - fac0; d != blocks {
-		t.Fatalf("first feir checkout factorized %d blocks, want all %d", d, blocks)
+	if res.Stats.FaultsSeen != 1 || res.Stats.RecoveredInverse != 0 {
+		t.Fatalf("q loss: %d faults seen, %d inverse recoveries; want 1 and 0", res.Stats.FaultsSeen, res.Stats.RecoveredInverse)
 	}
-	for _, cfg := range []Config{testCfg(false, 0), testCfg(false, 2), testCfg(true, 0)} {
-		solve(cfg)
+	if d := factored(); d != blocks {
+		t.Fatalf("first feir loss factorized %d blocks, want all %d", d, blocks)
 	}
-	if d := sparse.FactorizationCount() - fac0; d != blocks {
+	if octx.Blocks(true).Bytes() == 0 {
+		t.Fatal("first feir loss left the cache empty")
+	}
+	afeir := testCfg(false, 0)
+	afeir.Method = core.MethodAFEIR
+	for _, tc := range []struct {
+		cfg Config
+		vec string
+	}{{testCfg(false, 0), ""}, {testCfg(false, 2), ""}, {testCfg(false, 0), "x"}, {afeir, "d0"}, {testCfg(true, 0), ""}} {
+		lossSolve(t, octx, b, tc.cfg, tc.vec, 4)
+	}
+	if d := factored(); d != blocks {
 		t.Fatalf("%d factorizations in all, want each of the %d blocks once", d, blocks)
 	}
 }
 
+// TestRankedFactorsAtFirstLoss: the rank path keeps the same rule on the
+// context's shared cache. A clean ranked solve leaves it empty; one loss
+// on a ghost page, which the next exchange heals and no relation repairs,
+// fills it whole.
+func TestRankedFactorsAtFirstLoss(t *testing.T) {
+	a, b := testSystem(t)
+	octx := NewOperatorContext("m", a, 64)
+	fac0 := sparse.FactorizationCount()
+	lossSolve(t, octx, b, testCfg(false, 2), "", 0)
+	if got, d := octx.Blocks(true).Bytes(), sparse.FactorizationCount()-fac0; got != 0 || d != 0 {
+		t.Fatalf("a clean ranked solve left %d bytes of factors (%d factorizations)", got, d)
+	}
+	// Rank 0's first ghost page is the first page it does not own.
+	ghost := engine.ChunkRanges(octx.Layout.NumBlocks(), 2)[0][1]
+	res := lossSolve(t, octx, b, testCfg(false, 2), "d", ghost)
+	if res.Stats.FaultsSeen != 1 || res.Stats.RecoveredInverse+res.Stats.RecoveredForward != 0 {
+		t.Fatalf("ghost loss: %d faults seen, %d inverse and %d forward recoveries; want 1, 0, 0",
+			res.Stats.FaultsSeen, res.Stats.RecoveredInverse, res.Stats.RecoveredForward)
+	}
+	if d, blocks := sparse.FactorizationCount()-fac0, int64(octx.Layout.NumBlocks()); d != blocks {
+		t.Fatalf("a ranked ghost loss factorized %d blocks, want all %d", d, blocks)
+	}
+}
+
+// TestConcurrentFirstLossesFactorOnce: two stormed solves on a cold
+// context reach their first loss together; between them they factor each
+// block exactly once (under -race, the gate for two fills racing on one
+// cache).
+func TestConcurrentFirstLossesFactorOnce(t *testing.T) {
+	a, b := testSystem(t)
+	octx := NewOperatorContext("m", a, 64)
+	fac0 := sparse.FactorizationCount()
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func(m core.Method) {
+			defer wg.Done()
+			cfg := testCfg(false, 0)
+			cfg.Method = m
+			lossSolve(t, octx, b, cfg, "x", 4)
+		}([]core.Method{core.MethodFEIR, core.MethodAFEIR}[g])
+	}
+	wg.Wait()
+	if d, blocks := sparse.FactorizationCount()-fac0, int64(octx.Layout.NumBlocks()); d != blocks {
+		t.Fatalf("two first losses factorized %d blocks, want each of the %d once", d, blocks)
+	}
+}
+
 // TestIterOpsIndependentOfRecoveries: the preconditioned estimate counts
-// every factor whether or not recoveries have already built some of them
-// one at a time, so the inline choice cannot drift with a context's
-// history.
+// every factor whether the cache is empty, holds the few blocks a caller
+// factored one at a time, or was filled by a solve's first loss, so the
+// inline choice cannot drift with a context's history.
 func TestIterOpsIndependentOfRecoveries(t *testing.T) {
 	a, b := testSystem(t)
 	want, _ := NewOperatorContext("fresh", a, 64).IterOps(true)
 
+	part := NewOperatorContext("part", a, 64)
+	if _, err := part.Blocks(true).Solver(3); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := part.IterOps(true); got != want {
+		t.Fatalf("IterOps(true) = %d with one block factored, %d on a fresh context", got, want)
+	}
+
 	octx := NewOperatorContext("m", a, 64)
 	rt := taskrt.NewInline()
 	defer rt.Close()
-	// Handed the context's empty cache directly, a solve factors only the
-	// blocks its inverse recoveries ask for: here one, for a lost x page.
 	s, err := core.NewCG(a, b, core.Config{Method: core.MethodFEIR, PageDoubles: 64, Tol: 1e-10, RT: rt, Blocks: octx.Blocks(true)})
 	if err != nil {
 		t.Fatal(err)

@@ -133,6 +133,7 @@ type Stats struct {
 	Rejected    int64 `json:"rejected"`
 	Completed   int64 `json:"completed"`
 	Failed      int64 `json:"failed"`
+	NonFinite   int64 `json:"non_finite"` // of Failed, the core.ErrNonFinite (422) ones
 	WarmSolves  int64 `json:"warm_solves"`
 	CacheHits   int64 `json:"cache_hits"`
 	CacheMisses int64 `json:"cache_misses"`
@@ -183,7 +184,7 @@ type Server struct {
 	inflight sync.WaitGroup
 	workers  sync.WaitGroup
 
-	accepted, rejected, completed, failed, warm, inline int64
+	accepted, rejected, completed, failed, nonFinite, warm, inline int64
 }
 
 // New builds a server and starts its dispatchers.
@@ -334,6 +335,7 @@ func (s *Server) Snapshot() Stats {
 		Rejected:     s.rejected,
 		Completed:    s.completed,
 		Failed:       s.failed,
+		NonFinite:    s.nonFinite,
 		WarmSolves:   s.warm,
 		CacheHits:    hits,
 		CacheMisses:  misses,
@@ -368,6 +370,9 @@ func (s *Server) dispatch() {
 		s.mu.Lock()
 		if err != nil {
 			s.failed++
+			if errors.Is(err, core.ErrNonFinite) {
+				s.nonFinite++
+			}
 		} else {
 			s.completed++
 			if resp.Warm {

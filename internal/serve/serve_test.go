@@ -472,6 +472,42 @@ func TestNonFiniteIsUnprocessable(t *testing.T) {
 	}
 }
 
+// TestNonFiniteCountedInStats: a solve that ends in core.ErrNonFinite is
+// a 422 over HTTP and counts in /v1/stats as non_finite and as failed. A
+// NaN right-hand side is refused at admission (400), so the request is
+// finite and its solution is not: A = 2⁻⁵³⁰ I and b = 2⁵⁰⁰ give one exact
+// CG step with α = 2⁵³⁰, so g reaches 0 while x = 2¹⁰³⁰ overflows.
+func TestNonFiniteCountedInStats(t *testing.T) {
+	srv := newServer(t, Options{})
+	const n = 64
+	tr := make([]sparse.Triplet, n)
+	b := make([]float64, n)
+	for i := range tr {
+		tr[i] = sparse.Triplet{Row: i, Col: i, Val: math.Ldexp(1, -530)}
+		b[i] = math.Ldexp(1, 500)
+	}
+	srv.RegisterMatrix("overflow", sparse.NewCSRFromTriplets(n, n, tr), 0)
+	body, err := json.Marshal(Request{Matrix: "overflow", B: b})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := srv.Handler()
+	rr := httptest.NewRecorder()
+	h.ServeHTTP(rr, httptest.NewRequest(http.MethodPost, "/v1/solve", strings.NewReader(string(body))))
+	if rr.Code != http.StatusUnprocessableEntity || !strings.Contains(rr.Body.String(), core.ErrNonFinite.Error()) {
+		t.Fatalf("status %d body %q, want 422 naming %q", rr.Code, rr.Body.String(), core.ErrNonFinite)
+	}
+	rr = httptest.NewRecorder()
+	h.ServeHTTP(rr, httptest.NewRequest(http.MethodGet, "/v1/stats", nil))
+	var st Stats
+	if err := json.Unmarshal(rr.Body.Bytes(), &st); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(rr.Body.String(), `"non_finite":1`) || st.NonFinite != 1 || st.Failed != 1 {
+		t.Fatalf("stats %s: want non_finite 1 and failed 1", rr.Body.String())
+	}
+}
+
 // submitAll submits the requests at once and waits for every response.
 func submitAll(t *testing.T, srv *Server, reqs []*Request) []*Response {
 	t.Helper()

@@ -173,9 +173,9 @@ type Options struct {
 	// private pool sized by the workers argument.
 	RT *taskrt.Runtime
 	// Blocks is a diagonal-block cache for the same operator, layout and
-	// SPD setting, factored at first use by a method that reads factors;
-	// nil means a private cache factorized here. Mismatches are rejected
-	// loudly.
+	// SPD setting; nil means a private one. Either is factored whole at
+	// the first loss ApplyPending applies for a method that reads factors.
+	// Mismatches are rejected loudly.
 	Blocks *sparse.BlockSolverCache
 	// Priority is the solve's compute tier (core.Config.TaskPriority): the
 	// prepared rank tasks and FEIR's critical-path repairs run at it,
@@ -213,8 +213,7 @@ func NewOpts(a *sparse.CSR, b []float64, ranks, pageDoubles, workers int, spd bo
 		Owner:  make([]int, np),
 		part:   engine.NewPartial(np),
 	}
-	sharedBlocks := opts.Blocks != nil
-	if sharedBlocks {
+	if opts.Blocks != nil {
 		if opts.Blocks.A != a || opts.Blocks.Layout != layout || opts.Blocks.SPD != spd {
 			return nil, fmt.Errorf("shard: shared block cache mismatch (want matrix %p layout %+v spd=%v, have %p %+v spd=%v)",
 				a, layout, spd, opts.Blocks.A, opts.Blocks.Layout, opts.Blocks.SPD)
@@ -227,15 +226,6 @@ func NewOpts(a *sparse.CSR, b []float64, ranks, pageDoubles, workers int, spd bo
 	s.gatherRes = make([]float64, a.N)
 	if s.Bnorm == 0 {
 		s.Bnorm = 1
-	}
-	// A private cache is factorized whole up front, so no recovery pays for
-	// a factorization mid-solve (the paper notes these factorizations come
-	// for free with block-Jacobi, §5.1). Leniently: a non-factorizable
-	// block only disables that block's inverse repair, it does not make the
-	// system unsolvable. A shared cache is its owner's to factor: the
-	// registry does so at the first checkout whose method reads factors.
-	if !sharedBlocks {
-		s.Blocks.PrefactorizeLenient()
 	}
 
 	parts := engine.ChunkRanges(np, ranks)
@@ -587,13 +577,19 @@ func (s *Substrate) TrueResidual(x *Vec) float64 {
 
 // ApplyPending applies enqueued data losses on every rank (a task-phase
 // boundary: all workers quiescent) and returns the number applied,
-// accounting them to the per-rank statistics.
-func (s *Substrate) ApplyPending() int {
+// accounting them to the per-rank statistics. The first loss under a
+// method that reads factors fills the whole block cache, so no later
+// repair factorizes (DESIGN §8). Leniently: a non-factorizable block only
+// disables that block's inverse repair.
+func (s *Substrate) ApplyPending(method core.Method) int {
 	total := 0
 	for _, r := range s.Ranks {
 		n := len(r.Space.ScramblePending())
 		r.Stats.FaultsSeen += n
 		total += n
+	}
+	if total > 0 && method.ReadsFactors() {
+		s.Blocks.PrefactorizeLenient()
 	}
 	return total
 }

@@ -449,7 +449,7 @@ func TestBandedFactorIsSmallerThanDense(t *testing.T) {
 		{"5-point general", convectionDiffusion(64, 8), false, 8*n*(3*64+1) + 4*n},
 	} {
 		cache := sparse.NewBlockSolverCache(tc.a, sparse.BlockLayout{N: n, BlockSize: n}, tc.spd)
-		if err := cache.Prefactorize(); err != nil {
+		if _, err := cache.Solver(0); err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
 		if got := cache.Bytes(); got <= 0 || got > tc.max {

@@ -96,25 +96,12 @@ func (c *BlockSolverCache) Solver(i int) (BlockSolver, error) {
 	return f.solver, f.err
 }
 
-// Prefactorize eagerly factorizes all diagonal blocks (what a block-Jacobi
-// preconditioner setup would have done anyway) and returns the error of
-// the first block that cannot be factorized.
-func (c *BlockSolverCache) Prefactorize() error {
-	c.PrefactorizeLenient()
-	for i := range c.blocks {
-		if _, err := c.Solver(i); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // PrefactorizeLenient factorizes every diagonal block not factorized yet,
 // caching successes and remembering failures, so no later Solver lookup
-// factorizes. Unlike Prefactorize it never fails: a block that cannot be
-// factorized keeps returning its error from SolveDiagBlock, and callers
-// fall back to restart-style recovery exactly as when the block is first
-// asked for by a recovery.
+// factorizes. It never fails: a block that cannot be factorized keeps
+// returning its error from SolveDiagBlock, and callers fall back to
+// restart-style recovery exactly as when the block is first asked for by
+// a recovery.
 //
 // The blocks are independent and each factor is a pure function of its
 // block, so they are factorized on GOMAXPROCS goroutines: the result is

@@ -142,12 +142,10 @@ func TestBlockSolverCacheCachesAndPrefactorizes(t *testing.T) {
 	n, bs := 32, 8
 	a := spdSparse(n)
 	cache := NewBlockSolverCache(a, BlockLayout{N: n, BlockSize: bs}, true)
-	if err := cache.Prefactorize(); err != nil {
-		t.Fatal(err)
-	}
+	cache.PrefactorizeLenient()
 	for i := range cache.blocks {
-		if f := cache.blocks[i].done.Load(); f == nil || f.solver == nil {
-			t.Fatalf("block %d not factorized by Prefactorize", i)
+		if f := cache.blocks[i].done.Load(); f == nil || f.solver == nil || f.err != nil {
+			t.Fatalf("block %d not factorized by PrefactorizeLenient", i)
 		}
 	}
 	s1, err := cache.Solver(2)
