@@ -12,6 +12,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/inject"
 	"repro/internal/matgen"
+	"repro/internal/sparse"
 )
 
 func main() {
@@ -19,7 +20,11 @@ func main() {
 	b := matgen.Ones(a.N)
 	fmt.Printf("thermal2 analogue: n=%d nnz=%d\n", a.N, a.NNZ())
 
-	base := core.Config{Workers: 4, PageDoubles: 256, Tol: 1e-8}
+	// One block cache for every run, filled before any is timed: a
+	// stormed run's first loss would otherwise fill it inside Run.
+	blocks := sparse.NewBlockSolverCache(a, sparse.BlockLayout{N: a.N, BlockSize: 256}, true)
+	blocks.PrefactorizeLenient()
+	base := core.Config{Workers: 4, PageDoubles: 256, Tol: 1e-8, Blocks: blocks}
 
 	// Ideal baseline: its page operations are the rate's unit, its time
 	// the slowdown's.

@@ -17,7 +17,7 @@ import (
 // factorized diagonal blocks (and the block-Jacobi preconditioner built
 // from them), the task runtime with its engine and Table 1 relations,
 // the counters, and the run plumbing — construction checks, pending
-// losses, the true residual, the Result and the Lossy iterate step.
+// losses, the true residual, the Result and the Lossy step.
 type solverBase struct {
 	cfg    Config
 	a      *sparse.CSR
@@ -175,17 +175,24 @@ func (s *solverBase) result(it int, converged bool, final float64, start time.Ti
 	}
 }
 
-// interpolateLostIterate is the Lossy step (§4.3): one block-Jacobi
-// interpolation of the listed iterate pages, which are then marked
-// recovered and counted. It reports false, touching nothing, when there
-// are none or their block system cannot be solved.
-func (s *solverBase) interpolateLostIterate(pages []int) bool {
-	if len(pages) == 0 || !LossyInterpolate(s.a, s.layout, s.blocks, s.b, s.x.Data, pages) {
-		return false
+// lossyRestart is the Lossy step (§4.3) and every solver's one endgame
+// for a loss no Table 1 relation can rebuild (§2.4): one block-Jacobi
+// interpolation of the listed iterate pages, then the solver's own
+// restart from x, which rebuilds everything else. A page whose block
+// system cannot be solved is blanked and counted in Stats.Unrecovered.
+func (s *solverBase) lossyRestart(pages []int, restart func()) {
+	if len(pages) > 0 && LossyInterpolate(s.a, s.layout, s.blocks, s.b, s.x.Data, pages) {
+		s.stats.LossyInterpolations += len(pages)
+		for _, p := range pages {
+			s.x.MarkRecovered(p)
+		}
+	} else {
+		for _, p := range pages {
+			s.x.Remap(p)
+			s.x.MarkRecovered(p)
+			s.stats.Unrecovered++
+		}
 	}
-	for _, p := range pages {
-		s.x.MarkRecovered(p)
-	}
-	s.stats.LossyInterpolations += len(pages)
-	return true
+	restart()
+	s.stats.Restarts++
 }

@@ -82,9 +82,6 @@ func NewBiCGStab(a *sparse.CSR, b []float64, cfg Config) (*BiCGStabSolver, error
 	if err := sv.init(a, b, cfg, false); err != nil { // LU: general A
 		return nil, err
 	}
-	if err := cgOnlyFallback("bicgstab", cfg); err != nil {
-		return nil, err
-	}
 	sv.x = sv.space.AddVector("x")
 	sv.g = sv.space.AddVector("g")
 	sv.q = sv.space.AddVector("q")
@@ -172,21 +169,23 @@ func (sv *BiCGStabSolver) Run() (Result, []float64, error) {
 			if err != nil {
 				return sv.result(it, false, 0, start), sv.x.Data, err
 			}
-			// Recurrence lied (possible after ignored unrecoverable
-			// errors): rebuild the recurrence from x and keep going.
+			// Recurrence lied (an undetected flip, or a blank page of
+			// Trivial): rebuild the recurrence from x and keep going.
 			// Stamp at ver so THIS loop index is consumed by the
 			// restart and the next iteration reads a consistent state.
 			sv.restart(ver)
+			sv.stats.Restarts++
 			continue
 		}
 
 		// Iteration boundary: pending losses take effect, everything is
-		// repaired (or the method's fallback applies) before the phases.
+		// repaired (or the Lossy step restarts) before the phases.
 		if !sv.boundaryRecover(ver) {
 			continue // restart-style recovery consumed this iteration
 		}
 		if sv.restartPending {
 			sv.restart(ver - 1)
+			sv.stats.Restarts++
 			sv.restartPending = false
 		}
 		sv.sites.Open(it)
@@ -390,16 +389,11 @@ func rhoBoundaryBreakdown(rho, omega, rhoNew, gg, bnorm, tol float64) bool {
 	return rhoNew == 0 && relFromEpsilon(gg, bnorm) >= tol
 }
 
-// restart rebuilds the whole recurrence from the current iterate: failed
-// x pages are blanked (they survived every recovery attempt), g = b - Ax,
-// r̂0 = g, d = g, ρ = <g,g>, with every stamp forced to ver so the next
-// iteration (ver+1) consumes a consistent state.
+// restart rebuilds the whole recurrence from the current iterate:
+// g = b - Ax, r̂0 = g, d = g, ρ = <g,g>, every fault bit cleared and
+// every stamp forced to ver so the next iteration (ver+1) consumes a
+// consistent state. Its callers count it in Stats.Restarts.
 func (sv *BiCGStabSolver) restart(ver int64) {
-	for _, p := range sv.x.FailedPages() {
-		sv.x.Remap(p)
-		sv.x.MarkRecovered(p)
-		sv.stats.Unrecovered++
-	}
 	sv.space.ClearAll()
 	sv.a.MulVec(sv.x.Data, sv.g.Data)
 	sparse.Sub(sv.b, sv.g.Data, sv.g.Data)
@@ -427,13 +421,12 @@ func (sv *BiCGStabSolver) restart(ver int64) {
 	sv.tS.Fill(ver)
 	sv.dS[0].Fill(ver)
 	sv.dS[1].Fill(ver)
-	sv.stats.Restarts++
 }
 
 // boundaryRecover repairs the carried state at the start of iteration ver:
 // x, g and the incoming direction at ver-1, q at ver-1 (paired with the
 // outgoing buffer's ver-2 content), s and t by blanking (they regenerate).
-// Returns false when a restart-style fallback consumed the iteration.
+// Returns false when a restart consumed the iteration.
 func (sv *BiCGStabSolver) boundaryRecover(ver int64) bool {
 	sv.applyPending()
 	if !sv.space.AnyFault() {
@@ -447,10 +440,9 @@ func (sv *BiCGStabSolver) boundaryRecover(ver int64) bool {
 	case MethodFEIR, MethodAFEIR:
 		// Exact repairs below.
 	case MethodLossy:
-		sv.interpolateLostIterate(sv.x.FailedPages())
 		// Stamp at ver: this loop index is consumed by the restart and
 		// the next iteration reads a consistent state.
-		sv.restart(ver)
+		sv.lossyRestart(sv.x.FailedPages(), func() { sv.restart(ver) })
 		return false
 	default:
 		// Blank-page forward recovery (§4.1): keep running.
@@ -531,9 +523,10 @@ func (sv *BiCGStabSolver) boundaryRecover(ver int64) bool {
 		}
 	}
 	if sv.space.AnyFault() {
-		// Simultaneous errors on related data (§2.4): rebuild from x.
-		// Stamped at ver — this loop index is consumed by the restart.
-		sv.restart(ver)
+		// Simultaneous errors on related data (§2.4): the Lossy step on
+		// the lost iterate pages, stamped at ver — this loop index is
+		// consumed by the restart.
+		sv.lossyRestart(sv.x.FailedPages(), func() { sv.restart(ver) })
 		return false
 	}
 	return true

@@ -239,8 +239,9 @@ func (s *CG) Run() (Result, error) {
 		}
 		if rel < tol {
 			// The recurrence claims convergence: check the true residual.
-			// Exact forward recovery preserves the recurrence, but ignored
-			// unrecoverable errors can desynchronise g from b - Ax.
+			// Exact forward recovery preserves the recurrence, but an
+			// undetected flip, or a blank page of Trivial, can
+			// desynchronise g from b - Ax.
 			f, ok, err := s.accept(tol)
 			if ok {
 				final, converged = f, true
@@ -250,10 +251,9 @@ func (s *CG) Run() (Result, error) {
 				s.captureSDC()
 				return s.result(t, false, 0, start), err
 			}
-			// Recurrence said converged but the true residual disagrees
-			// (possible after ignored unrecoverable errors): refresh the
-			// residual and keep iterating — within the SAME iteration
-			// index, so the version stamps stay aligned.
+			// Recurrence said converged but the true residual disagrees:
+			// refresh the residual and keep iterating — within the SAME
+			// iteration index, so the version stamps stay aligned.
 			s.refreshResidual(int64(t) - 1)
 			s.stats.Restarts++
 		}
@@ -556,7 +556,7 @@ func (s *CG) boundary(ver int64) (skip bool) {
 		// Blank-page forward recovery (§4.1): keep running.
 		blankAllFailed(s.space)
 	case MethodLossy:
-		s.lossyRestart(ver)
+		s.lossyRestart(s.x.FailedPages(), func() { s.restart(ver) })
 		return true
 	case MethodCheckpoint:
 		s.ck.rollback(s)
@@ -584,16 +584,17 @@ func (s *CG) applyPrecond() {
 	s.rt.WaitAll(s.eng.RawApplyPrecond("z", nil, s.pre, s.g.Data, s.z.Data))
 }
 
+// restart is CG's restart from x after a Lossy step: every fault bit
+// cleared, every stamp at ver, the residual refreshed.
+func (s *CG) restart(ver int64) {
+	s.space.ClearAll()
+	s.fillStamps(ver)
+	s.refreshResidual(ver)
+}
+
 // refreshResidual recomputes g = b - A x (and z, rho, eps) outside the task
-// graph and forces a beta=0 step, restoring the g/x invariant after damage. Failed
-// iterate pages that survived every recovery attempt are blanked first —
-// the FallbackIgnore endgame.
+// graph and forces a beta=0 step, restoring the g/x invariant after damage.
 func (s *CG) refreshResidual(ver int64) {
-	for _, p := range s.x.FailedPages() {
-		s.x.Remap(p)
-		s.x.MarkRecovered(p)
-		s.stats.Unrecovered++
-	}
 	s.xS.Fill(ver)
 	s.a.MulVec(s.x.Data, s.g.Data)
 	sparse.Sub(s.b, s.g.Data, s.g.Data)

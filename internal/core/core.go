@@ -139,31 +139,6 @@ func ParseMethod(s string) (Method, error) {
 	return 0, fmt.Errorf("core: unknown method %q (ideal, trivial, lossy, ckpt, feir, afeir)", s)
 }
 
-// Fallback selects what FEIR/AFEIR do with errors that no redundancy
-// relation can repair (simultaneous errors on related data, §2.4 case 2).
-type Fallback int
-
-const (
-	// FallbackIgnore reproduces the paper's evaluation setting (§5.1):
-	// "no fallback is used ... simultaneous errors on related data are
-	// simply ignored" — the page is replaced by a blank one and counted
-	// in Stats.Unrecovered.
-	FallbackIgnore Fallback = iota
-	// FallbackLossy applies the §2.4 recommendation: a Lossy-style
-	// block-Jacobi interpolation of the iterate page and a restart. Only
-	// CG implements it; BiCGStab and GMRES refuse it (cgOnlyFallback).
-	FallbackLossy
-)
-
-// cgOnlyFallback refuses, by name, a Fallback the Krylov-basis solvers do
-// not implement, rather than let them drop the field silently.
-func cgOnlyFallback(solver string, cfg Config) error {
-	if cfg.Fallback == FallbackLossy {
-		return fmt.Errorf("core: %s does not implement Fallback FallbackLossy (cg only); leave Fallback at FallbackIgnore", solver)
-	}
-	return nil
-}
-
 // Config parametrises a resilient solver run. FEIR and AFEIR instantiate
 // recovery tasks only once a DUE has been signalled (the paper's §5.2/§7
 // proposal; its evaluation submitted them every phase).
@@ -195,8 +170,6 @@ type Config struct {
 	// Disk is the simulated local disk for checkpoints. nil means a
 	// default disk (see NewSimDisk) when MethodCheckpoint is used.
 	Disk *SimDisk
-	// Fallback selects the unrecoverable-error policy for FEIR/AFEIR.
-	Fallback Fallback
 	// OnIteration, when non-nil, is called once per iteration with the
 	// relative recurrence residual — the Figure 3 trace hook.
 	OnIteration func(it int, relRes float64)
@@ -278,15 +251,18 @@ type Stats struct {
 	// ContributionsLost counts page contributions missing from a scalar
 	// reduction at the time it ran — AFEIR's vulnerability window (§5.4).
 	ContributionsLost int
-	// Unrecovered counts pages abandoned to a blank remap because no
-	// relation could rebuild them (FallbackIgnore policy).
+	// Unrecovered counts iterate pages blanked by a Lossy step because
+	// their block system could not be solved. The blank pages of Ideal
+	// and Trivial are not counted.
 	Unrecovered int
-	// LossyInterpolations counts block-Jacobi iterate interpolations
-	// (Lossy Restart, or FallbackLossy).
+	// LossyInterpolations counts iterate pages interpolated by the Lossy
+	// step: under MethodLossy, and under FEIR/AFEIR for a loss no
+	// relation could rebuild (§2.4).
 	LossyInterpolations int
-	// Restarts counts solver restarts (Lossy Restart, FallbackLossy and
-	// consistency refreshes) and, on ranks, the β = 0 direction restarts
-	// of a CG whose lost direction page no relation could rebuild.
+	// Restarts counts solver restarts: every Lossy step, the rebuilds from
+	// x after a recurrence that claimed convergence (or, in BiCGStab,
+	// broke down), and on ranks the β = 0 direction restarts of a CG
+	// whose lost direction page no relation could rebuild.
 	Restarts int
 	// Rollbacks counts checkpoint restores.
 	Rollbacks int

@@ -72,9 +72,6 @@ func NewGMRES(a *sparse.CSR, b []float64, restart int, cfg Config) (*GMRESSolver
 	if err := sv.init(a, b, cfg, false); err != nil {
 		return nil, err
 	}
-	if err := cgOnlyFallback("gmres", cfg); err != nil {
-		return nil, err
-	}
 	fixed := 3 // x, g, v_0..v_m
 	if cfg.UsePrecond {
 		fixed = 4 // plus the protected preconditioned residual z
@@ -184,7 +181,14 @@ func (sv *GMRESSolver) Run() (Result, []float64, error) {
 
 		steps := 0
 		for l := 0; l < m && totalIt < maxIter; l++ {
-			sv.boundary() // Arnoldi-step boundary: repair before using data
+			// Arnoldi-step boundary: repair before using data. A Lossy
+			// step ends the cycle without its update and, like CG's
+			// restart, consumes an iteration.
+			if sv.boundary() {
+				steps = 0
+				totalIt++
+				break
+			}
 			sv.sites.Open(totalIt)
 			// w = A v_l (then w = M⁻¹ w in place when preconditioned),
 			// chunked; under AFEIR a page damaged since the boundary is
@@ -259,7 +263,9 @@ func (sv *GMRESSolver) Run() (Result, []float64, error) {
 			}
 		}
 		// y = R⁻¹ (rotated rhs); x += Σ y_l v_l.
-		sv.boundary()
+		if sv.boundary() {
+			steps = 0
+		}
 		sv.sites.Close() // the update and the next cycle's residual are no sites
 		for i := steps - 1; i >= 0; i-- {
 			s := res[i]
@@ -289,21 +295,24 @@ func (sv *GMRESSolver) clearFailed(v *pagemem.Vector) {
 }
 
 // boundary applies pending data losses with all workers quiescent and
-// resolves every failed page: exact repairs for FEIR/AFEIR, iterate
-// interpolation for Lossy, blank pages otherwise. Leaving a boundary no
-// page is failed, which is what lets the compute tasks run unguarded.
-func (sv *GMRESSolver) boundary() {
+// resolves every failed page: exact repairs for FEIR/AFEIR, blank pages
+// for the methods that repair none. A page left failed, and any loss
+// under Lossy, takes the Lossy step, whose restart is the end of the
+// cycle (it reports true): the next cycle rebuilds g, z and the basis
+// from x. Leaving a boundary no page is failed, which is what lets the
+// compute tasks run unguarded.
+func (sv *GMRESSolver) boundary() (restart bool) {
 	sv.applyPending()
 	if !sv.space.AnyFault() {
-		return
+		return false
 	}
 	switch sv.cfg.Method {
 	case MethodFEIR, MethodAFEIR:
 		sv.repairPasses(sv.steps)
-	case MethodLossy:
-		if sv.interpolateLostIterate(sv.x.FailedPages()) {
-			sv.stats.Restarts++
-		}
+	case MethodLossy: // every loss takes the Lossy step below
+	default:
+		blankAllFailed(sv.space)
+		return false
 	}
 	// Unused basis slots (l > steps) will be overwritten: blank them.
 	for l := sv.steps + 1; l < len(sv.v); l++ {
@@ -312,15 +321,11 @@ func (sv *GMRESSolver) boundary() {
 			sv.v[l].MarkRecovered(p)
 		}
 	}
-	// Anything else is unrecoverable related data: blank (a restart cycle
-	// will rebuild the basis from x anyway).
-	for _, v := range sv.space.Vectors() {
-		for _, p := range v.FailedPages() {
-			v.Remap(p)
-			v.MarkRecovered(p)
-			sv.stats.Unrecovered++
-		}
+	if !sv.space.AnyFault() {
+		return false
 	}
+	sv.lossyRestart(sv.x.FailedPages(), sv.space.ClearAll)
+	return true
 }
 
 // repairPasses runs the §3.1.3 relations to a fixpoint: g = b - A x,

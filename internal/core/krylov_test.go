@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"strings"
 	"testing"
 
 	"repro/internal/matgen"
@@ -222,27 +221,6 @@ func TestBiCGStabValidation(t *testing.T) {
 	a, b, _ := asymmetric(100)
 	if _, err := NewBiCGStab(a, b[:10], bicgCfg()); err == nil {
 		t.Fatal("accepted bad rhs")
-	}
-}
-
-// TestKrylovRejectsLossyFallback: BiCGStab and GMRES do not implement
-// FallbackLossy, so they refuse it by name instead of blanking and
-// counting the pages it should have interpolated; FallbackIgnore builds.
-func TestKrylovRejectsLossyFallback(t *testing.T) {
-	a, b, _ := asymmetric(100)
-	cfg := bicgCfg()
-	cfg.Fallback = FallbackLossy
-	for name, build := range map[string]func(Config) error{
-		"bicgstab": func(c Config) error { _, err := NewBiCGStab(a, b, c); return err },
-		"gmres":    func(c Config) error { _, err := NewGMRES(a, b, 0, c); return err },
-	} {
-		err := build(cfg)
-		if err == nil || !strings.Contains(err.Error(), name) || !strings.Contains(err.Error(), "FallbackLossy") {
-			t.Errorf("%s with FallbackLossy: err = %v, want a refusal naming %s and FallbackLossy", name, err, name)
-		}
-		if err := build(bicgCfg()); err != nil {
-			t.Errorf("%s with FallbackIgnore: %v", name, err)
-		}
 	}
 }
 

@@ -13,8 +13,9 @@ import (
 //	A_pp x_p = b_p - Σ_{j∉failed} A_pj x_j
 //
 // (discarding the residual), after which the method restarts with the
-// interpolated iterate as initial guess. Theorems 1–3 about this
-// interpolation are validated in lossy_test.go.
+// interpolated iterate as initial guess (solverBase.lossyRestart, which
+// is also every solver's endgame for a loss no relation can rebuild).
+// Theorems 1–3 about this interpolation are validated in lossy_test.go.
 
 // LossyInterpolate performs the block-Jacobi step interpolation of the
 // lost pages of x, in place. failed lists the lost page indices (their
@@ -72,38 +73,4 @@ func LossyInterpolate(a *sparse.CSR, layout sparse.BlockLayout, blocks *sparse.B
 		off += hi - lo
 	}
 	return true
-}
-
-// lossyRestart reacts to detected faults for MethodLossy: interpolate any
-// lost iterate pages, rebuild all other dynamic data from x, restart.
-func (s *CG) lossyRestart(ver int64) {
-	if failedX := s.x.FailedPages(); !s.interpolateLostIterate(failedX) {
-		// Interpolation failed (degenerate block): blank the pages;
-		// the restart still yields a consistent state.
-		for _, p := range failedX {
-			s.x.Remap(p)
-		}
-	}
-	s.space.ClearAll()
-	s.refreshResidual(ver)
-	s.stats.Restarts++
-}
-
-// lossyFallback is the §2.4 fallback for FEIR/AFEIR when redundancy
-// relations cannot repair simultaneous related-data errors: lossy
-// interpolation of whatever iterate pages are not current, then a restart.
-func (s *CG) lossyFallback(ver int64) {
-	x := vec(s.x, s.xS)
-	failedX := s.pages(func(p int) bool { return !x.Current(p, ver) })
-	if !s.interpolateLostIterate(failedX) {
-		for _, p := range failedX {
-			s.x.Remap(p)
-			s.x.MarkRecovered(p)
-			s.stats.Unrecovered++
-		}
-	}
-	s.space.ClearAll()
-	s.fillStamps(ver)
-	s.refreshResidual(ver)
-	s.stats.Restarts++
 }

@@ -230,18 +230,13 @@ func (s *CG) fillPhase2Partials(ver int64) {
 // reconcile runs at the end of each FEIR/AFEIR iteration, with all workers
 // quiescent. It retries every outstanding repair with full (late) rights —
 // the "next recovery opportunity" for damage AFEIR could not touch
-// mid-phase — then applies the unrecoverable-error policy to whatever is
-// left: blank-remap under FallbackIgnore (§5.1), or a Lossy-style
-// interpolation + restart under FallbackLossy (§2.4).
+// mid-phase. A page still not current after that is a loss no relation
+// can rebuild (§2.4): the Lossy step interpolates the iterate pages that
+// are not current and restarts from x.
 func (s *CG) reconcile(ver int64) {
 	cur, _ := s.buffers(ver)
 	s.recoverPhase2(ver, cur, true)
 
-	type victim struct {
-		v engine.Vec
-		p int
-	}
-	var leftovers []victim
 	vs := [...]engine.Vec{vec(s.x, s.xS), vec(s.g, s.gS), vec(s.d[cur], s.dS[cur]), vec(s.q, s.qS), vec(s.z, s.zS)}
 	n := len(vs)
 	if s.pre == nil {
@@ -250,22 +245,9 @@ func (s *CG) reconcile(ver int64) {
 	for _, v := range vs[:n] {
 		for p := 0; p < s.np; p++ {
 			if !v.Current(p, ver) {
-				leftovers = append(leftovers, victim{v, p})
+				s.lossyRestart(s.pages(func(p int) bool { return !vs[0].Current(p, ver) }), func() { s.restart(ver) })
+				return
 			}
 		}
-	}
-	if len(leftovers) == 0 {
-		return
-	}
-	if s.cfg.Fallback == FallbackLossy {
-		s.lossyFallback(ver)
-		return
-	}
-	// FallbackIgnore: blank pages and move on; convergence pays the
-	// price, the true-residual guard protects the reported result.
-	for _, lv := range leftovers {
-		lv.v.V.Remap(lv.p)
-		s.rel.MarkRecovered(lv.v, lv.p, ver)
-		s.stats.Unrecovered++
 	}
 }

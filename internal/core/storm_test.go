@@ -184,9 +184,14 @@ func stormSystem() (*sparse.CSR, []float64, int) {
 	return a, b, 16
 }
 
+// relatedLoss loses x and g on one page at iteration 12: §2.4's case 2,
+// which every solver resolves with the Lossy step.
+var relatedLoss = []injection{{it: 12, vec: "x", page: 4}, {it: 12, vec: "g", page: 4}}
+
 // TestStormBiCGStabRandomErrors drives the task-parallel BiCGStab through
 // DUE storms of 1–5 errors per run, for both recovery disciplines: every
-// run must converge with a verified true residual.
+// run must converge with a verified true residual. A row that loses x and
+// g on one page must take the Lossy step.
 func TestStormBiCGStabRandomErrors(t *testing.T) {
 	a, b, pages := stormSystem()
 	base := runBiCGStabWithInjections(t, a, b, bicgCfg(), nil)
@@ -196,6 +201,9 @@ func TestStormBiCGStabRandomErrors(t *testing.T) {
 	}
 	vectors := []string{"x", "g", "q", "d0", "d1", "s", "t"}
 	for _, method := range []Method{MethodFEIR, MethodAFEIR} {
+		cfg := bicgCfg()
+		cfg.Method = method
+		checkInterpolated(t, runBiCGStabWithInjections(t, a, b, cfg, relatedLoss))
 		for rate := 1; rate <= 5; rate++ {
 			seed := int64(1000*int(method) + rate)
 			rng := rand.New(rand.NewSource(seed))
@@ -235,7 +243,8 @@ func TestStormBiCGStabBurst(t *testing.T) {
 }
 
 // TestStormGMRESRandomErrors drives the task-parallel GMRES through DUE
-// storms of 1–5 errors per run for both disciplines.
+// storms of 1–5 errors per run for both disciplines, and through the loss
+// of x and g on one page, which must take the Lossy step.
 func TestStormGMRESRandomErrors(t *testing.T) {
 	a, b, pages := stormSystem()
 	base := runGMRESWithInjections(t, a, b, 20, bicgCfg(), nil)
@@ -245,6 +254,9 @@ func TestStormGMRESRandomErrors(t *testing.T) {
 	}
 	vectors := []string{"x", "g", "v0", "v1", "v3", "v7"}
 	for _, method := range []Method{MethodFEIR, MethodAFEIR} {
+		cfg := bicgCfg()
+		cfg.Method = method
+		checkInterpolated(t, runGMRESWithInjections(t, a, b, 20, cfg, relatedLoss))
 		for rate := 1; rate <= 5; rate++ {
 			seed := int64(2000*int(method) + rate)
 			rng := rand.New(rand.NewSource(seed))

@@ -11,7 +11,8 @@
 // the direction's d = A⁻¹ q (inverse repairs need only the halo, so
 // recovery stays rank-local plus one exchange — the paper's observation
 // that the recovery blast radius is bounded by the stencil; q itself is
-// rewritten by the next SpMV before a read), Lossy interpolates the
+// rewritten by the next SpMV before a read) and take the Lossy step for
+// a loss those relations cannot rebuild (§2.4), Lossy interpolates the
 // iterate and restarts, Checkpoint rolls back to a periodic global
 // snapshot, and the remaining methods blank lost pages and keep running.
 package dist
@@ -31,7 +32,7 @@ import (
 
 // Config parametrises a distributed solve: the single-node configuration
 // itself, so a knob is written once from flag to rank. The rank path
-// honours every field but the four single-node ones — ABFT, Fallback,
+// honours every field but the three single-node ones — ABFT,
 // ExpectedMTBE and Disk — which NewCG rejects by name. Like core, it
 // repairs only once a DUE has been signalled (AnyFault at its boundary).
 // Workers 0 means one pool worker per rank here.
@@ -176,7 +177,6 @@ func NewCG(a *sparse.CSR, rhs []float64, ranks int, cfg Config) (*CG, error) {
 		set  bool
 	}{
 		{"ABFT", cfg.ABFT},
-		{"Fallback", cfg.Fallback != core.FallbackIgnore},
 		{"ExpectedMTBE", cfg.ExpectedMTBE != 0},
 		{"Disk", cfg.Disk != nil},
 	} {
@@ -482,8 +482,7 @@ func (s *CG) boundary() bool {
 		if s.exactRecover() {
 			return true
 		}
-		s.restartFromX()
-		s.stats.Restarts++
+		s.lossyRestart() // §2.4: no relation rebuilds the page
 		return false
 	case core.MethodLossy:
 		s.lossyRestart()
@@ -528,7 +527,8 @@ func (s *CG) exactRecover() bool {
 }
 
 // lossyRestart interpolates lost iterate pages with the block-Jacobi step
-// on the gathered iterate and restarts (§4.3).
+// on the gathered iterate and restarts (§4.3): MethodLossy's reaction to
+// any loss, and FEIR's and AFEIR's to one exactRecover cannot repair.
 func (s *CG) lossyRestart() {
 	if n := s.sub.LossyInterpolateOwned(s.x); n > 0 {
 		s.stats.LossyInterpolations += n

@@ -131,7 +131,8 @@ func TestDistPerRankStats(t *testing.T) {
 // TestDistStormCG: randomized 1–5 DUE campaigns into owned pages of
 // x/g/d/q at 4 ranks, exercising the strict-exchange recovery fixpoints,
 // FEIR and AFEIR. A storm every page of which was rebuilt exactly (no
-// restart) keeps the fault-free convergence rate.
+// restart) keeps the fault-free convergence rate. x and g lost on one
+// owned page leave no relation (§2.4): the page is interpolated.
 func TestDistStormCG(t *testing.T) {
 	a, b := distSystem()
 	probe, _, err := SolveCG(a, b, 4, baseCfg(core.MethodFEIR))
@@ -144,6 +145,15 @@ func TestDistStormCG(t *testing.T) {
 	}
 	vectors := []string{"x", "g", "d", "q"}
 	for _, method := range []core.Method{core.MethodFEIR, core.MethodAFEIR} {
+		name := fmt.Sprintf("%v x+g", method)
+		res, _, err := injected(injectOwned([]distInjection{{it: 12, rank: 1, vec: "x", off: 1}, {it: 12, rank: 1, vec: "g", off: 1}}))(NewCG(a, b, 4, baseCfg(method)))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		checkRecovered(t, name, res)
+		if res.Stats.LossyInterpolations < 1 {
+			t.Fatalf("%s: the page was not interpolated: %+v", name, res.Stats)
+		}
 		for rate := 1; rate <= 5; rate++ {
 			seed := int64(7000*int(method) + rate)
 			res, _, err := injected(injectOwned(stormSchedule(rand.New(rand.NewSource(seed)), vectors, window, rate)))(NewCG(a, b, 4, baseCfg(method)))

@@ -16,13 +16,15 @@ func ValidateDistributed(method core.Method, ranks, errors int, precond bool, op
 	nx := 16
 	a := matgen.Poisson3D27(nx, nx, nx)
 	b := matgen.Ones(a.N)
+	opts.PageDoubles = 128 // small pages so a 16³ grid spans many pages
 	cfg := registry.Config{
 		Config: core.Config{
 			Method:      method,
-			PageDoubles: 128, // small pages so a 16³ grid spans many pages
+			PageDoubles: opts.PageDoubles,
 			Tol:         opts.tol(),
 			MaxIter:     20000,
 			UsePrecond:  precond,
+			Blocks:      factors(a, opts, true),
 		},
 		Ranks: ranks,
 	}

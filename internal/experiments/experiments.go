@@ -127,6 +127,15 @@ func buildMatrix(name string, opts Options) (*sparse.CSR, []float64, error) {
 	return a, matgen.Ones(a.N), nil
 }
 
+// factors returns a's block cache (Cholesky when spd, LU otherwise) filled
+// whole before any solve is timed: §5.1 treats the factors as computed,
+// so no stormed run may pay the fill its first loss would trigger.
+func factors(a *sparse.CSR, opts Options, spd bool) *sparse.BlockSolverCache {
+	bc := sparse.NewBlockSolverCache(a, sparse.BlockLayout{N: a.N, BlockSize: opts.pageDoubles()}, spd)
+	bc.PrefactorizeLenient()
+	return bc
+}
+
 // runOnce executes one solver run, returning elapsed time and the result.
 func runOnce(a *sparse.CSR, b []float64, cfg core.Config) (core.Result, error) {
 	cg, err := core.NewCG(a, b, cfg)
@@ -136,14 +145,16 @@ func runOnce(a *sparse.CSR, b []float64, cfg core.Config) (core.Result, error) {
 	return cg.Run()
 }
 
-// baseConfig assembles the shared solver configuration.
-func baseConfig(opts Options, method core.Method, precond bool) core.Config {
+// baseConfig assembles the shared solver configuration over blocks (see
+// factors; nil for fault-free runs, which read no factor).
+func baseConfig(opts Options, method core.Method, precond bool, blocks *sparse.BlockSolverCache) core.Config {
 	return core.Config{
 		Method:      method,
 		Workers:     opts.workers(),
 		PageDoubles: opts.pageDoubles(),
 		Tol:         opts.tol(),
 		UsePrecond:  precond,
+		Blocks:      blocks,
 	}
 }
 
@@ -194,7 +205,7 @@ func Table2(opts Options) (*Table2Result, error) {
 		best := make([]time.Duration, len(variants))
 		for r := 0; r < opts.reps(); r++ {
 			for i, v := range variants {
-				cfg := baseConfig(opts, v.method, false)
+				cfg := baseConfig(opts, v.method, false, nil) // no loss, no factor
 				cfg.CheckpointInterval = v.ckpt
 				if res, err := runOnce(a, b, cfg); err == nil && (best[i] == 0 || res.Elapsed < best[i]) {
 					best[i] = res.Elapsed
@@ -258,12 +269,12 @@ func Table3(opts Options) (*Table3Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		idealT, err := stateTimes(a, b, baseConfig(opts, core.MethodIdeal, false))
+		idealT, err := stateTimes(a, b, baseConfig(opts, core.MethodIdeal, false, nil))
 		if err != nil {
 			return nil, err
 		}
 		for _, m := range []core.Method{core.MethodAFEIR, core.MethodFEIR} {
-			tm, err := stateTimes(a, b, baseConfig(opts, m, false))
+			tm, err := stateTimes(a, b, baseConfig(opts, m, false, nil))
 			if err != nil {
 				return nil, err
 			}
@@ -354,7 +365,8 @@ func Fig3(opts Options) (*Fig3Result, error) {
 		return nil, err
 	}
 	// Baseline: ideal run for total time and the trace.
-	idealCfg := baseConfig(opts, core.MethodIdeal, false)
+	blocks := factors(a, opts, true)
+	idealCfg := baseConfig(opts, core.MethodIdeal, false, blocks)
 	out := &Fig3Result{Matrix: mat}
 	idealTrace, idealRes, err := traceRun(a, b, idealCfg, nil, 0)
 	if err != nil {
@@ -366,7 +378,7 @@ func Fig3(opts Options) (*Fig3Result, error) {
 
 	methods := []core.Method{core.MethodAFEIR, core.MethodFEIR, core.MethodLossy, core.MethodCheckpoint}
 	for _, m := range methods {
-		cfg := baseConfig(opts, m, false)
+		cfg := baseConfig(opts, m, false, blocks)
 		if m == core.MethodCheckpoint {
 			cfg.CheckpointInterval = 1000
 			cfg.Disk = core.NewSimDisk(0)
@@ -511,7 +523,8 @@ func Fig4(opts Options, precond bool) (*Fig4Result, error) {
 			return nil, err
 		}
 		for _, solver := range solvers {
-			idealCfg := baseConfig(opts, core.MethodIdeal, precond)
+			blocks := factors(a, opts, solver == "cg")
+			idealCfg := baseConfig(opts, core.MethodIdeal, precond, blocks)
 			unit := &inject.Plan{} // counts the ideal solve's page operations
 			idealRes, err := run(solver, a, b, idealCfg, unit)
 			if err != nil {
@@ -537,7 +550,7 @@ func Fig4(opts Options, precond bool) (*Fig4Result, error) {
 					fails := 0
 					for rep := 0; rep < opts.reps(); rep++ {
 						seed++
-						cfg := baseConfig(opts, m, precond)
+						cfg := baseConfig(opts, m, precond, blocks)
 						cfg.MaxIter = iterBudget
 						if m == core.MethodCheckpoint {
 							// Young/Daly is a model in time (DESIGN §12).

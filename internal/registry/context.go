@@ -43,7 +43,6 @@ type poolKey struct {
 	method             core.Method
 	workers            int
 	usePrecond         bool
-	fallback           core.Fallback
 	taskPriority       int
 	checkpointInterval int
 	abft               bool
@@ -72,6 +71,7 @@ type pooledCG struct {
 	s      *core.CG
 	inst   *Instance
 	inline bool // built on a private taskrt.NewInline runtime
+	broken bool // its Run panicked (ErrPanicked): Release drops it
 }
 
 // NewOperatorContext builds the context for one matrix. pageDoubles <= 0
@@ -185,7 +185,6 @@ func keyFor(name string, cfg Config) poolKey {
 		method:             cfg.Method,
 		workers:            cfg.Workers,
 		usePrecond:         cfg.UsePrecond,
-		fallback:           cfg.Fallback,
 		taskPriority:       cfg.TaskPriority,
 		checkpointInterval: cfg.CheckpointInterval,
 		abft:               cfg.ABFT,
@@ -265,14 +264,15 @@ func (c *OperatorContext) Checkout(name string, b []float64, cfg Config) (*Check
 		if err != nil {
 			return nil, err
 		}
-		inst := &Instance{
+		p := &pooledCG{s: s, inline: inline}
+		p.inst = &Instance{
 			Spaces:   []*pagemem.Space{s.Space()},
 			Dynamic:  s.DynamicVectors(),
-			Run:      func() (core.Result, error) { return s.Run() },
+			Run:      recovering(func() (core.Result, error) { return s.Run() }, &p.broken),
 			Solution: s.Solution,
 			SetSite:  s.SetSite,
 		}
-		return &Checkout{Instance: inst, Inline: inline, ctx: c, key: key, cg: &pooledCG{s: s, inst: inst, inline: inline}}, nil
+		return &Checkout{Instance: p.inst, Inline: inline, ctx: c, key: key, cg: p}, nil
 	}
 
 	if cfg.RT == nil {
@@ -282,14 +282,16 @@ func (c *OperatorContext) Checkout(name string, b []float64, cfg Config) (*Check
 	if err != nil {
 		return nil, err
 	}
+	inst.Run = recovering(inst.Run, new(bool))
 	return &Checkout{Instance: inst, ctx: c}, nil
 }
 
 // Release returns a poolable instance to the context's warm pool. The
 // per-request hooks are cleared first so a stale cancellation can never
-// abort the next tenant's solve, nor a stale fault plan storm it.
+// abort the next tenant's solve, nor a stale fault plan storm it. An
+// instance whose Run panicked is dropped instead.
 func (co *Checkout) Release() {
-	if co.released || co.cg == nil {
+	if co.released || co.cg == nil || co.cg.broken {
 		return
 	}
 	co.released = true

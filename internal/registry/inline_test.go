@@ -1,12 +1,14 @@
 package registry
 
 import (
+	"errors"
 	"runtime"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/inject"
 	"repro/internal/matgen"
 	"repro/internal/taskrt"
 )
@@ -118,4 +120,43 @@ func TestInlineConcurrentCheckouts(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestPanickingSolveFailsAndIsDropped: a task body that panics fails its
+// solve at once. A fault plan naming "d" on single-node CG, whose
+// direction vectors are d0 and d1, panics at the first fault site of
+// iteration 0; Run returns ErrPanicked after one iteration instead of
+// running on to MaxIter, and Release drops the instance rather than
+// warm-pooling it.
+func TestPanickingSolveFailsAndIsDropped(t *testing.T) {
+	a := matgen.Poisson2D(30, 30)
+	octx := NewOperatorContext("m", a, 64)
+	b := matgen.Ones(a.N)
+	iterations := 0
+	cfg := Config{Config: core.Config{Method: core.MethodAFEIR, PageDoubles: 64, Tol: 1e-10, MaxIter: 20000,
+		OnIteration: func(int, float64) { iterations++ }}}
+	co, err := octx.Checkout("cg", b, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !co.Inline {
+		t.Fatal("the operator is meant to solve inline")
+	}
+	co.Instance.Arm(&inject.Plan{Errors: []inject.PlannedError{{Vector: co.Instance.Spaces[0].VectorByName("d")}}})
+	_, err = co.Instance.Run()
+	co.Release()
+	if !errors.Is(err, ErrPanicked) || iterations > 1 {
+		t.Fatalf("err = %v after %d iterations, want %v within one", err, iterations, ErrPanicked)
+	}
+	co, err = octx.Checkout("cg", b, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer co.Release()
+	if co.Warm {
+		t.Fatal("the panicked instance was pooled")
+	}
+	if res, err := co.Instance.Run(); err != nil || !res.Converged {
+		t.Fatalf("the next solve: %+v, %v", res, err)
+	}
 }

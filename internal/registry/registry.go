@@ -9,6 +9,7 @@
 package registry
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 
@@ -102,6 +103,24 @@ func Names() []string {
 func Caps(name string) (Capabilities, bool) {
 	e, ok := builders[name]
 	return e.caps, ok
+}
+
+// ErrPanicked is what a checked-out Instance.Run returns when the solve
+// panicked (a task body's panic is re-raised where the solver waits).
+var ErrPanicked = errors.New("registry: solve panicked")
+
+// recovering wraps a checked-out launch: a panic returns as ErrPanicked
+// naming its value, and sets *broken so the instance is never pooled.
+func recovering(run func() (core.Result, error), broken *bool) func() (core.Result, error) {
+	return func() (res core.Result, err error) {
+		defer func() {
+			if r := recover(); r != nil {
+				*broken = true
+				res, err = core.Result{}, fmt.Errorf("%w: %v", ErrPanicked, r)
+			}
+		}()
+		return run()
+	}
 }
 
 // New builds the named solver over A x = b, rejecting configuration

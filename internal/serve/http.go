@@ -9,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/defaults"
 	"repro/internal/matgen"
+	"repro/internal/registry"
 	"repro/internal/sparse"
 )
 
@@ -140,6 +141,10 @@ func statusFor(err error) int {
 		// The request was well formed and the solve ran: its iterate
 		// went non-finite, which no retry of the same request changes.
 		return http.StatusUnprocessableEntity
+	case errors.Is(err, registry.ErrPanicked):
+		// A task body panicked: the checkout recovered it on this
+		// dispatcher and dropped the instance from the warm pool.
+		return http.StatusInternalServerError
 	}
 	return http.StatusBadRequest
 }

@@ -16,6 +16,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/matgen"
+	"repro/internal/registry"
 	"repro/internal/sparse"
 	"repro/internal/taskrt"
 )
@@ -465,6 +466,7 @@ func TestNonFiniteIsUnprocessable(t *testing.T) {
 		fmt.Errorf("registry: %w", core.ErrNonFinite): http.StatusUnprocessableEntity,
 		core.ErrCancelled: http.StatusGatewayTimeout,
 		ErrBadMatrix:      http.StatusBadRequest,
+		fmt.Errorf("%w: boom", registry.ErrPanicked): http.StatusInternalServerError,
 	} {
 		if got := statusFor(err); got != want {
 			t.Errorf("statusFor(%v) = %d, want %d", err, got, want)

@@ -66,6 +66,9 @@ type Handle struct {
 	done     bool
 	inflight bool
 	cond     *sync.Cond // lazily created on first Wait, kept across reuse
+	// panicV is the latest submission's panic, written before done:
+	// Wait and WaitAll re-raise it, so only its own tenant sees it.
+	panicV any
 }
 
 // Label returns the diagnostic label of the task.
@@ -365,6 +368,7 @@ func (rt *Runtime) start(h *Handle, after []*Handle, enqWorker int, wake bool) {
 	h.mu.Lock()
 	h.done = false
 	h.inflight = true
+	h.panicV = nil
 	h.doneA.Store(false)
 	h.mu.Unlock()
 	h.seq = rt.seq.Add(1)
@@ -570,16 +574,21 @@ func (rt *Runtime) popGlobal(onlyPositive bool) *Handle {
 }
 
 // Wait blocks until the most recent submission of the task has finished,
-// helping and polling before it parks (see await).
+// helping and polling before it parks (see await). If its body panicked,
+// Wait panics with the same value.
 func (rt *Runtime) Wait(h *Handle) {
 	rt.await(h.doneA.Load, h.park)
+	if rt.panicked.Load() != nil {
+		h.raise()
+	}
 }
 
 // WaitAll blocks until all listed tasks have finished: one help/poll/park
 // loop over the batch, so a phase boundary is one wait however many
 // chunks the phase has. Nil handles are ignored and a handle that was
 // never submitted counts as finished, so a prebuilt list may name tasks a
-// given replay leaves out.
+// given replay leaves out. Once every task finished, WaitAll panics with
+// the value of the first listed task whose body panicked.
 func (rt *Runtime) WaitAll(hs []*Handle) {
 	i := 0
 	rt.await(func() bool {
@@ -588,6 +597,20 @@ func (rt *Runtime) WaitAll(hs []*Handle) {
 		}
 		return i == len(hs)
 	}, func() { hs[i].park() })
+	if rt.panicked.Load() != nil { // a body on this runtime ever panicked
+		for _, h := range hs {
+			if h != nil {
+				h.raise()
+			}
+		}
+	}
+}
+
+// raise re-raises the panic of the task's finished submission, if any.
+func (h *Handle) raise() {
+	if p := h.panicV; p != nil {
+		panic(p)
+	}
 }
 
 // park blocks until the task has finished.
@@ -604,8 +627,9 @@ func (h *Handle) park() {
 }
 
 // Quiesce blocks until every submitted task has finished. It panics with
-// the original value if any task panicked. Like Wait, it helps and polls
-// before parking.
+// the value of the first task body that ever panicked on the runtime: a
+// barrier over every tenant's work, for a runtime with one owner. Like
+// Wait, it helps and polls before parking.
 func (rt *Runtime) Quiesce() {
 	rt.await(func() bool { return rt.pending.Load() == 0 }, func() {
 		rt.qmu.Lock()
@@ -798,6 +822,7 @@ func (rt *Runtime) idle() (exit bool) {
 func (rt *Runtime) execute(h *Handle, w int) {
 	defer func() {
 		if r := recover(); r != nil {
+			h.panicV = r
 			rt.panicOnce.Do(func() {
 				rt.panicked.Store(&panicBox{v: r})
 			})

@@ -212,6 +212,40 @@ func TestPanicDoesNotDeadlockDependents(t *testing.T) {
 	}()
 }
 
+// TestWaitRaisesOnlyItsOwnPanic: a panicking body surfaces on the waiter
+// of its own handle, with its value, and on nobody else's: a second
+// tenant of the same pool waits on its handles undisturbed. Replaying the
+// handle clears the panic.
+func TestWaitRaisesOnlyItsOwnPanic(t *testing.T) {
+	rt := New(2)
+	defer func() {
+		defer func() { recover() }() // Quiesce in Close re-raises the first panic
+		rt.Close()
+	}()
+	boom := true
+	bad := rt.NewTask(TaskSpec{Run: func(int) {
+		if boom {
+			panic("tenant A")
+		}
+	}})
+	rt.Resubmit(bad, nil)
+	other := rt.Submit(TaskSpec{Run: func(int) {}})
+	rt.Wait(other) // tenant B
+	rt.WaitAll([]*Handle{other, nil})
+	func() {
+		defer func() {
+			if r := recover(); r != "tenant A" {
+				t.Fatalf("Wait recovered %v, want tenant A", r)
+			}
+		}()
+		rt.Wait(bad)
+		t.Fatal("Wait returned")
+	}()
+	boom = false
+	rt.Resubmit(bad, nil)
+	rt.Wait(bad)
+}
+
 func TestWorkerTimesAccumulate(t *testing.T) {
 	rt := New(2)
 	defer rt.Close()

@@ -256,7 +256,8 @@ func TestWaitAllSemantics(t *testing.T) {
 }
 
 // TestWaitAllPanicSurfacesOnQuiesce: a panicking task in a batch still
-// counts as finished for WaitAll and its value surfaces from Quiesce.
+// counts as finished for WaitAll, which re-raises its value once the whole
+// batch finished, and the value also surfaces from Quiesce.
 func TestWaitAllPanicSurfacesOnQuiesce(t *testing.T) {
 	rt := New(2)
 	hs := []*Handle{
@@ -264,7 +265,19 @@ func TestWaitAllPanicSurfacesOnQuiesce(t *testing.T) {
 		rt.Submit(TaskSpec{Run: func(int) { panic("boom") }}),
 		rt.Submit(TaskSpec{Run: func(int) {}}),
 	}
-	within(t, time.Minute, func() { rt.WaitAll(hs) })
+	within(t, time.Minute, func() {
+		defer func() {
+			if r := recover(); r != "boom" {
+				t.Errorf("WaitAll recovered %v, want boom", r)
+			}
+			for _, h := range hs {
+				if !h.Done() {
+					t.Error("WaitAll raised before every task finished")
+				}
+			}
+		}()
+		rt.WaitAll(hs)
+	})
 	defer func() {
 		if r := recover(); r != "boom" {
 			t.Fatalf("recovered %v, want boom", r)
