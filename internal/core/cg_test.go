@@ -266,19 +266,28 @@ func TestFEIRMultipleErrorsSameVectorCoupled(t *testing.T) {
 	}
 }
 
-// TestRelatedDataLossIsInterpolated: x and g lost on the same page is
-// §2.4's case 2, which no Table 1 relation repairs. FEIR and AFEIR take
-// the Lossy step — the page is interpolated, not blanked, and the solve
-// restarts from x — and converge to a verified true residual.
-func TestRelatedDataLossIsInterpolated(t *testing.T) {
+// TestFEIRRelatedDataErrorsIgnoredStillTerminates: x and g lost on the
+// same page is §2.4's case 2, which no Table 1 relation repairs. The run
+// must still terminate with a verified true residual, and the page is
+// interpolated by the Lossy step, not blanked.
+func TestFEIRRelatedDataErrorsIgnoredStillTerminates(t *testing.T) {
+	a, b := testSystem()
+	res := runWithInjections(t, a, b, testConfig(MethodFEIR), relatedLoss)
+	checkInterpolated(t, res)
+}
+
+// TestFEIRFallbackLossy: the Lossy step is the only endgame for related
+// data loss. FEIR and AFEIR both take it — interpolate the page and
+// restart from x, counting one restart — and converge.
+func TestFEIRFallbackLossy(t *testing.T) {
 	a, b := testSystem()
 	for _, m := range []Method{MethodFEIR, MethodAFEIR} {
 		t.Run(m.String(), func(t *testing.T) {
-			res := runWithInjections(t, a, b, testConfig(m), []injection{
-				{it: 12, vec: "x", page: 4},
-				{it: 12, vec: "g", page: 4},
-			})
+			res := runWithInjections(t, a, b, testConfig(m), relatedLoss)
 			checkInterpolated(t, res)
+			if res.Stats.Restarts == 0 {
+				t.Fatalf("expected a Lossy-step restart, stats %+v", res.Stats)
+			}
 		})
 	}
 }
