@@ -160,11 +160,13 @@ func PageConnectivity(a *sparse.CSR, layout sparse.BlockLayout) [][]int {
 	for i := range seen {
 		seen[i] = -1
 	}
+	var buf sparse.RowBuf
 	for p := 0; p < np; p++ {
 		lo, hi := layout.Range(p)
 		for r := lo; r < hi; r++ {
-			for k := a.RowPtr[r]; k < a.RowPtr[r+1]; k++ {
-				cp := layout.BlockOf(int(a.Cols[k]))
+			cols, _ := a.Row(r, &buf)
+			for _, c := range cols {
+				cp := layout.BlockOf(int(c))
 				if seen[cp] != p {
 					seen[cp] = p
 					conn[p] = append(conn[p], cp)

@@ -5,14 +5,24 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/sparse"
 )
 
+// withArrays is a's twin with its CSR arrays kept: an operator held as
+// its diagonals gets them rebuilt from the diagonals.
+func withArrays(a *sparse.CSR) *sparse.CSR {
+	b := a.Clone()
+	b.DisableShadow("dia")
+	return b
+}
+
 // assemblyHash fingerprints everything an assembled operator exposes:
-// RowPtr, Cols, the bits of Vals, the kernel shadow the constructor
-// selected, and one SpMV through that shadow.
+// RowPtr, Cols, the bits of Vals (rebuilt from the diagonals when the
+// operator is held as them), the kernel shadow the constructor selected,
+// and one SpMV through that shadow.
 func assemblyHash(a *sparse.CSR) string {
 	h := fnv.New64a()
 	var buf [8]byte
@@ -20,13 +30,14 @@ func assemblyHash(a *sparse.CSR) string {
 		binary.LittleEndian.PutUint64(buf[:], u)
 		h.Write(buf[:])
 	}
-	for _, p := range a.RowPtr {
+	arr := withArrays(a)
+	for _, p := range arr.RowPtr {
 		word(uint64(p))
 	}
-	for _, c := range a.Cols {
+	for _, c := range arr.Cols {
 		word(uint64(c))
 	}
-	for _, v := range a.Vals {
+	for _, v := range arr.Vals {
 		word(math.Float64bits(v))
 	}
 	h.Write([]byte(a.ShadowName()))
@@ -157,10 +168,12 @@ func TestPoisson3D27Structure(t *testing.T) {
 		t.Fatalf("interior row nnz = %d, want 27", got)
 	}
 	// Row sums are >= 0 (diagonally dominant by construction at boundaries).
+	var buf sparse.RowBuf
 	for i := 0; i < a.N; i++ {
 		var s float64
-		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-			s += a.Vals[k]
+		_, vals := a.Row(i, &buf)
+		for _, v := range vals {
+			s += v
 		}
 		if s < -1e-12 {
 			t.Fatalf("row %d sum %v < 0", i, s)
@@ -201,18 +214,20 @@ func TestStencil9Structure(t *testing.T) {
 func TestBandedStructure(t *testing.T) {
 	a := Banded(100, 5, 1.1, 42)
 	requireSPDish(t, a, "banded")
+	var buf sparse.RowBuf
 	for i := 0; i < a.N; i++ {
-		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-			if d := int(a.Cols[k]) - i; d > 5 || d < -5 {
-				t.Fatalf("entry (%d,%d) outside band", i, a.Cols[k])
+		cols, _ := a.Row(i, &buf)
+		for _, c := range cols {
+			if d := int(c) - i; d > 5 || d < -5 {
+				t.Fatalf("entry (%d,%d) outside band", i, c)
 			}
 		}
 	}
 }
 
 func TestBandedDeterministic(t *testing.T) {
-	a := Banded(50, 3, 1.2, 7)
-	b := Banded(50, 3, 1.2, 7)
+	a := withArrays(Banded(50, 3, 1.2, 7))
+	b := withArrays(Banded(50, 3, 1.2, 7))
 	if a.NNZ() != b.NNZ() {
 		t.Fatal("banded generator not deterministic in structure")
 	}
@@ -229,6 +244,34 @@ func BenchmarkRandomSPD(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		RandomSPD(4096, 60, 1.02, 0xC045)
+	}
+}
+
+// BenchmarkPoisson3D27 generates cg-stream's operator (32³, 27 points),
+// row-by-row assembly and the DIA shadow included.
+func BenchmarkPoisson3D27(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		Poisson3D27(32, 32, 32)
+	}
+}
+
+// TestPoisson3D27AllocatesWhatItBuilds: generating cg-stream's operator
+// allocates at most 1.25× what assembly has to materialise — the CSR
+// arrays (12 B per entry, 4 B per row pointer) and the diagonals the
+// operator keeps (Bytes) — so no per-entry transient (a triplet list
+// was 24 B per entry) and no growth of an under-sized builder comes back.
+func TestPoisson3D27AllocatesWhatItBuilds(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	a := Poisson3D27(32, 32, 32)
+	runtime.ReadMemStats(&after)
+	built := 12*a.NNZ() + 4*(a.N+1) + int(a.Bytes())
+	if got := after.TotalAlloc - before.TotalAlloc; float64(got) > 1.25*float64(built) {
+		t.Fatalf("allocated %d B to build %d B of arrays and diagonals (%.2f×, want ≤ 1.25×)", got, built, float64(got)/float64(built))
+	}
+	if a.ShadowName() != "dia" || a.RowPtr != nil || a.NNZ() != 94*94*94 {
+		t.Fatalf("fixture: shadow %s, arrays dropped %v, %d entries", a.ShadowName(), a.RowPtr == nil, a.NNZ())
 	}
 }
 
@@ -328,10 +371,11 @@ func TestAnaloguesSpMVMatchesRawArrays(t *testing.T) {
 		x := RandomVector(a.N, 11)
 		got := make([]float64, a.N)
 		a.MulVec(x, got)
+		arr := withArrays(a)
 		for i := 0; i < a.N; i++ {
 			var want float64
-			for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-				want += a.Vals[k] * x[a.Cols[k]]
+			for k := arr.RowPtr[i]; k < arr.RowPtr[i+1]; k++ {
+				want += arr.Vals[k] * x[arr.Cols[k]]
 			}
 			if diff := got[i] - want; diff > 1e-12 || diff < -1e-12 {
 				t.Fatalf("%s row %d: shadow SpMV %v != raw arrays %v", name, i, got[i], want)

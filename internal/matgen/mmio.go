@@ -135,10 +135,12 @@ func WriteMatrixMarket(w io.Writer, a *sparse.CSR, symmetric bool) error {
 	if _, err := fmt.Fprintf(bw, "%%%%MatrixMarket matrix coordinate real %s\n", sym); err != nil {
 		return err
 	}
+	var buf sparse.RowBuf
 	nnz := 0
 	for i := 0; i < a.N; i++ {
-		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-			if symmetric && int(a.Cols[k]) > i {
+		cols, _ := a.Row(i, &buf)
+		for _, j := range cols {
+			if symmetric && int(j) > i {
 				continue
 			}
 			nnz++
@@ -148,12 +150,13 @@ func WriteMatrixMarket(w io.Writer, a *sparse.CSR, symmetric bool) error {
 		return err
 	}
 	for i := 0; i < a.N; i++ {
-		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-			j := int(a.Cols[k])
+		cols, vals := a.Row(i, &buf)
+		for k, c := range cols {
+			j := int(c)
 			if symmetric && j > i {
 				continue
 			}
-			if _, err := fmt.Fprintf(bw, "%d %d %.17g\n", i+1, j+1, a.Vals[k]); err != nil {
+			if _, err := fmt.Fprintf(bw, "%d %d %.17g\n", i+1, j+1, vals[k]); err != nil {
 				return err
 			}
 		}

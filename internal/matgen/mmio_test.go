@@ -164,11 +164,12 @@ func requireEqualCSR(t *testing.T, a, b *sparse.CSR) {
 	if a.N != b.N || a.M != b.M || a.NNZ() != b.NNZ() {
 		t.Fatalf("shape mismatch: %dx%d/%d vs %dx%d/%d", a.N, a.M, a.NNZ(), b.N, b.M, b.NNZ())
 	}
+	var buf sparse.RowBuf
 	for i := 0; i < a.N; i++ {
-		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-			j := int(a.Cols[k])
-			if got := b.At(i, j); got != a.Vals[k] {
-				t.Fatalf("(%d,%d) = %v, want %v", i, j, got, a.Vals[k])
+		cols, vals := a.Row(i, &buf)
+		for k, c := range cols {
+			if got := b.At(i, int(c)); got != vals[k] {
+				t.Fatalf("(%d,%d) = %v, want %v", i, c, got, vals[k])
 			}
 		}
 	}

@@ -23,28 +23,43 @@ import (
 // nx×ny grid with Dirichlet boundaries. The matrix is SPD with 4 on the
 // diagonal and -1 couplings.
 func Poisson2D(nx, ny int) *sparse.CSR {
-	n := nx * ny
-	tr := make([]sparse.Triplet, 0, 5*n)
+	b := sparse.NewRowBuilder(nx*ny, nx*ny, stencilNNZ(nx, ny, 1, false))
 	idx := func(i, j int) int { return i*ny + j }
 	for i := 0; i < nx; i++ {
 		for j := 0; j < ny; j++ {
-			r := idx(i, j)
-			tr = append(tr, sparse.Triplet{Row: r, Col: r, Val: 4})
+			b.Add(idx(i, j), 4)
 			if i > 0 {
-				tr = append(tr, sparse.Triplet{Row: r, Col: idx(i-1, j), Val: -1})
+				b.Add(idx(i-1, j), -1)
 			}
 			if i < nx-1 {
-				tr = append(tr, sparse.Triplet{Row: r, Col: idx(i+1, j), Val: -1})
+				b.Add(idx(i+1, j), -1)
 			}
 			if j > 0 {
-				tr = append(tr, sparse.Triplet{Row: r, Col: idx(i, j-1), Val: -1})
+				b.Add(idx(i, j-1), -1)
 			}
 			if j < ny-1 {
-				tr = append(tr, sparse.Triplet{Row: r, Col: idx(i, j+1), Val: -1})
+				b.Add(idx(i, j+1), -1)
 			}
+			b.EndRow()
 		}
 	}
-	return sparse.NewCSRFromTriplets(n, n, tr)
+	return b.Build()
+}
+
+// stencilNNZ counts the entries of a radius-1 stencil on an nx×ny×nz
+// grid, so that a generator's builder allocates its arrays once: along
+// one axis of k points there are k self-pairs and 2(k-1) neighbour pairs.
+// A star (5- or 7-point) couples along one axis at a time, a box (9- or
+// 27-point) along every combination of axes.
+func stencilNNZ(nx, ny, nz int, box bool) int {
+	n := nx * ny * nz
+	switch {
+	case n == 0:
+		return 0
+	case box:
+		return (3*nx - 2) * (3*ny - 2) * (3*nz - 2)
+	}
+	return n + 2*((nx-1)*ny*nz+nx*(ny-1)*nz+nx*ny*(nz-1))
 }
 
 // Poisson2DVarCoeff builds a 5-point stencil for -div(k grad u) with a
@@ -53,7 +68,7 @@ func Poisson2D(nx, ny int) *sparse.CSR {
 // thermal2; a big shift yields a fast one.
 func Poisson2DVarCoeff(nx, ny int, shift float64, k func(x, y float64) float64) *sparse.CSR {
 	n := nx * ny
-	tr := make([]sparse.Triplet, 0, 5*n)
+	b := sparse.NewRowBuilder(n, n, stencilNNZ(nx, ny, 1, false))
 	idx := func(i, j int) int { return i*ny + j }
 	// Harmonic-mean edge conductivities keep the operator symmetric.
 	edge := func(x1, y1, x2, y2 float64) float64 {
@@ -70,17 +85,18 @@ func Poisson2DVarCoeff(nx, ny int, shift float64, k func(x, y float64) float64) 
 				w := edge(x, y, xx, yy)
 				diag += w
 				if ii >= 0 && ii < nx && jj >= 0 && jj < ny {
-					tr = append(tr, sparse.Triplet{Row: r, Col: idx(ii, jj), Val: -w})
+					b.Add(idx(ii, jj), -w)
 				}
 			}
 			add(i-1, j, x-hx, y)
 			add(i+1, j, x+hx, y)
 			add(i, j-1, x, y-hy)
 			add(i, j+1, x, y+hy)
-			tr = append(tr, sparse.Triplet{Row: r, Col: r, Val: diag + shift})
+			b.Add(r, diag+shift)
+			b.EndRow()
 		}
 	}
-	return sparse.NewCSRFromTriplets(n, n, tr)
+	return b.Build()
 }
 
 // Poisson3D27 builds the 27-point stencil discretization of the 3-D Poisson
@@ -92,13 +108,12 @@ func Poisson3D27(nx, ny, nz int) *sparse.CSR { return stencil27(nx, ny, nz, 26) 
 // stencil27 is Poisson3D27 with the given diagonal.
 func stencil27(nx, ny, nz int, diag float64) *sparse.CSR {
 	n := nx * ny * nz
-	tr := make([]sparse.Triplet, 0, 27*n)
+	b := sparse.NewRowBuilder(n, n, stencilNNZ(nx, ny, nz, true))
 	idx := func(i, j, k int) int { return (i*ny+j)*nz + k }
 	for i := 0; i < nx; i++ {
 		for j := 0; j < ny; j++ {
 			for k := 0; k < nz; k++ {
-				r := idx(i, j, k)
-				tr = append(tr, sparse.Triplet{Row: r, Col: r, Val: diag})
+				b.Add(idx(i, j, k), diag)
 				for di := -1; di <= 1; di++ {
 					for dj := -1; dj <= 1; dj++ {
 						for dk := -1; dk <= 1; dk++ {
@@ -109,38 +124,38 @@ func stencil27(nx, ny, nz int, diag float64) *sparse.CSR {
 							if ii < 0 || ii >= nx || jj < 0 || jj >= ny || kk < 0 || kk >= nz {
 								continue
 							}
-							tr = append(tr, sparse.Triplet{Row: r, Col: idx(ii, jj, kk), Val: -1})
+							b.Add(idx(ii, jj, kk), -1)
 						}
 					}
 				}
+				b.EndRow()
 			}
 		}
 	}
-	return sparse.NewCSRFromTriplets(n, n, tr)
+	return b.Build()
 }
 
 // Poisson3D7 builds the 7-point stencil 3-D Laplacian with a diagonal
 // shift; shift > 0 improves conditioning.
 func Poisson3D7(nx, ny, nz int, shift float64) *sparse.CSR {
 	n := nx * ny * nz
-	tr := make([]sparse.Triplet, 0, 7*n)
+	b := sparse.NewRowBuilder(n, n, stencilNNZ(nx, ny, nz, false))
 	idx := func(i, j, k int) int { return (i*ny+j)*nz + k }
 	for i := 0; i < nx; i++ {
 		for j := 0; j < ny; j++ {
 			for k := 0; k < nz; k++ {
-				r := idx(i, j, k)
-				tr = append(tr, sparse.Triplet{Row: r, Col: r, Val: 6 + shift})
-				type nb struct{ i, j, k int }
-				for _, d := range []nb{{i - 1, j, k}, {i + 1, j, k}, {i, j - 1, k}, {i, j + 1, k}, {i, j, k - 1}, {i, j, k + 1}} {
-					if d.i < 0 || d.i >= nx || d.j < 0 || d.j >= ny || d.k < 0 || d.k >= nz {
+				b.Add(idx(i, j, k), 6+shift)
+				for _, d := range [...][3]int{{i - 1, j, k}, {i + 1, j, k}, {i, j - 1, k}, {i, j + 1, k}, {i, j, k - 1}, {i, j, k + 1}} {
+					if d[0] < 0 || d[0] >= nx || d[1] < 0 || d[1] >= ny || d[2] < 0 || d[2] >= nz {
 						continue
 					}
-					tr = append(tr, sparse.Triplet{Row: r, Col: idx(d.i, d.j, d.k), Val: -1})
+					b.Add(idx(d[0], d[1], d[2]), -1)
 				}
+				b.EndRow()
 			}
 		}
 	}
-	return sparse.NewCSRFromTriplets(n, n, tr)
+	return b.Build()
 }
 
 // Stencil9 builds a 2-D 9-point stencil with variable coefficients
@@ -148,7 +163,7 @@ func Poisson3D7(nx, ny, nz int, shift float64) *sparse.CSR {
 func Stencil9(nx, ny int, shift float64, seed int64) *sparse.CSR {
 	rng := rand.New(rand.NewSource(seed))
 	n := nx * ny
-	tr := make([]sparse.Triplet, 0, 9*n)
+	b := sparse.NewRowBuilder(n, n, stencilNNZ(nx, ny, 1, true))
 	idx := func(i, j int) int { return i*ny + j }
 	// Symmetric edge weights: derive from a per-node potential field.
 	pot := make([]float64, n)
@@ -173,14 +188,15 @@ func Stencil9(nx, ny int, shift float64, seed int64) *sparse.CSR {
 					if di != 0 && dj != 0 {
 						w *= 0.5 // weaker diagonal couplings
 					}
-					tr = append(tr, sparse.Triplet{Row: r, Col: c, Val: -w})
+					b.Add(c, -w)
 					diag += w
 				}
 			}
-			tr = append(tr, sparse.Triplet{Row: r, Col: r, Val: diag + shift})
+			b.Add(r, diag+shift)
+			b.EndRow()
 		}
 	}
-	return sparse.NewCSRFromTriplets(n, n, tr)
+	return b.Build()
 }
 
 // Banded builds a symmetric banded SPD matrix with the given half

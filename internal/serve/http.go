@@ -92,7 +92,7 @@ func (s *Server) Handler() http.Handler {
 			return
 		}
 		s.RegisterMatrix(sub.Key, a, sub.PageDoubles)
-		writeJSON(w, http.StatusOK, map[string]any{"key": sub.Key, "n": a.N, "nnz": len(a.Vals)})
+		writeJSON(w, http.StatusOK, map[string]any{"key": sub.Key, "n": a.N, "nnz": a.NNZ()})
 	})
 	mux.HandleFunc("/v1/solve", func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {

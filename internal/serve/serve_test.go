@@ -431,6 +431,34 @@ func TestMatrixSubmissionRejectsMalformedCSR(t *testing.T) {
 	}
 }
 
+// TestMatrixRegistrationReportsNNZ: the registration reply counts the
+// stored entries of a 5-point operator, submitted as raw CSR or by
+// generator name, although the server holds it as its diagonals alone.
+func TestMatrixRegistrationReportsNNZ(t *testing.T) {
+	h := newServer(t, Options{}).Handler()
+	five := matgen.Poisson2D(4, 4)
+	raw := five.Clone()
+	raw.DisableShadow("dia") // the arrays to submit
+	sub, err := json.Marshal(MatrixSubmission{Key: "p5", N: raw.N, RowPtr: raw.RowPtr, Cols: raw.Cols, Vals: raw.Vals})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for body, want := range map[string]int{
+		string(sub):                              16 + 2*(3*4+4*3),
+		`{"key":"t2","gen":"thermal2","n":1024}`: 1024 + 2*(31*32+32*31),
+	} {
+		rr := httptest.NewRecorder()
+		h.ServeHTTP(rr, httptest.NewRequest(http.MethodPost, "/v1/matrices", strings.NewReader(body)))
+		var reply struct{ NNZ int }
+		if err := json.Unmarshal(rr.Body.Bytes(), &reply); rr.Code != http.StatusOK || err != nil || reply.NNZ != want {
+			t.Errorf("%.40s…: status %d body %q, want nnz %d", body, rr.Code, rr.Body.String(), want)
+		}
+	}
+	if five.ShadowName() != "dia" || five.NNZ() != 64 {
+		t.Fatalf("fixture: shadow %s, %d entries", five.ShadowName(), five.NNZ())
+	}
+}
+
 // TestMatrixSubmissionPastInt32IsBadMatrix: a raw CSR claiming more rows
 // than an int32 index holds is a 400 through ErrBadMatrix, naming
 // sparse.ErrTooLarge, and an index past int32 a 400 from the decoder.

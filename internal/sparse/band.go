@@ -25,7 +25,7 @@ import (
 // block, in the block's own index space and in no particular order (a
 // renumbered block's rows are not ascending). It is all a factor
 // constructor reads, so a block is factorized straight from its source —
-// the CSR rows of A or a Dense — without a dense temporary.
+// the rows of A (spanRows) or a Dense — without a dense temporary.
 type blockRows func(i int, visit func(j int, v float64))
 
 // denseRows reads the nonzeros of a dense block.
@@ -45,26 +45,40 @@ type span struct{ lo, hi, off int }
 
 // spanRows reads the block A[S, S] for the index set S given as sorted,
 // disjoint spans whose offsets concatenate them: one span is a diagonal
-// block, several are the coupled system of §2.4.
+// block, several are the coupled system of §2.4. A factor reads every row
+// several times (the bandwidths, the renumbering's sweeps, the factor
+// itself), so the block's entries are gathered through Row once, in
+// ascending column order, into arrays in the block's own index space.
 func (a *CSR) spanRows(spans []span) blockRows {
-	return func(i int, visit func(j int, v float64)) {
-		s := 0
-		for i >= spans[s].off+spans[s].hi-spans[s].lo {
-			s++
+	last := spans[len(spans)-1]
+	n := last.off + last.hi - last.lo
+	rowPtr := make([]int32, n+1)
+	cols := make([]int32, 0, n*(a.NNZ()/max(a.N, 1)+1))
+	vals := make([]float64, 0, cap(cols))
+	var buf RowBuf
+	for _, s := range spans {
+		for g := s.lo; g < s.hi; g++ {
+			rc, rv := a.Row(g, &buf)
+			c := 0 // columns ascend within a row, so one cursor walks the spans
+			for p, col32 := range rc {
+				col := int(col32)
+				for c < len(spans) && col >= spans[c].hi {
+					c++
+				}
+				if c == len(spans) {
+					break
+				}
+				if col >= spans[c].lo {
+					cols = append(cols, int32(spans[c].off+col-spans[c].lo))
+					vals = append(vals, rv[p])
+				}
+			}
+			rowPtr[s.off+g-s.lo+1] = int32(len(cols))
 		}
-		g := spans[s].lo + i - spans[s].off
-		c := 0 // columns ascend within a row, so one cursor walks the spans
-		for p := a.RowPtr[g]; p < a.RowPtr[g+1]; p++ {
-			col := int(a.Cols[p])
-			for c < len(spans) && col >= spans[c].hi {
-				c++
-			}
-			if c == len(spans) {
-				return
-			}
-			if col >= spans[c].lo {
-				visit(spans[c].off+col-spans[c].lo, a.Vals[p])
-			}
+	}
+	return func(i int, visit func(j int, v float64)) {
+		for k := rowPtr[i]; k < rowPtr[i+1]; k++ {
+			visit(int(cols[k]), vals[k])
 		}
 	}
 }

@@ -16,12 +16,21 @@ import (
 // The matrix is treated as immutable after assembly: code that edits
 // Cols or Vals in place must call BuildShadows again (the DIA and SELL
 // shadows copy values, not just indices).
+//
+// An operator whose DIA shadow is selected and which stores no +0.0 is
+// held as its diagonals alone: BuildShadows drops RowPtr, Cols and Vals
+// (they stay nil), and every row reader goes through Row, which gathers
+// the row back from the diagonals (DESIGN §5).
 type CSR struct {
 	N      int // number of rows
 	M      int // number of columns
 	RowPtr []int32
 	Cols   []int32
 	Vals   []float64
+
+	// nnz counts the stored entries of an operator held as its
+	// diagonals (diaOnly); NNZ reads it there.
+	nnz int
 
 	// diaOffs/diaVals are the diagonal (DIA) kernel shadow for stencil
 	// and banded matrices — see dia.go. Nil when the matrix does not
@@ -70,9 +79,86 @@ func CheckSize(n, m, nnz int) error {
 // SELL-C-σ shadow of sellcs.go for short-row matrices. A matrix with
 // neither runs the CSR kernels on its own arrays. Constructors call it;
 // hand-assembled matrices that pass Validate may call it to opt in.
+//
+// When DIA is selected and no stored entry is +0.0, the arrays go: a
+// slot of the diagonals whose bits are zero then means "not stored", so
+// Row rebuilds the CSR pattern exactly (a stored -0.0 keeps its sign
+// bit, and a stored +0.0 keeps the arrays). On an operator already held
+// as its diagonals it does nothing.
 func (a *CSR) BuildShadows() {
+	if a.diaOnly() {
+		return
+	}
 	a.buildDIA()
 	a.buildSELL()
+	if a.diaOffs != nil && !slices.ContainsFunc(a.Vals, isPositiveZero) {
+		a.nnz = len(a.Vals)
+		a.RowPtr, a.Cols, a.Vals = nil, nil, nil
+	}
+}
+
+func isPositiveZero(v float64) bool { return math.Float64bits(v) == 0 }
+
+// diaOnly reports whether the operator is held as its diagonals alone.
+func (a *CSR) diaOnly() bool { return a.RowPtr == nil && a.diaOffs != nil }
+
+// RowBuf is the caller-owned buffer Row gathers a row of an operator held
+// as its diagonals into: one slot per diagonal. Declared on the caller's
+// stack, it keeps a row walk free of allocation.
+type RowBuf struct {
+	cols [maxDiaOffsets]int32
+	vals [maxDiaOffsets]float64
+}
+
+// Row returns the stored entries of row i in ascending column order: the
+// row's spans of Cols and Vals, or, for an operator held as its
+// diagonals, the row gathered into buf — ascending offsets are ascending
+// columns, and a slot whose bits are zero is not stored. The slices are
+// read-only and valid until buf is next used. Every reader of a row's
+// entries goes through Row, so each walk has one body for both forms and
+// visits the same entries in the same order.
+//
+//due:hotpath
+func (a *CSR) Row(i int, buf *RowBuf) (cols []int32, vals []float64) {
+	if a.RowPtr == nil {
+		return a.diaRow(i, buf)
+	}
+	lo, hi := a.RowPtr[i], a.RowPtr[i+1]
+	return a.Cols[lo:hi], a.Vals[lo:hi]
+}
+
+// diaRow is Row for an operator held as its diagonals.
+//
+//due:hotpath
+func (a *CSR) diaRow(i int, buf *RowBuf) ([]int32, []float64) {
+	// Held in locals, a's fields are not reloaded after every store into
+	// buf (≈ 25 % of a 27-diagonal gather).
+	offs := a.diaOffs
+	diags := a.diaVals[:len(offs)]
+	cols, vals := buf.cols[:len(offs)], buf.vals[:len(offs)]
+	k := 0
+	for d, o := range offs {
+		if v := diags[d][i]; !isPositiveZero(v) {
+			cols[k], vals[k] = int32(i+o), v
+			k++
+		}
+	}
+	return cols[:k], vals[:k]
+}
+
+// rowArrays returns fresh CSR arrays holding the rows Row reads: a copy
+// of the arrays, or the arrays of an operator held as its diagonals
+// rebuilt from them.
+func (a *CSR) rowArrays() (rowPtr, cols []int32, vals []float64) {
+	rowPtr = make([]int32, a.N+1)
+	cols, vals = make([]int32, 0, a.NNZ()), make([]float64, 0, a.NNZ())
+	var buf RowBuf
+	for i := 0; i < a.N; i++ {
+		c, v := a.Row(i, &buf)
+		cols, vals = append(cols, c...), append(vals, v...)
+		rowPtr[i+1] = int32(len(cols))
+	}
+	return rowPtr, cols, vals
 }
 
 // Triplet is a single (row, col, value) entry used to assemble matrices.
@@ -114,21 +200,91 @@ func NewCSRFromTriplets(n, m int, entries []Triplet) *CSR {
 	for i := 0; i < n; i++ {
 		hi := a.RowPtr[i]
 		a.RowPtr[i] = w
-		sortRow(cols[lo:hi], vals[lo:hi])
-		for k := lo; k < hi; k++ {
-			if w > a.RowPtr[i] && cols[w-1] == cols[k] {
-				vals[w-1] += vals[k]
-				continue
-			}
-			cols[w], vals[w] = cols[k], vals[k]
-			w++
-		}
+		m := mergeRow(cols[lo:hi], vals[lo:hi])
+		copy(cols[w:], cols[lo:lo+m])
+		copy(vals[w:], vals[lo:lo+m])
+		w += m
 		lo = hi
 	}
 	a.RowPtr[n] = w
 	a.Cols, a.Vals = cols[:w], vals[:w]
 	a.BuildShadows()
 	return a
+}
+
+// RowBuilder assembles a CSR matrix row by row, for generators that
+// produce their entries in row order: Add appends an entry to the
+// current row and EndRow closes it. A closed row is sorted by column,
+// stably, and its duplicates summed in input order — NewCSRFromTriplets'
+// rule — so a generator gets the same arrays bit for bit without
+// holding a triplet per entry.
+type RowBuilder struct {
+	n, m   int
+	rowPtr []int32
+	cols   []int32
+	vals   []float64
+}
+
+// NewRowBuilder starts an n×m matrix with room for nnz entries (the
+// arrays grow past it, so an exact count allocates them once).
+func NewRowBuilder(n, m, nnz int) *RowBuilder {
+	if err := CheckSize(n, m, nnz); err != nil {
+		panic(err.Error())
+	}
+	return &RowBuilder{n: n, m: m, rowPtr: make([]int32, 1, n+1),
+		cols: make([]int32, 0, nnz), vals: make([]float64, 0, nnz)}
+}
+
+// Add appends the entry (j, v) to the current row. A column out of range
+// panics.
+func (b *RowBuilder) Add(j int, v float64) {
+	if j < 0 || j >= b.m {
+		panic(fmt.Sprintf("sparse: column %d out of range for %dx%d matrix", j, b.n, b.m))
+	}
+	b.cols, b.vals = append(b.cols, int32(j)), append(b.vals, v)
+}
+
+// EndRow closes the current row.
+func (b *RowBuilder) EndRow() {
+	if len(b.rowPtr) > b.n {
+		panic(fmt.Sprintf("sparse: row %d past the end of a %dx%d matrix", len(b.rowPtr)-1, b.n, b.m))
+	}
+	if err := CheckSize(b.n, b.m, len(b.cols)); err != nil {
+		panic(err.Error())
+	}
+	start := b.rowPtr[len(b.rowPtr)-1]
+	w := start + mergeRow(b.cols[start:], b.vals[start:])
+	b.cols, b.vals = b.cols[:w], b.vals[:w]
+	b.rowPtr = append(b.rowPtr, w)
+}
+
+// Build returns the matrix, its shadows built, once all n rows are
+// closed. The builder is spent.
+func (b *RowBuilder) Build() *CSR {
+	if len(b.rowPtr) != b.n+1 {
+		panic(fmt.Sprintf("sparse: %d of %d rows built", len(b.rowPtr)-1, b.n))
+	}
+	a := &CSR{N: b.n, M: b.m, RowPtr: b.rowPtr, Cols: b.cols, Vals: b.vals}
+	*b = RowBuilder{}
+	a.BuildShadows()
+	return a
+}
+
+// mergeRow sorts one row's entries by column, stably, sums each run of
+// equal columns left to right into its first entry, and returns the
+// merged length m: the row is then cols[:m], vals[:m].
+func mergeRow(cols []int32, vals []float64) int32 {
+	sortRow(cols, vals)
+	var w int32
+	for k, c := range cols {
+		if w > 0 && cols[w-1] == c {
+			vals[w-1] += vals[k]
+			continue
+		}
+		cols[w], vals[w] = c, vals[k]
+		w++
+	}
+	return w
 }
 
 // sortRow sorts one row's entries by column, stably: by insertion, or
@@ -156,7 +312,12 @@ func sortRow(cols []int32, vals []float64) {
 }
 
 // NNZ returns the number of stored entries.
-func (a *CSR) NNZ() int { return len(a.Vals) }
+func (a *CSR) NNZ() int {
+	if a.diaOnly() {
+		return a.nnz
+	}
+	return len(a.Vals)
+}
 
 // Bytes is what the operator holds: Vals, Cols and RowPtr, the DIA
 // shadow's offsets and each distinct diagonal backing once (the two views
@@ -172,24 +333,31 @@ func (a *CSR) Bytes() int64 {
 
 // Validate checks structural invariants: monotone RowPtr, sorted in-row
 // columns, indices in range. It returns a descriptive error on violation.
+// The rows of an operator held as its diagonals hold them by
+// construction.
 func (a *CSR) Validate() error {
-	if len(a.RowPtr) != a.N+1 {
-		return fmt.Errorf("sparse: RowPtr length %d, want %d", len(a.RowPtr), a.N+1)
+	arrays := !a.diaOnly()
+	if arrays {
+		if len(a.RowPtr) != a.N+1 {
+			return fmt.Errorf("sparse: RowPtr length %d, want %d", len(a.RowPtr), a.N+1)
+		}
+		if a.RowPtr[0] != 0 {
+			return fmt.Errorf("sparse: RowPtr[0] = %d, want 0", a.RowPtr[0])
+		}
+		if int(a.RowPtr[a.N]) != len(a.Vals) || len(a.Cols) != len(a.Vals) {
+			return fmt.Errorf("sparse: RowPtr[N]=%d Cols=%d Vals=%d inconsistent", a.RowPtr[a.N], len(a.Cols), len(a.Vals))
+		}
 	}
-	if a.RowPtr[0] != 0 {
-		return fmt.Errorf("sparse: RowPtr[0] = %d, want 0", a.RowPtr[0])
-	}
-	if int(a.RowPtr[a.N]) != len(a.Vals) || len(a.Cols) != len(a.Vals) {
-		return fmt.Errorf("sparse: RowPtr[N]=%d Cols=%d Vals=%d inconsistent", a.RowPtr[a.N], len(a.Cols), len(a.Vals))
-	}
+	var buf RowBuf
 	for i := 0; i < a.N; i++ {
-		// The second test keeps the scan below inside Cols when a middle
-		// row overshoots (RowPtr [0,5,2] over two entries).
-		if a.RowPtr[i] > a.RowPtr[i+1] || int(a.RowPtr[i+1]) > len(a.Cols) {
+		// The second test keeps Row inside Cols when a middle row
+		// overshoots (RowPtr [0,5,2] over two entries).
+		if arrays && (a.RowPtr[i] > a.RowPtr[i+1] || int(a.RowPtr[i+1]) > len(a.Cols)) {
 			return fmt.Errorf("sparse: RowPtr not monotone at row %d", i)
 		}
 		prev := -1
-		for _, c32 := range a.Cols[a.RowPtr[i]:a.RowPtr[i+1]] {
+		cols, _ := a.Row(i, &buf)
+		for _, c32 := range cols {
 			c := int(c32)
 			if c < 0 || c >= a.M {
 				return fmt.Errorf("sparse: row %d column %d out of range", i, c)
@@ -205,9 +373,10 @@ func (a *CSR) Validate() error {
 
 // At returns the value at (i, j), zero when not stored.
 func (a *CSR) At(i, j int) float64 {
-	lo, hi := a.RowPtr[i], a.RowPtr[i+1]
-	if k, ok := slices.BinarySearch(a.Cols[lo:hi], int32(j)); ok {
-		return a.Vals[int(lo)+k]
+	var buf RowBuf
+	cols, vals := a.Row(i, &buf)
+	if k, ok := slices.BinarySearch(cols, int32(j)); ok {
+		return vals[k]
 	}
 	return 0
 }
@@ -262,11 +431,9 @@ func (a *CSR) rowSum(x []float64, i int) (s float64) {
 //
 //due:hotpath
 func (a *CSR) MulVecRangeExcludingCols(x, y []float64, lo, hi, exLo, exHi int) {
-	rp := a.RowPtr
+	var buf RowBuf
 	for i := lo; i < hi; i++ {
-		row := rp[i]
-		cols := a.Cols[row:rp[i+1]]
-		vals := a.Vals[row:rp[i+1]]
+		cols, vals := a.Row(i, &buf)
 		var s float64
 		for k, c := range cols {
 			if int(c) >= exLo && int(c) < exHi {
@@ -286,11 +453,9 @@ func (a *CSR) MulVecRangeExcludingCols(x, y []float64, lo, hi, exLo, exHi int) {
 //
 //due:hotpath
 func (a *CSR) MulVecRangeWithinCols(x, y []float64, lo, hi, inLo, inHi int) {
-	rp := a.RowPtr
+	var buf RowBuf
 	for i := lo; i < hi; i++ {
-		row := rp[i]
-		cols := a.Cols[row:rp[i+1]]
-		vals := a.Vals[row:rp[i+1]]
+		cols, vals := a.Row(i, &buf)
 		var s float64
 		for k, c := range cols {
 			if int(c) >= inLo && int(c) < inHi {
@@ -313,11 +478,9 @@ func (a *CSR) MulVecRangeWithinCols(x, y []float64, lo, hi, inLo, inHi int) {
 // multi-DUE recovery over k pages costs O(nnz + k log k), not O(nnz·k).
 func (a *CSR) MulVecRangeExcludingBlocks(x, y []float64, lo, hi int, exclude [][2]int) {
 	merged := mergeRanges(exclude)
-	rp := a.RowPtr
+	var buf RowBuf
 	for i := lo; i < hi; i++ {
-		row := rp[i]
-		cols := a.Cols[row:rp[i+1]]
-		vals := a.Vals[row:rp[i+1]]
+		cols, vals := a.Row(i, &buf)
 		var s float64
 		ex := 0
 		for k, c := range cols {
@@ -373,12 +536,12 @@ func mergeRanges(ranges [][2]int) [][2]int {
 func (a *CSR) DiagBlock(lo, hi int) *Dense {
 	k := hi - lo
 	d := NewDense(k, k)
+	var buf RowBuf
 	for i := lo; i < hi; i++ {
-		end := a.RowPtr[i+1]
-		for p := a.RowPtr[i]; p < end; p++ {
-			c := int(a.Cols[p])
-			if c >= lo && c < hi {
-				d.Set(i-lo, c-lo, a.Vals[p])
+		cols, vals := a.Row(i, &buf)
+		for p, c32 := range cols {
+			if c := int(c32); c >= lo && c < hi {
+				d.Set(i-lo, c-lo, vals[p])
 			}
 		}
 	}
@@ -404,10 +567,11 @@ func (a *CSR) IsSymmetric(tol float64) bool {
 	if a.N != a.M {
 		return false
 	}
+	var buf RowBuf
 	for i := 0; i < a.N; i++ {
-		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-			j := int(a.Cols[k])
-			v, w := a.Vals[k], a.At(j, i)
+		cols, vals := a.Row(i, &buf)
+		for k, c := range cols {
+			v, w := vals[k], a.At(int(c), i)
 			scale := math.Max(math.Abs(v), math.Abs(w))
 			if scale == 0 {
 				continue
@@ -423,21 +587,25 @@ func (a *CSR) IsSymmetric(tol float64) bool {
 // Transpose returns a new CSR holding Aᵀ.
 func (a *CSR) Transpose() *CSR {
 	t := &CSR{N: a.M, M: a.N, RowPtr: make([]int32, a.M+1)}
-	t.Cols = make([]int32, len(a.Cols))
-	t.Vals = make([]float64, len(a.Vals))
-	for _, c := range a.Cols {
-		t.RowPtr[c+1]++
+	t.Cols = make([]int32, a.NNZ())
+	t.Vals = make([]float64, a.NNZ())
+	var buf RowBuf
+	for i := 0; i < a.N; i++ {
+		cols, _ := a.Row(i, &buf)
+		for _, c := range cols {
+			t.RowPtr[c+1]++
+		}
 	}
 	for i := 0; i < t.N; i++ {
 		t.RowPtr[i+1] += t.RowPtr[i]
 	}
 	next := slices.Clone(t.RowPtr[:t.N])
 	for i := 0; i < a.N; i++ {
-		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-			c := a.Cols[k]
+		cols, vals := a.Row(i, &buf)
+		for k, c := range cols {
 			pos := next[c]
 			t.Cols[pos] = int32(i)
-			t.Vals[pos] = a.Vals[k]
+			t.Vals[pos] = vals[k]
 			next[c]++
 		}
 	}
@@ -445,29 +613,34 @@ func (a *CSR) Transpose() *CSR {
 	return t
 }
 
-// Clone returns a deep copy of the matrix.
+// Clone returns a deep copy of the matrix: its rows in fresh arrays
+// (rebuilt from the diagonals of an operator held as them), shadows
+// built anew.
 func (a *CSR) Clone() *CSR {
 	b := &CSR{N: a.N, M: a.M}
-	b.RowPtr = slices.Clone(a.RowPtr)
-	b.Cols = slices.Clone(a.Cols)
-	b.Vals = slices.Clone(a.Vals)
+	b.RowPtr, b.Cols, b.Vals = a.rowArrays()
 	b.BuildShadows()
 	return b
 }
 
 // RowNNZ returns the number of stored entries in row i.
-func (a *CSR) RowNNZ(i int) int { return int(a.RowPtr[i+1] - a.RowPtr[i]) }
+func (a *CSR) RowNNZ(i int) int {
+	var buf RowBuf
+	cols, _ := a.Row(i, &buf)
+	return len(cols)
+}
 
 // OffBlockRowAbsSum returns sum_{j outside [lo,hi)} |A[i][j]| for row i.
 // It is used to compute the contraction constant of Theorem 1.
 func (a *CSR) OffBlockRowAbsSum(i, lo, hi int) float64 {
 	var s float64
-	for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-		c := int(a.Cols[k])
-		if c >= lo && c < hi {
+	var buf RowBuf
+	cols, vals := a.Row(i, &buf)
+	for k, c := range cols {
+		if int(c) >= lo && int(c) < hi {
 			continue
 		}
-		s += math.Abs(a.Vals[k])
+		s += math.Abs(vals[k])
 	}
 	return s
 }

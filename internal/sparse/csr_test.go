@@ -294,11 +294,20 @@ func TestTranspose(t *testing.T) {
 	}
 }
 
+// TestClone: a clone shares nothing with its original, whether the
+// original is held as its diagonals (smallTestMatrix is) or as arrays.
 func TestClone(t *testing.T) {
 	a := smallTestMatrix()
 	b := a.Clone()
+	b.DisableShadow("dia")
 	b.Vals[0] = 99
-	if a.Vals[0] == 99 {
+	if a.At(0, 0) == 99 {
+		t.Fatal("Clone aliases original")
+	}
+	c := b.Clone()
+	c.DisableShadow("dia")
+	c.Vals[0] = 7
+	if b.Vals[0] != 99 {
 		t.Fatal("Clone aliases original")
 	}
 }
@@ -324,6 +333,7 @@ func TestRowNNZ(t *testing.T) {
 
 func TestValidateDetectsCorruption(t *testing.T) {
 	a := smallTestMatrix()
+	a.DisableShadow("dia")                      // the arrays to corrupt
 	a.Cols[0], a.Cols[1] = a.Cols[1], a.Cols[0] // break ordering
 	if err := a.Validate(); err == nil {
 		t.Fatal("Validate missed unsorted columns")

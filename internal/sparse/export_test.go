@@ -95,3 +95,12 @@ func (c *BlockSolverCache) CoupledSolver(blocks []int) (BlockSolver, error) {
 // DIABackings counts the distinct arrays behind a's DIA shadow: one per
 // diagonal, less one per mirrored pair that shares (0 without the shadow).
 func DIABackings(a *CSR) int { return len(diaBackings(a.diaVals)) }
+
+// WithArrays is a's twin with its CSR arrays kept: an operator held as
+// its diagonals gets them rebuilt from the diagonals. Reference loops
+// read the twin's arrays, not the row view under test.
+func WithArrays(a *CSR) *CSR {
+	b := a.Clone()
+	b.DisableShadow("dia")
+	return b
+}

@@ -167,18 +167,18 @@ func TestPropertyExcludingBlocksMergedCursor(t *testing.T) {
 		a.MulVecRangeExcludingBlocks(x, got, rlo, rhi, exclude)
 
 		// Brute force reference (the pre-merge implementation).
-		want := make([]float64, rhi-rlo)
+		want, ref := make([]float64, rhi-rlo), WithArrays(a)
 		for i := rlo; i < rhi; i++ {
 			var s float64
 		scan:
-			for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-				c := a.Cols[k]
+			for k := ref.RowPtr[i]; k < ref.RowPtr[i+1]; k++ {
+				c := ref.Cols[k]
 				for _, ex := range exclude {
 					if int(c) >= ex[0] && int(c) < ex[1] {
 						continue scan
 					}
 				}
-				s += a.Vals[k] * x[c]
+				s += ref.Vals[k] * x[c]
 			}
 			want[i-rlo] = s
 		}

@@ -33,10 +33,12 @@ func symBand(n int, offs []int, seed int64) *sparse.CSR {
 // v is NaN.
 func with(a *sparse.CSR, i, j int, v float64) *sparse.CSR {
 	tr := []sparse.Triplet{}
+	var buf sparse.RowBuf
 	for r := 0; r < a.N; r++ {
-		for p := a.RowPtr[r]; p < a.RowPtr[r+1]; p++ {
-			if c := int(a.Cols[p]); r != i || c != j {
-				tr = append(tr, sparse.Triplet{Row: r, Col: c, Val: a.Vals[p]})
+		cols, vals := a.Row(r, &buf)
+		for p, c32 := range cols {
+			if c := int(c32); r != i || c != j {
+				tr = append(tr, sparse.Triplet{Row: r, Col: c, Val: vals[p]})
 			}
 		}
 	}
@@ -95,6 +97,7 @@ func TestMirroredDiagonalsShareAndMatchCSR(t *testing.T) {
 // unsymValues is symBand's pattern with every entry its own draw.
 func unsymValues(n int, offs []int) *sparse.CSR {
 	a := symBand(n, offs, 5)
+	a.DisableShadow("dia") // the arrays to redraw
 	rng := rand.New(rand.NewSource(11))
 	for p := range a.Vals {
 		a.Vals[p] = rng.NormFloat64()

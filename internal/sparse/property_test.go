@@ -71,8 +71,9 @@ func TestPropertyTransposeInvolution(t *testing.T) {
 		if att.N != a.N || att.NNZ() != a.NNZ() {
 			return false
 		}
-		for i := range a.Vals {
-			if att.Vals[i] != a.Vals[i] || att.Cols[i] != a.Cols[i] {
+		ra, rt := WithArrays(a), WithArrays(att)
+		for i := range ra.Vals {
+			if rt.Vals[i] != ra.Vals[i] || rt.Cols[i] != ra.Cols[i] {
 				return false
 			}
 		}

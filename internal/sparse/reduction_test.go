@@ -36,9 +36,11 @@ func cancelVec(rng *rand.Rand, n int) []float64 {
 func cancelOperator(rng *rand.Rand, a *CSR) *CSR {
 	tr := make([]Triplet, 0, a.NNZ())
 	palette := []float64{1, -1, 2, 0.5}
+	var buf RowBuf
 	for i := 0; i < a.N; i++ {
-		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-			tr = append(tr, Triplet{i, int(a.Cols[k]), palette[rng.Intn(len(palette))]})
+		cols, _ := a.Row(i, &buf)
+		for _, c := range cols {
+			tr = append(tr, Triplet{i, int(c), palette[rng.Intn(len(palette))]})
 		}
 	}
 	return NewCSRFromTriplets(a.N, a.N, tr)

@@ -268,12 +268,16 @@ func (a *CSR) ShadowName() string {
 
 // DisableShadow drops the named shadow ("dia" or "sell") so benchmarks
 // and tests can compare dispatch tiers on the same matrix. Dropping "dia"
-// does not resurrect a SELL shadow the DIA build suppressed; call
+// from an operator held as its diagonals first rebuilds its CSR arrays
+// from them; it does not resurrect a SELL shadow the DIA build suppressed; call
 // buildSELL by hand for that. "int32" is accepted and does nothing: the
 // CSR arrays are the int32 tier.
 func (a *CSR) DisableShadow(name string) {
 	switch name {
 	case "dia":
+		if a.diaOnly() {
+			a.RowPtr, a.Cols, a.Vals = a.rowArrays()
+		}
 		a.diaOffs, a.diaVals = nil, nil
 	case "sell":
 		a.sellPtr, a.sellWin = nil, nil

@@ -3,7 +3,7 @@ package sparse
 // MulMatRange computes rows [lo, hi) of the product of A with the
 // interleaved n-by-b multivector x (element (i, j) at x[i*b+j]), writing
 // into the same layout in y: y[i*b+j] = sum_k A[i][k] * x[k*b+j]. One
-// generic row loop over the CSR arrays: per column it visits a row's
+// generic row loop over the rows Row reads: per column it visits a row's
 // nonzeros in ascending column order from +0.0, the order of every
 // MulVecRange shadow, so each column of y is bitwise an independent
 // MulVecRange over that column. No solver calls it — DESIGN §11 says why
@@ -11,11 +11,9 @@ package sparse
 //
 //due:hotpath
 func (a *CSR) MulMatRange(x, y []float64, b, lo, hi int) {
-	rp := a.RowPtr
+	var buf RowBuf
 	for i := lo; i < hi; i++ {
-		row := rp[i]
-		cols := a.Cols[row:rp[i+1]]
-		vals := a.Vals[row:rp[i+1]]
+		cols, vals := a.Row(i, &buf)
 		yr := y[i*b : i*b+b : i*b+b]
 		for j := range yr {
 			yr[j] = 0
