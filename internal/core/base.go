@@ -42,6 +42,18 @@ type solverBase struct {
 	resilient bool      // FEIR or AFEIR
 	scratch   []float64 // one page of recovery scratch
 	resid     []float64 // full-length true-residual scratch (reused)
+
+	// The recovery interpreter's state (recovery.go): the version the
+	// running phase produces, which repair rows read theirs relative to,
+	// and the coupled rows' group scratch.
+	ver    int64
+	group  []int
+	stamps []engine.Stamps // every stamped vector's (see stamped)
+	// restartFrom is the solver's own restart from x after the Lossy
+	// step, leaving every vector current at the given version; rollback
+	// is Checkpoint's (CG), nil for a solver with no snapshot protocol.
+	restartFrom func(ver int64)
+	rollback    func()
 }
 
 // init checks the system and builds everything but the vectors, which
@@ -118,6 +130,27 @@ func (s *solverBase) open(guarded bool) (release func()) {
 	return release
 }
 
+// stamped adds a protected vector to the space with its version stamps.
+func (s *solverBase) stamped(name string) (*pagemem.Vector, engine.Stamps) {
+	st := engine.NewStamps(s.np)
+	s.stamps = append(s.stamps, st)
+	return s.space.AddVector(name), st
+}
+
+// fillStamps stores ver into every page stamp of every stamped vector.
+func (s *solverBase) fillStamps(ver int64) {
+	for _, st := range s.stamps {
+		st.Fill(ver)
+	}
+}
+
+// DynamicVectors lists the vectors the paper's injections cover (§5.3):
+// every vector of the fault domain — the Krylov vectors, not constant
+// data or resilience metadata — in the order the solver added them.
+func (s *solverBase) DynamicVectors() []*pagemem.Vector {
+	return append([]*pagemem.Vector(nil), s.space.Vectors()...)
+}
+
 // Space returns the fault domain: error injectors target its vectors.
 func (s *solverBase) Space() *pagemem.Space { return s.space }
 
@@ -178,9 +211,10 @@ func (s *solverBase) result(it int, converged bool, final float64, start time.Ti
 // lossyRestart is the Lossy step (§4.3) and every solver's one endgame
 // for a loss no Table 1 relation can rebuild (§2.4): one block-Jacobi
 // interpolation of the listed iterate pages, then the solver's own
-// restart from x, which rebuilds everything else. A page whose block
-// system cannot be solved is blanked and counted in Stats.Unrecovered.
-func (s *solverBase) lossyRestart(pages []int, restart func()) {
+// restart from x at the running version, which rebuilds everything
+// else. A page whose block system cannot be solved is blanked and counted
+// in Stats.Unrecovered.
+func (s *solverBase) lossyRestart(pages []int) {
 	if len(pages) > 0 && LossyInterpolate(s.a, s.layout, s.blocks, s.b, s.x.Data, pages) {
 		s.stats.LossyInterpolations += len(pages)
 		for _, p := range pages {
@@ -193,6 +227,6 @@ func (s *solverBase) lossyRestart(pages []int, restart func()) {
 			s.stats.Unrecovered++
 		}
 	}
-	restart()
+	s.restartFrom(s.ver)
 	s.stats.Restarts++
 }

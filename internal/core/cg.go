@@ -53,25 +53,24 @@ type CG struct {
 	// the next iteration, set by restart-style recoveries.
 	restartPending bool
 
+	// Recovery wiring (Figure 1(b)): r1 repairs the direction/matvec
+	// pipeline before the α scalar, r2/r3 the iterate, residual and ε
+	// partials before β and at the iteration's end (reconcile).
+	dCur, dPrev engine.Vec // iteration ver's direction buffers
+	tab1, tab2  repairTable
+
 	// Prepared steady-state task graph (built once in Run): the same
 	// handles are replayed every iteration, so the hot loop performs zero
-	// allocations. The task bodies read the iter* fields below, which the
-	// coordinator writes before each submission (the run-queue handoff
-	// provides the happens-before edge).
+	// allocations. The task bodies read ver, iterBeta and dCur/dPrev,
+	// which the coordinator writes before each submission (the run-queue
+	// handoff provides the happens-before edge).
 	prep struct {
 		d, q, x, g *engine.Prepared // fused: q carries <d,q>, g carries ε (and z, <z,g>)
-		r1o, r23o  *engine.Prepared // overlapped recoveries (AFEIR, prio -1)
-		r1c, r23c  *engine.Prepared // critical-path recoveries (FEIR)
+		r1, r23    recoveryTask
 		r1After    []*taskrt.Handle // d+q handles (prebuilt: stable)
 		r23After   []*taskrt.Handle // x+g handles
-		// Every handle of a phase, overlapped recovery included, so a phase
-		// boundary is one WaitAll. A replay that does not submit the
-		// recovery finds its handle finished already.
-		phase1, phase2 []*taskrt.Handle
 	}
-	iterVer           int64
-	iterBeta          float64
-	iterCur, iterPrev int
+	iterBeta float64
 }
 
 // NewCG builds a resilient CG solver for the SPD system A x = b.
@@ -80,25 +79,18 @@ func NewCG(a *sparse.CSR, b []float64, cfg Config) (*CG, error) {
 	if err := s.init(a, b, cfg, true); err != nil {
 		return nil, err
 	}
-	s.x = s.space.AddVector("x")
-	s.g = s.space.AddVector("g")
-	s.q = s.space.AddVector("q")
-	s.d[0] = s.space.AddVector("d0")
-	s.xS = engine.NewStamps(s.np)
-	s.gS = engine.NewStamps(s.np)
-	s.qS = engine.NewStamps(s.np)
-	s.dS[0] = engine.NewStamps(s.np)
+	s.x, s.xS = s.stamped("x")
+	s.g, s.gS = s.stamped("g")
+	s.q, s.qS = s.stamped("q")
+	s.d[0], s.dS[0] = s.stamped("d0")
 	s.doubleBuffer = s.resilient
 	if s.doubleBuffer {
-		s.d[1] = s.space.AddVector("d1")
-		s.dS[1] = engine.NewStamps(s.np)
+		s.d[1], s.dS[1] = s.stamped("d1")
 	} else {
-		s.d[1] = s.d[0]
-		s.dS[1] = s.dS[0]
+		s.d[1], s.dS[1] = s.d[0], s.dS[0]
 	}
 	if cfg.UsePrecond {
-		s.z = s.space.AddVector("z")
-		s.zS = engine.NewStamps(s.np)
+		s.z, s.zS = s.stamped("z")
 	}
 	s.abft = cfg.ABFT && s.resilient
 	s.dqPart = engine.NewPartial(s.np)
@@ -109,27 +101,104 @@ func NewCG(a *sparse.CSR, b []float64, cfg Config) (*CG, error) {
 			v.EnableChecksums()
 		}
 	}
+	s.restartFrom = s.restart
+	if cfg.Method == MethodCheckpoint {
+		s.rollback = func() { s.ck.rollback(s) }
+	}
+	s.setVersion(0)
+	s.wire()
 	return s, nil
 }
 
-// DynamicVectors lists the vectors the paper's injections cover (§5.3):
-// the Krylov vectors, excluding constant data and resilience metadata.
-func (s *CG) DynamicVectors() []*pagemem.Vector {
-	vs := []*pagemem.Vector{s.x, s.g, s.q, s.d[0]}
-	if s.doubleBuffer {
-		vs = append(vs, s.d[1])
+// wire declares CG's recovery (Figure 1(b), Table 1 rows 1 and 3): the
+// r1 table repairs the phase-1 inputs at ver-1 and the direction/matvec
+// pair at ver, the r2/r3 table the iterate/residual pair (and z) at ver
+// and the late damage to d and q. dCur and dPrev are the solver's fields,
+// which follow the double buffering. The <d,q> reductions read d and q,
+// the ε reductions g and z.
+func (s *CG) wire() {
+	x, g, q, z := vec(s.x, s.xS), vec(s.g, s.gS), vec(s.q, s.qS), vec(s.z, s.zS)
+	src := &g // the d update's input: g, or z when preconditioned
+	rows := []repairRow{s.residualRow(&g, &x, -1, false)}
+	if s.pre != nil {
+		src = &z
+		rows = append(rows, s.precondRow(&z, -1, &g, -1, false))
 	}
-	if s.z != nil {
-		vs = append(vs, s.z)
+	s.tab1.rows = append(rows,
+		// The old direction, inverse through the old q that double
+		// buffering preserves (needed only when β ≠ 0).
+		repairRow{v: &s.dPrev, off: -1, kind: relInverse, try: func(p int) bool {
+			return s.iterBeta != 0 && !s.dPrev.Current(p, s.ver-1) && s.rel.InverseDirection(s.dPrev, s.ver-1, q, s.ver-1, p)
+		}},
+		// d = src + βd', else inverse through q.
+		repairRow{v: &s.dCur, kind: relForward, late: true, try: func(p int) bool {
+			ver, beta := s.ver, s.iterBeta
+			if s.dCur.Current(p, ver) || !src.Current(p, ver-1) || (beta != 0 && !s.dPrev.Current(p, ver-1)) {
+				return false
+			}
+			lo, hi := s.layout.Range(p)
+			if beta == 0 {
+				copy(s.dCur.V.Data[lo:hi], src.V.Data[lo:hi])
+			} else {
+				sparse.XpbyOutRange(src.V.Data, beta, s.dPrev.V.Data, s.dCur.V.Data, lo, hi)
+			}
+			return s.forwarded(s.dCur, p, ver)
+		}},
+		s.directionRow(&s.dCur, 0, &q, 0, true),
+		s.spmvRow(&q, 0, &s.dCur, 0, true),
+		// §2.4: direction pages stuck because a connected page is lost
+		// too, but with current q — the current direction, else the old
+		// one through the old q.
+		repairRow{v: &s.dCur, kind: relCoupled, late: true,
+			member: func(p int) bool { return !s.dCur.Current(p, s.ver) && q.Current(p, s.ver) },
+			solve:  func(group []int) bool { return s.rel.CoupledDirection(s.dCur, s.ver, q, s.ver, group) }},
+		repairRow{v: &s.dPrev, off: -1, kind: relCoupled,
+			member: func(p int) bool {
+				return s.iterBeta != 0 && !s.dPrev.Current(p, s.ver-1) && q.Current(p, s.ver-1)
+			},
+			solve: func(group []int) bool { return s.rel.CoupledDirection(s.dPrev, s.ver-1, q, s.ver-1, group) }})
+	s.tab1.fills = []backFill{{part: s.dqPart, x: &s.dCur, y: &q}}
+
+	rows = []repairRow{
+		// x: the update re-run when skipped, the inverse when lost.
+		{v: &x, kind: relForward, try: func(p int) bool {
+			if s.x.Failed(p) || s.xS[p].Load() != s.ver-1 || !s.dCur.Current(p, s.ver) {
+				return false
+			}
+			lo, hi := s.layout.Range(p)
+			sparse.AxpyRange(s.alpha, s.dCur.V.Data, s.x.Data, lo, hi)
+			return s.forwarded(x, p, s.ver)
+		}},
+		s.iterateRow(&x, &g, 0),
+		// g: b - A x when lost, the update re-run when skipped.
+		s.residualRow(&g, &x, 0, true),
+		{v: &g, kind: relForward, try: func(p int) bool {
+			if s.g.Failed(p) || s.gS[p].Load() != s.ver-1 || !q.Current(p, s.ver) {
+				return false
+			}
+			lo, hi := s.layout.Range(p)
+			sparse.AxpyRange(-s.alpha, s.q.Data, s.g.Data, lo, hi)
+			return s.forwarded(g, p, s.ver)
+		}},
 	}
-	return vs
+	s.tab2.fills = []backFill{{part: s.ggPart, x: &g, y: &g}}
+	if s.pre != nil {
+		rows = append(rows, s.precondRow(&z, 0, &g, 0, true))
+		s.tab2.fills = append(s.tab2.fills, backFill{part: s.zgPart, x: &z, y: &g})
+	}
+	// Late damage to the phase-1 outputs, needed next iteration.
+	s.tab2.rows = append(rows, s.directionRow(&s.dCur, 0, &q, 0, false), s.spmvRow(&q, 0, &s.dCur, 0, false),
+		repairRow{v: &x, kind: relCoupled,
+			member: func(p int) bool { return s.x.Failed(p) && g.Current(p, s.ver) },
+			solve:  func(group []int) bool { return s.rel.CoupledIterate(x, s.ver, g, s.ver, group) }})
 }
 
-// captureSDC folds the space's SDC counter deltas (relative to this Run's
-// start) into the stats before a Result snapshot is built.
-func (s *CG) captureSDC() {
+// result folds the space's SDC counter deltas (relative to this Run's
+// start) into the stats before the Result snapshot is built.
+func (s *CG) result(it int, converged bool, final float64, start time.Time) Result {
 	s.stats.SDCInjected = int(s.space.SDCInjected() - s.sdcInjBase)
 	s.stats.SDCDetected = int(s.space.SDCDetected() - s.sdcDetBase)
+	return s.solverBase.result(it, converged, final, start)
 }
 
 // Solution returns the iterate vector's backing array. Only valid after
@@ -152,13 +221,6 @@ func (s *CG) SetOnIteration(f func(it int, relRes float64)) { s.cfg.OnIteration 
 // the prepared task bodies keep their reference to the same backing array,
 // so a pooled instance serves a new RHS without rebuilding anything.
 func (s *CG) Rebind(b []float64) error { return s.rebind(b) }
-
-// fillStamps stores ver into every page stamp of every vector.
-func (s *CG) fillStamps(ver int64) {
-	for _, st := range []engine.Stamps{s.xS, s.gS, s.qS, s.dS[0], s.dS[1], s.zS} {
-		st.Fill(ver)
-	}
-}
 
 // resetState returns the instance to its pre-Run state so a pooled solver
 // can serve a fresh request: failed pages remapped, vectors zeroed, stamps
@@ -184,16 +246,6 @@ func (s *CG) resetState() {
 
 // vec couples a solver vector with its stamps for the engine operations.
 func vec(v *pagemem.Vector, st engine.Stamps) engine.Vec { return engine.Vec{V: v, S: st} }
-
-// buffers returns iteration t's current and previous direction buffers:
-// Listing 2's double buffering, or the one buffer of the unguarded
-// methods.
-func (s *CG) buffers(t int64) (cur, prev int) {
-	if !s.doubleBuffer {
-		return 0, 0
-	}
-	return int(t % 2), int((t + 1) % 2)
-}
 
 // Run executes the solve and returns its Result. Run may be called
 // repeatedly (with Rebind in between to change the RHS): with Config.RT
@@ -230,7 +282,6 @@ func (s *CG) Run() (Result, error) {
 	var final float64 // the true residual of the check that accepted x
 	for t = 0; t < maxIter; t++ {
 		if s.cfg.Cancelled != nil && s.cfg.Cancelled() {
-			s.captureSDC()
 			return s.result(t, false, 0, start), ErrCancelled
 		}
 		rel := relFromEpsilon(s.epsGG, s.bnorm)
@@ -248,7 +299,6 @@ func (s *CG) Run() (Result, error) {
 				break
 			}
 			if err != nil {
-				s.captureSDC()
 				return s.result(t, false, 0, start), err
 			}
 			// Recurrence said converged but the true residual disagrees:
@@ -264,8 +314,7 @@ func (s *CG) Run() (Result, error) {
 
 		// ---------------- Phase 1: d, q, <d,q> (+ r1) ----------------
 		ver := int64(t)
-		s.runPhase1(ver)
-		if s.boundary(ver) {
+		if s.runPhase1(ver) {
 			continue
 		}
 		dq, missing := s.dqPart.SumAvailable()
@@ -281,8 +330,7 @@ func (s *CG) Run() (Result, error) {
 		}
 
 		// ---------------- Phase 2: x, g, z, eps (+ r2/r3) -------------
-		s.runPhase2(ver)
-		if s.boundary(ver) {
+		if s.runPhase2(ver) {
 			continue
 		}
 		gg, missingGG := s.ggPart.SumAvailable()
@@ -307,11 +355,10 @@ func (s *CG) Run() (Result, error) {
 		s.restartPending = false
 
 		if s.resilient {
-			s.reconcile(ver)
+			s.reconcile(&s.tab2)
 		}
 	}
 
-	s.captureSDC()
 	return s.result(t, converged, final, start), nil
 }
 
@@ -328,9 +375,8 @@ func (s *CG) buildPrepared() {
 	// skipped pages keep their old version, produced pages revalidate.
 	//due:hotpath
 	s.prep.d = e.Prepare("d", prio, func(_, pLo, pHi int) {
-		ver, beta := s.iterVer, s.iterBeta
-		dCur := vec(s.d[s.iterCur], s.dS[s.iterCur])
-		dPrev := vec(s.d[s.iterPrev], s.dS[s.iterPrev])
+		ver, beta := s.ver, s.iterBeta
+		dCur, dPrev := s.dCur, s.dPrev
 		src := vec(s.g, s.gS)
 		if s.pre != nil {
 			src = vec(s.z, s.zS)
@@ -374,9 +420,8 @@ func (s *CG) buildPrepared() {
 	// values, pairing with dPrev.
 	//due:hotpath
 	s.prep.q = e.Prepare("q,<d,q>", prio, func(_, pLo, pHi int) {
-		ver := s.iterVer
-		dCur := vec(s.d[s.iterCur], s.dS[s.iterCur])
-		in := engine.In(dCur, ver)
+		ver := s.ver
+		in := engine.In(s.dCur, ver)
 		out := engine.Operand{Vec: vec(s.q, s.qS), Ver: ver}
 		for p := pLo; p < pHi; p++ {
 			lo, hi := s.layout.Range(p)
@@ -393,8 +438,8 @@ func (s *CG) buildPrepared() {
 	// detected for the boundary scramble.
 	//due:hotpath
 	s.prep.x = e.Prepare("x", prio, func(_, pLo, pHi int) {
-		ver, alpha := s.iterVer, s.alpha
-		dCur := vec(s.d[s.iterCur], s.dS[s.iterCur])
+		ver, alpha := s.ver, s.alpha
+		dCur := s.dCur
 		xV := vec(s.x, s.xS)
 		for p := pLo; p < pHi; p++ {
 			if e.Resilient && (!xV.Current(p, ver-1) || !dCur.Current(p, ver)) {
@@ -431,7 +476,7 @@ func (s *CG) buildPrepared() {
 	}
 	//due:hotpath
 	s.prep.g = e.Prepare(gLabel, prio, func(_, pLo, pHi int) {
-		ver, alpha := s.iterVer, s.alpha
+		ver, alpha := s.ver, s.alpha
 		qIn := engine.In(vec(s.q, s.qS), ver)
 		gOp := engine.Operand{Vec: vec(s.g, s.gS), Ver: ver}
 		zOp := engine.Operand{Vec: vec(s.z, s.zS), Ver: ver}
@@ -454,56 +499,36 @@ func (s *CG) buildPrepared() {
 			e.DotPartialPage(p, lo, hi, zOp, gOp, s.zgPart)
 		}
 	})
-	// Recovery tasks: overlapped at low priority (AFEIR, Fig 2b) and
-	// critical-path (FEIR, Fig 2a) variants of r1 and r2/r3.
-	r1 := func(allowLate bool) func() {
-		return func() { s.recoverPhase1(s.iterVer, s.iterBeta, s.iterCur, s.iterPrev, allowLate) }
-	}
-	r23 := func(allowLate bool) func() {
-		return func() { s.recoverPhase2(s.iterVer, s.iterCur, allowLate) }
-	}
-	//due:recovery
-	s.prep.r1o = e.PrepareSingle("r1", s.cfg.OverlapPriority(), r1(false))
-	//due:recovery
-	s.prep.r23o = e.PrepareSingle("r2r3", s.cfg.OverlapPriority(), r23(false))
-	//due:allow(priority-clamp) FEIR recovery is critical-path by design (Fig 2a): the coordinator blocks on it, so it runs at the compute tier, not below it
-	//due:recovery
-	s.prep.r1c = e.PrepareSingle("r1", prio, r1(true))
-	//due:allow(priority-clamp) FEIR recovery is critical-path by design (Fig 2a): the coordinator blocks on it, so it runs at the compute tier, not below it
-	//due:recovery
-	s.prep.r23c = e.PrepareSingle("r2r3", prio, r23(true))
+	s.prep.r1 = s.prepareRecovery("r1", prio, &s.tab1)
+	s.prep.r23 = s.prepareRecovery("r2r3", prio, &s.tab2)
 
 	// Prebuilt dependency lists: prepared handles are stable objects, so
 	// the concatenations are allocated once.
 	s.prep.r1After = append(append([]*taskrt.Handle{}, s.prep.d.Handles()...), s.prep.q.Handles()...)
 	s.prep.r23After = append(append([]*taskrt.Handle{}, s.prep.x.Handles()...), s.prep.g.Handles()...)
-	s.prep.phase1 = append(append([]*taskrt.Handle{}, s.prep.r1After...), s.prep.r1o.Handles()...)
-	s.prep.phase2 = append(append([]*taskrt.Handle{}, s.prep.r23After...), s.prep.r23o.Handles()...)
 }
 
-// runPhase1 replays the prepared d-update and fused q/<d,q> tasks, waits
-// for them, and runs the r1 recovery if a page is damaged.
-func (s *CG) runPhase1(ver int64) {
-	cur, prev := s.buffers(ver)
-	beta := s.beta
+// runPhase1 replays the prepared d-update and fused q/<d,q> tasks and
+// ends the phase (r1 if a page is damaged, the boundary); it reports
+// whether the iteration was consumed.
+func (s *CG) runPhase1(ver int64) bool {
+	s.setVersion(ver)
+	s.iterBeta = s.beta
 	if s.restartPending {
-		beta = 0
+		s.iterBeta = 0
 	}
-	s.iterVer, s.iterBeta, s.iterCur, s.iterPrev = ver, beta, cur, prev
 	s.dqPart.ResetMissing()
 	s.sites.Open(int(ver))
 
 	dH := s.prep.d.Submit(nil)
 	s.prep.q.Submit(dH)
-	s.runRecovery(s.prep.r1o, s.prep.r1c, s.prep.r1After, s.prep.phase1)
+	return s.endPhase(s.prep.r1, nil, s.prep.r1After, s.prep.r1After)
 }
 
 // runPhase2 replays the prepared x update and the fused g/ε (z, <z,g>)
-// tasks — one wave —, waits, and runs the r2/r3 recovery if a page is
-// damaged.
-func (s *CG) runPhase2(ver int64) {
-	s.iterVer = ver
-	s.iterCur, _ = s.buffers(ver)
+// tasks — one wave — and ends the phase like runPhase1.
+func (s *CG) runPhase2(ver int64) bool {
+	s.setVersion(ver)
 	s.ggPart.ResetMissing()
 	if s.pre != nil {
 		s.zgPart.ResetMissing()
@@ -512,69 +537,16 @@ func (s *CG) runPhase2(ver int64) {
 
 	s.prep.x.Submit(nil)
 	s.prep.g.Submit(nil)
-	s.runRecovery(s.prep.r23o, s.prep.r23c, s.prep.r23After, s.prep.phase2)
+	return s.endPhase(s.prep.r23, nil, s.prep.r23After, s.prep.r23After)
 }
 
-// runRecovery waits for a phase and runs its repair only once a page is
-// damaged (§5.2/§7). Damage present when the phase starts: AFEIR submits
-// the overlapped repair (lower priority, ordered after the phase's
-// producers, Fig 2b). Damage that shows up during the phase — an ABFT
-// detection poisons a page mid-phase — is repaired once the phase
-// finished: FEIR's critical repair with late rights (Fig 2a), or AFEIR's
-// overlapped body without them. The latter sees exactly what the
-// overlapped task would have seen, since that task starts only after
-// every producer of the phase.
-func (s *CG) runRecovery(overlapped, critical *engine.Prepared, after, phase []*taskrt.Handle) {
-	afeir := s.cfg.Method == MethodAFEIR
-	early := afeir && s.space.AnyFault()
-	if early {
-		overlapped.Submit(after)
-	}
-	s.rt.WaitAll(phase)
-	if early || !s.resilient || !s.space.AnyFault() {
-		return
-	}
-	if afeir {
-		critical = overlapped
-	}
-	critical.Submit(nil)
-	critical.Wait()
-}
-
-// boundary is a task-phase boundary: all workers are quiescent. The fault
-// sites close until the next phase, pending data losses take effect, and
-// the non-exact methods react to any visible fault. It reports whether a
-// restart-style recovery consumed the iteration.
-func (s *CG) boundary(ver int64) (skip bool) {
-	s.sites.Close()
-	s.applyPending()
-	if !s.space.AnyFault() {
-		return false
-	}
-	switch s.cfg.Method {
-	case MethodIdeal, MethodTrivial:
-		// Blank-page forward recovery (§4.1): keep running.
-		blankAllFailed(s.space)
-	case MethodLossy:
-		s.lossyRestart(s.x.FailedPages(), func() { s.restart(ver) })
-		return true
-	case MethodCheckpoint:
-		s.ck.rollback(s)
-		return true
-	}
-	// FEIR/AFEIR: handled by the recovery tasks and reconcile.
-	return false
-}
-
-// blankAllFailed remaps every failed page of the space to a blank one and
-// clears the fault bits — the Trivial forward recovery (§4.1).
-func blankAllFailed(sp *pagemem.Space) {
-	for _, v := range sp.Vectors() {
-		for _, p := range v.FailedPages() {
-			v.Remap(p)
-			v.MarkRecovered(p)
-		}
-	}
+// setVersion makes iteration ver the running one: the version rows and
+// task bodies read, and its direction buffers — Listing 2's double
+// buffering, or the one buffer of the unguarded methods (d[1] is d[0]).
+func (s *CG) setVersion(ver int64) {
+	cur, prev := ver%2, (ver+1)%2
+	s.ver = ver
+	s.dCur, s.dPrev = vec(s.d[cur], s.dS[cur]), vec(s.d[prev], s.dS[prev])
 }
 
 // applyPrecond computes z = M⁻¹ g outside the steady state, unguarded, on

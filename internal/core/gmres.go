@@ -63,6 +63,8 @@ type GMRESSolver struct {
 
 	zeta  float64 // ||z|| of the current cycle (reliable scalar)
 	steps int     // completed Arnoldi steps in the current cycle
+	live  int     // the completed steps the running repair may rebuild
+	tab   repairTable
 }
 
 // NewGMRES builds a resilient GMRES(m) solver. restart m must satisfy
@@ -91,16 +93,86 @@ func NewGMRES(a *sparse.CSR, b []float64, restart int, cfg Config) (*GMRESSolver
 	sv.w = make([]float64, a.N)
 	sv.hCopy = sparse.NewDense(sv.restart+1, sv.restart)
 	sv.dotPart = engine.NewPartial(sv.np)
+	sv.restartFrom = func(int64) { sv.space.ClearAll() }
+	sv.wire()
 	return sv, nil
 }
 
-// DynamicVectors lists the vectors injections cover (§5.3).
-func (sv *GMRESSolver) DynamicVectors() []*pagemem.Vector {
-	vs := []*pagemem.Vector{sv.x, sv.g}
-	if sv.z != nil {
-		vs = append(vs, sv.z)
+// wire declares GMRES's recovery: the relations above, tracked by fault
+// bits alone, run row after row over every page so that one pass rebuilds
+// a chain v_0, v_1, … . Replacement data is exact, so the table may run
+// beside the orthogonalisation reductions (the AFEIR overlap).
+func (sv *GMRESSolver) wire() {
+	x, g := engine.Vec{V: sv.x}, engine.Vec{V: sv.g}
+	src := sv.g
+	rows := []repairRow{sv.residualRow(&g, &x, 0, false), sv.iterateRow(&x, &g, 0)}
+	if sv.pre != nil {
+		z := engine.Vec{V: sv.z}
+		src = sv.z
+		rows = append(rows, sv.precondRow(&z, 0, &g, 0, false))
 	}
-	return append(vs, sv.v...)
+	for l := range sv.v {
+		vl := engine.Vec{V: sv.v[l]}
+		row := repairRow{v: &vl, kind: relForward}
+		if l == 0 {
+			row.try = func(p int) bool {
+				if !sv.v[0].Failed(p) || sv.live == 0 || sv.zeta == 0 || src.Failed(p) {
+					return false
+				}
+				lo, hi := sv.layout.Range(p)
+				for i := lo; i < hi; i++ {
+					sv.v[0].Data[i] = src.Data[i] / sv.zeta
+				}
+				return sv.forwarded(vl, p, 0)
+			}
+		} else {
+			row.try = func(p int) bool { return sv.hessenberg(l, p) && sv.forwarded(vl, p, 0) }
+		}
+		rows = append(rows, row)
+	}
+	sv.tab = repairTable{rows: rows, rowMajor: true}
+}
+
+// hessenberg rebuilds page p of v_l from
+// v_l = (A v_{l-1} - Σ_{k<l} h_{k,l-1} v_k) / h_{l,l-1}, which needs v_{l-1}
+// on the connected pages and every earlier v_k on page p.
+func (sv *GMRESSolver) hessenberg(l, p int) bool {
+	vl := sv.v[l]
+	hll := sv.hCopy.At(l, l-1)
+	if !vl.Failed(p) || l > sv.live || hll == 0 || sv.v[l-1].AnyFailedInPages(sv.conn[p]) {
+		return false
+	}
+	for k := 0; k < l; k++ {
+		if sv.v[k].Failed(p) {
+			return false
+		}
+	}
+	lo, hi := sv.layout.Range(p)
+	buf := sv.scratch[:hi-lo]
+	sv.a.MulVecRangeExcludingCols(sv.v[l-1].Data, buf, lo, hi, 0, 0)
+	if sv.pre != nil {
+		// Left preconditioning: the Arnoldi operator is M⁻¹ A, and M⁻¹
+		// is block-diagonal, so the rebuilt rows just get the partial
+		// application too.
+		if sv.pre.SolveBlockInPlace(p, buf) != nil {
+			return false
+		}
+		sv.stats.PrecondPartialApplies++
+	}
+	for k := 0; k < l; k++ {
+		hk := sv.hCopy.At(k, l-1)
+		if hk == 0 {
+			continue
+		}
+		vk := sv.v[k].Data
+		for i := lo; i < hi; i++ {
+			buf[i-lo] -= hk * vk[i]
+		}
+	}
+	for i := lo; i < hi; i++ {
+		vl.Data[i] = buf[i-lo] / hll
+	}
+	return true
 }
 
 // Run executes the resilient solve and returns the result and solution.
@@ -125,7 +197,7 @@ func (sv *GMRESSolver) Run() (Result, []float64, error) {
 		if sv.cfg.Cancelled != nil && sv.cfg.Cancelled() {
 			return sv.result(totalIt, false, 0, start), sv.x.Data, ErrCancelled
 		}
-		sv.boundary()
+		sv.stepBoundary()
 		// Start of cycle: g = b - A x (full rebuild validates g), fused
 		// with the <g,g> partials — the cycle residual norm and, when
 		// unpreconditioned, the Arnoldi ζ ride the rebuild's own pass.
@@ -184,7 +256,7 @@ func (sv *GMRESSolver) Run() (Result, []float64, error) {
 			// Arnoldi-step boundary: repair before using data. A Lossy
 			// step ends the cycle without its update and, like CG's
 			// restart, consumes an iteration.
-			if sv.boundary() {
+			if sv.stepBoundary() {
 				steps = 0
 				totalIt++
 				break
@@ -200,9 +272,9 @@ func (sv *GMRESSolver) Run() (Result, []float64, error) {
 			}
 			var rOverlap *taskrt.Handle
 			if sv.cfg.Method == MethodAFEIR && sv.space.AnyFault() {
-				liveSteps := sv.steps // snapshot: the step counter advances mid-phase
+				sv.live = sv.steps // the step counter advances mid-phase
 				//due:recovery
-				rOverlap = sv.eng.OverlappedRecovery("rV", wH, func() { sv.repairPasses(liveSteps) })
+				rOverlap = sv.eng.OverlappedRecovery("rV", wH, func() { sv.repair(&sv.tab, false) })
 			}
 			sv.rt.WaitAll(wH)
 			// Modified Gram-Schmidt: each h_{k,l} is a chunked reduction
@@ -263,7 +335,7 @@ func (sv *GMRESSolver) Run() (Result, []float64, error) {
 			}
 		}
 		// y = R⁻¹ (rotated rhs); x += Σ y_l v_l.
-		if sv.boundary() {
+		if sv.stepBoundary() {
 			steps = 0
 		}
 		sv.sites.Close() // the update and the next cycle's residual are no sites
@@ -294,147 +366,12 @@ func (sv *GMRESSolver) clearFailed(v *pagemem.Vector) {
 	}
 }
 
-// boundary applies pending data losses with all workers quiescent and
-// resolves every failed page: exact repairs for FEIR/AFEIR, blank pages
-// for the methods that repair none. A page left failed, and any loss
-// under Lossy, takes the Lossy step, whose restart is the end of the
-// cycle (it reports true): the next cycle rebuilds g, z and the basis
-// from x. Leaving a boundary no page is failed, which is what lets the
-// compute tasks run unguarded.
-func (sv *GMRESSolver) boundary() (restart bool) {
-	sv.applyPending()
-	if !sv.space.AnyFault() {
-		return false
-	}
-	switch sv.cfg.Method {
-	case MethodFEIR, MethodAFEIR:
-		sv.repairPasses(sv.steps)
-	case MethodLossy: // every loss takes the Lossy step below
-	default:
-		blankAllFailed(sv.space)
-		return false
-	}
-	// Unused basis slots (l > steps) will be overwritten: blank them.
-	for l := sv.steps + 1; l < len(sv.v); l++ {
-		for _, p := range sv.v[l].FailedPages() {
-			sv.v[l].Remap(p)
-			sv.v[l].MarkRecovered(p)
-		}
-	}
-	if !sv.space.AnyFault() {
-		return false
-	}
-	sv.lossyRestart(sv.x.FailedPages(), sv.space.ClearAll)
-	return true
-}
-
-// repairPasses runs the §3.1.3 relations to a fixpoint: g = b - A x,
-// x = A⁻¹(b - g), z = M⁻¹ g (preconditioned), v_0 = z/ζ (or g/ζ) and the
-// Hessenberg redundancy for v_l up to the given completed step count. It
-// is safe to run concurrently with reduction tasks (the AFEIR overlap):
-// replacement data is exact, so readers of a page being repaired see
-// values equal to the originals.
-func (sv *GMRESSolver) repairPasses(steps int) {
-	gV := engine.Vec{V: sv.g}
-	xV := engine.Vec{V: sv.x}
-	src := sv.g
-	if sv.pre != nil {
-		src = sv.z
-	}
-	for pass := 0; pass < 4; pass++ {
-		progress := false
-		for _, p := range sv.g.FailedPages() {
-			if sv.rel.ForwardResidual(gV, 0, xV, 0, p) {
-				progress = true
-			}
-		}
-		for _, p := range sv.x.FailedPages() {
-			if sv.rel.InverseIterate(xV, 0, gV, 0, p) {
-				progress = true
-			}
-		}
-		// z = M⁻¹ g by partial application (§3.2).
-		if sv.pre != nil {
-			zV := engine.Vec{V: sv.z}
-			for _, p := range sv.z.FailedPages() {
-				if sv.rel.PrecondApply(sv.pre, zV, 0, gV, 0, p) {
-					progress = true
-				}
-			}
-		}
-		// v_0 = z / ζ (or g / ζ unpreconditioned).
-		for _, p := range sv.v[0].FailedPages() {
-			if steps == 0 || sv.zeta == 0 {
-				break
-			}
-			if src.Failed(p) {
-				continue
-			}
-			lo, hi := sv.layout.Range(p)
-			for i := lo; i < hi; i++ {
-				sv.v[0].Data[i] = src.Data[i] / sv.zeta
-			}
-			sv.v[0].MarkRecovered(p)
-			sv.stats.RecoveredForward++
-			progress = true
-		}
-		// v_l from the Hessenberg redundancy, page by page.
-		for l := 1; l <= steps; l++ {
-			vl := sv.v[l]
-			if !vl.AnyFailed() {
-				continue
-			}
-			hll := sv.hCopy.At(l, l-1)
-			if hll == 0 {
-				continue
-			}
-			for _, p := range vl.FailedPages() {
-				// Needs v_{l-1} on the connected pages and v_k on page p.
-				if sv.v[l-1].AnyFailedInPages(sv.conn[p]) {
-					continue
-				}
-				bad := false
-				for k := 0; k < l; k++ {
-					if sv.v[k].Failed(p) {
-						bad = true
-						break
-					}
-				}
-				if bad {
-					continue
-				}
-				lo, hi := sv.layout.Range(p)
-				buf := make([]float64, hi-lo)
-				sv.a.MulVecRangeExcludingCols(sv.v[l-1].Data, buf, lo, hi, 0, 0)
-				if sv.pre != nil {
-					// Left preconditioning: the Arnoldi operator is
-					// M⁻¹ A, and M⁻¹ is block-diagonal, so the rebuilt
-					// rows just get the partial application too.
-					if sv.pre.SolveBlockInPlace(p, buf) != nil {
-						continue
-					}
-					sv.stats.PrecondPartialApplies++
-				}
-				for k := 0; k < l; k++ {
-					hk := sv.hCopy.At(k, l-1)
-					if hk == 0 {
-						continue
-					}
-					vk := sv.v[k].Data
-					for i := lo; i < hi; i++ {
-						buf[i-lo] -= hk * vk[i]
-					}
-				}
-				for i := lo; i < hi; i++ {
-					vl.Data[i] = buf[i-lo] / hll
-				}
-				vl.MarkRecovered(p)
-				sv.stats.RecoveredForward++
-				progress = true
-			}
-		}
-		if !progress {
-			break
-		}
-	}
+// stepBoundary is GMRES's phase end (solverBase.boundary): its repair
+// may rebuild the completed steps, and the unused basis slots, which the
+// next steps overwrite, are transient. A Lossy step ends the cycle: the
+// next one rebuilds g, z and the basis from x.
+func (sv *GMRESSolver) stepBoundary() (restart bool) {
+	sv.live = sv.steps
+	sv.tab.transient = sv.v[sv.steps+1:]
+	return sv.boundary(&sv.tab)
 }

@@ -29,48 +29,7 @@ func LossyInterpolate(a *sparse.CSR, layout sparse.BlockLayout, blocks *sparse.B
 	if len(failed) == 0 {
 		return true
 	}
-	// The coupled solver returns solutions in ascending block order;
-	// assemble the right-hand side in the same order.
 	failed = append([]int(nil), failed...)
 	sort.Ints(failed)
-	var exclude [][2]int
-	for _, p := range failed {
-		lo, hi := layout.Range(p)
-		exclude = append(exclude, [2]int{lo, hi})
-	}
-	if len(failed) == 1 {
-		p := failed[0]
-		lo, hi := layout.Range(p)
-		rhs := make([]float64, hi-lo)
-		a.MulVecRangeExcludingBlocks(x, rhs, lo, hi, exclude)
-		for i := lo; i < hi; i++ {
-			rhs[i-lo] = b[i] - rhs[i-lo]
-		}
-		if err := blocks.SolveDiagBlock(p, rhs); err != nil {
-			return false
-		}
-		copy(x[lo:hi], rhs)
-		return true
-	}
-	var rhs []float64
-	for _, p := range failed {
-		lo, hi := layout.Range(p)
-		part := make([]float64, hi-lo)
-		a.MulVecRangeExcludingBlocks(x, part, lo, hi, exclude)
-		for i := lo; i < hi; i++ {
-			part[i-lo] = b[i] - part[i-lo]
-		}
-		rhs = append(rhs, part...)
-	}
-	order, err := blocks.SolveCoupledBlocks(failed, rhs)
-	if err != nil {
-		return false
-	}
-	off := 0
-	for _, p := range order {
-		lo, hi := layout.Range(p)
-		copy(x[lo:hi], rhs[off:off+hi-lo])
-		off += hi - lo
-	}
-	return true
+	return solveBlocks(a, layout, blocks, x, b, nil, make([]float64, layout.BlockSize), failed)
 }

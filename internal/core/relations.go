@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"repro/internal/engine"
 	"repro/internal/sparse"
 )
@@ -22,6 +24,7 @@ type Relations struct {
 	blocks  *sparse.BlockSolverCache
 	b       []float64
 	scratch []float64
+	one     []int // the group of a single-page inverse
 	stats   *Stats
 }
 
@@ -31,7 +34,7 @@ type Relations struct {
 // safe for concurrent recoveries: a block is factored at first use by a
 // relation that reads it, once, whoever asks first.
 func NewRelations(a *sparse.CSR, layout sparse.BlockLayout, conn [][]int, blocks *sparse.BlockSolverCache, b, scratch []float64, stats *Stats) *Relations {
-	return &Relations{a: a, layout: layout, conn: conn, blocks: blocks, b: b, scratch: scratch, stats: stats}
+	return &Relations{a: a, layout: layout, conn: conn, blocks: blocks, b: b, scratch: scratch, one: make([]int, 1), stats: stats}
 }
 
 // ForwardResidual rebuilds page p of g at gVer from g = b - A x,
@@ -71,19 +74,13 @@ func (r *Relations) InverseDirection(d engine.Vec, dVer int64, q engine.Vec, qVe
 // A_pp v_p = side_p - Σ_{j≠p} A_pj v_j, where side is b - src for the
 // iterate (b non-nil) and src for the direction.
 func (r *Relations) inverse(v engine.Vec, ver int64, src engine.Vec, srcVer int64, b []float64, p int) bool {
-	if !src.Current(p, srcVer) {
+	if !src.Current(p, srcVer) || !v.ConnCurrent(r.conn[p], ver, p) {
 		return false
 	}
-	if !v.ConnCurrent(r.conn[p], ver, p) {
+	r.one[0] = p
+	if !solveBlocks(r.a, r.layout, r.blocks, v.V.Data, b, src.V.Data, r.scratch, r.one) {
 		return false
 	}
-	lo, hi := r.layout.Range(p)
-	r.a.MulVecRangeExcludingCols(v.V.Data, r.scratch, lo, hi, lo, hi)
-	side(r.scratch, b, src.V.Data, lo, hi)
-	if err := r.blocks.SolveDiagBlock(p, r.scratch[:hi-lo]); err != nil {
-		return false
-	}
-	copy(v.V.Data[lo:hi], r.scratch[:hi-lo])
 	r.MarkRecovered(v, p, ver)
 	r.stats.RecoveredInverse++
 	return true
@@ -106,65 +103,93 @@ func (r *Relations) CoupledDirection(d engine.Vec, dVer int64, q engine.Vec, qVe
 }
 
 // coupled is the one body of both coupled systems; b as in inverse. The
-// group is in ascending page order, the order SolveCoupledBlocks reads
-// and returns the concatenated right-hand side in.
+// group is in ascending page order.
 func (r *Relations) coupled(v engine.Vec, ver int64, src engine.Vec, srcVer int64, b []float64, group []int) bool {
 	if len(group) < 2 {
 		return false
 	}
-	inGroup := make(map[int]bool, len(group))
-	var exclude [][2]int
+	// src on every group page, and every off-group page the group's rows
+	// read, must be current.
 	for _, p := range group {
 		if !src.Current(p, srcVer) {
 			return false
 		}
-		inGroup[p] = true
-		lo, hi := r.layout.Range(p)
-		exclude = append(exclude, [2]int{lo, hi})
-	}
-	// Every off-group page read by the group's rows must be current.
-	for _, p := range group {
 		for _, j := range r.conn[p] {
-			if !inGroup[j] && !v.Current(j, ver) {
+			if !slices.Contains(group, j) && !v.Current(j, ver) {
 				return false
 			}
 		}
 	}
-	var rhs []float64
-	for _, p := range group {
-		lo, hi := r.layout.Range(p)
-		part := make([]float64, hi-lo)
-		r.a.MulVecRangeExcludingBlocks(v.V.Data, part, lo, hi, exclude)
-		side(part, b, src.V.Data, lo, hi)
-		rhs = append(rhs, part...)
+	if !solveBlocks(r.a, r.layout, r.blocks, v.V.Data, b, src.V.Data, r.scratch, group) {
+		return false
 	}
-	order, err := r.blocks.SolveCoupledBlocks(group, rhs)
-	if err != nil {
+	for _, p := range group {
+		r.MarkRecovered(v, p, ver)
+	}
+	r.stats.RecoveredCoupled += len(group)
+	return true
+}
+
+// solveBlocks overwrites the group's pages of v (ascending) with the
+// solution of A_GG v_G = side_G - Σ_{j∉G} A_Gj v_j, side being b - src,
+// src (b nil) or b (src nil): through the page's factorized diagonal
+// block for one page, §2.4's combined block system for several. buf is
+// one page of scratch. It reports whether the blocks could be solved.
+func solveBlocks(a *sparse.CSR, layout sparse.BlockLayout, blocks *sparse.BlockSolverCache, v, b, src, buf []float64, group []int) bool {
+	if len(group) == 1 {
+		p := group[0]
+		lo, hi := layout.Range(p)
+		a.MulVecRangeExcludingCols(v, buf, lo, hi, lo, hi)
+		side(buf, b, src, lo, hi)
+		if blocks.SolveDiagBlock(p, buf[:hi-lo]) != nil {
+			return false
+		}
+		copy(v[lo:hi], buf[:hi-lo])
+		return true
+	}
+	exclude := make([][2]int, len(group))
+	n := 0
+	for i, p := range group {
+		lo, hi := layout.Range(p)
+		exclude[i] = [2]int{lo, hi}
+		n += hi - lo
+	}
+	rhs := make([]float64, 0, n)
+	for _, p := range group {
+		lo, hi := layout.Range(p)
+		part := rhs[len(rhs) : len(rhs)+hi-lo]
+		a.MulVecRangeExcludingBlocks(v, part, lo, hi, exclude)
+		side(part, b, src, lo, hi)
+		rhs = rhs[:len(rhs)+hi-lo]
+	}
+	// The combined solve reads and returns the right-hand side in
+	// ascending page order, the group's.
+	if _, err := blocks.SolveCoupledBlocks(group, rhs); err != nil {
 		return false
 	}
 	off := 0
-	for _, p := range order {
-		lo, hi := r.layout.Range(p)
-		copy(v.V.Data[lo:hi], rhs[off:off+hi-lo])
-		r.MarkRecovered(v, p, ver)
-		off += hi - lo
+	for _, p := range group {
+		lo, hi := layout.Range(p)
+		off += copy(v[lo:hi], rhs[off:off+hi-lo])
 	}
-	r.stats.RecoveredCoupled += len(order)
 	return true
 }
 
 // side turns the off-block products in out (rows lo..hi) into the
-// right-hand side of an inverse relation: b - src - out, or src - out
-// when b is nil.
+// right-hand side of an inverse relation: b - src - out, src - out when b
+// is nil, b - out when src is nil.
 func side(out, b, src []float64, lo, hi int) {
-	if b == nil {
-		for i := lo; i < hi; i++ {
-			out[i-lo] = src[i] - out[i-lo]
-		}
-		return
-	}
 	for i := lo; i < hi; i++ {
-		out[i-lo] = b[i] - src[i] - out[i-lo]
+		var rhs float64
+		switch {
+		case b == nil:
+			rhs = src[i]
+		case src == nil:
+			rhs = b[i]
+		default:
+			rhs = b[i] - src[i]
+		}
+		out[i-lo] = rhs - out[i-lo]
 	}
 }
 

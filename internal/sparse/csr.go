@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 )
 
 // CSR is a sparse matrix in compressed sparse row format. Rows(i) spans
@@ -469,8 +468,9 @@ func (a *CSR) MulVecRangeWithinCols(x, y []float64, lo, hi, inLo, inHi int) {
 // MulVecRangeExcludingBlocks computes, for rows in [lo, hi),
 // y[i-lo] = sum of A[i][j]*x[j] over columns j not inside any of the
 // excluded half-open column ranges. Used for combined multi-error
-// recoveries (§2.4). The ranges need not be sorted. Output is compact:
-// y needs only hi-lo elements.
+// recoveries (§2.4). The ranges need not be sorted; they are sorted and
+// merged in place (mergeRanges), which keeps their union. Output is
+// compact: y needs only hi-lo elements.
 //
 // The ranges are sorted and merged once per call; columns within a row are
 // strictly increasing, so each row advances a single cursor through the
@@ -496,32 +496,28 @@ func (a *CSR) MulVecRangeExcludingBlocks(x, y []float64, lo, hi int, exclude [][
 	}
 }
 
-// mergeRanges returns the half-open ranges sorted by start with
-// overlapping or touching ranges coalesced. Empty ranges are dropped. The
-// input is not modified.
+// mergeRanges sorts the half-open ranges by start IN PLACE and returns
+// a prefix of the argument holding them with overlapping or touching
+// ranges coalesced and empty ones dropped; the elements past the prefix
+// keep ranges inside that union, so a second call on the same slice
+// returns the same ranges. Callers pass a slice they built for the call.
+// An insertion sort: the lists are a few pages long, and the recovery
+// walk that calls it must not allocate.
 func mergeRanges(ranges [][2]int) [][2]int {
-	switch len(ranges) {
-	case 0:
-		return nil
-	case 1:
-		if ranges[0][0] >= ranges[0][1] {
-			return nil
+	for i := 1; i < len(ranges); i++ {
+		r, j := ranges[i], i
+		for ; j > 0 && ranges[j-1][0] > r[0]; j-- {
+			ranges[j] = ranges[j-1]
 		}
-		return ranges
+		ranges[j] = r
 	}
-	sorted := make([][2]int, 0, len(ranges))
+	out := ranges[:0]
 	for _, r := range ranges {
-		if r[0] < r[1] {
-			sorted = append(sorted, r)
+		if r[0] >= r[1] {
+			continue
 		}
-	}
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i][0] < sorted[j][0] })
-	out := sorted[:0]
-	for _, r := range sorted {
 		if n := len(out); n > 0 && r[0] <= out[n-1][1] {
-			if r[1] > out[n-1][1] {
-				out[n-1][1] = r[1]
-			}
+			out[n-1][1] = max(out[n-1][1], r[1])
 			continue
 		}
 		out = append(out, r)

@@ -165,6 +165,22 @@ func checkRowReaders(t *testing.T, a, ref *sparse.CSR) {
 	}
 }
 
+// TestExcludingBlocksDoesNotAllocate: the §2.4 walk over several excluded
+// pages — every coupled repair's and the Lossy step's — sorts and merges
+// its ranges in place, allocating nothing with two or three of them.
+func TestExcludingBlocksDoesNotAllocate(t *testing.T) {
+	a := matgen.Thermal2Analogue(4096)
+	x, y := make([]float64, a.N), make([]float64, 512)
+	for _, ex := range [][][2]int{
+		{{1536, 2048}, {512, 1024}},
+		{{2560, 3072}, {512, 1024}, {1536, 2048}},
+	} {
+		if n := testing.AllocsPerRun(20, func() { a.MulVecRangeExcludingBlocks(x, y, 1024, 1536, ex) }); n != 0 {
+			t.Errorf("%d excluded ranges: %v allocations per call", len(ex), n)
+		}
+	}
+}
+
 // bitsOf maps every float64 inside v to its bits, so that a comparison
 // tells −0.0 from +0.0 and compares NaNs by payload.
 func bitsOf(v any) any {
