@@ -39,6 +39,12 @@ type solverBase struct {
 	eng   *engine.Engine
 	sites engine.Sites // see SetSite
 
+	// When the running Run started, and whether accept took x, at which
+	// true residual: what result reports.
+	began     time.Time
+	converged bool
+	final     float64
+
 	resilient bool      // FEIR or AFEIR
 	scratch   []float64 // one page of recovery scratch
 	resid     []float64 // full-length true-residual scratch (reused)
@@ -111,23 +117,58 @@ func (s *solverBase) rebind(b []float64) error {
 	return nil
 }
 
-// open attaches a Run to its runtime — Config.RT, or a private pool that
-// the returned func closes — and builds the engine and relations on it.
-// guarded selects the engine's stamp-and-fault-bit guards.
-func (s *solverBase) open(guarded bool) (release func()) {
-	release = func() {}
-	rt := s.cfg.RT
-	if rt == nil {
-		rt = taskrt.New(s.cfg.workers())
-		release = func() { rt.Close(); s.rt, s.eng = nil, nil }
+// start begins a Run. The first Run (every Run, on a private pool, which
+// the returned func closes) attaches the runtime, builds the engine, with
+// guards if guarded, and the relations, and calls prepare, the solver's
+// task-graph preparation that later Runs replay. Every Run then starts
+// from the pre-Run state: lost pages blanked, vectors zeroed, stamps at
+// -1, counters cleared (a no-op on a fresh instance).
+func (s *solverBase) start(guarded bool, prepare func()) (release func()) {
+	s.began, release = time.Now(), func() {}
+	if s.eng == nil {
+		rt := s.cfg.RT
+		if rt == nil {
+			rt = taskrt.New(s.cfg.workers())
+			release = func() { rt.Close(); s.rt, s.eng = nil, nil }
+		}
+		s.rt = rt
+		s.eng = engine.New(s.a, s.layout, rt, guarded, 0)
+		s.eng.RecoveryPriority = s.cfg.OverlapPriority()
+		s.eng.Sites = &s.sites
+		s.conn = s.eng.Conn
+		s.rel = NewRelations(s.a, s.layout, s.conn, s.blocks, s.b, s.scratch, &s.stats)
+		prepare()
 	}
-	s.rt = rt
-	s.eng = engine.New(s.a, s.layout, rt, guarded, 0)
-	s.eng.RecoveryPriority = s.cfg.OverlapPriority()
-	s.eng.Sites = &s.sites
-	s.conn = s.eng.Conn
-	s.rel = NewRelations(s.a, s.layout, s.conn, s.blocks, s.b, s.scratch, &s.stats)
+	blankAllFailed(s.space)
+	for _, v := range s.space.Vectors() {
+		clear(v.Data)
+		v.InvalidateChecksums()
+	}
+	s.fillStamps(-1)
+	s.stats, s.converged, s.final = Stats{}, false, 0
 	return release
+}
+
+// produced stamps page p of out at the running version once a guarded
+// page operation wrote it. A full-page overwrite also revalidates the
+// page; a read-modify-write keeps a poison that landed mid-task detected.
+//
+//due:hotpath
+func (s *solverBase) produced(out engine.Vec, p int, overwrite bool) {
+	if s.eng.Resilient {
+		if overwrite {
+			out.V.MarkRecovered(p)
+		}
+		out.S[p].Store(s.ver)
+	}
+}
+
+// sum adds up a reduction's partials, counting its missing contributions
+// in Stats.ContributionsLost.
+func (s *solverBase) sum(part *engine.Partial) (sum float64, missing int) {
+	sum, missing = part.SumAvailable()
+	s.stats.ContributionsLost += missing
+	return sum, missing
 }
 
 // stamped adds a protected vector to the space with its version stamps.
@@ -180,11 +221,11 @@ func (s *solverBase) trueResidual() float64 {
 }
 
 // accept computes the true residual of x and applies the acceptance rule
-// (AcceptTrueResidual) to it.
-func (s *solverBase) accept(tol float64) (final float64, ok bool, err error) {
-	final = s.trueResidual()
-	ok, err = AcceptTrueResidual(final, tol)
-	return final, ok, err
+// (AcceptTrueResidual) to it; an accepted x ends the Run converged.
+func (s *solverBase) accept(tol float64) (ok bool, err error) {
+	s.final = s.trueResidual()
+	s.converged, err = AcceptTrueResidual(s.final, tol)
+	return s.converged, err
 }
 
 // relFromEpsilon converts an <g,g> reduction into the relative residual.
@@ -192,17 +233,19 @@ func relFromEpsilon(eps, bnorm float64) float64 {
 	return math.Sqrt(math.Max(eps, 0)) / bnorm
 }
 
-// result builds a Run's Result; final is the true residual of the check
-// that accepted x, computed here for a solve that ended any other way.
-func (s *solverBase) result(it int, converged bool, final float64, start time.Time) Result {
-	if !converged {
+// result builds a Run's Result after it iterations; the true residual
+// is accept's for a converged Run, computed here for one that ended any
+// other way.
+func (s *solverBase) result(it int) Result {
+	final := s.final
+	if !s.converged {
 		final = s.trueResidual()
 	}
 	return Result{
-		Converged:   converged,
+		Converged:   s.converged,
 		Iterations:  it,
 		RelResidual: final,
-		Elapsed:     time.Since(start),
+		Elapsed:     time.Since(s.began),
 		Stats:       s.stats,
 		WorkerTimes: s.rt.WorkerTimes(),
 	}

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"time"
 
 	"repro/internal/engine"
 	"repro/internal/pagemem"
@@ -37,18 +36,11 @@ import (
 type BiCGStabSolver struct {
 	solverBase
 
-	g, q *pagemem.Vector
-	d    [2]*pagemem.Vector
-	s, t *pagemem.Vector
-	rhat []float64
-
-	// Preconditioned variant (Listing 6): d̂ = M⁻¹ d and ŝ = M⁻¹ s, nil
-	// otherwise.
-	dhat, shat *pagemem.Vector
-
-	xS, gS, qS, sS, tS engine.Stamps
-	dS                 [2]engine.Stamps
-	dhatS, shatS       engine.Stamps
+	// The vectors with their stamps (xv is x). The preconditioned variant
+	// (Listing 6) adds d̂ = M⁻¹ d and ŝ = M⁻¹ s, zero otherwise.
+	xv, g, q, s, t, dhat, shat engine.Vec
+	d                          [2]engine.Vec
+	rhat                       []float64
 
 	qrPart, ttPart, tsPart, rhoPart, ggPart *engine.Partial
 
@@ -62,6 +54,13 @@ type BiCGStabSolver struct {
 	dIn, dOut engine.Vec // the direction buffers iteration ver reads and writes
 	tab       [4]repairTable
 	rec       [4]recoveryTask
+
+	// The prepared waves (buildPrepared), replayed every iteration.
+	prep struct {
+		dh, q, s, sh, t, ts, x, g, d *engine.Prepared
+		after                        [4][]*taskrt.Handle // each phase's producers
+		phase2                       []*taskrt.Handle    // phase 2's producers and <t,s>
+	}
 }
 
 // NewBiCGStab builds a resilient BiCGStab solver. MethodFEIR and
@@ -73,17 +72,18 @@ func NewBiCGStab(a *sparse.CSR, b []float64, cfg Config) (*BiCGStabSolver, error
 	if err := sv.init(a, b, cfg, false); err != nil { // LU: general A
 		return nil, err
 	}
-	sv.x, sv.xS = sv.stamped("x")
-	sv.g, sv.gS = sv.stamped("g")
-	sv.q, sv.qS = sv.stamped("q")
-	sv.d[0], sv.dS[0] = sv.stamped("d0")
-	sv.d[1], sv.dS[1] = sv.stamped("d1")
-	sv.s, sv.sS = sv.stamped("s")
-	sv.t, sv.tS = sv.stamped("t")
+	sv.xv.V, sv.xv.S = sv.stamped("x")
+	sv.x = sv.xv.V
+	sv.g.V, sv.g.S = sv.stamped("g")
+	sv.q.V, sv.q.S = sv.stamped("q")
+	sv.d[0].V, sv.d[0].S = sv.stamped("d0")
+	sv.d[1].V, sv.d[1].S = sv.stamped("d1")
+	sv.s.V, sv.s.S = sv.stamped("s")
+	sv.t.V, sv.t.S = sv.stamped("t")
 	sv.rhat = make([]float64, a.N)
 	if cfg.UsePrecond {
-		sv.dhat, sv.dhatS = sv.stamped("dh")
-		sv.shat, sv.shatS = sv.stamped("sh")
+		sv.dhat.V, sv.dhat.S = sv.stamped("dh")
+		sv.shat.V, sv.shat.S = sv.stamped("sh")
 	}
 	sv.qrPart = engine.NewPartial(sv.np)
 	sv.ttPart = engine.NewPartial(sv.np)
@@ -102,7 +102,7 @@ func NewBiCGStab(a *sparse.CSR, b []float64, cfg Config) (*BiCGStabSolver, error
 func (sv *BiCGStabSolver) setVersion(ver int64) {
 	cur, prev := ver%2, (ver+1)%2
 	sv.ver = ver
-	sv.dIn, sv.dOut = vec(sv.d[prev], sv.dS[prev]), vec(sv.d[cur], sv.dS[cur])
+	sv.dIn, sv.dOut = sv.d[prev], sv.d[cur]
 }
 
 // wire declares BiCGStab's recovery (§3.1.2), one table per phase, each
@@ -111,9 +111,7 @@ func (sv *BiCGStabSolver) setVersion(ver int64) {
 // repaired before the next convergence check reads it; s, t and ŝ are
 // regenerated next iteration, so there they are transient.
 func (sv *BiCGStabSolver) wire() {
-	x, g, q := vec(sv.x, sv.xS), vec(sv.g, sv.gS), vec(sv.q, sv.qS)
-	s, t := vec(sv.s, sv.sS), vec(sv.t, sv.tS)
-	dhat, shat := vec(sv.dhat, sv.dhatS), vec(sv.shat, sv.shatS)
+	x, g, q, s, t, dhat, shat := sv.xv, sv.g, sv.q, sv.s, sv.t, sv.dhat, sv.shat
 	// What phase 1's SpMV consumes, the incoming direction at ver-1 or
 	// d̂ at ver, and the matching x step; no reduction reads them. The
 	// SpMV input repairs by d = A⁻¹ q, or d̂ = M⁻¹ d, d̂ = A⁻¹ q, d = M d̂.
@@ -131,7 +129,7 @@ func (sv *BiCGStabSolver) wire() {
 			return false
 		}
 		lo, hi := sv.layout.Range(p)
-		sparse.XpbyOutRange(sv.s.Data, -sv.omega, sv.t.Data, sv.g.Data, lo, hi)
+		sparse.XpbyOutRange(sv.s.V.Data, -sv.omega, sv.t.V.Data, sv.g.V.Data, lo, hi)
 		return sv.forwarded(g, p, sv.ver)
 	}}
 
@@ -146,9 +144,9 @@ func (sv *BiCGStabSolver) wire() {
 		}
 		lo, hi := sv.layout.Range(p)
 		if sv.beta == 0 { // after a restart the direction is g
-			copy(sv.dIn.V.Data[lo:hi], sv.g.Data[lo:hi])
+			copy(sv.dIn.V.Data[lo:hi], sv.g.V.Data[lo:hi])
 		} else if q.Current(p, ver-1) && sv.dOut.Current(p, ver-2) {
-			sparse.XpbyzOutRange(sv.g.Data, sv.beta, sv.dOut.V.Data, sv.omega, sv.q.Data, sv.dIn.V.Data, lo, hi)
+			sparse.XpbyzOutRange(sv.g.V.Data, sv.beta, sv.dOut.V.Data, sv.omega, sv.q.V.Data, sv.dIn.V.Data, lo, hi)
 		} else {
 			return false
 		}
@@ -165,7 +163,7 @@ func (sv *BiCGStabSolver) wire() {
 			return false
 		}
 		lo, hi := sv.layout.Range(p)
-		sparse.XpbyOutRange(sv.g.Data, -sv.alpha, sv.q.Data, sv.s.Data, lo, hi)
+		sparse.XpbyOutRange(sv.g.V.Data, -sv.alpha, sv.q.V.Data, sv.s.V.Data, lo, hi)
 		return sv.forwarded(s, p, sv.ver)
 	}})
 	sv.tab[1] = repairTable{rows: append(append(rows, shatRow...), sv.spmvRow(&t, 0, xStep, 0, true)), fills: []backFill{
@@ -176,7 +174,7 @@ func (sv *BiCGStabSolver) wire() {
 	// <g,r̂>, <g,g>.
 	rows = append(append([]repairRow{}, shatRow...), src...)
 	rows = append(rows, repairRow{v: &x, kind: relForward, try: func(p int) bool {
-		if sv.x.Failed(p) || sv.xS[p].Load() != sv.ver-1 || !qSrc.Current(p, sv.ver+qSrcOff) || !xStep.Current(p, sv.ver) {
+		if sv.x.Failed(p) || sv.xv.S[p].Load() != sv.ver-1 || !qSrc.Current(p, sv.ver+qSrcOff) || !xStep.Current(p, sv.ver) {
 			return false
 		}
 		lo, hi := sv.layout.Range(p)
@@ -195,12 +193,12 @@ func (sv *BiCGStabSolver) wire() {
 			return false
 		}
 		lo, hi := sv.layout.Range(p)
-		sparse.XpbyzOutRange(sv.g.Data, sv.beta, sv.dIn.V.Data, sv.omega, sv.q.Data, sv.dOut.V.Data, lo, hi)
+		sparse.XpbyzOutRange(sv.g.V.Data, sv.beta, sv.dIn.V.Data, sv.omega, sv.q.V.Data, sv.dOut.V.Data, lo, hi)
 		return sv.forwarded(sv.dOut, p, sv.ver)
 	}})
-	sv.tab[3] = repairTable{rows: rows, transient: []*pagemem.Vector{sv.s, sv.t}}
+	sv.tab[3] = repairTable{rows: rows, transient: []*pagemem.Vector{sv.s.V, sv.t.V}}
 	if sv.pre != nil {
-		sv.tab[3].transient = append(sv.tab[3].transient, sv.shat)
+		sv.tab[3].transient = append(sv.tab[3].transient, sv.shat.V)
 	}
 }
 
@@ -210,11 +208,7 @@ var ErrRecurrenceBreakdown = fmt.Errorf("core: recurrence breakdown")
 // Run executes the resilient solve. It returns the result, the solution
 // vector and the resilience statistics.
 func (sv *BiCGStabSolver) Run() (Result, []float64, error) {
-	start := time.Now()
-	defer sv.open(sv.resilient)()
-	for k, label := range [...]string{"r1", "r2", "r3", "r4"} {
-		sv.rec[k] = sv.prepareRecovery(label, 0, &sv.tab[k]) // BiCGStab computes at tier 0
-	}
+	defer sv.start(sv.resilient, sv.buildPrepared)()
 
 	tol := sv.cfg.tol()
 	maxIter := sv.cfg.maxIter(sv.a.N)
@@ -222,19 +216,18 @@ func (sv *BiCGStabSolver) Run() (Result, []float64, error) {
 	// Initial state (x = 0): g = r̂0 = b; the direction consumed by
 	// iteration 0 goes into d[1] (its dIn buffer) at version -1, matching
 	// the initial stamps.
-	copy(sv.g.Data, sv.b)
+	copy(sv.g.V.Data, sv.b)
 	copy(sv.rhat, sv.b)
-	copy(sv.d[1].Data, sv.b)
-	sv.rho = sparse.Dot(sv.g.Data, sv.rhat)
-	sv.epsGG = sparse.Dot(sv.g.Data, sv.g.Data)
+	copy(sv.d[1].V.Data, sv.b)
+	sv.rho = sparse.Dot(sv.g.V.Data, sv.rhat)
+	sv.epsGG = sparse.Dot(sv.g.V.Data, sv.g.V.Data)
 	sv.beta, sv.omega = 0, 0
+	sv.restartPending = false
 
 	var it int
-	converged := false
-	var final float64 // the true residual of the check that accepted x
 	for it = 0; it < maxIter; it++ {
 		if sv.cfg.Cancelled != nil && sv.cfg.Cancelled() {
-			return sv.result(it, false, 0, start), sv.x.Data, ErrCancelled
+			return sv.result(it), sv.x.Data, ErrCancelled
 		}
 		ver := int64(it)
 		sv.setVersion(ver)
@@ -248,13 +241,8 @@ func (sv *BiCGStabSolver) Run() (Result, []float64, error) {
 			sv.cfg.OnIteration(it, rel)
 		}
 		if rel < tol {
-			f, ok, err := sv.accept(tol)
-			if ok {
-				final, converged = f, true
-				break
-			}
-			if err != nil {
-				return sv.result(it, false, 0, start), sv.x.Data, err
+			if ok, err := sv.accept(tol); ok || err != nil {
+				return sv.result(it), sv.x.Data, err
 			}
 			// Recurrence lied (an undetected flip, or a blank page of
 			// Trivial): rebuild the recurrence from x and keep going.
@@ -273,26 +261,14 @@ func (sv *BiCGStabSolver) Run() (Result, []float64, error) {
 		// ---------------- Phase 1: [d̂ = M⁻¹d,] q = A d̂, <q, r̂> -------
 		sv.sites.Open(it)
 		sv.qrPart.ResetMissing()
-		qSrc, qSrcVer := sv.dIn, ver-1
-		var preH []*taskrt.Handle
-		if sv.pre != nil {
-			dhOp := engine.Operand{Vec: vec(sv.dhat, sv.dhatS), Ver: ver}
-			preH = sv.eng.ApplyPrecond("dh", nil, sv.pre, engine.In(sv.dIn, ver-1), dhOp)
-			qSrc, qSrcVer = dhOp.Vec, ver
-		}
-		qOp := engine.Operand{Vec: vec(sv.q, sv.qS), Ver: ver}
-		// Fused q = A d̂ with the <q, r̂0> partials: one task per chunk
-		// instead of the SpMV + reduction pair.
-		qH := sv.eng.SpMVDotReliable("q,<q,r>", preH, engine.In(qSrc, qSrcVer), qOp, sv.rhat, sv.qrPart)
-		phase1 := append(append([]*taskrt.Handle{}, preH...), qH...)
-		if sv.endPhase(sv.rec[0], &sv.tab[0], phase1, phase1) {
+		engine.Chain(sv.prep.dh, sv.prep.q)
+		if sv.endPhase(sv.rec[0], &sv.tab[0], sv.prep.after[0], sv.prep.after[0]) {
 			continue
 		}
-		qr, missQR := sv.qrPart.SumAvailable()
-		sv.stats.ContributionsLost += missQR
+		qr, missQR := sv.sum(sv.qrPart)
 		if qr == 0 || math.IsNaN(qr) || math.IsNaN(sv.rho) {
 			if missQR == 0 && !sv.space.AnyFault() {
-				return sv.result(it, false, 0, start), sv.x.Data, ErrRecurrenceBreakdown
+				return sv.result(it), sv.x.Data, ErrRecurrenceBreakdown
 			}
 			sv.restartPending = true
 			continue
@@ -301,126 +277,145 @@ func (sv *BiCGStabSolver) Run() (Result, []float64, error) {
 
 		// ---------------- Phase 2: s, [ŝ = M⁻¹s,] t = A ŝ, <t,t>, <t,s>
 		sv.sites.Open(it)
-		alpha := sv.alpha
 		sv.ttPart.ResetMissing()
 		sv.tsPart.ResetMissing()
-		sOp := engine.Operand{Vec: vec(sv.s, sv.sS), Ver: ver}
-		sH := sv.eng.PageOp("s", nil,
-			[]engine.Operand{engine.In(vec(sv.g, sv.gS), ver-1), engine.In(qOp.Vec, ver)},
-			&sOp, true, func(p, lo, hi int) bool {
-				// s = g - α q (full overwrite heals s losses).
-				sparse.XpbyOutRange(sv.g.Data, -alpha, sv.q.Data, sv.s.Data, lo, hi)
-				return true
-			})
-		tSrc := sOp.Vec
-		tAfter := sH
-		var shH []*taskrt.Handle
-		if sv.pre != nil {
-			shOp := engine.Operand{Vec: vec(sv.shat, sv.shatS), Ver: ver}
-			shH = sv.eng.ApplyPrecond("sh", sH, sv.pre, engine.In(sOp.Vec, ver), shOp)
-			tSrc = shOp.Vec
-			tAfter = shH
-		}
-		tOp := engine.Operand{Vec: vec(sv.t, sv.tS), Ver: ver}
-		// Fused t = A ŝ with <t,t> (and, unpreconditioned, <t,s>: there
-		// the SpMV input IS s, so both reductions ride the same pass;
-		// preconditioned, <t,s> pairs t with a different vector than the
-		// SpMV input ŝ and stays a separate reduction).
-		var tH, tsH []*taskrt.Handle
-		if sv.pre == nil {
-			tH = sv.eng.SpMVDot("t,<t,s>,<t,t>", tAfter, engine.In(tSrc, ver), tOp, sv.tsPart, sv.ttPart)
-		} else {
-			tH = sv.eng.SpMVDot("t,<t,t>", tAfter, engine.In(tSrc, ver), tOp, nil, sv.ttPart)
-			tsH = sv.eng.DotPartials("<t,s>", tH, engine.In(tOp.Vec, ver), engine.In(sOp.Vec, ver), sv.tsPart)
-		}
-		phase2 := append(append(append([]*taskrt.Handle{}, sH...), shH...), tH...)
-		if sv.endPhase(sv.rec[1], &sv.tab[1], phase2, append(phase2, tsH...)) {
+		engine.Chain(sv.prep.s, sv.prep.sh, sv.prep.t, sv.prep.ts)
+		if sv.endPhase(sv.rec[1], &sv.tab[1], sv.prep.after[1], sv.prep.phase2) {
 			continue
 		}
-		tt, missTT := sv.ttPart.SumAvailable()
-		ts, missTS := sv.tsPart.SumAvailable()
-		sv.stats.ContributionsLost += missTT + missTS
+		tt, missTT := sv.sum(sv.ttPart)
+		ts, _ := sv.sum(sv.tsPart)
 		if tt == 0 {
 			if missTT > 0 || sv.space.AnyFault() {
 				sv.restartPending = true
 				continue
 			}
 			// Lucky breakdown: s is already the residual of the updated x.
-			sparse.Axpy(alpha, qSrc.V.Data, sv.x.Data)
-			copy(sv.g.Data, sv.s.Data)
+			sparse.Axpy(sv.alpha, sv.qIn().V.Data, sv.x.Data)
+			copy(sv.g.V.Data, sv.s.V.Data)
 			it++
-			converged = sparse.Norm2(sv.g.Data)/sv.bnorm < tol
+			sv.converged, sv.final = sparse.Norm2(sv.g.V.Data)/sv.bnorm < tol, 0
 			break
 		}
 		sv.omega = ts / tt
 
 		// ---------------- Phase 3: x, g, <g, r̂> ----------------------
 		sv.sites.Open(it)
-		omega := sv.omega
 		sv.rhoPart.ResetMissing()
-		// Unpreconditioned: x += α d + ω s. Preconditioned (Listing 6):
-		// x += α d̂ + ω ŝ.
-		xStep := sOp.Vec
-		if sv.pre != nil {
-			xStep = vec(sv.shat, sv.shatS)
-		}
-		xOp := engine.Operand{Vec: vec(sv.x, sv.xS), Ver: ver}
-		xH := sv.eng.PageOp("x", nil,
-			[]engine.Operand{engine.In(xOp.Vec, ver-1), engine.In(qSrc, qSrcVer), engine.In(xStep, ver)},
-			&xOp, false, func(p, lo, hi int) bool {
-				// Read-modify-write: late poisons stay detected.
-				sparse.Axpy2Range(alpha, qSrc.V.Data, omega, xStep.V.Data, sv.x.Data, lo, hi)
-				return true
-			})
 		sv.ggPart.ResetMissing()
-		gOp := engine.Operand{Vec: vec(sv.g, sv.gS), Ver: ver}
-		gH := sv.eng.PageOp("g,<g,r>,<g,g>", nil,
-			[]engine.Operand{engine.In(sOp.Vec, ver), engine.In(tOp.Vec, ver)},
-			&gOp, true, func(p, lo, hi int) bool {
-				// g = s - ω t fused with the <g,r̂0> and <g,g> partials in
-				// one pass. Full overwrite revalidates g, so whenever the
-				// body ran the unfused reductions' currency guard would
-				// have held; a skipped page leaves both slots missing,
-				// exactly as the stale-stamp guard would.
-				ow, oo := sparse.XpbyDotNormRange(sv.s.Data, -omega, sv.t.Data, sv.g.Data, sv.rhat, lo, hi)
-				sv.rhoPart.Store(p, ow)
-				sv.ggPart.Store(p, oo)
-				return true
-			})
-		phase3 := append(append([]*taskrt.Handle{}, xH...), gH...)
-		if sv.endPhase(sv.rec[2], &sv.tab[2], phase3, phase3) {
+		sv.prep.x.Submit(nil)
+		sv.prep.g.Submit(nil)
+		if sv.endPhase(sv.rec[2], &sv.tab[2], sv.prep.after[2], sv.prep.after[2]) {
 			continue
 		}
-		rhoNew, missRho := sv.rhoPart.SumAvailable()
-		sv.stats.ContributionsLost += missRho
-		gg, missGG := sv.ggPart.SumAvailable()
-		sv.stats.ContributionsLost += missGG
+		rhoNew, missRho := sv.sum(sv.rhoPart)
+		gg, _ := sv.sum(sv.ggPart)
 		sv.epsGG = gg
-		if rhoBoundaryBreakdown(sv.rho, omega, rhoNew, gg, sv.bnorm, tol) {
+		if rhoBoundaryBreakdown(sv.rho, sv.omega, rhoNew, gg, sv.bnorm, tol) {
 			if missRho == 0 && !sv.space.AnyFault() {
-				return sv.result(it, false, 0, start), sv.x.Data, ErrRecurrenceBreakdown
+				return sv.result(it), sv.x.Data, ErrRecurrenceBreakdown
 			}
 			sv.restartPending = true
 			continue
 		}
-		sv.beta = rhoNew / sv.rho * alpha / omega
+		sv.beta = rhoNew / sv.rho * sv.alpha / sv.omega
 
 		// ---------------- Phase 4: d = g + β(d' - ω q) ----------------
 		sv.sites.Open(it)
-		beta, dIn := sv.beta, sv.dIn
-		dOutOp := engine.Operand{Vec: sv.dOut, Ver: ver}
-		dH := sv.eng.PageOp("d", nil,
-			[]engine.Operand{engine.In(gOp.Vec, ver), engine.In(dIn, ver-1), engine.In(qOp.Vec, ver)},
-			&dOutOp, true, func(p, lo, hi int) bool {
-				sparse.XpbyzOutRange(sv.g.Data, beta, dIn.V.Data, omega, sv.q.Data, dOutOp.V.Data, lo, hi)
-				return true
-			})
-		if sv.endPhase(sv.rec[3], &sv.tab[3], dH, dH) {
+		sv.prep.d.Submit(nil)
+		if sv.endPhase(sv.rec[3], &sv.tab[3], sv.prep.after[3], sv.prep.after[3]) {
 			continue
 		}
 		sv.rho = rhoNew
 	}
-	return sv.result(it, converged, final, start), sv.x.Data, nil
+	return sv.result(it), sv.x.Data, nil
+}
+
+// qIn is what the q SpMV and the x step read of the direction: the
+// incoming direction at ver-1, or d̂ at ver when preconditioned.
+func (sv *BiCGStabSolver) qIn() engine.Operand {
+	if sv.pre != nil {
+		return engine.In(sv.dhat, sv.ver)
+	}
+	return engine.In(sv.dIn, sv.ver-1)
+}
+
+// buildPrepared prepares BiCGStab's waves and each phase's repair once
+// per engine. A page runs only when its inputs are current, and its
+// output is stamped at ver (solverBase.produced). The bodies read ver, α,
+// ω, β and dIn/dOut, which the coordinator sets before submission.
+func (sv *BiCGStabSolver) buildPrepared() {
+	e := sv.eng
+	x, g, q, s, t, dhat, shat := sv.xv, sv.g, sv.q, sv.s, sv.t, sv.dhat, sv.shat
+	// t = A ŝ fused with <t,t> and, unpreconditioned, <t,s>: there the
+	// SpMV input IS s. Preconditioned, <t,s> is a wave of its own.
+	tSrc, ts, tLabel := s, sv.tsPart, "t,<t,s>,<t,t>"
+	//due:hotpath
+	if sv.pre != nil {
+		tSrc, ts, tLabel = shat, nil, "t,<t,t>"
+		sv.prep.dh = e.PreparePages("dh", 0, func(p, _, _ int) {
+			e.ApplyPrecondPage(p, sv.pre, engine.In(sv.dIn, sv.ver-1), engine.In(dhat, sv.ver))
+		})
+		sv.prep.sh = e.PreparePages("sh", 0, func(p, _, _ int) {
+			e.ApplyPrecondPage(p, sv.pre, engine.In(s, sv.ver), engine.In(shat, sv.ver))
+		})
+		sv.prep.ts = e.PreparePages("<t,s>", 0, func(p, lo, hi int) {
+			e.DotPartialPage(p, lo, hi, engine.In(t, sv.ver), engine.In(s, sv.ver), sv.tsPart)
+		})
+	}
+	//due:hotpath
+	sv.prep.q = e.PreparePages("q,<q,r>", 0, func(p, lo, hi int) {
+		e.SpMVDotVecPage(p, lo, hi, sv.qIn(), engine.In(q, sv.ver), sv.rhat, sv.qrPart)
+	})
+	//due:hotpath
+	sv.prep.s = e.PreparePages("s", 0, func(p, lo, hi int) {
+		if e.Resilient && (!g.Current(p, sv.ver-1) || !q.Current(p, sv.ver)) {
+			return
+		}
+		sparse.XpbyOutRange(sv.g.V.Data, -sv.alpha, sv.q.V.Data, sv.s.V.Data, lo, hi)
+		sv.produced(s, p, true)
+	})
+	//due:hotpath
+	sv.prep.t = e.PreparePages(tLabel, 0, func(p, lo, hi int) {
+		e.SpMVDotPage(p, lo, hi, engine.In(tSrc, sv.ver), engine.In(t, sv.ver), ts, sv.ttPart)
+	})
+	// x += α d + ω s (Listing 6: x += α d̂ + ω ŝ), a read-modify-write.
+	//due:hotpath
+	sv.prep.x = e.PreparePages("x", 0, func(p, lo, hi int) {
+		dir := sv.qIn()
+		if e.Resilient && (!x.Current(p, sv.ver-1) || !dir.Current(p, dir.Ver) || !tSrc.Current(p, sv.ver)) {
+			return
+		}
+		sparse.Axpy2Range(sv.alpha, dir.V.Data, sv.omega, tSrc.V.Data, sv.x.Data, lo, hi)
+		sv.produced(x, p, false)
+	})
+	// g = s - ω t fused with the <g,r̂0> and <g,g> partials: a page that
+	// ran had what the reductions' guards check current; a skipped page
+	// leaves both slots missing.
+	//due:hotpath
+	sv.prep.g = e.PreparePages("g,<g,r>,<g,g>", 0, func(p, lo, hi int) {
+		if e.Resilient && (!s.Current(p, sv.ver) || !t.Current(p, sv.ver)) {
+			return
+		}
+		ow, oo := sparse.XpbyDotNormRange(sv.s.V.Data, -sv.omega, sv.t.V.Data, sv.g.V.Data, sv.rhat, lo, hi)
+		sv.rhoPart.Store(p, ow)
+		sv.ggPart.Store(p, oo)
+		sv.produced(g, p, true)
+	})
+	//due:hotpath
+	sv.prep.d = e.PreparePages("d", 0, func(p, lo, hi int) {
+		if e.Resilient && (!g.Current(p, sv.ver) || !sv.dIn.Current(p, sv.ver-1) || !q.Current(p, sv.ver)) {
+			return
+		}
+		sparse.XpbyzOutRange(sv.g.V.Data, sv.beta, sv.dIn.V.Data, sv.omega, sv.q.V.Data, sv.dOut.V.Data, lo, hi)
+		sv.produced(sv.dOut, p, true)
+	})
+	for k, label := range [...]string{"r1", "r2", "r3", "r4"} {
+		sv.rec[k] = sv.prepareRecovery(label, 0, &sv.tab[k]) // BiCGStab computes at tier 0
+	}
+	p := &sv.prep
+	p.after = [4][]*taskrt.Handle{engine.Handles(p.dh, p.q), engine.Handles(p.s, p.sh, p.t), engine.Handles(p.x, p.g), engine.Handles(p.d)}
+	p.phase2 = engine.Handles(p.s, p.sh, p.t, p.ts)
 }
 
 // rhoBoundaryBreakdown reports whether the phase-3 boundary scalars
@@ -444,21 +439,18 @@ func rhoBoundaryBreakdown(rho, omega, rhoNew, gg, bnorm, tol float64) bool {
 // consistent state. Its callers count it in Stats.Restarts.
 func (sv *BiCGStabSolver) restart(ver int64) {
 	sv.space.ClearAll()
-	sv.a.MulVec(sv.x.Data, sv.g.Data)
-	sparse.Sub(sv.b, sv.g.Data, sv.g.Data)
-	copy(sv.rhat, sv.g.Data)
+	sv.a.MulVec(sv.x.Data, sv.g.V.Data)
+	sparse.Sub(sv.b, sv.g.V.Data, sv.g.V.Data)
+	copy(sv.rhat, sv.g.V.Data)
 	// Both buffers get the fresh direction: whichever one the next
 	// iteration treats as dIn is then valid.
-	copy(sv.d[0].Data, sv.g.Data)
-	copy(sv.d[1].Data, sv.g.Data)
+	copy(sv.d[0].V.Data, sv.g.V.Data)
+	copy(sv.d[1].V.Data, sv.g.V.Data)
 	if sv.pre != nil {
-		// Preconditioned pairing: q = A d̂ with d̂ = M⁻¹ d.
-		sv.pre.Apply(sv.d[0].Data, sv.dhat.Data)
-		sv.a.MulVec(sv.dhat.Data, sv.q.Data)
-	} else {
-		sv.a.MulVec(sv.d[0].Data, sv.q.Data) // keep the q = A d pairing
+		sv.pre.Apply(sv.d[0].V.Data, sv.dhat.V.Data)
 	}
-	sv.rho = sparse.Dot(sv.g.Data, sv.rhat)
+	sv.a.MulVec(sv.qIn().V.Data, sv.q.V.Data) // keep the q = A d̂ pairing
+	sv.rho = sparse.Dot(sv.g.V.Data, sv.rhat)
 	sv.epsGG = sv.rho        // r̂0 = g, so <g,g> = <g,r̂0>
 	sv.beta, sv.omega = 0, 0 // d = g: the direction's recurrence restarts
 	sv.fillStamps(ver)

@@ -59,15 +59,14 @@ type CG struct {
 	dCur, dPrev engine.Vec // iteration ver's direction buffers
 	tab1, tab2  repairTable
 
-	// Prepared steady-state task graph (built once in Run): the same
-	// handles are replayed every iteration, so the hot loop performs zero
-	// allocations. The task bodies read ver, iterBeta and dCur/dPrev,
-	// which the coordinator writes before each submission (the run-queue
-	// handoff provides the happens-before edge).
+	// The prepared task graph (buildPrepared), replayed every iteration;
+	// the bodies read what the coordinator writes before each submission
+	// (the run-queue handoff provides the happens-before edge).
 	prep struct {
 		d, q, x, g *engine.Prepared // fused: q carries <d,q>, g carries ε (and z, <z,g>)
+		z          *engine.Prepared // z = M⁻¹ g outside the steady state (preconditioned only)
 		r1, r23    recoveryTask
-		r1After    []*taskrt.Handle // d+q handles (prebuilt: stable)
+		r1After    []*taskrt.Handle // d+q handles, listed once
 		r23After   []*taskrt.Handle // x+g handles
 	}
 	iterBeta float64
@@ -195,14 +194,14 @@ func (s *CG) wire() {
 
 // result folds the space's SDC counter deltas (relative to this Run's
 // start) into the stats before the Result snapshot is built.
-func (s *CG) result(it int, converged bool, final float64, start time.Time) Result {
+func (s *CG) result(it int) Result {
 	s.stats.SDCInjected = int(s.space.SDCInjected() - s.sdcInjBase)
 	s.stats.SDCDetected = int(s.space.SDCDetected() - s.sdcDetBase)
-	return s.solverBase.result(it, converged, final, start)
+	return s.solverBase.result(it)
 }
 
 // Solution returns the iterate vector's backing array. Only valid after
-// Run returned; the next Run (or resetState) overwrites it.
+// Run returned; the next Run overwrites it.
 func (s *CG) Solution() []float64 { return s.x.Data }
 
 // SetStop rebinds the stopping rule, Config.Tol and Config.MaxIter (zero
@@ -222,18 +221,16 @@ func (s *CG) SetOnIteration(f func(it int, relRes float64)) { s.cfg.OnIteration 
 // so a pooled instance serves a new RHS without rebuilding anything.
 func (s *CG) Rebind(b []float64) error { return s.rebind(b) }
 
-// resetState returns the instance to its pre-Run state so a pooled solver
-// can serve a fresh request: failed pages remapped, vectors zeroed, stamps
-// and scalar recurrences cleared, counters rezeroed, a fresh checkpointer.
-// Idempotent on a fresh instance.
-func (s *CG) resetState() {
-	blankAllFailed(s.space)
-	for _, v := range s.DynamicVectors() {
-		clear(v.Data)
-		v.InvalidateChecksums()
-	}
-	s.fillStamps(-1)
-	s.stats = Stats{}
+// vec couples a solver vector with its stamps for the engine operations.
+func vec(v *pagemem.Vector, st engine.Stamps) engine.Vec { return engine.Vec{V: v, S: st} }
+
+// Run executes the solve and returns its Result. Run may be called
+// repeatedly (with Rebind in between to change the RHS); solverBase.start
+// says when the prepared graph is built and when it is replayed.
+func (s *CG) Run() (Result, error) {
+	defer s.start(s.resilient, s.buildPrepared)()
+	// What start leaves to CG, so a pooled instance serves a fresh
+	// request: the scalar recurrences, the checkpointer, the SDC bases.
 	s.alpha, s.beta, s.rho, s.epsGG = 0, 0, 0, 0
 	if s.cfg.Method == MethodCheckpoint {
 		disk := s.cfg.Disk
@@ -242,27 +239,7 @@ func (s *CG) resetState() {
 		}
 		s.ck = newCheckpointer(disk, s.cfg.CheckpointInterval, s.cfg.ExpectedMTBE, s.a.N)
 	}
-}
-
-// vec couples a solver vector with its stamps for the engine operations.
-func vec(v *pagemem.Vector, st engine.Stamps) engine.Vec { return engine.Vec{V: v, S: st} }
-
-// Run executes the solve and returns its Result. Run may be called
-// repeatedly (with Rebind in between to change the RHS): with Config.RT
-// set, the engine and prepared task graphs are built on the first Run and
-// replayed by every later one; with a solver-owned pool they are rebuilt
-// per Run (and the pool closed after).
-func (s *CG) Run() (Result, error) {
-	start := time.Now()
-	if s.eng == nil {
-		// A private pool is opened (and closed) per Run, Config.RT once
-		// per instance: every later Run replays the same prepared graph.
-		defer s.open(s.resilient)()
-		s.buildPrepared()
-	}
-	s.resetState()
-	s.sdcInjBase = s.space.SDCInjected()
-	s.sdcDetBase = s.space.SDCDetected()
+	s.sdcInjBase, s.sdcDetBase = s.space.SDCInjected(), s.space.SDCDetected()
 
 	tol := s.cfg.tol()
 	maxIter := s.cfg.maxIter(s.a.N)
@@ -270,7 +247,7 @@ func (s *CG) Run() (Result, error) {
 	// Initial state: x = 0, g = b, d built in iteration 0 via beta = 0.
 	copy(s.g.Data, s.b)
 	if s.pre != nil {
-		s.applyPrecond()
+		s.prep.z.Run()
 		s.rho = sparse.Dot(s.z.Data, s.g.Data)
 	}
 	s.epsGG = sparse.Dot(s.g.Data, s.g.Data)
@@ -278,11 +255,9 @@ func (s *CG) Run() (Result, error) {
 	s.restartPending = true // iteration 0 is a fresh start
 
 	var t int
-	converged := false
-	var final float64 // the true residual of the check that accepted x
 	for t = 0; t < maxIter; t++ {
 		if s.cfg.Cancelled != nil && s.cfg.Cancelled() {
-			return s.result(t, false, 0, start), ErrCancelled
+			return s.result(t), ErrCancelled
 		}
 		rel := relFromEpsilon(s.epsGG, s.bnorm)
 		if s.cfg.OnIteration != nil {
@@ -293,13 +268,8 @@ func (s *CG) Run() (Result, error) {
 			// Exact forward recovery preserves the recurrence, but an
 			// undetected flip, or a blank page of Trivial, can
 			// desynchronise g from b - Ax.
-			f, ok, err := s.accept(tol)
-			if ok {
-				final, converged = f, true
-				break
-			}
-			if err != nil {
-				return s.result(t, false, 0, start), err
+			if ok, err := s.accept(tol); ok || err != nil {
+				return s.result(t), err
 			}
 			// Recurrence said converged but the true residual disagrees:
 			// refresh the residual and keep iterating — within the SAME
@@ -309,7 +279,7 @@ func (s *CG) Run() (Result, error) {
 		}
 
 		if s.ck != nil {
-			s.ck.maybeWrite(s, t, time.Since(start))
+			s.ck.maybeWrite(s, t, time.Since(s.began))
 		}
 
 		// ---------------- Phase 1: d, q, <d,q> (+ r1) ----------------
@@ -317,8 +287,7 @@ func (s *CG) Run() (Result, error) {
 		if s.runPhase1(ver) {
 			continue
 		}
-		dq, missing := s.dqPart.SumAvailable()
-		s.stats.ContributionsLost += missing
+		dq, _ := s.sum(s.dqPart)
 		num := s.epsGG
 		if s.pre != nil {
 			num = s.rho
@@ -333,11 +302,9 @@ func (s *CG) Run() (Result, error) {
 		if s.runPhase2(ver) {
 			continue
 		}
-		gg, missingGG := s.ggPart.SumAvailable()
-		s.stats.ContributionsLost += missingGG
+		gg, _ := s.sum(s.ggPart)
 		if s.pre != nil {
-			zg, missingZG := s.zgPart.SumAvailable()
-			s.stats.ContributionsLost += missingZG
+			zg, _ := s.sum(s.zgPart)
 			if s.rho != 0 && !math.IsNaN(zg) {
 				s.beta = zg / s.rho
 			} else {
@@ -359,15 +326,15 @@ func (s *CG) Run() (Result, error) {
 		}
 	}
 
-	return s.result(t, converged, final, start), nil
+	return s.result(t), nil
 }
 
-// buildPrepared constructs the prepared steady-state task graph once per
-// solve: every iteration replays the same handles (taskrt.Resubmit), so
-// the hot loop allocates nothing. Each fused body applies exactly the
-// guard/stamp discipline of the immediate engine op it replaces (the
-// engine's exported *Page helpers ARE those ops' bodies); the task bodies
-// read the iter* fields the coordinator sets before submission.
+// buildPrepared constructs CG's task graph once per engine: every
+// iteration replays the same handles (taskrt.Resubmit), so the hot loop
+// allocates nothing. The bodies guard and stamp each page through the
+// engine's *Page helpers, or inline where ABFT folds a checksum in; they
+// read ver, iterBeta, alpha and dCur/dPrev, which the coordinator sets
+// before submission.
 func (s *CG) buildPrepared() {
 	e := s.eng
 	prio := s.cfg.TaskPriority
@@ -406,10 +373,7 @@ func (s *CG) buildPrepared() {
 			} else {
 				sparse.XpbyRange(src.V.Data, beta, dCur.V.Data, lo, hi)
 			}
-			if e.Resilient {
-				dCur.V.MarkRecovered(p)
-				dCur.S[p].Store(ver)
-			}
+			s.produced(dCur, p, true)
 			if s.abft {
 				dCur.V.SetChecksum(p, ck)
 			}
@@ -459,9 +423,7 @@ func (s *CG) buildPrepared() {
 				}
 			} else {
 				sparse.AxpyRange(alpha, dCur.V.Data, s.x.Data, lo, hi)
-				if e.Resilient {
-					xV.S[p].Store(ver)
-				}
+				s.produced(xV, p, false)
 			}
 		}
 	})
@@ -499,13 +461,18 @@ func (s *CG) buildPrepared() {
 			e.DotPartialPage(p, lo, hi, zOp, gOp, s.zgPart)
 		}
 	})
+	// z = M⁻¹ g outside the steady state (a Run's start, a refreshed
+	// residual), unguarded; the blocks are independent, so z is the
+	// sequential Apply's bit for bit.
+	if s.pre != nil {
+		//due:hotpath
+		s.prep.z = s.eng.PreparePages("z", prio, func(p, _, _ int) { _ = s.pre.ApplyBlock(p, s.g.Data, s.z.Data) })
+	}
 	s.prep.r1 = s.prepareRecovery("r1", prio, &s.tab1)
 	s.prep.r23 = s.prepareRecovery("r2r3", prio, &s.tab2)
 
-	// Prebuilt dependency lists: prepared handles are stable objects, so
-	// the concatenations are allocated once.
-	s.prep.r1After = append(append([]*taskrt.Handle{}, s.prep.d.Handles()...), s.prep.q.Handles()...)
-	s.prep.r23After = append(append([]*taskrt.Handle{}, s.prep.x.Handles()...), s.prep.g.Handles()...)
+	s.prep.r1After = engine.Handles(s.prep.d, s.prep.q)
+	s.prep.r23After = engine.Handles(s.prep.x, s.prep.g)
 }
 
 // runPhase1 replays the prepared d-update and fused q/<d,q> tasks and
@@ -520,8 +487,7 @@ func (s *CG) runPhase1(ver int64) bool {
 	s.dqPart.ResetMissing()
 	s.sites.Open(int(ver))
 
-	dH := s.prep.d.Submit(nil)
-	s.prep.q.Submit(dH)
+	engine.Chain(s.prep.d, s.prep.q)
 	return s.endPhase(s.prep.r1, nil, s.prep.r1After, s.prep.r1After)
 }
 
@@ -549,13 +515,6 @@ func (s *CG) setVersion(ver int64) {
 	s.dCur, s.dPrev = vec(s.d[cur], s.dS[cur]), vec(s.d[prev], s.dS[prev])
 }
 
-// applyPrecond computes z = M⁻¹ g outside the steady state, unguarded, on
-// the pool rather than block after block on the coordinator: the blocks
-// are independent, so z is the sequential Apply's bit for bit.
-func (s *CG) applyPrecond() {
-	s.rt.WaitAll(s.eng.RawApplyPrecond("z", nil, s.pre, s.g.Data, s.z.Data))
-}
-
 // restart is CG's restart from x after a Lossy step: every fault bit
 // cleared, every stamp at ver, the residual refreshed.
 func (s *CG) restart(ver int64) {
@@ -575,7 +534,7 @@ func (s *CG) refreshResidual(ver int64) {
 	}
 	s.gS.Fill(ver)
 	if s.pre != nil {
-		s.applyPrecond()
+		s.prep.z.Run()
 		for p := 0; p < s.np; p++ {
 			s.z.MarkRecovered(p)
 		}

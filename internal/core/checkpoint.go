@@ -103,7 +103,7 @@ func (c *checkpointer) rollback(s *CG) {
 	s.a.MulVec(s.x.Data, s.g.Data)
 	sparse.Sub(s.b, s.g.Data, s.g.Data)
 	if s.pre != nil {
-		s.applyPrecond()
+		s.prep.z.Run()
 		s.rho = sparse.Dot(s.z.Data, s.g.Data)
 	}
 	s.epsGG = sparse.Dot(s.g.Data, s.g.Data)

@@ -3,13 +3,12 @@ package core
 import (
 	"fmt"
 	"math"
-	"time"
 
 	"repro/internal/defaults"
 	"repro/internal/engine"
 	"repro/internal/pagemem"
+	"repro/internal/solver"
 	"repro/internal/sparse"
-	"repro/internal/taskrt"
 )
 
 // GMRESSolver is the task-parallel resilient restarted GMRES(m)
@@ -65,6 +64,15 @@ type GMRESSolver struct {
 	steps int     // completed Arnoldi steps in the current cycle
 	live  int     // the completed steps the running repair may rebuild
 	tab   repairTable
+
+	lsq    *solver.Givens // the cycle's least-squares problem
+	y      []float64      // its solution, the coefficients x+ applies
+	col, k int            // the running step's column l and Gram–Schmidt index
+	hk     float64        // the coefficient h_{k,col} the step's update applies
+	prep   struct {
+		g, z, zz, v0, w, mw, wv, whv, whvww, vNext, x *engine.Prepared
+		rV                                            recoveryTask
+	}
 }
 
 // NewGMRES builds a resilient GMRES(m) solver. restart m must satisfy
@@ -92,6 +100,7 @@ func NewGMRES(a *sparse.CSR, b []float64, restart int, cfg Config) (*GMRESSolver
 	}
 	sv.w = make([]float64, a.N)
 	sv.hCopy = sparse.NewDense(sv.restart+1, sv.restart)
+	sv.lsq = solver.NewGivens(sv.restart)
 	sv.dotPart = engine.NewPartial(sv.np)
 	sv.restartFrom = func(int64) { sv.space.ClearAll() }
 	sv.wire()
@@ -177,87 +186,47 @@ func (sv *GMRESSolver) hessenberg(l, p int) bool {
 
 // Run executes the resilient solve and returns the result and solution.
 func (sv *GMRESSolver) Run() (Result, []float64, error) {
-	start := time.Now()
-	defer sv.open(false)() // the Arnoldi discipline: fault bits, no stamps
+	defer sv.start(false, sv.buildPrepared)() // the Arnoldi discipline: fault bits, no stamps
 
 	tol := sv.cfg.tol()
 	maxIter := sv.cfg.maxIter(sv.a.N)
-	m := sv.restart
-
-	h := sparse.NewDense(m+1, m) // working copy, Givens-rotated
-	cs := make([]float64, m)
-	sn := make([]float64, m)
-	res := make([]float64, m+1)
-	y := make([]float64, m)
 
 	totalIt := 0
-	converged := false
-	var final float64 // the true residual of the accepted x
 	for totalIt < maxIter {
 		if sv.cfg.Cancelled != nil && sv.cfg.Cancelled() {
-			return sv.result(totalIt, false, 0, start), sv.x.Data, ErrCancelled
+			return sv.result(totalIt), sv.x.Data, ErrCancelled
 		}
 		sv.stepBoundary()
 		// Start of cycle: g = b - A x (full rebuild validates g), fused
 		// with the <g,g> partials — the cycle residual norm and, when
 		// unpreconditioned, the Arnoldi ζ ride the rebuild's own pass.
-		sv.dotPart.ResetMissing()
-		sv.rt.WaitAll(sv.eng.RawOp("g,<g,g>", nil, func(p, lo, hi int) {
-			sv.a.MulVecRange(sv.x.Data, sv.g.Data, lo, hi)
-			var gg float64
-			for i := lo; i < hi; i++ {
-				d := sv.b[i] - sv.g.Data[i]
-				sv.g.Data[i] = d
-				gg += d * d
-			}
-			sv.dotPart.Store(p, gg)
-		}))
-		sv.clearFailed(sv.g)
-		gg, _ := sv.dotPart.SumAvailable()
+		gg := sv.reduce(sv.prep.g)
 		trueRel := math.Sqrt(math.Max(gg, 0)) / sv.bnorm
 		if sv.cfg.OnIteration != nil {
 			sv.cfg.OnIteration(totalIt, trueRel)
 		}
 		if trueRel < tol || math.IsNaN(trueRel) || math.IsInf(trueRel, 0) {
-			f, ok, err := sv.accept(tol)
-			if ok {
-				final, converged = f, true
-				break
-			}
-			if err != nil {
-				return sv.result(totalIt, false, 0, start), sv.x.Data, err
+			if ok, err := sv.accept(tol); ok || err != nil {
+				return sv.result(totalIt), sv.x.Data, err
 			}
 		}
 		// The Arnoldi start vector: g, or the preconditioned residual
 		// z = M⁻¹ g (full overwrite, so the rebuild heals z losses too).
-		src := sv.g
 		sv.zeta = math.Sqrt(math.Max(gg, 0))
 		if sv.pre != nil {
-			sv.rt.WaitAll(sv.eng.RawApplyPrecond("z", nil, sv.pre, sv.g.Data, sv.z.Data))
-			sv.clearFailed(sv.z)
-			src = sv.z
-			sv.zeta = math.Sqrt(sv.eng.Dot("<z,z>", src.Data, src.Data, sv.dotPart))
+			sv.prep.z.Run()
+			sv.zeta = math.Sqrt(sv.reduce(sv.prep.zz))
 		}
-		zeta := sv.zeta
-		sv.rt.WaitAll(sv.eng.RawOp("v0", nil, func(p, lo, hi int) {
-			for i := lo; i < hi; i++ {
-				sv.v[0].Data[i] = src.Data[i] / zeta
-			}
-		}))
-		sv.clearFailed(sv.v[0])
+		sv.prep.v0.Run()
 		sv.steps = 0
-		for i := range res {
-			res[i] = 0
-		}
-		res[0] = sv.zeta
+		sv.lsq.Start(sv.zeta)
 
-		steps := 0
-		for l := 0; l < m && totalIt < maxIter; l++ {
+		for l := 0; l < sv.restart && totalIt < maxIter; l++ {
 			// Arnoldi-step boundary: repair before using data. A Lossy
 			// step ends the cycle without its update and, like CG's
 			// restart, consumes an iteration.
 			if sv.stepBoundary() {
-				steps = 0
+				sv.steps = 0
 				totalIt++
 				break
 			}
@@ -266,15 +235,15 @@ func (sv *GMRESSolver) Run() (Result, []float64, error) {
 			// chunked; under AFEIR a page damaged since the boundary is
 			// repaired by a task overlapping the orthogonalisation
 			// reductions that follow.
-			wH := sv.eng.RawSpMV("w", nil, sv.v[l].Data, sv.w)
+			sv.col = l
+			wH := sv.prep.w.Submit(nil)
 			if sv.pre != nil {
-				wH = sv.eng.RawApplyPrecond("Mw", wH, sv.pre, sv.w, sv.w)
+				wH = sv.prep.mw.Submit(wH)
 			}
-			var rOverlap *taskrt.Handle
-			if sv.cfg.Method == MethodAFEIR && sv.space.AnyFault() {
+			overlap := sv.cfg.Method == MethodAFEIR && sv.space.AnyFault()
+			if overlap {
 				sv.live = sv.steps // the step counter advances mid-phase
-				//due:recovery
-				rOverlap = sv.eng.OverlappedRecovery("rV", wH, func() { sv.repair(&sv.tab, false) })
+				sv.prep.rV.overlapped.Submit(wH)
 			}
 			sv.rt.WaitAll(wH)
 			// Modified Gram-Schmidt: each h_{k,l} is a chunked reduction
@@ -282,88 +251,125 @@ func (sv *GMRESSolver) Run() (Result, []float64, error) {
 			// normalisation norm <w,w>, saving one full pass over w.
 			var wn2 float64
 			for k := 0; k <= l; k++ {
-				hk := sv.eng.Dot("<w,v>", sv.w, sv.v[k].Data, sv.dotPart)
-				h.Set(k, l, hk)
-				sv.hCopy.Set(k, l, hk) // redundancy store
-				vk := sv.v[k].Data
+				sv.k = k
+				sv.hk = sv.reduce(sv.prep.wv)
+				sv.lsq.H.Set(k, l, sv.hk)
+				sv.hCopy.Set(k, l, sv.hk) // redundancy store
 				if k == l {
-					wn2 = sv.eng.AxpyNorm("w-hv,<w,w>", -hk, vk, sv.w, sv.dotPart)
+					wn2 = sv.reduce(sv.prep.whvww)
 				} else {
-					sv.rt.WaitAll(sv.eng.RawOp("w-hv", nil, func(p, lo, hi int) {
-						sparse.AxpyRange(-hk, vk, sv.w, lo, hi)
-					}))
+					sv.prep.whv.Run()
 				}
 			}
 			wn := math.Sqrt(math.Max(wn2, 0))
-			h.Set(l+1, l, wn)
+			sv.lsq.H.Set(l+1, l, wn)
 			sv.hCopy.Set(l+1, l, wn)
-			steps = l + 1
-			sv.steps = steps
+			sv.steps = l + 1
 			totalIt++
 			if wn != 0 {
-				sv.rt.WaitAll(sv.eng.RawOp("v+", nil, func(p, lo, hi int) {
-					for i := lo; i < hi; i++ {
-						sv.v[l+1].Data[i] = sv.w[i] / wn
-					}
-				}))
-				sv.clearFailed(sv.v[l+1])
+				sv.k, sv.hk = l+1, wn
+				sv.prep.vNext.Run()
 			}
-			if rOverlap != nil {
-				sv.rt.Wait(rOverlap)
+			if overlap {
+				sv.prep.rV.overlapped.Wait()
 			}
-			for k := 0; k < l; k++ {
-				hkl, hk1l := h.At(k, l), h.At(k+1, l)
-				h.Set(k, l, cs[k]*hkl+sn[k]*hk1l)
-				h.Set(k+1, l, -sn[k]*hkl+cs[k]*hk1l)
-			}
-			hll, hl1l := h.At(l, l), h.At(l+1, l)
-			r := math.Hypot(hll, hl1l)
-			if r == 0 {
-				cs[l], sn[l] = 1, 0
-			} else {
-				cs[l], sn[l] = hll/r, hl1l/r
-			}
-			h.Set(l, l, r)
-			h.Set(l+1, l, 0)
-			res[l+1] = -sn[l] * res[l]
-			res[l] = cs[l] * res[l]
+			left := sv.lsq.Rotate(l)
 			if sv.cfg.OnIteration != nil {
-				sv.cfg.OnIteration(totalIt, math.Abs(res[l+1])/sv.bnorm)
+				sv.cfg.OnIteration(totalIt, left/sv.bnorm)
 			}
-			if math.Abs(res[l+1])/sv.zeta < tol/10 || wn == 0 {
+			if left/sv.zeta < tol/10 || wn == 0 {
 				break
 			}
 		}
 		// y = R⁻¹ (rotated rhs); x += Σ y_l v_l.
 		if sv.stepBoundary() {
-			steps = 0
+			sv.steps = 0
 		}
 		sv.sites.Close() // the update and the next cycle's residual are no sites
-		for i := steps - 1; i >= 0; i-- {
-			s := res[i]
-			for j := i + 1; j < steps; j++ {
-				s -= h.At(i, j) * y[j]
-			}
-			d := h.At(i, i)
-			if d == 0 {
-				return sv.result(totalIt, false, 0, start), sv.x.Data, ErrRecurrenceBreakdown
-			}
-			y[i] = s / d
+		var ok bool
+		if sv.y, ok = sv.lsq.Solve(sv.steps); !ok {
+			return sv.result(totalIt), sv.x.Data, ErrRecurrenceBreakdown
 		}
-		sv.rt.WaitAll(sv.eng.RawOp("x+", nil, func(p, lo, hi int) {
-			for l := 0; l < steps; l++ {
-				sparse.AxpyRange(y[l], sv.v[l].Data, sv.x.Data, lo, hi)
-			}
-		}))
+		sv.prep.x.Run()
 		sv.steps = 0
 	}
-	return sv.result(totalIt, converged, final, start), sv.x.Data, nil
+	return sv.result(totalIt), sv.x.Data, nil
 }
 
-func (sv *GMRESSolver) clearFailed(v *pagemem.Vector) {
-	for _, p := range v.FailedPages() {
-		v.MarkRecovered(p)
+// reduce replays a prepared reduction into dotPart and returns its sum.
+func (sv *GMRESSolver) reduce(op *engine.Prepared) float64 {
+	sv.dotPart.ResetMissing()
+	op.Run()
+	sum, _ := sv.dotPart.SumAvailable()
+	return sum
+}
+
+// buildPrepared prepares GMRES's waves once per engine, unguarded (the
+// Arnoldi discipline repairs at step boundaries; a wave that rewrites a
+// protected vector whole clears its fault bits), and the overlapped
+// repair rV. The bodies read ζ, the step's column col and the
+// Gram–Schmidt index k with its coefficient hk (v+ writes column
+// k = col+1 from h_{k,col}), which the coordinator sets before
+// submission.
+func (sv *GMRESSolver) buildPrepared() {
+	e, x, g, b, w := sv.eng, sv.x.Data, sv.g.Data, sv.b, sv.w
+	//due:hotpath
+	sv.prep.g = e.PreparePages("g,<g,g>", 0, func(p, lo, hi int) {
+		sv.a.MulVecRange(x, g, lo, hi)
+		var gg float64
+		for i := lo; i < hi; i++ {
+			d := b[i] - g[i]
+			g[i] = d
+			gg += d * d
+		}
+		sv.dotPart.Store(p, gg)
+		sv.g.MarkRecovered(p)
+	})
+	src := g // the Arnoldi start vector
+	if sv.pre != nil {
+		src = sv.z.Data
+		//due:hotpath
+		sv.prep.z = e.PreparePages("z", 0, func(p, _, _ int) {
+			_ = sv.pre.ApplyBlock(p, g, src)
+			sv.z.MarkRecovered(p)
+		})
+		//due:hotpath
+		sv.prep.zz = e.PreparePages("<z,z>", 0, func(p, lo, hi int) { sv.dotPart.Store(p, sparse.DotRange(src, src, lo, hi)) })
+		//due:hotpath
+		sv.prep.mw = e.PreparePages("Mw", 0, func(p, _, _ int) { _ = sv.pre.ApplyBlock(p, w, w) })
 	}
+	//due:hotpath
+	sv.prep.v0 = e.PreparePages("v0", 0, func(p, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			sv.v[0].Data[i] = src[i] / sv.zeta
+		}
+		sv.v[0].MarkRecovered(p)
+	})
+	//due:hotpath
+	sv.prep.w = e.PreparePages("w", 0, func(_, lo, hi int) { sv.a.MulVecRange(sv.v[sv.col].Data, w, lo, hi) })
+	//due:hotpath
+	sv.prep.wv = e.PreparePages("<w,v>", 0, func(p, lo, hi int) { sv.dotPart.Store(p, sparse.DotRange(w, sv.v[sv.k].Data, lo, hi)) })
+	//due:hotpath
+	sv.prep.whv = e.PreparePages("w-hv", 0, func(_, lo, hi int) { sparse.AxpyRange(-sv.hk, sv.v[sv.k].Data, w, lo, hi) })
+	//due:hotpath
+	sv.prep.whvww = e.PreparePages("w-hv,<w,w>", 0, func(p, lo, hi int) {
+		sv.dotPart.Store(p, sparse.AxpyDotRange(-sv.hk, sv.v[sv.k].Data, w, lo, hi))
+	})
+	//due:hotpath
+	sv.prep.vNext = e.PreparePages("v+", 0, func(p, lo, hi int) {
+		v := sv.v[sv.k]
+		for i := lo; i < hi; i++ {
+			v.Data[i] = w[i] / sv.hk
+		}
+		v.MarkRecovered(p)
+	})
+	//due:hotpath
+	sv.prep.x = e.PreparePages("x+", 0, func(_, lo, hi int) {
+		for l, yl := range sv.y {
+			sparse.AxpyRange(yl, sv.v[l].Data, x, lo, hi)
+		}
+	})
+	sv.prep.rV = sv.prepareRecovery("rV", 0, &sv.tab)
 }
 
 // stepBoundary is GMRES's phase end (solverBase.boundary): its repair

@@ -104,13 +104,67 @@ func TestInlineCGUnderWallClockStorm(t *testing.T) {
 			if err != nil || !clean.Converged || clean.Stats.FaultsSeen != 0 {
 				t.Fatalf("%v precond=%v clean replay: converged=%v err=%v %+v", method, usePrecond, clean.Converged, err, clean.Stats)
 			}
-			short := 20
-			s.cfg.MaxIter = short
-			few := testing.AllocsPerRun(5, func() { _, _ = s.Run() })
-			s.cfg.MaxIter = 3 * short
-			many := testing.AllocsPerRun(5, func() { _, _ = s.Run() })
-			if many > few {
-				t.Fatalf("%v precond=%v: %.0f allocations in %d iterations, %.0f in %d: the inline iteration allocates", method, usePrecond, few, short, many, 3*short)
+			noIterationAllocates(t, fmt.Sprintf("cg %v precond=%v", method, usePrecond), 20, func(maxIter int) Result {
+				s.cfg.MaxIter = maxIter
+				res, _ := s.Run()
+				return res
+			})
+		}
+	}
+}
+
+// noIterationAllocates runs a solver capped at short iterations and at
+// three times as many and fails if the longer Runs allocate more: what a
+// Run prepares, it prepares once, and no iteration allocates. The cap, not
+// convergence, must end the longer Run.
+func noIterationAllocates(t *testing.T, name string, short int, run func(maxIter int) Result) {
+	t.Helper()
+	few := testing.AllocsPerRun(5, func() { run(short) })
+	many := testing.AllocsPerRun(5, func() { run(3 * short) })
+	if many > few {
+		t.Fatalf("%s: %.0f allocations in %d iterations, %.0f in %d: the inline iteration allocates", name, few, short, many, 3*short)
+	}
+	if res := run(3 * short); res.Iterations != 3*short {
+		t.Fatalf("%s: %d iterations, want the cap %d", name, res.Iterations, 3*short)
+	}
+}
+
+// TestInlineKrylovIterationsDoNotAllocate holds BiCGStab and GMRES to
+// CG's rule on the inline runtime: FEIR and AFEIR, with and without
+// preconditioning, each iteration replays the waves prepared on the first
+// Run and allocates nothing.
+func TestInlineKrylovIterationsDoNotAllocate(t *testing.T) {
+	a, b := testSystem()
+	for _, name := range []string{"bicgstab", "gmres"} {
+		for _, method := range []Method{MethodFEIR, MethodAFEIR} {
+			for _, usePrecond := range []bool{false, true} {
+				cfg := testConfig(method)
+				cfg.UsePrecond, cfg.Tol, cfg.RT = usePrecond, 1e-14, taskrt.NewInline()
+				var s interface {
+					Run() (Result, []float64, error)
+				}
+				var c *Config
+				if name == "bicgstab" {
+					sv, err := NewBiCGStab(a, b, cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					s, c = sv, &sv.cfg
+				} else {
+					sv, err := NewGMRES(a, b, 0, cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					s, c = sv, &sv.cfg
+				}
+				noIterationAllocates(t, fmt.Sprintf("%s %v precond=%v", name, method, usePrecond), 10, func(maxIter int) Result {
+					c.MaxIter = maxIter
+					res, _, err := s.Run()
+					if err != nil {
+						t.Fatal(err)
+					}
+					return res
+				})
 			}
 		}
 	}

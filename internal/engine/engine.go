@@ -1,8 +1,9 @@
 // Package engine is the shared task-parallel iteration machinery behind
 // every resilient solver in internal/core and the rank-sharded layer in
 // internal/dist: strip-mined (chunked) page operations over pagemem
-// vectors, version-stamped so that tasks can skip pages whose inputs are
-// stale or poisoned (§3.3.2 of the paper), per-page reduction partials
+// vectors, prepared once and replayed every iteration (Prepare), whose
+// guarded page bodies (fused.go) skip pages whose inputs are stale or
+// poisoned (§3.3.2 of the paper), per-page reduction partials
 // with missing-contribution tracking, and the two recovery scheduling
 // disciplines of §3.3.2 — critical-path (FEIR, Fig 2a) and overlapped at
 // low priority (AFEIR, Fig 2b) — on top of internal/taskrt.
@@ -256,34 +257,6 @@ func (e *Engine) Sub(pLo, pHi, nchunks int) *Engine {
 	return &sub
 }
 
-// PageOp submits one task per chunk running fn(p, lo, hi) for every page
-// whose input operands are all current. Skipped pages keep their previous
-// version. When out is non-nil and fn returned true, the output page is
-// stamped at out.Ver; overwrite additionally clears the output's fault
-// bit first (a full-page overwrite revalidates lost data, §3.3.2 —
-// read-modify-write updates like x += αd must NOT pass overwrite, so a
-// poison landing mid-task stays detected).
-func (e *Engine) PageOp(label string, after []*taskrt.Handle, ins []Operand, out *Operand, overwrite bool, fn func(p, lo, hi int) bool) []*taskrt.Handle {
-	return e.RawOp(label, after, func(p, lo, hi int) {
-		if e.Resilient {
-			for _, in := range ins {
-				if !in.Current(p, in.Ver) {
-					return
-				}
-			}
-		}
-		if !fn(p, lo, hi) {
-			return
-		}
-		if e.Resilient && out != nil {
-			if overwrite {
-				out.V.MarkRecovered(p)
-			}
-			out.S[p].Store(out.Ver)
-		}
-	})
-}
-
 // BlockApplier is the block-diagonal apply-M⁻¹ surface the engine needs
 // from a preconditioner: solve M_pp u_p = v_p for one page. Block
 // diagonality is what makes the operation a page operation at all — no
@@ -301,81 +274,6 @@ type BlockMultiplier interface {
 	MulBlock(i int, v, u []float64) error
 }
 
-// ApplyPrecond submits chunked tasks computing out_p = M_pp⁻¹ in_p for
-// every page whose input is current — the guarded apply-M⁻¹ page
-// operation every preconditioned solver runs. Full-page overwrite
-// semantics: a produced page revalidates, and a skipped page keeps its
-// previous version so the partial-application recovery (§3.2) can fill
-// it in later.
-func (e *Engine) ApplyPrecond(label string, after []*taskrt.Handle, m BlockApplier, in Operand, out Operand) []*taskrt.Handle {
-	return e.PageOp(label, after, []Operand{in}, &out, true, func(p, lo, hi int) bool {
-		return m.ApplyBlock(p, in.V.Data, out.V.Data) == nil
-	})
-}
-
-// RawApplyPrecond submits unguarded chunked tasks computing
-// out_p = M_pp⁻¹ in_p — the apply-M⁻¹ building block for solvers that
-// repair at phase boundaries only (GMRES, the distributed substrate). in
-// and out may alias for an in-place application.
-func (e *Engine) RawApplyPrecond(label string, after []*taskrt.Handle, m BlockApplier, in, out []float64) []*taskrt.Handle {
-	return e.RawOp(label, after, func(p, lo, hi int) {
-		_ = m.ApplyBlock(p, in, out)
-	})
-}
-
-// SpMV submits chunked tasks computing out rows = A * in. A row-page runs
-// only when every connected input page is current at in.Ver; the output
-// page is then stamped at out.Ver (full overwrite, so it revalidates).
-func (e *Engine) SpMV(label string, after []*taskrt.Handle, in, out Operand) []*taskrt.Handle {
-	return e.RawOp(label, after, func(p, lo, hi int) {
-		if e.Resilient && !in.ConnCurrent(e.Conn[p], in.Ver, -1) {
-			return // output page keeps its OLD values
-		}
-		e.A.MulVecRange(in.V.Data, out.V.Data, lo, hi)
-		if e.Resilient {
-			out.V.MarkRecovered(p)
-			out.S[p].Store(out.Ver)
-		}
-	})
-}
-
-// DotPartials submits chunked tasks storing the per-page inner products
-// <x, y> into part. Pages where either operand is stale stay missing —
-// the recovery tasks may fill them later (Figure 1(b)'s r1).
-func (e *Engine) DotPartials(label string, after []*taskrt.Handle, x, y Operand, part *Partial) []*taskrt.Handle {
-	return e.RawOp(label, after, func(p, lo, hi int) { e.DotPartialPage(p, lo, hi, x, y, part) })
-}
-
-// DotPartialsReliable is DotPartials with the second operand living in
-// reliable memory (constant data like the BiCGStab shadow residual r̂0,
-// §2.1): only x is guarded.
-func (e *Engine) DotPartialsReliable(label string, after []*taskrt.Handle, x Operand, y []float64, part *Partial) []*taskrt.Handle {
-	return e.RawOp(label, after, func(p, lo, hi int) {
-		if e.Resilient && !x.Current(p, x.Ver) {
-			return
-		}
-		part.Store(p, sparse.DotRange(x.V.Data, y, lo, hi))
-	})
-}
-
-// RawOp submits chunked tasks running fn over every page range with no
-// stamp guards or stamping — the building block for solvers that detect
-// and repair only at phase boundaries (the GMRES Arnoldi steps, and the
-// non-resilient methods).
-func (e *Engine) RawOp(label string, after []*taskrt.Handle, fn func(p, lo, hi int)) []*taskrt.Handle {
-	handles := make([]*taskrt.Handle, 0, len(e.chunks))
-	for _, ch := range e.chunks {
-		pLo, pHi := ch[0], ch[1]
-		handles = append(handles, e.RT.Submit(e.task(label, after, 0, pHi-pLo, func(int) {
-			for p := pLo; p < pHi; p++ {
-				lo, hi := e.Layout.Range(p)
-				fn(p, lo, hi)
-			}
-		})))
-	}
-	return handles
-}
-
 // task is the spec of every task the engine submits or replays: the body
 // enters the fault sites with the pages it covers (a chunk its page
 // count, a single task 1), then runs.
@@ -384,31 +282,6 @@ func (e *Engine) task(label string, after []*taskrt.Handle, priority, pages int,
 		e.Sites.Enter(label, pages)
 		run(w)
 	}}
-}
-
-// RawSpMV submits unguarded chunked tasks computing y rows = A * x.
-func (e *Engine) RawSpMV(label string, after []*taskrt.Handle, x, y []float64) []*taskrt.Handle {
-	return e.RawOp(label, after, func(p, lo, hi int) {
-		e.A.MulVecRange(x, y, lo, hi)
-	})
-}
-
-// RawDotPartials submits unguarded chunked tasks storing the per-page
-// inner products <x, y> into part.
-func (e *Engine) RawDotPartials(label string, after []*taskrt.Handle, x, y []float64, part *Partial) []*taskrt.Handle {
-	return e.RawOp(label, after, func(p, lo, hi int) {
-		part.Store(p, sparse.DotRange(x, y, lo, hi))
-	})
-}
-
-// Dot runs a chunked inner product and waits: the partial tasks plus the
-// final sum, with no guards. Used for scalar reductions of non-resilient
-// phases.
-func (e *Engine) Dot(label string, x, y []float64, part *Partial) float64 {
-	part.ResetMissing()
-	e.RT.WaitAll(e.RawDotPartials(label, nil, x, y, part))
-	sum, _ := part.SumAvailable()
-	return sum
 }
 
 // OverlappedRecovery submits fn as a single low-priority task after the

@@ -60,9 +60,37 @@ func testMatrix(n int) *sparse.CSR {
 	return sparse.NewCSRFromTriplets(n, n, tr)
 }
 
-// TestEngineGuardsSkipStalePages checks the core contract: a PageOp skips
-// pages whose inputs are not current, leaving the old version in place,
-// and stamps the rest.
+// wave prepares a chunked op running body on every page of the engine.
+func wave(e *Engine, label string, body func(p, lo, hi int)) *Prepared {
+	return e.Prepare(label, 0, func(_, pLo, pHi int) {
+		for p := pLo; p < pHi; p++ {
+			lo, hi := e.Layout.Range(p)
+			body(p, lo, hi)
+		}
+	})
+}
+
+// run replays a prepared op and waits for it.
+func run(op *Prepared) {
+	op.Submit(nil)
+	op.Wait()
+}
+
+// copyBlocks is the identity block apply, u_p = v_p.
+type copyBlocks sparse.BlockLayout
+
+func (c copyBlocks) ApplyBlock(p int, v, u []float64) error {
+	lo, hi := sparse.BlockLayout(c).Range(p)
+	copy(u[lo:hi], v[lo:hi])
+	return nil
+}
+
+// TestEngineGuardsSkipStalePages checks the core contract on the guarded
+// full-overwrite page body (ApplyPrecondPage, here with the identity
+// apply) replayed as a prepared wave: it skips pages whose input is not
+// current, leaving the old version in place, stamps the rest and
+// revalidates a lost output page it overwrote; the guarded reduction then
+// leaves the skipped page's partial missing.
 func TestEngineGuardsSkipStalePages(t *testing.T) {
 	const n, page = 256, 32
 	a := testMatrix(n)
@@ -79,12 +107,10 @@ func TestEngineGuardsSkipStalePages(t *testing.T) {
 	}
 	src.S.Fill(5)
 	src.S[3].Store(4) // page 3 stale
+	dst.V.MarkFailed(5)
 
-	out := Operand{Vec: dst, Ver: 6}
-	rt.WaitAll(e.PageOp("copy", nil, []Operand{In(src, 5)}, &out, true, func(p, lo, hi int) bool {
-		copy(dst.V.Data[lo:hi], src.V.Data[lo:hi])
-		return true
-	}))
+	in, out := In(src, 5), Operand{Vec: dst, Ver: 6}
+	run(wave(e, "copy", func(p, _, _ int) { e.ApplyPrecondPage(p, copyBlocks(layout), in, out) }))
 	for p := 0; p < e.NP; p++ {
 		want := int64(6)
 		if p == 3 {
@@ -94,10 +120,13 @@ func TestEngineGuardsSkipStalePages(t *testing.T) {
 			t.Fatalf("page %d stamped %d, want %d", p, got, want)
 		}
 	}
+	if dst.V.Failed(5) {
+		t.Fatal("a full overwrite left its lost output page failed")
+	}
 
 	// Dot partials: the stale output page stays missing.
 	part := NewPartial(e.NP)
-	rt.WaitAll(e.DotPartials("dot", nil, In(dst, 6), In(dst, 6), part))
+	run(wave(e, "dot", func(p, lo, hi int) { e.DotPartialPage(p, lo, hi, In(dst, 6), In(dst, 6), part) }))
 	sum, missing := part.SumAvailable()
 	if missing != 1 {
 		t.Fatalf("missing = %d, want 1", missing)
@@ -107,8 +136,9 @@ func TestEngineGuardsSkipStalePages(t *testing.T) {
 	}
 }
 
-// TestEngineSpMVConnGuard checks that SpMV skips row-pages whose input
-// halo is stale and that PageConnectivity includes the neighbours.
+// TestEngineSpMVConnGuard checks that the guarded SpMV page body
+// (SpMVDotPage with no partial) skips row-pages whose input halo is stale
+// and that PageConnectivity includes the neighbours.
 func TestEngineSpMVConnGuard(t *testing.T) {
 	const n, page = 256, 32
 	a := testMatrix(n)
@@ -125,7 +155,7 @@ func TestEngineSpMVConnGuard(t *testing.T) {
 	y := Vec{V: space.AddVector("y"), S: NewStamps(e.NP)}
 	x.S.Fill(0)
 	x.S[2].Store(-1) // stale input page
-	rt.WaitAll(e.SpMV("y=Ax", nil, In(x, 0), Operand{Vec: y, Ver: 0}))
+	run(wave(e, "y=Ax", func(p, lo, hi int) { e.SpMVDotPage(p, lo, hi, In(x, 0), Operand{Vec: y, Ver: 0}, nil, nil) }))
 	for p := 0; p < e.NP; p++ {
 		stale := p >= 1 && p <= 3 // pages whose halo touches page 2
 		if got := y.S[p].Load() == 0; got == stale {
@@ -134,9 +164,10 @@ func TestEngineSpMVConnGuard(t *testing.T) {
 	}
 }
 
-// TestSitesCountPages: the fault sites are the work clock. A chunked wave
-// hands them the operator's page count however it is chunked, replayed
-// or immediate; a single task hands them 1; closed sites hand nothing.
+// TestSitesCountPages: the fault sites are the work clock. A prepared
+// wave hands them the operator's page count however it is chunked, each
+// time it is replayed; a single task — prepared, critical or overlapped —
+// hands them 1; closed sites hand nothing.
 func TestSitesCountPages(t *testing.T) {
 	const n, page = 1000, 32 // 32 pages, the last one short
 	a := testMatrix(n)
@@ -151,15 +182,16 @@ func TestSitesCountPages(t *testing.T) {
 		wave := e.Prepare("wave", 0, func(int, int, int) {})
 		single := e.PrepareSingle("r1", 0, func() {})
 
-		rt.WaitAll(e.RawOp("closed", nil, func(int, int, int) {}))
+		rt.WaitAll(wave.Submit(nil))
 		sites.Open(0)
-		rt.WaitAll(e.RawOp("raw", nil, func(int, int, int) {}))
+		rt.WaitAll(wave.Submit(nil))
 		rt.WaitAll(wave.Submit(nil))
 		rt.WaitAll(single.Submit(nil))
 		e.CriticalRecovery("r2r3", 0, func() {})
+		rt.Wait(e.OverlappedRecovery("rV", nil, func() {}))
 		sites.Close()
 		rt.WaitAll(wave.Submit(nil))
-		if want := 2*e.NP + 2; pages != want {
+		if want := 2*e.NP + 3; pages != want {
 			t.Fatalf("%d chunks: the sites counted %d pages, want %d", nchunks, pages, want)
 		}
 	}

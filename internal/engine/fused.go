@@ -1,8 +1,9 @@
-// Fused page operations: each emits ONE task per chunk where the unfused
-// pipeline emitted two dependent ones (the producing operation plus the
+// Guarded page bodies: each runs one page of a page operation, inside a
+// prepared wave's chunk loop, with the version-stamp guards and stamping
+// of the FEIR/AFEIR discipline. The fused ones do in ONE pass what the
+// unfused sequence did in two (the guarded producer, then the guarded
 // reduction over its output), cutting both the task count and the memory
-// traffic of the steady-state iteration. The version-stamp guards and
-// FEIR/AFEIR recovery semantics are identical to the ops they fuse:
+// traffic of the steady-state iteration, with the same semantics:
 //
 //   - a page runs only when the same input operands the unfused producer
 //     checked are current; a skipped page keeps its previous version and
@@ -14,10 +15,10 @@
 //     tasks' partial back-fill loops (which test Partial.Missing plus
 //     page currency) work on fused and unfused partials alike.
 //
-// The one observable difference is benign: the unfused reduction task ran
+// The one observable difference is benign: an unfused reduction task ran
 // strictly after the producer, so a fault bit raised in the gap made it
 // drop a numerically-correct contribution that recovery then recomputed.
-// The fused op computes the contribution from the values it just wrote —
+// The fused body computes the contribution from the values it just wrote —
 // the same values the recovery relation would reproduce.
 package engine
 
@@ -30,8 +31,9 @@ import (
 
 // SpMVDotPage is the per-page body of the fused SpMV + dot operation:
 // out rows = A·in for page p, the <in,out> partial into xy and the
-// <out,out> partial into yy (either may be nil). Shared by the immediate
-// SpMVDot op and the prepared steady-state graphs.
+// <out,out> partial into yy (either may be nil; both nil is the guarded
+// SpMV). The row-page runs only when every connected input page is
+// current at in.Ver, and the output revalidates at out.Ver.
 //
 //due:hotpath
 func (e *Engine) SpMVDotPage(p, lo, hi int, in, out Operand, xy, yy *Partial) {
@@ -72,20 +74,9 @@ func (e *Engine) SpMVDotPage(p, lo, hi int, in, out Operand, xy, yy *Partial) {
 	}
 }
 
-// SpMVDot submits chunked tasks computing out rows = A * in fused with
-// the per-page partials <in, out> (into xy) and <out, out> (into yy);
-// pass nil to skip either. Guards and stamping match SpMV followed by
-// DotPartials: a row-page runs only when every connected input page is
-// current at in.Ver, the output revalidates at out.Ver, and skipped pages
-// leave their partial slots missing.
-func (e *Engine) SpMVDot(label string, after []*taskrt.Handle, in, out Operand, xy, yy *Partial) []*taskrt.Handle {
-	return e.RawOp(label, after, func(p, lo, hi int) { e.SpMVDotPage(p, lo, hi, in, out, xy, yy) })
-}
-
-// SpMVDotVecPage is the per-page body of SpMVDotReliable: out rows = A·in
-// fused with the <out, y> partial against reliable-memory y (the BiCGStab
-// shadow residual). The partial guard matches DotPartialsReliable: only
-// the produced page must be current, which it is whenever the SpMV ran.
+// SpMVDotVecPage is SpMVDotPage with the <out, y> partial against a
+// reliable-memory y (the BiCGStab shadow residual): y needs no guard, and
+// the produced page is current whenever the SpMV ran.
 //
 //due:hotpath
 func (e *Engine) SpMVDotVecPage(p, lo, hi int, in, out Operand, y []float64, part *Partial) {
@@ -100,18 +91,11 @@ func (e *Engine) SpMVDotVecPage(p, lo, hi int, in, out Operand, y []float64, par
 	part.Store(p, wy)
 }
 
-// SpMVDotReliable submits chunked tasks computing out rows = A * in fused
-// with the per-page partials <out, y> for a reliable-memory y.
-func (e *Engine) SpMVDotReliable(label string, after []*taskrt.Handle, in, out Operand, y []float64, part *Partial) []*taskrt.Handle {
-	return e.RawOp(label, after, func(p, lo, hi int) { e.SpMVDotVecPage(p, lo, hi, in, out, y, part) })
-}
-
 // AxpyDotPage is the per-page body of the fused read-modify-write update
-// y += alpha·x with the <y, y> partial of the updated values. Guards
-// match PageOp(ins={y@Ver-1, x@x.Ver}, overwrite=false) followed by
-// DotPartials(y, y): the stamp advances but a poison landing mid-task
-// stays detected, and then the contribution is dropped exactly as the
-// unfused reduction's currency guard would drop it.
+// y += alpha·x (y consumed at y.Ver-1, produced at y.Ver) with the <y, y>
+// partial of the updated values. The stamp advances but the fault bit is
+// kept, so a poison landing mid-task stays detected, and then the
+// contribution is dropped exactly as DotPartialPage's guard would drop it.
 //
 //due:hotpath
 func (e *Engine) AxpyDotPage(p, lo, hi int, alpha float64, x, y Operand, yy *Partial) {
@@ -126,14 +110,6 @@ func (e *Engine) AxpyDotPage(p, lo, hi int, alpha float64, x, y Operand, yy *Par
 		}
 	}
 	yy.Store(p, s)
-}
-
-// AxpyDot submits chunked tasks computing y += alpha * x (read-modify-
-// write: y consumed at y.Ver-1, produced at y.Ver, fault bits preserved)
-// fused with the per-page <y, y> partials of the updated values — the CG
-// phase-2 g -= αq with ε = <g,g> in one task per chunk.
-func (e *Engine) AxpyDot(label string, after []*taskrt.Handle, alpha float64, x, y Operand, yy *Partial) []*taskrt.Handle {
-	return e.RawOp(label, after, func(p, lo, hi int) { e.AxpyDotPage(p, lo, hi, alpha, x, y, yy) })
 }
 
 // AxpyDotPageABFT is the checksum-carrying variant of AxpyDotPage: the
@@ -164,8 +140,9 @@ func (e *Engine) AxpyDotPageABFT(p, lo, hi int, alpha float64, x, y Operand, yy 
 }
 
 // ApplyPrecondPage is the per-page body of the guarded apply-M⁻¹
-// operation (ApplyPrecond): out_p = M_pp⁻¹ in_p with full-overwrite
-// stamping, for prepared steady-state graphs.
+// operation: out_p = M_pp⁻¹ in_p when in is current, a full overwrite, so
+// the page revalidates; a skipped page keeps its previous version for the
+// partial-application recovery (§3.2) to fill in.
 //
 //due:hotpath
 func (e *Engine) ApplyPrecondPage(p int, m BlockApplier, in, out Operand) {
@@ -181,8 +158,9 @@ func (e *Engine) ApplyPrecondPage(p int, m BlockApplier, in, out Operand) {
 	}
 }
 
-// DotPartialPage is the per-page body of the guarded DotPartials
-// reduction, for prepared steady-state graphs.
+// DotPartialPage is the per-page body of the guarded reduction: the <x, y>
+// partial of page p, left missing when either operand is stale for the
+// recovery tasks to fill later (Figure 1(b)'s r1).
 //
 //due:hotpath
 func (e *Engine) DotPartialPage(p, lo, hi int, x, y Operand, part *Partial) {
@@ -190,19 +168,6 @@ func (e *Engine) DotPartialPage(p, lo, hi int, x, y Operand, part *Partial) {
 		return
 	}
 	part.Store(p, sparse.DotRange(x.V.Data, y.V.Data, lo, hi))
-}
-
-// AxpyNorm runs the fused y += alpha*x with the <y,y> partials of the
-// updated values, waits, and returns the squared norm — the GMRES final
-// orthogonalisation update fused with the Arnoldi normalisation norm
-// (unguarded, phase-boundary repair discipline).
-func (e *Engine) AxpyNorm(label string, alpha float64, x, y []float64, part *Partial) float64 {
-	part.ResetMissing()
-	e.RT.WaitAll(e.RawOp(label, nil, func(p, lo, hi int) {
-		part.Store(p, sparse.AxpyDotRange(alpha, x, y, lo, hi))
-	}))
-	sum, _ := part.SumAvailable()
-	return sum
 }
 
 // ---------------------------------------------------------------------
@@ -220,13 +185,16 @@ type Prepared struct {
 	handles []*taskrt.Handle
 }
 
-// graphPreps counts task-graph preparations process-wide. The serving
-// layer's zero-rebuild guarantee is pinned against it: repeated solves on
-// a cached operator context must not move this counter after warmup.
+// graphPreps counts task-graph preparations process-wide.
 var graphPreps atomic.Int64
 
-// GraphPrepCount returns the number of prepared task graphs built so far
-// (Prepare + PrepareSingle calls, process-wide).
+// GraphPrepCount returns the number of prepared ops built so far
+// (Prepare + PrepareSingle calls, process-wide). The serving layer's
+// zero-rebuild guarantee is pinned against it, and it is a guarantee for
+// pooled CG: repeated CG solves on a cached operator context must not
+// move the count after warmup. BiCGStab and GMRES are built afresh for
+// each request (the registry pools only CG), so each of their requests
+// adds every wave and repair task it prepares.
 func GraphPrepCount() int64 { return graphPreps.Load() }
 
 // Prepare builds a prepared chunked op running body(worker, pLo, pHi) for
@@ -239,6 +207,18 @@ func (e *Engine) Prepare(label string, priority int, body func(worker, pLo, pHi 
 		p.handles = append(p.handles, e.RT.NewTask(e.task(label, nil, priority, pHi-pLo, func(w int) { body(w, pLo, pHi) })))
 	}
 	return p
+}
+
+// PreparePages is Prepare with a body run on every page p, rows
+// [lo, hi), of each chunk.
+func (e *Engine) PreparePages(label string, priority int, body func(p, lo, hi int)) *Prepared {
+	//due:hotpath
+	return e.Prepare(label, priority, func(_, pLo, pHi int) {
+		for p := pLo; p < pHi; p++ {
+			lo, hi := e.Layout.Range(p)
+			body(p, lo, hi)
+		}
+	})
 }
 
 // PrepareSingle builds a prepared single-task op (the per-phase recovery
@@ -255,8 +235,33 @@ func (p *Prepared) Submit(after []*taskrt.Handle) []*taskrt.Handle {
 	return p.handles
 }
 
+// Run replays every chunk task with no dependencies and waits for them.
+func (p *Prepared) Run() { p.rt.WaitAll(p.Submit(nil)) }
+
 // Handles returns the persistent task handles (stable across replays).
 func (p *Prepared) Handles() []*taskrt.Handle { return p.handles }
+
+// Handles lists the handles of ops, in order (a nil op has none): a
+// dependency list built once and replayed with them.
+func Handles(ops ...*Prepared) (hs []*taskrt.Handle) {
+	for _, op := range ops {
+		if op != nil {
+			hs = append(hs, op.handles...)
+		}
+	}
+	return hs
+}
+
+// Chain replays ops in order, each after the one before (a nil op is
+// left out).
+func Chain(ops ...*Prepared) {
+	var after []*taskrt.Handle
+	for _, op := range ops {
+		if op != nil {
+			after = op.Submit(after)
+		}
+	}
+}
 
 // Wait blocks until the most recent replay of every chunk task finished.
 func (p *Prepared) Wait() { p.rt.WaitAll(p.handles) }

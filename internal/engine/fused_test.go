@@ -44,8 +44,65 @@ func (f *fusedFixture) vec(name string, fill func(i int) float64) Vec {
 	return v
 }
 
-// TestSpMVDotMatchesUnfused runs the fused SpMV+dot and the unfused
-// SpMV-then-DotPartials pipelines from identical states with a stale
+// spmvPage is the unfused guarded SpMV of page p: the guard (every
+// connected input page current), then the sparse kernel, then the
+// full-overwrite stamp.
+func (f *fusedFixture) spmvPage(p, lo, hi int, in, out Operand) {
+	if !in.ConnCurrent(f.e.Conn[p], in.Ver, -1) {
+		return
+	}
+	f.a.MulVecRange(in.V.Data, out.V.Data, lo, hi)
+	out.V.MarkRecovered(p)
+	out.S[p].Store(out.Ver)
+}
+
+// partialPage is the unfused guarded reduction of page p: <x, y> when x
+// and y (a nil y.V: the reliable w, unguarded) are current.
+func partialPage(p, lo, hi int, x, y Operand, w []float64, part *Partial) {
+	if !x.Current(p, x.Ver) {
+		return
+	}
+	if y.V != nil {
+		if !y.Current(p, y.Ver) {
+			return
+		}
+		w = y.V.Data
+	}
+	part.Store(p, sparse.DotRange(x.V.Data, w, lo, hi))
+}
+
+// samePartials compares two partial sets slot by slot: the same missing
+// slots and the same bits in the others.
+func samePartials(t *testing.T, what string, u, f *Partial) {
+	t.Helper()
+	for p := 0; p < u.Len(); p++ {
+		if u.Missing(p) != f.Missing(p) {
+			t.Fatalf("%s page %d: missing fused=%v unfused=%v", what, p, f.Missing(p), u.Missing(p))
+		}
+		if !u.Missing(p) && u.Load(p) != f.Load(p) {
+			t.Fatalf("%s page %d: fused=%v unfused=%v", what, p, f.Load(p), u.Load(p))
+		}
+	}
+}
+
+// sameVecs compares two vectors' stamps and values.
+func sameVecs(t *testing.T, u, f Vec) {
+	t.Helper()
+	for p := range u.S {
+		if u.S[p].Load() != f.S[p].Load() {
+			t.Fatalf("page %d: stamp fused=%d unfused=%d", p, f.S[p].Load(), u.S[p].Load())
+		}
+	}
+	for i := range u.V.Data {
+		if u.V.Data[i] != f.V.Data[i] {
+			t.Fatalf("element %d: fused=%v unfused=%v", i, f.V.Data[i], u.V.Data[i])
+		}
+	}
+}
+
+// TestSpMVDotMatchesUnfused runs SpMVDotPage as one prepared wave and the
+// unfused page sequence — the guarded SpMV, then the <x,y> and <y,y>
+// reductions, each a wave of its own — from identical states with a stale
 // input page, and compares outputs, stamps and partial sets.
 func TestSpMVDotMatchesUnfused(t *testing.T) {
 	const n, page = 256, 32
@@ -58,42 +115,23 @@ func TestSpMVDotMatchesUnfused(t *testing.T) {
 	yF := f.vec("yF", nil)
 	x.S.Fill(3)
 	x.S[5].Store(2) // stale input page
+	in, outU, outF := In(x, 3), Operand{Vec: yU, Ver: 3}, Operand{Vec: yF, Ver: 3}
 
-	// Unfused pipeline.
 	partXYU, partYYU := NewPartial(f.e.NP), NewPartial(f.e.NP)
-	h := f.e.SpMV("y=Ax", nil, In(x, 3), Operand{Vec: yU, Ver: 3})
-	f.rt.WaitAll(h)
-	f.rt.WaitAll(f.e.DotPartials("<x,y>", nil, In(x, 3), In(yU, 3), partXYU))
-	f.rt.WaitAll(f.e.DotPartials("<y,y>", nil, In(yU, 3), In(yU, 3), partYYU))
+	run(wave(f.e, "y=Ax", func(p, lo, hi int) { f.spmvPage(p, lo, hi, in, outU) }))
+	run(wave(f.e, "<x,y>", func(p, lo, hi int) { partialPage(p, lo, hi, in, outU, nil, partXYU) }))
+	run(wave(f.e, "<y,y>", func(p, lo, hi int) { partialPage(p, lo, hi, outU, outU, nil, partYYU) }))
 
-	// Fused pipeline.
 	partXYF, partYYF := NewPartial(f.e.NP), NewPartial(f.e.NP)
-	f.rt.WaitAll(f.e.SpMVDot("y=Ax,<x,y>,<y,y>", nil, In(x, 3), Operand{Vec: yF, Ver: 3}, partXYF, partYYF))
+	run(wave(f.e, "y=Ax,<x,y>,<y,y>", func(p, lo, hi int) { f.e.SpMVDotPage(p, lo, hi, in, outF, partXYF, partYYF) }))
 
-	for p := 0; p < f.e.NP; p++ {
-		if yU.S[p].Load() != yF.S[p].Load() {
-			t.Fatalf("page %d: stamp fused=%d unfused=%d", p, yF.S[p].Load(), yU.S[p].Load())
-		}
-		if partXYU.Missing(p) != partXYF.Missing(p) || partYYU.Missing(p) != partYYF.Missing(p) {
-			t.Fatalf("page %d: missing sets differ (xy %v/%v, yy %v/%v)", p,
-				partXYU.Missing(p), partXYF.Missing(p), partYYU.Missing(p), partYYF.Missing(p))
-		}
-		if !partXYU.Missing(p) && partXYU.Load(p) != partXYF.Load(p) {
-			t.Fatalf("page %d: xy fused=%v unfused=%v", p, partXYF.Load(p), partXYU.Load(p))
-		}
-		if !partYYU.Missing(p) && partYYU.Load(p) != partYYF.Load(p) {
-			t.Fatalf("page %d: yy fused=%v unfused=%v", p, partYYF.Load(p), partYYU.Load(p))
-		}
-	}
-	for i := range yU.V.Data {
-		if yU.V.Data[i] != yF.V.Data[i] {
-			t.Fatalf("element %d: fused=%v unfused=%v", i, yF.V.Data[i], yU.V.Data[i])
-		}
-	}
+	sameVecs(t, yU, yF)
+	samePartials(t, "<x,y>", partXYU, partXYF)
+	samePartials(t, "<y,y>", partYYU, partYYF)
 }
 
-// TestSpMVDotReliableMatchesUnfused compares the fused SpMV + reliable
-// dot against SpMV followed by DotPartialsReliable.
+// TestSpMVDotReliableMatchesUnfused compares SpMVDotVecPage against the
+// guarded SpMV followed by the <y,w> reduction against a reliable w.
 func TestSpMVDotReliableMatchesUnfused(t *testing.T) {
 	const n, page = 256, 32
 	f := newFusedFixture(t, n, page)
@@ -109,28 +147,25 @@ func TestSpMVDotReliableMatchesUnfused(t *testing.T) {
 	}
 	x.S.Fill(1)
 	x.S[0].Store(0)
+	in, outU, outF := In(x, 1), Operand{Vec: yU, Ver: 1}, Operand{Vec: yF, Ver: 1}
 
 	partU := NewPartial(f.e.NP)
-	f.rt.WaitAll(f.e.SpMV("y=Ax", nil, In(x, 1), Operand{Vec: yU, Ver: 1}))
-	f.rt.WaitAll(f.e.DotPartialsReliable("<y,w>", nil, In(yU, 1), w, partU))
+	run(wave(f.e, "y=Ax", func(p, lo, hi int) { f.spmvPage(p, lo, hi, in, outU) }))
+	run(wave(f.e, "<y,w>", func(p, lo, hi int) { partialPage(p, lo, hi, outU, Operand{}, w, partU) }))
 
 	partF := NewPartial(f.e.NP)
-	f.rt.WaitAll(f.e.SpMVDotReliable("y=Ax,<y,w>", nil, In(x, 1), Operand{Vec: yF, Ver: 1}, w, partF))
+	run(wave(f.e, "y=Ax,<y,w>", func(p, lo, hi int) { f.e.SpMVDotVecPage(p, lo, hi, in, outF, w, partF) }))
 
-	for p := 0; p < f.e.NP; p++ {
-		if partU.Missing(p) != partF.Missing(p) {
-			t.Fatalf("page %d: missing fused=%v unfused=%v", p, partF.Missing(p), partU.Missing(p))
-		}
-		if !partU.Missing(p) && partU.Load(p) != partF.Load(p) {
-			t.Fatalf("page %d: fused=%v unfused=%v", p, partF.Load(p), partU.Load(p))
-		}
-	}
+	sameVecs(t, yU, yF)
+	samePartials(t, "<y,w>", partU, partF)
 }
 
-// TestAxpyDotMatchesUnfused compares the fused RMW axpy + norm against
-// PageOp followed by DotPartials, including a failed page (late poison):
-// the stamp must advance, the fault must stay detected and the partial
-// must stay missing.
+// TestAxpyDotMatchesUnfused compares AxpyDotPage against the unfused
+// sequence — the guard (y at Ver-1, x current), the read-modify-write
+// axpy that advances the stamp and keeps the fault bit, then the <y,y>
+// reduction — including a failed page (late poison): the stamp must
+// advance, the fault must stay detected and the partial must stay
+// missing.
 func TestAxpyDotMatchesUnfused(t *testing.T) {
 	const n, page = 256, 32
 	f := newFusedFixture(t, n, page)
@@ -140,53 +175,44 @@ func TestAxpyDotMatchesUnfused(t *testing.T) {
 	x := f.vec("x", fill)
 	x.S.Fill(4)
 	x.S[2].Store(3) // stale x page: update must skip page 2
+	xIn := In(x, 4)
 
-	run := func(y Vec, fused bool) *Partial {
+	run1 := func(y Vec, fused bool) *Partial {
 		part := NewPartial(f.e.NP)
 		y.S.Fill(3)
 		y.V.MarkFailed(6) // failed y page: stamp advances, partial missing
+		out := Operand{Vec: y, Ver: 4}
 		if fused {
-			f.rt.WaitAll(f.e.AxpyDot("y+=ax,<y,y>", nil, 0.5, In(x, 4), Operand{Vec: y, Ver: 4}, part))
+			run(wave(f.e, "y+=ax,<y,y>", func(p, lo, hi int) { f.e.AxpyDotPage(p, lo, hi, 0.5, xIn, out, part) }))
 			return part
 		}
-		out := Operand{Vec: y, Ver: 4}
-		f.rt.WaitAll(f.e.PageOp("y+=ax", nil, []Operand{In(y, 3), In(x, 4)}, &out, false, func(p, lo, hi int) bool {
+		run(wave(f.e, "y+=ax", func(p, lo, hi int) {
+			if !y.Current(p, 3) || !xIn.Current(p, 4) {
+				return
+			}
 			sparse.AxpyRange(0.5, x.V.Data, y.V.Data, lo, hi)
-			return true
+			y.S[p].Store(4)
 		}))
-		f.rt.WaitAll(f.e.DotPartials("<y,y>", nil, In(y, 4), In(y, 4), part))
+		run(wave(f.e, "<y,y>", func(p, lo, hi int) { partialPage(p, lo, hi, out, out, nil, part) }))
 		return part
 	}
 
 	yU := f.vec("yU", func(i int) float64 { return float64(i % 5) })
 	yF := f.vec("yF", func(i int) float64 { return float64(i % 5) })
-	partU := run(yU, false)
-	partF := run(yF, true)
+	partU := run1(yU, false)
+	partF := run1(yF, true)
 
-	for p := 0; p < f.e.NP; p++ {
-		if yU.S[p].Load() != yF.S[p].Load() {
-			t.Fatalf("page %d: stamp fused=%d unfused=%d", p, yF.S[p].Load(), yU.S[p].Load())
-		}
-		if partU.Missing(p) != partF.Missing(p) {
-			t.Fatalf("page %d: missing fused=%v unfused=%v", p, partF.Missing(p), partU.Missing(p))
-		}
-		if !partU.Missing(p) && partU.Load(p) != partF.Load(p) {
-			t.Fatalf("page %d: partial fused=%v unfused=%v", p, partF.Load(p), partU.Load(p))
-		}
-	}
-	for i := range yU.V.Data {
-		if yU.V.Data[i] != yF.V.Data[i] {
-			t.Fatalf("element %d: fused=%v unfused=%v", i, yF.V.Data[i], yU.V.Data[i])
-		}
-	}
+	sameVecs(t, yU, yF)
+	samePartials(t, "<y,y>", partU, partF)
 	if !yF.V.Failed(6) {
 		t.Fatal("fused op cleared a late-poison fault bit")
 	}
 }
 
 // TestPreparedReplayMatchesImmediate replays a prepared fused graph many
-// times and checks it computes the same thing as immediate submissions,
-// with zero allocations per replay.
+// times and checks it computes the same thing as the same page bodies
+// run immediately on the calling goroutine, with zero allocations per
+// replay.
 func TestPreparedReplayMatchesImmediate(t *testing.T) {
 	const n, page = 256, 32
 	f := newFusedFixture(t, n, page)
@@ -214,10 +240,13 @@ func TestPreparedReplayMatchesImmediate(t *testing.T) {
 		t.Fatalf("missing = %d", missing)
 	}
 
-	// Reference from the immediate op.
+	// Reference: the same pages, immediately on this goroutine.
 	partRef := NewPartial(f.e.NP)
 	yRef := f.vec("yRef", nil)
-	f.rt.WaitAll(f.e.SpMVDot("ref", nil, In(x, 0), Operand{Vec: yRef, Ver: 0}, partRef, nil))
+	for p := 0; p < f.e.NP; p++ {
+		lo, hi := f.e.Layout.Range(p)
+		f.e.SpMVDotPage(p, lo, hi, In(x, 0), Operand{Vec: yRef, Ver: 0}, partRef, nil)
+	}
 	ref, _ := partRef.SumAvailable()
 	if want != ref {
 		t.Fatalf("prepared sum %v != immediate sum %v", want, ref)

@@ -57,6 +57,68 @@ func (s *ArnoldiState) RecoverArnoldiVector(a *sparse.CSR, l int, out []float64)
 	return true
 }
 
+// Givens is the least-squares half of a GMRES(m) cycle: the Givens
+// rotations that reduce the Hessenberg matrix H to upper-triangular R
+// column by column, the rotated right-hand side ζe₁, and the back
+// substitution for the coefficients y of x += V y. The resilient GMRES in
+// internal/core runs the same arithmetic through it.
+type Givens struct {
+	H              *sparse.Dense // (m+1)×m: H as the steps set it, R once rotated
+	cs, sn, res, y []float64
+}
+
+// NewGivens returns the storage of a cycle of at most m steps.
+func NewGivens(m int) *Givens {
+	return &Givens{H: sparse.NewDense(m+1, m), cs: make([]float64, m), sn: make([]float64, m), res: make([]float64, m+1), y: make([]float64, m)}
+}
+
+// Start begins a cycle whose starting residual has norm zeta.
+func (g *Givens) Start(zeta float64) {
+	clear(g.res)
+	g.res[0] = zeta
+}
+
+// Rotate applies the earlier rotations to column l of H, then the new
+// one that annihilates H[l+1][l], and returns the residual norm left,
+// |res[l+1]|.
+func (g *Givens) Rotate(l int) float64 {
+	h, cs, sn, res := g.H, g.cs, g.sn, g.res
+	for k := 0; k < l; k++ {
+		hkl, hk1l := h.At(k, l), h.At(k+1, l)
+		h.Set(k, l, cs[k]*hkl+sn[k]*hk1l)
+		h.Set(k+1, l, -sn[k]*hkl+cs[k]*hk1l)
+	}
+	hll, hl1l := h.At(l, l), h.At(l+1, l)
+	r := math.Hypot(hll, hl1l)
+	if r == 0 {
+		cs[l], sn[l] = 1, 0
+	} else {
+		cs[l], sn[l] = hll/r, hl1l/r
+	}
+	h.Set(l, l, r)
+	h.Set(l+1, l, 0)
+	res[l+1] = -sn[l] * res[l]
+	res[l] = cs[l] * res[l]
+	return math.Abs(res[l+1])
+}
+
+// Solve back-substitutes R y = res over the first steps columns into
+// storage reused by every cycle; ok is false on a zero pivot.
+func (g *Givens) Solve(steps int) (y []float64, ok bool) {
+	for i := steps - 1; i >= 0; i-- {
+		s := g.res[i]
+		for j := i + 1; j < steps; j++ {
+			s -= g.H.At(i, j) * g.y[j]
+		}
+		d := g.H.At(i, i)
+		if d == 0 {
+			return nil, false
+		}
+		g.y[i] = s / d
+	}
+	return g.y[:steps], true
+}
+
 // GMRES solves A x = b with restarted GMRES(m) (Listing 4). A need not be
 // symmetric. x holds the initial guess on entry and the solution on
 // return.
@@ -92,10 +154,7 @@ func gmres(a *sparse.CSR, m precond.Preconditioner, b, x []float64, opts GMRESOp
 	for i := range vv {
 		vv[i] = make([]float64, n)
 	}
-	h := sparse.NewDense(mm+1, mm)
-	cs := make([]float64, mm)
-	sn := make([]float64, mm)
-	res := make([]float64, mm+1) // rotated rhs ||z|| e1
+	lsq := NewGivens(mm)
 
 	totalIt := 0
 	restarts := 0
@@ -116,10 +175,7 @@ func gmres(a *sparse.CSR, m precond.Preconditioner, b, x []float64, opts GMRESOp
 		if trueRel < tol || zeta == 0 {
 			break
 		}
-		for i := range res {
-			res[i] = 0
-		}
-		res[0] = zeta
+		lsq.Start(zeta)
 		copy(vv[0], z)
 		sparse.Scale(1/zeta, vv[0])
 
@@ -134,57 +190,32 @@ func gmres(a *sparse.CSR, m precond.Preconditioner, b, x []float64, opts GMRESOp
 			}
 			for k := 0; k <= l; k++ {
 				hk := sparse.Dot(w, vv[k])
-				h.Set(k, l, hk)
+				lsq.H.Set(k, l, hk)
 				sparse.Axpy(-hk, vv[k], w)
 			}
 			wn := sparse.Norm2(w)
-			h.Set(l+1, l, wn)
+			lsq.H.Set(l+1, l, wn)
 			steps = l + 1
 			totalIt++
 			if wn != 0 {
 				copy(vv[l+1], w)
 				sparse.Scale(1/wn, vv[l+1])
 			}
-			// Apply existing rotations to the new column.
-			for k := 0; k < l; k++ {
-				hkl, hk1l := h.At(k, l), h.At(k+1, l)
-				h.Set(k, l, cs[k]*hkl+sn[k]*hk1l)
-				h.Set(k+1, l, -sn[k]*hkl+cs[k]*hk1l)
-			}
-			// New rotation annihilating h[l+1][l].
-			hll, hl1l := h.At(l, l), h.At(l+1, l)
-			r := math.Hypot(hll, hl1l)
-			if r == 0 {
-				cs[l], sn[l] = 1, 0
-			} else {
-				cs[l], sn[l] = hll/r, hl1l/r
-			}
-			h.Set(l, l, r)
-			h.Set(l+1, l, 0)
-			res[l+1] = -sn[l] * res[l]
-			res[l] = cs[l] * res[l]
+			left := lsq.Rotate(l)
 			if opts.OnIteration != nil {
-				opts.OnIteration(totalIt, math.Abs(res[l+1])/bnorm)
+				opts.OnIteration(totalIt, left/bnorm)
 			}
-			if math.Abs(res[l+1])/zeta < tol/10 || wn == 0 {
+			if left/zeta < tol/10 || wn == 0 {
 				break
 			}
 		}
 		// Back-substitute y from the triangularized H, then update x.
-		y := make([]float64, steps)
-		for i := steps - 1; i >= 0; i-- {
-			s := res[i]
-			for j := i + 1; j < steps; j++ {
-				s -= h.At(i, j) * y[j]
-			}
-			d := h.At(i, i)
-			if d == 0 {
-				return Result{Iterations: totalIt, Restarts: restarts}, ErrBreakdown
-			}
-			y[i] = s / d
+		y, ok := lsq.Solve(steps)
+		if !ok {
+			return Result{Iterations: totalIt, Restarts: restarts}, ErrBreakdown
 		}
-		for l := 0; l < steps; l++ {
-			sparse.Axpy(y[l], vv[l], x)
+		for l, yl := range y {
+			sparse.Axpy(yl, vv[l], x)
 		}
 		restarts++
 	}
